@@ -30,8 +30,6 @@ let route_bench_only = Array.exists (String.equal "--route-bench") Sys.argv
 
 let escape_bench_only = Array.exists (String.equal "--escape-bench") Sys.argv
 
-let hier_bench_only = Array.exists (String.equal "--hier-bench") Sys.argv
-
 let fault_sweep_only = Array.exists (String.equal "--fault-sweep") Sys.argv
 
 let serve_bench_only = Array.exists (String.equal "--serve-bench") Sys.argv
@@ -1190,177 +1188,6 @@ let print_escape_bench () =
     Format.printf "escape-bench JSON written to %s@." path
 
 (* ------------------------------------------------------------------ *)
-(* Hier bench: flat vs hierarchical two-stage routing on the Scaled    *)
-(* Chip1-like family (area quadratic in scale, content linear — the    *)
-(* regime the hierarchy exists for), plus a Chip1 regression row. Per  *)
-(* design both legs run to completion; the hierarchical leg reports    *)
-(* the CONFINED attempt's search totals (Engine.run_report) separately *)
-(* from whatever the never-worse race added, so the speedup column is  *)
-(* the cost a hier-only deployment would pay. Expansion counts, ladder *)
-(* tiers and solution scores are deterministic fingerprints; wall-     *)
-(* clock is printed and recorded but excluded from fingerprints. The   *)
-(* data behind BENCH_hier.json.                                       *)
-(* ------------------------------------------------------------------ *)
-
-let hier_load name =
-  match Pacor_designs.Table1.load name with
-  | Ok p -> p
-  | Error _ ->
-    (match Pacor_designs.Scaled.of_name name with
-     | Some s -> Pacor_designs.Scaled.load_exn s
-     | None -> failwith ("hier-bench: unknown design " ^ name))
-
-type hier_leg = {
-  hl_report : Pacor.Engine.report;
-  hl_wall : float;
-}
-
-let run_hier_leg ~hier problem =
-  (* A fresh workspace per leg: corridor state and search counters of one
-     leg must not leak into the other's telemetry. *)
-  let ws = Pacor_route.Workspace.create () in
-  let config = { Pacor.Config.default with Pacor.Config.hier } in
-  let t0 = Unix.gettimeofday () in
-  match Pacor.Engine.run_report ~config ~workspace:ws problem with
-  | Error e ->
-    failwith (Printf.sprintf "hier-bench: engine failed in %s: %s" e.Pacor.Engine.stage e.Pacor.Engine.message)
-  | Ok r -> { hl_report = r; hl_wall = Unix.gettimeofday () -. t0 }
-
-type hier_row = {
-  hr_design : string;
-  hr_cells : int;
-  hr_flat_pops : int;
-  hr_hier_pops : int;
-  hr_tier : string;
-  hr_flat_score : int * int * int;   (* routed valves, matched, -length *)
-  hr_hier_score : int * int * int;
-  hr_flat_wall : float;
-  hr_hier_wall : float;
-  hr_ok : bool;  (* both legs validate AND hier kept equal-or-better *)
-}
-
-let hier_bench_row name =
-  let problem = hier_load name in
-  let cells = Pacor_grid.Routing_grid.cells problem.Pacor.Problem.grid in
-  let flat = run_hier_leg ~hier:Pacor.Config.Hier_off problem in
-  let hier = run_hier_leg ~hier:Pacor.Config.Hier_on problem in
-  let pops = function
-    | Some s -> s.Pacor_route.Search_stats.pops
-    | None -> 0
-  in
-  let flat_pops = pops flat.hl_report.Pacor.Engine.flat_search in
-  (* The confined attempt's own cost — what a hier-only run pays. Under
-     Hier_on this is always present unless the grid coarsened below 3x3
-     tiles, where the engine runs flat and we report that cost. *)
-  let hier_pops =
-    match hier.hl_report.Pacor.Engine.hier_search with
-    | Some s -> s.Pacor_route.Search_stats.pops
-    | None -> pops hier.hl_report.Pacor.Engine.flat_search
-  in
-  let flat_score = Pacor.Hier.score flat.hl_report.Pacor.Engine.solution in
-  let hier_score = Pacor.Hier.score hier.hl_report.Pacor.Engine.solution in
-  let valid sol = Pacor.Solution.validate sol = Ok () in
-  let hr_ok =
-    valid flat.hl_report.Pacor.Engine.solution
-    && valid hier.hl_report.Pacor.Engine.solution
-    && hier_score >= flat_score
-  in
-  { hr_design = name;
-    hr_cells = cells;
-    hr_flat_pops = flat_pops;
-    hr_hier_pops = hier_pops;
-    hr_tier = Pacor.Engine.tier_name hier.hl_report.Pacor.Engine.tier;
-    hr_flat_score = flat_score;
-    hr_hier_score = hier_score;
-    hr_flat_wall = flat.hl_wall;
-    hr_hier_wall = hier.hl_wall;
-    hr_ok }
-
-let hier_fingerprint r =
-  let rv, m, nl = r.hr_flat_score in
-  let rv', m', nl' = r.hr_hier_score in
-  Printf.sprintf
-    "hierb %s cells=%d flat=%d/%d/%d hier=%d/%d/%d tier=%s flat_pops=%d hier_pops=%d ok=%b"
-    r.hr_design r.hr_cells rv m (-nl) rv' m' (-nl') r.hr_tier r.hr_flat_pops
-    r.hr_hier_pops r.hr_ok
-
-let print_hier_bench () =
-  Format.printf "@.== Hier bench: flat vs hierarchical two-stage routing ==@.";
-  (* Smoke designs are a strict subset of the full run, so every smoke
-     fingerprint must appear verbatim in the committed BENCH_hier.json. *)
-  let designs =
-    if smoke || quick then [ "Chip1"; "Scaled1"; "Scaled2" ]
-    else [ "Chip1"; "Scaled1"; "Scaled2"; "Scaled3"; "Scaled4"; "Scaled6" ]
-  in
-  let rows = List.map hier_bench_row designs in
-  (* Chip1 regression row: under Hier_auto the paper corpus stays flat
-     (below the cell threshold), so auto must reproduce the flat result
-     exactly — tier included in the fingerprint to guard the threshold. *)
-  let auto =
-    let problem = hier_load "Chip1" in
-    run_hier_leg ~hier:Pacor.Config.Hier_auto problem
-  in
-  let auto_tier = Pacor.Engine.tier_name auto.hl_report.Pacor.Engine.tier in
-  let arv, am, anl = Pacor.Hier.score auto.hl_report.Pacor.Engine.solution in
-  let auto_fp =
-    Printf.sprintf "hierb-auto Chip1 tier=%s score=%d/%d/%d" auto_tier arv am (-anl)
-  in
-  Format.printf "%-8s %9s | %12s %12s %7s | %-10s | %-16s %-16s %s@." "design"
-    "cells" "flat pops" "hier pops" "ratio" "tier" "flat (rv,m,len)"
-    "hier (rv,m,len)" "ok";
-  List.iter
-    (fun r ->
-       let rv, m, nl = r.hr_flat_score and rv', m', nl' = r.hr_hier_score in
-       let ratio =
-         if r.hr_hier_pops > 0 then float_of_int r.hr_flat_pops /. float_of_int r.hr_hier_pops
-         else 0.0
-       in
-       Format.printf
-         "%-8s %9d | %12d %12d %6.2fx | %-10s | (%3d,%2d,%6d) (%3d,%2d,%6d) %s@."
-         r.hr_design r.hr_cells r.hr_flat_pops r.hr_hier_pops ratio r.hr_tier rv m
-         (-nl) rv' m' (-nl')
-         (if r.hr_ok then "yes" else "NO (BUG)"))
-    rows;
-  Format.printf "Chip1 under --hier auto: tier=%s score=(%d,%d,%d)@." auto_tier arv
-    am (-anl);
-  let json =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-hier-bench\",\n";
-    Printf.bprintf buf "  \"instances\": [\n";
-    List.iteri
-      (fun i r ->
-         let ratio =
-           if r.hr_hier_pops > 0 then
-             float_of_int r.hr_flat_pops /. float_of_int r.hr_hier_pops
-           else 0.0
-         in
-         Printf.bprintf buf
-           "    {\"design\": %S, \"cells\": %d, \"flat_pops\": %d, \"hier_pops\": %d,\n\
-            \     \"speedup\": %.2f, \"tier\": %S,\n\
-            \     \"flat_wall_s\": %.4f, \"hier_wall_s\": %.4f,\n\
-            \     \"fingerprint\": %S}%s\n"
-           r.hr_design r.hr_cells r.hr_flat_pops r.hr_hier_pops ratio r.hr_tier
-           r.hr_flat_wall r.hr_hier_wall (hier_fingerprint r)
-           (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf "  \"chip1_auto\": {\"fingerprint\": %S}\n" auto_fp;
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
-  in
-  Format.printf "@.%s@." json;
-  (match json_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc json;
-     close_out oc;
-     Format.printf "hier-bench JSON written to %s@." path);
-  if List.exists (fun r -> not r.hr_ok) rows then
-    failwith "hier-bench: a hierarchical run validated worse than flat"
-
-(* ------------------------------------------------------------------ *)
 (* Fault sweep: online repair (rip-up-around-the-fault) vs a full      *)
 (* re-route of the faulted instance, on the FPVA valve-array family —  *)
 (* the data behind BENCH_fault.json. Fault sets are seeded per (design,*)
@@ -2280,16 +2107,6 @@ let () =
     Format.printf "PACOR benchmark harness (escape-bench only%s)@."
       (if smoke then ", smoke" else "");
     print_escape_bench ();
-    Format.printf "@.done.@."
-  end
-  else if hier_bench_only then begin
-    (* Hierarchy trajectory: flat vs corridor-confined two-stage routing on
-       the Scaled family, with the JSON record (committed as
-       BENCH_hier.json). --smoke restricts to Chip1 and the two smallest
-       scales for CI. *)
-    Format.printf "PACOR benchmark harness (hier-bench only%s)@."
-      (if smoke then ", smoke" else "");
-    print_hier_bench ();
     Format.printf "@.done.@."
   end
   else if serve_bench_only then begin

@@ -44,15 +44,6 @@ let pos_int_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let hier_conv =
-  let parse s =
-    match Pacor.Config.hier_mode_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown hier mode %S (auto|on|off)" s))
-  in
-  let print ppf m = Format.fprintf ppf "%s" (Pacor.Config.hier_mode_name m) in
-  Arg.conv (parse, print)
-
 (* Built-in designs: the Table 1 set first, then the synthetic Scaled
    family (Scaled1..Scaled8) behind it. *)
 let load_design name =
@@ -130,14 +121,6 @@ let limits_term =
   in
   Term.(const make $ timeout_arg $ max_expansions_arg)
 
-let hier_arg =
-  Arg.(value & opt hier_conv Pacor.Config.Hier_auto & info [ "hier" ] ~docv:"MODE"
-         ~doc:"Hierarchical two-stage routing: $(b,auto) (engage on grids of \
-               200k+ cells), $(b,on), or $(b,off). The hierarchy plans tile \
-               corridors globally and confines detailed searches to them; a \
-               never-worse ladder (byte identity, certificate, race) keeps \
-               results equal or better than flat routing on every instance.")
-
 (* ---- route ---- *)
 
 let route_cmd =
@@ -174,7 +157,7 @@ let route_cmd =
            ~doc:"Print a machine-readable JSON solution summary (the serve \
                  protocol's result schema) instead of the human-readable report.")
   in
-  let run design file variant verbose render skew save svg json limits retries hier jobs =
+  let run design file variant verbose render skew save svg json limits retries jobs =
     match load_problem ~design ~file with
     | Error msg -> fail exit_parse "%s" msg
     | Ok problem ->
@@ -201,7 +184,7 @@ let route_cmd =
            | _ -> Ok sol)
       in
       let config =
-        { (Pacor.Config.make ~variant ()) with Pacor.Config.verbose; limits; hier }
+        { (Pacor.Config.make ~variant ()) with Pacor.Config.verbose; limits }
       in
       (match with_jobs ~jobs config (fun config -> attempt config retries) with
        | Error e -> fail exit_engine "engine failed at %s: %s" e.stage e.message
@@ -248,7 +231,7 @@ let route_cmd =
   in
   Cmd.v info
     Term.(const run $ design $ file $ variant $ verbose $ render $ skew $ save $ svg
-          $ json $ limits_term $ retries_arg $ hier_arg $ jobs_arg)
+          $ json $ limits_term $ retries_arg $ jobs_arg)
 
 (* ---- designs (Table 1) ---- *)
 
@@ -421,12 +404,12 @@ let batch_cmd =
     Arg.(value & opt variant_conv Pacor.Config.Full & info [ "variant"; "v" ]
            ~docv:"VARIANT" ~doc:"Flow variant: full, wosel or detour-first.")
   in
-  let run dir variant jobs limits retries hier =
+  let run dir variant jobs limits retries =
     match Pacor_par.Batch.load_dir dir with
     | Error msg -> fail exit_parse "%s" msg
     | Ok named ->
       let config =
-        { (Pacor.Config.make ~variant ()) with Pacor.Config.limits = limits; hier }
+        { (Pacor.Config.make ~variant ()) with Pacor.Config.limits = limits }
       in
       let summary = Pacor_par.Batch.run_problems ~jobs ~retries ~config named in
       Format.printf "%a" Pacor_par.Batch.pp_summary summary;
@@ -461,7 +444,7 @@ let batch_cmd =
             healthy ones."
   in
   Cmd.v info
-    Term.(const run $ dir $ variant $ jobs_arg $ limits_term $ retries_arg $ hier_arg)
+    Term.(const run $ dir $ variant $ jobs_arg $ limits_term $ retries_arg)
 
 (* ---- repair: route, inject faults, re-route only around them ---- *)
 
@@ -616,7 +599,7 @@ let serve_cmd =
                  (default 600).")
   in
   let run port no_stdio _stdio cache journal_path supervise pidfile max_conns
-      max_line idle_timeout limits hier jobs =
+      max_line idle_timeout limits jobs =
     if no_stdio && port = None then fail exit_parse "--no-stdio requires --port"
     else begin
       let stdio = not no_stdio in
@@ -633,7 +616,7 @@ let serve_cmd =
               Stdlib.exit exit_parse)
         in
         let t =
-          Pacor_serve.Server.create ~cache_capacity:cache ~limits ~hier ?sched
+          Pacor_serve.Server.create ~cache_capacity:cache ~limits ?sched
             ?journal ()
         in
         let recovered = Pacor_serve.Server.recover t in
@@ -697,7 +680,7 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(const run $ port $ no_stdio $ stdio $ cache $ journal $ supervise
-          $ pidfile $ max_conns $ max_line $ idle_timeout $ limits_term $ hier_arg
+          $ pidfile $ max_conns $ max_line $ idle_timeout $ limits_term
           $ jobs_arg)
 
 (* ---- client: drive a daemon from scripts ---- *)
@@ -804,7 +787,7 @@ let check_cmd =
     Arg.(value & flag & info [ "static-only" ]
            ~doc:"Stop after the pre-flight analysis; do not route.")
   in
-  let run design file variant static_only limits hier =
+  let run design file variant static_only limits =
     match load_problem ~design ~file with
     | Error msg -> fail exit_parse "%s" msg
     | Ok problem ->
@@ -829,7 +812,7 @@ let check_cmd =
            check fails (exit 1) on any design-rule violation and exit 3
            on a structural engine failure, naming the failing stage. *)
         let config =
-          { (Pacor.Config.make ~variant ()) with Pacor.Config.limits = limits; hier }
+          { (Pacor.Config.make ~variant ()) with Pacor.Config.limits = limits }
         in
         match Pacor.Engine.run ~config problem with
         | Error e -> fail exit_engine "engine failed at stage %s: %s" e.stage e.message
@@ -855,7 +838,7 @@ let check_cmd =
             violation, 2 parse/load error, 3 engine error."
   in
   Cmd.v info
-    Term.(const run $ design $ file $ variant $ static_only $ limits_term $ hier_arg)
+    Term.(const run $ design $ file $ variant $ static_only $ limits_term)
 
 let () =
   let info =

@@ -98,8 +98,18 @@ let route ?workspace ~config ~grid ~valve_cells clusters =
           { Pacor_select.Tree_select.lambda = config.Config.lambda;
             solver = config.Config.solver }
         in
+        (* Selection is exponential in the worst case; a run with real
+           limits lets its budget cut the search short. *)
+        let alive =
+          match workspace with
+          | Some ws ->
+            let budget = Pacor_route.Workspace.budget ws in
+            if Pacor_route.Budget.is_no_limits (Pacor_route.Budget.limits_of budget) then None
+            else Some (fun () -> Pacor_route.Budget.alive budget)
+          | None -> None
+        in
         (match
-           Pacor_select.Tree_select.select ?sched:config.Config.sched
+           Pacor_select.Tree_select.select ?sched:config.Config.sched ?alive
              ~config:sel_config per_cluster
          with
          | Ok sel -> sel.chosen

@@ -3,11 +3,6 @@ type variant =
   | Without_selection
   | Detour_first
 
-type hier_mode =
-  | Hier_auto
-  | Hier_on
-  | Hier_off
-
 type t = {
   variant : variant;
   lambda : float;
@@ -18,9 +13,6 @@ type t = {
   max_ripup_rounds : int;
   limits : Pacor_route.Budget.limits;
   verbose : bool;
-  hier : hier_mode;
-  hier_tile : int;
-  hier_threshold : int;
   sched : Pacor_sched.Sched.t option;
 }
 
@@ -35,30 +27,10 @@ let default =
     max_ripup_rounds = 10;
     limits = Pacor_route.Budget.no_limits;
     verbose = false;
-    hier = Hier_auto;
-    hier_tile = 8;
-    hier_threshold = 200_000;
     sched = None;
   }
 
 let make ?(variant = Full) () = { default with variant }
-
-let hier_mode_name = function
-  | Hier_auto -> "auto"
-  | Hier_on -> "on"
-  | Hier_off -> "off"
-
-let hier_mode_of_string = function
-  | "auto" -> Some Hier_auto
-  | "on" -> Some Hier_on
-  | "off" -> Some Hier_off
-  | _ -> None
-
-let hier_enabled t ~cells =
-  match t.hier with
-  | Hier_on -> true
-  | Hier_off -> false
-  | Hier_auto -> cells >= t.hier_threshold
 
 (* The batch runner's retry policy: everything that bounds search effort
    gets roomier, nothing that changes the problem itself. *)

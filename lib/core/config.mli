@@ -10,11 +10,6 @@ type variant =
       (** "Detour First": detour for length matching right after the
           negotiation-based routing, skip the final detour stage *)
 
-type hier_mode =
-  | Hier_auto  (** hierarchy on grids of at least [hier_threshold] cells *)
-  | Hier_on
-  | Hier_off
-
 type t = {
   variant : variant;
   lambda : float;        (** mismatch-vs-overlap weight in selection, 0.1 *)
@@ -29,15 +24,6 @@ type t = {
       (** search budget per engine run (deadline / expansion cap /
           negotiation-iteration cap); default {!Pacor_route.Budget.no_limits} *)
   verbose : bool;        (** log stage-by-stage progress *)
-  hier : hier_mode;      (** hierarchical two-stage routing, default auto *)
-  hier_tile : int;
-      (** tile edge of the hierarchy's coarsening, a power of two;
-          default 8 *)
-  hier_threshold : int;
-      (** cell count at and above which [Hier_auto] engages the hierarchy;
-          default 200_000 — comfortably above every Table 1 chip, so the
-          paper corpus runs flat under auto and the hierarchy only pays
-          for itself on the scaled family it exists for *)
   sched : Pacor_sched.Sched.t option;
       (** work-stealing scheduler for intra-instance stage sharding
           (DME candidates, selection branch-and-bound, negotiation
@@ -52,15 +38,6 @@ type t = {
 
 val default : t
 val make : ?variant:variant -> unit -> t
-
-val hier_mode_name : hier_mode -> string
-
-val hier_mode_of_string : string -> hier_mode option
-(** Parses ["auto" | "on" | "off"] (the CLI's [--hier] values). *)
-
-val hier_enabled : t -> cells:int -> bool
-(** Whether a run on a [cells]-cell grid uses the hierarchy under this
-    configuration. *)
 
 val relax : t -> t
 (** One retry step of the batch runner's relaxation policy: budget limits

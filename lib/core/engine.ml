@@ -44,7 +44,7 @@ let detour ~workspace ~grid ~delta ~theta ~valve_cells ~escapes routed_list =
   in
   Detour_stage.run ~workspace ~grid ~delta ~theta ~blocked routed_list
 
-let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
+let route_inner ~config ~workspace ~budget (problem : Problem.t) =
   (* Monotonic wall-clock (not process CPU, not gettimeofday) time: with several engine runs in flight
      on concurrent domains, [Sys.time] charges every domain's work to each
      run and misreports per-instance runtime and batch speedup. *)
@@ -102,28 +102,6 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
     in
     log config "clustering: %d clusters (%d multi-valve)" (List.length clusters)
       initial_multi_clusters;
-    (* Hierarchical global stage: coarsen, plan corridors, and confine the
-       detailed stages below through the workspace mask. [None] (flat
-       mode, or a grid too small to tile) leaves every search untouched. *)
-    let hplan =
-      if hier then
-        timed "hier-plan" (fun () ->
-          Hier.plan ~alive ~workspace ~config problem clusters)
-      else None
-    in
-    (match hplan with
-     | Some plan ->
-       log config
-         "hier: %dx%d tiles, %d detail / %d escape / %d post corridor tiles, \
-          %d/%d escapes assigned"
-         (Pacor_grid.Tile_graph.tiles_x plan.Hier.tg)
-         (Pacor_grid.Tile_graph.tiles_y plan.Hier.tg)
-         (List.length plan.Hier.cluster_tiles)
-         (List.length plan.Hier.escape_tiles)
-         (List.length plan.Hier.post_tiles)
-         plan.Hier.assigned plan.Hier.requests;
-       Hier.install_detail workspace plan
-     | None -> ());
     let next_id =
       ref (1 + List.fold_left (fun m (c : Cluster.t) -> max m c.id) 0 clusters)
     in
@@ -218,28 +196,11 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
         escape_length = 0;
       }
     in
-    (* The escape flow network is confined to the plan's NARROW corridor
-       (assigned tile chains + start-tile rings), independently of the
-       wider workspace mask the surrounding A*-based searches run under —
-       the flow's per-augmentation cost is proportional to network size,
-       so this is where the hierarchy's asymptotic win lives. *)
-    let escape_corridor =
-      match hplan with
-      | None -> None
-      | Some plan -> Some (Hier.escape_predicate workspace plan)
-    in
-    let escape_corridor_fallback =
-      match hplan with
-      | None -> None
-      | Some plan -> Some (Hier.post_predicate workspace plan)
-    in
     let rec escape_loop round routed_list =
       if not (alive ()) then Ok (routed_list, unrouted_escape routed_list)
       else
       match
-        Escape_stage.run ~alive ~workspace ?sched:config.Config.sched
-          ?corridor:escape_corridor
-          ?corridor_fallback:escape_corridor_fallback ~grid
+        Escape_stage.run ~alive ~workspace ?sched:config.Config.sched ~grid
           ~pins:problem.Problem.pins routed_list
       with
       | Error message -> Error { stage = "escape"; message }
@@ -327,7 +288,7 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
               log config "escape round %d: rerouting %d jailer clusters" round
                 (List.length jailers);
               (* Reserve a ring around the jailed valves plus, with the
-                 jailers ripped, one concrete corridor from each jailed
+                 jailers ripped, one concrete lane from each jailed
                  cluster to a pin — the reroutes must leave it open. *)
               let ring =
                 Point.Set.fold
@@ -337,25 +298,25 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
                        acc (Point.neighbours4 p))
                   failed_cells Point.Set.empty
               in
-              let corridor_cells = ref Point.Set.empty in
-              let corridor_for (r : Routed.t) =
+              let lane_cells = ref Point.Set.empty in
+              let lane_for (r : Routed.t) =
                 let work = Pacor_grid.Routing_grid.fresh_work_map grid in
                 Point.Set.iter (Pacor_grid.Obstacle_map.block work) valve_cells;
-                Point.Set.iter (Pacor_grid.Obstacle_map.block work) !corridor_cells;
+                Point.Set.iter (Pacor_grid.Obstacle_map.block work) !lane_cells;
                 Point.Set.iter (Pacor_grid.Obstacle_map.block work)
                   (claims_of (free_keep @ List.filter (fun x -> x != r) failed));
                 let spec = Pacor_route.Astar.obstacle_spec work in
                 Pacor_route.Astar.search ~workspace ~grid ~spec
                   ~sources:(Routed.start_cells r) ~targets:problem.Problem.pins ()
               in
-              (* Upgrade each jailed cluster: its corridor (minus the pin
+              (* Upgrade each jailed cluster: its lane (minus the pin
                  itself) becomes an internal channel, so the next escape
                  round only needs the final hop and nobody can steal the
-                 corridor. *)
+                 lane. *)
               let failed =
                 List.map
                   (fun (r : Routed.t) ->
-                     match corridor_for r with
+                     match lane_for r with
                      | Some path when Pacor_grid.Path.length path >= 1 ->
                        let pts = Pacor_grid.Path.points path in
                        let trimmed =
@@ -363,7 +324,7 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
                            (List.filteri (fun i _ -> i < List.length pts - 1) pts)
                        in
                        List.iter
-                         (fun p -> corridor_cells := Point.Set.add p !corridor_cells)
+                         (fun p -> lane_cells := Point.Set.add p !lane_cells)
                          (Pacor_grid.Path.points trimmed);
                        Routed.make_plain r.cluster
                          ~paths:(trimmed :: r.paths)
@@ -371,7 +332,7 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
                      | Some _ | None -> r)
                   failed
               in
-              let reserved = Point.Set.union ring !corridor_cells in
+              let reserved = Point.Set.union ring !lane_cells in
               let demoted =
                 (* Sequential for the same staleness reason as above. *)
                 let rec go done_ pending =
@@ -395,9 +356,6 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
           end
         end
     in
-    (* From the escape stage on, searches may legitimately travel between
-       clusters and the boundary: widen the mask to the post corridor. *)
-    (match hplan with Some plan -> Hier.install_post workspace plan | None -> ());
     (match timed "escape" (fun () -> escape_loop 0 (lm_routed @ plain_out.Plain_route.routed)) with
      | Error e -> Error e
      | Ok (routed_list, escape_out) ->
@@ -704,38 +662,7 @@ let route_inner ~config ~workspace ~budget ~hier (problem : Problem.t) =
            budget_exhausted = Pacor_route.Budget.exhausted budget;
          })
 
-type hier_tier =
-  | Flat_mode
-  | Hier_identical
-  | Hier_certified
-  | Hier_race_won
-  | Hier_race_flat
-  | Hier_error_flat
-
-let tier_name = function
-  | Flat_mode -> "flat"
-  | Hier_identical -> "identical"
-  | Hier_certified -> "certified"
-  | Hier_race_won -> "race-won"
-  | Hier_race_flat -> "race-flat"
-  | Hier_error_flat -> "error-flat"
-
-type report = {
-  solution : Solution.t;
-  tier : hier_tier;
-  hier_search : Pacor_route.Search_stats.snapshot option;
-  flat_search : Pacor_route.Search_stats.snapshot option;
-  clips : int;
-  fallbacks : int;
-  bidir : int;
-}
-
-let search_total (sol : Solution.t) =
-  List.fold_left
-    (fun acc (_, s) -> Pacor_route.Search_stats.add acc s)
-    Pacor_route.Search_stats.zero sol.Solution.stage_search
-
-let run_report ?(config = Config.default) ?workspace (problem : Problem.t) =
+let run ?(config = Config.default) ?workspace (problem : Problem.t) =
   (* Stage sharding is only deterministic when no search budget can trip
      mid-stage: a deadline or expansion cap fires after a number of
      operations that depends on interleaving, so a budgeted run must stay
@@ -771,79 +698,25 @@ let run_report ?(config = Config.default) ?workspace (problem : Problem.t) =
   Pacor_route.Workspace.set_budget workspace budget;
   Pacor_route.Budget.arm budget;
   Fun.protect
-    ~finally:(fun () ->
-      Pacor_route.Workspace.corridor_clear workspace;
-      Pacor_route.Workspace.set_budget workspace saved)
+    ~finally:(fun () -> Pacor_route.Workspace.set_budget workspace saved)
     (fun () ->
-      let attempt ~hier =
-        try route_inner ~config ~workspace ~budget ~hier problem with
-        | Stack_overflow ->
-          Error { stage = "internal"; message = "stack overflow" }
-        | exn -> Error { stage = "internal"; message = Printexc.to_string exn }
-      in
-      let report ?hier_search ?flat_search ?(clips = 0) ?(fallbacks = 0)
-          ?(bidir = 0) tier solution =
-        { solution; tier; hier_search; flat_search; clips; fallbacks; bidir }
-      in
-      if not (Config.hier_enabled config ~cells) then
-        Result.map
-          (fun sol -> report ~flat_search:(search_total sol) Flat_mode sol)
-          (attempt ~hier:false)
-      else begin
-        (* The never-worse ladder (see {!Hier}): confined run first, then
-           prove it safe as cheaply as possible. *)
-        Pacor_route.Workspace.corridor_reset_counters workspace;
-        let hier_result = attempt ~hier:true in
-        Pacor_route.Workspace.corridor_clear workspace;
-        let clips = Pacor_route.Workspace.corridor_clips workspace in
-        let fallbacks = Pacor_route.Workspace.corridor_fallbacks workspace in
-        let bidir = Pacor_route.Workspace.corridor_bidir workspace in
-        let report = report ~clips ~fallbacks ~bidir in
-        log config "hier: clips=%d fallbacks=%d bidir=%d" clips fallbacks bidir;
-        match hier_result with
-        | Error _ ->
-          (* A structural failure under confinement (not plain congestion
-             — that returns [Ok] with failures listed): rerun flat. *)
-          Result.map
-            (fun sol -> report ~flat_search:(search_total sol) Hier_error_flat sol)
-            (attempt ~hier:false)
-        | Ok sol ->
-          let hier_search = search_total sol in
-          log config "hier attempt: %a" Pacor_route.Search_stats.pp hier_search;
-          if config.Config.verbose then
-            List.iter
-              (fun (stage, s) ->
-                log config "hier attempt %-14s %a" stage
-                  Pacor_route.Search_stats.pp s)
-              sol.Solution.stage_search;
-          if clips = 0 && fallbacks = 0 && bidir = 0 then begin
-            (* Tier 1: confinement never changed a relaxation; this IS the
-               flat solution. *)
-            log config "hier ladder: byte-identical to flat";
-            Ok (report ~hier_search Hier_identical sol)
-          end
-          else begin
-            match Hier.certify_failure sol with
-            | None ->
-              (* Tier 2: lower bounds prove no flat run can beat it. *)
-              log config "hier ladder: certified optimal-under-bounds";
-              Ok (report ~hier_search Hier_certified sol)
-            | Some reason ->
-              (* Tier 3: race. Keep the hierarchical solution only when
-                 strictly better under {!Hier.score}. *)
-              log config "hier ladder: uncertified (%s), racing flat" reason;
-              (match attempt ~hier:false with
-               | Error _ -> Ok (report ~hier_search Hier_race_won sol)
-               | Ok flat_sol ->
-                 let flat_search = search_total flat_sol in
-                 let keep_hier = Hier.score sol > Hier.score flat_sol in
-                 log config "hier ladder: raced flat, kept %s"
-                   (if keep_hier then "hierarchical" else "flat");
-                 if keep_hier then
-                   Ok (report ~hier_search ~flat_search Hier_race_won sol)
-                 else Ok (report ~hier_search ~flat_search Hier_race_flat flat_sol))
-          end
-      end)
+      try route_inner ~config ~workspace ~budget problem with
+      | Stack_overflow -> Error { stage = "internal"; message = "stack overflow" }
+      | exn -> Error { stage = "internal"; message = Printexc.to_string exn })
 
-let run ?config ?workspace problem =
-  Result.map (fun r -> r.solution) (run_report ?config ?workspace problem)
+type tier = Flat
+
+let tier_name Flat = "flat"
+
+type report = {
+  solution : Solution.t;
+  tier : tier;
+  clips : int;
+  fallbacks : int;
+  bidir : int;
+}
+
+let run_report ?config ?workspace problem =
+  Result.map
+    (fun solution -> { solution; tier = Flat; clips = 0; fallbacks = 0; bidir = 0 })
+    (run ?config ?workspace problem)

@@ -13,41 +13,6 @@ type error = {
   message : string;
 }
 
-type hier_tier =
-  | Flat_mode       (** hierarchy disabled for this run (off, or auto below threshold) *)
-  | Hier_identical  (** tier 1: confinement never changed a relaxation *)
-  | Hier_certified  (** tier 2: lower bounds prove no flat run beats it *)
-  | Hier_race_won   (** tier 3: raced flat, hierarchical strictly better *)
-  | Hier_race_flat  (** tier 3: raced flat, flat kept (equal or better) *)
-  | Hier_error_flat (** hierarchical attempt errored; flat result returned *)
-
-val tier_name : hier_tier -> string
-
-type report = {
-  solution : Solution.t;
-  tier : hier_tier;
-  hier_search : Pacor_route.Search_stats.snapshot option;
-      (** search totals of the confined (hierarchical) attempt, when one ran *)
-  flat_search : Pacor_route.Search_stats.snapshot option;
-      (** search totals of the flat attempt, when one ran *)
-  clips : int;      (** corridor-refused relaxations across the confined attempt *)
-  fallbacks : int;  (** whole-grid fallback brackets taken *)
-  bidir : int;      (** bidirectional searches engaged *)
-}
-
-val search_total : Solution.t -> Pacor_route.Search_stats.snapshot
-(** Sum of the solution's per-stage search counters. *)
-
-val run_report :
-  ?config:Config.t ->
-  ?workspace:Pacor_route.Workspace.t ->
-  Problem.t ->
-  (report, error) result
-(** {!run} plus hierarchical-routing telemetry: which never-worse-ladder
-    tier resolved the run and the search totals of each attempt, so the
-    bench can report the confined attempt's cost separately from the
-    race's. In [Flat_mode] only [flat_search] is set. *)
-
 val run :
   ?config:Config.t ->
   ?workspace:Pacor_route.Workspace.t ->
@@ -92,3 +57,28 @@ val run :
     and of how runs are scheduled across domains — except under a
     wall-clock deadline, which by nature trips at a scheduling-dependent
     point; expansion and iteration caps remain deterministic. *)
+
+(** {2 Benchmark compatibility}
+
+    A thin wrapper over {!run} kept only because the benchmark harness
+    reads this record; it goes in the next change to the benchmark.
+    Nothing else may call it. *)
+
+type tier = Flat  (** the only routing mode; prints as ["flat"] *)
+
+val tier_name : tier -> string
+
+type report = {
+  solution : Solution.t;
+  tier : tier;     (** always [Flat] *)
+  clips : int;     (** always 0 *)
+  fallbacks : int; (** always 0 *)
+  bidir : int;     (** always 0 *)
+}
+
+val run_report :
+  ?config:Config.t ->
+  ?workspace:Pacor_route.Workspace.t ->
+  Problem.t ->
+  (report, error) result
+(** [run] with its solution wrapped in a {!report}. *)

@@ -41,7 +41,7 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
            path }
      | None -> None)
 
-let run ?alive ?sched ?workspace ?corridor ?corridor_fallback ~grid ~pins routed_clusters =
+let run ?alive ?sched ?workspace ~grid ~pins routed_clusters =
   let claimed =
     List.fold_left
       (fun acc (r : Routed.t) -> Point.Set.union acc r.claimed)
@@ -54,8 +54,7 @@ let run ?alive ?sched ?workspace ?corridor ?corridor_fallback ~grid ~pins routed
       routed_clusters
   in
   match
-    Pacor_flow.Escape.route ?alive ?sched ?workspace ?corridor
-      ?corridor_fallback ~grid ~claimed ~pins requests
+    Pacor_flow.Escape.route ?alive ?sched ?workspace ~grid ~claimed ~pins requests
   with
   | Error _ as e -> e
   | Ok out ->

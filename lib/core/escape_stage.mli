@@ -19,8 +19,6 @@ val run :
   ?alive:(unit -> bool) ->
   ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
-  ?corridor:(int -> bool) ->
-  ?corridor_fallback:(int -> bool) ->
   grid:Routing_grid.t ->
   pins:Point.t list ->
   Routed.t list ->
@@ -31,10 +29,7 @@ val run :
     {!Pacor_flow.Escape.route}); a cancelled solve reports the clusters
     escaped so far and lists the rest in [failed_clusters]. [workspace]
     backs the flow solver's augmentation searches (and charges its
-    budget), like it backs the A* stages. [corridor] confines transit
-    cells in hierarchical mode; on any failure the solver escalates first
-    to [corridor_fallback] (a wider region) and then to an unconfined
-    re-solve (see {!Pacor_flow.Escape.route}). *)
+    budget), like it backs the A* stages. *)
 
 val single :
   ?workspace:Pacor_route.Workspace.t ->

@@ -1,6 +1,6 @@
-(* Chip1-like synthetic family parameterised by a linear scale factor:
-   the workload behind [bench --hier-bench] and the hierarchical-routing
-   scaling study. Content (clusters, valves, pins, obstacles) grows
+(* Chip1-like synthetic family parameterised by a linear scale factor: the
+   large-grid workload of the scaling study and of the benchmark's Scaled3
+   route. Content (clusters, valves, pins, obstacles) grows
    linearly with the scale while the area grows quadratically, which is
    how real chips grow — routing becomes sparser, and a flat search pays
    ever more for exploring area the connections never needed. *)

@@ -2,8 +2,8 @@
 
     [Scaled s] is a square chip of side [168 * s] cells whose valve,
     cluster, pin and obstacle counts grow linearly in [s] — so the area
-    grows quadratically while the routing content grows linearly, the
-    regime hierarchical routing exists for. [s = 6] crosses 1,000,000
+    grows quadratically while the routing content grows linearly, as real
+    chips grow: routing gets sparser with scale. [s = 6] crosses 1,000,000
     cells. Deterministic per scale (fixed seed), loadable from the CLI as
     [pacor designs --emit Scaled3]. *)
 

@@ -32,14 +32,8 @@ let role_start = 3     (* claimed cell usable as some cluster's source *)
    realises the precedence: later writes win, and the pin/start writes
    are guarded by [free_i] so a blocked cell stays excluded. The backing
    bytes come from the workspace scratch pool when one is supplied, so
-   repeated escape solves on a warm workspace allocate nothing.
-
-   [corridor] (the hierarchical engine's union-of-request-corridors mask)
-   demotes ordinary transit cells outside the mask to excluded; starts and
-   pins are exempt, mirroring the detailed searchers' source/target
-   exemption. The predicate is consulted only on otherwise-usable interior
-   cells, so the caller can count every [false] as a genuine clip. *)
-let compute_roles ?workspace ?corridor ~grid ~claimed ~pins requests =
+   repeated escape solves on a warm workspace allocate nothing. *)
+let compute_roles ?workspace ~grid ~claimed ~pins requests =
   let cells = Routing_grid.cells grid in
   let roles =
     match workspace with
@@ -49,13 +43,6 @@ let compute_roles ?workspace ?corridor ~grid ~claimed ~pins requests =
     | None -> Packed_roles.create cells
   in
   Routing_grid.fill_interior_free_packed grid roles;
-  (match corridor with
-   | None -> ()
-   | Some allow ->
-     for i = 0 to cells - 1 do
-       if Packed_roles.get roles i = role_ordinary && not (allow i) then
-         Packed_roles.set roles i role_excluded
-     done);
   Point.Set.iter
     (fun p ->
        if Routing_grid.in_bounds grid p then
@@ -175,10 +162,9 @@ type solver =
   | Spfa
   | Grid
 
-(* One confined (or flat) min-cost-flow solve over one joint network, no
-   escalation and no decomposition: the ladder in [route] composes these
-   via [solve_once]. Inputs are assumed validated. *)
-let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins requests =
+(* One min-cost-flow solve over one joint network, no decomposition:
+   [solve_once] composes these. Inputs are assumed validated. *)
+let solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
     let cells = Routing_grid.cells grid in
     let nreq = List.length requests in
     let n = (2 * cells) + nreq + 2 in
@@ -187,7 +173,7 @@ let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins request
        threshold: augment while a path still costs less than beta, which is
        larger than any possible augmenting-path cost — so the flow first
        maximises the number of routed clusters, then total length. *)
-    let roles = compute_roles ?workspace ?corridor ~grid ~claimed ~pins requests in
+    let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
     let node_paths =
       match solver with
       | Grid ->
@@ -265,7 +251,7 @@ let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins request
    share no cell cannot exchange flow: the min-cost-flow over the joint
    network is exactly the union of the flows over the per-component
    subnetworks. [solve_once] finds the components (union-find over the
-   post-corridor role graph, following exactly the arcs [emit_network]
+   role graph, following exactly the arcs [emit_network]
    would emit), and when there are at least two it solves each
    subinstance separately — in parallel when a scheduler is supplied,
    sequentially otherwise, with identical results either way: requests
@@ -278,12 +264,8 @@ let solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins request
    byte-for-byte. Decomposition is disabled when the caller's workspace
    carries real budget limits: subsolves on leased workspaces would not
    charge the budget, and a budget trip depends on operation order. *)
-let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
-    requests =
-  let joint () =
-    solve_joint ~alive ?workspace ~solver ?corridor ~grid ~claimed ~pins
-      requests
-  in
+let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
+  let joint () = solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests in
   let budget_free =
     match workspace with
     | None -> true
@@ -296,7 +278,7 @@ let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
   if (not budget_free) || nreq < 2 then joint ()
   else begin
     let cells = Routing_grid.cells grid in
-    let roles = compute_roles ?workspace ?corridor ~grid ~claimed ~pins requests in
+    let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
     let parent = Array.init cells (fun i -> i) in
     let find i =
       let r = ref i in
@@ -382,7 +364,7 @@ let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
         let lws = Pacor_route.Workspace_pool.acquire ~cells in
         let before = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws) in
         let out =
-          solve_joint ~alive ~workspace:lws ~solver ?corridor ~grid ~claimed
+          solve_joint ~alive ~workspace:lws ~solver ~grid ~claimed
             ~pins:group_pins.(g) group_reqs.(g)
         in
         let delta =
@@ -426,105 +408,8 @@ let solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed ~pins
     end
   end
 
-(* A corridored solve that fails any request may be the corridor's fault —
-   the flow network excluded transit cells a flat network keeps. [route]
-   escalates through residual retries (failed requests re-solved with the
-   already-routed escapes committed as claimed cells and their pins
-   retired), noting each fallback on the workspace's corridor counters so
-   the run no longer certifies as confinement-free.
-
-   With [corridor_fallback] (the hierarchical engine's wider post-corridor):
-   retry the failed requests inside the wider region, then retry any
-   stragglers unconfined. Each retry costs [|failed|] augmentations on the
-   residual; there is deliberately {e no} whole-instance flat re-solve —
-   a request failing even the unconfined residual is almost always
-   infeasible for flat too (the engine's race tier covers the remainder),
-   and the full re-solve used to charge a whole flat solve per rip-up
-   round whenever one genuinely infeasible request was present.
-
-   Without [corridor_fallback] (bare-corridor callers): one unconfined
-   residual retry, then the historical whole-instance flat re-solve, which
-   keeps the strict guarantee that a corridored call never routes fewer
-   requests than a flat one. *)
-let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ?corridor
-    ?corridor_fallback ~grid ~claimed ~pins requests =
+let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ~grid ~claimed ~pins
+    requests =
   match validate ~grid ~pins requests with
   | Error _ as e -> e
-  | Ok () ->
-    let base =
-      solve_once ~alive ?sched ?workspace ~solver ?corridor ~grid ~claimed
-        ~pins requests
-    in
-    if corridor = None || base.failed = [] || not (alive ()) then Ok base
-    else begin
-      let note () =
-        match workspace with
-        | Some ws -> Pacor_route.Workspace.corridor_note_fallback ws
-        | None -> ()
-      in
-      note ();
-      (* Residual instance after committing [acc]'s escapes. *)
-      let residual acc =
-        let claimed' =
-          List.fold_left
-            (fun s r ->
-              List.fold_left (fun s p -> Point.Set.add p s) s (Path.points r.path))
-            claimed acc.routed
-        in
-        let pins' =
-          List.filter
-            (fun p -> not (List.exists (fun r -> Point.equal p r.pin) acc.routed))
-            pins
-        in
-        let failed_reqs =
-          List.filter (fun r -> List.mem r.cluster_idx acc.failed) requests
-        in
-        (claimed', pins', failed_reqs)
-      in
-      (* Combine, restoring input request order. *)
-      let merge acc rest =
-        let tbl = Hashtbl.create 16 in
-        List.iter (fun r -> Hashtbl.replace tbl r.idx r) acc.routed;
-        List.iter (fun r -> Hashtbl.replace tbl r.idx r) rest.routed;
-        let routed =
-          List.filter_map (fun r -> Hashtbl.find_opt tbl r.cluster_idx) requests
-        in
-        let failed =
-          List.filter_map
-            (fun r ->
-              if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
-            requests
-        in
-        { routed; failed; total_length = acc.total_length + rest.total_length }
-      in
-      match corridor_fallback with
-      | Some wide ->
-        let claimed', pins', failed_reqs = residual base in
-        let step1 =
-          merge base
-            (solve_once ~alive ?sched ?workspace ~solver ~corridor:wide ~grid
-               ~claimed:claimed' ~pins:pins' failed_reqs)
-        in
-        if step1.failed = [] || not (alive ()) then Ok step1
-        else begin
-          note ();
-          let claimed'', pins'', failed_reqs' = residual step1 in
-          Ok
-            (merge step1
-               (solve_once ~alive ?sched ?workspace ~solver ~grid
-                  ~claimed:claimed'' ~pins:pins'' failed_reqs'))
-        end
-      | None ->
-        let claimed', pins', failed_reqs = residual base in
-        let rest =
-          solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed:claimed'
-            ~pins:pins' failed_reqs
-        in
-        if rest.failed = [] then Ok (merge base rest)
-        else begin
-          note ();
-          Ok
-            (solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins
-               requests)
-        end
-    end
+  | Ok () -> Ok (solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests)

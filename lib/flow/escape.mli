@@ -42,8 +42,6 @@ val route :
   ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   ?solver:solver ->
-  ?corridor:(int -> bool) ->
-  ?corridor_fallback:(int -> bool) ->
   grid:Routing_grid.t ->
   claimed:Point.Set.t ->
   pins:Point.t list ->
@@ -59,22 +57,6 @@ val route :
     (sequentially, same leases, same group order), the single-component
     case is the historical joint solve verbatim, and decomposition
     self-disables when the workspace carries real budget limits.
-
-    [corridor] (hierarchical mode) restricts ordinary transit cells to
-    those the predicate admits — start cells and pins are exempt. The
-    predicate is consulted once per otherwise-usable interior cell while
-    roles are computed, so the caller may count refusals as clips. If the
-    confined solve leaves any request unrouted, the fallback escalates in
-    stages, each noting a fallback on [workspace]'s corridor counters and
-    each re-solving {e only the failed requests} on the residual (routed
-    escapes committed, their pins retired). With [corridor_fallback] (the
-    hierarchical engine's wider post-corridor): retry inside the wider
-    region, then retry any stragglers unconfined — no whole-instance
-    re-solve, so a genuinely infeasible request costs one residual
-    augmentation instead of a full flat solve per call (the engine's race
-    tier covers the never-worse guarantee end to end). Without it: one
-    unconfined residual retry, then a whole-instance flat re-solve, so a
-    bare-corridor call never routes fewer clusters than a flat one.
 
     [alive] (default always true) is a cooperative cancellation hook
     polled between flow augmentations; when it turns false the solve

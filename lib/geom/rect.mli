@@ -31,9 +31,6 @@ val inter : t -> t -> t option
 (** Cells in the overlap of two rectangles, 0 when disjoint. *)
 val overlap_cells : t -> t -> int
 
-(** [inflate r d] grows the rectangle by [d] in all four directions. *)
-val inflate : t -> int -> t
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -1,7 +1,7 @@
 open Pacor_geom
 open Pacor_grid
 
-let cost_scale = Astar_cost.scale
+let cost_scale = 1000
 
 type spec = {
   usable : int -> bool;
@@ -17,9 +17,6 @@ let point_spec ~grid ~usable ~extra_cost =
     extra_cost = (fun i -> extra_cost (Routing_grid.point_of_index grid i));
   }
 
-(* One confined-or-flat attempt; whether the corridor applies is read from
-   the workspace at call time, so the fallback wrapper below re-runs the
-   same closure with the corridor suspended. *)
 let attempt ws ~grid ~spec ~sources ~targets =
   let n = Routing_grid.cells grid in
   let width = Routing_grid.width grid in
@@ -57,7 +54,6 @@ let attempt ws ~grid ~spec ~sources ~targets =
     if j = -1 then p :: acc else reconstruct j (p :: acc)
   in
   let stats = Workspace.stats ws in
-  let confined = Workspace.corridor_active ws in
   (* One closure for the whole search, reading the current expansion
      through mutable cells — no per-pop closure or neighbour list. *)
   let cur = ref 0 and cur_dist = ref 0 in
@@ -67,24 +63,12 @@ let attempt ws ~grid ~spec ~sources ~targets =
       (spec.usable j || Workspace.is_target ws j || Workspace.is_source ws j)
       && not (Workspace.closed ws j)
     then begin
-      (* Corridor confinement prunes otherwise-enterable cells only;
-         sources and targets are always exempt. [confined] is false on
-         every flat run, so this branch costs one test there and the
-         search below is byte-identical to the pre-hierarchy searcher. *)
-      if
-        confined
-        && not (Workspace.corridor_allows ws j)
-        && not (Workspace.is_target ws j)
-        && not (Workspace.is_source ws j)
-      then Workspace.corridor_note_clip ws
-      else begin
-        Search_stats.relaxed stats;
-        let nd = !cur_dist + cost_scale + spec.extra_cost j in
-        if nd < Workspace.dist ws j then begin
-          Workspace.set_dist ws j nd;
-          Workspace.set_parent ws j !cur;
-          Workspace.push ws ~prio:(nd + h j) j
-        end
+      Search_stats.relaxed stats;
+      let nd = !cur_dist + cost_scale + spec.extra_cost j in
+      if nd < Workspace.dist ws j then begin
+        Workspace.set_dist ws j nd;
+        Workspace.set_parent ws j !cur;
+        Workspace.push ws ~prio:(nd + h j) j
       end
     end
   in
@@ -110,34 +94,7 @@ let search ?workspace ~grid ~spec ~sources ~targets () =
   | [], _ | _, [] -> None
   | _ :: _, _ :: _ ->
     let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
-    let confined = Workspace.corridor_active ws in
-    let first =
-      (* Long single-pair connections under a corridor go bidirectional:
-         same path cost, roughly half the expansions. Never engaged on a
-         flat run, so flat searches stay byte-identical. *)
-      match confined, sources, targets with
-      | true, [ a ], [ b ]
-        when Routing_grid.in_bounds grid a
-             && Routing_grid.in_bounds grid b
-             && Point.manhattan a b >= Bidir_astar.min_manhattan ->
-        Bidir_astar.search ~ws ~grid ~usable:spec.usable ~extra_cost:spec.extra_cost
-          ~source:a ~target:b
-      | _ -> attempt ws ~grid ~spec ~sources ~targets
-    in
-    (match first with
-     | Some _ as r -> r
-     | None ->
-       if confined then begin
-         (* The corridor may have severed the only route; certify the
-            failure against the whole grid before reporting it, so a
-            confined run never loses a connection a flat run would find. *)
-         Workspace.corridor_note_fallback ws;
-         Workspace.corridor_suspend ws;
-         Fun.protect
-           ~finally:(fun () -> Workspace.corridor_resume ws)
-           (fun () -> attempt ws ~grid ~spec ~sources ~targets)
-       end
-       else None)
+    attempt ws ~grid ~spec ~sources ~targets
 
 let shortest ?workspace ~grid ~obstacles a b =
   search ?workspace ~grid ~spec:(obstacle_spec obstacles) ~sources:[ a ] ~targets:[ b ] ()

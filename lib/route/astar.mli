@@ -36,7 +36,7 @@ val obstacle_spec : Obstacle_map.t -> spec
 val point_spec :
   grid:Routing_grid.t -> usable:(Point.t -> bool) -> extra_cost:(Point.t -> int) -> spec
 (** Adapt point-based predicates (each call converts the index back to a
-    point, so this is for cold call sites — set-membership corridors, not
+    point, so this is for cold call sites — set-membership predicates, not
     the negotiation inner loop). *)
 
 val search :

@@ -60,23 +60,15 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
      | -1 -> ()
      | slot -> Workspace.push ws ~prio:(prio 0 source_i) slot);
     let stats = Workspace.stats ws in
-    let confined = Workspace.corridor_active ws in
     let cur_slot = ref (-1) and cur_g = ref 0 in
     let relax j =
       Search_stats.touched stats;
       if enterable j then begin
-        if
-          confined
-          && j <> source_i && j <> target_i
-          && not (Workspace.corridor_allows ws j)
-        then Workspace.corridor_note_clip ws
-        else begin
         Search_stats.relaxed stats;
         let g' = !cur_g + 1 in
-        (match add_entry j g' !cur_slot with
-         | -1 -> ()
-         | slot' -> Workspace.push ws ~prio:(prio g' j) slot')
-        end
+        match add_entry j g' !cur_slot with
+        | -1 -> ()
+        | slot' -> Workspace.push ws ~prio:(prio g' j) slot'
       end
     in
     let pops = ref 0 in
@@ -115,22 +107,5 @@ let search ?workspace ~grid ~usable ?(max_visits_per_cell = 8) ?(pop_budget = 0)
   if not (Routing_grid.in_bounds grid source && Routing_grid.in_bounds grid target) then None
   else begin
     let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
-    match
-      attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~min_length
-    with
-    | Some _ as r -> r
-    | None ->
-      if Workspace.corridor_active ws then begin
-        (* Length-matching detours wander by design; when the corridor
-           starves one, certify the failure against the whole grid so a
-           confined run never misses a detour a flat run would find. *)
-        Workspace.corridor_note_fallback ws;
-        Workspace.corridor_suspend ws;
-        Fun.protect
-          ~finally:(fun () -> Workspace.corridor_resume ws)
-          (fun () ->
-            attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target
-              ~min_length)
-      end
-      else None
+    attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~min_length
   end

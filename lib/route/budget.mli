@@ -5,7 +5,7 @@
     The negotiated-routing and rip-up loops have no a-priori bound, so a
     pathological instance can pin a worker indefinitely. A budget turns
     that into a bounded, diagnosable outcome: every queue pop in {!Astar}
-    and {!Bounded_astar} calls {!tick} (via {!Workspace.pop}), every
+    and {!Bounded_astar} calls {!tick} (via {!Workspace.pop_cell}), every
     negotiation round calls {!note_iteration}, and the engine's stage
     loops call {!alive} at their heads. When any limit trips, searches
     start failing fast and the engine's ordinary fallback chain (demotion,

@@ -41,15 +41,11 @@ let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
   let n = Routing_grid.cells grid in
   let edge_arr = Array.of_list edges in
   let nedges = Array.length edge_arr in
-  (* Parallel probes replay the exact searches the sequential flow would
-     run, so they must run the exact same code path: under corridor
-     confinement a search reads corridor state living in [ws] that a
-     leased scratch workspace does not carry, so sharding is gated off.
-     (The engine additionally strips the scheduler whenever a search
-     budget is armed — a budget trip depends on interleaving.) *)
+  (* The engine strips the scheduler whenever a search budget is armed:
+     a budget trip depends on interleaving. *)
   let par =
     match sched with
-    | Some s when nedges >= 2 && not (Workspace.corridor_active ws) -> Some s
+    | Some s when nedges >= 2 -> Some s
     | _ -> None
   in
   let idx p = Routing_grid.index grid p in

@@ -91,7 +91,6 @@ val route :
     parallel on leased scratch workspaces and are merged in input order
     (adopt when provably unaffected by the window's history bumps,
     re-run on [workspace] otherwise), which leaves paths, outcome and
-    search stats bit-identical to the sequential flow. Sharding is
-    self-gated off under corridor confinement; callers arming a search
-    budget must not pass [sched] (the engine strips it automatically —
+    search stats bit-identical to the sequential flow. Callers arming a
+    search budget must not pass [sched] (the engine strips it automatically —
     budget trips depend on operation interleaving). *)

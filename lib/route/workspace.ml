@@ -21,28 +21,6 @@ type t = {
   mutable claim_count_a : int array;
   mutable claim_stamp : int array;
   mutable claim_epoch : int;
-  (* Backward-search state for the bidirectional A*: a second, independent
-     dist/parent/closed set sharing the forward epoch, so one [begin_epoch]
-     resets both frontiers. *)
-  mutable dist_b_a : int array;
-  mutable parent_b_a : int array;
-  mutable dist_b_stamp : int array;
-  mutable closed_b_stamp : int array;
-  (* Corridor mask: one stamp per coarse tile, on its own epoch so a
-     corridor survives the many [begin_epoch] bumps of the searches it
-     confines. [corr_shift]/[corr_tiles_x]/[corr_width] map a dense cell
-     index to its tile in a handful of integer ops. *)
-  mutable corr_stamp : int array;
-  mutable corr_cap : int;
-  mutable corr_epoch : int;
-  mutable corr_on : bool;
-  mutable corr_suspended : int;
-  mutable corr_width : int;
-  mutable corr_tiles_x : int;
-  mutable corr_shift : int;
-  mutable corr_clips : int;
-  mutable corr_fallbacks : int;
-  mutable corr_bidir : int;
   (* Scratch pools: grid-sized arrays leased by stages that used to
      [Array.make n] per call (negotiation history, escape roles). Contents
      are arbitrary between leases — the borrower fills what it reads. *)
@@ -80,21 +58,6 @@ let create ?stats () =
     claim_count_a = [||];
     claim_stamp = [||];
     claim_epoch = 1;
-    dist_b_a = [||];
-    parent_b_a = [||];
-    dist_b_stamp = [||];
-    closed_b_stamp = [||];
-    corr_stamp = [||];
-    corr_cap = 0;
-    corr_epoch = 1;
-    corr_on = false;
-    corr_suspended = 0;
-    corr_width = 0;
-    corr_tiles_x = 0;
-    corr_shift = 0;
-    corr_clips = 0;
-    corr_fallbacks = 0;
-    corr_bidir = 0;
     scratch_ints = [| [||]; [||]; [||]; [||] |];
     scratch_b = Bytes.empty;
     epoch = 1;
@@ -123,10 +86,6 @@ let reserve_cells t n =
     t.fill_stamp <- Array.make cap 0;
     t.claim_count_a <- Array.make cap 0;
     t.claim_stamp <- Array.make cap 0;
-    t.dist_b_a <- Array.make cap 0;
-    t.parent_b_a <- Array.make cap 0;
-    t.dist_b_stamp <- Array.make cap 0;
-    t.closed_b_stamp <- Array.make cap 0;
     t.cap <- cap;
     Search_stats.grid_alloc_noted t.stats
   end
@@ -192,18 +151,8 @@ let push t ~prio i =
 
 (* A budget-exhausted workspace reports an empty queue: searches fail
    fast along their ordinary no-route paths, which is exactly the
-   degradation chain the engine already knows how to handle. *)
-let pop t =
-  if not (Budget.tick t.budget) then None
-  else
-    match Pacor_graphs.Pqueue.pop t.pq with
-    | None -> None
-    | Some _ as r ->
-      Search_stats.popped t.stats;
-      r
-
-(* Same contract, minus the option/tuple allocation: [-1] means "queue
-   empty or budget exhausted". The searchers never use the popped
+   degradation chain the engine already knows how to handle. [-1] means
+   "queue empty or budget exhausted"; the searchers never use the popped
    priority, so it is not returned. *)
 let pop_cell t =
   if not (Budget.tick t.budget) then -1
@@ -307,72 +256,6 @@ let append_entry t ~cell ~g ~parent =
 let prepare t ~cells =
   reserve_cells t cells;
   reserve_entries t (cells * 8)
-
-(* -- Backward-search state (bidirectional A-star) ----------------------- *)
-
-let dist_b t i = if t.dist_b_stamp.(i) = t.epoch then t.dist_b_a.(i) else max_int
-
-let set_dist_b t i d =
-  if t.dist_b_stamp.(i) <> t.epoch then begin
-    t.dist_b_stamp.(i) <- t.epoch;
-    t.parent_b_a.(i) <- -1
-  end;
-  t.dist_b_a.(i) <- d
-
-let parent_b t i = if t.dist_b_stamp.(i) = t.epoch then t.parent_b_a.(i) else -1
-let set_parent_b t i j = t.parent_b_a.(i) <- j
-let closed_b t i = t.closed_b_stamp.(i) = t.epoch
-let close_b t i = t.closed_b_stamp.(i) <- t.epoch
-
-(* -- Corridor mask ------------------------------------------------------ *)
-
-let corridor_install t ~width ~tiles_x ~tile_count ~shift tiles =
-  if t.corr_cap < tile_count then begin
-    let cap = max tile_count (2 * t.corr_cap) in
-    t.corr_stamp <- Array.make cap 0;
-    t.corr_cap <- cap
-  end;
-  t.corr_epoch <- t.corr_epoch + 1;
-  t.corr_width <- width;
-  t.corr_tiles_x <- tiles_x;
-  t.corr_shift <- shift;
-  t.corr_on <- true;
-  t.corr_suspended <- 0;
-  List.iter
-    (fun tid ->
-       if tid >= 0 && tid < tile_count then t.corr_stamp.(tid) <- t.corr_epoch)
-    tiles
-
-let corridor_clear t =
-  t.corr_on <- false;
-  t.corr_suspended <- 0
-
-let corridor_active t = t.corr_on && t.corr_suspended = 0
-
-(* Suspend/resume nest: the per-connection whole-grid fallback suspends
-   around its retry, and a fallback triggered inside an already-suspended
-   scope (an escape re-solve that re-runs A*s) must not resume early. *)
-let corridor_suspend t = if t.corr_on then t.corr_suspended <- t.corr_suspended + 1
-
-let corridor_resume t =
-  if t.corr_on && t.corr_suspended > 0 then t.corr_suspended <- t.corr_suspended - 1
-
-let[@inline] corridor_allows t i =
-  let x = i mod t.corr_width and y = i / t.corr_width in
-  let tid = ((y lsr t.corr_shift) * t.corr_tiles_x) + (x lsr t.corr_shift) in
-  t.corr_stamp.(tid) = t.corr_epoch
-
-let corridor_note_clip t = t.corr_clips <- t.corr_clips + 1
-let corridor_note_fallback t = t.corr_fallbacks <- t.corr_fallbacks + 1
-let corridor_note_bidir t = t.corr_bidir <- t.corr_bidir + 1
-let corridor_clips t = t.corr_clips
-let corridor_fallbacks t = t.corr_fallbacks
-let corridor_bidir t = t.corr_bidir
-
-let corridor_reset_counters t =
-  t.corr_clips <- 0;
-  t.corr_fallbacks <- 0;
-  t.corr_bidir <- 0
 
 (* -- Scratch pools ------------------------------------------------------ *)
 

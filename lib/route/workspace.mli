@@ -34,7 +34,7 @@ val budget : t -> Budget.t
 val set_budget : t -> Budget.t -> unit
 (** Attach a budget for subsequent searches. The engine installs one per
     run and restores the previous budget on exit; once the budget is
-    exhausted, {!pop} reports an empty queue so every in-flight and
+    exhausted, {!pop_cell} reports an empty queue so every in-flight and
     future search fails fast along its ordinary no-route path. *)
 
 val begin_search : t -> cells:int -> unit
@@ -78,14 +78,11 @@ val is_source : t -> int -> bool
 
 val push : t -> prio:int -> int -> unit
 
-val pop : t -> (int * int) option
-(** [None] when the queue is empty {e or} the attached budget is
-    exhausted — callers cannot (and need not) tell the difference. *)
-
 val pop_cell : t -> int
-(** Allocation-free {!pop}: the popped element alone ([-1] for "empty or
-    budget exhausted" — element ids are always non-negative), without the
-    option/tuple box. The searchers' hot path. *)
+(** The popped element alone, [-1] when the queue is empty {e or} the
+    attached budget is exhausted — callers cannot (and need not) tell the
+    difference; element ids are always non-negative. Allocation-free:
+    the searchers' hot path. *)
 
 (** {2 Shared 0-1-BFS deque (instrumented)}
 
@@ -163,62 +160,6 @@ val prepare : t -> cells:int -> unit
     single allocation event on a cold workspace and none at all on a warm
     one — a pooled workspace grows monotonically across differently-sized
     problems and never shrinks. *)
-
-(** {2 Backward-search state (bidirectional A-star)}
-
-    A second dist/parent/closed set on the shared epoch, so
-    {!Bidir_astar} runs two frontiers against one [begin_search] reset.
-    Same stamping semantics as the forward accessors. *)
-
-val dist_b : t -> int -> int
-val set_dist_b : t -> int -> int -> unit
-val parent_b : t -> int -> int
-val set_parent_b : t -> int -> int -> unit
-val closed_b : t -> int -> bool
-val close_b : t -> int -> unit
-
-(** {2 Corridor mask (hierarchical routing)}
-
-    A generation-stamped per-tile membership mask installed by the
-    engine's global stage: cell index [i] maps to tile
-    [((i / width) lsr shift) * tiles_x + ((i mod width) lsr shift)], and a
-    search confined by the corridor may only enter cells of stamped tiles
-    (its own sources and targets are exempt, enforced by the searchers).
-    Install is O(corridor tiles); clearing or re-installing is O(1)+O(tiles)
-    via the epoch bump. The clip / fallback / bidir counters instrument the
-    never-worse ladder: a {e clip} is an otherwise-usable cell pruned by the
-    corridor, a {e fallback} a confined search (or escape solve) that was
-    re-run unconfined after failing, and {e bidir} counts bidirectional
-    searches taken. All three zero means the confined run executed
-    byte-identical searches to an unconfined one. *)
-
-val corridor_install :
-  t -> width:int -> tiles_x:int -> tile_count:int -> shift:int -> int list -> unit
-(** Activate the corridor for the given tile ids (out-of-range ids are
-    ignored). [width] is the grid width in cells; [shift] is [log2] of the
-    tile edge. Replaces any previous corridor. *)
-
-val corridor_clear : t -> unit
-(** Deactivate (O(1)); counters are left for the caller to read. *)
-
-val corridor_active : t -> bool
-(** Installed and not currently suspended. *)
-
-val corridor_suspend : t -> unit
-val corridor_resume : t -> unit
-(** Nestable suspension bracket for whole-grid fallback searches. *)
-
-val corridor_allows : t -> int -> bool
-(** Membership test for a dense cell index. Only meaningful while
-    {!corridor_active}. *)
-
-val corridor_note_clip : t -> unit
-val corridor_note_fallback : t -> unit
-val corridor_note_bidir : t -> unit
-val corridor_clips : t -> int
-val corridor_fallbacks : t -> int
-val corridor_bidir : t -> int
-val corridor_reset_counters : t -> unit
 
 (** {2 Scratch pools}
 

@@ -152,8 +152,21 @@ let local_search inst start =
   done;
   chosen
 
-let exact ?sched inst =
+let exact ?sched ?alive inst =
   let n = Array.length inst.clusters in
+  (* Cancellation: [alive] is polled once every [poll_stride] nodes; once
+     it reports false every pending branch is cut, leaving the incumbent
+     (greedy-seeded, so always a full selection). *)
+  let poll_stride = 256 in
+  let nodes = ref 0 and stopped = ref false in
+  let cut () =
+    match alive with
+    | None -> false
+    | Some alive ->
+      incr nodes;
+      if !nodes land (poll_stride - 1) = 0 && not (alive ()) then stopped := true;
+      !stopped
+  in
   (* All weights are <= 0; the best a suffix can add is its max node
      weights, ignoring overlaps — admissible since overlaps only subtract. *)
   let best_suffix =
@@ -194,7 +207,7 @@ let exact ?sched inst =
           best := Array.copy chosen
         end
       end
-      else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 then
+      else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 && not (cut ()) then
         Array.iter
           (fun g ->
              let w = ref inst.node_w.(g) in
@@ -217,7 +230,7 @@ let exact ?sched inst =
     in
     match sched with
     | None -> run_seq ()
-    | Some _ when nb < 2 -> run_seq ()
+    | Some _ when nb < 2 || alive <> None -> run_seq ()
     | Some sched ->
       (* Speculative parallel branches: each runs against a private copy of
          the seed incumbent, then an ordered merge reconstructs exactly the
@@ -281,7 +294,7 @@ let mwcp_clique inst =
   List.iter (fun g -> by_cluster.(inst.cluster_of.(g)) <- g) clique;
   by_cluster
 
-let select ?sched ?(config = default_config) per_cluster =
+let select ?sched ?alive ?(config = default_config) per_cluster =
   if List.exists (fun cands -> cands = []) per_cluster then
     Error "a cluster has no candidate trees"
   else if per_cluster = [] then Ok { chosen = []; objective = 0.0 }
@@ -291,7 +304,7 @@ let select ?sched ?(config = default_config) per_cluster =
       match config.solver with
       | Greedy -> greedy inst
       | Local_search -> local_search inst (greedy inst)
-      | Exact -> exact ?sched inst
+      | Exact -> exact ?sched ?alive inst
       | Mwcp_clique -> mwcp_clique inst
     in
     let chosen = Array.to_list (Array.map (fun g -> inst.cand.(g)) chosen_idx) in

@@ -54,6 +54,7 @@ type selection = {
 
 val select :
   ?sched:Pacor_sched.Sched.t ->
+  ?alive:(unit -> bool) ->
   ?config:config ->
   Candidate.t list list ->
   (selection, string) result
@@ -63,7 +64,15 @@ val select :
     branches speculatively in parallel and merges them in branch order
     (adopt / provably-no-better skip / sequential re-run), which
     reproduces the sequential incumbent bit-for-bit. Other solvers
-    ignore [sched]. *)
+    ignore [sched].
+
+    [alive] is a cancellation hook for [Exact], whose branch and bound is
+    exponential in the cluster count: it is polled every 256 search
+    nodes, and once it returns false the search stops and returns its
+    incumbent — greedy-seeded, so always a full selection, though no
+    longer proven optimal. Without [alive] the search runs to completion.
+    With [alive], [sched] is ignored: a cut search is not reproducible
+    across worker counts. Other solvers ignore [alive]. *)
 
 val selection_weight : lambda:float -> Candidate.t list list -> Candidate.t list -> float
 (** Objective value of an arbitrary full selection (used by tests to verify

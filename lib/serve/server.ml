@@ -32,15 +32,15 @@ type t = {
   mutable max_outgoing_obs : int;  (* peak outgoing-queue bytes across connections *)
 }
 
-let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits)
-    ?(hier = Pacor.Config.Hier_auto) ?sched ?(replay_capacity = 256) ?journal () =
+let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits) ?sched
+    ?(replay_capacity = 256) ?journal () =
   {
     cache = Lru.create ~capacity:cache_capacity;
     sessions = Hashtbl.create 16;
     pool = [];
     pool_limit = 8;
     poisoned = Hashtbl.create 4;
-    config = { Pacor.Config.default with limits; hier; sched };
+    config = { Pacor.Config.default with limits; sched };
     started_at = Pacor_route.Clock.now_mono ();
     journal;
     replay = Lru.create ~capacity:replay_capacity;

@@ -39,7 +39,6 @@ type t
 val create :
   ?cache_capacity:int ->
   ?limits:Pacor_route.Budget.limits ->
-  ?hier:Pacor.Config.hier_mode ->
   ?sched:Pacor_sched.Sched.t ->
   ?replay_capacity:int ->
   ?journal:Journal.t ->
@@ -47,8 +46,7 @@ val create :
   t
 (** Fresh daemon state. [cache_capacity] bounds the solution LRU (default
     64 entries); [limits] is the default per-request budget (default
-    unlimited); [hier] selects hierarchical routing for every served run
-    (default [Hier_auto]); [sched] shards each request's inner routing
+    unlimited); [sched] shards each request's inner routing
     stages across a work-stealing scheduler — for that to engage, the
     serve loop itself must run on one of the scheduler's worker domains
     (the CLI wraps it in a one-task pool map when [--jobs > 1]); requests

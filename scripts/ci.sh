@@ -167,43 +167,19 @@ sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$escjson" | while IFS= read -r f
 done
 rm -f "$escjson"
 
-echo "== hier-bench smoke + BENCH_hier.json drift check =="
-hierjson=$(mktemp)
-./_build/default/bench/main.exe --hier-bench --smoke --json-out "$hierjson" > /dev/null
-for key in '"bench": "pacor-hier-bench"' '"instances"' '"chip1_auto"' '"tier"' \
-           '"flat_pops"' '"hier_pops"'; do
-  grep -qF "$key" BENCH_hier.json || {
-    echo "BENCH_hier.json schema drift: missing $key" >&2; exit 1; }
-  grep -qF "$key" "$hierjson" || {
-    echo "hier-bench smoke output schema drift: missing $key" >&2; exit 1; }
-done
-# The committed record must show the hierarchy never losing quality
-# (ok=true on every row covers validation plus equal-or-better score) and
-# the paper corpus untouched under --hier auto.
-if grep -qF 'ok=false' BENCH_hier.json; then
-  echo "BENCH_hier.json: a hierarchical run validated worse than flat" >&2; exit 1
-fi
-grep -qF '"hierb-auto Chip1 tier=flat' BENCH_hier.json || {
-  echo "BENCH_hier.json: Chip1 no longer runs flat under --hier auto" >&2; exit 1; }
-# Determinism drift: the smoke designs are a subset of the committed run,
-# so every fingerprint (cells, per-leg scores, ladder tier, expansion
-# counts; wall-clock excluded) must appear verbatim.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$hierjson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_hier.json || {
-    echo "hier-bench determinism drift: fingerprint not in BENCH_hier.json:" >&2
-    echo "  $fp" >&2
+echo "== Scaled3 flat route guard (validates, pinned score) =="
+scaled3=$(mktemp)
+./_build/default/bin/pacor_cli.exe designs --emit Scaled3 > "$scaled3"
+s3json=$(./_build/default/bin/pacor_cli.exe route -f "$scaled3" --json)
+rm -f "$scaled3"
+for key in '"valid":true' '"routed_valves":78' '"matched_clusters":21' \
+           '"total_length":4010'; do
+  printf '%s\n' "$s3json" | grep -qF "$key" || {
+    echo "Scaled3 flat guard: expected $key in the route --json result:" >&2
+    printf '%s\n' "$s3json" >&2
     exit 1
   }
 done
-rm -f "$hierjson"
-
-echo "== batch smoke under --hier on (corridor-confined, zero validation failures) =="
-hierbatch=$(./_build/default/bin/pacor_cli.exe batch corpus --jobs 2 --hier on)
-printf '%s\n' "$hierbatch" | grep -q "validation: OK" || {
-  echo "hier batch smoke: a corridor-confined run failed validation" >&2
-  printf '%s\n' "$hierbatch" >&2
-  exit 1
-}
 
 echo "== fault-sweep smoke + BENCH_fault.json drift check =="
 faultjson=$(mktemp)

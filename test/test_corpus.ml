@@ -135,6 +135,21 @@ let test_variants_on_corpus () =
          [ Pacor.Config.Full; Pacor.Config.Without_selection; Pacor.Config.Detour_first ])
     [ "corpus-dense"; "corpus-pairs"; "corpus-obstacles"; "corpus-bigcluster" ]
 
+let test_scaled1 () =
+  (* The smallest synthetic scaled design, routed flat: its score
+     (routed valves, matched clusters, total length) is pinned. *)
+  let problem = Pacor_designs.Scaled.load_exn 1 in
+  let sol = route problem in
+  let stats = Pacor.Solution.stats sol in
+  let valves = Pacor.Problem.valve_count problem in
+  Alcotest.(check int) "routed valves" 26
+    (int_of_float (Float.round (stats.completion *. float_of_int valves)));
+  Alcotest.(check int) "matched clusters" 7 stats.matched_clusters;
+  Alcotest.(check int) "total length" 653 stats.total_length;
+  match Pacor.Solution.validate sol with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "invalid: %s" (String.concat "; " es)
+
 let () =
   Alcotest.run "corpus"
     [ ( "instances",
@@ -145,4 +160,5 @@ let () =
           Alcotest.test_case "serialisation fixpoint" `Quick test_roundtrip_stability;
           Alcotest.test_case "zero lm clusters" `Quick test_empty_clusters;
           Alcotest.test_case "walled-in valve degrades" `Quick test_infeasible;
-          Alcotest.test_case "all variants route" `Slow test_variants_on_corpus ] ) ]
+          Alcotest.test_case "all variants route" `Slow test_variants_on_corpus;
+          Alcotest.test_case "Scaled1 flat score" `Quick test_scaled1 ] ) ]

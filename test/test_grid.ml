@@ -215,6 +215,34 @@ let prop_obstacle_count_tracks_operations =
        Obstacle_map.iter_blocked m (fun _ -> incr recount);
        !recount = Obstacle_map.blocked_count m)
 
+(* ---------- Packed roles ---------- *)
+
+let test_packed_roles_roundtrip () =
+  let len = 37 in
+  (* odd length: exercises the partial last byte *)
+  let roles = Packed_roles.create len in
+  Alcotest.(check int) "length" len (Packed_roles.length roles);
+  for i = 0 to len - 1 do
+    Packed_roles.set roles i (i mod 4)
+  done;
+  for i = 0 to len - 1 do
+    Alcotest.(check int) (Printf.sprintf "cell %d" i) (i mod 4) (Packed_roles.get roles i)
+  done;
+  Packed_roles.clear roles;
+  for i = 0 to len - 1 do
+    Alcotest.(check int) "cleared" 0 (Packed_roles.get roles i)
+  done;
+  (* wrap keeps buffer contents; higher role bits are masked off. *)
+  let buf = Bytes.make (Packed_roles.bytes_needed len) '\255' in
+  let wrapped = Packed_roles.wrap ~len buf in
+  Alcotest.(check int) "wrap keeps contents" 3 (Packed_roles.get wrapped 13);
+  (* The hot-path set masks roles to two bits; the checked variant raises. *)
+  Packed_roles.set wrapped 13 (4 + 2);
+  Alcotest.(check int) "role masked to two bits" 2 (Packed_roles.checked_get wrapped 13);
+  (match Packed_roles.checked_set wrapped 13 6 with
+   | () -> Alcotest.fail "checked_set must refuse roles above 3"
+   | exception Invalid_argument _ -> ())
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_path_roundtrip; prop_path_length; prop_reverse_involution;
@@ -242,4 +270,6 @@ let () =
           Alcotest.test_case "replace segment" `Quick test_path_replace_segment;
           Alcotest.test_case "shares vertex" `Quick test_path_shares_vertex;
           Alcotest.test_case "bounding box" `Quick test_path_bounding_box ] );
+      ( "packed_roles",
+        [ Alcotest.test_case "round-trip" `Quick test_packed_roles_roundtrip ] );
       ("properties", qcheck_cases) ]

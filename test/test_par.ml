@@ -294,6 +294,90 @@ let prop_pool_many_tiny_tasks =
        let sum = List.fold_left ( + ) 0 (Pacor_par.Pool.map ~jobs succ xs) in
        sum = n * (n + 1) / 2)
 
+(* ---------- Workspace reuse across grid sizes ---------- *)
+
+let synth ~width ~height ~seed =
+  Pacor_designs.Synthetic.generate_exn
+    { Pacor_designs.Synthetic.name = "ws-reuse";
+      width;
+      height;
+      obstacle_cells = 10;
+      lm_cluster_sizes = [ 2 ];
+      singleton_valves = 2;
+      pin_count = 30;
+      seed = Int64.of_int seed;
+      delta = 1 }
+
+let test_workspace_cross_size_reuse () =
+  let stats = Pacor_route.Search_stats.create () in
+  let ws = Pacor_route.Workspace.create ~stats () in
+  let small = synth ~width:26 ~height:26 ~seed:7 in
+  let big = synth ~width:96 ~height:96 ~seed:8 in
+  let run problem =
+    match Pacor.Engine.run ~workspace:ws problem with
+    | Ok sol -> sol
+    | Error e -> Alcotest.failf "engine: %s" e.message
+  in
+  let s1 = run small in
+  let _b1 = run big in
+  let warm = Pacor_route.Search_stats.snapshot stats in
+  (* Warm reuse across sizes in both directions: the workspace has grown
+     to the biggest instance and must not allocate again. *)
+  let s2 = run small in
+  let b2 = run big in
+  let after = Pacor_route.Search_stats.snapshot stats in
+  Alcotest.(check int) "no grid allocations on warm cross-size reuse" 0
+    (Pacor_route.Search_stats.diff after warm).Pacor_route.Search_stats.grid_allocs;
+  Alcotest.(check bool) "small validates warm" true (Pacor.Solution.validate s2 = Ok ());
+  Alcotest.(check bool) "big validates warm" true (Pacor.Solution.validate b2 = Ok ());
+  (* Workspace warmth never changes results (runtime_s is wall clock, so
+     compare everything but it). *)
+  let fresh =
+    match Pacor.Engine.run small with
+    | Ok sol -> sol
+    | Error e -> Alcotest.failf "engine: %s" e.message
+  in
+  let key sol =
+    let s = Pacor.Solution.stats sol in
+    ( s.Pacor.Solution.clusters,
+      s.Pacor.Solution.matched_clusters,
+      s.Pacor.Solution.matched_length,
+      s.Pacor.Solution.total_length,
+      s.Pacor.Solution.completion )
+  in
+  Alcotest.(check bool) "warm == cold solution stats" true
+    (key s2 = key fresh && key s1 = key fresh)
+
+let test_pool_cross_size_reuse () =
+  (* One worker domain: every problem funnels through the same pooled
+     workspace, exercising grow-then-shrink-then-grow request orders. *)
+  let pool = Pacor_par.Pool.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pacor_par.Pool.shutdown pool)
+    (fun () ->
+      let problems =
+        [ synth ~width:26 ~height:26 ~seed:11;
+          synth ~width:96 ~height:96 ~seed:12;
+          synth ~width:26 ~height:26 ~seed:13 ]
+      in
+      let sols =
+        Pacor_par.Pool.map_ctx pool
+          (fun worker problem ->
+            match
+              Pacor.Engine.run ~workspace:(Pacor_par.Pool.worker_workspace worker) problem
+            with
+            | Ok sol -> sol
+            | Error e -> failwith e.Pacor.Engine.message)
+          problems
+      in
+      List.iteri
+        (fun i sol ->
+          Alcotest.(check bool)
+            (Printf.sprintf "pooled solution %d validates" i)
+            true
+            (Pacor.Solution.validate sol = Ok ()))
+        sols)
+
 let () =
   Alcotest.run "par"
     [ ( "batch determinism",
@@ -315,4 +399,7 @@ let () =
             test_pool_worker_death_isolated ] );
       ( "stress",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_pool_map_is_map; prop_pool_many_tiny_tasks ] ) ]
+          [ prop_pool_map_is_map; prop_pool_many_tiny_tasks ] );
+      ( "workspace_reuse",
+        [ Alcotest.test_case "cross-size engine reuse" `Quick test_workspace_cross_size_reuse;
+          Alcotest.test_case "cross-size pool reuse" `Quick test_pool_cross_size_reuse ] ) ]

@@ -265,6 +265,50 @@ let test_starved_run_reports_degradation () =
     (searchy base_files)
     (searchy (Lazy.force base_problems))
 
+(* An FPVA lattice edit whose exact candidate selection runs for minutes
+   unbudgeted: the run's deadline must cut the selection short, and the
+   engine must come back near the deadline with a degraded solution whose
+   only defects are the valves it had no time to escape. *)
+let test_selection_honours_deadline () =
+  let spec =
+    { Pacor_designs.Fpva.name = "fpva14-ring3"; rows = 14; cols = 14; pitch = 5;
+      group = 7; seed = 3L; delta = 2 }
+  in
+  let problem =
+    match
+      Pacor.Problem.move_valve (Pacor_designs.Fpva.generate_exn spec) 157
+        (Pacor_geom.Point.make 66 24)
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "move_valve: %s" e
+  in
+  let deadline_s = 0.5 in
+  let config =
+    { Pacor.Config.default with limits = Budget.limits ~timeout_s:deadline_s () }
+  in
+  let t0 = Unix.gettimeofday () in
+  let result = Pacor.Engine.run ~config problem in
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 2.0 *. deadline_s then
+    Alcotest.failf "run took %.3fs under a %.1fs deadline" dt deadline_s;
+  match result with
+  | Error e -> Alcotest.failf "engine error in %s: %s" e.stage e.message
+  | Ok sol ->
+    Alcotest.(check bool) "deadline recorded" true
+      (sol.Pacor.Solution.budget_exhausted = Some Budget.Deadline);
+    Alcotest.(check bool) "degraded" true (Pacor.Solution.degraded sol);
+    let contains hay needle =
+      let nh = String.length hay and nn = String.length needle in
+      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+      go 0
+    in
+    (match Pacor.Solution.validate sol with
+     | Ok () -> ()
+     | Error es ->
+       (match List.filter (fun e -> not (contains e "has no control pin")) es with
+        | [] -> ()
+        | bad -> Alcotest.failf "design-rule violations: %s" (String.concat "; " bad)))
+
 let () =
   Alcotest.run "resilience"
     [ ( "budget",
@@ -280,4 +324,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_total_under_deadline ] );
       ( "degradation",
         [ Alcotest.test_case "starved run reports exhaustion" `Quick
-            test_starved_run_reports_degradation ] ) ]
+            test_starved_run_reports_degradation;
+          Alcotest.test_case "selection honours the deadline" `Quick
+            test_selection_honours_deadline ] ) ]

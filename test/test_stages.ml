@@ -313,6 +313,92 @@ let prop_variants_all_valid =
               | Ok sol -> Solution.validate sol = Ok ())
            [ Config.Full; Config.Without_selection; Config.Detour_first ])
 
+(* ---------- Optimality certificate ---------- *)
+
+(* A lower-bound oracle for the flat engine: a solution that routed every
+   valve, matched every multi-valve cluster, ran every stage to completion,
+   keeps each internal channel at its endpoints' Manhattan distance and
+   each escape at the distance from the nearest pin to the nearest channel
+   box cannot be beaten on (routed valves, matched clusters, total length).
+   A channel pushed [d] cells outside its box to approach a pin pays at
+   least [2d] internal length for at most [d] of escape gain, so the escape
+   bound holds for non-minimal channels too. *)
+let rect_distance (p : Point.t) (r : Rect.t) =
+  let dx = max 0 (max (r.Rect.x0 - p.x) (p.x - r.Rect.x1)) in
+  let dy = max 0 (max (r.Rect.y0 - p.y) (p.y - r.Rect.y1)) in
+  dx + dy
+
+let escape_lb ~pins (r : Routed.t) =
+  let rects =
+    List.map (fun p -> Rect.of_points (Path.source p) (Path.target p)) r.Routed.paths
+    @ List.map (fun v -> Rect.of_points v v) (Cluster.positions r.Routed.cluster)
+  in
+  List.fold_left
+    (fun best pin ->
+      List.fold_left (fun best rect -> min best (rect_distance pin rect)) best rects)
+    max_int pins
+  |> max 1
+
+let certify_failure (sol : Solution.t) =
+  let pins = sol.Solution.problem.Problem.pins in
+  let clusters = sol.Solution.clusters in
+  if sol.Solution.budget_exhausted <> None then Some "budget exhausted"
+  else if
+    not (List.for_all (fun (_, o) -> o = Solution.Completed) sol.Solution.stage_outcomes)
+  then Some "a stage degraded"
+  else if not (List.for_all (fun (c : Solution.routed_cluster) -> c.escape <> None) clusters)
+  then Some "a cluster failed to escape"
+  else if
+    List.length
+      (List.filter
+         (fun (c : Solution.routed_cluster) ->
+           Routed.is_length_matched_shape c.routed && c.matched)
+         clusters)
+    <> sol.Solution.initial_multi_clusters
+  then Some "a multi-valve cluster was demoted or left unmatched"
+  else if
+    not
+      (List.for_all
+         (fun (c : Solution.routed_cluster) ->
+           List.for_all
+             (fun p -> Path.length p = Point.manhattan (Path.source p) (Path.target p))
+             c.routed.Routed.paths)
+         clusters)
+  then Some "an internal channel exceeds its Manhattan minimum"
+  else if
+    not
+      (List.for_all
+         (fun (c : Solution.routed_cluster) ->
+           match c.escape with
+           | None -> false
+           | Some e -> Path.length e.Pacor_flow.Escape.path <= escape_lb ~pins c.routed)
+         clusters)
+  then Some "an escape exceeds its pin-to-channel-box lower bound"
+  else None
+
+let certificate_problem ~obstacles =
+  let grid = Routing_grid.create ~width:13 ~height:13 ~obstacles () in
+  let v = mk_valve 0 6 6 "01" in
+  Problem.create_exn ~grid ~valves:[ v ] ~lm_clusters:[] ~pins:[ Point.make 6 0 ] ()
+
+let test_certificate_straight_escape () =
+  match Engine.run (certificate_problem ~obstacles:[]) with
+  | Error e -> Alcotest.failf "engine: %s" e.message
+  | Ok sol ->
+    Alcotest.(check (option string)) "straight escape certifies" None (certify_failure sol);
+    Alcotest.(check bool) "validates" true (Solution.validate sol = Ok ())
+
+let test_certificate_detoured_escape_fails () =
+  (* A wall above the valve forces the escape around: its length exceeds
+     the pin-to-channel-box lower bound, so the certificate must refuse. *)
+  let obstacles = [ Rect.of_points (Point.make 4 3) (Point.make 8 3) ] in
+  match Engine.run (certificate_problem ~obstacles) with
+  | Error e -> Alcotest.failf "engine: %s" e.message
+  | Ok sol ->
+    Alcotest.(check (option string)) "detoured escape does not certify"
+      (Some "an escape exceeds its pin-to-channel-box lower bound") (certify_failure sol);
+    Alcotest.(check bool) "validates" true (Solution.validate sol = Ok ())
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engine_routes_random_instances; prop_variants_all_valid ]
@@ -341,4 +427,8 @@ let () =
         [ Alcotest.test_case "stage timings" `Quick test_stage_timings_present;
           Alcotest.test_case "rematch rescues corridor cluster" `Quick
             test_rematch_rescues_corridor_cluster ] );
+      ( "certificate",
+        [ Alcotest.test_case "straight escape certifies" `Quick test_certificate_straight_escape;
+          Alcotest.test_case "detoured escape refuses" `Quick
+            test_certificate_detoured_escape_fails ] );
       ("properties", qcheck_cases) ]
