@@ -108,10 +108,7 @@ let route ?workspace ~config ~grid ~valve_cells clusters =
             else Some (fun () -> Pacor_route.Budget.alive budget)
           | None -> None
         in
-        (match
-           Pacor_select.Tree_select.select ?sched:config.Config.sched ?alive
-             ~config:sel_config per_cluster
-         with
+        (match Pacor_select.Tree_select.select ?alive ~config:sel_config per_cluster with
          | Ok sel -> sel.chosen
          | Error msg -> invalid_arg ("Cluster_route: " ^ msg))
     in

@@ -26,9 +26,9 @@ type t = {
   verbose : bool;        (** log stage-by-stage progress *)
   sched : Pacor_sched.Sched.t option;
       (** work-stealing scheduler for intra-instance stage sharding
-          (DME candidates, selection branch-and-bound, negotiation
-          conflict probes, escape subnetworks). [None] (the default)
-          keeps every stage sequential. Sharded stages produce
+          (DME candidates, negotiation conflict probes, escape
+          subnetworks). [None] (the default) keeps every stage
+          sequential. Sharded stages produce
           byte-identical solutions and search stats; the engine gates
           the scheduler off whenever a search budget is armed, because
           a budget trip mid-stage depends on operation interleaving.

@@ -57,8 +57,8 @@ let selection_weight ~lambda per_cluster chosen =
   nodes +. pairs 0.0 chosen
 
 (* Precomputed instance: candidates are flattened to global indices so the
-   solvers never recompute geometric costs (the overlap evaluation is the
-   expensive part; branch and bound visits each pair many times). *)
+   solvers never recompute geometric costs (branch and bound visits each
+   pair many times). *)
 type instance = {
   clusters : int array array;   (* per cluster: global candidate indices *)
   cand : Candidate.t array;     (* by global index *)
@@ -66,6 +66,52 @@ type instance = {
   node_w : float array;
   pair_w : float array array;   (* 0 within a cluster, symmetric *)
 }
+
+(* A candidate's edge boxes, flat as [x0; y0; x1; y1; cells] per edge in
+   edge order, and the hull of all of them as [x0; y0; x1; y1] (inverted,
+   so disjoint from everything, for a tree without edges). *)
+let box_stride = 5
+
+let edge_boxes (c : Candidate.t) =
+  let boxes = Array.make (box_stride * List.length c.edges) 0 in
+  let hull = [| max_int; max_int; min_int; min_int |] in
+  List.iteri
+    (fun k (e : Candidate.edge) ->
+       let r = Rect.of_points e.parent_pos e.child_pos in
+       let o = box_stride * k in
+       boxes.(o) <- r.x0;
+       boxes.(o + 1) <- r.y0;
+       boxes.(o + 2) <- r.x1;
+       boxes.(o + 3) <- r.y1;
+       boxes.(o + 4) <- Rect.cells r;
+       hull.(0) <- Int.min hull.(0) r.x0;
+       hull.(1) <- Int.min hull.(1) r.y0;
+       hull.(2) <- Int.max hull.(2) r.x1;
+       hull.(3) <- Int.max hull.(3) r.y1)
+    c.edges;
+  (boxes, hull)
+
+(* [overlap_cost] on precomputed boxes, [a]'s edges outer as in the list
+   fold. Zero terms are skipped: the sum starts at +0.0 and every term is
+   >= 0, so adding +0.0 never changes it and the result is bit-identical. *)
+let boxes_overlap a b =
+  let s = ref 0.0 in
+  for ka = 0 to (Array.length a / box_stride) - 1 do
+    let i = ka * box_stride in
+    for kb = 0 to (Array.length b / box_stride) - 1 do
+      let j = kb * box_stride in
+      let x0 = Int.max a.(i) b.(j) and y0 = Int.max a.(i + 1) b.(j + 1) in
+      let x1 = Int.min a.(i + 2) b.(j + 2) and y1 = Int.min a.(i + 3) b.(j + 3) in
+      if x0 <= x1 && y0 <= y1 then
+        s :=
+          !s
+          +. float_of_int ((x1 - x0 + 1) * (y1 - y0 + 1))
+             /. float_of_int (Int.min a.(i + 4) b.(j + 4))
+    done
+  done;
+  !s
+
+let hulls_disjoint a b = a.(2) < b.(0) || b.(2) < a.(0) || a.(3) < b.(1) || b.(3) < a.(1)
 
 let build_instance ~lambda per_cluster =
   let norm = max_mismatch per_cluster in
@@ -88,17 +134,38 @@ let build_instance ~lambda per_cluster =
          per_cluster)
   in
   let node_w = Array.map (node_weight ~lambda ~norm) cand in
+  let boxes = Array.map edge_boxes cand in
   let pair_w = Array.make_matrix total total 0.0 in
   for i = 0 to total - 1 do
+    let bi, hi = boxes.(i) in
     for j = i + 1 to total - 1 do
       if cluster_of.(i) <> cluster_of.(j) then begin
-        let w = pair_weight ~lambda cand.(i) cand.(j) in
+        (* Exactly [pair_weight cand.(i) cand.(j)]. *)
+        let bj, hj = boxes.(j) in
+        let ov = if hulls_disjoint hi hj then 0.0 else boxes_overlap bi bj in
+        let w = -.(1.0 -. lambda) *. ov in
         pair_w.(i).(j) <- w;
         pair_w.(j).(i) <- w
       end
     done
   done;
   { clusters; cand; cluster_of; node_w; pair_w }
+
+(* [selection_weight] of a full selection, read off the instance: the node
+   sum, then the pairs in list order, so the result is bit-identical. *)
+let objective inst chosen =
+  let n = Array.length chosen in
+  let nodes = ref 0.0 in
+  for i = 0 to n - 1 do
+    nodes := !nodes +. inst.node_w.(chosen.(i))
+  done;
+  let pairs = ref 0.0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      pairs := !pairs +. inst.pair_w.(chosen.(i)).(chosen.(j))
+    done
+  done;
+  !nodes +. !pairs
 
 let greedy inst =
   let n = Array.length inst.clusters in
@@ -152,7 +219,7 @@ let local_search inst start =
   done;
   chosen
 
-let exact ?sched ?alive inst =
+let exact ?alive inst =
   let n = Array.length inst.clusters in
   (* Cancellation: [alive] is polled once every [poll_stride] nodes; once
      it reports false every pending branch is cut, leaving the incumbent
@@ -192,81 +259,57 @@ let exact ?sched ?alive inst =
     !w
   in
   let best = ref (Array.copy seed) and best_w = ref seed_w in
-  (* One top-level branch per candidate of cluster 0, explored depth-first
-     against [best]/[best_w]. [leaf_max], when given, observes the value of
-     every leaf reached (used by the parallel merge's skip bound); it never
-     influences the search. *)
-  let explore ~chosen ~best ~best_w ~leaf_max g0 =
-    let rec go i acc_w =
-      if i = n then begin
-        (match leaf_max with
-         | Some r -> if acc_w > !r then r := acc_w
-         | None -> ());
-        if acc_w > !best_w then begin
-          best_w := acc_w;
-          best := Array.copy chosen
-        end
-      end
-      else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 && not (cut ()) then
-        Array.iter
-          (fun g ->
-             let w = ref inst.node_w.(g) in
-             for j = 0 to i - 1 do
-               w := !w +. inst.pair_w.(g).(chosen.(j))
-             done;
-             chosen.(i) <- g;
-             go (i + 1) (acc_w +. !w))
-          inst.clusters.(i)
-    in
-    chosen.(0) <- g0;
-    go 1 inst.node_w.(g0)
+  (* Forward checking: at depth [i], [marg.(i).(g)] is candidate [g]'s
+     weight against the choices so far, [node_w g] plus its pair weights to
+     [chosen.(0..i-1)] added in that order — the order the child weight was
+     summed in, so reading it from the stack is bit-identical. The best
+     marginal of every open cluster bounds the rest of the branch (pairs
+     among open clusters only subtract); a branch it cannot lift above the
+     incumbent holds no leaf that would replace it, so the incumbent
+     history — and the selection — is the plain bound's. *)
+  let total = Array.length inst.cand in
+  let marg = Array.make_matrix (n + 1) total 0.0 in
+  Array.blit inst.node_w 0 marg.(0) 0 total;
+  let chosen = Array.make n (-1) in
+  (* Fills [marg.(i)] from [marg.(i - 1)] and [chosen.(i - 1)]; returns the
+     forward-checking bound on what clusters [i..n-1] can add. *)
+  let forward i =
+    let prev = marg.(i - 1) and cur = marg.(i) and pw = inst.pair_w.(chosen.(i - 1)) in
+    let bound = ref 0.0 in
+    for k = i to n - 1 do
+      let cl = inst.clusters.(k) in
+      let m = ref neg_infinity in
+      for t = 0 to Array.length cl - 1 do
+        let g = cl.(t) in
+        let v = prev.(g) +. pw.(g) in
+        cur.(g) <- v;
+        if v > !m then m := v
+      done;
+      bound := !bound +. !m
+    done;
+    !bound
   in
-  if n > 0 && 0.0 +. suffix_bound.(0) > !best_w +. 1e-12 then begin
-    let branches = inst.clusters.(0) in
-    let nb = Array.length branches in
-    let run_seq () =
-      let chosen = Array.make n (-1) in
-      Array.iter (fun g -> explore ~chosen ~best ~best_w ~leaf_max:None g) branches
-    in
-    match sched with
-    | None -> run_seq ()
-    | Some _ when nb < 2 || alive <> None -> run_seq ()
-    | Some sched ->
-      (* Speculative parallel branches: each runs against a private copy of
-         the seed incumbent, then an ordered merge reconstructs exactly the
-         sequential result. Branch k's speculative run is {e the} sequential
-         run whenever the incumbent is still the seed when the merge reaches
-         it, so its outcome is adopted verbatim. Once some earlier branch
-         improved the incumbent, branch k's speculation used a weaker prune
-         bound than sequential would have — but every leaf it could not see
-         is bounded by [max seed_w leaf_max +. 1e-12], so when even that
-         cannot beat the live incumbent the branch provably contributes
-         nothing and is skipped; otherwise it re-runs sequentially against
-         the live incumbent. Adopt, skip and re-run all reproduce the
-         sequential incumbent bit-for-bit, in branch order. *)
-      let results = Array.make nb None in
-      Pacor_sched.Sched.parallel_for sched ~n:nb (fun k ->
-        let chosen = Array.make n (-1) in
-        let lb = ref (Array.copy seed) in
-        let lw = ref seed_w in
-        let lmax = ref neg_infinity in
-        explore ~chosen ~best:lb ~best_w:lw ~leaf_max:(Some lmax) branches.(k);
-        results.(k) <- Some (!lb, !lw, !lmax));
-      let chosen = Array.make n (-1) in
-      Array.iteri
-        (fun k r ->
-           let lb, lw, lmax = Option.get r in
-           if !best_w = seed_w then begin
-             if lw > seed_w then begin
-               best_w := lw;
-               best := lb
-             end
-           end
-           else if lmax +. 1e-12 <= !best_w && seed_w +. 1e-12 <= !best_w then
-             ()
-           else explore ~chosen ~best ~best_w ~leaf_max:None branches.(k))
-        results
-  end;
+  let rec go i acc_w =
+    if i = n then begin
+      if acc_w > !best_w then begin
+        best_w := acc_w;
+        best := Array.copy chosen
+      end
+    end
+    else if
+      acc_w +. suffix_bound.(i) > !best_w +. 1e-12
+      && (i = 0 || acc_w +. forward i > !best_w -. 1e-9)
+      && not (cut ())
+    then begin
+      let mi = marg.(i) and cl = inst.clusters.(i) in
+      for t = 0 to Array.length cl - 1 do
+        let g = cl.(t) in
+        chosen.(i) <- g;
+        go (i + 1) (acc_w +. mi.(g))
+      done
+    end
+  in
+  go 0 0.0;
   !best
 
 (* The paper's literal formulation: one graph node per candidate, edges
@@ -280,9 +323,15 @@ let mwcp_clique inst =
     { Pacor_graphs.Clique.n = total;
       adjacent = (fun i j -> i <> j && inst.cluster_of.(i) <> inst.cluster_of.(j)) }
   in
-  (* M dominates any achievable |objective|: costs are sums of at most
-     total^2 terms each bounded by 1 in absolute value. *)
-  let big = float_of_int ((total * total) + 1) in
+  (* M dominates any achievable |objective|: one more node gains M and
+     costs at most the sum of every weight's magnitude. (A pair cost sums
+     over all edge pairs of the two trees, so it is not bounded by 1.) *)
+  let big =
+    let s = ref 1.0 in
+    Array.iter (fun w -> s := !s +. Float.abs w) inst.node_w;
+    Array.iter (Array.iter (fun w -> s := !s +. Float.abs w)) inst.pair_w;
+    !s
+  in
   let weighted =
     { Pacor_graphs.Clique.graph;
       node_weight = (fun i -> big +. inst.node_w.(i));
@@ -294,7 +343,7 @@ let mwcp_clique inst =
   List.iter (fun g -> by_cluster.(inst.cluster_of.(g)) <- g) clique;
   by_cluster
 
-let select ?sched ?alive ?(config = default_config) per_cluster =
+let select ?alive ?(config = default_config) per_cluster =
   if List.exists (fun cands -> cands = []) per_cluster then
     Error "a cluster has no candidate trees"
   else if per_cluster = [] then Ok { chosen = []; objective = 0.0 }
@@ -304,9 +353,9 @@ let select ?sched ?alive ?(config = default_config) per_cluster =
       match config.solver with
       | Greedy -> greedy inst
       | Local_search -> local_search inst (greedy inst)
-      | Exact -> exact ?sched ?alive inst
+      | Exact -> exact ?alive inst
       | Mwcp_clique -> mwcp_clique inst
     in
     let chosen = Array.to_list (Array.map (fun g -> inst.cand.(g)) chosen_idx) in
-    Ok { chosen; objective = selection_weight ~lambda:config.lambda per_cluster chosen }
+    Ok { chosen; objective = objective inst chosen_idx }
   end

@@ -12,9 +12,10 @@
     selection; we solve that selection problem directly. Three solvers
     mirror the paper's three implementations:
 
-    - [Exact]: branch and bound with an admissible remaining-cost bound —
-      the stand-in for the paper's Gurobi ILP (optimal; the instance sizes
-      of the flow are tiny);
+    - [Exact]: branch and bound with admissible remaining-cost bounds (the
+      open clusters' best node weights, and their best marginal weights
+      against the choices so far) — the stand-in for the paper's Gurobi
+      ILP (optimal; under a millisecond at the flow's instance sizes);
     - [Greedy]: clusters in input order, each picking the candidate with
       the best marginal cost against choices already made (the "graph-based
       algorithm");
@@ -53,27 +54,21 @@ type selection = {
 }
 
 val select :
-  ?sched:Pacor_sched.Sched.t ->
   ?alive:(unit -> bool) ->
   ?config:config ->
   Candidate.t list list ->
   (selection, string) result
 (** [select per_cluster_candidates] picks one candidate per inner list.
-    Errors when some cluster has no candidates. Deterministic: with
-    [sched], the [Exact] solver explores its top-level branch-and-bound
-    branches speculatively in parallel and merges them in branch order
-    (adopt / provably-no-better skip / sequential re-run), which
-    reproduces the sequential incumbent bit-for-bit. Other solvers
-    ignore [sched].
+    Errors when some cluster has no candidates. Deterministic.
 
     [alive] is a cancellation hook for [Exact], whose branch and bound is
     exponential in the cluster count: it is polled every 256 search
     nodes, and once it returns false the search stops and returns its
     incumbent — greedy-seeded, so always a full selection, though no
     longer proven optimal. Without [alive] the search runs to completion.
-    With [alive], [sched] is ignored: a cut search is not reproducible
-    across worker counts. Other solvers ignore [alive]. *)
+    Other solvers ignore [alive]. *)
 
 val selection_weight : lambda:float -> Candidate.t list list -> Candidate.t list -> float
-(** Objective value of an arbitrary full selection (used by tests to verify
-    optimality of [Exact] against brute force). *)
+(** Objective value of an arbitrary full selection, by the naive fold over
+    [overlap_cost]. [select]'s [objective] is bit-equal to it on the chosen
+    list; tests use it as the reference for that and for brute force. *)

@@ -181,6 +181,17 @@ for key in '"valid":true' '"routed_valves":78' '"matched_clusters":21' \
   }
 done
 
+echo "== Chip1 route guard (the design where selection B&B searches) =="
+c1json=$(./_build/default/bin/pacor_cli.exe route -d Chip1 --json)
+for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
+           '"total_length":4485' '"matched_length":2243'; do
+  printf '%s\n' "$c1json" | grep -qF "$key" || {
+    echo "Chip1 guard: expected $key in the route --json result:" >&2
+    printf '%s\n' "$c1json" >&2
+    exit 1
+  }
+done
+
 echo "== fault-sweep smoke + BENCH_fault.json drift check =="
 faultjson=$(mktemp)
 ./_build/default/bench/main.exe --fault-sweep --smoke --json-out "$faultjson" > /dev/null

@@ -161,6 +161,22 @@ let test_exact_matches_brute_force () =
        | Ok sel -> Alcotest.(check (float 1e-9)) "optimal" brute_w sel.objective)
     [ 3; 17; 99; 123; 4242 ]
 
+let test_mwcp_clique_multi_edge_overlap () =
+  (* Three copies of one edge per tree: the pair cost is 9, above the
+     per-pair bound of 1 a fixed node bonus M = total^2 + 1 assumed, so
+     a lone node used to outweigh the full 2-clique. *)
+  let e = ((0, 0), (4, 0)) in
+  let a = fake_candidate [ e; e; e ] 0 and b = fake_candidate [ e; e; e ] 0 in
+  Alcotest.(check (float 1e-9)) "overlap cost" 9.0 (Tree_select.overlap_cost a b);
+  List.iter
+    (fun solver ->
+       match Tree_select.select ~config:{ Tree_select.lambda = 0.1; solver } [ [ a ]; [ b ] ] with
+       | Error e -> Alcotest.failf "select failed: %s" e
+       | Ok sel ->
+         Alcotest.(check int) "both clusters covered" 2 (List.length sel.chosen);
+         Alcotest.(check (float 1e-9)) "objective" (-8.1) sel.objective)
+    [ Tree_select.Exact; Tree_select.Mwcp_clique ]
+
 let test_solvers_agree_on_feasibility () =
   let per_cluster = random_instance 7 in
   List.iter
@@ -186,6 +202,162 @@ let test_local_search_at_least_greedy () =
        Alcotest.(check bool) "exact >= local search" true (ex >= ls -. 1e-9))
     [ 11; 29; 57 ]
 
+(* ---------- Differential oracle ---------- *)
+
+(* The bound-only branch and bound [Tree_select.select] used before its
+   forward-checking bound and box kernel, kept here as the reference: its
+   weights come from the naive public [overlap_cost]/[mismatch_cost], pair
+   weights with the lower global index's edges outer, and its search prunes
+   on the max-node-weight suffix bound alone. Returns the chosen global
+   indices. *)
+let oracle_exact ~lambda per_cluster =
+  let cand = Array.of_list (List.concat per_cluster) in
+  let total = Array.length cand in
+  let cluster_of = Array.make total 0 in
+  let clusters =
+    let next = ref 0 in
+    Array.of_list
+      (List.mapi
+         (fun ci cands ->
+            Array.of_list
+              (List.map
+                 (fun _ ->
+                    let g = !next in
+                    incr next;
+                    cluster_of.(g) <- ci;
+                    g)
+                 cands))
+         per_cluster)
+  in
+  let node_w =
+    Array.map (fun c -> -.lambda *. Tree_select.mismatch_cost per_cluster c) cand
+  in
+  let pair_w = Array.make_matrix total total 0.0 in
+  for i = 0 to total - 1 do
+    for j = i + 1 to total - 1 do
+      if cluster_of.(i) <> cluster_of.(j) then begin
+        let w = -.(1.0 -. lambda) *. Tree_select.overlap_cost cand.(i) cand.(j) in
+        pair_w.(i).(j) <- w;
+        pair_w.(j).(i) <- w
+      end
+    done
+  done;
+  let n = Array.length clusters in
+  let seed = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let marginal g =
+      let w = ref node_w.(g) in
+      for j = 0 to i - 1 do
+        w := !w +. pair_w.(g).(seed.(j))
+      done;
+      !w
+    in
+    let best = ref clusters.(i).(0) and best_w = ref (marginal clusters.(i).(0)) in
+    Array.iter
+      (fun g ->
+         let w = marginal g in
+         if w > !best_w then begin
+           best := g;
+           best_w := w
+         end)
+      clusters.(i);
+    seed.(i) <- !best
+  done;
+  let best_suffix =
+    Array.map (fun cands -> Array.fold_left (fun a g -> max a node_w.(g)) neg_infinity cands) clusters
+  in
+  let suffix_bound = Array.make (n + 1) 0.0 in
+  for i = n - 1 downto 0 do
+    suffix_bound.(i) <- suffix_bound.(i + 1) +. best_suffix.(i)
+  done;
+  let best = ref (Array.copy seed) and best_w = ref 0.0 in
+  for i = 0 to n - 1 do
+    best_w := !best_w +. node_w.(seed.(i));
+    for j = 0 to i - 1 do
+      best_w := !best_w +. pair_w.(seed.(i)).(seed.(j))
+    done
+  done;
+  let chosen = Array.make n (-1) in
+  let rec go i acc_w =
+    if i = n then begin
+      if acc_w > !best_w then begin
+        best_w := acc_w;
+        best := Array.copy chosen
+      end
+    end
+    else if acc_w +. suffix_bound.(i) > !best_w +. 1e-12 then
+      Array.iter
+        (fun g ->
+           let w = ref node_w.(g) in
+           for j = 0 to i - 1 do
+             w := !w +. pair_w.(g).(chosen.(j))
+           done;
+           chosen.(i) <- g;
+           go (i + 1) (acc_w +. !w))
+        clusters.(i)
+  in
+  if n > 0 && 0.0 +. suffix_bound.(0) > !best_w +. 1e-12 then
+    Array.iter
+      (fun g0 ->
+         chosen.(0) <- g0;
+         go 1 node_w.(g0))
+      clusters.(0);
+  Array.to_list (Array.map (fun g -> cand.(g)) !best)
+
+(* [select] must return the oracle's choices (the same candidates, not
+   just equal ones) with an objective bit-equal to the naive
+   [selection_weight] of them. *)
+let agrees_with_oracle per_cluster =
+  let lambda = Tree_select.default_config.lambda in
+  match Tree_select.select per_cluster with
+  | Error _ -> false
+  | Ok sel ->
+    List.length sel.chosen = List.length per_cluster
+    && List.for_all2 ( == ) sel.chosen (oracle_exact ~lambda per_cluster)
+    && Int64.equal
+         (Int64.bits_of_float sel.objective)
+         (Int64.bits_of_float (Tree_select.selection_weight ~lambda per_cluster sel.chosen))
+
+(* 4-8 clusters of 1-6 candidates, each of 1-5 edges on a 20x20 box. A
+   candidate may be a fresh copy of an earlier one in its cluster, so
+   equal-weight ties must break the same way. *)
+let gen_oracle_instance =
+  let open QCheck.Gen in
+  let point = pair (int_bound 19) (int_bound 19) in
+  let cand = map2 fake_candidate (list_size (int_range 1 5) (pair point point)) (int_bound 4) in
+  let cluster =
+    list_size (int_range 1 6) (pair cand (option nat))
+    >|= List.fold_left
+          (fun acc (c, dup) ->
+             match (dup, acc) with
+             | Some k, _ :: _ ->
+               let src : Candidate.t = List.nth acc (k mod List.length acc) in
+               { src with mismatch = src.mismatch } :: acc
+             | _ -> c :: acc)
+          []
+  in
+  list_size (int_range 4 8) cluster
+
+let prop_select_matches_oracle =
+  QCheck.Test.make ~name:"select = bound-only oracle, objective = naive fold" ~count:200
+    (QCheck.make gen_oracle_instance) agrees_with_oracle
+
+let test_chip1_matches_oracle () =
+  let p = Pacor_designs.Table1.load_exn "Chip1" in
+  let grid = p.Pacor.Problem.grid in
+  let valve_cells =
+    Point.Set.of_list (List.map (fun (v : Pacor_valve.Valve.t) -> v.position) p.Pacor.Problem.valves)
+  in
+  let static = Routing_grid.obstacles grid in
+  let usable q = Obstacle_map.free static q && not (Point.Set.mem q valve_cells) in
+  let per_cluster =
+    List.filter (( <> ) [])
+      (List.map
+         (Pacor.Cluster_route.candidates_for ~config:Pacor.Config.default ~grid ~usable)
+         p.Pacor.Problem.lm_clusters)
+  in
+  Alcotest.(check bool) "Chip1 selection = oracle" true (agrees_with_oracle per_cluster)
+
 (* ---------- QCheck ---------- *)
 
 let arb_instance = QCheck.map random_instance QCheck.small_int
@@ -210,7 +382,8 @@ let prop_selection_weight_nonpositive =
        | Error _ -> false)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_exact_optimal; prop_selection_weight_nonpositive ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_exact_optimal; prop_selection_weight_nonpositive; prop_select_matches_oracle ]
 
 let () =
   Alcotest.run "select"
@@ -229,6 +402,9 @@ let () =
           Alcotest.test_case "no clusters" `Quick test_select_no_clusters;
           Alcotest.test_case "exact vs brute force" `Quick test_exact_matches_brute_force;
           Alcotest.test_case "MWCP clique = exact" `Quick test_mwcp_clique_matches_exact;
+          Alcotest.test_case "MWCP clique on multi-edge overlap" `Quick
+            test_mwcp_clique_multi_edge_overlap;
           Alcotest.test_case "all solvers feasible" `Quick test_solvers_agree_on_feasibility;
-          Alcotest.test_case "solver quality ordering" `Quick test_local_search_at_least_greedy ] );
+          Alcotest.test_case "solver quality ordering" `Quick test_local_search_at_least_greedy;
+          Alcotest.test_case "Chip1 = bound-only oracle" `Quick test_chip1_matches_oracle ] );
       ("properties", qcheck_cases) ]
