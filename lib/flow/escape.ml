@@ -39,7 +39,7 @@ let compute_roles ?workspace ~grid ~claimed ~pins requests =
     match workspace with
     | Some ws ->
       Packed_roles.wrap ~len:cells
-        (Pacor_route.Workspace.scratch_bytes ws ~len:(Packed_roles.bytes_needed cells))
+        (Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len:(Packed_roles.bytes_needed cells))
     | None -> Packed_roles.create cells
   in
   Routing_grid.fill_interior_free_packed grid roles;
@@ -98,16 +98,20 @@ let emit_network ~grid ~roles requests ~emit =
          r.start_cells)
     requests
 
-let build_grid_network ~grid ~roles requests =
+(* With a workspace the network's arrays are leased from its scratch
+   pool; every caller is done with the network before it returns. *)
+let build_grid_network ?workspace ~grid ~roles requests =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
   let n = (2 * cells) + nreq + 2 in
   let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
+  let emit_arcs f =
+    emit_network ~grid ~roles requests ~emit:(fun src dst cost -> f ~src ~dst ~cost)
+  in
   let net =
-    Mcmf_grid.build ~n ~source ~sink
-      ~emit_arcs:(fun f ->
-        emit_network ~grid ~roles requests
-          ~emit:(fun src dst cost -> f ~src ~dst ~cost))
+    match workspace with
+    | Some ws -> Mcmf_grid.build_on ws ~n ~source ~sink ~emit_arcs
+    | None -> Mcmf_grid.build ~n ~source ~sink ~emit_arcs
   in
   (net, source, sink)
 
@@ -154,7 +158,7 @@ let feasibility_bound ?workspace ~grid ~claimed ~pins requests =
   | Error _ -> 0
   | Ok () ->
     let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
-    let net, _source, _sink = build_grid_network ~grid ~roles requests in
+    let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
     Mcmf_grid.max_flow ?workspace net
 
 type solver =
@@ -163,8 +167,9 @@ type solver =
   | Grid
 
 (* One min-cost-flow solve over one joint network, no decomposition:
-   [solve_once] composes these. Inputs are assumed validated. *)
-let solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
+   [solve_once] composes these. Inputs are assumed validated; [roles] is
+   [compute_roles] of exactly these pins and requests. *)
+let solve_joint ~alive ?workspace ~solver ~grid ~roles requests =
     let cells = Routing_grid.cells grid in
     let nreq = List.length requests in
     let n = (2 * cells) + nreq + 2 in
@@ -173,11 +178,10 @@ let solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
        threshold: augment while a path still costs less than beta, which is
        larger than any possible augmenting-path cost — so the flow first
        maximises the number of routed clusters, then total length. *)
-    let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
     let node_paths =
       match solver with
       | Grid ->
-        let net, _source, _sink = build_grid_network ~grid ~roles requests in
+        let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
         let (_ : Mcmf_grid.outcome) =
           Mcmf_grid.solve ~alive ?workspace ~stop_when_cost_reaches:beta net
         in
@@ -265,7 +269,7 @@ let solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
    carries real budget limits: subsolves on leased workspaces would not
    charge the budget, and a budget trip depends on operation order. *)
 let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
-  let joint () = solve_joint ~alive ?workspace ~solver ~grid ~claimed ~pins requests in
+  let joint roles = solve_joint ~alive ?workspace ~solver ~grid ~roles requests in
   let budget_free =
     match workspace with
     | None -> true
@@ -275,7 +279,8 @@ let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
   in
   let req_arr = Array.of_list requests in
   let nreq = Array.length req_arr in
-  if (not budget_free) || nreq < 2 then joint ()
+  if (not budget_free) || nreq < 2 then
+    joint (compute_roles ?workspace ~grid ~claimed ~pins requests)
   else begin
     let cells = Routing_grid.cells grid in
     let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
@@ -339,7 +344,7 @@ let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
             incr ngroups
         end)
       live;
-    if !ngroups <= 1 then joint ()
+    if !ngroups <= 1 then joint roles
     else begin
       let ng = !ngroups in
       let group_reqs = Array.make ng [] in
@@ -363,10 +368,10 @@ let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
       let solve_group g =
         let lws = Pacor_route.Workspace_pool.acquire ~cells in
         let before = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws) in
-        let out =
-          solve_joint ~alive ~workspace:lws ~solver ~grid ~claimed
-            ~pins:group_pins.(g) group_reqs.(g)
+        let roles =
+          compute_roles ~workspace:lws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
         in
+        let out = solve_joint ~alive ~workspace:lws ~solver ~grid ~roles group_reqs.(g) in
         let delta =
           Pacor_route.Search_stats.diff
             (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws))

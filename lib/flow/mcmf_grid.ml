@@ -12,14 +12,38 @@
      are v's arcs in emission order — built exactly once by running the
      caller's [emit_arcs] twice (count pass, then fill pass), and [reset]
      restores initial capacities for a second solve on the same structure;
+     [build_on] leases every array from a workspace's scratch pool, so a
+     warm workspace builds the megabyte-scale network without allocating;
 
    - successive-shortest-path rounds need only the distance to the sink,
-     so each round runs 0-1-BFS (while Johnson potentials are all zero)
-     or binary-heap Dijkstra (after the first potential update) over
-     reduced costs, stops the moment the sink is settled, and carries the
-     potentials to the next round — no Bellman-Ford, no whole-graph
-     relaxation, no per-round allocation: dist/parent/closed state and
-     both queues live in a generation-stamped Pacor_route.Workspace.
+     so each round is a search over reduced costs that stops the moment
+     the sink is settled and carries Johnson potentials to the next round
+     — no Bellman-Ford, no whole-graph relaxation, no per-round
+     allocation: dist/parent/closed state, both queues and the settle
+     trail live in a generation-stamped Pacor_route.Workspace.
+
+   Goal direction. A solve whose super-source has two or more out-arcs
+   first runs one backward 0-1-BFS from the sink over the residual arcs
+   and seeds [pot(v) = -h(v)], where [h] is the exact distance to the
+   sink. [h] is consistent, so the seeded potential is feasible, and
+   Dijkstra over the reduced costs it induces is an A* search toward the
+   sink (Goldberg & Harrelson): each round settles little beyond the
+   cheapest augmenting path instead of a third of the graph. Nodes the
+   BFS cannot reach are marked dead and never relaxed: residual arcs out
+   of a sink-unreachable set only ever lead back into it, and
+   augmentation adds arcs between sink-reachable nodes only, so no later
+   residual graph reconnects them. A one-out-arc source — one request,
+   the repair path's common case — is a single shortest-path search with
+   nothing to amortise the BFS over; it stays unseeded and starts with a
+   0-1-BFS over raw costs.
+
+   Lazy potentials. After a round with sink distance [d], the textbook
+   update [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) -
+   d] to the settled nodes only (read off the workspace's settle trail).
+   The two differ by the constant [d] on every node, which leaves reduced
+   costs, heap order and paths unchanged, and the round costs
+   O(settled) instead of O(n). Because potentials then float, a path's
+   true cost is [d + pot(sink) - pot(source)].
 
    Determinism contract: arcs keep their emission order, ties in the heap
    break on Pqueue's fixed order, and [decompose_paths] always follows the
@@ -41,6 +65,7 @@ type t = {
   fwdb : Bytes.t;           (* 1 iff forward arc (initial residual cap 1) *)
   capb : Bytes.t;           (* current residual capacity, 0 or 1 *)
   pot : int array;          (* Johnson potentials, persistent across rounds *)
+  dead : Bytes.t;           (* 1 iff the sink is unreachable (seeded solves) *)
   mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
   mutable flow : int;
   mutable cost : int;
@@ -51,12 +76,16 @@ type t = {
 
 type outcome = { flow : int; cost : int; rounds : int }
 
-let build ~n ~source ~sink ~emit_arcs =
+(* [ints slot len] / [bytes slot len] supply each array: fresh ones for
+   [build], workspace scratch leases for [build_on]. Leased contents are
+   arbitrary, so every element read later is written here first. *)
+let build_with ~ints ~bytes ~n ~source ~sink ~emit_arcs =
   if n <= 0 then invalid_arg "Mcmf_grid.build: need at least one node";
   if source < 0 || source >= n || sink < 0 || sink >= n || source = sink then
     invalid_arg "Mcmf_grid.build: bad source/sink";
   (* Pass 1: arc counts per node (each forward arc also has a reverse). *)
-  let deg = Array.make n 0 in
+  let deg = ints 4 n in
+  Array.fill deg 0 n 0;
   let fwd_count = ref 0 in
   emit_arcs (fun ~src ~dst ~cost ->
     if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -67,18 +96,21 @@ let build ~n ~source ~sink ~emit_arcs =
     deg.(src) <- deg.(src) + 1;
     deg.(dst) <- deg.(dst) + 1);
   let m = 2 * !fwd_count in
-  let off = Array.make (n + 1) 0 in
+  let off = ints 5 (n + 1) in
+  off.(0) <- 0;
   for v = 0 to n - 1 do
     off.(v + 1) <- off.(v) + deg.(v)
   done;
-  (* Pass 2: fill. [deg] becomes the per-node write cursor. *)
+  (* Pass 2: fill. [deg] becomes the per-node write cursor. The fill
+     writes every one of the [m] arc slots, or raises. *)
   let cursor = deg in
   Array.blit off 0 cursor 0 n;
   let cap = max 1 m in
-  let arc_dst = Array.make cap (-1) in
-  let twin = Array.make cap (-1) in
-  let costb = Bytes.make cap '\001' in
-  let fwdb = Bytes.make cap '\000' in
+  let arc_dst = ints 6 cap in
+  let twin = ints 7 cap in
+  let costb = bytes 1 cap in
+  let fwdb = bytes 2 cap in
+  Bytes.fill fwdb 0 m '\000';
   let nondet () = invalid_arg "Mcmf_grid.build: emit_arcs is not deterministic" in
   emit_arcs (fun ~src ~dst ~cost ->
     if src < 0 || src >= n || dst < 0 || dst >= n || cost < 0 || cost > 1 then nondet ();
@@ -98,17 +130,32 @@ let build ~n ~source ~sink ~emit_arcs =
   for v = 0 to n - 1 do
     if cursor.(v) <> off.(v + 1) then nondet ()
   done;
-  { n; source; sink; m; off; arc_dst; twin; costb; fwdb;
-    capb = Bytes.copy fwdb;
-    pot = Array.make n 0; pot_zero = true;
-    flow = 0; cost = 0; rounds = 0; solved = false }
+  let capb = bytes 3 cap in
+  Bytes.blit fwdb 0 capb 0 m;
+  let pot = ints 8 n in
+  Array.fill pot 0 n 0;
+  let dead = bytes 4 n in
+  Bytes.fill dead 0 n '\000';
+  { n; source; sink; m; off; arc_dst; twin; costb; fwdb; capb; pot; dead;
+    pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
+
+let build ~n ~source ~sink ~emit_arcs =
+  build_with ~n ~source ~sink ~emit_arcs
+    ~ints:(fun _ len -> Array.make len 0)
+    ~bytes:(fun _ len -> Bytes.create len)
+
+let build_on ws ~n ~source ~sink ~emit_arcs =
+  build_with ~n ~source ~sink ~emit_arcs
+    ~ints:(fun slot len -> W.scratch_int ws ~slot ~cells:len)
+    ~bytes:(fun slot len -> W.scratch_bytes ws ~slot ~len)
 
 let node_count t = t.n
 let arc_count t = t.m
 
 let reset t =
-  Bytes.blit t.fwdb 0 t.capb 0 (Bytes.length t.fwdb);
+  Bytes.blit t.fwdb 0 t.capb 0 t.m;
   Array.fill t.pot 0 t.n 0;
+  Bytes.fill t.dead 0 t.n '\000';
   t.pot_zero <- true;
   t.flow <- 0;
   t.cost <- 0;
@@ -117,6 +164,7 @@ let reset t =
 
 let[@inline] has_cap t a = Bytes.unsafe_get t.capb a = '\001'
 let[@inline] arc_cost t a = Char.code (Bytes.unsafe_get t.costb a) - 1
+let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
 
 (* One 0-1-BFS round over raw costs (valid only while every potential is
    zero, when reduced cost = cost). [costless] treats every arc as free —
@@ -133,6 +181,7 @@ let round_01 t ws ~costless =
     if u < 0 then running := false
     else if not (W.closed ws u) then begin
       W.close ws u;
+      W.trail_push ws u;
       if u = t.sink then begin
         dsink := W.dist ws u;
         running := false
@@ -160,7 +209,8 @@ let round_01 t ws ~costless =
   done;
   !dsink
 
-(* One Dijkstra round over reduced costs, early exit at the sink. *)
+(* One Dijkstra round over reduced costs, early exit at the sink. Dead
+   nodes are skipped: they cannot lie on an augmenting path. *)
 let round_dijkstra t ws =
   let stats = W.stats ws in
   W.set_dist ws t.source 0;
@@ -172,6 +222,7 @@ let round_dijkstra t ws =
     if u < 0 then running := false
     else if not (W.closed ws u) then begin
       W.close ws u;
+      W.trail_push ws u;
       if u = t.sink then begin
         dsink := W.dist ws u;
         running := false
@@ -182,14 +233,16 @@ let round_dijkstra t ws =
         let stop = t.off.(u + 1) in
         for a = t.off.(u) to stop - 1 do
           if has_cap t a then begin
-            Stats.touched stats;
             let v = t.arc_dst.(a) in
-            let nd = du + arc_cost t a + pu - t.pot.(v) in
-            if nd < W.dist ws v then begin
-              Stats.relaxed stats;
-              W.set_dist ws v nd;
-              W.set_parent ws v a;
-              W.push ws ~prio:nd v
+            if not (is_dead t v) then begin
+              Stats.touched stats;
+              let nd = du + arc_cost t a + pu - t.pot.(v) in
+              if nd < W.dist ws v then begin
+                Stats.relaxed stats;
+                W.set_dist ws v nd;
+                W.set_parent ws v a;
+                W.push ws ~prio:nd v
+              end
             end
           end
         done
@@ -210,18 +263,72 @@ let augment t ws =
   done;
   t.flow <- t.flow + 1
 
-(* After an early-exit round with sink distance [d], every node settles at
-   pot(v) += min(dist(v), d): settled nodes have their exact distance,
-   unsettled/unreached nodes' true distance is >= d, and the clamp keeps
-   all residual reduced costs non-negative for the next round. *)
+(* Backward 0-1-BFS from the sink over residual arcs: [a] at [u] leads to
+   [v]; its twin is the arc v -> u, which carries the cost of stepping
+   from [v] toward the sink. The seed runs before any augmentation, so
+   the residual graph is the initial one: the twin has capacity iff it
+   is a forward arc, i.e. iff [a] is a reverse arc, and then its cost is
+   [-cost(a)] — both read from [u]'s own row, never the twin's. Seeds
+   [pot(v) = -h(v)] on every node the BFS settles and marks the rest
+   dead. One workspace search, charged to the budget like a round; if
+   the budget trips inside it, the seed is left half-built, which is
+   harmless because every later round then fails on its first pop. *)
+let seed_potentials t ws =
+  let stats = W.stats ws in
+  W.begin_search ws ~cells:t.n;
+  W.set_dist ws t.sink 0;
+  W.deque_push_back ws t.sink;
+  let running = ref true in
+  while !running do
+    let u = W.deque_pop_front ws in
+    if u < 0 then running := false
+    else if not (W.closed ws u) then begin
+      W.close ws u;
+      let hu = W.dist ws u in
+      let stop = t.off.(u + 1) in
+      for a = t.off.(u) to stop - 1 do
+        if Bytes.unsafe_get t.fwdb a = '\000' then begin
+          Stats.touched stats;
+          let v = t.arc_dst.(a) in
+          let c = - arc_cost t a in
+          let nh = hu + c in
+          if nh < W.dist ws v then begin
+            Stats.relaxed stats;
+            W.set_dist ws v nh;
+            if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
+          end
+        end
+      done
+    end
+  done;
+  for v = 0 to t.n - 1 do
+    if W.closed ws v then t.pot.(v) <- - W.dist ws v
+    else Bytes.unsafe_set t.dead v '\001'
+  done;
+  t.pot_zero <- false
+
+(* After an early-exit round with sink distance [d]: settled nodes hold
+   their exact distance [dist(v) <= d], and every other node's is >= d.
+   [pot(v) += dist(v) - d] on the settled trail alone is the textbook
+   [pot(v) += min(dist(v), d)] shifted by the constant [-d], so all
+   residual reduced costs stay non-negative for the next round. *)
 let update_potentials t ws d =
   if d > 0 then begin
-    for v = 0 to t.n - 1 do
-      let dv = W.dist ws v in
-      t.pot.(v) <- t.pot.(v) + (if dv > d then d else dv)
+    for k = 0 to W.trail_length ws - 1 do
+      let v = W.trail_get ws k in
+      t.pot.(v) <- t.pot.(v) + W.dist ws v - d
     done;
     t.pot_zero <- false
   end
+
+(* Forward arcs out of the source: the number of requests in an escape
+   network, and the seeding gate. *)
+let source_out_arcs t =
+  let k = ref 0 in
+  for a = t.off.(t.source) to t.off.(t.source + 1) - 1 do
+    if Bytes.unsafe_get t.fwdb a = '\001' then incr k
+  done;
+  !k
 
 let outcome (t : t) : outcome = { flow = t.flow; cost = t.cost; rounds = t.rounds }
 
@@ -229,6 +336,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   if t.solved then invalid_arg "Mcmf_grid.solve: already solved";
   t.solved <- true;
   let ws = match workspace with Some ws -> ws | None -> W.create () in
+  if source_out_arcs t >= 2 then seed_potentials t ws;
   let running = ref true in
   while !running && alive () do
     W.begin_search ws ~cells:t.n;
@@ -236,8 +344,9 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
     let d = if t.pot_zero then round_01 t ws ~costless:false else round_dijkstra t ws in
     if d < 0 then running := false
     else begin
-      (* pot(source) is always 0, so the true path cost is d + pot(sink). *)
-      let path_cost = d + t.pot.(t.sink) in
+      (* [d] is a reduced distance; potentials float (seeded, and shifted
+         by the lazy update), so undo both ends to get the true cost. *)
+      let path_cost = d + t.pot.(t.sink) - t.pot.(t.source) in
       let over =
         match stop_when_cost_reaches with
         | Some threshold -> path_cost >= threshold

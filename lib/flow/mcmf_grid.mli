@@ -6,14 +6,30 @@
     sparse row) structure with byte-packed costs and residual capacities,
     built exactly once from a deterministic arc emitter and reusable across
     solves via {!reset}; augmentation runs successive shortest paths with
-    persistent Johnson potentials, 0-1-BFS while the potentials are all
-    zero and early-exit Dijkstra afterwards, with all per-round state
+    persistent Johnson potentials, with all per-round state
     generation-stamped in a {!Pacor_route.Workspace} — allocation-free
     after warm-up.
 
+    {b Goal-directed rounds.} When the source has two or more out-arcs
+    (an escape network with two or more requests), {!solve} first runs one
+    backward 0-1-BFS from the sink and seeds [pot(v) = -h(v)], [h] being
+    the exact residual distance to the sink. That potential is feasible,
+    so every round is an early-exit Dijkstra on reduced costs — an A*
+    search toward the sink. Nodes that cannot reach the sink are marked
+    dead and never relaxed; no later residual graph reconnects them. A
+    one-out-arc source stays unseeded — one shortest-path search has
+    nothing to amortise the BFS over — and starts with a 0-1-BFS over raw
+    costs.
+
+    {b Lazy potentials.} Each round appends the nodes it settles to the
+    workspace's settle trail, and the potential update touches only
+    those: O(settled) per round, not O(n). Potentials therefore differ
+    from the textbook ones by a constant, which leaves reduced costs and
+    paths unchanged; a path's true cost is [d + pot(sink) - pot(source)].
+
     Cross-checked against the general {!Mcmf} (Dijkstra) and {!Mcmf_spfa}
     solvers by the escape tests and bench: all three produce the same
-    (flow, cost) optimum. *)
+    (flow, cost) optimum, with or without a cost threshold. *)
 
 type t
 
@@ -21,7 +37,10 @@ type outcome = {
   flow : int;
   cost : int;
   rounds : int;  (** augmentation searches run, including the final one
-                     that found no path (or hit the cost threshold) *)
+                     that found no path (or hit the cost threshold). The
+                     seed BFS of a seeded solve is not a round: such a
+                     solve runs [rounds + 1] workspace searches, an
+                     unseeded one exactly [rounds]. *)
 }
 
 val build :
@@ -38,6 +57,19 @@ val build :
     within each node's CSR row; reverse arcs are interleaved at their own
     endpoints. *)
 
+val build_on :
+  Pacor_route.Workspace.t ->
+  n:int ->
+  source:int ->
+  sink:int ->
+  emit_arcs:((src:int -> dst:int -> cost:int -> unit) -> unit) ->
+  t
+(** [build_on ws] is {!build} with every array leased from [ws]'s scratch
+    pool (int slots 4–8, byte slots 1–4) instead of freshly allocated, so
+    repeated solves on a warm workspace allocate no network. The network
+    aliases those slots: it stays valid only until the next [build_on] on
+    the same workspace. *)
+
 val node_count : t -> int
 
 val arc_count : t -> int
@@ -51,12 +83,18 @@ val solve :
   outcome
 (** Min-cost max-flow by successive shortest paths. [alive] is polled
     between augmentation rounds; [workspace] supplies the reusable
-    dist/parent/queue state (a private one is created when absent) and its
-    attached {!Pacor_route.Budget} is charged one tick per settle, so an
-    exhausted budget stops the solve mid-round with the flow found so far.
+    dist/parent/queue/trail state (a private one is created when absent)
+    and its attached {!Pacor_route.Budget} is charged one tick per settle,
+    seed BFS included, so an exhausted budget stops the solve mid-round —
+    or before its first round — with the flow found so far.
     [stop_when_cost_reaches] stops {e before} augmenting a path whose true
-    cost reaches the threshold. A network solves once; {!reset} re-arms
-    it. *)
+    cost reaches the threshold.
+
+    Workspace searches: a source with two or more out-arcs is seeded (see
+    above), which costs one extra workspace search before the rounds, so
+    the solve adds [rounds + 1] to the workspace's [searches] counter; a
+    source with at most one out-arc adds exactly [rounds]. A network
+    solves once; {!reset} re-arms it. *)
 
 val max_flow :
   ?alive:(unit -> bool) ->
@@ -67,9 +105,10 @@ val max_flow :
     probe. Counts as the network's one solve; {!reset} re-arms it. *)
 
 val reset : t -> unit
-(** Restore initial capacities and zero potentials, keeping the CSR
-    structure — so one built network serves the feasibility probe, the
-    solve, and any retry. *)
+(** Restore initial capacities, zero potentials and clear dead marks,
+    keeping the CSR structure — so one built network serves the
+    feasibility probe, the solve, and any retry. A solve after [reset]
+    seeds afresh. *)
 
 val decompose_paths : t -> int list list
 (** Split the computed flow into source->sink unit node-paths, consuming

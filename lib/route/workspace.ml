@@ -22,10 +22,11 @@ type t = {
   mutable claim_stamp : int array;
   mutable claim_epoch : int;
   (* Scratch pools: grid-sized arrays leased by stages that used to
-     [Array.make n] per call (negotiation history, escape roles). Contents
-     are arbitrary between leases — the borrower fills what it reads. *)
-  mutable scratch_ints : int array array;
-  mutable scratch_b : Bytes.t;
+     [Array.make n] per call (negotiation history, escape roles, the
+     escape flow network). Contents are arbitrary between leases — the
+     borrower fills what it reads. *)
+  scratch_ints : int array array;
+  scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
   pq : int Pacor_graphs.Pqueue.t;
@@ -35,6 +36,11 @@ type t = {
   mutable dq : int array;
   mutable dq_head : int;
   mutable dq_len : int;
+  (* Settle trail: the ids a search closed this epoch, in close order, so
+     a caller can post-process exactly the settled set in O(settled).
+     Grows on demand; reset by [begin_epoch]. *)
+  mutable trail : int array;
+  mutable trail_len : int;
   stats : Search_stats.t;
   mutable budget : Budget.t;
 }
@@ -58,13 +64,15 @@ let create ?stats () =
     claim_count_a = [||];
     claim_stamp = [||];
     claim_epoch = 1;
-    scratch_ints = [| [||]; [||]; [||]; [||] |];
-    scratch_b = Bytes.empty;
+    scratch_ints = Array.make 9 [||];
+    scratch_bs = Array.make 5 Bytes.empty;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
     dq = [||];
     dq_head = 0;
     dq_len = 0;
+    trail = [||];
+    trail_len = 0;
     stats;
     budget = Budget.unlimited ();
   }
@@ -104,6 +112,7 @@ let begin_epoch t =
   Pacor_graphs.Pqueue.clear t.pq;
   t.dq_head <- 0;
   t.dq_len <- 0;
+  t.trail_len <- 0;
   Search_stats.started t.stats;
   Search_stats.reset_noted t.stats
 
@@ -164,12 +173,14 @@ let pop_cell t =
 
 (* -- 0-1-BFS deque ------------------------------------------------------ *)
 
+(* The deque's capacity is always a power of two (64, doubling), so ring
+   positions wrap with a mask instead of an integer division. *)
 let deque_grow t =
   let cur = Array.length t.dq in
   let ncap = max 64 (2 * cur) in
   let b = Array.make ncap 0 in
   for k = 0 to t.dq_len - 1 do
-    b.(k) <- t.dq.((t.dq_head + k) mod cur)
+    b.(k) <- t.dq.((t.dq_head + k) land (cur - 1))
   done;
   t.dq <- b;
   t.dq_head <- 0;
@@ -178,14 +189,14 @@ let deque_grow t =
 let deque_push_back t i =
   if t.dq_len = Array.length t.dq then deque_grow t;
   let cap = Array.length t.dq in
-  t.dq.((t.dq_head + t.dq_len) mod cap) <- i;
+  t.dq.((t.dq_head + t.dq_len) land (cap - 1)) <- i;
   t.dq_len <- t.dq_len + 1;
   Search_stats.pushed t.stats
 
 let deque_push_front t i =
   if t.dq_len = Array.length t.dq then deque_grow t;
   let cap = Array.length t.dq in
-  t.dq_head <- (t.dq_head + cap - 1) mod cap;
+  t.dq_head <- (t.dq_head + cap - 1) land (cap - 1);
   t.dq.(t.dq_head) <- i;
   t.dq_len <- t.dq_len + 1;
   Search_stats.pushed t.stats
@@ -198,13 +209,30 @@ let deque_pop_front t =
   else if t.dq_len = 0 then -1
   else begin
     let x = t.dq.(t.dq_head) in
-    t.dq_head <- (t.dq_head + 1) mod Array.length t.dq;
+    t.dq_head <- (t.dq_head + 1) land (Array.length t.dq - 1);
     t.dq_len <- t.dq_len - 1;
     Search_stats.popped t.stats;
     x
   end
 
 let deque_is_empty t = t.dq_len = 0
+
+(* -- Settle trail ------------------------------------------------------- *)
+
+let trail_push t i =
+  if t.trail_len = Array.length t.trail then begin
+    (* A search settles each cell at most once, so the cell capacity
+       almost always fits the whole trail in one step. *)
+    let b = Array.make (max t.cap (max 64 (2 * t.trail_len))) 0 in
+    Array.blit t.trail 0 b 0 t.trail_len;
+    t.trail <- b;
+    Search_stats.grid_alloc_noted t.stats
+  end;
+  t.trail.(t.trail_len) <- i;
+  t.trail_len <- t.trail_len + 1
+
+let trail_length t = t.trail_len
+let trail_get t k = t.trail.(k)
 
 (* -- Claim layer -------------------------------------------------------- *)
 
@@ -259,19 +287,29 @@ let prepare t ~cells =
 
 (* -- Scratch pools ------------------------------------------------------ *)
 
-let scratch_slots = 4
+let scratch_slots = 9
+let scratch_byte_slots = 5
+
+(* Grow by a quarter past the request: the escape network's arc arrays
+   are megabytes on large grids and their size drifts a little between
+   rip-up rounds, so doubling would strand half of each array. *)
+let grown cur len = max len (cur + (cur / 4))
 
 let scratch_int t ~slot ~cells =
   if slot < 0 || slot >= scratch_slots then invalid_arg "Workspace.scratch_int: bad slot";
-  if Array.length t.scratch_ints.(slot) < cells then begin
-    t.scratch_ints.(slot) <- Array.make (max cells (2 * Array.length t.scratch_ints.(slot))) 0;
+  let cur = Array.length t.scratch_ints.(slot) in
+  if cur < cells then begin
+    t.scratch_ints.(slot) <- Array.make (grown cur cells) 0;
     Search_stats.grid_alloc_noted t.stats
   end;
   t.scratch_ints.(slot)
 
-let scratch_bytes t ~len =
-  if Bytes.length t.scratch_b < len then begin
-    t.scratch_b <- Bytes.create (max len (2 * Bytes.length t.scratch_b));
+let scratch_bytes t ~slot ~len =
+  if slot < 0 || slot >= scratch_byte_slots then
+    invalid_arg "Workspace.scratch_bytes: bad slot";
+  let cur = Bytes.length t.scratch_bs.(slot) in
+  if cur < len then begin
+    t.scratch_bs.(slot) <- Bytes.create (grown cur len);
     Search_stats.grid_alloc_noted t.stats
   end;
-  t.scratch_b
+  t.scratch_bs.(slot)

@@ -102,6 +102,21 @@ val deque_pop_front : t -> int
 
 val deque_is_empty : t -> bool
 
+(** {2 Settle trail}
+
+    An append-only int buffer for the ids a search settled this epoch, so
+    a caller can revisit exactly the settled set in O(settled) rather than
+    sweep every cell: the escape flow solver updates its potentials this
+    way after each round. Emptied by {!begin_search}; grows on demand and
+    then sticks, like the deque. *)
+
+val trail_push : t -> int -> unit
+
+val trail_length : t -> int
+
+val trail_get : t -> int -> int
+(** [trail_get t k] is the [k]-th id pushed this epoch, [k < trail_length t]. *)
+
 (** {2 Claim layer (negotiation's shared cell ownership)}
 
     A generation-stamped replacement for the negotiation router's per-round
@@ -164,17 +179,24 @@ val prepare : t -> cells:int -> unit
 (** {2 Scratch pools}
 
     Grid-sized arrays leased by stages that historically allocated per
-    call (negotiation's history/owner arrays, the escape stage's role
-    mask). Contents are arbitrary between leases: the borrower must fill
-    every element it later reads. Arrays grow monotonically and are shared
-    by slot, so two concurrent borrowers of one slot would corrupt each
-    other — the workspace is single-threaded, as documented above. *)
+    call. Contents are arbitrary between leases: the borrower must fill
+    every element it later reads. Arrays grow monotonically (by at least a
+    quarter) and are shared by slot, so two concurrent borrowers of one
+    slot would corrupt each other — the workspace is single-threaded, as
+    documented above. Slot owners:
+    - int slots 0–3: {!Negotiation}'s history, cost, owner and bump arrays;
+    - int slots 4–8 and byte slots 1–4: the escape flow network built by
+      [Pacor_flow.Mcmf_grid.build_on];
+    - byte slot 0: the escape stage's packed cell roles. *)
 
 val scratch_slots : int
-(** Number of independent int slots (currently 4). *)
+(** Number of independent int slots (currently 9). *)
 
 val scratch_int : t -> slot:int -> cells:int -> int array
 (** An int array of length >= [cells] for [slot] (0-based). *)
 
-val scratch_bytes : t -> len:int -> Bytes.t
-(** A byte buffer of length >= [len]. One per workspace. *)
+val scratch_byte_slots : int
+(** Number of independent byte slots (currently 5). *)
+
+val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
+(** A byte buffer of length >= [len] for [slot] (0-based). *)

@@ -428,9 +428,12 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           finish ~incremental:true ~dirty:r.Pacor_fault.Repair.dirty
             r.Pacor_fault.Repair.solution
         | Ok r ->
+          (* A quarantine drops valves from the instance, so that answer
+             solves a smaller problem than the edit asked for: it is no
+             candidate here, not even when it ties scratch on score. *)
           fallback ~problem ~dirty:r.Pacor_fault.Repair.dirty
-            (if valid r.Pacor_fault.Repair.solution then
-               Some r.Pacor_fault.Repair.solution
+            (if valid r.Pacor_fault.Repair.solution && r.Pacor_fault.Repair.quarantined = []
+             then Some r.Pacor_fault.Repair.solution
              else None)
         | Error _ -> fallback ~problem ~dirty:dirty_ids None)
     | Ok (Repair { faults; fproblem }) -> (

@@ -184,7 +184,7 @@ done
 echo "== Chip1 route guard (the design where selection B&B searches) =="
 c1json=$(./_build/default/bin/pacor_cli.exe route -d Chip1 --json)
 for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
-           '"total_length":4485' '"matched_length":2243'; do
+           '"total_length":4477' '"matched_length":2235'; do
   printf '%s\n' "$c1json" | grep -qF "$key" || {
     echo "Chip1 guard: expected $key in the route --json result:" >&2
     printf '%s\n' "$c1json" >&2

@@ -408,20 +408,109 @@ let test_grid_budget_starvation () =
   Alcotest.(check bool) "budget reports exhaustion" true
     (Pacor_route.Budget.exhausted budget <> None)
 
+(* Search counters a solve adds to a fresh workspace, with its outcome. *)
+let grid_solve_stats ?budget ?stop_when_cost_reaches ~n ~source ~sink arcs =
+  let ws = Pacor_route.Workspace.create () in
+  Option.iter (Pacor_route.Workspace.set_budget ws) budget;
+  let s0 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
+  let net = Mcmf_grid.build ~n ~source ~sink ~emit_arcs:(emit_list arcs) in
+  let out = Mcmf_grid.solve ~workspace:ws ?stop_when_cost_reaches net in
+  let s1 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
+  (out, Pacor_route.Search_stats.diff s1 s0)
+
+(* One request: 0 -> 1 -> {2, 3} -> 4, so the source has one out-arc. *)
+let single_out_arcs = [ (0, 1, 0); (1, 2, 1); (1, 3, 0); (2, 4, 1); (3, 4, 1) ]
+
 let test_grid_workspace_stats_rounds () =
   (* Per-round instrumentation: each augmentation round is one workspace
      search (epoch bump), pops/settles and arc scans land in the shared
-     counters. *)
-  let ws = Pacor_route.Workspace.create () in
-  let s0 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
-  let net = Mcmf_grid.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
-  let out = Mcmf_grid.solve ~workspace:ws net in
-  let s1 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
-  let d = Pacor_route.Search_stats.diff s1 s0 in
-  Alcotest.(check int) "one search per round" out.Mcmf_grid.rounds
-    d.Pacor_route.Search_stats.searches;
+     counters. A source with two or more out-arcs adds exactly one more
+     search — the backward BFS that seeds the potentials; a one-out-arc
+     source runs unseeded. *)
+  let seeded, d = grid_solve_stats ~n:4 ~source:0 ~sink:3 diamond_arcs in
+  Alcotest.(check int) "seeded: one search per round plus the seed"
+    (seeded.Mcmf_grid.rounds + 1) d.Pacor_route.Search_stats.searches;
   Alcotest.(check bool) "settles counted" true (d.Pacor_route.Search_stats.pops > 0);
-  Alcotest.(check bool) "arc scans counted" true (d.Pacor_route.Search_stats.touched > 0)
+  Alcotest.(check bool) "arc scans counted" true (d.Pacor_route.Search_stats.touched > 0);
+  let single, d = grid_solve_stats ~n:5 ~source:0 ~sink:4 single_out_arcs in
+  Alcotest.(check int) "one request routed" 1 single.Mcmf_grid.flow;
+  Alcotest.(check int) "cheapest path" 1 single.Mcmf_grid.cost;
+  Alcotest.(check int) "unseeded: one search per round" single.Mcmf_grid.rounds
+    d.Pacor_route.Search_stats.searches
+
+let test_grid_dead_nodes_never_settled () =
+  (* The source's first out-arc leads into a free chain of 40 nodes that
+     cannot reach the sink; the second leads to the sink at cost 2. An
+     unseeded first round would settle the whole free chain before the
+     costlier sink; the seeded solve marks the chain dead and never
+     settles it. *)
+  let chain = 40 in
+  let sink = chain + 3 in
+  let arcs =
+    (0, 1, 0) :: (0, chain + 1, 1) :: (chain + 1, chain + 2, 1) :: (chain + 2, sink, 0)
+    :: List.init (chain - 1) (fun k -> (k + 1, k + 2, 0))
+  in
+  let out, d = grid_solve_stats ~n:(sink + 1) ~source:0 ~sink arcs in
+  Alcotest.(check int) "flow" 1 out.Mcmf_grid.flow;
+  Alcotest.(check int) "cost" 2 out.Mcmf_grid.cost;
+  Alcotest.(check bool)
+    (Printf.sprintf "dead chain unsettled (%d pops)" d.Pacor_route.Search_stats.pops)
+    true
+    (d.Pacor_route.Search_stats.pops < chain)
+
+let test_grid_budget_trips_in_seed () =
+  (* A budget of three expansions runs out inside the seed BFS of a
+     seeded solve: the solve returns the (empty) partial flow without
+     raising, the budget reports exhaustion, and the seed still counts as
+     one search. *)
+  let budget =
+    Pacor_route.Budget.create (Pacor_route.Budget.limits ~max_expansions:3 ())
+  in
+  Pacor_route.Budget.arm budget;
+  let arcs = (0, 1, 0) :: (0, 2, 0) :: List.init 20 (fun k -> (k + 1, k + 3, 1)) in
+  let out, d = grid_solve_stats ~budget ~n:23 ~source:0 ~sink:22 arcs in
+  Alcotest.(check int) "no flow" 0 out.Mcmf_grid.flow;
+  Alcotest.(check bool) "budget reports exhaustion" true
+    (Pacor_route.Budget.exhausted budget <> None);
+  Alcotest.(check int) "seed plus the starved round" (out.Mcmf_grid.rounds + 1)
+    d.Pacor_route.Search_stats.searches
+
+let test_grid_build_on_leases () =
+  (* [build_on] leases every array from the workspace: a network built on
+     slots that still hold a bigger network's state solves exactly like a
+     freshly allocated one, and a warm rebuild allocates nothing. *)
+  let ws = Pacor_route.Workspace.create () in
+  let solve_on arcs ~n ~sink =
+    let net = Mcmf_grid.build_on ws ~n ~source:0 ~sink ~emit_arcs:(emit_list arcs) in
+    let out = Mcmf_grid.solve ~workspace:ws net in
+    (out.Mcmf_grid.flow, out.Mcmf_grid.cost, Mcmf_grid.decompose_paths net)
+  in
+  let solve_fresh arcs ~n ~sink =
+    let net = Mcmf_grid.build ~n ~source:0 ~sink ~emit_arcs:(emit_list arcs) in
+    let out = Mcmf_grid.solve net in
+    (out.Mcmf_grid.flow, out.Mcmf_grid.cost, Mcmf_grid.decompose_paths net)
+  in
+  let big_n = 43 in
+  let big =
+    (0, 1, 0) :: (0, 41, 1) :: (41, 42, 1) :: (1, 42, 1)
+    :: List.init 39 (fun k -> (k + 1, k + 2, 0))
+  in
+  let check label ~n ~sink arcs =
+    let f, c, p = solve_fresh arcs ~n ~sink in
+    let f', c', p' = solve_on arcs ~n ~sink in
+    Alcotest.(check int) (label ^ " flow") f f';
+    Alcotest.(check int) (label ^ " cost") c c';
+    Alcotest.(check (list (list int))) (label ^ " paths") p p'
+  in
+  check "big" ~n:big_n ~sink:42 big;
+  check "diamond on dirty slots" ~n:4 ~sink:3 diamond_arcs;
+  let allocs () =
+    (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
+      .Pacor_route.Search_stats.grid_allocs
+  in
+  let warm = allocs () in
+  check "big again" ~n:big_n ~sink:42 big;
+  Alcotest.(check int) "warm rebuild allocates nothing" warm (allocs ())
 
 let unit_cost_network seed =
   (* [random_network] variant constrained to the grid solver's domain:
@@ -764,10 +853,77 @@ let prop_three_solvers_agree =
         else true
       | _ -> assert false)
 
+type threshold_network = {
+  tn : int;
+  tsink : int;
+  tarcs : (int * int * int) list;
+  threshold : int option;
+}
+
+let prop_grid_agrees_under_threshold =
+  (* Mcmf_grid against both general solvers on (flow, cost) under the
+     same stopping threshold, on unit networks built to hit each solver
+     path: a core of [core] nodes (source 0, sink [core - 1]) plus [trap]
+     nodes that core arcs lead into but that never lead back (dead once
+     seeded), and either a free source or one with a single out-arc (the
+     unseeded path). A seeded source sits at [pot(source) = -h(source)],
+     so the threshold test exercises the full [d + pot(sink) -
+     pot(source)] path cost. *)
+  let gen =
+    QCheck.Gen.(
+      let* core = int_range 4 10 and* trap = int_range 0 4 in
+      let* single = bool in
+      let tn = core + trap in
+      let arc =
+        let* src = int_range 0 (tn - 1) and* dst = int_range 0 (tn - 1) in
+        let* cost = int_range 0 1 in
+        return (src, dst, cost)
+      in
+      let* m = int_range 0 (3 * tn) in
+      let* raw = list_size (return m) arc in
+      let* threshold = opt (int_range 0 (core + 2)) in
+      let sink = core - 1 in
+      let ok (src, dst, _) =
+        src <> dst && dst <> 0 && src <> sink
+        && (src < core || dst >= core)
+        && ((not single) || src <> 0)
+      in
+      let tarcs = List.filter ok raw in
+      let tarcs = if single then (0, 1, 0) :: tarcs else tarcs in
+      return { tn; tsink = sink; tarcs = List.rev tarcs; threshold })
+  in
+  let print t =
+    Printf.sprintf "n=%d sink=%d threshold=%s arcs=[%s]" t.tn t.tsink
+      (match t.threshold with Some k -> string_of_int k | None -> "none")
+      (String.concat "; "
+         (List.map (fun (s, d, c) -> Printf.sprintf "%d->%d/%d" s d c) t.tarcs))
+  in
+  QCheck.Test.make ~name:"Mcmf_grid = Mcmf = SPFA under a cost threshold" ~count:400
+    (QCheck.make ~print gen) (fun t ->
+      let n = t.tn and sink = t.tsink in
+      let g = Mcmf_grid.build ~n ~source:0 ~sink ~emit_arcs:(emit_list t.tarcs) in
+      let a = Mcmf.create n and b = Mcmf_spfa.create n in
+      List.iter
+        (fun (src, dst, cost) ->
+          Mcmf.add_edge a ~src ~dst ~cap:1 ~cost;
+          Mcmf_spfa.add_edge b ~src ~dst ~cap:1 ~cost)
+        t.tarcs;
+      let stop_when_cost_reaches = t.threshold in
+      let og = Mcmf_grid.solve ?stop_when_cost_reaches g in
+      let oa = Mcmf.solve ?stop_when_cost_reaches a ~source:0 ~sink in
+      let ob = Mcmf_spfa.solve ?stop_when_cost_reaches b ~source:0 ~sink in
+      if og.Mcmf_grid.flow <> oa.Mcmf.flow || og.Mcmf_grid.cost <> oa.Mcmf.cost then
+        QCheck.Test.fail_reportf "grid (%d, %d) <> mcmf (%d, %d)" og.Mcmf_grid.flow
+          og.Mcmf_grid.cost oa.Mcmf.flow oa.Mcmf.cost
+      else if ob.Mcmf_spfa.flow <> oa.Mcmf.flow || ob.Mcmf_spfa.cost <> oa.Mcmf.cost then
+        QCheck.Test.fail_reportf "spfa (%d, %d) <> mcmf (%d, %d)" ob.Mcmf_spfa.flow
+          ob.Mcmf_spfa.cost oa.Mcmf.flow oa.Mcmf.cost
+      else true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
-      prop_three_solvers_agree ]
+      prop_three_solvers_agree; prop_grid_agrees_under_threshold ]
 
 let () =
   Alcotest.run "flow"
@@ -795,6 +951,10 @@ let () =
           Alcotest.test_case "budget starvation" `Quick test_grid_budget_starvation;
           Alcotest.test_case "workspace stats per round" `Quick
             test_grid_workspace_stats_rounds;
+          Alcotest.test_case "dead nodes never settled" `Quick
+            test_grid_dead_nodes_never_settled;
+          Alcotest.test_case "budget trips in seed" `Quick test_grid_budget_trips_in_seed;
+          Alcotest.test_case "build_on leases" `Quick test_grid_build_on_leases;
           Alcotest.test_case "grid = mcmf = dinic" `Quick
             test_grid_agrees_with_general_solvers;
           Alcotest.test_case "long chain decompose" `Quick test_mcmf_long_chain_decompose ] );

@@ -872,6 +872,51 @@ let prop_delta_never_worse =
                    length_served length_scratch;
                true))))
 
+(* A non-fault edit that walls a valve in: the incremental repair can only
+   quarantine it, which answers a smaller problem than the one asked for.
+   The daemon must serve the mutated problem itself (here the scratch
+   route, one valve short of complete), never the quarantined answer —
+   even when that answer ties scratch on (routed valves, length). *)
+let test_delta_never_serves_quarantine () =
+  let text =
+    String.concat "\n"
+      [ "name pocket"; "grid 10 10"; "delta 1";
+        "obstacle 1 2 1 2"; "obstacle 2 1 2 1"; "obstacle 2 3 2 3";
+        "valve 0 2 2 01X"; "valve 1 6 6 10X";
+        "pin 0 5"; "pin 9 5"; "pin 5 0"; "pin 5 9"; "" ]
+  in
+  let p =
+    match Pacor.Problem_io.of_string text with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "pocket problem: %s" e
+  in
+  let server = Server.create () in
+  let _, routed =
+    handle_ok server
+      (req [ ("op", Json.String "route"); ("problem", Json.String text);
+             ("session", Json.String "w") ])
+  in
+  Alcotest.(check int) "both valves routed" 2 (result_int routed "routed_valves");
+  let exit_cell = Pacor_geom.Point.make 3 2 in
+  let p' =
+    match Pacor.Problem.add_obstacle p exit_cell with
+    | Ok p' -> p'
+    | Error e -> Alcotest.failf "add_obstacle: %s" e
+  in
+  let _, j =
+    handle_ok server
+      (req [ ("op", Json.String "add_obstacle"); ("session", Json.String "w");
+             ("x", Json.Int 3); ("y", Json.Int 2) ])
+  in
+  Alcotest.(check string) "served the mutated problem"
+    (Pacor.Problem_io.fingerprint p') (result_str j "fingerprint");
+  Alcotest.(check int) "no valve dropped" 2 (result_int j "valves");
+  let _, g =
+    handle_ok server (req [ ("op", Json.String "get"); ("session", Json.String "w") ])
+  in
+  Alcotest.(check string) "session holds the mutated problem"
+    (Pacor.Problem_io.fingerprint p') (result_str g "fingerprint")
+
 let () =
   Alcotest.run "serve"
     [
@@ -913,5 +958,8 @@ let () =
         ] );
       ( "overload",
         [ Alcotest.test_case "serve loop under fire" `Quick test_serve_loop_overload ] );
-      ("deltas", [ QCheck_alcotest.to_alcotest prop_delta_never_worse ]);
+      ( "deltas",
+        [ QCheck_alcotest.to_alcotest prop_delta_never_worse;
+          Alcotest.test_case "never serves a quarantine" `Quick
+            test_delta_never_serves_quarantine ] );
     ]
