@@ -1,5 +1,5 @@
 open Pacor_geom
-
+open Pacor_grid
 
 type assignment = {
   routed : Routed.t;
@@ -21,14 +21,24 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
     (* Boundary cells — pins included — are never transit space: A* exempts
        the search's own targets, and it stops at the first target popped, so
        the path cannot run {e through} one candidate pin on its way to
-       another (which a later escape might then be assigned). *)
+       another (which a later escape might then be assigned). The search
+       reads a byte mask (free interior cells, minus [claimed]) leased from
+       the workspace, not a set lookup per probe. *)
+    let cells = Routing_grid.cells grid in
+    let mask =
+      match workspace with
+      | Some ws -> Pacor_route.Workspace.scratch_bytes ws ~slot:5 ~len:cells
+      | None -> Bytes.create cells
+    in
+    Routing_grid.fill_interior_free grid mask;
+    Point.Set.iter
+      (fun p ->
+         if Routing_grid.in_bounds grid p then
+           Bytes.unsafe_set mask (Routing_grid.index grid p) '\000')
+      claimed;
     let spec =
-      Pacor_route.Astar.point_spec ~grid
-        ~usable:(fun p ->
-          Pacor_grid.Routing_grid.free grid p
-          && (not (Point.Set.mem p claimed))
-          && not (Pacor_grid.Routing_grid.on_boundary grid p))
-        ~extra_cost:(fun _ -> 0)
+      { Pacor_route.Astar.usable = (fun i -> Bytes.unsafe_get mask i = '\001');
+        extra_cost = (fun _ -> 0) }
     in
     (match
        Pacor_route.Astar.search ?workspace ~grid ~spec ~sources:start_cells ~targets:pins ()
@@ -36,8 +46,8 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
      | Some path ->
        Some
          { Pacor_flow.Escape.idx = 0;
-           start_cell = Pacor_grid.Path.source path;
-           pin = Pacor_grid.Path.target path;
+           start_cell = Path.source path;
+           pin = Path.target path;
            path }
      | None -> None)
 

@@ -1,5 +1,7 @@
 open Pacor_geom
 open Pacor_grid
+module W = Pacor_route.Workspace
+module Stats = Pacor_route.Search_stats
 
 type request = {
   cluster_idx : int;
@@ -161,6 +163,213 @@ let feasibility_bound ?workspace ~grid ~claimed ~pins requests =
     let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
     Mcmf_grid.max_flow ?workspace net
 
+(* Goal-direction seed for [Mcmf_grid.seed]. In the node-split network
+   only ordinary cells transit, so every node's distance to the sink is a
+   cell distance. One multi-source BFS over cells — from the pins through
+   ordinary cells, on the workspace's own dist array and deque — gives
+   [D(i)], the steps from ordinary cell [i] to the nearest pin ([D] = 0 on
+   pins), and each node's [h] follows exactly:
+   - [in(pin)] = 0, through its zero-cost arc into the sink;
+   - [in(i)] = [out(i)] = [D(i)] for an ordinary cell [i];
+   - [out(start)] = 1 + the least [D] over its ordinary and pin
+     neighbours;
+   - a request node = the least [h] over its start cells' [out] nodes;
+   - the source = the least [h] over the request nodes; the sink = 0.
+   Every other node (pin [out], start [in], excluded cells, and anything
+   the BFS never reached) has no [h] and is dead. The BFS is one workspace
+   search: it ticks the budget and counts its pops like any other. A
+   budget trip inside it leaves [D] partial, which is harmless because
+   every later round then fails on its first pop. The returned function
+   reads the workspace, so it is valid until the next search on it. *)
+let seed_heights ws ~grid ~roles ~pins requests =
+  let cells = Routing_grid.cells grid in
+  let stats = W.stats ws in
+  W.begin_search ws ~cells;
+  List.iter
+    (fun p ->
+       if Routing_grid.in_bounds grid p then begin
+         let i = Routing_grid.index grid p in
+         if Packed_roles.get roles i = role_pin && W.dist ws i <> 0 then begin
+           W.set_dist ws i 0;
+           W.deque_push_back ws i
+         end
+       end)
+    pins;
+  let next = ref 0 in
+  let visit j =
+    Stats.touched stats;
+    if Packed_roles.get roles j = role_ordinary && W.dist ws j = max_int then begin
+      Stats.relaxed stats;
+      W.set_dist ws j !next;
+      W.deque_push_back ws j
+    end
+  in
+  let running = ref true in
+  while !running do
+    let u = W.deque_pop_front ws in
+    if u < 0 then running := false
+    else begin
+      next := W.dist ws u + 1;
+      Routing_grid.iter_neighbours4 grid u visit
+    end
+  done;
+  let d i = let x = W.dist ws i in if x = max_int then -1 else x in
+  let h_in i =
+    let r = Packed_roles.get roles i in
+    if r = role_pin then 0 else if r = role_ordinary then d i else -1
+  in
+  (* The lesser of two heights, where a negative one is missing. *)
+  let least a b = if a < 0 || (b >= 0 && b < a) then b else a in
+  let best = ref (-1) in
+  let h_out i =
+    let r = Packed_roles.get roles i in
+    if r = role_ordinary then d i
+    else if r = role_start then begin
+      best := -1;
+      Routing_grid.iter_neighbours4 grid i (fun j -> best := least !best (h_in j));
+      if !best < 0 then -1 else !best + 1
+    end
+    else -1
+  in
+  let base = 2 * cells in
+  let h_req =
+    Array.of_list
+      (List.map
+         (fun r ->
+            List.fold_left
+              (fun acc p -> least acc (h_out (Routing_grid.index grid p)))
+              (-1) r.start_cells)
+         requests)
+  in
+  let nreq = Array.length h_req in
+  let h_source = Array.fold_left least (-1) h_req in
+  fun v ->
+    if v < base then if v land 1 = 0 then h_in (v lsr 1) else h_out (v lsr 1)
+    else if v < base + nreq then h_req.(v - base)
+    else if v = base + nreq then h_source
+    else 0
+
+(* Escape groups for [solve_once]: requests whose reachable regions share
+   no cell cannot exchange flow. Cells are linked by the symmetric closure
+   of the arcs [emit_network] emits between cells — a cell with out-arcs
+   (ordinary or start) to an enterable neighbour (ordinary or pin) — and
+   each request fuses the regions of all its live (role start) cells. A
+   pin is linked to its neighbours on every side, so it fuses the regions
+   around it even though flow can only end there: the grouping is
+   conservative, never finer than the flow allows. Each region is one
+   flood fill from a request's first unlabelled live start cell, labelling
+   cells in [comp] (the CSR's [deg] slot 4, dead until [build_on]) with
+   slot 5 as the stack; a small union-find over region ids records the
+   fusions. Returns [None] for at most one group, else each request's
+   group (groups numbered in first-request order; a request with no live
+   start rides with group 0, where its subsolve fails it as the joint
+   solve would) and each group's pins in input order (a pin no live
+   request can reach is dropped: it carries no flow). *)
+let group_requests ?workspace ~grid ~roles ~pins req_arr =
+  let cells = Routing_grid.cells grid in
+  let nreq = Array.length req_arr in
+  let comp, stack =
+    match workspace with
+    | Some ws ->
+      (* Leased at the network's size, which [build_on] asks of the same
+         slots next, so a cold workspace grows each slot once. *)
+      let n = (2 * cells) + nreq + 3 in
+      (W.scratch_int ws ~slot:4 ~cells:n, W.scratch_int ws ~slot:5 ~cells:n)
+    | None -> (Array.make cells 0, Array.make cells 0)
+  in
+  Array.fill comp 0 cells (-1);
+  let role i = Packed_roles.get roles i in
+  let index_with_role r p =
+    if Routing_grid.in_bounds grid p then begin
+      let i = Routing_grid.index grid p in
+      if role i = r then i else -1
+    end
+    else -1
+  in
+  let transit r = r = role_ordinary || r = role_start in
+  let enterable r = r = role_ordinary || r = role_pin in
+  (* At most one region per live start cell. *)
+  let region_parent =
+    Array.make (Array.fold_left (fun acc r -> acc + List.length r.start_cells) 0 req_arr) 0
+  in
+  let nregions = ref 0 in
+  let sp = ref 0 in
+  let push j =
+    comp.(j) <- !nregions;
+    stack.(!sp) <- j;
+    incr sp
+  in
+  let ru = ref role_excluded in
+  let visit j =
+    if comp.(j) < 0 then begin
+      let rj = role j in
+      if (transit !ru && enterable rj) || (transit rj && enterable !ru) then push j
+    end
+  in
+  let flood s =
+    region_parent.(!nregions) <- !nregions;
+    push s;
+    while !sp > 0 do
+      decr sp;
+      let u = stack.(!sp) in
+      ru := role u;
+      Routing_grid.iter_neighbours4 grid u visit
+    done;
+    incr nregions
+  in
+  let rec find r =
+    let p = region_parent.(r) in
+    if p = r then r
+    else begin
+      let root = find p in
+      region_parent.(r) <- root;
+      root
+    end
+  in
+  let first = Array.make nreq (-1) in
+  Array.iteri
+    (fun k r ->
+       List.iter
+         (fun p ->
+            let i = index_with_role role_start p in
+            if i >= 0 then begin
+              if comp.(i) < 0 then flood i;
+              if first.(k) < 0 then first.(k) <- comp.(i)
+              else begin
+                let a = find first.(k) and b = find comp.(i) in
+                if a <> b then region_parent.(b) <- a
+              end
+            end)
+         r.start_cells)
+    req_arr;
+  let gid_of_root = Array.make !nregions (-1) in
+  let ngroups = ref 0 in
+  let gid = Array.make nreq 0 in
+  Array.iteri
+    (fun k r ->
+       if r >= 0 then begin
+         let root = find r in
+         if gid_of_root.(root) < 0 then begin
+           gid_of_root.(root) <- !ngroups;
+           incr ngroups
+         end;
+         gid.(k) <- gid_of_root.(root)
+       end)
+    first;
+  if !ngroups <= 1 then None
+  else begin
+    let group_pins = Array.make !ngroups [] in
+    List.iter
+      (fun p ->
+         let i = index_with_role role_pin p in
+         if i >= 0 && comp.(i) >= 0 then begin
+           let g = gid_of_root.(find comp.(i)) in
+           group_pins.(g) <- p :: group_pins.(g)
+         end)
+      (List.rev pins);
+    Some (gid, group_pins)
+  end
+
 type solver =
   | Dijkstra
   | Spfa
@@ -168,8 +377,11 @@ type solver =
 
 (* One min-cost-flow solve over one joint network, no decomposition:
    [solve_once] composes these. Inputs are assumed validated; [roles] is
-   [compute_roles] of exactly these pins and requests. *)
-let solve_joint ~alive ?workspace ~solver ~grid ~roles requests =
+   [compute_roles] of exactly these pins and requests. The grid solver is
+   seeded ([seed_heights]) whenever there are two or more requests; one
+   request is a single shortest-path search with nothing to amortise the
+   seed over. *)
+let solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests =
     let cells = Routing_grid.cells grid in
     let nreq = List.length requests in
     let n = (2 * cells) + nreq + 2 in
@@ -181,9 +393,11 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles requests =
     let node_paths =
       match solver with
       | Grid ->
+        let ws = match workspace with Some ws -> ws | None -> W.create () in
         let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
+        if nreq >= 2 then Mcmf_grid.seed net ~h:(seed_heights ws ~grid ~roles ~pins requests);
         let (_ : Mcmf_grid.outcome) =
-          Mcmf_grid.solve ~alive ?workspace ~stop_when_cost_reaches:beta net
+          Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
         in
         Mcmf_grid.decompose_paths net
       | Dijkstra ->
@@ -253,15 +467,14 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles requests =
 
 (* Independent escape subnetworks. Two requests whose reachable regions
    share no cell cannot exchange flow: the min-cost-flow over the joint
-   network is exactly the union of the flows over the per-component
-   subnetworks. [solve_once] finds the components (union-find over the
-   role graph, following exactly the arcs [emit_network]
-   would emit), and when there are at least two it solves each
-   subinstance separately — in parallel when a scheduler is supplied,
-   sequentially otherwise, with identical results either way: requests
-   and pins keep input order within their group, groups merge in
-   first-request order, and each subsolve runs on a leased scratch
-   workspace whose stats are absorbed in group order in both modes.
+   network is exactly the union of the flows over the per-group
+   subnetworks. [solve_once] finds the groups ([group_requests]), and when
+   there are at least two it solves each subinstance separately — in
+   parallel when a scheduler is supplied, sequentially otherwise, with
+   identical results either way: requests and pins keep input order
+   within their group, groups merge in first-request order, and each
+   subsolve runs on a leased scratch workspace whose stats are absorbed in
+   group order in both modes.
 
    The single-group case (the common one: chips have connected free
    space) runs the historical joint solve on the caller's workspace,
@@ -269,149 +482,76 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles requests =
    carries real budget limits: subsolves on leased workspaces would not
    charge the budget, and a budget trip depends on operation order. *)
 let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
-  let joint roles = solve_joint ~alive ?workspace ~solver ~grid ~roles requests in
   let budget_free =
     match workspace with
     | None -> true
-    | Some ws ->
-      Pacor_route.Budget.is_no_limits
-        (Pacor_route.Budget.limits_of (Pacor_route.Workspace.budget ws))
+    | Some ws -> Pacor_route.Budget.is_no_limits (Pacor_route.Budget.limits_of (W.budget ws))
   in
   let req_arr = Array.of_list requests in
-  let nreq = Array.length req_arr in
-  if (not budget_free) || nreq < 2 then
-    joint (compute_roles ?workspace ~grid ~claimed ~pins requests)
-  else begin
+  let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
+  let groups =
+    if budget_free && Array.length req_arr >= 2 then
+      group_requests ?workspace ~grid ~roles ~pins req_arr
+    else None
+  in
+  match groups with
+  | None -> solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests
+  | Some (gid, group_pins) ->
     let cells = Routing_grid.cells grid in
-    let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
-    let parent = Array.init cells (fun i -> i) in
-    let find i =
-      let r = ref i in
-      while parent.(!r) <> !r do
-        r := parent.(!r)
-      done;
-      let j = ref i in
-      while parent.(!j) <> !r do
-        let next = parent.(!j) in
-        parent.(!j) <- !r;
-        j := next
-      done;
-      !r
-    in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then parent.(ri) <- rj
-    in
-    (* Mirror [emit_network]'s connectivity: cells with out-arcs (ordinary
-       and start) link to enterable neighbours (ordinary and pin). Pins
-       emit only into the sink, so they join a component but never bridge
-       two. *)
-    for i = 0 to cells - 1 do
-      let role = Packed_roles.get roles i in
-      if role = role_ordinary || role = role_start then
-        Routing_grid.iter_neighbours4 grid i (fun j ->
-          let rj = Packed_roles.get roles j in
-          if rj = role_ordinary || rj = role_pin then union i j)
+    let ng = Array.length group_pins in
+    let group_reqs = Array.make ng [] in
+    for k = Array.length req_arr - 1 downto 0 do
+      group_reqs.(gid.(k)) <- req_arr.(k) :: group_reqs.(gid.(k))
     done;
-    (* A request's node fans out to all its live start cells, fusing their
-       components; a request with no live start is dead and rides along
-       with the first group, where the subsolve reports it failed exactly
-       as the joint solve would. *)
-    let live = Array.make nreq (-1) in
-    Array.iteri
-      (fun k (r : request) ->
-        List.iter
-          (fun p ->
-            if Routing_grid.in_bounds grid p then begin
-              let i = Routing_grid.index grid p in
-              if Packed_roles.get roles i = role_start then
-                if live.(k) < 0 then live.(k) <- i else union live.(k) i
-            end)
-          r.start_cells)
-      req_arr;
-    let gid_of_root = Hashtbl.create 16 in
-    let ngroups = ref 0 in
-    let gid = Array.make nreq 0 in
-    Array.iteri
-      (fun k root ->
-        if root >= 0 then begin
-          let r = find root in
-          match Hashtbl.find_opt gid_of_root r with
-          | Some g -> gid.(k) <- g
-          | None ->
-            Hashtbl.add gid_of_root r !ngroups;
-            gid.(k) <- !ngroups;
-            incr ngroups
-        end)
-      live;
-    if !ngroups <= 1 then joint roles
-    else begin
-      let ng = !ngroups in
-      let group_reqs = Array.make ng [] in
-      for k = nreq - 1 downto 0 do
-        group_reqs.(gid.(k)) <- req_arr.(k) :: group_reqs.(gid.(k))
-      done;
-      let group_pins = Array.make ng [] in
-      List.iter
-        (fun p ->
-          if Routing_grid.in_bounds grid p then begin
-            let i = Routing_grid.index grid p in
-            if Packed_roles.get roles i = role_pin then
-              match Hashtbl.find_opt gid_of_root (find i) with
-              | Some g -> group_pins.(g) <- p :: group_pins.(g)
-              | None -> ()
-              (* A pin no live request can reach: it carries no flow in the
-                 joint network either; dropping it changes nothing. *)
-          end)
-        (List.rev pins);
-      let outcomes = Array.make ng None in
-      let solve_group g =
-        let lws = Pacor_route.Workspace_pool.acquire ~cells in
-        let before = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws) in
-        let roles =
-          compute_roles ~workspace:lws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
-        in
-        let out = solve_joint ~alive ~workspace:lws ~solver ~grid ~roles group_reqs.(g) in
-        let delta =
-          Pacor_route.Search_stats.diff
-            (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats lws))
-            before
-        in
-        Pacor_route.Workspace_pool.release lws;
-        outcomes.(g) <- Some (out, delta)
+    let outcomes = Array.make ng None in
+    let solve_group g =
+      let lws = Pacor_route.Workspace_pool.acquire ~cells in
+      let before = Stats.snapshot (W.stats lws) in
+      let roles =
+        compute_roles ~workspace:lws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
       in
-      (match sched with
-       | Some sched -> Pacor_sched.Sched.parallel_for sched ~n:ng solve_group
-       | None ->
-         for g = 0 to ng - 1 do
-           solve_group g
-         done);
-      let tbl = Hashtbl.create 16 in
-      let total = ref 0 in
-      Array.iter
-        (fun o ->
-          let out, delta = Option.get o in
-          (match workspace with
-           | Some ws ->
-             Pacor_route.Search_stats.absorb (Pacor_route.Workspace.stats ws) delta
-           | None -> ());
-          List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
-          total := !total + out.total_length)
-        outcomes;
-      let routed =
-        List.filter_map
-          (fun (r : request) -> Hashtbl.find_opt tbl r.cluster_idx)
-          requests
+      let out =
+        solve_joint ~alive ~workspace:lws ~solver ~grid ~roles ~pins:group_pins.(g)
+          group_reqs.(g)
       in
-      let failed =
-        List.filter_map
-          (fun (r : request) ->
-            if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
-          requests
+      let delta =
+        Stats.diff
+          (Stats.snapshot (W.stats lws))
+          before
       in
-      { routed; failed; total_length = !total }
-    end
-  end
+      Pacor_route.Workspace_pool.release lws;
+      outcomes.(g) <- Some (out, delta)
+    in
+    (match sched with
+     | Some sched -> Pacor_sched.Sched.parallel_for sched ~n:ng solve_group
+     | None ->
+       for g = 0 to ng - 1 do
+         solve_group g
+       done);
+    let tbl = Hashtbl.create 16 in
+    let total = ref 0 in
+    Array.iter
+      (fun o ->
+        let out, delta = Option.get o in
+        (match workspace with
+         | Some ws ->
+           Stats.absorb (W.stats ws) delta
+         | None -> ());
+        List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
+        total := !total + out.total_length)
+      outcomes;
+    let routed =
+      List.filter_map
+        (fun (r : request) -> Hashtbl.find_opt tbl r.cluster_idx)
+        requests
+    in
+    let failed =
+      List.filter_map
+        (fun (r : request) ->
+          if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
+        requests
+    in
+    { routed; failed; total_length = !total }
 
 let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ~grid ~claimed ~pins
     requests =

@@ -64,8 +64,9 @@ val route :
     [failed] — the same shape as a congested instance.
 
     [workspace] supplies the reusable search state (and attached
-    {!Pacor_route.Budget}) for the [Grid] solver's augmentation rounds;
-    the other solvers keep private state and ignore it.
+    {!Pacor_route.Budget}) for the [Grid] solver's seed BFS and
+    augmentation rounds; the other solvers keep private state and ignore
+    it.
 
     [solver] picks the min-cost-flow engine; the default is [Grid], the
     escape-specialised CSR solver, which [bench --escape-bench] measures
@@ -100,3 +101,63 @@ val feasibility_bound :
     against the independent {!Maxflow} Dinic solver). [route] always
     routes exactly this many, which the tests assert. Returns 0 on
     malformed inputs. *)
+
+(** {2 Network internals}
+
+    For the differential oracles in the tests, which rebuild the escape
+    network and check the seed and the grouping against a split-graph
+    search and a union-find; {!route} is the entry point. *)
+
+(** Cell roles: excluded (obstacle, non-pin boundary, foreign claim),
+    ordinary (free interior transit), pin (sink only) and start (some
+    request's start cell, out-arcs only). *)
+
+val role_excluded : int
+val role_ordinary : int
+val role_pin : int
+val role_start : int
+
+val compute_roles :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  claimed:Point.Set.t ->
+  pins:Point.t list ->
+  request list ->
+  Packed_roles.t
+(** Cell roles, highest precedence first: blocked, pin, start, claimed,
+    boundary, ordinary. With a workspace the layer aliases byte slot 0. *)
+
+val emit_network :
+  grid:Routing_grid.t ->
+  roles:Packed_roles.t ->
+  request list ->
+  emit:(int -> int -> int -> unit) ->
+  unit
+(** [emit src dst cost] per forward arc, in CSR order. Cell [i] is split
+    into nodes [2i] (in) and [2i + 1] (out); request [k] is node
+    [2 * cells + k]; the source and then the sink follow. *)
+
+val seed_heights :
+  Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  roles:Packed_roles.t ->
+  pins:Point.t list ->
+  request list ->
+  int ->
+  int
+(** Runs the seed's BFS over cells (one search on the workspace) and
+    returns each node's exact distance to the sink, negative when it
+    cannot reach it: the [h] for {!Mcmf_grid.seed}, valid until the next
+    search on the workspace. *)
+
+val group_requests :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  roles:Packed_roles.t ->
+  pins:Point.t list ->
+  request array ->
+  (int array * Point.t list array) option
+(** The groups {!route} solves separately: [None] for at most one, else
+    each request's group (first-request order; a request without a live
+    start cell is in group 0) and each group's pins in input order. With
+    a workspace the fill uses int slots 4 and 5. *)

@@ -1,6 +1,6 @@
 (* Unit-capacity min-cost max-flow specialised for the escape network.
 
-   The escape graph (Escape.build_network) is special three ways, and this
+   The escape graph (Escape.emit_network) is special three ways, and this
    solver exploits all of them:
 
    - every arc has capacity 1 and cost 0 or 1, so arc state packs into
@@ -22,20 +22,19 @@
      allocation: dist/parent/closed state, both queues and the settle
      trail live in a generation-stamped Pacor_route.Workspace.
 
-   Goal direction. A solve whose super-source has two or more out-arcs
-   first runs one backward 0-1-BFS from the sink over the residual arcs
-   and seeds [pot(v) = -h(v)], where [h] is the exact distance to the
-   sink. [h] is consistent, so the seeded potential is feasible, and
-   Dijkstra over the reduced costs it induces is an A* search toward the
-   sink (Goldberg & Harrelson): each round settles little beyond the
-   cheapest augmenting path instead of a third of the graph. Nodes the
-   BFS cannot reach are marked dead and never relaxed: residual arcs out
-   of a sink-unreachable set only ever lead back into it, and
-   augmentation adds arcs between sink-reachable nodes only, so no later
-   residual graph reconnects them. A one-out-arc source — one request,
-   the repair path's common case — is a single shortest-path search with
-   nothing to amortise the BFS over; it stays unseeded and starts with a
-   0-1-BFS over raw costs.
+   Goal direction. A caller that knows every node's exact distance [h]
+   to the sink in the initial residual graph hands it over through
+   [seed], which sets [pot(v) = -h(v)]. [h] is consistent, so the seeded
+   potential is feasible, and Dijkstra over the reduced costs it induces
+   is an A* search toward the sink (Goldberg & Harrelson): each round
+   settles little beyond the cheapest augmenting path instead of a third
+   of the graph. Nodes without an [h] are marked dead and never relaxed:
+   residual arcs out of a sink-unreachable set only ever lead back into
+   it, and augmentation adds arcs between sink-reachable nodes only, so no
+   later residual graph reconnects them. The escape network computes [h]
+   with one BFS over grid cells (Escape), far cheaper than a search over
+   the node-split graph; this module never searches for it itself. An
+   unseeded solve starts with a 0-1-BFS over raw costs.
 
    Lazy potentials. After a round with sink distance [d], the textbook
    update [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) -
@@ -65,7 +64,7 @@ type t = {
   fwdb : Bytes.t;           (* 1 iff forward arc (initial residual cap 1) *)
   capb : Bytes.t;           (* current residual capacity, 0 or 1 *)
   pot : int array;          (* Johnson potentials, persistent across rounds *)
-  dead : Bytes.t;           (* 1 iff the sink is unreachable (seeded solves) *)
+  dead : Bytes.t;           (* 1 iff [seed] found the sink unreachable *)
   mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
   mutable flow : int;
   mutable cost : int;
@@ -263,47 +262,14 @@ let augment t ws =
   done;
   t.flow <- t.flow + 1
 
-(* Backward 0-1-BFS from the sink over residual arcs: [a] at [u] leads to
-   [v]; its twin is the arc v -> u, which carries the cost of stepping
-   from [v] toward the sink. The seed runs before any augmentation, so
-   the residual graph is the initial one: the twin has capacity iff it
-   is a forward arc, i.e. iff [a] is a reverse arc, and then its cost is
-   [-cost(a)] — both read from [u]'s own row, never the twin's. Seeds
-   [pot(v) = -h(v)] on every node the BFS settles and marks the rest
-   dead. One workspace search, charged to the budget like a round; if
-   the budget trips inside it, the seed is left half-built, which is
-   harmless because every later round then fails on its first pop. *)
-let seed_potentials t ws =
-  let stats = W.stats ws in
-  W.begin_search ws ~cells:t.n;
-  W.set_dist ws t.sink 0;
-  W.deque_push_back ws t.sink;
-  let running = ref true in
-  while !running do
-    let u = W.deque_pop_front ws in
-    if u < 0 then running := false
-    else if not (W.closed ws u) then begin
-      W.close ws u;
-      let hu = W.dist ws u in
-      let stop = t.off.(u + 1) in
-      for a = t.off.(u) to stop - 1 do
-        if Bytes.unsafe_get t.fwdb a = '\000' then begin
-          Stats.touched stats;
-          let v = t.arc_dst.(a) in
-          let c = - arc_cost t a in
-          let nh = hu + c in
-          if nh < W.dist ws v then begin
-            Stats.relaxed stats;
-            W.set_dist ws v nh;
-            if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
-          end
-        end
-      done
-    end
-  done;
+(* Install the caller's exact sink distances: [pot(v) = -h(v)] on every
+   node with [h(v) >= 0], and a dead mark on the rest (their potential
+   stays 0). *)
+let seed t ~h =
+  if t.solved then invalid_arg "Mcmf_grid.seed: already solved";
   for v = 0 to t.n - 1 do
-    if W.closed ws v then t.pot.(v) <- - W.dist ws v
-    else Bytes.unsafe_set t.dead v '\001'
+    let hv = h v in
+    if hv >= 0 then t.pot.(v) <- - hv else Bytes.unsafe_set t.dead v '\001'
   done;
   t.pot_zero <- false
 
@@ -321,22 +287,12 @@ let update_potentials t ws d =
     t.pot_zero <- false
   end
 
-(* Forward arcs out of the source: the number of requests in an escape
-   network, and the seeding gate. *)
-let source_out_arcs t =
-  let k = ref 0 in
-  for a = t.off.(t.source) to t.off.(t.source + 1) - 1 do
-    if Bytes.unsafe_get t.fwdb a = '\001' then incr k
-  done;
-  !k
-
 let outcome (t : t) : outcome = { flow = t.flow; cost = t.cost; rounds = t.rounds }
 
 let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   if t.solved then invalid_arg "Mcmf_grid.solve: already solved";
   t.solved <- true;
   let ws = match workspace with Some ws -> ws | None -> W.create () in
-  if source_out_arcs t >= 2 then seed_potentials t ws;
   let running = ref true in
   while !running && alive () do
     W.begin_search ws ~cells:t.n;

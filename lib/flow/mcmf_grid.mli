@@ -10,16 +10,14 @@
     generation-stamped in a {!Pacor_route.Workspace} — allocation-free
     after warm-up.
 
-    {b Goal-directed rounds.} When the source has two or more out-arcs
-    (an escape network with two or more requests), {!solve} first runs one
-    backward 0-1-BFS from the sink and seeds [pot(v) = -h(v)], [h] being
-    the exact residual distance to the sink. That potential is feasible,
-    so every round is an early-exit Dijkstra on reduced costs — an A*
-    search toward the sink. Nodes that cannot reach the sink are marked
-    dead and never relaxed; no later residual graph reconnects them. A
-    one-out-arc source stays unseeded — one shortest-path search has
-    nothing to amortise the BFS over — and starts with a 0-1-BFS over raw
-    costs.
+    {b Goal-directed rounds.} A caller that knows each node's exact
+    distance [h] to the sink hands it over with {!seed} before solving;
+    the solver then sets [pot(v) = -h(v)], a feasible potential, so every
+    round is an early-exit Dijkstra on reduced costs — an A* search toward
+    the sink. Nodes without an [h] are marked dead and never relaxed; no
+    later residual graph reconnects them. The escape stage seeds every
+    solve with two or more requests from one BFS over grid cells
+    ({!Escape}); an unseeded solve starts with a 0-1-BFS over raw costs.
 
     {b Lazy potentials.} Each round appends the nodes it settles to the
     workspace's settle trail, and the potential update touches only
@@ -37,10 +35,8 @@ type outcome = {
   flow : int;
   cost : int;
   rounds : int;  (** augmentation searches run, including the final one
-                     that found no path (or hit the cost threshold). The
-                     seed BFS of a seeded solve is not a round: such a
-                     solve runs [rounds + 1] workspace searches, an
-                     unseeded one exactly [rounds]. *)
+                     that found no path (or hit the cost threshold); each
+                     is one workspace search. *)
 }
 
 val build :
@@ -85,16 +81,24 @@ val solve :
     between augmentation rounds; [workspace] supplies the reusable
     dist/parent/queue/trail state (a private one is created when absent)
     and its attached {!Pacor_route.Budget} is charged one tick per settle,
-    seed BFS included, so an exhausted budget stops the solve mid-round —
-    or before its first round — with the flow found so far.
-    [stop_when_cost_reaches] stops {e before} augmenting a path whose true
-    cost reaches the threshold.
+    so an exhausted budget stops the solve mid-round — or before its first
+    round — with the flow found so far. [stop_when_cost_reaches] stops
+    {e before} augmenting a path whose true cost reaches the threshold.
 
-    Workspace searches: a source with two or more out-arcs is seeded (see
-    above), which costs one extra workspace search before the rounds, so
-    the solve adds [rounds + 1] to the workspace's [searches] counter; a
-    source with at most one out-arc adds exactly [rounds]. A network
-    solves once; {!reset} re-arms it. *)
+    The solve adds exactly [rounds] to the workspace's [searches] counter.
+    A network solves once; {!reset} re-arms it. *)
+
+val seed : t -> h:(int -> int) -> unit
+(** [seed t ~h] installs goal-directed potentials before {!solve}: [h v]
+    is node [v]'s exact cost-distance to the sink in the initial residual
+    graph (forward arcs only), or a negative value when [v] cannot reach
+    the sink, which marks it dead. Called once per node, in node order.
+    Rounds stay exact shortest-path searches only when [h] is consistent
+    ([h v <= c + h w] over every arc [v -> w] of cost [c]), which an exact
+    distance is; the escape stage derives it from a cell-level BFS. A
+    budget-starved caller may pass a partial [h]: every later round then
+    fails on its first pop. Raises [Invalid_argument] after a solve;
+    {!reset} clears the seed. *)
 
 val max_flow :
   ?alive:(unit -> bool) ->
@@ -108,7 +112,7 @@ val reset : t -> unit
 (** Restore initial capacities, zero potentials and clear dead marks,
     keeping the CSR structure — so one built network serves the
     feasibility probe, the solve, and any retry. A solve after [reset]
-    seeds afresh. *)
+    runs unseeded unless {!seed} is called again. *)
 
 val decompose_paths : t -> int list list
 (** Split the computed flow into source->sink unit node-paths, consuming

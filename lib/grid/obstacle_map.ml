@@ -32,6 +32,27 @@ let free t p = not (blocked t p)
 let blocked_i t i = get_bit t i
 let free_i t i = not (get_bit t i)
 
+(* Eight cells per bitmap byte: entry [b] is the little-endian word whose
+   byte [k] is 1 iff bit [k] of [b] is clear (cell free). *)
+let free_words =
+  Array.init 256 (fun b ->
+    let w = ref 0L in
+    for k = 0 to 7 do
+      if b land (1 lsl k) = 0 then w := Int64.logor !w (Int64.shift_left 1L (8 * k))
+    done;
+    !w)
+
+let fill_free t b =
+  let n = t.width * t.height in
+  if Bytes.length b < n then invalid_arg "Obstacle_map.fill_free: buffer smaller than the grid";
+  let words = n lsr 3 in
+  for k = 0 to words - 1 do
+    Bytes.set_int64_le b (k lsl 3) free_words.(Char.code (Bytes.unsafe_get t.bits k))
+  done;
+  for i = words lsl 3 to n - 1 do
+    Bytes.unsafe_set b i (if get_bit t i then '\000' else '\001')
+  done
+
 let block t p =
   if in_bounds t p then begin
     let i = index t p in

@@ -29,6 +29,12 @@ val blocked_i : t -> int -> bool
 val free_i : t -> int -> bool
 (** [not (blocked_i t i)]. *)
 
+val fill_free : t -> Bytes.t -> unit
+(** [fill_free t b] writes one byte per cell of the dense index space into
+    [b] (at least [width * height] bytes): ['\001'] where the cell is free,
+    ['\000'] where it is blocked. Eight cells per step, for masks rebuilt
+    per call on large grids. *)
+
 val block : t -> Point.t -> unit
 (** No-op out of bounds. *)
 

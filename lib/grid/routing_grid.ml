@@ -83,18 +83,17 @@ let on_boundary_i t i =
 
 (* Baseline transit mask for dense role arrays: byte [i] becomes 1 iff
    cell [i] is statically free and off the boundary ring, 0 otherwise.
-   Row-wise fill so boundary rows/columns never pay a per-cell test. *)
+   The free mask comes eight cells at a time; the ring is cleared after. *)
 let fill_interior_free t b =
   let w = t.width and h = t.height in
   if Bytes.length b < w * h then
     invalid_arg "Routing_grid.fill_interior_free: buffer smaller than the grid";
-  Bytes.fill b 0 (w * h) '\000';
+  Obstacle_map.fill_free t.obstacles b;
+  Bytes.fill b 0 w '\000';
+  Bytes.fill b ((h - 1) * w) w '\000';
   for y = 1 to h - 2 do
-    let row = y * w in
-    for x = 1 to w - 2 do
-      if Obstacle_map.free_i t.obstacles (row + x) then
-        Bytes.unsafe_set b (row + x) '\001'
-    done
+    Bytes.unsafe_set b (y * w) '\000';
+    Bytes.unsafe_set b ((y * w) + w - 1) '\000'
   done
 
 (* Packed variant of [fill_interior_free]: role 1 for free interior cells,

@@ -11,12 +11,6 @@ type spec = {
 let obstacle_spec obstacles =
   { usable = (fun i -> Obstacle_map.free_i obstacles i); extra_cost = (fun _ -> 0) }
 
-let point_spec ~grid ~usable ~extra_cost =
-  {
-    usable = (fun i -> usable (Routing_grid.point_of_index grid i));
-    extra_cost = (fun i -> extra_cost (Routing_grid.point_of_index grid i));
-  }
-
 let attempt ws ~grid ~spec ~sources ~targets =
   let n = Routing_grid.cells grid in
   let width = Routing_grid.width grid in

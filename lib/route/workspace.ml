@@ -65,7 +65,7 @@ let create ?stats () =
     claim_stamp = [||];
     claim_epoch = 1;
     scratch_ints = Array.make 9 [||];
-    scratch_bs = Array.make 5 Bytes.empty;
+    scratch_bs = Array.make 6 Bytes.empty;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
     dq = [||];
@@ -288,7 +288,7 @@ let prepare t ~cells =
 (* -- Scratch pools ------------------------------------------------------ *)
 
 let scratch_slots = 9
-let scratch_byte_slots = 5
+let scratch_byte_slots = 6
 
 (* Grow by a quarter past the request: the escape network's arc arrays
    are megabytes on large grids and their size drifts a little between

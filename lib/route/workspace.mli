@@ -186,8 +186,14 @@ val prepare : t -> cells:int -> unit
     documented above. Slot owners:
     - int slots 0–3: {!Negotiation}'s history, cost, owner and bump arrays;
     - int slots 4–8 and byte slots 1–4: the escape flow network built by
-      [Pacor_flow.Mcmf_grid.build_on];
-    - byte slot 0: the escape stage's packed cell roles. *)
+      [Pacor_flow.Mcmf_grid.build_on]. Int slots 4 and 5 are dead until
+      that build, and the escape grouping ([Pacor_flow.Escape]) runs its
+      flood fill on them first: labels in 4, the stack in 5;
+    - byte slot 0: the escape stage's packed cell roles;
+    - byte slot 5: the refinement stages' usable-cell mask, one byte per
+      cell, for the single-cluster escape search and the detour stage
+      ([Pacor.Escape_stage.single], [Pacor.Detour_stage]), which never
+      run nested. *)
 
 val scratch_slots : int
 (** Number of independent int slots (currently 9). *)
@@ -196,7 +202,7 @@ val scratch_int : t -> slot:int -> cells:int -> int array
 (** An int array of length >= [cells] for [slot] (0-based). *)
 
 val scratch_byte_slots : int
-(** Number of independent byte slots (currently 5). *)
+(** Number of independent byte slots (currently 6). *)
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)

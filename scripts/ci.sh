@@ -192,6 +192,26 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
   }
 done
 
+echo "== route --svg byte-identity: Chip1 and Scaled3 =="
+# The SVG draws every channel and escape path and carries no runtime, so
+# its digest pins the whole solution, not just its score. A change that
+# moves any path must update these digests and say why in CHANGES.md.
+svgdir="$fuzzdir/svg"
+mkdir -p "$svgdir"
+./_build/default/bin/pacor_cli.exe route -d Chip1 --svg "$svgdir/Chip1.svg" > /dev/null
+./_build/default/bin/pacor_cli.exe designs --emit Scaled3 > "$svgdir/Scaled3.chip"
+./_build/default/bin/pacor_cli.exe route -f "$svgdir/Scaled3.chip" --svg "$svgdir/Scaled3.svg" \
+  > /dev/null
+for pin in Chip1:11563731579e970d24f55f578d75c001 Scaled3:ed395ba6a5713ff51c3084e73caf2949; do
+  name=${pin%%:*}
+  want=${pin#*:}
+  got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "svg byte-identity: $name route --svg md5 is $got, pinned $want" >&2
+    exit 1
+  fi
+done
+
 echo "== fault-sweep smoke + BENCH_fault.json drift check =="
 faultjson=$(mktemp)
 ./_build/default/bench/main.exe --fault-sweep --smoke --json-out "$faultjson" > /dev/null

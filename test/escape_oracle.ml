@@ -1,0 +1,189 @@
+(* Differential oracles for the escape stage: the node-split seed search
+   and the cell union-find grouping that [Escape] used before it moved to
+   a cell-level BFS and a flood fill, plus a route pipeline built from
+   them. They share the network emitter and the min-cost-flow solver with
+   [Escape], and nothing else. *)
+
+open Pacor_grid
+open Pacor_flow
+module W = Pacor_route.Workspace
+
+(* Backward 0-1-BFS from the sink over the forward arcs [(src, dst,
+   cost)] of an [n]-node network: each node's exact distance to the sink,
+   -1 when it cannot reach it. One search on [ws], charged to its budget;
+   nodes it never settles (budget trip) read as dead. *)
+let split_seed ws ~n ~sink arcs =
+  let preds = Array.make n [] in
+  List.iter (fun (u, v, c) -> preds.(v) <- (u, c) :: preds.(v)) arcs;
+  W.begin_search ws ~cells:n;
+  W.set_dist ws sink 0;
+  W.deque_push_back ws sink;
+  let running = ref true in
+  while !running do
+    let u = W.deque_pop_front ws in
+    if u < 0 then running := false
+    else if not (W.closed ws u) then begin
+      W.close ws u;
+      let hu = W.dist ws u in
+      List.iter
+        (fun (v, c) ->
+          if hu + c < W.dist ws v then begin
+            W.set_dist ws v (hu + c);
+            if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
+          end)
+        preds.(u)
+    end
+  done;
+  Array.init n (fun v -> if W.closed ws v then W.dist ws v else -1)
+
+let network_arcs ~grid ~roles requests =
+  let arcs = ref [] in
+  Escape.emit_network ~grid ~roles requests ~emit:(fun s d c -> arcs := (s, d, c) :: !arcs);
+  List.rev !arcs
+
+(* [split_seed] over the escape network of [requests]: the oracle for
+   [Escape.seed_heights]. *)
+let escape_split_seed ws ~grid ~roles requests =
+  let cells = Routing_grid.cells grid in
+  let nreq = List.length requests in
+  let n = (2 * cells) + nreq + 2 in
+  split_seed ws ~n ~sink:(n - 1) (network_arcs ~grid ~roles requests)
+
+(* Union-find over every cell, linking exactly the cell pairs
+   [Escape.emit_network] connects, then fusing each request's live start
+   cells: the oracle for [Escape.group_requests], same result type. *)
+let union_find_groups ~grid ~roles ~pins req_arr =
+  let cells = Routing_grid.cells grid in
+  let role i = Packed_roles.get roles i in
+  let parent = Array.init cells (fun i -> i) in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let union i j =
+    let ri = find i and rj = find j in
+    if ri <> rj then parent.(ri) <- rj
+  in
+  for i = 0 to cells - 1 do
+    let r = role i in
+    if r = Escape.role_ordinary || r = Escape.role_start then
+      Routing_grid.iter_neighbours4 grid i (fun j ->
+        let rj = role j in
+        if rj = Escape.role_ordinary || rj = Escape.role_pin then union i j)
+  done;
+  let nreq = Array.length req_arr in
+  let live = Array.make nreq (-1) in
+  Array.iteri
+    (fun k (r : Escape.request) ->
+      List.iter
+        (fun p ->
+          if Routing_grid.in_bounds grid p then begin
+            let i = Routing_grid.index grid p in
+            if role i = Escape.role_start then
+              if live.(k) < 0 then live.(k) <- i else union live.(k) i
+          end)
+        r.start_cells)
+    req_arr;
+  let gid_of_root = Hashtbl.create 16 in
+  let gid = Array.make nreq 0 in
+  Array.iteri
+    (fun k i ->
+      if i >= 0 then begin
+        let r = find i in
+        match Hashtbl.find_opt gid_of_root r with
+        | Some g -> gid.(k) <- g
+        | None ->
+          let g = Hashtbl.length gid_of_root in
+          Hashtbl.add gid_of_root r g;
+          gid.(k) <- g
+      end)
+    live;
+  let ngroups = Hashtbl.length gid_of_root in
+  if ngroups <= 1 then None
+  else begin
+    let group_pins = Array.make ngroups [] in
+    List.iter
+      (fun p ->
+        if Routing_grid.in_bounds grid p then begin
+          let i = Routing_grid.index grid p in
+          if role i = Escape.role_pin then
+            match Hashtbl.find_opt gid_of_root (find i) with
+            | Some g -> group_pins.(g) <- p :: group_pins.(g)
+            | None -> ()
+        end)
+      (List.rev pins);
+    Some (gid, group_pins)
+  end
+
+(* One joint solve seeded by [split_seed], mapped back to grid paths the
+   way [Escape] maps its own. *)
+let solve_joint ws ~grid ~claimed ~pins requests =
+  let cells = Routing_grid.cells grid in
+  let nreq = List.length requests in
+  let n = (2 * cells) + nreq + 2 in
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let arcs = network_arcs ~grid ~roles requests in
+  let emit_arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs in
+  let net = Mcmf_grid.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
+  if nreq >= 2 then begin
+    let h = split_seed ws ~n ~sink:(n - 1) arcs in
+    Mcmf_grid.seed net ~h:(fun v -> h.(v))
+  end;
+  let (_ : Mcmf_grid.outcome) =
+    Mcmf_grid.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
+  in
+  let reqs = Array.of_list requests in
+  List.filter_map
+    (fun nodes ->
+      match nodes with
+      | _ :: cnode :: rest ->
+        let req = reqs.(cnode - (2 * cells)) in
+        let cells_of =
+          List.filter_map (fun v -> if v < 2 * cells then Some (v / 2) else None) rest
+        in
+        let rec dedup acc = function
+          | a :: (b :: _ as tl) when a = b -> dedup acc tl
+          | a :: tl -> dedup (a :: acc) tl
+          | [] -> List.rev acc
+        in
+        (match dedup [] cells_of with
+         | [] -> None
+         | first :: _ as is ->
+           let path = Path.of_points (List.map (Routing_grid.point_of_index grid) is) in
+           Some
+             { Escape.idx = req.Escape.cluster_idx;
+               start_cell = Routing_grid.point_of_index grid first;
+               pin = Path.target path;
+               path })
+      | _ -> None)
+    (Mcmf_grid.decompose_paths net)
+
+(* [Escape.route] (grid solver, no budget) rebuilt from the oracles: the
+   union-find groups, each solved on [ws] with the split-graph seed. *)
+let route ws ~grid ~claimed ~pins requests =
+  let req_arr = Array.of_list requests in
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let groups =
+    if Array.length req_arr >= 2 then union_find_groups ~grid ~roles ~pins req_arr else None
+  in
+  let routed =
+    match groups with
+    | None -> solve_joint ws ~grid ~claimed ~pins requests
+    | Some (gid, group_pins) ->
+      List.concat
+        (List.mapi
+           (fun g pins ->
+             solve_joint ws ~grid ~claimed ~pins
+               (List.filteri (fun k _ -> gid.(k) = g) requests))
+           (Array.to_list group_pins))
+  in
+  let find (r : Escape.request) =
+    List.find_opt (fun (e : Escape.routed) -> e.idx = r.cluster_idx) routed
+  in
+  let routed_in_order = List.filter_map find requests in
+  { Escape.routed = routed_in_order;
+    failed =
+      List.filter_map
+        (fun (r : Escape.request) -> if find r = None then Some r.cluster_idx else None)
+        requests;
+    total_length =
+      List.fold_left (fun acc (e : Escape.routed) -> acc + Path.length e.path) 0
+        routed_in_order }
+

@@ -408,12 +408,18 @@ let test_grid_budget_starvation () =
   Alcotest.(check bool) "budget reports exhaustion" true
     (Pacor_route.Budget.exhausted budget <> None)
 
-(* Search counters a solve adds to a fresh workspace, with its outcome. *)
-let grid_solve_stats ?budget ?stop_when_cost_reaches ~n ~source ~sink arcs =
+(* Search counters a solve adds to a fresh workspace, with its outcome.
+   [seeded] first installs the exact sink distances of the split-graph
+   oracle, one more search on the same workspace. *)
+let grid_solve_stats ?budget ?stop_when_cost_reaches ?(seeded = false) ~n ~source ~sink arcs =
   let ws = Pacor_route.Workspace.create () in
   Option.iter (Pacor_route.Workspace.set_budget ws) budget;
   let s0 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
   let net = Mcmf_grid.build ~n ~source ~sink ~emit_arcs:(emit_list arcs) in
+  if seeded then begin
+    let h = Escape_oracle.split_seed ws ~n ~sink arcs in
+    Mcmf_grid.seed net ~h:(fun v -> h.(v))
+  end;
   let out = Mcmf_grid.solve ~workspace:ws ?stop_when_cost_reaches net in
   let s1 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
   (out, Pacor_route.Search_stats.diff s1 s0)
@@ -424,12 +430,13 @@ let single_out_arcs = [ (0, 1, 0); (1, 2, 1); (1, 3, 0); (2, 4, 1); (3, 4, 1) ]
 let test_grid_workspace_stats_rounds () =
   (* Per-round instrumentation: each augmentation round is one workspace
      search (epoch bump), pops/settles and arc scans land in the shared
-     counters. A source with two or more out-arcs adds exactly one more
-     search — the backward BFS that seeds the potentials; a one-out-arc
-     source runs unseeded. *)
-  let seeded, d = grid_solve_stats ~n:4 ~source:0 ~sink:3 diamond_arcs in
-  Alcotest.(check int) "seeded: one search per round plus the seed"
+     counters. The solve never searches for a seed itself: a seeded solve
+     adds exactly its rounds, and the seed's own search is the caller's. *)
+  let seeded, d = grid_solve_stats ~seeded:true ~n:4 ~source:0 ~sink:3 diamond_arcs in
+  Alcotest.(check int) "seeded: one search per round plus the caller's seed"
     (seeded.Mcmf_grid.rounds + 1) d.Pacor_route.Search_stats.searches;
+  Alcotest.(check int) "seeded flow" 2 seeded.Mcmf_grid.flow;
+  Alcotest.(check int) "seeded cost" 4 seeded.Mcmf_grid.cost;
   Alcotest.(check bool) "settles counted" true (d.Pacor_route.Search_stats.pops > 0);
   Alcotest.(check bool) "arc scans counted" true (d.Pacor_route.Search_stats.touched > 0);
   let single, d = grid_solve_stats ~n:5 ~source:0 ~sink:4 single_out_arcs in
@@ -438,42 +445,84 @@ let test_grid_workspace_stats_rounds () =
   Alcotest.(check int) "unseeded: one search per round" single.Mcmf_grid.rounds
     d.Pacor_route.Search_stats.searches
 
-let test_grid_dead_nodes_never_settled () =
-  (* The source's first out-arc leads into a free chain of 40 nodes that
-     cannot reach the sink; the second leads to the sink at cost 2. An
-     unseeded first round would settle the whole free chain before the
-     costlier sink; the seeded solve marks the chain dead and never
-     settles it. *)
-  let chain = 40 in
-  let sink = chain + 3 in
-  let arcs =
-    (0, 1, 0) :: (0, chain + 1, 1) :: (chain + 1, chain + 2, 1) :: (chain + 2, sink, 0)
-    :: List.init (chain - 1) (fun k -> (k + 1, k + 2, 0))
+(* A 24x12 grid whose interior is split by an obstacle wall at x = 6,
+   with one gap at (6, 5) that is request 0's only start cell. The pins
+   all sit on the left edge, so the 160 ordinary cells right of the wall
+   can reach a pin only through that start cell, which is not transit
+   space: they are dead. Request 1 starts at (2, 2). *)
+let walled_instance () =
+  let wall =
+    List.filter_map
+      (fun y -> if y = 5 then None else Some (Rect.make ~x0:6 ~y0:y ~x1:6 ~y1:y))
+      (List.init 10 (fun k -> k + 1))
   in
-  let out, d = grid_solve_stats ~n:(sink + 1) ~source:0 ~sink arcs in
-  Alcotest.(check int) "flow" 1 out.Mcmf_grid.flow;
-  Alcotest.(check int) "cost" 2 out.Mcmf_grid.cost;
-  Alcotest.(check bool)
-    (Printf.sprintf "dead chain unsettled (%d pops)" d.Pacor_route.Search_stats.pops)
-    true
-    (d.Pacor_route.Search_stats.pops < chain)
+  let grid = Routing_grid.create ~width:24 ~height:12 ~obstacles:wall () in
+  let requests =
+    [ { Escape.cluster_idx = 0; start_cells = [ Point.make 6 5 ] };
+      { Escape.cluster_idx = 1; start_cells = [ Point.make 2 2 ] } ]
+  in
+  let claimed = Point.Set.of_list [ Point.make 6 5; Point.make 2 2 ] in
+  let pins = [ Point.make 0 2; Point.make 0 5; Point.make 0 9 ] in
+  (grid, claimed, pins, requests)
+
+let escape_stats ?budget (grid, claimed, pins, requests) =
+  let ws = Pacor_route.Workspace.create () in
+  Option.iter (Pacor_route.Workspace.set_budget ws) budget;
+  let out = Escape.route ~workspace:ws ~grid ~claimed ~pins requests in
+  (out, Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
+
+let test_grid_dead_nodes_never_settled () =
+  (* The cell-level seed marks every node right of the wall dead, and the
+     rounds never settle one: an unseeded first round from request 0's
+     start cell would sweep the right region out to the pin distance
+     before reaching the pin. *)
+  let ((grid, claimed, pins, requests) as inst) = walled_instance () in
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let ws = Pacor_route.Workspace.create () in
+  let h = Escape.seed_heights ws ~grid ~roles ~pins requests in
+  let seed_pops =
+    (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
+      .Pacor_route.Search_stats.pops
+  in
+  let right = ref 0 in
+  for x = 7 to 22 do
+    for y = 1 to 10 do
+      let i = Routing_grid.index grid (Point.make x y) in
+      incr right;
+      Alcotest.(check bool) "right-region in dead" true (h (2 * i) < 0);
+      Alcotest.(check bool) "right-region out dead" true (h ((2 * i) + 1) < 0)
+    done
+  done;
+  Alcotest.(check int) "request 0 is 6 steps from (0, 5)" 6
+    (h ((2 * Routing_grid.cells grid) + 0));
+  match escape_stats inst with
+  | Error e, _ -> Alcotest.fail e
+  | Ok out, st ->
+    Alcotest.(check int) "both routed" 2 (List.length out.Escape.routed);
+    let round_pops = st.Pacor_route.Search_stats.pops - seed_pops in
+    Alcotest.(check bool)
+      (Printf.sprintf "dead region unsettled (%d round pops, %d dead cells)" round_pops
+         !right)
+      true (round_pops < 40)
 
 let test_grid_budget_trips_in_seed () =
-  (* A budget of three expansions runs out inside the seed BFS of a
-     seeded solve: the solve returns the (empty) partial flow without
-     raising, the budget reports exhaustion, and the seed still counts as
-     one search. *)
+  (* A budget of three expansions runs out inside the cell-level seed BFS
+     of a two-request escape: the route returns without raising, escapes
+     nothing, the budget reports exhaustion, and the workspace saw the
+     seed plus the one starved round. *)
   let budget =
     Pacor_route.Budget.create (Pacor_route.Budget.limits ~max_expansions:3 ())
   in
   Pacor_route.Budget.arm budget;
-  let arcs = (0, 1, 0) :: (0, 2, 0) :: List.init 20 (fun k -> (k + 1, k + 3, 1)) in
-  let out, d = grid_solve_stats ~budget ~n:23 ~source:0 ~sink:22 arcs in
-  Alcotest.(check int) "no flow" 0 out.Mcmf_grid.flow;
-  Alcotest.(check bool) "budget reports exhaustion" true
-    (Pacor_route.Budget.exhausted budget <> None);
-  Alcotest.(check int) "seed plus the starved round" (out.Mcmf_grid.rounds + 1)
-    d.Pacor_route.Search_stats.searches
+  match escape_stats ~budget (walled_instance ()) with
+  | Error e, _ -> Alcotest.fail e
+  | Ok out, st ->
+    Alcotest.(check int) "nothing escaped" 0 (List.length out.Escape.routed);
+    Alcotest.(check (list int)) "both failed" [ 0; 1 ] out.Escape.failed;
+    Alcotest.(check bool) "budget reports exhaustion" true
+      (Pacor_route.Budget.exhausted budget <> None);
+    Alcotest.(check int) "seed plus the starved round" 2
+      st.Pacor_route.Search_stats.searches
 
 let test_grid_build_on_leases () =
   (* [build_on] leases every array from the workspace: a network built on
@@ -909,7 +958,12 @@ let prop_grid_agrees_under_threshold =
           Mcmf_spfa.add_edge b ~src ~dst ~cap:1 ~cost)
         t.tarcs;
       let stop_when_cost_reaches = t.threshold in
-      let og = Mcmf_grid.solve ?stop_when_cost_reaches g in
+      let ws = Pacor_route.Workspace.create () in
+      if List.length (List.filter (fun (src, _, _) -> src = 0) t.tarcs) >= 2 then begin
+        let h = Escape_oracle.split_seed ws ~n ~sink t.tarcs in
+        Mcmf_grid.seed g ~h:(fun v -> h.(v))
+      end;
+      let og = Mcmf_grid.solve ~workspace:ws ?stop_when_cost_reaches g in
       let oa = Mcmf.solve ?stop_when_cost_reaches a ~source:0 ~sink in
       let ob = Mcmf_spfa.solve ?stop_when_cost_reaches b ~source:0 ~sink in
       if og.Mcmf_grid.flow <> oa.Mcmf.flow || og.Mcmf_grid.cost <> oa.Mcmf.cost then
@@ -920,10 +974,166 @@ let prop_grid_agrees_under_threshold =
           ob.Mcmf_spfa.cost oa.Mcmf.flow oa.Mcmf.cost
       else true)
 
+type oracle_instance = {
+  ow : int;
+  oh : int;
+  oobstacles : Point.t list;
+  oclaim : Point.t list;
+  opins : Point.t list;
+  oreqs : Escape.request list;
+}
+
+let prop_escape_matches_oracles =
+  (* The cell-level seed, the flood-fill grouping and the whole route
+     against the split-graph seed, the cell union-find and a route built
+     from them (test/escape_oracle.ml), on random grids with obstacles,
+     claimed blocks and 2-6 requests. Two thirds of the grids get an
+     obstacle wall that splits them into two regions (several groups);
+     half of those get a pin on the wall's boundary end whose two boundary
+     neighbours are start cells of requests 0 and 1 on either side, so
+     the pin touches both regions and fuses them. Some instances also
+     list a pin as a start cell. One workspace serves every grouping call,
+     so its leased slots are always dirty. *)
+  let gen =
+    QCheck.Gen.(
+      let* ow = int_range 8 14 and* oh = int_range 8 14 in
+      let interior =
+        let* x = int_range 1 (ow - 2) and* y = int_range 1 (oh - 2) in
+        return (Point.make x y)
+      in
+      let* wall = int_range 0 2 in
+      let* c = int_range 3 (ow - 4) in
+      let* bridge = bool in
+      let wall_cells = if wall > 0 then List.init (oh - 2) (fun k -> Point.make c (k + 1)) else [] in
+      let* n_obs = int_range 0 8 in
+      let* obs = list_size (return n_obs) interior in
+      let* n_pin = int_range 1 6 in
+      let* pins =
+        list_size (return n_pin)
+          (let* side = int_range 0 3 in
+           let* x = int_range 1 (ow - 2) and* y = int_range 1 (oh - 2) in
+           return
+             (match side with
+              | 0 -> Point.make 0 y
+              | 1 -> Point.make (ow - 1) y
+              | 2 -> Point.make x 0
+              | _ -> Point.make x (oh - 1)))
+      in
+      let* n_req = int_range 2 6 in
+      let* raw =
+        list_size (return n_req)
+          (let* k = int_range 1 3 in
+           list_size (return k) interior)
+      in
+      let* n_blocks = int_range 0 3 in
+      let* blocks =
+        list_size (return n_blocks)
+          (let* p = interior and* w = int_range 1 3 and* h = int_range 1 2 in
+           return
+             (List.concat
+                (List.init w (fun dx ->
+                   List.init h (fun dy -> Point.make (p.Point.x + dx) (p.Point.y + dy))))))
+      in
+      let* pin_start = bool and* pin_pick = int_range 0 5 and* req_pick = int_range 0 5 in
+      let raw = Array.of_list raw in
+      let bridged = wall > 0 && bridge in
+      if bridged then begin
+        raw.(0) <- Point.make (c - 1) 0 :: raw.(0);
+        raw.(1) <- Point.make (c + 1) 0 :: raw.(1)
+      end;
+      let pins = if bridged then Point.make c 0 :: pins else pins in
+      let pins = List.sort_uniq Point.compare pins in
+      if pin_start then begin
+        let p = List.nth pins (pin_pick mod List.length pins) in
+        let k = req_pick mod n_req in
+        raw.(k) <- p :: raw.(k)
+      end;
+      let starts = List.concat (Array.to_list raw) in
+      let free_of_starts = List.filter (fun o -> not (List.exists (Point.equal o) starts)) in
+      let interior_cell (p : Point.t) = p.x < ow - 1 && p.y < oh - 1 in
+      return
+        { ow; oh;
+          oobstacles = free_of_starts (wall_cells @ obs);
+          oclaim = List.filter interior_cell (List.concat blocks);
+          opins = pins;
+          oreqs =
+            Array.to_list
+              (Array.mapi
+                 (fun i cells ->
+                   { Escape.cluster_idx = i; start_cells = List.sort_uniq Point.compare cells })
+                 raw) })
+  in
+  let pp_pts = Format.pp_print_list Point.pp in
+  let print t =
+    Format.asprintf "%dx%d obstacles=[%a] claim=[%a] pins=[%a] reqs=[%a]" t.ow t.oh pp_pts
+      t.oobstacles pp_pts t.oclaim pp_pts t.opins
+      (Format.pp_print_list (fun ppf (r : Escape.request) ->
+         Format.fprintf ppf "#%d:%a" r.Escape.cluster_idx pp_pts r.Escape.start_cells))
+      t.oreqs
+  in
+  let group_ws = Pacor_route.Workspace.create () in
+  let fresh () = Pacor_route.Workspace.create () in
+  let searches ws =
+    (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
+      .Pacor_route.Search_stats.searches
+  in
+  let same_outcome (a : Escape.outcome) (b : Escape.outcome) =
+    let key (e : Escape.routed) = (e.idx, e.start_cell, e.pin, Path.points e.path) in
+    List.map key a.routed = List.map key b.routed
+    && a.failed = b.failed && a.total_length = b.total_length
+  in
+  QCheck.Test.make ~name:"escape seed, groups and route match the split-graph oracles"
+    ~count:300 (QCheck.make ~print gen) (fun t ->
+      let grid =
+        Routing_grid.create ~width:t.ow ~height:t.oh
+          ~obstacles:
+            (List.map
+               (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y)
+               t.oobstacles)
+          ()
+      in
+      let claimed =
+        Point.Set.of_list
+          (List.concat_map (fun (r : Escape.request) -> r.start_cells) t.oreqs @ t.oclaim)
+      in
+      let pins = t.opins and reqs = t.oreqs in
+      let roles = Escape.compute_roles ~grid ~claimed ~pins reqs in
+      let h = Escape.seed_heights (fresh ()) ~grid ~roles ~pins reqs in
+      let h_oracle = Escape_oracle.escape_split_seed (fresh ()) ~grid ~roles reqs in
+      let bad_node = ref (-1) in
+      Array.iteri (fun v hv -> if !bad_node < 0 && h v <> hv then bad_node := v) h_oracle;
+      if !bad_node >= 0 then
+        QCheck.Test.fail_reportf "seed differs at node %d: cell BFS %d, split graph %d"
+          !bad_node (h !bad_node) h_oracle.(!bad_node);
+      let groups =
+        Escape.group_requests ~workspace:group_ws ~grid ~roles ~pins (Array.of_list reqs)
+      in
+      let groups_oracle = Escape_oracle.union_find_groups ~grid ~roles ~pins (Array.of_list reqs) in
+      let same_groups =
+        match groups, groups_oracle with
+        | None, None -> true
+        | Some (g, p), Some (g', p') ->
+          g = g' && Array.length p = Array.length p'
+          && Array.for_all2 (List.equal Point.equal) p p'
+        | Some _, None | None, Some _ -> false
+      in
+      if not same_groups then QCheck.Test.fail_report "groups differ from the union-find";
+      let ws = fresh () and ws_oracle = fresh () in
+      match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
+      | Error e -> QCheck.Test.fail_reportf "route error: %s" e
+      | Ok out ->
+        let oracle = Escape_oracle.route ws_oracle ~grid ~claimed ~pins reqs in
+        if not (same_outcome out oracle) then
+          QCheck.Test.fail_report "routes differ from the oracle route"
+        else if searches ws <> searches ws_oracle then
+          QCheck.Test.fail_reportf "searches %d <> oracle %d" (searches ws)
+            (searches ws_oracle)
+        else true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
-      prop_three_solvers_agree; prop_grid_agrees_under_threshold ]
+      prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles ]
 
 let () =
   Alcotest.run "flow"

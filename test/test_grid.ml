@@ -243,10 +243,35 @@ let test_packed_roles_roundtrip () =
    | () -> Alcotest.fail "checked_set must refuse roles above 3"
    | exception Invalid_argument _ -> ())
 
+let prop_fill_masks_match_free =
+  (* The eight-cells-per-step fills against the per-cell predicates, on
+     grids whose cell count is rarely a multiple of eight, into buffers
+     that start dirty and run past the grid. *)
+  QCheck.Test.make ~name:"fill_free / fill_interior_free = per-cell free" ~count:200
+    QCheck.(triple (int_range 1 23) (int_range 1 23) (small_list (pair small_nat small_nat)))
+    (fun (w, h, obs) ->
+      let grid =
+        Routing_grid.create ~width:w ~height:h
+          ~obstacles:(List.map (fun (x, y) -> Rect.make ~x0:(x mod w) ~y0:(y mod h) ~x1:(x mod w) ~y1:(y mod h)) obs)
+          ()
+      in
+      let n = w * h in
+      let b = Bytes.make (n + 9) '\007' and c = Bytes.make (n + 9) '\007' in
+      Obstacle_map.fill_free (Routing_grid.obstacles grid) b;
+      Routing_grid.fill_interior_free grid c;
+      let ok = ref (Bytes.get b n = '\007' && Bytes.get c n = '\007') in
+      for i = 0 to n - 1 do
+        let free = Routing_grid.free_i grid i in
+        if Bytes.get b i <> (if free then '\001' else '\000') then ok := false;
+        if Bytes.get c i <> (if free && not (Routing_grid.on_boundary_i grid i) then '\001' else '\000')
+        then ok := false
+      done;
+      !ok)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_path_roundtrip; prop_path_length; prop_reverse_involution;
-      prop_obstacle_count_tracks_operations ]
+      prop_obstacle_count_tracks_operations; prop_fill_masks_match_free ]
 
 let () =
   Alcotest.run "grid"

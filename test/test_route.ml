@@ -73,10 +73,11 @@ let test_astar_extra_cost_steers () =
   let g = grid 10 5 in
   let obs = Routing_grid.fresh_work_map g in
   let spec =
-    Astar.point_spec ~grid:g
-      ~usable:(fun p -> Obstacle_map.free obs p)
-      ~extra_cost:(fun (p : Point.t) ->
-        if p.y = 2 && p.x >= 2 && p.x <= 7 then 10 * Astar.cost_scale else 0)
+    { Astar.usable = (fun i -> Obstacle_map.free_i obs i);
+      extra_cost =
+        (fun i ->
+          let p = Routing_grid.point_of_index g i in
+          if p.y = 2 && p.x >= 2 && p.x <= 7 then 10 * Astar.cost_scale else 0) }
   in
   match
     Astar.search ~grid:g ~spec ~sources:[ Point.make 0 2 ] ~targets:[ Point.make 9 2 ] ()

@@ -399,9 +399,175 @@ let test_certificate_detoured_escape_fails () =
       (Some "an escape exceeds its pin-to-channel-box lower bound") (certify_failure sol);
     Alcotest.(check bool) "validates" true (Solution.validate sol = Ok ())
 
+(* ---------- Mask vs set predicates (refinement equivalence) ---------- *)
+
+(* [Escape_stage.single], [Detour_stage.detour_one] and [Detour_stage.run]
+   read a byte mask leased from the workspace; test/refine_oracle.ml keeps
+   their [Point.Set]-predicate versions. Both must return identical
+   routes. One workspace serves every mask call, so its leased mask slot
+   always holds the previous call's contents. *)
+
+let mask_ws = Pacor_route.Workspace.create ()
+
+let route_key (r : Routed.t) =
+  let legs =
+    match r.shape with
+    | Some (Routed.Tree { edge_paths; _ }) ->
+      List.map (fun (c, p) -> (c, Path.points p)) edge_paths
+    | Some (Routed.Pair _) | None -> []
+  in
+  (r.cluster.Cluster.id, Point.Set.elements r.claimed, legs)
+
+let escape_key = function
+  | None -> None
+  | Some (e : Pacor_flow.Escape.routed) -> Some (e.start_cell, e.pin, Path.points e.path)
+
+let claims rs =
+  List.fold_left (fun acc (r : Routed.t) -> Point.Set.union acc r.claimed) Point.Set.empty rs
+
+let path_cells = function
+  | None -> Point.Set.empty
+  | Some (e : Pacor_flow.Escape.routed) -> Point.Set.of_list (Path.points e.path)
+
+(* Compare all three stages on [routed] (with [escapes], one per route)
+   under [blocked_base] (valve and pin cells): one [run], [detour_one] on
+   every tree and [single] on every [stride]-th cluster (each [single] is
+   a real search, so the named designs sample them). Returns how many
+   calls were compared. *)
+let check_refinement ?(stride = 1) ~label ~grid ~pins ~delta ~blocked_base routed escapes =
+  let theta = Config.default.Config.theta in
+  let escape_cells = List.fold_left (fun acc e -> Point.Set.union acc (path_cells e)) Point.Set.empty escapes in
+  let blocked = Point.Set.union blocked_base (Point.Set.union (claims routed) escape_cells) in
+  let a = Detour_stage.run ~workspace:mask_ws ~grid ~delta ~theta ~blocked routed in
+  let b = Refine_oracle.run ~grid ~delta ~theta ~blocked routed in
+  Alcotest.(check bool) (label ^ ": run routes") true
+    (List.map route_key a.updated = List.map route_key b.updated);
+  Alcotest.(check (list int)) (label ^ ": run matched") b.matched_ids a.matched_ids;
+  Alcotest.(check (list int)) (label ^ ": run unmatched") b.unmatched_ids a.unmatched_ids;
+  let calls = ref 1 in
+  List.iteri
+    (fun k (r : Routed.t) ->
+      let others = List.filteri (fun j _ -> j <> k) routed in
+      let others_escapes = List.filteri (fun j _ -> j <> k) escapes in
+      let forbidden =
+        List.fold_left
+          (fun acc e -> Point.Set.union acc (path_cells e))
+          (claims others) others_escapes
+      in
+      let used_pins =
+        List.filter_map (Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin)) others_escapes
+      in
+      let free_pins = List.filter (fun p -> not (List.exists (Point.equal p) used_pins)) pins in
+      if k mod stride = 0 then begin
+        let claimed = Point.Set.union forbidden r.claimed in
+        let start_cells = Routed.start_cells r in
+        let e =
+          Escape_stage.single ~workspace:mask_ws ~grid ~claimed ~pins:free_pins ~start_cells ()
+        in
+        let e' = Refine_oracle.single ~grid ~claimed ~pins:free_pins ~start_cells () in
+        incr calls;
+        Alcotest.(check bool) (Printf.sprintf "%s: single %d" label k) true
+          (escape_key e = escape_key e')
+      end;
+      match r.shape with
+      | Some (Routed.Tree _) ->
+        let blocked =
+          Point.Set.union blocked_base (Point.Set.union forbidden (path_cells (List.nth escapes k)))
+        in
+        let x, ok = Detour_stage.detour_one ~workspace:mask_ws ~grid ~delta ~theta ~blocked r in
+        let y, ok' = Refine_oracle.detour_one ~grid ~delta ~theta ~blocked r in
+        incr calls;
+        Alcotest.(check bool) (Printf.sprintf "%s: detour_one %d" label k) true
+          (route_key x = route_key y && ok = ok')
+      | Some (Routed.Pair _) | None -> ())
+    routed;
+  !calls
+
+(* The engine's inputs to the refinement stages on a named design: its
+   length-matched routes and their global escapes. *)
+let check_design label (problem : Problem.t) =
+  let grid = problem.Problem.grid in
+  let blocked_base =
+    Point.Set.of_list
+      (problem.Problem.pins @ List.map (fun (v : Valve.t) -> v.position) problem.Problem.valves)
+  in
+  let clusters =
+    match Clustering.cluster ~seeds:problem.Problem.lm_clusters problem.Problem.valves with
+    | Ok p -> p.Clustering.clusters
+    | Error e -> Alcotest.failf "%s: clustering: %s" label e
+  in
+  let lm =
+    Cluster_route.route ~config:Config.default ~grid ~valve_cells:blocked_base clusters
+  in
+  let routed = lm.Cluster_route.routed in
+  match Escape_stage.run ~workspace:mask_ws ~grid ~pins:problem.Problem.pins routed with
+  | Error e -> Alcotest.failf "%s: escape: %s" label e
+  | Ok out ->
+    let escapes = List.map (fun (a : Escape_stage.assignment) -> a.escape) out.assignments in
+    let calls =
+      check_refinement ~stride:4 ~label ~grid ~pins:problem.Problem.pins
+        ~delta:problem.Problem.delta ~blocked_base routed escapes
+    in
+    Alcotest.(check bool) (label ^ ": compared a quarter of the clusters or more") true
+      (4 * calls > List.length routed)
+
+let test_refinement_masks_chip1 () =
+  check_design "Chip1" (Pacor_designs.Table1.load_exn "Chip1")
+
+let test_refinement_masks_scaled2 () =
+  check_design "Scaled2" (Pacor_designs.Scaled.load_exn 2)
+
+let prop_refinement_masks_random_trees =
+  (* Two random tree clusters routed together on a small grid, with
+     scattered blockages: the blockages squeeze the detours, so the bump
+     insertion and the bounded-search fallback both run, and the second
+     cluster's detours see the first one's updated channels. *)
+  let gen =
+    QCheck.Gen.(
+      let valve =
+        let* x = int_range 2 17 and* y = int_range 2 17 in
+        return (x, y)
+      in
+      let* n1 = int_range 3 4 and* n2 = int_range 3 4 in
+      let* valves = list_size (return (n1 + n2)) valve in
+      let* nblock = int_range 0 60 in
+      let* blocks =
+        list_size (return nblock)
+          (let* x = int_range 1 18 and* y = int_range 1 18 in
+           return (Point.make x y))
+      in
+      let* delta = int_range 0 2 in
+      return (n1, valves, blocks, delta))
+  in
+  QCheck.Test.make ~name:"detour and single escape: mask = set predicate" ~count:100
+    (QCheck.make gen) (fun (n1, valves, blocks, delta) ->
+      QCheck.assume (List.length (List.sort_uniq compare valves) = List.length valves);
+      let grid = Routing_grid.create ~width:20 ~height:20 () in
+      let vs = List.mapi (fun i (x, y) -> mk_valve i x y "01") valves in
+      let c1 = Cluster.make_exn ~id:0 ~length_matched:true (List.filteri (fun i _ -> i < n1) vs) in
+      let c2 = Cluster.make_exn ~id:1 ~length_matched:true (List.filteri (fun i _ -> i >= n1) vs) in
+      let valve_cells = Point.Set.of_list (List.map (fun (v : Valve.t) -> v.position) vs) in
+      let routed =
+        (Cluster_route.route ~config:Config.default ~grid ~valve_cells [ c1; c2 ])
+          .Cluster_route.routed
+      in
+      QCheck.assume (routed <> []);
+      let own = claims routed in
+      let blocked_base =
+        List.fold_left
+          (fun acc p -> if Point.Set.mem p own then acc else Point.Set.add p acc)
+          valve_cells blocks
+      in
+      let pins = [ Point.make 0 3; Point.make 19 11; Point.make 7 0; Point.make 12 19 ] in
+      ignore
+        (check_refinement ~label:"random" ~grid ~pins ~delta ~blocked_base routed
+           (List.map (fun _ -> None) routed));
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_engine_routes_random_instances; prop_variants_all_valid ]
+    [ prop_engine_routes_random_instances; prop_variants_all_valid;
+      prop_refinement_masks_random_trees ]
 
 let () =
   Alcotest.run "stages"
@@ -415,7 +581,11 @@ let () =
       ( "detour_stage",
         [ Alcotest.test_case "fixes imbalance" `Quick test_detour_stage_fixes_imbalance;
           Alcotest.test_case "skips plain" `Quick test_detour_stage_skips_plain;
-          Alcotest.test_case "restores on failure" `Quick test_detour_one_restores_on_failure ] );
+          Alcotest.test_case "restores on failure" `Quick test_detour_one_restores_on_failure;
+          Alcotest.test_case "mask = set predicate on Chip1" `Quick
+            test_refinement_masks_chip1;
+          Alcotest.test_case "mask = set predicate on Scaled2" `Quick
+            test_refinement_masks_scaled2 ] );
       ( "render",
         [ Alcotest.test_case "problem" `Quick test_render_problem;
           Alcotest.test_case "solution" `Quick test_render_solution;
