@@ -1054,7 +1054,7 @@ let print_route_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Escape bench: the three-way min-cost-flow solver race behind        *)
-(* BENCH_escape.json. Grid (CSR + persistent potentials + 0-1-BFS) is  *)
+(* BENCH_escape.json. Grid (implicit rows + potentials + 0-1-BFS) is   *)
 (* the engine default; Spfa and Dijkstra are the general-purpose       *)
 (* solvers it must match outcome-for-outcome. Fingerprints carry the   *)
 (* per-instance (routed, length) of all three solvers plus the         *)

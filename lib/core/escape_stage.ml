@@ -27,7 +27,7 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
     let cells = Routing_grid.cells grid in
     let mask =
       match workspace with
-      | Some ws -> Pacor_route.Workspace.scratch_bytes ws ~slot:5 ~len:cells
+      | Some ws -> Pacor_route.Workspace.scratch_bytes ws ~slot:3 ~len:cells
       | None -> Bytes.create cells
     in
     Routing_grid.fill_interior_free grid mask;

@@ -23,10 +23,10 @@ type outcome = {
 
 (* Cell roles in the flow network, packed two bits per cell. Precedence
    (highest wins): blocked > pin > start > claimed > boundary > ordinary. *)
-let role_excluded = 0  (* obstacle, non-pin boundary, foreign claim *)
-let role_ordinary = 1  (* free interior transit cell *)
-let role_pin = 2       (* candidate control pin: sink only *)
-let role_start = 3     (* claimed cell usable as some cluster's source *)
+let role_excluded = Mcmf_grid.role_excluded (* obstacle, non-pin boundary, foreign claim *)
+let role_ordinary = Mcmf_grid.role_ordinary (* free interior transit cell *)
+let role_pin = Mcmf_grid.role_pin (* candidate control pin: sink only *)
+let role_start = Mcmf_grid.role_start (* claimed cell usable as some cluster's source *)
 
 (* Dense role layer indexed by [Routing_grid.index]: the
    O(log n)-per-probe [Point.Set.mem] lookups of the old builder become
@@ -73,8 +73,9 @@ let compute_roles ?workspace ~grid ~claimed ~pins requests =
    one node per request and a super source/sink. [emit] is called once per
    arc with (src, dst, cost), in a deterministic order — row-major cells,
    neighbours in [Routing_grid.iter_neighbours4] order, then request arcs
-   in input order — which both the two-pass CSR builder and the
-   decomposition tie-break rely on. *)
+   in input order. [Mcmf_grid] enumerates exactly these arcs from the
+   role layer, in the row order a CSR built from this emission would
+   have; the decomposition tie-break relies on that order. *)
 let emit_network ~grid ~roles requests ~emit =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
@@ -100,22 +101,15 @@ let emit_network ~grid ~roles requests ~emit =
          r.start_cells)
     requests
 
-(* With a workspace the network's arrays are leased from its scratch
-   pool; every caller is done with the network before it returns. *)
-let build_grid_network ?workspace ~grid ~roles requests =
-  let cells = Routing_grid.cells grid in
-  let nreq = List.length requests in
-  let n = (2 * cells) + nreq + 2 in
-  let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
-  let emit_arcs f =
-    emit_network ~grid ~roles requests ~emit:(fun src dst cost -> f ~src ~dst ~cost)
+(* The [Mcmf_grid] network of [requests] over [roles]. *)
+let grid_network ?workspace ~grid ~roles requests =
+  let starts =
+    Array.of_list
+      (List.map
+         (fun r -> Array.of_list (List.map (Routing_grid.index grid) r.start_cells))
+         requests)
   in
-  let net =
-    match workspace with
-    | Some ws -> Mcmf_grid.build_on ws ~n ~source ~sink ~emit_arcs
-    | None -> Mcmf_grid.build ~n ~source ~sink ~emit_arcs
-  in
-  (net, source, sink)
+  Mcmf_grid.create ?workspace ~grid ~roles starts
 
 let validate ~grid ~pins requests =
   let bad_pin =
@@ -160,8 +154,7 @@ let feasibility_bound ?workspace ~grid ~claimed ~pins requests =
   | Error _ -> 0
   | Ok () ->
     let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
-    let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
-    Mcmf_grid.max_flow ?workspace net
+    Mcmf_grid.max_flow ?workspace (grid_network ?workspace ~grid ~roles requests)
 
 (* Goal-direction seed for [Mcmf_grid.seed]. In the node-split network
    only ordinary cells transit, so every node's distance to the sink is a
@@ -258,23 +251,19 @@ let seed_heights ws ~grid ~roles ~pins requests =
    around it even though flow can only end there: the grouping is
    conservative, never finer than the flow allows. Each region is one
    flood fill from a request's first unlabelled live start cell, labelling
-   cells in [comp] (the CSR's [deg] slot 4, dead until [build_on]) with
-   slot 5 as the stack; a small union-find over region ids records the
-   fusions. Returns [None] for at most one group, else each request's
-   group (groups numbered in first-request order; a request with no live
-   start rides with group 0, where its subsolve fails it as the joint
-   solve would) and each group's pins in input order (a pin no live
-   request can reach is dropped: it carries no flow). *)
+   cells in [comp] (workspace int slot 4) with slot 5 as the stack; a
+   small union-find over region ids records the fusions. Returns [None]
+   for at most one group, else each request's group (groups numbered in
+   first-request order; a request with no live start rides with group 0,
+   where its subsolve fails it as the joint solve would) and each group's
+   pins in input order (a pin no live request can reach is dropped: it
+   carries no flow). *)
 let group_requests ?workspace ~grid ~roles ~pins req_arr =
   let cells = Routing_grid.cells grid in
   let nreq = Array.length req_arr in
   let comp, stack =
     match workspace with
-    | Some ws ->
-      (* Leased at the network's size, which [build_on] asks of the same
-         slots next, so a cold workspace grows each slot once. *)
-      let n = (2 * cells) + nreq + 3 in
-      (W.scratch_int ws ~slot:4 ~cells:n, W.scratch_int ws ~slot:5 ~cells:n)
+    | Some ws -> (W.scratch_int ws ~slot:4 ~cells, W.scratch_int ws ~slot:5 ~cells)
     | None -> (Array.make cells 0, Array.make cells 0)
   in
   Array.fill comp 0 cells (-1);
@@ -394,7 +383,7 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests =
       match solver with
       | Grid ->
         let ws = match workspace with Some ws -> ws | None -> W.create () in
-        let net, _source, _sink = build_grid_network ?workspace ~grid ~roles requests in
+        let net = grid_network ~workspace:ws ~grid ~roles requests in
         if nreq >= 2 then Mcmf_grid.seed net ~h:(seed_heights ws ~grid ~roles ~pins requests);
         let (_ : Mcmf_grid.outcome) =
           Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net

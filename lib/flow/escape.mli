@@ -35,7 +35,7 @@ type outcome = {
 type solver =
   | Dijkstra  (** {!Mcmf}: Dijkstra with potentials *)
   | Spfa      (** {!Mcmf_spfa}: Bellman–Ford queue augmentation *)
-  | Grid      (** {!Mcmf_grid}: CSR + persistent potentials + 0-1-BFS *)
+  | Grid      (** {!Mcmf_grid}: implicit rows + persistent potentials + 0-1-BFS *)
 
 val route :
   ?alive:(unit -> bool) ->
@@ -65,11 +65,12 @@ val route :
 
     [workspace] supplies the reusable search state (and attached
     {!Pacor_route.Budget}) for the [Grid] solver's seed BFS and
-    augmentation rounds; the other solvers keep private state and ignore
-    it.
+    augmentation rounds, and the scratch slots its network's flow state
+    is leased from; the other solvers keep private state and ignore it.
 
     [solver] picks the min-cost-flow engine; the default is [Grid], the
-    escape-specialised CSR solver, which [bench --escape-bench] measures
+    escape-specialised solver that reads its rows off the role layer,
+    which [bench --escape-bench] measures
     as the fastest by a wide margin at Chip1 scale (see EXPERIMENTS.md).
     All three produce cost-optimal flows with identical
     (routed count, total length) outcomes — the benchmark and a qcheck
@@ -96,17 +97,18 @@ val feasibility_bound :
   request list ->
   int
 (** Maximum number of clusters {e any} escape assignment could route: the
-    max flow of the escape network with costs ignored (BFS augmentation on
-    the same CSR network {!route} solves over; the tests cross-check it
-    against the independent {!Maxflow} Dinic solver). [route] always
-    routes exactly this many, which the tests assert. Returns 0 on
-    malformed inputs. *)
+    max flow of the escape network with costs ignored (costless BFS rounds
+    on the same {!Mcmf_grid} network {!route} solves over; the tests
+    cross-check it against the independent {!Maxflow} Dinic solver).
+    [route] always routes exactly this many, which the tests assert.
+    Returns 0 on malformed inputs. *)
 
 (** {2 Network internals}
 
     For the differential oracles in the tests, which rebuild the escape
-    network and check the seed and the grouping against a split-graph
-    search and a union-find; {!route} is the entry point. *)
+    network as an explicit CSR and check the implicit rows, the seed and
+    the grouping against it, a split-graph search and a union-find;
+    {!route} is the entry point. *)
 
 (** Cell roles: excluded (obstacle, non-pin boundary, foreign claim),
     ordinary (free interior transit), pin (sink only) and start (some
@@ -133,9 +135,22 @@ val emit_network :
   request list ->
   emit:(int -> int -> int -> unit) ->
   unit
-(** [emit src dst cost] per forward arc, in CSR order. Cell [i] is split
-    into nodes [2i] (in) and [2i + 1] (out); request [k] is node
-    [2 * cells + k]; the source and then the sink follow. *)
+(** [emit src dst cost] per forward arc, in emission order: row-major
+    cells, neighbours in [Routing_grid.iter_neighbours4] order, then the
+    request arcs. Cell [i] is split into nodes [2i] (in) and [2i + 1]
+    (out); request [k] is node [2 * cells + k]; the source and then the
+    sink follow. This order is the row-order contract of {!Mcmf_grid},
+    which enumerates the same arcs without emitting them; the [Dijkstra]
+    and [Spfa] solvers and the tests' CSR oracle consume it directly. *)
+
+val grid_network :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  roles:Packed_roles.t ->
+  request list ->
+  Mcmf_grid.t
+(** The {!Mcmf_grid} network of these requests over [roles] (which must
+    be {!compute_roles} of them): the arcs {!emit_network} emits. *)
 
 val seed_heights :
   Pacor_route.Workspace.t ->

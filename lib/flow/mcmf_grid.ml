@@ -1,68 +1,74 @@
-(* Unit-capacity min-cost max-flow specialised for the escape network.
+(* Unit-capacity min-cost max-flow over the escape network, read straight
+   off the cell-role layer.
 
-   The escape graph (Escape.emit_network) is special three ways, and this
-   solver exploits all of them:
+   The network is Escape.emit_network's node-split grid (cell i is nodes
+   in(i) = 2i and out(i) = 2i + 1, request k is 2 * cells + k, then the
+   source and the sink), and every arc of it follows from one cell's role
+   and its neighbours' roles plus the request list. So nothing is stored
+   but flow: [iter_row] enumerates a node's residual row in exactly the
+   order a CSR built from [emit_network] holds it (the .mli lists it),
+   each arc at a fixed row position, its port: in(i) 0-4 (reverse from
+   -w, reverse from -1, own arc, reverse from +1, reverse from +w); out(i)
+   0 for the reverse of in -> out, 1 + d for direction d (+1, -1, +w, -w),
+   5 + j for the j-th request arc in [by_cell]; request k 0 for the
+   reverse of source -> k, 1 + a for request arc a; the source k. Ports
+   increase along a row, so a parent stored as [port * n + predecessor]
+   names the residual arc exactly (a request may list one start cell
+   twice, so the predecessor alone would not), with no fixed bit width.
 
-   - every arc has capacity 1 and cost 0 or 1, so arc state packs into
-     bytes: residual capacity is one byte, cost is stored as [cost + 1]
-     (reverse arcs carry [-cost], so stored values span 0..2);
+   Flow is one byte per cell — bit d (0-3) on out(i) -> in(nbr_d), bit 4
+   on in(i)'s own arc — plus [rflow] per request arc and [sflow] per
+   request. Capacities are all 1, so a forward arc's residual capacity is
+   1 - flow and its reverse arc's is the flow, and pushing a unit along
+   either flips one bit ([flip]).
 
-   - the arc set never changes between the feasibility probe and the
-     routing solve, so the adjacency is CSR — [off.(v) .. off.(v+1) - 1]
-     are v's arcs in emission order — built exactly once by running the
-     caller's [emit_arcs] twice (count pass, then fill pass), and [reset]
-     restores initial capacities for a second solve on the same structure;
-     [build_on] leases every array from a workspace's scratch pool, so a
-     warm workspace builds the megabyte-scale network without allocating;
+   Rounds. Successive shortest paths need only the distance to the sink,
+   so each round is a search over reduced costs that stops the moment the
+   sink settles and carries Johnson potentials to the next round; all
+   per-round state (dist/parent/closed, both queues, the settle trail)
+   lives in a generation-stamped Pacor_route.Workspace. An unseeded solve
+   starts with a 0-1-BFS over raw costs. [seed] sets [pot(v) = -h(v)]
+   from the caller's exact sink distances, a feasible potential, so
+   Dijkstra on the reduced costs is an A* search toward the sink
+   (Goldberg & Harrelson); nodes without an [h] are dead and never
+   relaxed, since residual arcs out of a sink-unreachable set only lead
+   back into it and augmentation adds arcs between sink-reachable nodes
+   only. After a round with sink distance [d], the textbook update
+   [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) - d] to
+   the settled nodes only: the same reduced costs, heap order and paths
+   in O(settled), and a path's true cost is [d + pot(sink) -
+   pot(source)].
 
-   - successive-shortest-path rounds need only the distance to the sink,
-     so each round is a search over reduced costs that stops the moment
-     the sink is settled and carries Johnson potentials to the next round
-     — no Bellman-Ford, no whole-graph relaxation, no per-round
-     allocation: dist/parent/closed state, both queues and the settle
-     trail live in a generation-stamped Pacor_route.Workspace.
+   Determinism: rows keep the emission order, heap ties break on
+   Pqueue's fixed order, and [decompose_paths] follows the first forward
+   arc in row order still carrying flow, so the paths are those of the
+   same rounds over a CSR of [emit_network] (test/mcmf_csr.ml, kept as
+   the differential oracle). *)
 
-   Goal direction. A caller that knows every node's exact distance [h]
-   to the sink in the initial residual graph hands it over through
-   [seed], which sets [pot(v) = -h(v)]. [h] is consistent, so the seeded
-   potential is feasible, and Dijkstra over the reduced costs it induces
-   is an A* search toward the sink (Goldberg & Harrelson): each round
-   settles little beyond the cheapest augmenting path instead of a third
-   of the graph. Nodes without an [h] are marked dead and never relaxed:
-   residual arcs out of a sink-unreachable set only ever lead back into
-   it, and augmentation adds arcs between sink-reachable nodes only, so no
-   later residual graph reconnects them. The escape network computes [h]
-   with one BFS over grid cells (Escape), far cheaper than a search over
-   the node-split graph; this module never searches for it itself. An
-   unseeded solve starts with a 0-1-BFS over raw costs.
-
-   Lazy potentials. After a round with sink distance [d], the textbook
-   update [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) -
-   d] to the settled nodes only (read off the workspace's settle trail).
-   The two differ by the constant [d] on every node, which leaves reduced
-   costs, heap order and paths unchanged, and the round costs
-   O(settled) instead of O(n). Because potentials then float, a path's
-   true cost is [d + pot(sink) - pot(source)].
-
-   Determinism contract: arcs keep their emission order, ties in the heap
-   break on Pqueue's fixed order, and [decompose_paths] always follows the
-   lowest-index forward arc still carrying flow — so two runs over the
-   same network yield identical paths, independent of solver internals. *)
-
+open Pacor_grid
 module W = Pacor_route.Workspace
 module Stats = Pacor_route.Search_stats
 
+let role_excluded = 0
+let role_ordinary = 1
+let role_pin = 2
+let role_start = 3
+
 type t = {
+  roles : Packed_roles.t;
+  width : int;
+  cells : int;
+  nreq : int;
   n : int;
   source : int;
   sink : int;
-  m : int;                  (* total directed arcs, forward + reverse *)
-  off : int array;          (* CSR row offsets, length n + 1 *)
-  arc_dst : int array;
-  twin : int array;         (* paired residual arc *)
-  costb : Bytes.t;          (* arc cost + 1, so reverse costs fit a byte *)
-  fwdb : Bytes.t;           (* 1 iff forward arc (initial residual cap 1) *)
-  capb : Bytes.t;           (* current residual capacity, 0 or 1 *)
+  req_first : int array;    (* request k's arcs are [req_first.(k), req_first.(k+1)) *)
+  arc_cell : int array;     (* start cell of each request arc *)
+  arc_req : int array;      (* request of each request arc *)
+  by_cell : int array;      (* request arcs sorted by (start cell, arc) *)
+  fl : Bytes.t;             (* per-cell flow bits, see the header *)
+  rflow : Bytes.t;          (* flow on each request -> out(start) arc *)
+  sflow : Bytes.t;          (* flow on each source -> request arc *)
   pot : int array;          (* Johnson potentials, persistent across rounds *)
   dead : Bytes.t;           (* 1 iff [seed] found the sink unreachable *)
   mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
@@ -75,95 +81,174 @@ type t = {
 
 type outcome = { flow : int; cost : int; rounds : int }
 
-(* [ints slot len] / [bytes slot len] supply each array: fresh ones for
-   [build], workspace scratch leases for [build_on]. Leased contents are
-   arbitrary, so every element read later is written here first. *)
-let build_with ~ints ~bytes ~n ~source ~sink ~emit_arcs =
-  if n <= 0 then invalid_arg "Mcmf_grid.build: need at least one node";
-  if source < 0 || source >= n || sink < 0 || sink >= n || source = sink then
-    invalid_arg "Mcmf_grid.build: bad source/sink";
-  (* Pass 1: arc counts per node (each forward arc also has a reverse). *)
-  let deg = ints 4 n in
-  Array.fill deg 0 n 0;
-  let fwd_count = ref 0 in
-  emit_arcs (fun ~src ~dst ~cost ->
-    if src < 0 || src >= n || dst < 0 || dst >= n then
-      invalid_arg "Mcmf_grid.build: bad node";
-    if cost < 0 || cost > 1 then
-      invalid_arg "Mcmf_grid.build: cost must be 0 or 1";
-    incr fwd_count;
-    deg.(src) <- deg.(src) + 1;
-    deg.(dst) <- deg.(dst) + 1);
-  let m = 2 * !fwd_count in
-  let off = ints 5 (n + 1) in
-  off.(0) <- 0;
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + deg.(v)
-  done;
-  (* Pass 2: fill. [deg] becomes the per-node write cursor. The fill
-     writes every one of the [m] arc slots, or raises. *)
-  let cursor = deg in
-  Array.blit off 0 cursor 0 n;
-  let cap = max 1 m in
-  let arc_dst = ints 6 cap in
-  let twin = ints 7 cap in
-  let costb = bytes 1 cap in
-  let fwdb = bytes 2 cap in
-  Bytes.fill fwdb 0 m '\000';
-  let nondet () = invalid_arg "Mcmf_grid.build: emit_arcs is not deterministic" in
-  emit_arcs (fun ~src ~dst ~cost ->
-    if src < 0 || src >= n || dst < 0 || dst >= n || cost < 0 || cost > 1 then nondet ();
-    let a = cursor.(src) in
-    if a >= off.(src + 1) then nondet ();
-    cursor.(src) <- a + 1;
-    let b = cursor.(dst) in
-    if b >= off.(dst + 1) then nondet ();
-    cursor.(dst) <- b + 1;
-    arc_dst.(a) <- dst;
-    twin.(a) <- b;
-    Bytes.unsafe_set costb a (Char.unsafe_chr (cost + 1));
-    Bytes.unsafe_set fwdb a '\001';
-    arc_dst.(b) <- src;
-    twin.(b) <- a;
-    Bytes.unsafe_set costb b (Char.unsafe_chr (1 - cost)));
-  for v = 0 to n - 1 do
-    if cursor.(v) <> off.(v + 1) then nondet ()
-  done;
-  let capb = bytes 3 cap in
-  Bytes.blit fwdb 0 capb 0 m;
-  let pot = ints 8 n in
-  Array.fill pot 0 n 0;
-  let dead = bytes 4 n in
+let create ?workspace ~grid ~roles starts =
+  let cells = Routing_grid.cells grid in
+  if Packed_roles.length roles < cells then
+    invalid_arg "Mcmf_grid.create: role layer smaller than the grid";
+  let nreq = Array.length starts in
+  let n = (2 * cells) + nreq + 2 in
+  let req_first = Array.make (nreq + 1) 0 in
+  Array.iteri (fun k s -> req_first.(k + 1) <- req_first.(k) + Array.length s) starts;
+  let m = req_first.(nreq) in
+  let arc_cell = Array.make m 0 and arc_req = Array.make m 0 in
+  Array.iteri
+    (fun k s ->
+       Array.iteri
+         (fun pos i ->
+            if i < 0 || i >= cells then
+              invalid_arg "Mcmf_grid.create: start cell off the grid";
+            (* Only start and pin cells look up the request arcs into
+               their out node; any other start cell would lose them. *)
+            let r = Packed_roles.get roles i in
+            if r <> role_start && r <> role_pin then
+              invalid_arg "Mcmf_grid.create: start cell is neither a start nor a pin";
+            arc_cell.(req_first.(k) + pos) <- i;
+            arc_req.(req_first.(k) + pos) <- k)
+         s)
+    starts;
+  let by_cell = Array.init m (fun a -> a) in
+  Array.stable_sort (fun a b -> Int.compare arc_cell.(a) arc_cell.(b)) by_cell;
+  let ints, bytes =
+    match workspace with
+    | Some ws ->
+      ((fun slot len -> W.scratch_int ws ~slot ~cells:len),
+       fun slot len -> W.scratch_bytes ws ~slot ~len)
+    | None -> ((fun _ len -> Array.make len 0), fun _ len -> Bytes.create len)
+  in
+  (* Leased contents are arbitrary: fill what is read later. *)
+  let fl = bytes 1 cells in
+  Bytes.fill fl 0 cells '\000';
+  let dead = bytes 2 n in
   Bytes.fill dead 0 n '\000';
-  { n; source; sink; m; off; arc_dst; twin; costb; fwdb; capb; pot; dead;
-    pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
+  let pot = ints 6 n in
+  Array.fill pot 0 n 0;
+  { roles; width = Routing_grid.width grid; cells; nreq; n;
+    source = (2 * cells) + nreq; sink = (2 * cells) + nreq + 1;
+    req_first; arc_cell; arc_req; by_cell; fl;
+    rflow = Bytes.make m '\000'; sflow = Bytes.make nreq '\000';
+    pot; dead; pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
 
-let build ~n ~source ~sink ~emit_arcs =
-  build_with ~n ~source ~sink ~emit_arcs
-    ~ints:(fun _ len -> Array.make len 0)
-    ~bytes:(fun _ len -> Bytes.create len)
+let[@inline] role t i = Packed_roles.get t.roles i
+let[@inline] transit r = r = role_ordinary || r = role_start
+let[@inline] enterable r = r = role_ordinary || r = role_pin
+let[@inline] bit t i d = (Char.code (Bytes.unsafe_get t.fl i) lsr d) land 1
 
-let build_on ws ~n ~source ~sink ~emit_arcs =
-  build_with ~n ~source ~sink ~emit_arcs
-    ~ints:(fun slot len -> W.scratch_int ws ~slot ~cells:len)
-    ~bytes:(fun slot len -> W.scratch_bytes ws ~slot ~len)
-
-let node_count t = t.n
-let arc_count t = t.m
-
-let reset t =
-  Bytes.blit t.fwdb 0 t.capb 0 t.m;
-  Array.fill t.pot 0 t.n 0;
-  Bytes.fill t.dead 0 t.n '\000';
-  t.pot_zero <- true;
-  t.flow <- 0;
-  t.cost <- 0;
-  t.rounds <- 0;
-  t.solved <- false
-
-let[@inline] has_cap t a = Bytes.unsafe_get t.capb a = '\001'
-let[@inline] arc_cost t a = Char.code (Bytes.unsafe_get t.costb a) - 1
+let[@inline] byte b a = Char.code (Bytes.unsafe_get b a)
+let[@inline] flip_byte b a = Bytes.unsafe_set b a (Char.unsafe_chr (byte b a lxor 1))
+let[@inline] flip_bit t i d =
+  Bytes.unsafe_set t.fl i (Char.unsafe_chr (byte t.fl i lxor (1 lsl d)))
 let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
+
+(* Neighbour of cell [i] in direction [d] (+1, -1, +w, -w), or -1 off the
+   grid: the [Routing_grid.iter_neighbours4] order. *)
+let[@inline] nbr t i d =
+  let w = t.width in
+  match d with
+  | 0 -> if (i mod w) + 1 < w then i + 1 else -1
+  | 1 -> if i mod w > 0 then i - 1 else -1
+  | 2 -> if i + w < t.cells then i + w else -1
+  | _ -> if i >= w then i - w else -1
+
+(* First [by_cell] index whose arc starts at cell [i] or later. *)
+let lower_bound t i =
+  let lo = ref 0 and hi = ref (Array.length t.by_cell) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.arc_cell.(t.by_cell.(mid)) < i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [f port head cost cap] for every arc of node [u]'s row, in row order;
+   [cap] is the residual capacity, 0 or 1. *)
+let[@inline] iter_row t u f =
+  let base = 2 * t.cells in
+  if u < base then begin
+    let i = u lsr 1 in
+    let r = role t i in
+    if u land 1 = 0 then begin
+      if enterable r then begin
+        (* Reverse arcs out(j) -> in(i) from transit neighbours j; their
+           flow is j's bit for the direction back towards i. *)
+        let j = nbr t i 3 in
+        if j >= 0 && transit (role t j) then f 0 ((2 * j) + 1) (-1) (bit t j 2);
+        let j = nbr t i 1 in
+        if j >= 0 && transit (role t j) then f 1 ((2 * j) + 1) (-1) (bit t j 0);
+        f 2 (if r = role_pin then t.sink else u + 1) 0 (1 - bit t i 4);
+        let j = nbr t i 0 in
+        if j >= 0 && transit (role t j) then f 3 ((2 * j) + 1) (-1) (bit t j 1);
+        let j = nbr t i 2 in
+        if j >= 0 && transit (role t j) then f 4 ((2 * j) + 1) (-1) (bit t j 3)
+      end
+    end
+    else begin
+      if r = role_ordinary then f 0 (u - 1) 0 (bit t i 4);
+      if transit r then
+        for d = 0 to 3 do
+          let j = nbr t i d in
+          if j >= 0 && enterable (role t j) then f (1 + d) (2 * j) 1 (1 - bit t i d)
+        done;
+      if r = role_start || r = role_pin then begin
+        let j = ref (lower_bound t i) in
+        let m = Array.length t.by_cell in
+        while !j < m && t.arc_cell.(t.by_cell.(!j)) = i do
+          let a = t.by_cell.(!j) in
+          f (5 + !j) (base + t.arc_req.(a)) 0 (byte t.rflow a);
+          incr j
+        done
+      end
+    end
+  end
+  else if u < base + t.nreq then begin
+    let k = u - base in
+    f 0 t.source 0 (byte t.sflow k);
+    for a = t.req_first.(k) to t.req_first.(k + 1) - 1 do
+      f (1 + a) ((2 * t.arc_cell.(a)) + 1) 0 (1 - byte t.rflow a)
+    done
+  end
+  else if u = t.source then
+    for k = 0 to t.nreq - 1 do
+      f k (base + k) 0 (1 - byte t.sflow k)
+    done
+  else
+    for i = 0 to t.cells - 1 do
+      if role t i = role_pin then f i (2 * i) 0 (bit t i 4)
+    done
+
+let row t u =
+  let acc = ref [] in
+  iter_row t u (fun _port v c cap -> acc := (v, c, cap) :: !acc);
+  List.rev !acc
+
+(* Flip the flow bit behind the arc at [port] of [u]'s row: the arc's own
+   bit if it is a forward arc, its forward twin's if it is a reverse arc.
+   On an arc with residual capacity that pushes one unit along it; on a
+   forward arc carrying flow it takes the unit back off. *)
+let flip t u port =
+  let base = 2 * t.cells in
+  if u < base then begin
+    let i = u lsr 1 in
+    if u land 1 = 0 then
+      match port with
+      | 0 -> flip_bit t (i - t.width) 2
+      | 1 -> flip_bit t (i - 1) 0
+      | 2 -> flip_bit t i 4
+      | 3 -> flip_bit t (i + 1) 1
+      | _ -> flip_bit t (i + t.width) 3
+    else if port = 0 then flip_bit t i 4
+    else if port <= 4 then flip_bit t i (port - 1)
+    else flip_byte t.rflow t.by_cell.(port - 5)
+  end
+  else if u < base + t.nreq then begin
+    if port = 0 then flip_byte t.sflow (u - base) else flip_byte t.rflow (port - 1)
+  end
+  else flip_byte t.sflow port
+
+(* Forward arcs by row position; the sink's row has none. *)
+let is_forward t u port =
+  let base = 2 * t.cells in
+  if u < base then if u land 1 = 0 then port = 2 else port >= 1 && port <= 4
+  else if u < base + t.nreq then port >= 1
+  else u = t.source
 
 (* One 0-1-BFS round over raw costs (valid only while every potential is
    zero, when reduced cost = cost). [costless] treats every arc as free —
@@ -171,6 +256,22 @@ let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
    distance, or -1 when unreachable / budget exhausted. *)
 let round_01 t ws ~costless =
   let stats = W.stats ws in
+  let n = t.n in
+  let cur = ref 0 and du = ref 0 in
+  let relax port v c cap =
+    if cap = 1 then begin
+      Stats.touched stats;
+      let c = if costless then 0 else c in
+      let nd = !du + c in
+      if nd < W.dist ws v then begin
+        Stats.relaxed stats;
+        W.set_dist ws v nd;
+        W.set_parent ws v ((port * n) + !cur);
+        if (not costless) && c = 0 then W.deque_push_front ws v
+        else W.deque_push_back ws v
+      end
+    end
+  in
   W.set_dist ws t.source 0;
   W.deque_push_back ws t.source;
   let dsink = ref (-1) in
@@ -186,23 +287,9 @@ let round_01 t ws ~costless =
         running := false
       end
       else begin
-        let du = W.dist ws u in
-        let stop = t.off.(u + 1) in
-        for a = t.off.(u) to stop - 1 do
-          if has_cap t a then begin
-            Stats.touched stats;
-            let v = t.arc_dst.(a) in
-            let c = if costless then 0 else arc_cost t a in
-            let nd = du + c in
-            if nd < W.dist ws v then begin
-              Stats.relaxed stats;
-              W.set_dist ws v nd;
-              W.set_parent ws v a;
-              if (not costless) && c = 0 then W.deque_push_front ws v
-              else W.deque_push_back ws v
-            end
-          end
-        done
+        cur := u;
+        du := W.dist ws u;
+        iter_row t u relax
       end
     end
   done;
@@ -212,6 +299,20 @@ let round_01 t ws ~costless =
    nodes are skipped: they cannot lie on an augmenting path. *)
 let round_dijkstra t ws =
   let stats = W.stats ws in
+  let n = t.n in
+  let cur = ref 0 and du = ref 0 and pu = ref 0 in
+  let relax port v c cap =
+    if cap = 1 && not (is_dead t v) then begin
+      Stats.touched stats;
+      let nd = !du + c + !pu - t.pot.(v) in
+      if nd < W.dist ws v then begin
+        Stats.relaxed stats;
+        W.set_dist ws v nd;
+        W.set_parent ws v ((port * n) + !cur);
+        W.push ws ~prio:nd v
+      end
+    end
+  in
   W.set_dist ws t.source 0;
   W.push ws ~prio:0 t.source;
   let dsink = ref (-1) in
@@ -227,38 +328,23 @@ let round_dijkstra t ws =
         running := false
       end
       else begin
-        let du = W.dist ws u in
-        let pu = t.pot.(u) in
-        let stop = t.off.(u + 1) in
-        for a = t.off.(u) to stop - 1 do
-          if has_cap t a then begin
-            let v = t.arc_dst.(a) in
-            if not (is_dead t v) then begin
-              Stats.touched stats;
-              let nd = du + arc_cost t a + pu - t.pot.(v) in
-              if nd < W.dist ws v then begin
-                Stats.relaxed stats;
-                W.set_dist ws v nd;
-                W.set_parent ws v a;
-                W.push ws ~prio:nd v
-              end
-            end
-          end
-        done
+        cur := u;
+        du := W.dist ws u;
+        pu := t.pot.(u);
+        iter_row t u relax
       end
     end
   done;
   !dsink
 
-(* Flip the unit of flow along the parent-arc chain sink -> source. *)
+(* Push the unit of flow along the parent-arc chain sink -> source. *)
 let augment t ws =
   let v = ref t.sink in
   while !v <> t.source do
-    let a = W.parent ws !v in
-    Bytes.unsafe_set t.capb a '\000';
-    let b = t.twin.(a) in
-    Bytes.unsafe_set t.capb b '\001';
-    v := t.arc_dst.(b)
+    let p = W.parent ws !v in
+    let u = p mod t.n in
+    flip t u (p / t.n);
+    v := u
   done;
   t.flow <- t.flow + 1
 
@@ -331,35 +417,33 @@ let max_flow ?(alive = fun () -> true) ?workspace t =
   done;
   t.flow
 
-(* Lowest-index forward arc out of [v] still carrying flow (forward arc
-   with spent capacity), or -1. The "lowest CSR index" rule is the
+(* Take one unit off the first forward arc out of [v], in row order,
+   that carries flow and return its head, or -1 when none does: the
    deterministic tie-break when several unit paths cross one node. *)
-let flow_arc_from t v =
-  let stop = t.off.(v + 1) in
-  let found = ref (-1) in
-  let a = ref t.off.(v) in
-  while !found < 0 && !a < stop do
-    if Bytes.unsafe_get t.fwdb !a = '\001' && Bytes.unsafe_get t.capb !a = '\000'
-    then found := !a
-    else incr a
-  done;
-  !found
+let take_flow_from t v =
+  let port = ref (-1) and head = ref (-1) in
+  iter_row t v (fun p w _ cap ->
+    if !port < 0 && cap = 0 && is_forward t v p then begin
+      port := p;
+      head := w
+    end);
+  if !port >= 0 then flip t v !port;
+  !head
 
 let decompose_paths t =
   let paths = ref [] in
   let rec next_unit () =
-    if flow_arc_from t t.source >= 0 then begin
+    let first = take_flow_from t t.source in
+    if first >= 0 then begin
       (* Walk one unit sink-ward, consuming its flow; iterative loop with
          an accumulator, so Chip1-length paths cannot overflow the stack. *)
-      let acc = ref [] in
-      let v = ref t.source in
+      let acc = ref [ t.source ] in
+      let v = ref first in
       while !v <> t.sink do
         acc := !v :: !acc;
-        let a = flow_arc_from t !v in
-        if a < 0 then failwith "Mcmf_grid.decompose_paths: flow dead-ends";
-        Bytes.unsafe_set t.capb a '\001';
-        Bytes.unsafe_set t.capb t.twin.(a) '\000';
-        v := t.arc_dst.(a)
+        let next = take_flow_from t !v in
+        if next < 0 then failwith "Mcmf_grid.decompose_paths: flow dead-ends";
+        v := next
       done;
       paths := List.rev (t.sink :: !acc) :: !paths;
       next_unit ()

@@ -1,14 +1,30 @@
-(** Unit-capacity min-cost max-flow specialised for the escape network.
+(** Unit-capacity min-cost max-flow over the escape network, read straight
+    off the cell-role layer.
 
-    The escape graph has unit capacities and arc costs of 0 or 1 only, and
-    its arc set is identical for the feasibility probe and the routing
-    solve. This solver exploits that: the adjacency is a CSR (compressed
-    sparse row) structure with byte-packed costs and residual capacities,
-    built exactly once from a deterministic arc emitter and reusable across
-    solves via {!reset}; augmentation runs successive shortest paths with
-    persistent Johnson potentials, with all per-round state
-    generation-stamped in a {!Pacor_route.Workspace} — allocation-free
-    after warm-up.
+    The network is {!Escape.emit_network}'s node-split grid: cell [i] is
+    nodes [2i] (in) and [2i + 1] (out), request [k] is node
+    [2 * cells + k], and the source and then the sink follow. No arc is
+    stored: every node's residual row is enumerated from the
+    {!Pacor_grid.Packed_roles} layer and the request list, in exactly the
+    order a CSR built from [emit_network] holds it (each arc at both
+    endpoints, in emission order):
+    - [in(i)] of an ordinary or pin cell: reverse arcs from [out(i - w)]
+      and [out(i - 1)], its own arc to [out(i)] (ordinary) or the sink
+      (pin), then reverse arcs from [out(i + 1)] and [out(i + w)];
+    - [out(i)]: the reverse of [in(i) -> out(i)], forward arcs to the
+      neighbours [+1, -1, +w, -w], then the reverses of the request arcs
+      into [out(i)] in emission order;
+    - request [k]: the reverse of [source -> k], then its start cells in
+      input order; the source: the request arcs in input order.
+
+    Flow is one byte per cell — bits 0–3 for [out(i) -> in(nbr)] in that
+    direction order, bit 4 for [in(i)]'s own arc — plus one byte per
+    request arc and per request. All capacities are 1, so a reverse arc's
+    residual capacity is its forward arc's flow.
+
+    Augmentation runs successive shortest paths with persistent Johnson
+    potentials, all per-round state generation-stamped in a
+    {!Pacor_route.Workspace}: allocation-free after warm-up.
 
     {b Goal-directed rounds.} A caller that knows each node's exact
     distance [h] to the sink hands it over with {!seed} before solving;
@@ -25,9 +41,19 @@
     from the textbook ones by a constant, which leaves reduced costs and
     paths unchanged; a path's true cost is [d + pot(sink) - pot(source)].
 
-    Cross-checked against the general {!Mcmf} (Dijkstra) and {!Mcmf_spfa}
-    solvers by the escape tests and bench: all three produce the same
-    (flow, cost) optimum, with or without a cost threshold. *)
+    The tests run the same solver over an explicit CSR of
+    [emit_network] as a differential oracle: rows, paths, rounds and
+    search counters match exactly, and the general {!Mcmf} and
+    {!Mcmf_spfa} solvers agree on the (flow, cost) optimum. *)
+
+(** Cell roles, the only input the arcs depend on besides the requests:
+    excluded (no arcs), ordinary (transit), pin (sink only) and start
+    (out-arcs only). *)
+
+val role_excluded : int
+val role_ordinary : int
+val role_pin : int
+val role_start : int
 
 type t
 
@@ -39,37 +65,20 @@ type outcome = {
                      is one workspace search. *)
 }
 
-val build :
-  n:int ->
-  source:int ->
-  sink:int ->
-  emit_arcs:((src:int -> dst:int -> cost:int -> unit) -> unit) ->
+val create :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Pacor_grid.Routing_grid.t ->
+  roles:Pacor_grid.Packed_roles.t ->
+  int array array ->
   t
-(** [build ~n ~source ~sink ~emit_arcs] constructs the CSR network.
-    [emit_arcs emit] must call [emit ~src ~dst ~cost] once per forward arc
-    (capacity 1, cost 0 or 1); it is invoked {e twice} — a counting pass
-    and a fill pass — so it must emit the same arcs in the same order both
-    times (a mismatch raises [Invalid_argument]). Arcs keep emission order
-    within each node's CSR row; reverse arcs are interleaved at their own
-    endpoints. *)
-
-val build_on :
-  Pacor_route.Workspace.t ->
-  n:int ->
-  source:int ->
-  sink:int ->
-  emit_arcs:((src:int -> dst:int -> cost:int -> unit) -> unit) ->
-  t
-(** [build_on ws] is {!build} with every array leased from [ws]'s scratch
-    pool (int slots 4–8, byte slots 1–4) instead of freshly allocated, so
-    repeated solves on a warm workspace allocate no network. The network
-    aliases those slots: it stays valid only until the next [build_on] on
-    the same workspace. *)
-
-val node_count : t -> int
-
-val arc_count : t -> int
-(** Directed arcs including reverses: twice the emitted count. *)
+(** [create ~grid ~roles starts] is the network of requests whose start
+    cells (grid indices, duplicates allowed) are [starts.(k)]. Every start
+    cell must have role start or pin, which {!Escape.compute_roles}
+    guarantees; [Invalid_argument] otherwise. The network reads [roles]
+    on every pop, so the layer must not change while it is in use. With
+    a workspace the per-cell flow bits, dead marks and potentials are
+    leased from it (byte slots 1 and 2, int slot 6) and stay valid until
+    the next [create] on it; without one they are allocated. *)
 
 val solve :
   ?alive:(unit -> bool) ->
@@ -86,7 +95,7 @@ val solve :
     {e before} augmenting a path whose true cost reaches the threshold.
 
     The solve adds exactly [rounds] to the workspace's [searches] counter.
-    A network solves once; {!reset} re-arms it. *)
+    A network solves once. *)
 
 val seed : t -> h:(int -> int) -> unit
 (** [seed t ~h] installs goal-directed potentials before {!solve}: [h v]
@@ -97,8 +106,7 @@ val seed : t -> h:(int -> int) -> unit
     ([h v <= c + h w] over every arc [v -> w] of cost [c]), which an exact
     distance is; the escape stage derives it from a cell-level BFS. A
     budget-starved caller may pass a partial [h]: every later round then
-    fails on its first pop. Raises [Invalid_argument] after a solve;
-    {!reset} clears the seed. *)
+    fails on its first pop. Raises [Invalid_argument] after a solve. *)
 
 val max_flow :
   ?alive:(unit -> bool) ->
@@ -106,16 +114,16 @@ val max_flow :
   t ->
   int
 (** Max flow with costs ignored (plain BFS augmentation): the feasibility
-    probe. Counts as the network's one solve; {!reset} re-arms it. *)
-
-val reset : t -> unit
-(** Restore initial capacities, zero potentials and clear dead marks,
-    keeping the CSR structure — so one built network serves the
-    feasibility probe, the solve, and any retry. A solve after [reset]
-    runs unseeded unless {!seed} is called again. *)
+    probe. Counts as the network's one solve. *)
 
 val decompose_paths : t -> int list list
 (** Split the computed flow into source->sink unit node-paths, consuming
-    it. Deterministic tie-break: at every node the walk follows the
-    lowest-CSR-index forward arc still carrying flow, i.e. the first such
-    arc in emission order. Iterative — safe on paths of any length. *)
+    it. Deterministic tie-break: at every node the walk follows the first
+    forward arc in row order still carrying flow. Iterative — safe on
+    paths of any length. *)
+
+val row : t -> int -> (int * int * int) list
+(** [row t v] is node [v]'s residual row as [(head, cost, residual
+    capacity)] in row order, reverse arcs included (cost [-c] for a
+    forward cost [c]). For the differential tests; the solver enumerates
+    rows without building lists. *)

@@ -23,7 +23,7 @@ type t = {
   mutable claim_epoch : int;
   (* Scratch pools: grid-sized arrays leased by stages that used to
      [Array.make n] per call (negotiation history, escape roles, the
-     escape flow network). Contents are arbitrary between leases — the
+     escape flow state). Contents are arbitrary between leases — the
      borrower fills what it reads. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
@@ -45,6 +45,9 @@ type t = {
   mutable budget : Budget.t;
 }
 
+let scratch_slots = 7
+let scratch_byte_slots = 4
+
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Search_stats.create () in
   {
@@ -64,8 +67,8 @@ let create ?stats () =
     claim_count_a = [||];
     claim_stamp = [||];
     claim_epoch = 1;
-    scratch_ints = Array.make 9 [||];
-    scratch_bs = Array.make 6 Bytes.empty;
+    scratch_ints = Array.make scratch_slots [||];
+    scratch_bs = Array.make scratch_byte_slots Bytes.empty;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
     dq = [||];
@@ -287,12 +290,10 @@ let prepare t ~cells =
 
 (* -- Scratch pools ------------------------------------------------------ *)
 
-let scratch_slots = 9
-let scratch_byte_slots = 6
-
-(* Grow by a quarter past the request: the escape network's arc arrays
-   are megabytes on large grids and their size drifts a little between
-   rip-up rounds, so doubling would strand half of each array. *)
+(* Grow by a quarter past the request: the escape network's per-node
+   arrays are megabytes on large grids and their size drifts a little
+   with the request count between rip-up rounds, so doubling would strand
+   half of each array. *)
 let grown cur len = max len (cur + (cur / 4))
 
 let scratch_int t ~slot ~cells =

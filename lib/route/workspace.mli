@@ -185,24 +185,28 @@ val prepare : t -> cells:int -> unit
     slot would corrupt each other — the workspace is single-threaded, as
     documented above. Slot owners:
     - int slots 0–3: {!Negotiation}'s history, cost, owner and bump arrays;
-    - int slots 4–8 and byte slots 1–4: the escape flow network built by
-      [Pacor_flow.Mcmf_grid.build_on]. Int slots 4 and 5 are dead until
-      that build, and the escape grouping ([Pacor_flow.Escape]) runs its
-      flood fill on them first: labels in 4, the stack in 5;
-    - byte slot 0: the escape stage's packed cell roles;
-    - byte slot 5: the refinement stages' usable-cell mask, one byte per
+    - int slots 4 and 5: the escape grouping's flood fill
+      ([Pacor_flow.Escape.group_requests]), labels in 4 and the stack in
+      5, one int per cell;
+    - int slot 6 and byte slots 1–2: the escape flow network's state
+      ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and dead marks
+      (byte slot 2), one per node, and the per-cell flow bits (byte
+      slot 1);
+    - byte slot 0: the escape stage's packed cell roles, which the flow
+      network reads while it solves;
+    - byte slot 3: the refinement stages' usable-cell mask, one byte per
       cell, for the single-cluster escape search and the detour stage
       ([Pacor.Escape_stage.single], [Pacor.Detour_stage]), which never
       run nested. *)
 
 val scratch_slots : int
-(** Number of independent int slots (currently 9). *)
+(** Number of independent int slots (currently 7). *)
 
 val scratch_int : t -> slot:int -> cells:int -> int array
 (** An int array of length >= [cells] for [slot] (0-based). *)
 
 val scratch_byte_slots : int
-(** Number of independent byte slots (currently 6). *)
+(** Number of independent byte slots (currently 4). *)
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)

@@ -192,17 +192,24 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
   }
 done
 
-echo "== route --svg byte-identity: Chip1 and Scaled3 =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2 and Scaled3 =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
+# Scaled2 adds six escape networks per route, most of them group
+# subsolves and three of a single request.
 svgdir="$fuzzdir/svg"
 mkdir -p "$svgdir"
-./_build/default/bin/pacor_cli.exe route -d Chip1 --svg "$svgdir/Chip1.svg" > /dev/null
-./_build/default/bin/pacor_cli.exe designs --emit Scaled3 > "$svgdir/Scaled3.chip"
-./_build/default/bin/pacor_cli.exe route -f "$svgdir/Scaled3.chip" --svg "$svgdir/Scaled3.svg" \
-  > /dev/null
-for pin in Chip1:11563731579e970d24f55f578d75c001 Scaled3:ed395ba6a5713ff51c3084e73caf2949; do
+for d in Chip1 Chip2; do
+  ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" > /dev/null
+done
+for d in Scaled2 Scaled3; do
+  ./_build/default/bin/pacor_cli.exe designs --emit "$d" > "$svgdir/$d.chip"
+  ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
+    > /dev/null
+done
+for pin in Chip1:11563731579e970d24f55f578d75c001 Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
+           Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:ed395ba6a5713ff51c3084e73caf2949; do
   name=${pin%%:*}
   want=${pin#*:}
   got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)

@@ -1,8 +1,9 @@
 (* Differential oracles for the escape stage: the node-split seed search
    and the cell union-find grouping that [Escape] used before it moved to
    a cell-level BFS and a flood fill, plus a route pipeline built from
-   them. They share the network emitter and the min-cost-flow solver with
-   [Escape], and nothing else. *)
+   them that solves over the explicit CSR network ([Mcmf_csr]). They
+   share the network emitter and the cell roles with [Escape], and
+   nothing else. *)
 
 open Pacor_grid
 open Pacor_flow
@@ -121,13 +122,13 @@ let solve_joint ws ~grid ~claimed ~pins requests =
   let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
   let arcs = network_arcs ~grid ~roles requests in
   let emit_arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs in
-  let net = Mcmf_grid.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
+  let net = Mcmf_csr.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
   if nreq >= 2 then begin
     let h = split_seed ws ~n ~sink:(n - 1) arcs in
-    Mcmf_grid.seed net ~h:(fun v -> h.(v))
+    Mcmf_csr.seed net ~h:(fun v -> h.(v))
   end;
-  let (_ : Mcmf_grid.outcome) =
-    Mcmf_grid.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
+  let (_ : Mcmf_csr.outcome) =
+    Mcmf_csr.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
   in
   let reqs = Array.of_list requests in
   List.filter_map
@@ -153,7 +154,7 @@ let solve_joint ws ~grid ~claimed ~pins requests =
                pin = Path.target path;
                path })
       | _ -> None)
-    (Mcmf_grid.decompose_paths net)
+    (Mcmf_csr.decompose_paths net)
 
 (* [Escape.route] (grid solver, no budget) rebuilt from the oracles: the
    union-find groups, each solved on [ws] with the split-graph seed. *)

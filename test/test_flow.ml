@@ -333,7 +333,11 @@ let test_escape_matches_feasibility_bound () =
       ([ Point.make 0 2; Point.make 0 4; Point.make 0 6 ],
        [ Point.make 2 2; Point.make 2 4; Point.make 2 6 ]) ]
 
-(* ---------- Mcmf_grid (CSR escape solver) ---------- *)
+(* ---------- Mcmf_grid and its CSR oracle ---------- *)
+
+(* The solver's rounds over an explicit CSR (test/mcmf_csr.ml) take any
+   arc list, so the hand-made graphs below exercise them there; the
+   escape-network tests further down run the implicit network itself. *)
 
 let emit_list arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs
 
@@ -342,14 +346,14 @@ let emit_list arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arc
 let diamond_arcs = [ (0, 1, 1); (0, 2, 1); (1, 2, 0); (1, 3, 1); (2, 3, 1) ]
 
 let test_grid_solve_basics () =
-  let net = Mcmf_grid.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
-  Alcotest.(check int) "nodes" 4 (Mcmf_grid.node_count net);
-  Alcotest.(check int) "arcs incl. reverses" 10 (Mcmf_grid.arc_count net);
-  let out = Mcmf_grid.solve net in
-  Alcotest.(check int) "flow" 2 out.Mcmf_grid.flow;
-  Alcotest.(check int) "cost" 4 out.Mcmf_grid.cost;
-  Alcotest.(check int) "rounds = augmentations + final empty" 3 out.Mcmf_grid.rounds;
-  let paths = Mcmf_grid.decompose_paths net in
+  let net = Mcmf_csr.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
+  Alcotest.(check int) "nodes" 4 (Mcmf_csr.node_count net);
+  Alcotest.(check int) "arcs incl. reverses" 10 (Mcmf_csr.arc_count net);
+  let out = Mcmf_csr.solve net in
+  Alcotest.(check int) "flow" 2 out.Mcmf_csr.flow;
+  Alcotest.(check int) "cost" 4 out.Mcmf_csr.cost;
+  Alcotest.(check int) "rounds = augmentations + final empty" 3 out.Mcmf_csr.rounds;
+  let paths = Mcmf_csr.decompose_paths net in
   Alcotest.(check int) "two unit paths" 2 (List.length paths);
   List.iter
     (fun p ->
@@ -358,27 +362,26 @@ let test_grid_solve_basics () =
     paths
 
 let test_grid_reset_shares_structure () =
-  (* One CSR build serves the feasibility probe, the solve, and a retry:
-     the ISSUE's "built exactly once" contract. *)
-  let net = Mcmf_grid.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
-  Alcotest.(check int) "probe max flow" 2 (Mcmf_grid.max_flow net);
-  Mcmf_grid.reset net;
-  let a = Mcmf_grid.solve net in
-  Mcmf_grid.reset net;
-  let b = Mcmf_grid.solve net in
-  Alcotest.(check int) "flow stable across resets" a.Mcmf_grid.flow b.Mcmf_grid.flow;
-  Alcotest.(check int) "cost stable across resets" a.Mcmf_grid.cost b.Mcmf_grid.cost;
+  (* One CSR build serves the feasibility probe, the solve, and a retry. *)
+  let net = Mcmf_csr.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
+  Alcotest.(check int) "probe max flow" 2 (Mcmf_csr.max_flow net);
+  Mcmf_csr.reset net;
+  let a = Mcmf_csr.solve net in
+  Mcmf_csr.reset net;
+  let b = Mcmf_csr.solve net in
+  Alcotest.(check int) "flow stable across resets" a.Mcmf_csr.flow b.Mcmf_csr.flow;
+  Alcotest.(check int) "cost stable across resets" a.Mcmf_csr.cost b.Mcmf_csr.cost;
   Alcotest.check_raises "second solve without reset"
-    (Invalid_argument "Mcmf_grid.solve: already solved") (fun () ->
-      ignore (Mcmf_grid.solve net))
+    (Invalid_argument "Mcmf_csr.solve: already solved") (fun () ->
+      ignore (Mcmf_csr.solve net))
 
 let test_grid_build_validation () =
   Alcotest.check_raises "bad cost"
-    (Invalid_argument "Mcmf_grid.build: cost must be 0 or 1") (fun () ->
-      ignore (Mcmf_grid.build ~n:2 ~source:0 ~sink:1 ~emit_arcs:(emit_list [ (0, 1, 2) ])));
-  Alcotest.check_raises "bad node" (Invalid_argument "Mcmf_grid.build: bad node")
+    (Invalid_argument "Mcmf_csr.build: cost must be 0 or 1") (fun () ->
+      ignore (Mcmf_csr.build ~n:2 ~source:0 ~sink:1 ~emit_arcs:(emit_list [ (0, 1, 2) ])));
+  Alcotest.check_raises "bad node" (Invalid_argument "Mcmf_csr.build: bad node")
     (fun () ->
-       ignore (Mcmf_grid.build ~n:2 ~source:0 ~sink:1 ~emit_arcs:(emit_list [ (0, 5, 1) ])));
+       ignore (Mcmf_csr.build ~n:2 ~source:0 ~sink:1 ~emit_arcs:(emit_list [ (0, 5, 1) ])));
   (* The emitter runs twice (count pass, fill pass); one that emits
      different arcs per call must be rejected, not silently miswired. *)
   let calls = ref 0 in
@@ -387,8 +390,8 @@ let test_grid_build_validation () =
     if !calls = 1 then f ~src:0 ~dst:1 ~cost:1 else f ~src:1 ~dst:2 ~cost:1
   in
   Alcotest.check_raises "unstable emitter"
-    (Invalid_argument "Mcmf_grid.build: emit_arcs is not deterministic") (fun () ->
-      ignore (Mcmf_grid.build ~n:3 ~source:0 ~sink:2 ~emit_arcs:unstable))
+    (Invalid_argument "Mcmf_csr.build: emit_arcs is not deterministic") (fun () ->
+      ignore (Mcmf_csr.build ~n:3 ~source:0 ~sink:2 ~emit_arcs:unstable))
 
 let test_grid_budget_starvation () =
   (* An exhausted workspace budget starves the augmentation search: the
@@ -401,49 +404,12 @@ let test_grid_budget_starvation () =
   in
   Pacor_route.Budget.arm budget;
   Pacor_route.Workspace.set_budget ws budget;
-  let net = Mcmf_grid.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
-  let out = Mcmf_grid.solve ~workspace:ws net in
+  let net = Mcmf_csr.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
+  let out = Mcmf_csr.solve ~workspace:ws net in
   Alcotest.(check bool) "starved solve finds less than optimum" true
-    (out.Mcmf_grid.flow < 2);
+    (out.Mcmf_csr.flow < 2);
   Alcotest.(check bool) "budget reports exhaustion" true
     (Pacor_route.Budget.exhausted budget <> None)
-
-(* Search counters a solve adds to a fresh workspace, with its outcome.
-   [seeded] first installs the exact sink distances of the split-graph
-   oracle, one more search on the same workspace. *)
-let grid_solve_stats ?budget ?stop_when_cost_reaches ?(seeded = false) ~n ~source ~sink arcs =
-  let ws = Pacor_route.Workspace.create () in
-  Option.iter (Pacor_route.Workspace.set_budget ws) budget;
-  let s0 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
-  let net = Mcmf_grid.build ~n ~source ~sink ~emit_arcs:(emit_list arcs) in
-  if seeded then begin
-    let h = Escape_oracle.split_seed ws ~n ~sink arcs in
-    Mcmf_grid.seed net ~h:(fun v -> h.(v))
-  end;
-  let out = Mcmf_grid.solve ~workspace:ws ?stop_when_cost_reaches net in
-  let s1 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws) in
-  (out, Pacor_route.Search_stats.diff s1 s0)
-
-(* One request: 0 -> 1 -> {2, 3} -> 4, so the source has one out-arc. *)
-let single_out_arcs = [ (0, 1, 0); (1, 2, 1); (1, 3, 0); (2, 4, 1); (3, 4, 1) ]
-
-let test_grid_workspace_stats_rounds () =
-  (* Per-round instrumentation: each augmentation round is one workspace
-     search (epoch bump), pops/settles and arc scans land in the shared
-     counters. The solve never searches for a seed itself: a seeded solve
-     adds exactly its rounds, and the seed's own search is the caller's. *)
-  let seeded, d = grid_solve_stats ~seeded:true ~n:4 ~source:0 ~sink:3 diamond_arcs in
-  Alcotest.(check int) "seeded: one search per round plus the caller's seed"
-    (seeded.Mcmf_grid.rounds + 1) d.Pacor_route.Search_stats.searches;
-  Alcotest.(check int) "seeded flow" 2 seeded.Mcmf_grid.flow;
-  Alcotest.(check int) "seeded cost" 4 seeded.Mcmf_grid.cost;
-  Alcotest.(check bool) "settles counted" true (d.Pacor_route.Search_stats.pops > 0);
-  Alcotest.(check bool) "arc scans counted" true (d.Pacor_route.Search_stats.touched > 0);
-  let single, d = grid_solve_stats ~n:5 ~source:0 ~sink:4 single_out_arcs in
-  Alcotest.(check int) "one request routed" 1 single.Mcmf_grid.flow;
-  Alcotest.(check int) "cheapest path" 1 single.Mcmf_grid.cost;
-  Alcotest.(check int) "unseeded: one search per round" single.Mcmf_grid.rounds
-    d.Pacor_route.Search_stats.searches
 
 (* A 24x12 grid whose interior is split by an obstacle wall at x = 6,
    with one gap at (6, 5) that is request 0's only start cell. The pins
@@ -524,42 +490,76 @@ let test_grid_budget_trips_in_seed () =
     Alcotest.(check int) "seed plus the starved round" 2
       st.Pacor_route.Search_stats.searches
 
-let test_grid_build_on_leases () =
-  (* [build_on] leases every array from the workspace: a network built on
-     slots that still hold a bigger network's state solves exactly like a
-     freshly allocated one, and a warm rebuild allocates nothing. *)
+(* Outcome, paths and search counters of one implicit-network solve of
+   an escape instance. Two or more requests are seeded first, as
+   [Escape] does: one more search on the same workspace. [lease] creates
+   the network on the solving workspace instead of fresh arrays. *)
+let implicit_solve ?(lease = false) ws (grid, claimed, pins, requests) =
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let net =
+    Escape.grid_network ?workspace:(if lease then Some ws else None) ~grid ~roles requests
+  in
+  if List.length requests >= 2 then
+    Mcmf_grid.seed net ~h:(Escape.seed_heights ws ~grid ~roles ~pins requests);
+  let out = Mcmf_grid.solve ~workspace:ws net in
+  (out, Mcmf_grid.decompose_paths net)
+
+let snapshot ws = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws)
+
+let test_grid_workspace_stats_rounds () =
+  (* Per-round instrumentation: each augmentation round is one workspace
+     search (epoch bump), pops/settles and arc scans land in the shared
+     counters. The solve never searches for a seed itself: a seeded solve
+     adds exactly its rounds, and the seed's own search is the caller's. *)
+  let ((grid, claimed, pins, requests) as inst) = walled_instance () in
   let ws = Pacor_route.Workspace.create () in
-  let solve_on arcs ~n ~sink =
-    let net = Mcmf_grid.build_on ws ~n ~source:0 ~sink ~emit_arcs:(emit_list arcs) in
-    let out = Mcmf_grid.solve ~workspace:ws net in
-    (out.Mcmf_grid.flow, out.Mcmf_grid.cost, Mcmf_grid.decompose_paths net)
+  let (seeded : Mcmf_grid.outcome), _ = implicit_solve ws inst in
+  let d = snapshot ws in
+  Alcotest.(check int) "seeded: one search per round plus the caller's seed"
+    (seeded.rounds + 1) d.Pacor_route.Search_stats.searches;
+  Alcotest.(check int) "seeded flow" 2 seeded.flow;
+  Alcotest.(check int) "seeded cost" 8 seeded.cost;
+  Alcotest.(check bool) "settles counted" true (d.Pacor_route.Search_stats.pops > 0);
+  Alcotest.(check bool) "arc scans counted" true (d.Pacor_route.Search_stats.touched > 0);
+  let ws = Pacor_route.Workspace.create () in
+  let (single : Mcmf_grid.outcome), _ =
+    implicit_solve ws (grid, claimed, pins, [ List.nth requests 1 ])
   in
-  let solve_fresh arcs ~n ~sink =
-    let net = Mcmf_grid.build ~n ~source:0 ~sink ~emit_arcs:(emit_list arcs) in
-    let out = Mcmf_grid.solve net in
-    (out.Mcmf_grid.flow, out.Mcmf_grid.cost, Mcmf_grid.decompose_paths net)
+  Alcotest.(check int) "one request routed" 1 single.flow;
+  Alcotest.(check int) "cheapest path" 2 single.cost;
+  Alcotest.(check int) "unseeded: one search per round" single.rounds
+    (snapshot ws).Pacor_route.Search_stats.searches
+
+let test_grid_warm_workspace_leases () =
+  (* The network leases its flow bits, dead marks and potentials from the
+     solving workspace: on slots a bigger instance left dirty it solves
+     exactly like a network on fresh arrays, and a warm re-solve
+     allocates nothing. *)
+  let ws = Pacor_route.Workspace.create () in
+  let big = walled_instance () in
+  let small =
+    let s1 = Point.make 3 3 and s2 = Point.make 6 6 in
+    ( grid10 (),
+      Point.Set.of_list [ s1; s2 ],
+      [ Point.make 0 3; Point.make 0 6; Point.make 9 5 ],
+      [ { Escape.cluster_idx = 0; start_cells = [ s1 ] };
+        { Escape.cluster_idx = 1; start_cells = [ s2 ] } ] )
   in
-  let big_n = 43 in
-  let big =
-    (0, 1, 0) :: (0, 41, 1) :: (41, 42, 1) :: (1, 42, 1)
-    :: List.init 39 (fun k -> (k + 1, k + 2, 0))
+  let check label inst =
+    let (fresh : Mcmf_grid.outcome), fresh_paths =
+      implicit_solve (Pacor_route.Workspace.create ()) inst
+    in
+    let (leased : Mcmf_grid.outcome), leased_paths = implicit_solve ~lease:true ws inst in
+    Alcotest.(check int) (label ^ " flow") fresh.flow leased.flow;
+    Alcotest.(check int) (label ^ " cost") fresh.cost leased.cost;
+    Alcotest.(check (list (list int))) (label ^ " paths") fresh_paths leased_paths
   in
-  let check label ~n ~sink arcs =
-    let f, c, p = solve_fresh arcs ~n ~sink in
-    let f', c', p' = solve_on arcs ~n ~sink in
-    Alcotest.(check int) (label ^ " flow") f f';
-    Alcotest.(check int) (label ^ " cost") c c';
-    Alcotest.(check (list (list int))) (label ^ " paths") p p'
-  in
-  check "big" ~n:big_n ~sink:42 big;
-  check "diamond on dirty slots" ~n:4 ~sink:3 diamond_arcs;
-  let allocs () =
-    (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
-      .Pacor_route.Search_stats.grid_allocs
-  in
-  let warm = allocs () in
-  check "big again" ~n:big_n ~sink:42 big;
-  Alcotest.(check int) "warm rebuild allocates nothing" warm (allocs ())
+  check "big" big;
+  check "small on dirty slots" small;
+  let warm = (snapshot ws).Pacor_route.Search_stats.grid_allocs in
+  check "big again" big;
+  Alcotest.(check int) "warm re-solve allocates nothing" warm
+    (snapshot ws).Pacor_route.Search_stats.grid_allocs
 
 let unit_cost_network seed =
   (* [random_network] variant constrained to the grid solver's domain:
@@ -571,24 +571,24 @@ let test_grid_agrees_with_general_solvers () =
   List.iter
     (fun seed ->
        let n, arcs = unit_cost_network seed in
-       let g = Mcmf_grid.build ~n ~source:0 ~sink:(n - 1) ~emit_arcs:(emit_list arcs) in
+       let g = Mcmf_csr.build ~n ~source:0 ~sink:(n - 1) ~emit_arcs:(emit_list arcs) in
        let a = Mcmf.create n and d = Maxflow.create n in
        List.iter
          (fun (src, dst, cost) ->
             Mcmf.add_edge a ~src ~dst ~cap:1 ~cost;
             Maxflow.add_edge d ~src ~dst ~cap:1)
          arcs;
-       let og = Mcmf_grid.solve g in
+       let og = Mcmf_csr.solve g in
        let oa = Mcmf.solve a ~source:0 ~sink:(n - 1) in
        Alcotest.(check int) (Printf.sprintf "flow seed %d" seed) oa.Mcmf.flow
-         og.Mcmf_grid.flow;
+         og.Mcmf_csr.flow;
        Alcotest.(check int) (Printf.sprintf "cost seed %d" seed) oa.Mcmf.cost
-         og.Mcmf_grid.cost;
+         og.Mcmf_csr.cost;
        (* The costless probe must agree with the independent Dinic solver. *)
-       Mcmf_grid.reset g;
+       Mcmf_csr.reset g;
        let df = Maxflow.max_flow d ~source:0 ~sink:(n - 1) in
        Alcotest.(check int) (Printf.sprintf "max flow seed %d" seed) df
-         (Mcmf_grid.max_flow g))
+         (Mcmf_csr.max_flow g))
     [ 1; 2; 3; 5; 7; 8; 11; 13; 19; 21; 34; 42; 55; 89; 101; 144; 233; 999 ]
 
 (* ---------- Escape: three-way solver agreement ---------- *)
@@ -910,8 +910,9 @@ type threshold_network = {
 }
 
 let prop_grid_agrees_under_threshold =
-  (* Mcmf_grid against both general solvers on (flow, cost) under the
-     same stopping threshold, on unit networks built to hit each solver
+  (* The escape solver's rounds (over the CSR oracle, so any arc list
+     goes) against both general solvers on (flow, cost) under the same
+     stopping threshold, on unit networks built to hit each solver
      path: a core of [core] nodes (source 0, sink [core - 1]) plus [trap]
      nodes that core arcs lead into but that never lead back (dead once
      seeded), and either a free source or one with a single out-arc (the
@@ -950,7 +951,7 @@ let prop_grid_agrees_under_threshold =
   QCheck.Test.make ~name:"Mcmf_grid = Mcmf = SPFA under a cost threshold" ~count:400
     (QCheck.make ~print gen) (fun t ->
       let n = t.tn and sink = t.tsink in
-      let g = Mcmf_grid.build ~n ~source:0 ~sink ~emit_arcs:(emit_list t.tarcs) in
+      let g = Mcmf_csr.build ~n ~source:0 ~sink ~emit_arcs:(emit_list t.tarcs) in
       let a = Mcmf.create n and b = Mcmf_spfa.create n in
       List.iter
         (fun (src, dst, cost) ->
@@ -961,14 +962,14 @@ let prop_grid_agrees_under_threshold =
       let ws = Pacor_route.Workspace.create () in
       if List.length (List.filter (fun (src, _, _) -> src = 0) t.tarcs) >= 2 then begin
         let h = Escape_oracle.split_seed ws ~n ~sink t.tarcs in
-        Mcmf_grid.seed g ~h:(fun v -> h.(v))
+        Mcmf_csr.seed g ~h:(fun v -> h.(v))
       end;
-      let og = Mcmf_grid.solve ~workspace:ws ?stop_when_cost_reaches g in
+      let og = Mcmf_csr.solve ~workspace:ws ?stop_when_cost_reaches g in
       let oa = Mcmf.solve ?stop_when_cost_reaches a ~source:0 ~sink in
       let ob = Mcmf_spfa.solve ?stop_when_cost_reaches b ~source:0 ~sink in
-      if og.Mcmf_grid.flow <> oa.Mcmf.flow || og.Mcmf_grid.cost <> oa.Mcmf.cost then
-        QCheck.Test.fail_reportf "grid (%d, %d) <> mcmf (%d, %d)" og.Mcmf_grid.flow
-          og.Mcmf_grid.cost oa.Mcmf.flow oa.Mcmf.cost
+      if og.Mcmf_csr.flow <> oa.Mcmf.flow || og.Mcmf_csr.cost <> oa.Mcmf.cost then
+        QCheck.Test.fail_reportf "grid (%d, %d) <> mcmf (%d, %d)" og.Mcmf_csr.flow
+          og.Mcmf_csr.cost oa.Mcmf.flow oa.Mcmf.cost
       else if ob.Mcmf_spfa.flow <> oa.Mcmf.flow || ob.Mcmf_spfa.cost <> oa.Mcmf.cost then
         QCheck.Test.fail_reportf "spfa (%d, %d) <> mcmf (%d, %d)" ob.Mcmf_spfa.flow
           ob.Mcmf_spfa.cost oa.Mcmf.flow oa.Mcmf.cost
@@ -1130,10 +1131,172 @@ let prop_escape_matches_oracles =
             (searches ws_oracle)
         else true)
 
+type implicit_instance = {
+  iw : int;
+  ih : int;
+  iobstacles : Point.t list;
+  iclaim : Point.t list;
+  ipins : Point.t list;
+  ireqs : Escape.request list;
+  ibudget : int;
+}
+
+let prop_implicit_network_matches_csr =
+  (* The implicit network against the CSR oracle built from
+     [Escape.emit_network] (test/mcmf_csr.ml): every node's residual row
+     (heads, costs, capacities, in order) before and after the solve, and
+     the outcome, paths and every search counter of the solve, of the
+     costless max-flow probe, and of a solve under a tight expansion
+     budget, which must trip at the same pop with the same partial flow.
+     Random grids with obstacles, claimed blocks and 1-6 requests,
+     including 1xk and kx1 grids, start cells listed twice in one
+     request, start cells that are pins, and a request whose every start
+     cell is a pin (no live start). *)
+  let gen =
+    QCheck.Gen.(
+      let* shape = int_range 0 3 in
+      let* k = int_range 2 12 and* a = int_range 5 12 and* b = int_range 5 12 in
+      let iw, ih = match shape with 0 -> (1, k) | 1 -> (k, 1) | _ -> (a, b) in
+      let cell =
+        let* x = int_range 0 (iw - 1) and* y = int_range 0 (ih - 1) in
+        return (Point.make x y)
+      in
+      let interior =
+        if iw < 3 || ih < 3 then cell
+        else
+          let* x = int_range 1 (iw - 2) and* y = int_range 1 (ih - 2) in
+          return (Point.make x y)
+      in
+      let boundary =
+        let* side = int_range 0 3 and* x = int_range 0 (iw - 1) and* y = int_range 0 (ih - 1) in
+        return
+          (match side with
+           | 0 -> Point.make 0 y
+           | 1 -> Point.make (iw - 1) y
+           | 2 -> Point.make x 0
+           | _ -> Point.make x (ih - 1))
+      in
+      let* n_obs = int_range 0 8 and* n_pin = int_range 1 6 and* n_req = int_range 1 6 in
+      let* obs = list_size (return n_obs) interior in
+      let* pins = list_size (return n_pin) boundary in
+      let* raw =
+        list_size (return n_req)
+          (let* k = int_range 1 3 in
+           list_size (return k) (if iw < 3 || ih < 3 then cell else interior))
+      in
+      let* n_blocks = int_range 0 3 in
+      let* blocks =
+        list_size (return n_blocks)
+          (let* p = interior and* w = int_range 1 3 and* h = int_range 1 2 in
+           return
+             (List.concat
+                (List.init w (fun dx ->
+                   List.init h (fun dy -> Point.make (p.Point.x + dx) (p.Point.y + dy))))))
+      in
+      let* dup = bool and* pin_start = bool and* pinned_req = bool in
+      let* pick = int_range 0 5 and* ibudget = int_range 1 80 in
+      let pins = List.sort_uniq Point.compare pins in
+      let pin_at j = List.nth pins (j mod List.length pins) in
+      let raw = Array.of_list raw in
+      if dup then raw.(0) <- List.hd raw.(0) :: raw.(0);
+      if pin_start then raw.(pick mod n_req) <- pin_at pick :: raw.(pick mod n_req);
+      if pinned_req then raw.(n_req - 1) <- [ pin_at (pick + 1); pin_at (pick + 1) ];
+      let starts = List.concat (Array.to_list raw) in
+      let free_of_starts = List.filter (fun o -> not (List.exists (Point.equal o) starts)) in
+      let in_grid (p : Point.t) = p.x < iw && p.y < ih in
+      return
+        { iw; ih;
+          iobstacles = free_of_starts obs;
+          iclaim = List.filter in_grid (List.concat blocks);
+          ipins = pins;
+          ireqs =
+            Array.to_list
+              (Array.mapi (fun i cells -> { Escape.cluster_idx = i; start_cells = cells }) raw);
+          ibudget })
+  in
+  let pp_pts = Format.pp_print_list Point.pp in
+  let print t =
+    Format.asprintf "%dx%d obstacles=[%a] claim=[%a] pins=[%a] reqs=[%a] budget=%d" t.iw t.ih
+      pp_pts t.iobstacles pp_pts t.iclaim pp_pts t.ipins
+      (Format.pp_print_list (fun ppf (r : Escape.request) ->
+         Format.fprintf ppf "#%d:%a" r.Escape.cluster_idx pp_pts r.Escape.start_cells))
+      t.ireqs t.ibudget
+  in
+  QCheck.Test.make ~name:"implicit escape network = CSR oracle (rows, paths, counters)"
+    ~count:500 (QCheck.make ~print gen) (fun t ->
+      let grid =
+        Routing_grid.create ~width:t.iw ~height:t.ih
+          ~obstacles:
+            (List.map
+               (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y)
+               t.iobstacles)
+          ()
+      in
+      let reqs = t.ireqs and pins = t.ipins in
+      let claimed =
+        Point.Set.of_list
+          (List.concat_map (fun (r : Escape.request) -> r.start_cells) reqs @ t.iclaim)
+      in
+      let roles = Escape.compute_roles ~grid ~claimed ~pins reqs in
+      let cells = Routing_grid.cells grid in
+      let nreq = List.length reqs in
+      let n = (2 * cells) + nreq + 2 in
+      let arcs = Escape_oracle.network_arcs ~grid ~roles reqs in
+      let csr () =
+        Mcmf_csr.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs:(emit_list arcs)
+      in
+      let implicit () = Escape.grid_network ~grid ~roles reqs in
+      let same_rows stage imp oracle =
+        for v = 0 to n - 1 do
+          if Mcmf_grid.row imp v <> Mcmf_csr.row oracle v then
+            QCheck.Test.fail_reportf "%s: row of node %d differs from the CSR" stage v
+        done
+      in
+      let workspace budget =
+        let ws = Pacor_route.Workspace.create () in
+        Option.iter
+          (fun max_expansions ->
+            let b = Pacor_route.Budget.create (Pacor_route.Budget.limits ~max_expansions ()) in
+            Pacor_route.Budget.arm b;
+            Pacor_route.Workspace.set_budget ws b)
+          budget;
+        ws
+      in
+      let beta = (4 * cells) + 16 in
+      let solve_both ?budget label =
+        let imp = implicit () and oracle = csr () in
+        if budget = None then same_rows (label ^ " before the solve") imp oracle;
+        let ws = workspace budget and ws' = workspace budget in
+        if nreq >= 2 then begin
+          Mcmf_grid.seed imp ~h:(Escape.seed_heights ws ~grid ~roles ~pins reqs);
+          Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs)
+        end;
+        let a = Mcmf_grid.solve ~workspace:ws ~stop_when_cost_reaches:beta imp in
+        let b = Mcmf_csr.solve ~workspace:ws' ~stop_when_cost_reaches:beta oracle in
+        if (a.flow, a.cost, a.rounds) <> (b.flow, b.cost, b.rounds) then
+          QCheck.Test.fail_reportf "%s: flow/cost/rounds (%d, %d, %d) <> CSR (%d, %d, %d)" label
+            a.flow a.cost a.rounds b.flow b.cost b.rounds;
+        if snapshot ws <> snapshot ws' then
+          QCheck.Test.fail_reportf "%s: search counters differ: %a vs %a" label
+            Pacor_route.Search_stats.pp (snapshot ws) Pacor_route.Search_stats.pp (snapshot ws');
+        same_rows (label ^ " after the solve") imp oracle;
+        if Mcmf_grid.decompose_paths imp <> Mcmf_csr.decompose_paths oracle then
+          QCheck.Test.fail_reportf "%s: paths differ" label
+      in
+      solve_both "solve";
+      solve_both ~budget:t.ibudget "budgeted solve";
+      let ws = workspace None and ws' = workspace None in
+      let fa = Mcmf_grid.max_flow ~workspace:ws (implicit ()) in
+      let fb = Mcmf_csr.max_flow ~workspace:ws' (csr ()) in
+      if fa <> fb || snapshot ws <> snapshot ws' then
+        QCheck.Test.fail_reportf "max flow %d <> CSR %d, or its counters differ" fa fb;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
-      prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles ]
+      prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
+      prop_implicit_network_matches_csr ]
 
 let () =
   Alcotest.run "flow"
@@ -1164,7 +1327,7 @@ let () =
           Alcotest.test_case "dead nodes never settled" `Quick
             test_grid_dead_nodes_never_settled;
           Alcotest.test_case "budget trips in seed" `Quick test_grid_budget_trips_in_seed;
-          Alcotest.test_case "build_on leases" `Quick test_grid_build_on_leases;
+          Alcotest.test_case "warm workspace leases" `Quick test_grid_warm_workspace_leases;
           Alcotest.test_case "grid = mcmf = dinic" `Quick
             test_grid_agrees_with_general_solvers;
           Alcotest.test_case "long chain decompose" `Quick test_mcmf_long_chain_decompose ] );
