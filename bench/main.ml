@@ -24,8 +24,6 @@ let smoke = Array.exists (String.equal "--smoke") Sys.argv
 
 let jobs_scaling_only = Array.exists (String.equal "--jobs-scaling") Sys.argv
 
-let steal_bench_only = Array.exists (String.equal "--steal-bench") Sys.argv
-
 let route_bench_only = Array.exists (String.equal "--route-bench") Sys.argv
 
 let escape_bench_only = Array.exists (String.equal "--escape-bench") Sys.argv
@@ -591,7 +589,7 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
        (* Per-round ratio, best round: jobs=1 and jobs=N sampled within
           the same round share the same heap/GC state, so slow drift
           across the process lifetime cancels; one clean round is enough
-          to show the scheduler itself costs < 3%, while the old locked
+          to show the pool itself costs < 3%, while the old locked
           queue's 10-18% overhead failed every round decisively. *)
        let best_ratio =
          List.fold_left
@@ -619,197 +617,6 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
     List.iter (fun f -> Format.eprintf "jobs-scaling ASSERT FAIL: %s@." f)
       (List.rev fs);
     exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Steal bench: scheduler micro-benchmark — a sequential loop vs one   *)
-(* locked shared queue vs the work-stealing deques, on uniform and     *)
-(* skewed task-size distributions. The JSON record is committed as     *)
-(* BENCH_steal.json; each spec's fingerprint (task shape + checksum, a *)
-(* pure function of the spec — mode- and domain-independent) is what   *)
-(* CI checks for drift. Wall-clock, steals and parks are machine-      *)
-(* dependent and excluded from the fingerprint.                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Deterministic spin the optimiser cannot delete: a small LCG whose
-   result feeds the run checksum. *)
-let spin_work iters =
-  let acc = ref 1 in
-  for i = 1 to iters do
-    acc := ((!acc * 48271) + i) land 0x3FFFFFF
-  done;
-  !acc
-
-(* Equal total work across distributions so rows are comparable. Uniform
-   gives every task [w]; skewed gives task 0 half the total and spreads
-   the rest evenly — the shape that degrades a single shared queue (one
-   worker disappears into the big task while everyone else serialises on
-   the lock for crumbs) and that work-stealing absorbs (the big task's
-   worker keeps its deque, the others drain the remainder cheaply). *)
-let steal_tasks ~dist ~ntasks ~w =
-  match dist with
-  | `Uniform -> Array.make ntasks w
-  | `Skewed ->
-    let total = ntasks * w in
-    let rest = max 1 (total / 2 / max 1 (ntasks - 1)) in
-    Array.init ntasks (fun i -> if i = 0 then total / 2 else rest)
-
-let steal_checksum sum = sum land 0xFFFFFF
-
-let run_steal_sequential tasks =
-  let acc = ref 0 in
-  Array.iter (fun w -> acc := !acc + spin_work w) tasks;
-  steal_checksum !acc
-
-(* The pre-work-stealing pool shape: every worker pops from one
-   mutex-protected queue. *)
-let run_steal_single_queue ~domains tasks =
-  let q = Queue.create () in
-  let m = Mutex.create () in
-  Array.iter (fun w -> Queue.push w q) tasks;
-  let acc = Atomic.make 0 in
-  let worker () =
-    let rec go () =
-      Mutex.lock m;
-      let t = if Queue.is_empty q then None else Some (Queue.pop q) in
-      Mutex.unlock m;
-      match t with
-      | Some w ->
-        ignore (Atomic.fetch_and_add acc (spin_work w));
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let ds = List.init domains (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join ds;
-  steal_checksum (Atomic.get acc)
-
-(* The real scheduler: one pool task forks every work item through
-   parallel_for, so items start on the forking worker's deque and reach
-   the other domains only by stealing. *)
-let run_steal_ws ~domains tasks =
-  Pacor_par.Pool.with_pool ~domains ~jobs:domains (fun pool ->
-    let sched = Pacor_par.Pool.sched pool in
-    let acc = Atomic.make 0 in
-    ignore
-      (Pacor_par.Pool.map_ctx pool
-         (fun _ () ->
-            Pacor_sched.Sched.parallel_for sched ~n:(Array.length tasks)
-              (fun i -> ignore (Atomic.fetch_and_add acc (spin_work tasks.(i)))))
-         [ () ]);
-    (steal_checksum (Atomic.get acc), Pacor_par.Pool.sched_stats pool))
-
-let print_steal_bench () =
-  Format.printf "@.== Steal bench: sequential vs single queue vs work stealing ==@.";
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "%d core(s) visible to the runtime@." cores;
-  let specs =
-    (* Smoke specs are a strict subset of the full run, so every smoke
-       fingerprint must appear verbatim in the committed record. *)
-    if smoke || quick then [ (512, 800) ] else [ (512, 800); (2048, 2000) ]
-  in
-  let domains_list = if smoke || quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let rows =
-    List.concat_map
-      (fun (ntasks, w) ->
-         List.map
-           (fun dist ->
-              let tasks = steal_tasks ~dist ~ntasks ~w in
-              let t0 = Unix.gettimeofday () in
-              let seq_sum = run_steal_sequential tasks in
-              let seq_s = Unix.gettimeofday () -. t0 in
-              let modes =
-                List.concat_map
-                  (fun domains ->
-                     let t0 = Unix.gettimeofday () in
-                     let sq_sum = run_steal_single_queue ~domains tasks in
-                     let sq_s = Unix.gettimeofday () -. t0 in
-                     let t0 = Unix.gettimeofday () in
-                     let ws_sum, st = run_steal_ws ~domains tasks in
-                     let ws_s = Unix.gettimeofday () -. t0 in
-                     (* Scheduling cost per task, spread over the domains
-                        that paid it — meaningful as pure overhead at
-                        domains=1, an efficiency gauge above that. *)
-                     let ns_per_task elapsed =
-                       (elapsed *. float_of_int domains -. seq_s)
-                       /. float_of_int ntasks *. 1e9
-                     in
-                     [ ("single-queue", domains, sq_s, sq_sum, None,
-                        ns_per_task sq_s);
-                       ("work-stealing", domains, ws_s, ws_sum, Some st,
-                        ns_per_task ws_s) ])
-                  domains_list
-              in
-              (dist, ntasks, w, seq_sum, seq_s, modes))
-           [ `Uniform; `Skewed ])
-      specs
-  in
-  Format.printf "%8s %7s %6s %14s %8s %10s %9s %8s %7s %6s@." "dist" "ntasks"
-    "work" "mode" "domains" "elapsed" "speedup" "ns/task" "steals" "parks";
-  List.iter
-    (fun (dist, ntasks, w, seq_sum, seq_s, modes) ->
-       let dist_name = match dist with `Uniform -> "uniform" | `Skewed -> "skewed" in
-       Format.printf "%8s %7d %6d %14s %8s %9.4fs %9s %8s %7s %6s@." dist_name
-         ntasks w "sequential" "-" seq_s "1.00x" "-" "-" "-";
-       List.iter
-         (fun (mode, domains, elapsed, sum, st, ns) ->
-            if sum <> seq_sum then
-              Format.printf "!! %s domains=%d checksum mismatch (BUG)@." mode domains;
-            Format.printf "%8s %7d %6d %14s %8d %9.4fs %8.2fx %8.0f %7s %6s@."
-              dist_name ntasks w mode domains elapsed
-              (if elapsed > 0.0 then seq_s /. elapsed else 1.0)
-              ns
-              (match st with
-               | Some (s : Pacor_sched.Sched.stats) -> string_of_int s.steals
-               | None -> "-")
-              (match st with
-               | Some (s : Pacor_sched.Sched.stats) -> string_of_int s.parks
-               | None -> "-"))
-         modes)
-    rows;
-  let json =
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-steal-bench\",\n";
-    Printf.bprintf buf "  \"cores\": %d,\n" cores;
-    Printf.bprintf buf "  \"results\": [\n";
-    List.iteri
-      (fun i (dist, ntasks, w, seq_sum, seq_s, modes) ->
-         let dist_name = match dist with `Uniform -> "uniform" | `Skewed -> "skewed" in
-         Printf.bprintf buf
-           "    {\"fingerprint\": \"stealb dist=%s ntasks=%d work=%d checksum=%d\",\n"
-           dist_name ntasks w seq_sum;
-         Printf.bprintf buf "     \"seq_elapsed_s\": %.4f, \"modes\": [\n" seq_s;
-         List.iteri
-           (fun j (mode, domains, elapsed, sum, st, ns) ->
-              Printf.bprintf buf
-                "      {\"mode\": %S, \"domains\": %d, \"elapsed_s\": %.4f, \
-                 \"speedup_vs_seq\": %.3f, \"sched_ns_per_task\": %.0f, \
-                 \"checksum_ok\": %b%s}%s\n"
-                mode domains elapsed
-                (if elapsed > 0.0 then seq_s /. elapsed else 1.0)
-                ns (sum = seq_sum)
-                (match st with
-                 | Some (s : Pacor_sched.Sched.stats) ->
-                   Printf.sprintf ", \"steals\": %d, \"parks\": %d, \"executed\": %d"
-                     s.steals s.parks s.executed
-                 | None -> "")
-                (if j = List.length modes - 1 then "" else ","))
-           modes;
-         Printf.bprintf buf "    ]}%s\n" (if i = List.length rows - 1 then "" else ",")
-      )
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
-  in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "steal-bench JSON written to %s@." path
 
 (* ------------------------------------------------------------------ *)
 (* Route bench: conflict-driven incremental negotiation vs the paper's *)
@@ -2146,15 +1953,6 @@ let () =
     (* 48 instances: one batch takes ~0.2s, so the min-of-rounds wall
        clock resolves the 3% no-regression bound above machine noise. *)
     print_jobs_scaling ~steps:3 ~seeds:16 ~jobs_list:[ 1; 2; 4; 8 ] ();
-    Format.printf "@.done.@."
-  end
-  else if steal_bench_only then begin
-    (* Scheduler micro-benchmark: locked queue vs work-stealing deques on
-       uniform and skewed task sets, with the JSON record (committed as
-       BENCH_steal.json). --smoke restricts to the small spec for CI. *)
-    Format.printf "PACOR benchmark harness (steal-bench only%s)@."
-      (if smoke then ", smoke" else "");
-    print_steal_bench ();
     Format.printf "@.done.@."
   end
   else if smoke then begin

@@ -78,26 +78,9 @@ let jobs_conv =
 
 let jobs_arg =
   Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker contexts (default 1; $(b,auto) = one per core). \
-               Independent instances route one per worker, and inside each \
-               instance the pool's work-stealing scheduler shards the inner \
-               stages across idle workers — results stay byte-identical to \
-               $(b,--jobs 1).")
-
-(* Runs [f config] on a worker domain of a [jobs]-wide pool with the
-   pool's scheduler threaded through [config], so intra-instance stage
-   sharding engages (forks from a non-worker domain run inline). With
-   [jobs = 1] the pool is skipped entirely. *)
-let with_jobs ~jobs config f =
-  if jobs <= 1 then f config
-  else
-    Pacor_par.Pool.with_pool ~jobs (fun pool ->
-      let config =
-        { config with Pacor.Config.sched = Some (Pacor_par.Pool.sched pool) }
-      in
-      match Pacor_par.Pool.map_ctx pool (fun _w () -> f config) [ () ] with
-      | [ r ] -> r
-      | _ -> assert false)
+         ~doc:"Worker domains (default 1; $(b,auto) = one per core). \
+               Independent instances route one per worker; results stay \
+               byte-identical to $(b,--jobs 1).")
 
 let timeout_arg =
   Arg.(value & opt (some pos_float_conv) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -157,7 +140,7 @@ let route_cmd =
            ~doc:"Print a machine-readable JSON solution summary (the serve \
                  protocol's result schema) instead of the human-readable report.")
   in
-  let run design file variant verbose render skew save svg json limits retries jobs =
+  let run design file variant verbose render skew save svg json limits retries =
     match load_problem ~design ~file with
     | Error msg -> fail exit_parse "%s" msg
     | Ok problem ->
@@ -186,7 +169,7 @@ let route_cmd =
       let config =
         { (Pacor.Config.make ~variant ()) with Pacor.Config.verbose; limits }
       in
-      (match with_jobs ~jobs config (fun config -> attempt config retries) with
+      (match attempt config retries with
        | Error e -> fail exit_engine "engine failed at %s: %s" e.stage e.message
        | Ok sol when json ->
          (* One line, same schema as the daemon's route result, so scripts
@@ -231,7 +214,7 @@ let route_cmd =
   in
   Cmd.v info
     Term.(const run $ design $ file $ variant $ verbose $ render $ skew $ save $ svg
-          $ json $ limits_term $ retries_arg $ jobs_arg)
+          $ json $ limits_term $ retries_arg)
 
 (* ---- designs (Table 1) ---- *)
 
@@ -468,7 +451,7 @@ let repair_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Print one report line per fault.")
   in
-  let run design file faults verbose limits jobs =
+  let run design file faults verbose limits =
     match load_problem ~design ~file with
     | Error msg -> fail exit_parse "%s" msg
     | Ok problem ->
@@ -476,7 +459,6 @@ let repair_cmd =
        | Error msg -> fail exit_parse "bad --faults spec: %s" msg
        | Ok spec ->
          let config = { (Pacor.Config.make ()) with Pacor.Config.limits } in
-         with_jobs ~jobs config @@ fun config ->
          (match Pacor.Engine.run ~config problem with
           | Error e -> fail exit_engine "engine failed at %s: %s" e.stage e.message
           | Ok sol ->
@@ -491,8 +473,7 @@ let repair_cmd =
             else begin
               Format.printf "injected %d fault(s)@." (List.length fault_list);
               match
-                Pacor_fault.Repair.run ?sched:config.Pacor.Config.sched
-                  ~limits ~faults:fault_list sol
+                Pacor_fault.Repair.run ~limits ~faults:fault_list sol
               with
               | Error msg -> fail exit_engine "repair failed: %s" msg
               | Ok rep ->
@@ -538,7 +519,7 @@ let repair_cmd =
             error, 3 engine error."
   in
   Cmd.v info
-    Term.(const run $ design $ file $ faults $ verbose $ limits_term $ jobs_arg)
+    Term.(const run $ design $ file $ faults $ verbose $ limits_term)
 
 (* ---- serve: the routing daemon ---- *)
 
@@ -599,12 +580,11 @@ let serve_cmd =
                  (default 600).")
   in
   let run port no_stdio _stdio cache journal_path supervise pidfile max_conns
-      max_line idle_timeout limits jobs =
+      max_line idle_timeout limits =
     if no_stdio && port = None then fail exit_parse "--no-stdio requires --port"
     else begin
       let stdio = not no_stdio in
       let worker ?listen_fd () =
-        let serve ?sched () =
         let journal =
           match journal_path with
           | None -> None
@@ -616,8 +596,7 @@ let serve_cmd =
               Stdlib.exit exit_parse)
         in
         let t =
-          Pacor_serve.Server.create ~cache_capacity:cache ~limits ?sched
-            ?journal ()
+          Pacor_serve.Server.create ~cache_capacity:cache ~limits ?journal ()
         in
         let recovered = Pacor_serve.Server.recover t in
         if recovered > 0 then
@@ -632,22 +611,6 @@ let serve_cmd =
              ?idle_timeout_s:idle_timeout t);
         Option.iter Pacor_serve.Journal.close journal;
         0
-        in
-        if jobs <= 1 then serve ()
-        else
-          (* The serve loop must run on a scheduler worker domain for the
-             per-request stage forks to distribute (forks from a non-worker
-             domain run inline); a one-task pool map does exactly that. The
-             pool is created here — after any supervisor fork — so worker
-             domains never cross a fork boundary. *)
-          Pacor_par.Pool.with_pool ~jobs (fun pool ->
-            match
-              Pacor_par.Pool.map_ctx pool
-                (fun _w () -> serve ~sched:(Pacor_par.Pool.sched pool) ())
-                [ () ]
-            with
-            | [ r ] -> r
-            | _ -> assert false)
       in
       if not supervise then worker ()
       else begin
@@ -680,8 +643,7 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(const run $ port $ no_stdio $ stdio $ cache $ journal $ supervise
-          $ pidfile $ max_conns $ max_line $ idle_timeout $ limits_term
-          $ jobs_arg)
+          $ pidfile $ max_conns $ max_line $ idle_timeout $ limits_term)
 
 (* ---- client: drive a daemon from scripts ---- *)
 

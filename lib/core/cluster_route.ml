@@ -63,24 +63,8 @@ let route ?workspace ~config ~grid ~valve_cells clusters =
     let usable p =
       Obstacle_map.free static p && not (Point.Set.mem p valve_cells)
     in
-    (* DME candidate generation is pure per cluster (grid geometry and the
-       immutable blockage closure), so with a scheduler the clusters shard
-       freely; results land in caller-indexed slots and are partitioned in
-       input order, making the parallel run indistinguishable from the
-       sequential one. *)
     let per_cluster =
-      let arr = Array.of_list lm in
-      let ncl = Array.length arr in
-      let out = Array.make ncl [] in
-      let fill i = out.(i) <- candidates_for ~config ~grid ~usable arr.(i) in
-      (match config.Config.sched with
-       | Some sched when ncl >= 2 ->
-         Pacor_sched.Sched.parallel_for sched ~n:ncl fill
-       | Some _ | None ->
-         for i = 0 to ncl - 1 do
-           fill i
-         done);
-      Array.to_list (Array.map2 (fun c cands -> (c, cands)) arr out)
+      List.map (fun c -> (c, candidates_for ~config ~grid ~usable c)) lm
     in
     let with_candidates, no_candidates =
       List.partition_map
@@ -196,7 +180,7 @@ let route ?workspace ~config ~grid ~valve_cells clusters =
         in
         let info = !edge_info in
         let result =
-          Pacor_route.Negotiation.route ?sched:config.Config.sched ?workspace
+          Pacor_route.Negotiation.route ?workspace
             ~config:config.Config.negotiation ~grid ~obstacles:batch_obstacles
             edges
         in
@@ -273,7 +257,7 @@ let route_single ?workspace ~config ~grid ~obstacles cluster candidate =
      whereas a stale edge id should name itself. *)
   let ids = Array.of_list (List.map (fun (child_id, _, _) -> child_id) tree_edges) in
   let result =
-    Pacor_route.Negotiation.route ?sched:config.Config.sched ?workspace
+    Pacor_route.Negotiation.route ?workspace
       ~config:config.Config.negotiation ~grid ~obstacles edges
   in
   if not result.success then None

@@ -13,7 +13,6 @@ type t = {
   max_ripup_rounds : int;
   limits : Pacor_route.Budget.limits;
   verbose : bool;
-  sched : Pacor_sched.Sched.t option;
 }
 
 let default =
@@ -27,7 +26,6 @@ let default =
     max_ripup_rounds = 10;
     limits = Pacor_route.Budget.no_limits;
     verbose = false;
-    sched = None;
   }
 
 let make ?(variant = Full) () = { default with variant }

@@ -24,16 +24,6 @@ type t = {
       (** search budget per engine run (deadline / expansion cap /
           negotiation-iteration cap); default {!Pacor_route.Budget.no_limits} *)
   verbose : bool;        (** log stage-by-stage progress *)
-  sched : Pacor_sched.Sched.t option;
-      (** work-stealing scheduler for intra-instance stage sharding
-          (DME candidates, negotiation conflict probes, escape
-          subnetworks). [None] (the default) keeps every stage
-          sequential. Sharded stages produce
-          byte-identical solutions and search stats; the engine gates
-          the scheduler off whenever a search budget is armed, because
-          a budget trip mid-stage depends on operation interleaving.
-          Warning: a config carrying [Some sched] contains mutexes —
-          do not compare it structurally. *)
 }
 
 val default : t

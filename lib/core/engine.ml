@@ -200,8 +200,7 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
       if not (alive ()) then Ok (routed_list, unrouted_escape routed_list)
       else
       match
-        Escape_stage.run ~alive ~workspace ?sched:config.Config.sched ~grid
-          ~pins:problem.Problem.pins routed_list
+        Escape_stage.run ~alive ~workspace ~grid ~pins:problem.Problem.pins routed_list
       with
       | Error message -> Error { stage = "escape"; message }
       | Ok out ->
@@ -648,11 +647,7 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
        Ok
          {
            Solution.problem;
-           (* Solutions outlive the run: strip the scheduler handle so a
-              stored/repaired solution never references pool machinery
-              (which may be shut down by then) and so solutions routed
-              with different [--jobs] stay structurally identical. *)
-           config = { config with Config.sched = None };
+           config;
            clusters = clusters_out;
            initial_multi_clusters;
            runtime_s;
@@ -663,15 +658,6 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
          })
 
 let run ?(config = Config.default) ?workspace (problem : Problem.t) =
-  (* Stage sharding is only deterministic when no search budget can trip
-     mid-stage: a deadline or expansion cap fires after a number of
-     operations that depends on interleaving, so a budgeted run must stay
-     sequential. [Config.relax] produces limited configs, so retried runs
-     gate themselves off automatically. *)
-  let config =
-    if Pacor_route.Budget.is_no_limits config.Config.limits then config
-    else { config with Config.sched = None }
-  in
   (* One search workspace for the whole problem: every stage's A* /
      bounded-A* calls reuse its arrays (O(1) epoch reset, no grid-sized
      allocation per search) and accumulate into its counters. A caller

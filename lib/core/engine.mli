@@ -54,9 +54,9 @@ val run :
     NTP-adjustable system clock, so per-run figures stay truthful when
     other domains are busy or the system clock steps mid-run. The result is a deterministic
     function of [(config, problem)] — independent of [workspace] warmth
-    and of how runs are scheduled across domains — except under a
-    wall-clock deadline, which by nature trips at a scheduling-dependent
-    point; expansion and iteration caps remain deterministic. *)
+    and of which domain runs it — except under a wall-clock deadline,
+    which by nature trips at a load-dependent point; expansion and
+    iteration caps remain deterministic. *)
 
 (** {2 Benchmark compatibility}
 

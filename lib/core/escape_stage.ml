@@ -51,7 +51,7 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
            path }
      | None -> None)
 
-let run ?alive ?sched ?workspace ~grid ~pins routed_clusters =
+let run ?alive ?workspace ~grid ~pins routed_clusters =
   let claimed =
     List.fold_left
       (fun acc (r : Routed.t) -> Point.Set.union acc r.claimed)
@@ -64,7 +64,7 @@ let run ?alive ?sched ?workspace ~grid ~pins routed_clusters =
       routed_clusters
   in
   match
-    Pacor_flow.Escape.route ?alive ?sched ?workspace ~grid ~claimed ~pins requests
+    Pacor_flow.Escape.route ?alive ?workspace ~grid ~claimed ~pins requests
   with
   | Error _ as e -> e
   | Ok out ->

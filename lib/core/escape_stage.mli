@@ -17,7 +17,6 @@ type outcome = {
 
 val run :
   ?alive:(unit -> bool) ->
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   pins:Point.t list ->

@@ -100,23 +100,11 @@ type rerouted = {
   r_wall_s : float;
 }
 
-let reroute_inner ?sched ~workspace ~budget ~stage ~fproblem ~is_dirty ~revise
+let reroute_inner ~workspace ~budget ~stage ~fproblem ~is_dirty ~revise
     (sol : Pacor.Solution.t) =
   let t0 = Pacor_route.Clock.now_mono () in
   let s0 = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats workspace) in
-  (* Stage sharding is only deterministic when the armed budget cannot
-     trip mid-stage (same gate as the engine): under real limits the trip
-     point depends on operation interleaving, so stay sequential. *)
-  let sched =
-    if Pacor_route.Budget.is_no_limits (Pacor_route.Budget.limits_of budget)
-    then sched
-    else None
-  in
-  let config =
-    match sched with
-    | None -> sol.Pacor.Solution.config
-    | Some _ -> { sol.Pacor.Solution.config with Pacor.Config.sched = sched }
-  in
+  let config = sol.Pacor.Solution.config in
   let grid = fproblem.Pacor.Problem.grid in
   let delta = fproblem.Pacor.Problem.delta in
   let alive () = Pacor_route.Budget.alive budget in
@@ -414,10 +402,10 @@ let with_budget ?workspace ?limits ~stage (sol : Pacor.Solution.t) f =
       | Stack_overflow -> Error (stage ^ ": stack overflow")
       | exn -> Error (stage ^ ": " ^ Printexc.to_string exn))
 
-let reroute ?sched ?workspace ?limits ?(stage = "reroute") ~problem ~is_dirty
+let reroute ?workspace ?limits ?(stage = "reroute") ~problem ~is_dirty
     ?(revise = fun c -> Some c) (sol : Pacor.Solution.t) =
   with_budget ?workspace ?limits ~stage sol (fun ~workspace ~budget ->
-    match reroute_inner ?sched ~workspace ~budget ~stage ~fproblem:problem ~is_dirty ~revise sol with
+    match reroute_inner ~workspace ~budget ~stage ~fproblem:problem ~is_dirty ~revise sol with
     | Error _ as e -> e
     | Ok rr ->
       Ok
@@ -432,7 +420,7 @@ let reroute ?sched ?workspace ?limits ?(stage = "reroute") ~problem ~is_dirty
           wall_s = rr.r_wall_s;
         })
 
-let run ?sched ?workspace ?limits ~faults (sol : Pacor.Solution.t) =
+let run ?workspace ?limits ~faults (sol : Pacor.Solution.t) =
   with_budget ?workspace ?limits ~stage:"repair" sol (fun ~workspace ~budget ->
     let problem = sol.Pacor.Solution.problem in
     let blocked = Fault.blocked_cells faults in
@@ -471,7 +459,7 @@ let run ?sched ?workspace ?limits ~faults (sol : Pacor.Solution.t) =
       in
       let is_dirty c = List.exists (fun f -> touches f c) faults in
       (match
-         reroute_inner ?sched ~workspace ~budget ~stage:"repair" ~fproblem ~is_dirty ~revise sol
+         reroute_inner ~workspace ~budget ~stage:"repair" ~fproblem ~is_dirty ~revise sol
        with
        | Error _ as e -> e
        | Ok rr ->

@@ -50,7 +50,6 @@ type t = {
 }
 
 val run :
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   ?limits:Pacor_route.Budget.limits ->
   faults:Fault.t list ->
@@ -59,10 +58,6 @@ val run :
 (** [run ~faults sol] repairs [sol] in place of a re-route. [limits]
     bounds the repair search (default: the limits [sol] itself was routed
     under); the previous budget of [workspace] is restored on exit.
-    [sched] shards the re-route's inner stages across a work-stealing
-    scheduler when the effective limits are trip-free
-    ({!Pacor_route.Budget.is_no_limits}); under real limits it is ignored,
-    for the same determinism reason the engine strips it.
     [Error] only for structural impossibilities — the fault set leaves no
     valid instance (no surviving valve, fewer pins than valves) — never
     for congestion, which quarantines instead. *)
@@ -92,7 +87,6 @@ val dirty_set : faults:Fault.t list -> Pacor.Solution.t -> int list
     the destination) and reads the dirty set off this. *)
 
 val reroute :
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   ?limits:Pacor_route.Budget.limits ->
   ?stage:string ->

@@ -458,19 +458,16 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests =
    share no cell cannot exchange flow: the min-cost-flow over the joint
    network is exactly the union of the flows over the per-group
    subnetworks. [solve_once] finds the groups ([group_requests]), and when
-   there are at least two it solves each subinstance separately — in
-   parallel when a scheduler is supplied, sequentially otherwise, with
-   identical results either way: requests and pins keep input order
-   within their group, groups merge in first-request order, and each
-   subsolve runs on a leased scratch workspace whose stats are absorbed in
-   group order in both modes.
+   there are at least two it solves each subinstance separately, in group
+   order on the caller's workspace: requests and pins keep input order
+   within their group, and groups merge in first-request order.
 
    The single-group case (the common one: chips have connected free
-   space) runs the historical joint solve on the caller's workspace,
-   byte-for-byte. Decomposition is disabled when the caller's workspace
-   carries real budget limits: subsolves on leased workspaces would not
-   charge the budget, and a budget trip depends on operation order. *)
-let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
+   space) runs the historical joint solve, byte-for-byte. Decomposition
+   is disabled when the caller's workspace carries real budget limits, so
+   a budgeted solve keeps the joint solve's operation order and trips
+   its budget at the same point. *)
+let solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
   let budget_free =
     match workspace with
     | None -> true
@@ -486,49 +483,25 @@ let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
   match groups with
   | None -> solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests
   | Some (gid, group_pins) ->
-    let cells = Routing_grid.cells grid in
+    let ws = match workspace with Some ws -> ws | None -> W.create () in
     let ng = Array.length group_pins in
     let group_reqs = Array.make ng [] in
     for k = Array.length req_arr - 1 downto 0 do
       group_reqs.(gid.(k)) <- req_arr.(k) :: group_reqs.(gid.(k))
     done;
-    let outcomes = Array.make ng None in
-    let solve_group g =
-      let lws = Pacor_route.Workspace_pool.acquire ~cells in
-      let before = Stats.snapshot (W.stats lws) in
-      let roles =
-        compute_roles ~workspace:lws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
-      in
-      let out =
-        solve_joint ~alive ~workspace:lws ~solver ~grid ~roles ~pins:group_pins.(g)
-          group_reqs.(g)
-      in
-      let delta =
-        Stats.diff
-          (Stats.snapshot (W.stats lws))
-          before
-      in
-      Pacor_route.Workspace_pool.release lws;
-      outcomes.(g) <- Some (out, delta)
-    in
-    (match sched with
-     | Some sched -> Pacor_sched.Sched.parallel_for sched ~n:ng solve_group
-     | None ->
-       for g = 0 to ng - 1 do
-         solve_group g
-       done);
     let tbl = Hashtbl.create 16 in
     let total = ref 0 in
-    Array.iter
-      (fun o ->
-        let out, delta = Option.get o in
-        (match workspace with
-         | Some ws ->
-           Stats.absorb (W.stats ws) delta
-         | None -> ());
-        List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
-        total := !total + out.total_length)
-      outcomes;
+    for g = 0 to ng - 1 do
+      let roles =
+        compute_roles ~workspace:ws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
+      in
+      let out =
+        solve_joint ~alive ~workspace:ws ~solver ~grid ~roles ~pins:group_pins.(g)
+          group_reqs.(g)
+      in
+      List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
+      total := !total + out.total_length
+    done;
     let routed =
       List.filter_map
         (fun (r : request) -> Hashtbl.find_opt tbl r.cluster_idx)
@@ -542,8 +515,8 @@ let solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests =
     in
     { routed; failed; total_length = !total }
 
-let route ?(alive = fun () -> true) ?sched ?workspace ?(solver = Grid) ~grid ~claimed ~pins
+let route ?(alive = fun () -> true) ?workspace ?(solver = Grid) ~grid ~claimed ~pins
     requests =
   match validate ~grid ~pins requests with
   | Error _ as e -> e
-  | Ok () -> Ok (solve_once ~alive ?sched ?workspace ~solver ~grid ~claimed ~pins requests)
+  | Ok () -> Ok (solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests)

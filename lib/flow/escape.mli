@@ -39,7 +39,6 @@ type solver =
 
 val route :
   ?alive:(unit -> bool) ->
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Pacor_route.Workspace.t ->
   ?solver:solver ->
   grid:Routing_grid.t ->
@@ -49,14 +48,11 @@ val route :
   (outcome, string) result
 (** [route ~grid ~claimed ~pins requests]:
 
-    [sched] shards each solve over the independent components of the
-    role graph — requests whose reachable regions share no cell route on
-    separate subnetworks, in parallel on leased scratch workspaces.
-    Results are byte-identical with and without [sched] and for any
-    worker count: the decomposition itself also runs without a scheduler
-    (sequentially, same leases, same group order), the single-component
-    case is the historical joint solve verbatim, and decomposition
-    self-disables when the workspace carries real budget limits.
+    Requests whose reachable regions share no cell of the role graph
+    route on separate subnetworks, one after another on [workspace], and
+    merge in first-request order; the single-component case is the
+    historical joint solve verbatim, and the split disables itself when
+    the workspace carries real budget limits.
 
     [alive] (default always true) is a cooperative cancellation hook
     polled between flow augmentations; when it turns false the solve

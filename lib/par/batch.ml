@@ -66,19 +66,8 @@ let classify (result : (Pacor.Solution.t, Pacor.Engine.error) result) =
    (engine bug, OOM) is still confined to this item. Failures retry up to
    [retries] times under a progressively relaxed config; a success on any
    attempt wins. *)
-let route_one ~retries ?sched (w : Pool.worker) (j : job) =
+let route_one ~retries (w : Pool.worker) (j : job) =
   let t0 = Pacor_route.Clock.now_mono () in
-  (* Jobs inherit the pool's scheduler unless they brought their own, so
-     a batch shards inner stages across the same domains that run the
-     jobs — idle domains (fewer ready jobs than workers) pick up forked
-     subtasks instead of parking. Safe because sharded stages are
-     byte-identical to sequential ones, and the engine strips the
-     scheduler whenever a job's budget is armed. *)
-  let j =
-    match j.config.Pacor.Config.sched, sched with
-    | None, Some _ -> { j with config = { j.config with sched } }
-    | _ -> j
-  in
   let attempt config =
     match
       Pacor.Engine.run ~config ~workspace:(Pool.worker_workspace w) j.problem
@@ -139,7 +128,7 @@ let run_on ?(retries = 0) pool jobs_list =
             solution = Error (Crashed (Printexc.to_string exn));
             attempts = 1; degraded = false; elapsed_s = 0.0 })
       jobs_list
-      (Pool.try_map_ctx pool (route_one ~retries ~sched:(Pool.sched pool)) jobs_list)
+      (Pool.try_map_ctx pool (route_one ~retries) jobs_list)
   in
   summarize ~jobs:(Pool.jobs pool) ~elapsed_s:(Pacor_route.Clock.now_mono () -. t0) items
 

@@ -66,7 +66,7 @@ type item = {
 }
 
 type summary = {
-  items : item list;        (** input order, independent of scheduling *)
+  items : item list;        (** input order, whichever worker ran each job *)
   jobs : int;               (** worker domains used *)
   elapsed_s : float;        (** wall-clock time for the whole batch *)
   sequential_s : float;

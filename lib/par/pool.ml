@@ -3,30 +3,43 @@ type worker = {
   workspace : Pacor_route.Workspace.t;
 }
 
+(* One queue of tasks under one mutex. Each domain owns one worker
+   context for its lifetime and runs whatever it dequeues on it, so a
+   workspace is never shared between concurrently running tasks. *)
 type t = {
   n : int;
-  sched : Pacor_sched.Sched.t;
-  (* Treiber stack of idle worker contexts. At most [Sched.domains] tasks
-     execute at once and [Sched.domains <= n], so an executing task always
-     finds a free context — the spin in [acquire] only ever covers the
-     window between a finishing task's release and our pop. *)
-  free : worker list Atomic.t;
+  mutex : Mutex.t;
+  work : Condition.t;  (* signalled on enqueue and on shutdown *)
+  queue : (worker -> unit) Queue.t;
+  mutable closed : bool;
   workers : worker array;
-  closed : bool Atomic.t;
+  mutable domains : unit Domain.t array;
 }
 
 let worker_workspace w = w.workspace
 let worker_index w = w.index
 let jobs t = t.n
-let sched t = t.sched
 
-(* Logical workers beyond the physical core count only add domain
-   time-slicing and stop-the-world GC synchronisation — measured as the
-   old pool's 0.9x "speedup" at jobs=4 on one core. Contexts stay at
-   [jobs] (indices, warm workspaces); domains are clamped to the
-   hardware unless the caller explicitly oversubscribes. *)
+(* Domains beyond the physical core count only add time-slicing and
+   stop-the-world GC synchronisation — measured as a 0.9x "speedup" at
+   jobs=4 on one core. Domains are clamped to the hardware unless the
+   caller explicitly oversubscribes. *)
 let default_domains ~jobs =
   min jobs (Domain.recommended_domain_count ())
+
+(* Tasks never raise ([run_tasks] wraps them), so a worker only leaves
+   the loop once the pool is closed and the queue drained. *)
+let rec worker_loop t w =
+  Mutex.lock t.mutex;
+  while Queue.is_empty t.queue && not t.closed do
+    Condition.wait t.work t.mutex
+  done;
+  match Queue.take_opt t.queue with
+  | None -> Mutex.unlock t.mutex
+  | Some task ->
+    Mutex.unlock t.mutex;
+    task w;
+    worker_loop t w
 
 let create ?domains ~jobs:n () =
   if n < 1 then invalid_arg "Pool.create: jobs must be >= 1";
@@ -38,72 +51,66 @@ let create ?domains ~jobs:n () =
         invalid_arg "Pool.create: domains must be in [1, jobs]";
       d
   in
-  let workers =
-    Array.init n (fun index ->
-      { index; workspace = Pacor_route.Workspace.create () })
+  let t =
+    {
+      n;
+      mutex = Mutex.create ();
+      work = Condition.create ();
+      queue = Queue.create ();
+      closed = false;
+      workers =
+        Array.init d (fun index ->
+          { index; workspace = Pacor_route.Workspace.create () });
+      domains = [||];
+    }
   in
-  {
-    n;
-    sched = Pacor_sched.Sched.create ~domains:d;
-    free = Atomic.make (Array.to_list workers);
-    workers;
-    closed = Atomic.make false;
-  }
-
-let rec acquire t =
-  match Atomic.get t.free with
-  | [] ->
-    Domain.cpu_relax ();
-    acquire t
-  | w :: rest as cur ->
-    if Atomic.compare_and_set t.free cur rest then w else acquire t
-
-let rec release t w =
-  let cur = Atomic.get t.free in
-  if not (Atomic.compare_and_set t.free cur (w :: cur)) then release t w
+  t.domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers;
+  t
 
 (* The shared scatter/gather core: every task settles (result or captured
    exception) before this returns, so a raising task can neither wedge the
-   scheduler nor leak a domain — the callers only differ in how they
-   report the captured exceptions. Each call synchronises on its own
-   mutex/condition pair: concurrent [map] callers on one pool cannot
-   steal each other's wakeups, because nothing is shared between calls
-   but the scheduler itself. *)
+   pool nor leak a domain — the callers only differ in how they report
+   the captured exceptions. Each call waits on its own mutex/condition
+   pair: concurrent [map] callers on one pool cannot steal each other's
+   wakeups, because they share nothing but the task queue. *)
 let run_tasks t label f xs =
-  if Atomic.get t.closed then invalid_arg (label ^ ": pool has been shut down");
-  match xs with
-  | [] -> ([||], [||])
-  | xs ->
-    let inputs = Array.of_list xs in
-    let n = Array.length inputs in
-    let results = Array.make n None in
-    let failures = Array.make n None in
-    let remaining = Atomic.make n in
-    let call_mutex = Mutex.create () in
-    let all_done = Condition.create () in
-    let task i () =
-      let w = acquire t in
-      (match f w inputs.(i) with
-       | r -> results.(i) <- Some r
-       | exception e ->
-         failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-      release t w;
-      (* The decrement publishes this task's writes (SC atomic); the
-         last task signals under the call's own mutex, and the waiter
-         re-checks the counter under that mutex — no lost wakeup. *)
-      if Atomic.fetch_and_add remaining (-1) = 1 then begin
-        Mutex.lock call_mutex;
-        Condition.broadcast all_done;
-        Mutex.unlock call_mutex
-      end
-    in
-    Pacor_sched.Sched.submit_batch t.sched (Array.init n task);
-    Mutex.lock call_mutex;
-    while Atomic.get remaining > 0 do
-      Condition.wait all_done call_mutex
+  let inputs = Array.of_list xs in
+  let n = Array.length inputs in
+  let results = Array.make n None in
+  let failures = Array.make n None in
+  let remaining = Atomic.make n in
+  let call_mutex = Mutex.create () in
+  let all_done = Condition.create () in
+  let task i w =
+    (match f w inputs.(i) with
+     | r -> results.(i) <- Some r
+     | exception e ->
+       failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+    (* The decrement publishes this task's writes (SC atomic); the
+       last task signals under the call's own mutex, and the waiter
+       re-checks the counter under that mutex — no lost wakeup. *)
+    if Atomic.fetch_and_add remaining (-1) = 1 then begin
+      Mutex.lock call_mutex;
+      Condition.broadcast all_done;
+      Mutex.unlock call_mutex
+    end
+  in
+  Mutex.lock t.mutex;
+  let closed = t.closed in
+  if not closed then begin
+    for i = 0 to n - 1 do
+      Queue.add (task i) t.queue
     done;
-    Mutex.unlock call_mutex;
-    (results, failures)
+    Condition.broadcast t.work
+  end;
+  Mutex.unlock t.mutex;
+  if closed then invalid_arg (label ^ ": pool has been shut down");
+  Mutex.lock call_mutex;
+  while Atomic.get remaining > 0 do
+    Condition.wait all_done call_mutex
+  done;
+  Mutex.unlock call_mutex;
+  (results, failures)
 
 let map_ctx t f xs =
   let results, failures = run_tasks t "Pool.map_ctx" f xs in
@@ -130,10 +137,14 @@ let search_stats t =
          (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats w.workspace)))
     Pacor_route.Search_stats.zero t.workers
 
-let sched_stats t = Pacor_sched.Sched.stats t.sched
-
+(* Queued tasks still run: workers drain the queue before they exit. *)
 let shutdown t =
-  if not (Atomic.exchange t.closed true) then Pacor_sched.Sched.shutdown t.sched
+  Mutex.lock t.mutex;
+  let first = not t.closed in
+  t.closed <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.mutex;
+  if first then Array.iter Domain.join t.domains
 
 let with_pool ?domains ~jobs f =
   let t = create ?domains ~jobs () in

@@ -1,21 +1,13 @@
-(** Fixed-size worker pool for batch routing, backed by the
-    {!Pacor_sched.Sched} work-stealing scheduler.
+(** Fixed-size worker pool for batch routing: a mutex-guarded task
+    queue drained by worker domains.
 
-    A pool has [jobs] {e logical} worker contexts — each owning a private
-    routing context, a {!Pacor_route.Workspace.t} (and the
-    {!Pacor_route.Search_stats.t} implicit in it) — but spawns only
-    [min jobs (Domain.recommended_domain_count ())] domains by default.
-    Logical contexts are acquired from a lock-free free-list for the
-    duration of each task, so a task still never shares a workspace with
-    a concurrently executing task, workers' warm arrays persist across
-    the tasks they execute, and [jobs > cores] no longer oversubscribes
-    the machine with idle domains fighting the GC.
-
-    Tasks are injected into the scheduler; inside a task, code may fork
-    context-free subtasks with {!Pacor_sched.Sched.scope} /
-    [parallel_for] on {!sched} — those are stolen across the same
-    domains, which is how the intra-instance stage sharding gets its
-    parallelism without extra domains.
+    A pool spawns [min jobs (Domain.recommended_domain_count ())] worker
+    domains by default, so [jobs > cores] does not oversubscribe the
+    machine with domains fighting the GC. Each domain owns one routing
+    context — a {!Pacor_route.Workspace.t} (and the
+    {!Pacor_route.Search_stats.t} implicit in it) — for its lifetime, so
+    a task never shares a workspace with a concurrently executing task
+    and a worker's warm arrays persist across the tasks it executes.
 
     Determinism contract: {!map} and {!map_ctx} return results in input
     order, regardless of which worker ran which task or in what order
@@ -25,10 +17,10 @@
     deterministic too. The remaining tasks still run to completion; a
     failing task never wedges the pool.
 
-    Each [map] call synchronises on its own mutex/condition pair, so
-    concurrent [map_ctx] calls from different domains on one pool are
-    safe (they interleave on the scheduler but cannot lose each other's
-    completion wakeups). {!shutdown} joins every domain. *)
+    Each [map] call waits on its own mutex/condition pair, so concurrent
+    [map_ctx] calls from different domains on one pool are safe (they
+    interleave on the queue but cannot lose each other's completion
+    wakeups). {!shutdown} joins every domain. *)
 
 type t
 
@@ -37,27 +29,20 @@ type worker
 
 val worker_workspace : worker -> Pacor_route.Workspace.t
 (** The context's private search workspace. Valid only inside the task
-    callback the context was leased to. *)
+    callback the context was handed to. *)
 
 val worker_index : worker -> int
-(** Stable index in [0, jobs): which logical context is executing the
+(** Stable index in [0, jobs): which worker domain is executing the
     task. *)
 
 val create : ?domains:int -> jobs:int -> unit -> t
-(** Creates [jobs] logical worker contexts and spawns
-    [min jobs (Domain.recommended_domain_count ())] scheduler domains —
-    or exactly [domains] when given (tests and benches use this to force
-    oversubscription on small machines). Concurrently executing tasks
-    never exceed the domain count, which never exceeds [jobs], so a task
-    can always acquire a free context without blocking.
+(** Spawns [min jobs (Domain.recommended_domain_count ())] worker
+    domains, or exactly [domains] when given (tests and benches use this
+    to force oversubscription on small machines).
     @raise Invalid_argument if [jobs < 1] or [domains] is outside
     [1, jobs]. *)
 
 val jobs : t -> int
-
-val sched : t -> Pacor_sched.Sched.t
-(** The underlying scheduler, for forking context-free subtasks from
-    inside a task (stage sharding) or for introspection. *)
 
 val map_ctx : t -> (worker -> 'a -> 'b) -> 'a list -> 'b list
 (** [map_ctx pool f xs] runs [f worker x] for every element on the pool
@@ -78,12 +63,9 @@ val search_stats : t -> Pacor_route.Search_stats.snapshot
     Only meaningful while the pool is quiescent (no [map_ctx] in
     flight). *)
 
-val sched_stats : t -> Pacor_sched.Sched.stats
-(** Scheduler counters (steals / parks / executed tasks) since
-    [create]. Exact only while the pool is quiescent. *)
-
 val shutdown : t -> unit
-(** Shuts the scheduler down and joins all worker domains. Idempotent. *)
+(** Lets the workers drain the queue, then joins all worker domains.
+    Idempotent. *)
 
 val with_pool : ?domains:int -> jobs:int -> (t -> 'b) -> 'b
 (** [with_pool ~jobs f] brackets [create]/[shutdown] around [f]. *)

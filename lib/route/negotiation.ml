@@ -36,18 +36,11 @@ let better (a : outcome) (b : outcome) =
   let ca = List.length a.paths and cb = List.length b.paths in
   ca > cb || (ca = cb && total_length a.paths < total_length b.paths)
 
-let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
+let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
   let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
   let n = Routing_grid.cells grid in
   let edge_arr = Array.of_list edges in
   let nedges = Array.length edge_arr in
-  (* The engine strips the scheduler whenever a search budget is armed:
-     a budget trip depends on interleaving. *)
-  let par =
-    match sched with
-    | Some s when nedges >= 2 -> Some s
-    | _ -> None
-  in
   let idx p = Routing_grid.index grid p in
   (* History per Eq. (5): after k bumps a cell costs
      b * (1 + alpha + ... + alpha^(k-1)). A round bumps a cell at most
@@ -235,12 +228,9 @@ let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
              branch points) never caused the failure. *)
           let rip_len = ref 0 in
           let next_len = ref 0 in
-          (* Cells bumped since the current speculation window's probes
-             ran; a pending probe that touched none of them saw exactly
-             the history the sequential flow would show it. *)
-          let bumped = ref [] in
-          let apply s probe =
-            match probe with
+          for k = 0 to failed_len - 1 do
+            let s = failed_buf.(k) in
+            match search_edge ideal_spec edge_arr.(s) with
             | None -> hopeless.(s) <- true
             | Some ideal ->
               order.(!next_len) <- s;
@@ -253,8 +243,7 @@ let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
                    if i <> ai && i <> bi && Workspace.claimed ws i then begin
                      if bump_round.(i) <> r then begin
                        bump_round.(i) <- r;
-                       bump_cell i;
-                       bumped := i :: !bumped
+                       bump_cell i
                      end;
                      let o = owner.(i) in
                      if o >= 0 && not ripped.(o) then begin
@@ -269,66 +258,7 @@ let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
                      end
                    end)
                 (Path.points ideal)
-          in
-          (match par with
-           | None ->
-             for k = 0 to failed_len - 1 do
-               let s = failed_buf.(k) in
-               apply s (search_edge ideal_spec edge_arr.(s))
-             done
-           | Some sched ->
-             (* Speculative parallel ideal probes. Phase A runs a window
-                of probes concurrently, each on a leased scratch
-                workspace, against the frozen history array ([hcost] is
-                only written in phase B). Phase B walks the window in
-                [failed_buf] order: a probe is adopted verbatim — its
-                search stats absorbed as if it had run on [ws] — unless
-                some cell bumped earlier in the window was touched by
-                its search (the touched set over-approximates every cell
-                whose cost the search read), in which case the probe is
-                discarded, unabsorbed, and the search re-runs on [ws]
-                against live history. Either way the path, the bumps and
-                the stats are bit-identical to the sequential flow.
-                Windowing bounds the leased workspaces held at once. *)
-             let window = 2 * Pacor_sched.Sched.domains sched in
-             let k0 = ref 0 in
-             while !k0 < failed_len do
-               let base = !k0 in
-               let b = min window (failed_len - base) in
-               let wss = Array.init b (fun _ -> Workspace_pool.acquire ~cells:n) in
-               let probes = Array.make b None in
-               Pacor_sched.Sched.parallel_for sched ~n:b (fun j ->
-                 let lws = wss.(j) in
-                 let e = edge_arr.(failed_buf.(base + j)) in
-                 let before = Search_stats.snapshot (Workspace.stats lws) in
-                 let p1, p2 = e.ends in
-                 let p =
-                   Astar.search ~workspace:lws ~grid ~spec:ideal_spec
-                     ~sources:[ p1 ] ~targets:[ p2 ] ()
-                 in
-                 let delta =
-                   Search_stats.diff
-                     (Search_stats.snapshot (Workspace.stats lws))
-                     before
-                 in
-                 probes.(j) <- Some (p, delta));
-               bumped := [];
-               for j = 0 to b - 1 do
-                 let s = failed_buf.(base + j) in
-                 let lws = wss.(j) in
-                 let p, delta = Option.get probes.(j) in
-                 let valid =
-                   List.for_all (fun i -> not (Workspace.touched lws i)) !bumped
-                 in
-                 if valid then begin
-                   Search_stats.absorb (Workspace.stats ws) delta;
-                   apply s p
-                 end
-                 else apply s (search_edge ideal_spec edge_arr.(s));
-                 Workspace_pool.release lws
-               done;
-               k0 := base + b
-             done);
+          done;
           if !rip_len = 0 then
             (* No claim owner could be identified: the next round would
                face the same claims and fail the same way. *)
@@ -370,94 +300,20 @@ let route ?sched ?workspace ?(config = default_config) ~grid ~obstacles edges =
              endpoints is ideal by inspection — no search needed; only
              paths forced around obstacles pay one plain A* each. *)
           let plain = Astar.obstacle_spec obstacles in
-          match par with
-          | None ->
-            let ok = ref true in
-            for s = 0 to nedges - 1 do
-              if !ok then
-                match paths.(s) with
-                | None -> ok := false
-                | Some p ->
-                  let len = Path.length p in
-                  let a, b = edge_arr.(s).ends in
-                  if len <> Point.manhattan a b then
-                    (match search_edge plain edge_arr.(s) with
-                     | Some q -> if len <> Path.length q then ok := false
-                     | None -> ok := false)
-            done;
-            !ok
-          | Some sched ->
-            (* The sequential scan short-circuits: it searches each
-               non-trivial slot in order until one fails, and never
-               searches past a missing path. Reproduce that exactly:
-               probe the searchable prefix in windows (the plain spec
-               reads only immutable obstacles, so probes are always
-               valid), absorb each probe's stats in slot order up to and
-               including the first failure, and discard the rest. *)
-            let first_none = ref nedges in
-            (try
-               for s = 0 to nedges - 1 do
-                 match paths.(s) with
-                 | None ->
-                   first_none := s;
-                   raise Exit
-                 | Some _ -> ()
-               done
-             with Exit -> ());
-            let cand = ref [] in
-            for s = !first_none - 1 downto 0 do
+          let ok = ref true in
+          for s = 0 to nedges - 1 do
+            if !ok then
               match paths.(s) with
-              | Some p
-                when Path.length p
-                     <> (let a, b = edge_arr.(s).ends in
-                         Point.manhattan a b) ->
-                cand := s :: !cand
-              | Some _ | None -> ()
-            done;
-            let cand = Array.of_list !cand in
-            let ncand = Array.length cand in
-            let window = 2 * Pacor_sched.Sched.domains sched in
-            let searches_ok = ref true in
-            let k0 = ref 0 in
-            while !searches_ok && !k0 < ncand do
-              let base = !k0 in
-              let b = min window (ncand - base) in
-              let wss = Array.init b (fun _ -> Workspace_pool.acquire ~cells:n) in
-              let probes = Array.make b None in
-              Pacor_sched.Sched.parallel_for sched ~n:b (fun j ->
-                let lws = wss.(j) in
-                let e = edge_arr.(cand.(base + j)) in
-                let before = Search_stats.snapshot (Workspace.stats lws) in
-                let p1, p2 = e.ends in
-                let p =
-                  Astar.search ~workspace:lws ~grid ~spec:plain
-                    ~sources:[ p1 ] ~targets:[ p2 ] ()
-                in
-                let delta =
-                  Search_stats.diff
-                    (Search_stats.snapshot (Workspace.stats lws))
-                    before
-                in
-                probes.(j) <- Some (Option.map Path.length p, delta));
-              for j = 0 to b - 1 do
-                (match probes.(j) with
-                 | Some (qlen, delta) when !searches_ok ->
-                   Search_stats.absorb (Workspace.stats ws) delta;
-                   let s = cand.(base + j) in
-                   let len =
-                     match paths.(s) with
-                     | Some p -> Path.length p
-                     | None -> assert false
-                   in
-                   (match qlen with
-                    | Some ql -> if len <> ql then searches_ok := false
-                    | None -> searches_ok := false)
-                 | _ -> ());
-                Workspace_pool.release wss.(j)
-              done;
-              k0 := base + b
-            done;
-            !searches_ok && !first_none = nedges)
+              | None -> ok := false
+              | Some p ->
+                let len = Path.length p in
+                let a, b = edge_arr.(s).ends in
+                if len <> Point.manhattan a b then
+                  (match search_edge plain edge_arr.(s) with
+                   | Some q -> if len <> Path.length q then ok := false
+                   | None -> ok := false)
+          done;
+          !ok)
     in
     if provably_no_worse () then inc
     else begin

@@ -66,7 +66,6 @@ type outcome = {
 }
 
 val route :
-  ?sched:Pacor_sched.Sched.t ->
   ?workspace:Workspace.t ->
   ?config:config ->
   grid:Routing_grid.t ->
@@ -84,13 +83,4 @@ val route :
     {!Budget.t} ({!Budget.note_iteration}); an exhausted budget ends
     negotiation early with the best subset so far, exactly as if [gamma]
     had been reached, and the per-edge A* calls inside a round fail fast
-    through the budget-checked {!Workspace.pop_cell}.
-
-    With [sched], the conflict-analysis ideal probes of incremental mode
-    and the certificate's per-edge plain probes run speculatively in
-    parallel on leased scratch workspaces and are merged in input order
-    (adopt when provably unaffected by the window's history bumps,
-    re-run on [workspace] otherwise), which leaves paths, outcome and
-    search stats bit-identical to the sequential flow. Callers arming a
-    search budget must not pass [sched] (the engine strips it automatically —
-    budget trips depend on operation interleaving). *)
+    through the budget-checked {!Workspace.pop_cell}. *)

@@ -39,20 +39,6 @@ let relaxed (t : t) = t.relaxations <- t.relaxations + 1
 let reset_noted (t : t) = t.resets <- t.resets + 1
 let grid_alloc_noted (t : t) = t.grid_allocs <- t.grid_allocs + 1
 
-(* Merge a leased-workspace search's activity into the main counters as
-   if the search had run there. [grid_allocs] is deliberately excluded:
-   allocation events depend on the lessee workspace's growth history, not
-   on the search, so absorbing them would make the main stats depend on
-   lease-pool scheduling. Every other field is a deterministic function
-   of the search itself. *)
-let absorb (t : t) (s : snapshot) =
-  t.searches <- t.searches + s.searches;
-  t.pops <- t.pops + s.pops;
-  t.pushes <- t.pushes + s.pushes;
-  t.touches <- t.touches + s.touched;
-  t.relaxations <- t.relaxations + s.relaxations;
-  t.resets <- t.resets + s.resets
-
 let snapshot (t : t) : snapshot =
   {
     searches = t.searches;

@@ -35,14 +35,6 @@ val relaxed : t -> unit
 val reset_noted : t -> unit
 val grid_alloc_noted : t -> unit
 
-val absorb : t -> snapshot -> unit
-(** [absorb t s] adds every field of [s] except [grid_allocs] into [t].
-    Used to credit a search that ran on a leased scratch workspace back
-    to the main workspace's counters: all absorbed fields are
-    deterministic per search, while [grid_allocs] depends on the scratch
-    workspace's private growth history and is dropped so parallel runs
-    report byte-identical stats to sequential ones. *)
-
 val snapshot : t -> snapshot
 
 val zero : snapshot

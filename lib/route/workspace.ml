@@ -131,9 +131,6 @@ let begin_bounded t ~cells ~max_visits_per_cell =
 
 let dist t i = if t.dist_stamp.(i) = t.epoch then t.dist_a.(i) else max_int
 
-let touched t i =
-  i >= 0 && i < Array.length t.dist_stamp && t.dist_stamp.(i) = t.epoch
-
 (* First touch of a cell in an epoch also resets its parent, so [parent]
    never reads a stale predecessor through a fresh distance stamp. *)
 let set_dist t i d =
@@ -282,7 +279,7 @@ let append_entry t ~cell ~g ~parent =
 
 (* Jump every per-cell array (and the bounded-search pool) straight to the
    target size in one allocation event, so routing a 1000x1000+ instance on
-   a pooled workspace never reallocates mid-run and a later, smaller
+   a reused workspace never reallocates mid-run and a later, smaller
    instance reuses the grown arrays untouched. *)
 let prepare t ~cells =
   reserve_cells t cells;

@@ -50,15 +50,6 @@ val begin_bounded : t -> cells:int -> max_visits_per_cell:int -> unit
 val dist : t -> int -> int
 (** [max_int] when the cell is untouched this epoch. *)
 
-val touched : t -> int -> bool
-(** Whether the cell received a distance stamp this epoch — i.e. whether
-    the last search wrote any per-cell state for it. Because A* reads a
-    cell's cost function only on the paths that also stamp its distance,
-    the touched set over-approximates every cell whose cost the search
-    depended on; speculative parallel probes use this to decide whether a
-    later state change could have altered the probe's result. Safe for
-    any [i] (out-of-range cells are untouched). *)
-
 val set_dist : t -> int -> int -> unit
 
 val parent : t -> int -> int
@@ -173,8 +164,8 @@ val prepare : t -> cells:int -> unit
     default visit stride) to [cells] in one step. The engine calls this
     once per run with the instance's cell count, so 1000x1000+ grids pay a
     single allocation event on a cold workspace and none at all on a warm
-    one — a pooled workspace grows monotonically across differently-sized
-    problems and never shrinks. *)
+    one — a batch worker's workspace grows monotonically across
+    differently-sized problems and never shrinks. *)
 
 (** {2 Scratch pools}
 

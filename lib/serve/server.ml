@@ -32,7 +32,7 @@ type t = {
   mutable max_outgoing_obs : int;  (* peak outgoing-queue bytes across connections *)
 }
 
-let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits) ?sched
+let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits)
     ?(replay_capacity = 256) ?journal () =
   {
     cache = Lru.create ~capacity:cache_capacity;
@@ -40,7 +40,7 @@ let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits) ?sche
     pool = [];
     pool_limit = 8;
     poisoned = Hashtbl.create 4;
-    config = { Pacor.Config.default with limits; sched };
+    config = { Pacor.Config.default with limits };
     started_at = Pacor_route.Clock.now_mono ();
     journal;
     replay = Lru.create ~capacity:replay_capacity;
@@ -417,8 +417,7 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           { sess.solution with Pacor.Solution.problem }
       else
         match
-          Pacor_fault.Repair.reroute ?sched:t.config.Pacor.Config.sched
-            ~workspace ?limits:req.Protocol.limits
+          Pacor_fault.Repair.reroute ~workspace ?limits:req.Protocol.limits
             ~stage:(Protocol.delta_label delta) ~problem ~is_dirty ~revise sess.solution
         with
         | Ok r
@@ -438,8 +437,7 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
         | Error _ -> fallback ~problem ~dirty:dirty_ids None)
     | Ok (Repair { faults; fproblem }) -> (
       match
-        Pacor_fault.Repair.run ?sched:t.config.Pacor.Config.sched
-          ~workspace ?limits:req.Protocol.limits ~faults
+        Pacor_fault.Repair.run ~workspace ?limits:req.Protocol.limits ~faults
           sess.solution
       with
       | Ok r

@@ -39,20 +39,13 @@ type t
 val create :
   ?cache_capacity:int ->
   ?limits:Pacor_route.Budget.limits ->
-  ?sched:Pacor_sched.Sched.t ->
   ?replay_capacity:int ->
   ?journal:Journal.t ->
   unit ->
   t
 (** Fresh daemon state. [cache_capacity] bounds the solution LRU (default
     64 entries); [limits] is the default per-request budget (default
-    unlimited); [sched] shards each request's inner routing
-    stages across a work-stealing scheduler — for that to engage, the
-    serve loop itself must run on one of the scheduler's worker domains
-    (the CLI wraps it in a one-task pool map when [--jobs > 1]); requests
-    arming a budget fall back to sequential automatically, so served
-    results stay byte-identical to unscheduled ones;
-    [replay_capacity] bounds the retry replay cache
+    unlimited); [replay_capacity] bounds the retry replay cache
     (default 256 responses); [journal] makes every session mutation
     durable. *)
 

@@ -45,11 +45,11 @@ echo "$out" | grep -q "quarantine: 1 job(s) permanently failed" || {
   exit 1
 }
 
-echo "== bench smoke (incl. jobs-scaling case + scheduler assertions) =="
+echo "== bench smoke (incl. jobs-scaling case + pool assertions) =="
 ./_build/default/bench/main.exe --smoke
 
 echo "== batch byte-identity: --jobs 4 vs --jobs 1 on the corpus =="
-# The scheduler's determinism contract at the CLI level: identical routing
+# The pool's determinism contract at the CLI level: identical routing
 # results whatever the worker count. Only wall-clock columns and the
 # workspace warm-up counter (allocs — documented schedule-dependent) may
 # differ.
@@ -67,47 +67,19 @@ if [ "$b1" != "$b4" ]; then
   exit 1
 fi
 
-echo "== scheduler race smoke: deque + fork-join stress x3 seeds =="
+echo "== pool race smoke: pool semantics + stress x3 seeds =="
 # Repeated-seed stress in place of a TSAN build: the qcheck cases pick up
-# QCHECK_SEED, and the fixed stress cases (concurrent owner/thief
-# interleavings, concurrent map callers, steal progress) re-roll their
-# domain interleavings on every run.
+# QCHECK_SEED, and the fixed stress cases (concurrent map callers, forced
+# oversubscription with raising tasks) re-roll their domain interleavings
+# on every run.
 for seed in 1 42 20260809; do
-  QCHECK_SEED=$seed timeout 300 ./_build/default/test/test_sched.exe test deque \
+  QCHECK_SEED=$seed timeout 300 ./_build/default/test/test_par.exe test 'pool semantics' \
     > /dev/null 2>&1 || {
-      echo "scheduler race smoke: deque stress failed under seed $seed" >&2; exit 1; }
-  QCHECK_SEED=$seed timeout 300 ./_build/default/test/test_sched.exe test fork-join \
+      echo "pool race smoke: pool semantics failed under seed $seed" >&2; exit 1; }
+  QCHECK_SEED=$seed timeout 300 ./_build/default/test/test_par.exe test stress \
     > /dev/null 2>&1 || {
-      echo "scheduler race smoke: fork-join stress failed under seed $seed" >&2; exit 1; }
+      echo "pool race smoke: stress failed under seed $seed" >&2; exit 1; }
 done
-
-echo "== steal-bench smoke + BENCH_steal.json drift check =="
-stealjson=$(mktemp)
-./_build/default/bench/main.exe --steal-bench --smoke --json-out "$stealjson" > /dev/null
-for key in '"bench": "pacor-steal-bench"' '"cores"' '"modes"' '"sched_ns_per_task"'; do
-  grep -qF "$key" BENCH_steal.json || {
-    echo "BENCH_steal.json schema drift: missing $key" >&2; exit 1; }
-  grep -qF "$key" "$stealjson" || {
-    echo "steal-bench smoke output schema drift: missing $key" >&2; exit 1; }
-done
-# Result integrity: every mode at every domain count must reproduce the
-# spec's checksum — in the committed record and in the fresh smoke run.
-for rec in BENCH_steal.json "$stealjson"; do
-  if grep -qF '"checksum_ok": false' "$rec"; then
-    echo "$rec: a scheduler run lost or duplicated tasks (checksum)" >&2; exit 1
-  fi
-done
-# Determinism drift: the smoke specs are a subset of the committed run, so
-# every fingerprint (task shape + checksum; wall-clock, steals and parks
-# excluded) must appear verbatim.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$stealjson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_steal.json || {
-    echo "steal-bench determinism drift: fingerprint not in BENCH_steal.json:" >&2
-    echo "  $fp" >&2
-    exit 1
-  }
-done
-rm -f "$stealjson"
 
 echo "== BENCH_parallel.json drift check (jobs-scaling record) =="
 # The committed record must carry the core count it was measured on and

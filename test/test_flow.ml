@@ -994,7 +994,15 @@ let prop_escape_matches_oracles =
      neighbours are start cells of requests 0 and 1 on either side, so
      the pin touches both regions and fuses them. Some instances also
      list a pin as a start cell. One workspace serves every grouping call,
-     so its leased slots are always dirty. *)
+     so its leased slots are always dirty. The route runs on a fresh
+     workspace and then twice more on one workspace reused across every
+     instance (and so dirty from earlier instances). Every run must match
+     the oracle route's paths and search count, and the reused runs must
+     match the fresh run on every search counter but [grid_allocs]
+     (allocation events measure workspace warmth, not the search). The
+     other counters cannot be held to the oracle: its seed is a BFS over
+     the node-split graph, which pops two nodes per cell and counts no
+     touches. *)
   let gen =
     QCheck.Gen.(
       let* ow = int_range 8 14 and* oh = int_range 8 14 in
@@ -1073,11 +1081,11 @@ let prop_escape_matches_oracles =
       t.oreqs
   in
   let group_ws = Pacor_route.Workspace.create () in
+  let reused_ws = Pacor_route.Workspace.create () in
   let fresh () = Pacor_route.Workspace.create () in
-  let searches ws =
-    (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
-      .Pacor_route.Search_stats.searches
-  in
+  let module S = Pacor_route.Search_stats in
+  let snap ws = S.snapshot (Pacor_route.Workspace.stats ws) in
+  let work (s : S.snapshot) = { s with S.grid_allocs = 0 } in
   let same_outcome (a : Escape.outcome) (b : Escape.outcome) =
     let key (e : Escape.routed) = (e.idx, e.start_cell, e.pin, Path.points e.path) in
     List.map key a.routed = List.map key b.routed
@@ -1119,17 +1127,31 @@ let prop_escape_matches_oracles =
         | Some _, None | None, Some _ -> false
       in
       if not same_groups then QCheck.Test.fail_report "groups differ from the union-find";
-      let ws = fresh () and ws_oracle = fresh () in
-      match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
-      | Error e -> QCheck.Test.fail_reportf "route error: %s" e
-      | Ok out ->
-        let oracle = Escape_oracle.route ws_oracle ~grid ~claimed ~pins reqs in
-        if not (same_outcome out oracle) then
-          QCheck.Test.fail_report "routes differ from the oracle route"
-        else if searches ws <> searches ws_oracle then
-          QCheck.Test.fail_reportf "searches %d <> oracle %d" (searches ws)
-            (searches ws_oracle)
-        else true)
+      let ws_oracle = fresh () in
+      let oracle = Escape_oracle.route ws_oracle ~grid ~claimed ~pins reqs in
+      let oracle_searches = (snap ws_oracle).S.searches in
+      let run label ws =
+        let before = snap ws in
+        match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
+        | Error e -> QCheck.Test.fail_reportf "%s: route error: %s" label e
+        | Ok out ->
+          let w = work (S.diff (snap ws) before) in
+          if not (same_outcome out oracle) then
+            QCheck.Test.fail_reportf "%s: routes differ from the oracle route" label;
+          if w.S.searches <> oracle_searches then
+            QCheck.Test.fail_reportf "%s: searches %d <> oracle %d" label w.S.searches
+              oracle_searches;
+          w
+      in
+      let fresh_work = run "fresh workspace" (fresh ()) in
+      List.iter
+        (fun label ->
+          let w = run label reused_ws in
+          if w <> fresh_work then
+            QCheck.Test.fail_reportf "%s: search work %a <> fresh workspace %a" label S.pp
+              w S.pp fresh_work)
+        [ "reused workspace, first run"; "reused workspace, second run" ];
+      true)
 
 type implicit_instance = {
   iw : int;

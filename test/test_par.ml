@@ -165,6 +165,31 @@ let test_pool_shutdown_semantics () =
    | _ -> Alcotest.fail "map_ctx after shutdown should raise"
    | exception Invalid_argument _ -> ())
 
+let test_concurrent_map_callers () =
+  (* Two non-worker domains hammer one pool with interleaved map_ctx
+     calls. Each call must see its own completion wakeup — when calls
+     shared the pool-wide condition variable, one caller could consume
+     the other's broadcast and hang or return early. *)
+  let pool = Pacor_par.Pool.create ~domains:2 ~jobs:2 () in
+  let caller d =
+    Domain.spawn (fun () ->
+      let ok = ref true in
+      for k = 1 to 25 do
+        let xs = List.init 40 (fun i -> i + k) in
+        let expect = List.map (fun x -> (x * 2) + d) xs in
+        let got = Pacor_par.Pool.map_ctx pool (fun _ x -> (x * 2) + d) xs in
+        if got <> expect then ok := false
+      done;
+      !ok)
+  in
+  let a = caller 1 in
+  let b = caller 2 in
+  let ra = Domain.join a in
+  let rb = Domain.join b in
+  Pacor_par.Pool.shutdown pool;
+  Alcotest.(check bool) "caller A saw every completion" true ra;
+  Alcotest.(check bool) "caller B saw every completion" true rb
+
 (* (c) Fault isolation: a poisoned batch quarantines exactly the bad
    jobs, healthy jobs stay byte-identical to their sequential runs, and a
    raising worker task neither leaks domains nor poisons the pool. *)
@@ -294,6 +319,39 @@ let prop_pool_many_tiny_tasks =
        let sum = List.fold_left ( + ) 0 (Pacor_par.Pool.map ~jobs succ xs) in
        sum = n * (n + 1) / 2)
 
+(* Forced oversubscription: four domains on however few cores, many tiny
+   tasks with raising ones mixed in, and shutdown straight after the last
+   call. Every slot must settle with its own result or exception, no
+   worker index may escape [0, jobs), and shutdown must join cleanly. *)
+let test_pool_oversubscribed_stress () =
+  let pool = Pacor_par.Pool.create ~domains:4 ~jobs:4 () in
+  for round = 1 to 20 do
+    let xs = List.init 500 (fun i -> i + round) in
+    let results =
+      Pacor_par.Pool.try_map_ctx pool
+        (fun w x ->
+           let i = Pacor_par.Pool.worker_index w in
+           if i < 0 || i >= 4 then failwith "worker index out of range";
+           if x mod 11 = 0 then raise (Boom x) else x * 3)
+        xs
+    in
+    List.iter2
+      (fun x r ->
+         match r with
+         | Ok v when x mod 11 <> 0 -> Alcotest.(check int) "healthy result" (x * 3) v
+         | Error (Boom y) when x mod 11 = 0 -> Alcotest.(check int) "own exception" x y
+         | Ok _ -> Alcotest.failf "task %d should have raised" x
+         | Error e -> Alcotest.failf "task %d: %s" x (Printexc.to_string e))
+      xs results
+  done;
+  (match Pacor_par.Pool.map_ctx pool (fun _ x -> if x = 7 || x = 3 then raise (Boom x) else x)
+           (List.init 200 Fun.id)
+   with
+   | _ -> Alcotest.fail "expected Boom"
+   | exception Boom x -> Alcotest.(check int) "earliest failing task reported" 3 x);
+  Pacor_par.Pool.shutdown pool;
+  Pacor_par.Pool.shutdown pool
+
 (* ---------- Workspace reuse across grid sizes ---------- *)
 
 let synth ~width ~height ~seed =
@@ -389,7 +447,8 @@ let () =
         [ Alcotest.test_case "order preservation" `Quick test_pool_preserves_order;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_propagates_exception;
-          Alcotest.test_case "reuse and shutdown" `Quick test_pool_shutdown_semantics ] );
+          Alcotest.test_case "reuse and shutdown" `Quick test_pool_shutdown_semantics;
+          Alcotest.test_case "concurrent map callers" `Quick test_concurrent_map_callers ] );
       ( "fault isolation",
         [ Alcotest.test_case "infeasible job quarantined, healthy jobs identical"
             `Slow test_batch_quarantines_infeasible;
@@ -398,8 +457,10 @@ let () =
           Alcotest.test_case "worker death isolated, pool survives" `Quick
             test_pool_worker_death_isolated ] );
       ( "stress",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_pool_map_is_map; prop_pool_many_tiny_tasks ] );
+        Alcotest.test_case "forced oversubscription with raising tasks" `Quick
+          test_pool_oversubscribed_stress
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_pool_map_is_map; prop_pool_many_tiny_tasks ] );
       ( "workspace_reuse",
         [ Alcotest.test_case "cross-size engine reuse" `Quick test_workspace_cross_size_reuse;
           Alcotest.test_case "cross-size pool reuse" `Quick test_pool_cross_size_reuse ] ) ]
