@@ -381,17 +381,31 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
              out.Detour_stage.updated
        in
        (* Per-cluster escape assignments, mutable so the rematch pass can
-          replace them. *)
+          replace them. [escape_cells] caches an assignment's cell set the
+          first time a rematch attempt unions it into its forbidden set;
+          [set_escape] drops the stale entry. Most runs rematch nothing and
+          never build a set. *)
        let escapes : (int, Pacor_flow.Escape.routed option) Hashtbl.t = Hashtbl.create 16 in
-       List.iter
-         (fun (r : Routed.t) ->
-            Hashtbl.replace escapes r.cluster.Cluster.id (escape_of r))
+       let escape_cells : (int, Point.Set.t) Hashtbl.t = Hashtbl.create 16 in
+       let set_escape id e =
+         Hashtbl.replace escapes id e;
+         Hashtbl.remove escape_cells id
+       in
+       List.iter (fun (r : Routed.t) -> set_escape r.cluster.Cluster.id (escape_of r))
          final_routed;
        let escape_cells_of (r : Routed.t) =
-         match Hashtbl.find_opt escapes r.cluster.Cluster.id with
-         | Some (Some e) ->
-           Point.Set.of_list (Pacor_grid.Path.points e.Pacor_flow.Escape.path)
-         | Some None | None -> Point.Set.empty
+         let id = r.cluster.Cluster.id in
+         match Hashtbl.find_opt escape_cells id with
+         | Some cells -> cells
+         | None ->
+           let cells =
+             match Hashtbl.find_opt escapes id with
+             | Some (Some e) ->
+               Point.Set.of_list (Pacor_grid.Path.points e.Pacor_flow.Escape.path)
+             | Some None | None -> Point.Set.empty
+           in
+           Hashtbl.replace escape_cells id cells;
+           cells
        in
        (* Stage 5b (rematch): an unmatched tree cluster may be rescued by
           ripping it up entirely — channels and escape — and retrying the
@@ -553,9 +567,7 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
                            (fun (x : Routed.t) e -> (x.cluster.Cluster.id, e))
                            both [ e0; e1 ]
                        in
-                       List.iter
-                         (fun (id, e) -> Hashtbl.replace escapes id (Some e))
-                         by_idx;
+                       List.iter (fun (id, e) -> set_escape id (Some e)) by_idx;
                        List.map
                          (fun (x : Routed.t) -> (x.cluster.Cluster.id, x))
                          out.Detour_stage.updated
@@ -577,7 +589,7 @@ let route_inner ~config ~workspace ~budget (problem : Problem.t) =
                 | Some (r'', e) ->
                   log config "rematch: cluster %d rescued with an alternative candidate"
                     r.cluster.Cluster.id;
-                  Hashtbl.replace escapes r.cluster.Cluster.id (Some e);
+                  set_escape r.cluster.Cluster.id (Some e);
                   [ (r.cluster.Cluster.id, r'') ]
                 | None -> try_all rest)
            in

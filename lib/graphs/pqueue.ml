@@ -1,77 +1,76 @@
-type 'a t = {
-  mutable prios : int array;
-  mutable elems : 'a array;
-  mutable len : int;
-  (* One-element sentinel box, set at the first push. Vacated slots are
-     overwritten with it so popped elements become unreachable — the
-     backing array outlives the logical queue (it is reused across
-     searches), and a dangling slot would otherwise pin arbitrary amounts
-     of garbage. Retention is O(1): just the sentinel element itself. *)
-  mutable sentinel : 'a array;
-}
+type t = { mutable prios : int array; mutable elems : int array; mutable len : int }
 
-let create () = { prios = [||]; elems = [||]; len = 0; sentinel = [||] }
+let create () = { prios = [||]; elems = [||]; len = 0 }
 let is_empty t = t.len = 0
 let size t = t.len
+let clear t = t.len <- 0
 
 let grow t =
-  let cap = Array.length t.prios in
-  if t.len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    (* Fill with the sentinel, not the pushed element: untouched tail slots
-       must not keep it reachable after it is popped. *)
-    let nprios = Array.make ncap 0 and nelems = Array.make ncap t.sentinel.(0) in
-    Array.blit t.prios 0 nprios 0 t.len;
-    Array.blit t.elems 0 nelems 0 t.len;
-    t.prios <- nprios;
-    t.elems <- nelems
-  end
+  let ncap = max 16 (2 * t.len) in
+  let nprios = Array.make ncap 0 and nelems = Array.make ncap 0 in
+  Array.blit t.prios 0 nprios 0 t.len;
+  Array.blit t.elems 0 nelems 0 t.len;
+  t.prios <- nprios;
+  t.elems <- nelems
 
-let swap t i j =
-  let p = t.prios.(i) and e = t.elems.(i) in
-  t.prios.(i) <- t.prios.(j);
-  t.elems.(i) <- t.elems.(j);
-  t.prios.(j) <- p;
-  t.elems.(j) <- e
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.prios.(i) < t.prios.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+(* Hole-based sifts: entries move into the hole one step at a time and the
+   moving entry is written once, at the slot returned. Every index read is
+   below [t.len], which never exceeds the capacity. The annotations keep
+   the sifts monomorphic: int compares and no write barrier. *)
+let rec hole_up (prios : int array) (elems : int array) (prio : int) i =
+  if i = 0 then i
+  else begin
+    let parent = (i - 1) lsr 1 in
+    let pp = Array.unsafe_get prios parent in
+    if prio < pp then begin
+      Array.unsafe_set prios i pp;
+      Array.unsafe_set elems i (Array.unsafe_get elems parent);
+      hole_up prios elems prio parent
     end
+    else i
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && t.prios.(l) < t.prios.(!smallest) then smallest := l;
-  if r < t.len && t.prios.(r) < t.prios.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Take the left child unless the right one is strictly smaller, and
+   descend while that child is strictly smaller than the entry: the same
+   tie order as a swap-based sift. *)
+let rec hole_down (prios : int array) (elems : int array) len (prio : int) i =
+  let l = (2 * i) + 1 in
+  if l >= len then i
+  else begin
+    let r = l + 1 in
+    let c = if r < len && Array.unsafe_get prios r < Array.unsafe_get prios l then r else l in
+    let pc = Array.unsafe_get prios c in
+    if pc < prio then begin
+      Array.unsafe_set prios i pc;
+      Array.unsafe_set elems i (Array.unsafe_get elems c);
+      hole_down prios elems len prio c
+    end
+    else i
   end
 
 let push t ~prio x =
-  if Array.length t.sentinel = 0 then t.sentinel <- [| x |];
-  grow t;
-  t.prios.(t.len) <- prio;
-  t.elems.(t.len) <- x;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  if t.len = Array.length t.prios then grow t;
+  let i = hole_up t.prios t.elems prio t.len in
+  t.prios.(i) <- prio;
+  t.elems.(i) <- x;
+  t.len <- t.len + 1
+
+(* Re-seat the last entry from the root hole down. *)
+let remove_top t =
+  let len = t.len - 1 in
+  t.len <- len;
+  if len > 0 then begin
+    let prio = t.prios.(len) and x = t.elems.(len) in
+    let i = hole_down t.prios t.elems len prio 0 in
+    t.prios.(i) <- prio;
+    t.elems.(i) <- x
+  end
 
 let pop t =
   if t.len = 0 then None
   else begin
     let prio = t.prios.(0) and x = t.elems.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.prios.(0) <- t.prios.(t.len);
-      t.elems.(0) <- t.elems.(t.len)
-    end;
-    t.elems.(t.len) <- t.sentinel.(0);
-    if t.len > 0 then sift_down t 0;
+    remove_top t;
     Some (prio, x)
   end
 
@@ -81,19 +80,6 @@ let pop_top t =
   if t.len = 0 then invalid_arg "Pqueue.pop_top: empty queue"
   else begin
     let x = t.elems.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.prios.(0) <- t.prios.(t.len);
-      t.elems.(0) <- t.elems.(t.len)
-    end;
-    t.elems.(t.len) <- t.sentinel.(0);
-    if t.len > 0 then sift_down t 0;
+    remove_top t;
     x
   end
-
-let peek t = if t.len = 0 then None else Some (t.prios.(0), t.elems.(0))
-
-(* Same retention concern as [pop]: blank the live prefix. *)
-let clear t =
-  if t.len > 0 then Array.fill t.elems 0 t.len t.sentinel.(0);
-  t.len <- 0

@@ -29,7 +29,7 @@ type t = {
   scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
-  pq : int Pacor_graphs.Pqueue.t;
+  pq : Pacor_graphs.Pqueue.t;
   (* 0-1-BFS deque: a circular int buffer reset by [begin_epoch]. It shares
      the pqueue's budget/stat discipline so a flow solver's pops charge the
      same budget as an A* search's. *)

@@ -173,12 +173,13 @@ echo "== route --svg byte-identity: Chip1, Chip2, Scaled2 and Scaled3 =="
 svgdir="$fuzzdir/svg"
 mkdir -p "$svgdir"
 for d in Chip1 Chip2; do
-  ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" > /dev/null
+  ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" --verbose \
+    > "$svgdir/$d.out" 2> /dev/null
 done
 for d in Scaled2 Scaled3; do
   ./_build/default/bin/pacor_cli.exe designs --emit "$d" > "$svgdir/$d.chip"
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
-    > /dev/null
+    --verbose > "$svgdir/$d.out" 2> /dev/null
 done
 for pin in Chip1:11563731579e970d24f55f578d75c001 Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
            Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:ed395ba6a5713ff51c3084e73caf2949; do
@@ -187,6 +188,34 @@ for pin in Chip1:11563731579e970d24f55f578d75c001 Chip2:f43bca974f6bc9dacb01cd8f
   got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)
   if [ "$got" != "$want" ]; then
     echo "svg byte-identity: $name route --svg md5 is $got, pinned $want" >&2
+    exit 1
+  fi
+done
+
+echo "== search counters: Chip1 and Scaled3 route --verbose, per stage =="
+# Pops, pushes, touched cells and relaxations follow the search heap's tie
+# order even where the paths happen not to, so these pins catch a changed
+# expansion order that the SVG digests above would miss. [allocs] counts
+# workspace growth, not search work, and is left out.
+cat > "$svgdir/Chip1.search" <<'PINS'
+search lm-routing     searches=121 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
+search escape         searches=216 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
+search detour         searches=7 pops=20045 pushes=21141 touched=80144 relax=76233 resets=7
+search rematch        searches=46 pops=35953 pushes=37453 touched=143624 relax=70396 resets=54
+search total          searches=390 pops=247827 pushes=285220 touched=921612 relax=372356 resets=400
+PINS
+cat > "$svgdir/Scaled3.search" <<'PINS'
+search lm-routing     searches=51 pops=439 pushes=924 touched=1552 relax=1024 resets=52
+search escape         searches=47 pops=300273 pushes=314105 touched=1124829 relax=313879 resets=47
+search detour         searches=4 pops=20008 pushes=21111 touched=79756 relax=79121 resets=4
+search rematch        searches=46 pops=65263 pushes=67763 touched=260611 relax=170022 resets=53
+search total          searches=148 pops=385983 pushes=403903 touched=1466748 relax=564046 resets=156
+PINS
+for name in Chip1 Scaled3; do
+  sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
+  if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
+    echo "search counters: $name route --verbose search lines differ from the pins:" >&2
+    diff "$svgdir/$name.search" "$svgdir/$name.got" >&2 || true
     exit 1
   fi
 done

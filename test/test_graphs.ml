@@ -20,27 +20,25 @@ let test_pqueue_empty () =
   let q = Pqueue.create () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Pqueue.peek q = None);
-  Pqueue.push q ~prio:1 "x";
-  Alcotest.(check bool) "peek some" true (Pqueue.peek q = Some (1, "x"));
+  Alcotest.check_raises "pop_top on empty" (Invalid_argument "Pqueue.pop_top: empty queue")
+    (fun () -> ignore (Pqueue.pop_top q));
+  Pqueue.push q ~prio:1 10;
   Alcotest.(check int) "size" 1 (Pqueue.size q);
   Pqueue.clear q;
   Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
 
 let test_pqueue_duplicates () =
   let q = Pqueue.create () in
-  Pqueue.push q ~prio:2 "a";
-  Pqueue.push q ~prio:2 "b";
-  Pqueue.push q ~prio:1 "c";
+  Pqueue.push q ~prio:2 10;
+  Pqueue.push q ~prio:2 11;
+  Pqueue.push q ~prio:1 12;
   (match Pqueue.pop q with
-   | Some (1, "c") -> ()
-   | _ -> Alcotest.fail "expected c first");
+   | Some (1, 12) -> ()
+   | _ -> Alcotest.fail "expected 12 first");
   Alcotest.(check int) "two left" 2 (Pqueue.size q)
 
 (* Interleaved push/pop/clear across the grow boundary: [size]/[is_empty]
-   must stay consistent and ordering must survive a clear-and-reuse (the
-   sentinel retention fix rewrites vacated slots — this pins down that the
-   rewrite never corrupts the live prefix). *)
+   must stay consistent and ordering must survive a clear-and-reuse. *)
 let test_pqueue_interleaved () =
   let q = Pqueue.create () in
   List.iter (fun p -> Pqueue.push q ~prio:p p) [ 9; 3; 7; 1 ];
@@ -304,6 +302,53 @@ let prop_pqueue_sorted =
        in
        drain [] = List.sort Int.compare xs)
 
+(* Tie-order oracle: the searches' expansion order, and so their paths and
+   counters, follow the heap's tie order, so [Pqueue] must pop exactly the
+   stream of the swap-based reference heap it replaced. Priorities span a
+   few values so most pops break ties; op lists run past the 16-entry
+   first capacity and its doublings. *)
+type pq_op = Push of int * int | Pop | Pop_top | Clear
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun p x -> Push (p, x)) (int_range 0 4) (int_range 0 1000));
+        (3, return Pop);
+        (2, return Pop_top);
+        (1, return Clear) ])
+
+let pq_op_print = function
+  | Push (p, x) -> Printf.sprintf "push %d %d" p x
+  | Pop -> "pop"
+  | Pop_top -> "pop_top"
+  | Clear -> "clear"
+
+let prop_pqueue_matches_reference =
+  QCheck.Test.make ~name:"pqueue matches reference tie order" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list pq_op_print)
+       QCheck.Gen.(list_size (int_range 0 400) pq_op_gen))
+    (fun ops ->
+       let q = Pqueue.create () and r = Pqueue_ref.create () in
+       List.for_all
+         (fun op ->
+            let same =
+              match op with
+              | Push (p, x) ->
+                Pqueue.push q ~prio:p x;
+                Pqueue_ref.push r ~prio:p x;
+                true
+              | Pop -> Pqueue.pop q = Pqueue_ref.pop r
+              | Pop_top ->
+                if Pqueue_ref.is_empty r then Pqueue.is_empty q
+                else Some (Pqueue.pop_top q) = Option.map snd (Pqueue_ref.pop r)
+              | Clear ->
+                Pqueue.clear q;
+                Pqueue_ref.clear r;
+                true
+            in
+            same && Pqueue.size q = Pqueue_ref.size r)
+         ops)
+
 let prop_mst_edge_count =
   QCheck.Test.make ~name:"prim returns n-1 edges" ~count:100 (QCheck.int_range 1 20)
     (fun n ->
@@ -312,13 +357,13 @@ let prop_mst_edge_count =
        Mst.is_spanning_tree ~n mst || (n = 1 && mst = []))
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_pqueue_sorted; prop_mst_edge_count ]
+  List.map QCheck_alcotest.to_alcotest [ prop_pqueue_sorted; prop_pqueue_matches_reference; prop_mst_edge_count ]
 
 let () =
   Alcotest.run "graphs"
     [ ( "pqueue",
         [ Alcotest.test_case "ordering" `Quick test_pqueue_order;
-          Alcotest.test_case "empty/peek/clear" `Quick test_pqueue_empty;
+          Alcotest.test_case "empty/clear" `Quick test_pqueue_empty;
           Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
           Alcotest.test_case "interleaved push/pop/clear" `Quick test_pqueue_interleaved ] );
       ("union_find", [ Alcotest.test_case "basics" `Quick test_union_find ]);
