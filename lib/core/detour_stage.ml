@@ -78,10 +78,12 @@ let detour_tree ?workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
         | Some path -> Some (Routed.with_edge_path r ~child path)
         | None ->
           (* Bumps ran out of room: fall back to the paper's minimum-length
-             bounded rerouting of the whole leg. *)
-          (* The fallback rarely succeeds when bumps found no room, so its
-             search budget is capped — an uncapped budget dominates the
-             whole stage's runtime on large chips. *)
+             bounded rerouting of the whole leg. When the leg's endpoints
+             sit in a pocket too small for the target length, the search's
+             block-cut certificate refuses it without a pop. Otherwise it
+             may still fail after a long search, so its budget is capped:
+             an uncapped budget dominates the whole stage's runtime on
+             large chips. *)
           (match
              Pacor_route.Bounded_astar.search ?workspace ~grid ~usable:usable_i
                ~pop_budget:20_000

@@ -29,6 +29,7 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
       if est >= min_length then est else (2 * min_length) - est
     in
     let enterable i = usable i || i = source_i || i = target_i in
+    let stats = Workspace.stats ws in
     (* Does cell index [i] already appear in the parent chain of [slot]? *)
     let rec on_chain i slot =
       i = Workspace.entry_cell ws slot
@@ -56,10 +57,19 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
       in
       go slot []
     in
-    (match add_entry source_i 0 (-1) with
-     | -1 -> ()
-     | slot -> Workspace.push ws ~prio:(prio 0 source_i) slot);
-    let stats = Workspace.stats ws in
+    (* A bound at most the Manhattan distance is met by any path at all,
+       and a path exists whenever the certificate could bound one, so only
+       a longer bound can be refused. *)
+    let hopeless =
+      min_length > abs ((source_i mod width) - tx) + abs ((source_i / width) - ty)
+      &&
+      match
+        Block_cut.max_length (Workspace.block_cut ws) ~grid ~enterable ~source:source_i
+          ~target:target_i
+      with
+      | Some longest -> longest < min_length
+      | None -> false
+    in
     let cur_slot = ref (-1) and cur_g = ref 0 in
     let relax j =
       Search_stats.touched stats;
@@ -96,7 +106,17 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
         end
       end
     in
-    loop ()
+    if hopeless then begin
+      (* Answered without a pop, so nothing is charged to the budget. *)
+      Search_stats.refused stats;
+      None
+    end
+    else begin
+      (match add_entry source_i 0 (-1) with
+       | -1 -> ()
+       | slot -> Workspace.push ws ~prio:(prio 0 source_i) slot);
+      loop ()
+    end
   end
 
 let search ?workspace ~grid ~usable ?(max_visits_per_cell = 8) ?(pop_budget = 0) ~source

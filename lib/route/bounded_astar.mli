@@ -13,7 +13,26 @@
 
     This is a heuristic (exact minimum-length-bounded simple paths are
     NP-hard); {!Detour.lengthen} is the guaranteed-progress companion used
-    by the production detour stage. *)
+    by the production detour stage.
+
+    The search cannot tell "no such path" from "not found yet", so a
+    hopeless bound used to cost the whole pop budget. Before it pushes the
+    source, a search whose bound exceeds the Manhattan distance asks
+    {!Block_cut.max_length} for an upper bound on every simple
+    source–target path: it breadth-first collects up to
+    {!Block_cut.default_cap} cells around the source (never through the
+    target), collapses the rest of the grid into one hub vertex, and
+    finds the blocks on the source–target path of the block-cut tree. If
+    the hub is not in them, every simple path stays inside those blocks,
+    so its length is at most their cell count minus one, lowered to the
+    parity of the Manhattan distance. When that is below [min_length] no
+    simple path meets the bound, and the search returns [None] with zero
+    pops: the answer it would have reached anyway, so results are
+    unchanged and only work is saved. The refusal is counted in
+    {!Search_stats} ([refused]), and since nothing is popped, nothing is
+    charged to the workspace's {!Budget}: under a binding
+    [--max-expansions], later searches keep the budget a refused one
+    would have spent. *)
 
 open Pacor_geom
 open Pacor_grid

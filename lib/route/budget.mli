@@ -12,6 +12,10 @@
     declustering, skipped refinement) degrades the solution instead of
     hanging.
 
+    A bounded search that {!Bounded_astar}'s block-cut certificate refuses
+    pops nothing, so it charges nothing: under a binding expansion cap, a
+    refused search leaves later stages the budget it would have spent.
+
     Cost model: {!tick} is an integer decrement; the wall clock is read
     once every ~512 ticks, so deadline overshoot is bounded by ~512 pops
     plus one escape-flow round. No allocation anywhere on the hot path.

@@ -43,11 +43,3 @@ let lengthen path ~target ~usable =
       | Some bump -> go (insert_bump path bump)
   in
   go path
-
-let max_bumped_length path ~usable =
-  let rec go path =
-    match find_bump path ~usable with
-    | None -> Path.length path
-    | Some bump -> go (insert_bump path bump)
-  in
-  go path

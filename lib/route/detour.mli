@@ -23,7 +23,3 @@ val lengthen : Path.t -> target:int -> usable:(Point.t -> bool) -> Path.t option
     bumps may occupy — typically "free in the work map"; cells of [path]
     itself are handled internally. The input path is returned unchanged if
     already long enough. *)
-
-val max_bumped_length : Path.t -> usable:(Point.t -> bool) -> int
-(** Length reachable by exhaustive bump insertion — an upper bound used to
-    decide early that a matching window is unreachable. *)

@@ -1,5 +1,6 @@
 type t = {
   mutable searches : int;
+  mutable refused : int;
   mutable pops : int;
   mutable pushes : int;
   mutable touches : int;
@@ -10,6 +11,7 @@ type t = {
 
 type snapshot = {
   searches : int;
+  refused : int;
   pops : int;
   pushes : int;
   touched : int;
@@ -19,11 +21,12 @@ type snapshot = {
 }
 
 let create () : t =
-  { searches = 0; pops = 0; pushes = 0; touches = 0; relaxations = 0; resets = 0;
+  { searches = 0; refused = 0; pops = 0; pushes = 0; touches = 0; relaxations = 0; resets = 0;
     grid_allocs = 0 }
 
 let reset (t : t) =
   t.searches <- 0;
+  t.refused <- 0;
   t.pops <- 0;
   t.pushes <- 0;
   t.touches <- 0;
@@ -32,6 +35,7 @@ let reset (t : t) =
   t.grid_allocs <- 0
 
 let started (t : t) = t.searches <- t.searches + 1
+let refused (t : t) = t.refused <- t.refused + 1
 let popped (t : t) = t.pops <- t.pops + 1
 let pushed (t : t) = t.pushes <- t.pushes + 1
 let touched (t : t) = t.touches <- t.touches + 1
@@ -42,6 +46,7 @@ let grid_alloc_noted (t : t) = t.grid_allocs <- t.grid_allocs + 1
 let snapshot (t : t) : snapshot =
   {
     searches = t.searches;
+    refused = t.refused;
     pops = t.pops;
     pushes = t.pushes;
     touched = t.touches;
@@ -51,12 +56,13 @@ let snapshot (t : t) : snapshot =
   }
 
 let zero =
-  { searches = 0; pops = 0; pushes = 0; touched = 0; relaxations = 0; resets = 0;
+  { searches = 0; refused = 0; pops = 0; pushes = 0; touched = 0; relaxations = 0; resets = 0;
     grid_allocs = 0 }
 
 let diff (a : snapshot) (b : snapshot) : snapshot =
   {
     searches = a.searches - b.searches;
+    refused = a.refused - b.refused;
     pops = a.pops - b.pops;
     pushes = a.pushes - b.pushes;
     touched = a.touched - b.touched;
@@ -68,6 +74,7 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
 let add (a : snapshot) (b : snapshot) : snapshot =
   {
     searches = a.searches + b.searches;
+    refused = a.refused + b.refused;
     pops = a.pops + b.pops;
     pushes = a.pushes + b.pushes;
     touched = a.touched + b.touched;
@@ -80,5 +87,5 @@ let is_zero (s : snapshot) = s = zero
 
 let pp ppf (s : snapshot) =
   Format.fprintf ppf
-    "searches=%d pops=%d pushes=%d touched=%d relax=%d resets=%d allocs=%d"
-    s.searches s.pops s.pushes s.touched s.relaxations s.resets s.grid_allocs
+    "searches=%d refused=%d pops=%d pushes=%d touched=%d relax=%d resets=%d allocs=%d"
+    s.searches s.refused s.pops s.pushes s.touched s.relaxations s.resets s.grid_allocs

@@ -11,6 +11,9 @@ type t
 
 type snapshot = {
   searches : int;     (** A* / bounded-A* searches started *)
+  refused : int;      (** bounded-A* searches answered [None] by the
+                          {!Block_cut} certificate before any pop; also
+                          counted in [searches] *)
   pops : int;         (** priority-queue pops (incl. stale lazy-delete pops) *)
   pushes : int;       (** priority-queue pushes *)
   touched : int;      (** in-bounds neighbour cells examined, whether or not
@@ -28,6 +31,7 @@ val create : unit -> t
 val reset : t -> unit
 
 val started : t -> unit
+val refused : t -> unit
 val popped : t -> unit
 val pushed : t -> unit
 val touched : t -> unit
@@ -49,4 +53,4 @@ val is_zero : snapshot -> bool
 
 val pp : Format.formatter -> snapshot -> unit
 (** One line:
-    [searches=… pops=… pushes=… touched=… relax=… resets=… allocs=…]. *)
+    [searches=… refused=… pops=… pushes=… touched=… relax=… resets=… allocs=…]. *)

@@ -43,6 +43,7 @@ type t = {
   mutable trail_len : int;
   stats : Search_stats.t;
   mutable budget : Budget.t;
+  block_cut : Block_cut.t;
 }
 
 let scratch_slots = 7
@@ -78,9 +79,11 @@ let create ?stats () =
     trail_len = 0;
     stats;
     budget = Budget.unlimited ();
+    block_cut = Block_cut.create ();
   }
 
 let stats t = t.stats
+let block_cut t = t.block_cut
 let budget t = t.budget
 let set_budget t b = t.budget <- b
 

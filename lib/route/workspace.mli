@@ -27,6 +27,10 @@ val create : ?stats:Search_stats.t -> unit -> t
 val stats : t -> Search_stats.t
 (** The counter set every search on this workspace accumulates into. *)
 
+val block_cut : t -> Block_cut.t
+(** The tables {!Bounded_astar}'s hopelessness certificate runs on:
+    {!Block_cut.default_cap}-sized, allocated on first use and then reused. *)
+
 val budget : t -> Budget.t
 (** The budget every search on this workspace is charged against.
     Defaults to {!Budget.unlimited}. *)

@@ -198,18 +198,18 @@ echo "== search counters: Chip1 and Scaled3 route --verbose, per stage =="
 # expansion order that the SVG digests above would miss. [allocs] counts
 # workspace growth, not search work, and is left out.
 cat > "$svgdir/Chip1.search" <<'PINS'
-search lm-routing     searches=121 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
-search escape         searches=216 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
-search detour         searches=7 pops=20045 pushes=21141 touched=80144 relax=76233 resets=7
-search rematch        searches=46 pops=35953 pushes=37453 touched=143624 relax=70396 resets=54
-search total          searches=390 pops=247827 pushes=285220 touched=921612 relax=372356 resets=400
+search lm-routing     searches=121 refused=0 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
+search escape         searches=216 refused=0 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
+search detour         searches=7 refused=4 pops=34 pushes=61 touched=120 relax=93 resets=7
+search rematch        searches=46 refused=4 pops=35938 pushes=37438 touched=143584 relax=70379 resets=54
+search total          searches=390 refused=8 pops=227801 pushes=264125 touched=841548 relax=296199 resets=400
 PINS
 cat > "$svgdir/Scaled3.search" <<'PINS'
-search lm-routing     searches=51 pops=439 pushes=924 touched=1552 relax=1024 resets=52
-search escape         searches=47 pops=300273 pushes=314105 touched=1124829 relax=313879 resets=47
-search detour         searches=4 pops=20008 pushes=21111 touched=79756 relax=79121 resets=4
-search rematch        searches=46 pops=65263 pushes=67763 touched=260611 relax=170022 resets=53
-search total          searches=148 pops=385983 pushes=403903 touched=1466748 relax=564046 resets=156
+search lm-routing     searches=51 refused=0 pops=439 pushes=924 touched=1552 relax=1024 resets=52
+search escape         searches=47 refused=0 pops=300273 pushes=314105 touched=1124829 relax=313879 resets=47
+search detour         searches=4 refused=4 pops=0 pushes=0 touched=0 relax=0 resets=4
+search rematch        searches=46 refused=4 pops=45255 pushes=46641 touched=180856 relax=90898 resets=53
+search total          searches=148 refused=8 pops=345967 pushes=361670 touched=1307237 relax=405801 resets=156
 PINS
 for name in Chip1 Scaled3; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"

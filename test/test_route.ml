@@ -325,14 +325,6 @@ let test_lengthen_large_target () =
     Alcotest.(check bool) "length >= 21" true (Path.length p >= 21);
     Alcotest.(check bool) "overshoot <= 1" true (Path.length p <= 22)
 
-let test_max_bumped_length_corridor () =
-  (* 3-wide corridor bounds how long the path can get. *)
-  let path = Path.of_points [ Point.make 0 1; Point.make 1 1; Point.make 2 1 ] in
-  let usable (p : Point.t) = p.x >= 0 && p.x <= 2 && p.y >= 0 && p.y <= 2 in
-  let reach = Detour.max_bumped_length path ~usable in
-  Alcotest.(check bool) "bounded by area" true (reach <= 9);
-  Alcotest.(check bool) "gained something" true (reach > 2)
-
 (* ---------- MST router ---------- *)
 
 let test_mst_router_connects_all () =
@@ -515,6 +507,56 @@ let test_bounded_saturation () =
   (match Bounded_astar.search ~grid:g ~usable ~source ~target ~min_length:3 () with
    | Some p -> Alcotest.(check int) "default visits meet the bound" 3 (Path.length p)
    | None -> Alcotest.fail "expected bounded path with default visits")
+
+(* Scaled3's hopeless detour call, cut out of the chip ('#' blocked, '.'
+   usable). Source S and target T sit in a pocket of six cells whose only
+   exit is the articulation cell right of S's neighbour, so every simple
+   S-T path has at most 5 edges. Bound 6 must be refused before the first
+   pop, charging nothing to the budget; bound 5 is met. *)
+let scaled3_pocket =
+  [| ".................";
+     "...........#.....";
+     "...........##....";
+     "........#####....";
+     ".......##T.##.#..";
+     ".......##..####..";
+     ".......#S........";
+     ".......###.......";
+     ".......###.......";
+     ".......##........";
+     ".......##........";
+     "...#####.........";
+     "...#............." |]
+
+let test_bounded_refuses_pocket () =
+  let w = String.length scaled3_pocket.(0) and h = Array.length scaled3_pocket in
+  let at i = scaled3_pocket.(i / w).[i mod w] in
+  let point_of c =
+    let i = List.find (fun i -> at i = c) (List.init (w * h) Fun.id) in
+    Point.make (i mod w) (i / w)
+  in
+  let source = point_of 'S' and target = point_of 'T' in
+  let g = grid w h in
+  let usable i = at i = '.' in
+  let stats = Search_stats.create () in
+  let ws = Workspace.create ~stats () in
+  let budget = Budget.create (Budget.limits ~max_expansions:1 ()) in
+  Budget.arm budget;
+  Workspace.set_budget ws budget;
+  let run min_length =
+    Bounded_astar.search ~workspace:ws ~grid:g ~usable ~source ~target ~min_length ()
+  in
+  Alcotest.(check bool) "bound 6 unreachable" true (run 6 = None);
+  let s = Search_stats.snapshot stats in
+  Alcotest.(check int) "refused" 1 s.Search_stats.refused;
+  Alcotest.(check int) "zero pops" 0 s.Search_stats.pops;
+  Alcotest.(check bool) "budget untouched" true (Budget.exhausted budget = None);
+  Workspace.set_budget ws (Budget.unlimited ());
+  (match run 5 with
+   | Some p -> Alcotest.(check int) "bound 5 met exactly" 5 (Path.length p)
+   | None -> Alcotest.fail "expected a 5-edge path");
+  Alcotest.(check int) "a reachable bound is searched" 1
+    (Search_stats.snapshot stats).Search_stats.refused
 
 (* ---------- Workspace ---------- *)
 
@@ -781,11 +823,65 @@ let prop_incremental_no_worse =
        end
        else true)
 
+(* The hopelessness certificate is sound: on small random grids, whenever
+   the bounded search refuses, the brute-force oracle finds no simple path
+   of length >= the bound, and a search that returns a path was not
+   refused. The default region covers these grids whole, so the same check
+   also runs with a region smaller than the grid, where paths can leave it
+   through the hub. *)
+let prop_block_cut_sound =
+  let gen =
+    QCheck.Gen.(
+      let* w = int_range 2 6 and* h = int_range 2 6 and* pct = int_range 20 50 in
+      let* rolls = list_repeat (w * h) (int_range 0 99) in
+      let* s = int_range 0 ((w * h) - 1) and* t = int_range 0 ((w * h) - 1) in
+      let* min_length = int_range 0 20 and* cap = int_range 1 12 in
+      return (w, h, Array.of_list (List.map (fun r -> r < pct) rolls), s, t, min_length, cap))
+  in
+  let print (w, _, blocked, s, t, min_length, cap) =
+    let row y =
+      String.init w (fun x ->
+        let i = (y * w) + x in
+        if i = s then 'S' else if i = t then 'T' else if blocked.(i) then '#' else '.')
+    in
+    Printf.sprintf "min_length=%d cap=%d\n%s" min_length cap
+      (String.concat "\n" (List.init (Array.length blocked / w) row))
+  in
+  QCheck.Test.make ~name:"bounded search refuses only hopeless bounds" ~count:400
+    (QCheck.make ~print gen)
+    (fun (w, h, blocked, s, t, min_length, cap) ->
+       let g = grid w h in
+       let free i = not blocked.(i) in
+       let source = Routing_grid.point_of_index g s
+       and target = Routing_grid.point_of_index g t in
+       let hopeless () =
+         not
+           (Path_oracle.exists_at_least ~width:w ~height:h ~free ~source:s ~target:t
+              ~min_length)
+       in
+       let stats = Search_stats.create () in
+       let ws = Workspace.create ~stats () in
+       let found =
+         Bounded_astar.search ~workspace:ws ~grid:g ~usable:free ~source ~target ~min_length ()
+       in
+       let refused = (Search_stats.snapshot stats).Search_stats.refused = 1 in
+       let small_refused =
+         match
+           Block_cut.max_length (Block_cut.create ~cap ()) ~grid:g
+             ~enterable:(fun i -> free i || i = s || i = t) ~source:s ~target:t
+         with
+         | Some longest -> longest < min_length
+         | None -> false
+       in
+       (not (refused && found <> None))
+       && ((not refused) || hopeless ())
+       && ((not small_refused) || hopeless ()))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_astar_optimal_no_obstacles; prop_mst_router_claims_terminals;
       prop_lengthen_parity; prop_rsmt_between_bounds; prop_workspace_equals_fresh;
-      prop_workspace_epoch_isolation; prop_incremental_no_worse ]
+      prop_workspace_epoch_isolation; prop_incremental_no_worse; prop_block_cut_sound ]
 
 let () =
   Alcotest.run "route"
@@ -814,7 +910,8 @@ let () =
             test_bounded_equals_shortest_when_bound_small;
           Alcotest.test_case "respects obstacles" `Quick test_bounded_respects_obstacles;
           Alcotest.test_case "impossible bound" `Quick test_bounded_impossible_bound;
-          Alcotest.test_case "visit saturation" `Quick test_bounded_saturation ] );
+          Alcotest.test_case "visit saturation" `Quick test_bounded_saturation;
+          Alcotest.test_case "refuses Scaled3's pocket" `Quick test_bounded_refuses_pocket ] );
       ( "workspace",
         [ Alcotest.test_case "allocations stay flat" `Quick
             test_workspace_allocs_monotonic;
@@ -828,8 +925,7 @@ let () =
         [ Alcotest.test_case "lengthen basic" `Quick test_lengthen_basic;
           Alcotest.test_case "already long enough" `Quick test_lengthen_already_long_enough;
           Alcotest.test_case "no room" `Quick test_lengthen_no_room;
-          Alcotest.test_case "large target" `Quick test_lengthen_large_target;
-          Alcotest.test_case "corridor cap" `Quick test_max_bumped_length_corridor ] );
+          Alcotest.test_case "large target" `Quick test_lengthen_large_target ] );
       ( "mst_router",
         [ Alcotest.test_case "connects all" `Quick test_mst_router_connects_all;
           Alcotest.test_case "singleton" `Quick test_mst_router_singleton;
