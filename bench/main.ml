@@ -117,31 +117,6 @@ let bench_ablation_candidates =
     [ Test.make ~name:"k1" (Staged.stage (enum 1));
       Test.make ~name:"k8" (Staged.stage (enum 8)) ]
 
-let bench_ablation_solvers =
-  (* Selection solver choice on a medium instance (the paper implemented
-     three and kept the ILP; ours: exact B&B vs greedy vs local search). *)
-  let grid = Pacor_grid.Routing_grid.create ~width:40 ~height:40 () in
-  let mk_cluster dx dy =
-    Pacor_dme.Candidate.enumerate ~grid ~usable:(fun _ -> true) ~max_candidates:6
-      Pacor_geom.
-        [ Point.make (2 + dx) (2 + dy); Point.make (2 + dx) (8 + dy);
-          Point.make (8 + dx) (3 + dy); Point.make (9 + dx) (9 + dy) ]
-  in
-  let per_cluster = [ mk_cluster 0 0; mk_cluster 10 4; mk_cluster 4 12; mk_cluster 14 14 ] in
-  let solve solver () =
-    match
-      Pacor_select.Tree_select.select
-        ~config:{ Pacor_select.Tree_select.lambda = 0.1; solver } per_cluster
-    with
-    | Ok sel -> ignore sel.Pacor_select.Tree_select.objective
-    | Error e -> failwith e
-  in
-  Test.make_grouped ~name:"ablation-selection"
-    [ Test.make ~name:"exact" (Staged.stage (solve Pacor_select.Tree_select.Exact));
-      Test.make ~name:"greedy" (Staged.stage (solve Pacor_select.Tree_select.Greedy));
-      Test.make ~name:"local-search"
-        (Staged.stage (solve Pacor_select.Tree_select.Local_search)) ]
-
 let bench_ablation_negotiation =
   (* Negotiation (gamma = 10) vs single-pass sequential routing (gamma = 1)
      on a congested batch. *)
@@ -195,35 +170,6 @@ let bench_ablation_rsmt =
       Test.make ~name:"rsmt"
         (Staged.stage (fun () -> ignore (Pacor_route.Steiner.rsmt fig3_sinks))) ]
 
-let bench_flow_solvers =
-  (* Min-cost-flow implementations on a grid-like network. *)
-  let build_mcmf () =
-    let n = 200 in
-    let net = Pacor_flow.Mcmf.create n in
-    for i = 0 to n - 2 do
-      Pacor_flow.Mcmf.add_edge net ~src:i ~dst:(i + 1) ~cap:2 ~cost:1;
-      if i + 10 < n then Pacor_flow.Mcmf.add_edge net ~src:i ~dst:(i + 10) ~cap:1 ~cost:3
-    done;
-    net
-  in
-  let build_spfa () =
-    let n = 200 in
-    let net = Pacor_flow.Mcmf_spfa.create n in
-    for i = 0 to n - 2 do
-      Pacor_flow.Mcmf_spfa.add_edge net ~src:i ~dst:(i + 1) ~cap:2 ~cost:1;
-      if i + 10 < n then
-        Pacor_flow.Mcmf_spfa.add_edge net ~src:i ~dst:(i + 10) ~cap:1 ~cost:3
-    done;
-    net
-  in
-  Test.make_grouped ~name:"flow-solvers"
-    [ Test.make ~name:"mcmf-dijkstra"
-        (Staged.stage (fun () ->
-           ignore (Pacor_flow.Mcmf.solve (build_mcmf ()) ~source:0 ~sink:199)));
-      Test.make ~name:"mcmf-spfa"
-        (Staged.stage (fun () ->
-           ignore (Pacor_flow.Mcmf_spfa.solve (build_spfa ()) ~source:0 ~sink:199))) ]
-
 let bench_astar_workspace =
   (* The tentpole claim in numbers: A* with one shared workspace (O(1)
      epoch reset) vs fresh per-call arrays, same searches on a 64x64 grid
@@ -259,8 +205,8 @@ let bench_astar_workspace =
 let all_micro_benches =
   Test.make_grouped ~name:"pacor"
     [ bench_table1; bench_table2; bench_fig3; bench_astar_workspace;
-      bench_ablation_candidates; bench_ablation_solvers; bench_ablation_negotiation;
-      bench_ablation_detour; bench_ablation_rsmt; bench_flow_solvers ]
+      bench_ablation_candidates; bench_ablation_negotiation; bench_ablation_detour;
+      bench_ablation_rsmt ]
 
 let run_micro_benches ?(only = all_micro_benches) () =
   let quota = if quick || smoke then Time.second 0.05 else Time.second 0.5 in
@@ -620,11 +566,10 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
 
 (* ------------------------------------------------------------------ *)
 (* Route bench: conflict-driven incremental negotiation vs the paper's *)
-(* full-reroute loop, plus the escape-stage min-cost-flow solver race. *)
-(* The JSON record is committed as BENCH_route.json; its deterministic *)
-(* "fingerprint" fields (routed counts, lengths, expansion counts) are *)
-(* what CI checks for drift — wall-clock and allocation words are      *)
-(* machine-dependent and excluded.                                     *)
+(* full-reroute loop. The JSON record is committed as                  *)
+(* BENCH_route.json; its deterministic "fingerprint" fields (routed    *)
+(* counts, lengths, expansion counts) are what CI checks for drift —   *)
+(* wall-clock and allocation words are machine-dependent and excluded. *)
 (* ------------------------------------------------------------------ *)
 
 (* A conflict-then-converge family with three ingredients, sized so the
@@ -717,37 +662,6 @@ let run_negotiation_mode mode ~grid ~walls ~edges =
     wall_s;
     minor_words }
 
-(* Escape-stage instance: pins across the top boundary, cluster start
-   cells spread across a low row — the same network shape the engine's
-   escape stage builds, at a controllable size (and, for the escape-bench
-   race, at Chip1's exact 179x413 footprint). *)
-let escape_instance_rect ~width ~height =
-  let grid = Pacor_grid.Routing_grid.create ~width ~height () in
-  let pins =
-    List.init ((width - 2) / 2) (fun i -> Pacor_geom.Point.make (1 + (2 * i)) 0)
-  in
-  let nreq = width / 4 in
-  let requests =
-    List.init nreq (fun i ->
-      { Pacor_flow.Escape.cluster_idx = i;
-        start_cells = [ Pacor_geom.Point.make (2 + (3 * i)) (height - 3) ] })
-  in
-  (grid, pins, requests)
-
-let escape_instance size = escape_instance_rect ~width:size ~height:size
-
-let run_escape_solver solver ~grid ~pins ~requests =
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pacor_flow.Escape.route ~solver ~grid ~claimed:Pacor_geom.Point.Set.empty ~pins
-      requests
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  match result with
-  | Error e -> failwith ("route-bench escape instance invalid: " ^ e)
-  | Ok out ->
-    (List.length out.Pacor_flow.Escape.routed, out.Pacor_flow.Escape.total_length, wall_s)
-
 let print_route_bench () =
   Format.printf "@.== Route bench: incremental negotiation vs full reroute ==@.";
   let sizes = if smoke || quick then [ 16; 24 ] else [ 16; 24; 32; 48 ] in
@@ -786,25 +700,6 @@ let print_route_bench () =
   Format.printf "total expansions: full=%d incremental=%d (%.2fx reduction)@."
     total_full total_inc
     (if total_inc > 0 then float_of_int total_full /. float_of_int total_inc else 0.0);
-  Format.printf "@.== Route bench: escape min-cost-flow solver race ==@.";
-  let esc_sizes = if smoke || quick then [ 16; 24 ] else [ 16; 24; 32 ] in
-  let esc_rows =
-    List.map
-      (fun size ->
-         let grid, pins, requests = escape_instance size in
-         let d_routed, d_len, d_wall = run_escape_solver Pacor_flow.Escape.Dijkstra ~grid ~pins ~requests in
-         let s_routed, s_len, s_wall = run_escape_solver Pacor_flow.Escape.Spfa ~grid ~pins ~requests in
-         (size, List.length requests, (d_routed, d_len, d_wall), (s_routed, s_len, s_wall)))
-      esc_sizes
-  in
-  Format.printf "%5s %9s | %15s %10s | %15s %10s | %6s@." "size" "requests"
-    "dijkstra (r,len)" "wall" "spfa (r,len)" "wall" "agree";
-  List.iter
-    (fun (size, nreq, (dr, dl, dw), (sr, sl, sw)) ->
-       Format.printf "%5d %9d | (%5d,%8d) %9.4fs | (%5d,%8d) %9.4fs | %6s@." size nreq
-         dr dl dw sr sl sw
-         (if dr = sr && dl = sl then "yes" else "NO (BUG)"))
-    esc_rows;
   (* Machine-readable record. *)
   let json =
     let buf = Buffer.create 4096 in
@@ -834,20 +729,10 @@ let print_route_bench () =
     Printf.bprintf buf "  ],\n";
     Printf.bprintf buf
       "  \"totals\": {\"full_pops\": %d, \"incremental_pops\": %d, \
-       \"expansion_ratio\": %.3f},\n"
+       \"expansion_ratio\": %.3f}\n"
       total_full total_inc
       (if total_inc > 0 then float_of_int total_full /. float_of_int total_inc else 0.0);
-    Printf.bprintf buf "  \"escape\": [\n";
-    List.iteri
-      (fun i (size, nreq, (dr, dl, dw), (sr, sl, sw)) ->
-         Printf.bprintf buf
-           "    {\"size\": %d, \"requests\": %d, \"dijkstra_wall_s\": %.6f, \
-            \"spfa_wall_s\": %.6f,\n\
-            \     \"fingerprint\": \"esc size=%d routed=%d/%d len=%d/%d\"}%s\n"
-           size nreq dw sw size dr sr dl sl
-           (if i = List.length esc_rows - 1 then "" else ","))
-      esc_rows;
-    Printf.bprintf buf "  ]\n}\n";
+    Printf.bprintf buf "}\n";
     Buffer.contents buf
   in
   Format.printf "@.%s@." json;
@@ -860,43 +745,33 @@ let print_route_bench () =
     Format.printf "route-bench JSON written to %s@." path
 
 (* ------------------------------------------------------------------ *)
-(* Escape bench: the three-way min-cost-flow solver race behind        *)
-(* BENCH_escape.json. Grid (implicit rows + potentials + 0-1-BFS) is   *)
-(* the engine default; Spfa and Dijkstra are the general-purpose       *)
-(* solvers it must match outcome-for-outcome. Fingerprints carry the   *)
-(* per-instance (routed, length) of all three solvers plus the         *)
-(* max-flow feasibility bound, and the full-engine corpus outcomes     *)
-(* under the Grid default — wall-clock is machine-dependent and        *)
-(* excluded.                                                           *)
+(* Escape bench: the escape min-cost-flow solver's wall time on        *)
+(* synthetic instances up to Chip1's footprint, plus the full-engine   *)
+(* corpus outcomes — the data behind BENCH_escape.json. Fingerprints   *)
+(* carry each instance's (routed, length) and each corpus design's     *)
+(* (matched, length); wall-clock is machine-dependent and excluded.    *)
 (* ------------------------------------------------------------------ *)
 
-type escape_sample = {
-  esc_routed : int;
-  esc_length : int;
-  esc_wall : float;
-}
-
-let run_escape_timed solver ~workspace ~grid ~pins ~requests =
-  let t0 = Unix.gettimeofday () in
-  let result =
-    match solver with
-    | Pacor_flow.Escape.Grid ->
-      Pacor_flow.Escape.route ~workspace ~solver ~grid
-        ~claimed:Pacor_geom.Point.Set.empty ~pins requests
-    | _ ->
-      Pacor_flow.Escape.route ~solver ~grid ~claimed:Pacor_geom.Point.Set.empty
-        ~pins requests
+(* Escape-stage instance: pins across the top boundary, cluster start
+   cells spread across a low row — the same network shape the engine's
+   escape stage builds, at a controllable size (up to Chip1's exact
+   179x413 footprint). test/test_flow.ml pins the outcomes of the small
+   sizes against the general solvers kept there. *)
+let escape_instance_rect ~width ~height =
+  let grid = Pacor_grid.Routing_grid.create ~width ~height () in
+  let pins =
+    List.init ((width - 2) / 2) (fun i -> Pacor_geom.Point.make (1 + (2 * i)) 0)
   in
-  let esc_wall = Unix.gettimeofday () -. t0 in
-  match result with
-  | Error e -> failwith ("escape-bench instance invalid: " ^ e)
-  | Ok out ->
-    { esc_routed = List.length out.Pacor_flow.Escape.routed;
-      esc_length = out.Pacor_flow.Escape.total_length;
-      esc_wall }
+  let nreq = width / 4 in
+  let requests =
+    List.init nreq (fun i ->
+      { Pacor_flow.Escape.cluster_idx = i;
+        start_cells = [ Pacor_geom.Point.make (2 + (3 * i)) (height - 3) ] })
+  in
+  (grid, pins, requests)
 
 let print_escape_bench () =
-  Format.printf "@.== Escape bench: Grid vs Spfa vs Dijkstra min-cost flow ==@.";
+  Format.printf "@.== Escape bench: min-cost-flow escape solve ==@.";
   (* Smoke sizes are a strict subset of the full run, so every smoke
      fingerprint must appear verbatim in the committed BENCH_escape.json. *)
   let dims =
@@ -908,35 +783,27 @@ let print_escape_bench () =
     List.map
       (fun (width, height) ->
          let grid, pins, requests = escape_instance_rect ~width ~height in
-         let g = run_escape_timed Pacor_flow.Escape.Grid ~workspace:ws ~grid ~pins ~requests in
-         let s = run_escape_timed Pacor_flow.Escape.Spfa ~workspace:ws ~grid ~pins ~requests in
-         let d = run_escape_timed Pacor_flow.Escape.Dijkstra ~workspace:ws ~grid ~pins ~requests in
-         let bound =
-           Pacor_flow.Escape.feasibility_bound ~workspace:ws ~grid
-             ~claimed:Pacor_geom.Point.Set.empty ~pins requests
+         let t0 = Unix.gettimeofday () in
+         let result =
+           Pacor_flow.Escape.route ~workspace:ws ~grid ~claimed:Pacor_geom.Point.Set.empty
+             ~pins requests
          in
-         (width, height, List.length requests, g, s, d, bound))
+         let wall = Unix.gettimeofday () -. t0 in
+         match result with
+         | Error e -> failwith ("escape-bench instance invalid: " ^ e)
+         | Ok out ->
+           ( width, height, List.length requests, List.length out.Pacor_flow.Escape.routed,
+             out.Pacor_flow.Escape.total_length, wall ))
       dims
   in
-  Format.printf "%9s %4s | %14s %9s | %9s %8s | %9s %8s | %5s %5s@." "size" "req"
-    "grid (r,len)" "wall" "spfa" "vs grid" "dijkstra" "vs grid" "bound" "agree";
+  Format.printf "%9s %4s | %14s %9s@." "size" "req" "(routed,len)" "wall";
   List.iter
-    (fun (w, h, nreq, g, s, d, bound) ->
-       let agree =
-         g.esc_routed = s.esc_routed && g.esc_routed = d.esc_routed
-         && g.esc_length = s.esc_length && g.esc_length = d.esc_length
-         && bound = g.esc_routed
-       in
-       let ratio x = if g.esc_wall > 0.0 then x /. g.esc_wall else 0.0 in
-       Format.printf
-         "%4dx%-4d %4d | (%4d,%7d) %8.4fs | %8.4fs %7.2fx | %8.4fs %7.2fx | %5d %5s@."
-         w h nreq g.esc_routed g.esc_length g.esc_wall s.esc_wall (ratio s.esc_wall)
-         d.esc_wall (ratio d.esc_wall) bound
-         (if agree then "yes" else "NO (BUG)"))
+    (fun (w, h, nreq, routed, len, wall) ->
+       Format.printf "%4dx%-4d %4d | (%4d,%7d) %8.4fs@." w h nreq routed len wall)
     rows;
-  (* Full-engine corpus outcomes under the Grid default: the deterministic
-     fingerprint CI guards against solver regressions. *)
-  Format.printf "@.== Escape bench: corpus engine outcomes (Grid default) ==@.";
+  (* Full-engine corpus outcomes: the deterministic fingerprint CI guards
+     against escape regressions. *)
+  Format.printf "@.== Escape bench: corpus engine outcomes ==@.";
   let corpus =
     match Pacor_par.Batch.load_dir "corpus" with
     | Error e -> failwith ("escape-bench: corpus load failed: " ^ e)
@@ -960,17 +827,11 @@ let print_escape_bench () =
     Printf.bprintf buf "  \"bench\": \"pacor-escape-bench\",\n";
     Printf.bprintf buf "  \"instances\": [\n";
     List.iteri
-      (fun i (w, h, nreq, g, s, d, bound) ->
+      (fun i (w, h, nreq, routed, len, wall) ->
          Printf.bprintf buf
-           "    {\"width\": %d, \"height\": %d, \"requests\": %d,\n\
-            \     \"grid_wall_s\": %.6f, \"spfa_wall_s\": %.6f, \"dijkstra_wall_s\": %.6f,\n\
-            \     \"speedup_vs_spfa\": %.2f, \"speedup_vs_dijkstra\": %.2f,\n\
-            \     \"fingerprint\": \"escb %dx%d grid=%d/%d spfa=%d/%d dijkstra=%d/%d bound=%d\"}%s\n"
-           w h nreq g.esc_wall s.esc_wall d.esc_wall
-           (if g.esc_wall > 0.0 then s.esc_wall /. g.esc_wall else 0.0)
-           (if g.esc_wall > 0.0 then d.esc_wall /. g.esc_wall else 0.0)
-           w h g.esc_routed g.esc_length s.esc_routed s.esc_length d.esc_routed
-           d.esc_length bound
+           "    {\"width\": %d, \"height\": %d, \"requests\": %d, \"grid_wall_s\": %.6f,\n\
+            \     \"fingerprint\": \"escb %dx%d grid=%d/%d\"}%s\n"
+           w h nreq wall w h routed len
            (if i = List.length rows - 1 then "" else ","))
       rows;
     Printf.bprintf buf "  ],\n";
@@ -1899,18 +1760,18 @@ let print_flow_search_stats () =
 
 let () =
   if route_bench_only then begin
-    (* Routing perf trajectory: negotiation modes + flow-solver race, with
-       the JSON record (committed as BENCH_route.json). --smoke restricts
-       to the small sizes for CI. *)
+    (* Routing perf trajectory: negotiation modes, with the JSON record
+       (committed as BENCH_route.json). --smoke restricts to the small
+       sizes for CI. *)
     Format.printf "PACOR benchmark harness (route-bench only%s)@."
       (if smoke then ", smoke" else "");
     print_route_bench ();
     Format.printf "@.done.@."
   end
   else if escape_bench_only then begin
-    (* Escape-stage perf trajectory: the three-way flow-solver race, with
-       the JSON record (committed as BENCH_escape.json). --smoke restricts
-       to the small sizes for CI. *)
+    (* Escape-stage perf trajectory: solve timings and corpus outcomes,
+       with the JSON record (committed as BENCH_escape.json). --smoke
+       restricts to the small sizes for CI. *)
     Format.printf "PACOR benchmark harness (escape-bench only%s)@."
       (if smoke then ", smoke" else "");
     print_escape_bench ();

@@ -14,7 +14,7 @@ type t = {
   variant : variant;
   lambda : float;        (** mismatch-vs-overlap weight in selection, 0.1 *)
   max_candidates : int;  (** DME candidates per cluster, default 8 *)
-  solver : Pacor_select.Tree_select.solver;  (** MWCP solver, default Exact *)
+  solver : Pacor_select.Tree_select.solver;  (** MWCP solver, always Exact *)
   negotiation : Pacor_route.Negotiation.config;
       (** [b_g] = 1.0, [alpha] = 0.1, [gamma] = 10 *)
   theta : int;           (** detour-stage iteration bound, default 10 *)

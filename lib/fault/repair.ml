@@ -51,8 +51,6 @@ let touches fault (c : Pacor.Solution.routed_cluster) =
     let fp = footprint c in
     Point.Set.mem a fp || Point.Set.mem b fp
 
-let fault_touches = touches
-
 let cluster_ids cs =
   List.sort Int.compare
     (List.map
@@ -203,7 +201,7 @@ let reroute_inner ~workspace ~budget ~stage ~fproblem ~is_dirty ~revise
     if replacements = [] then
       Ok { Pacor_flow.Escape.routed = []; failed = []; total_length = 0 }
     else
-      Pacor_flow.Escape.route ~alive ~workspace ~solver:Pacor_flow.Escape.Grid ~grid
+      Pacor_flow.Escape.route ~alive ~workspace ~grid
         ~claimed:(Point.Set.union untouched_forbidden (claims_of replacements))
         ~pins:available_pins
         (List.mapi

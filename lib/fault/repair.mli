@@ -7,7 +7,7 @@
     and re-routes them around the fault with the ordinary PACOR machinery:
     negotiation-based candidate routing for length-matched clusters, MST /
     singleton fallback, one global min-cost-flow escape solve
-    ({!Pacor_flow.Escape}, Grid solver) over the replacement clusters, and
+    ({!Pacor_flow.Escape}) over the replacement clusters, and
     the detour stage to restore length matching. Untouched clusters are
     reused as-is — their paths come out byte-identical.
 
@@ -74,10 +74,6 @@ val footprint : Pacor.Solution.routed_cluster -> Pacor_geom.Point.Set.t
     cells included) plus its escape path. The membership test behind every
     dirty-set predicate. *)
 
-val fault_touches : Fault.t -> Pacor.Solution.routed_cluster -> bool
-(** Does this fault dirty this cluster? A stuck valve dirties its owner; a
-    blocked cell or leak dirties every cluster whose {!footprint} contains
-    a retired cell. *)
 
 val dirty_set : faults:Fault.t list -> Pacor.Solution.t -> int list
 (** Ids (sorted) of the clusters any fault in the list touches — what [run]

@@ -69,39 +69,9 @@ let compute_roles ?workspace ~grid ~claimed ~pins requests =
     pins;
   roles
 
-(* Shared network layout: node-split grid (cell i -> nodes 2i / 2i+1) plus
-   one node per request and a super source/sink. [emit] is called once per
-   arc with (src, dst, cost), in a deterministic order — row-major cells,
-   neighbours in [Routing_grid.iter_neighbours4] order, then request arcs
-   in input order. [Mcmf_grid] enumerates exactly these arcs from the
-   role layer, in the row order a CSR built from this emission would
-   have; the decomposition tie-break relies on that order. *)
-let emit_network ~grid ~roles requests ~emit =
-  let cells = Routing_grid.cells grid in
-  let nreq = List.length requests in
-  let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
-  for i = 0 to cells - 1 do
-    let role = Packed_roles.get roles i in
-    if role <> role_excluded then begin
-      let out_node = (2 * i) + 1 in
-      if role = role_pin then emit (2 * i) sink 0
-      else begin
-        if role = role_ordinary then emit (2 * i) out_node 0;
-        Routing_grid.iter_neighbours4 grid i (fun j ->
-          let rj = Packed_roles.get roles j in
-          if rj = role_ordinary || rj = role_pin then emit out_node (2 * j) 1)
-      end
-    end
-  done;
-  List.iteri
-    (fun k r ->
-       emit source ((2 * cells) + k) 0;
-       List.iter
-         (fun p -> emit ((2 * cells) + k) ((2 * Routing_grid.index grid p) + 1) 0)
-         r.start_cells)
-    requests
-
-(* The [Mcmf_grid] network of [requests] over [roles]. *)
+(* The [Mcmf_grid] network of [requests] over [roles]: a node-split grid
+   (cell i -> nodes 2i / 2i+1) plus one node per request and a super
+   source/sink, with arcs enumerated from the role layer. *)
 let grid_network ?workspace ~grid ~roles requests =
   let starts =
     Array.of_list
@@ -148,13 +118,6 @@ let validate ~grid ~pins requests =
            Error (Printf.sprintf "duplicate cluster_idx %d in requests" r.cluster_idx)
          | None -> Ok ()
        end)
-
-let feasibility_bound ?workspace ~grid ~claimed ~pins requests =
-  match validate ~grid ~pins requests with
-  | Error _ -> 0
-  | Ok () ->
-    let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
-    Mcmf_grid.max_flow ?workspace (grid_network ?workspace ~grid ~roles requests)
 
 (* Goal-direction seed for [Mcmf_grid.seed]. In the node-split network
    only ordinary cells transit, so every node's distance to the sink is a
@@ -244,7 +207,7 @@ let seed_heights ws ~grid ~roles ~pins requests =
 
 (* Escape groups for [solve_once]: requests whose reachable regions share
    no cell cannot exchange flow. Cells are linked by the symmetric closure
-   of the arcs [emit_network] emits between cells — a cell with out-arcs
+   of the network's cell-to-cell arcs — a cell with out-arcs
    (ordinary or start) to an enterable neighbour (ordinary or pin) — and
    each request fuses the regions of all its live (role start) cells. A
    pin is linked to its neighbours on every side, so it fuses the regions
@@ -359,100 +322,74 @@ let group_requests ?workspace ~grid ~roles ~pins req_arr =
     Some (gid, group_pins)
   end
 
-type solver =
-  | Dijkstra
-  | Spfa
-  | Grid
-
 (* One min-cost-flow solve over one joint network, no decomposition:
    [solve_once] composes these. Inputs are assumed validated; [roles] is
-   [compute_roles] of exactly these pins and requests. The grid solver is
+   [compute_roles] of exactly these pins and requests. The solve is
    seeded ([seed_heights]) whenever there are two or more requests; one
    request is a single shortest-path search with nothing to amortise the
    seed over. *)
-let solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests =
-    let cells = Routing_grid.cells grid in
-    let nreq = List.length requests in
-    let n = (2 * cells) + nreq + 2 in
-    let beta = (4 * cells) + 16 in
-    (* The paper's [-beta] reward per routed path is realised as a stopping
-       threshold: augment while a path still costs less than beta, which is
-       larger than any possible augmenting-path cost — so the flow first
-       maximises the number of routed clusters, then total length. *)
-    let node_paths =
-      match solver with
-      | Grid ->
-        let ws = match workspace with Some ws -> ws | None -> W.create () in
-        let net = grid_network ~workspace:ws ~grid ~roles requests in
-        if nreq >= 2 then Mcmf_grid.seed net ~h:(seed_heights ws ~grid ~roles ~pins requests);
-        let (_ : Mcmf_grid.outcome) =
-          Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
-        in
-        Mcmf_grid.decompose_paths net
-      | Dijkstra ->
-        let net = Mcmf.create n in
-        let emit src dst cost = Mcmf.add_edge net ~src ~dst ~cap:1 ~cost in
-        emit_network ~grid ~roles requests ~emit;
-        let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
-        let _outcome = Mcmf.solve ~alive ~stop_when_cost_reaches:beta net ~source ~sink in
-        Mcmf.decompose_paths net ~source ~sink
-      | Spfa ->
-        let net = Mcmf_spfa.create n in
-        let emit src dst cost = Mcmf_spfa.add_edge net ~src ~dst ~cap:1 ~cost in
-        emit_network ~grid ~roles requests ~emit;
-        let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
-        let _outcome =
-          Mcmf_spfa.solve ~alive ~stop_when_cost_reaches:beta net ~source ~sink
-        in
-        Mcmf_spfa.decompose_paths net ~source ~sink
-    in
-    (* Map each unit path back to its request (second node is the cluster
-       node) and to grid points (in/out pairs collapse). *)
-    let request_arr = Array.of_list requests in
-    let routed_tbl = Hashtbl.create 16 in
-    List.iter
-      (fun nodes ->
-         match nodes with
-         | _src :: cnode :: rest when cnode >= 2 * cells && cnode < (2 * cells) + nreq ->
-           let req = request_arr.(cnode - (2 * cells)) in
-           let points =
-             List.filter_map
-               (fun node ->
-                  if node < 2 * cells then Some (Routing_grid.point_of_index grid (node / 2))
-                  else None)
-               rest
+let solve_joint ~alive ?workspace ~grid ~roles ~pins requests =
+  let cells = Routing_grid.cells grid in
+  let nreq = List.length requests in
+  let beta = (4 * cells) + 16 in
+  (* The paper's [-beta] reward per routed path is realised as a stopping
+     threshold: augment while a path still costs less than beta, which is
+     larger than any possible augmenting-path cost — so the flow first
+     maximises the number of routed clusters, then total length. *)
+  let ws = match workspace with Some ws -> ws | None -> W.create () in
+  let net = grid_network ~workspace:ws ~grid ~roles requests in
+  if nreq >= 2 then Mcmf_grid.seed net ~h:(seed_heights ws ~grid ~roles ~pins requests);
+  let (_ : Mcmf_grid.outcome) =
+    Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
+  in
+  let node_paths = Mcmf_grid.decompose_paths net in
+  (* Map each unit path back to its request (second node is the cluster
+     node) and to grid points (in/out pairs collapse). *)
+  let request_arr = Array.of_list requests in
+  let routed_tbl = Hashtbl.create 16 in
+  List.iter
+    (fun nodes ->
+       match nodes with
+       | _src :: cnode :: rest when cnode >= 2 * cells && cnode < (2 * cells) + nreq ->
+         let req = request_arr.(cnode - (2 * cells)) in
+         let points =
+           List.filter_map
+             (fun node ->
+                if node < 2 * cells then Some (Routing_grid.point_of_index grid (node / 2))
+                else None)
+             rest
+         in
+         (* Drop the in/out duplicate of each transit cell; iterative
+            accumulator so Chip1-length escapes cannot overflow the
+            stack. *)
+         let collapse pts =
+           let rec go acc = function
+             | a :: (b :: _ as tl) when Point.equal a b -> go acc tl
+             | a :: tl -> go (a :: acc) tl
+             | [] -> List.rev acc
            in
-           (* Drop the in/out duplicate of each transit cell; iterative
-              accumulator so Chip1-length escapes cannot overflow the
-              stack. *)
-           let collapse pts =
-             let rec go acc = function
-               | a :: (b :: _ as tl) when Point.equal a b -> go acc tl
-               | a :: tl -> go (a :: acc) tl
-               | [] -> List.rev acc
-             in
-             go [] pts
-           in
-           let pts = collapse points in
-           (match pts with
-            | [] -> ()
-            | first :: _ ->
-              let path = Path.of_points pts in
-              Hashtbl.replace routed_tbl req.cluster_idx
-                { idx = req.cluster_idx; start_cell = first; pin = Path.target path; path })
-         | _ -> ())
-      node_paths;
-    let routed =
-      List.filter_map (fun r -> Hashtbl.find_opt routed_tbl r.cluster_idx) requests
-    in
-    let failed =
-      List.filter_map
-        (fun r ->
-           if Hashtbl.mem routed_tbl r.cluster_idx then None else Some r.cluster_idx)
-        requests
-    in
-    let total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed in
-    { routed; failed; total_length }
+           go [] pts
+         in
+         let pts = collapse points in
+         (match pts with
+          | [] -> ()
+          | first :: _ ->
+            let path = Path.of_points pts in
+            Hashtbl.replace routed_tbl req.cluster_idx
+              { idx = req.cluster_idx; start_cell = first; pin = Path.target path; path })
+       | _ -> ())
+    node_paths;
+  let routed =
+    List.filter_map (fun r -> Hashtbl.find_opt routed_tbl r.cluster_idx) requests
+  in
+  let failed =
+    List.filter_map
+      (fun r ->
+         if Hashtbl.mem routed_tbl r.cluster_idx then None else Some r.cluster_idx)
+      requests
+  in
+  let total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed in
+  { routed; failed; total_length }
 
 (* Independent escape subnetworks. Two requests whose reachable regions
    share no cell cannot exchange flow: the min-cost-flow over the joint
@@ -467,7 +404,7 @@ let solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests =
    is disabled when the caller's workspace carries real budget limits, so
    a budgeted solve keeps the joint solve's operation order and trips
    its budget at the same point. *)
-let solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
+let solve_once ~alive ?workspace ~grid ~claimed ~pins requests =
   let budget_free =
     match workspace with
     | None -> true
@@ -481,7 +418,7 @@ let solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
     else None
   in
   match groups with
-  | None -> solve_joint ~alive ?workspace ~solver ~grid ~roles ~pins requests
+  | None -> solve_joint ~alive ?workspace ~grid ~roles ~pins requests
   | Some (gid, group_pins) ->
     let ws = match workspace with Some ws -> ws | None -> W.create () in
     let ng = Array.length group_pins in
@@ -496,8 +433,7 @@ let solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
         compute_roles ~workspace:ws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
       in
       let out =
-        solve_joint ~alive ~workspace:ws ~solver ~grid ~roles ~pins:group_pins.(g)
-          group_reqs.(g)
+        solve_joint ~alive ~workspace:ws ~grid ~roles ~pins:group_pins.(g) group_reqs.(g)
       in
       List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
       total := !total + out.total_length
@@ -515,8 +451,7 @@ let solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests =
     in
     { routed; failed; total_length = !total }
 
-let route ?(alive = fun () -> true) ?workspace ?(solver = Grid) ~grid ~claimed ~pins
-    requests =
+let route ?(alive = fun () -> true) ?workspace ~grid ~claimed ~pins requests =
   match validate ~grid ~pins requests with
   | Error _ as e -> e
-  | Ok () -> Ok (solve_once ~alive ?workspace ~solver ~grid ~claimed ~pins requests)
+  | Ok () -> Ok (solve_once ~alive ?workspace ~grid ~claimed ~pins requests)

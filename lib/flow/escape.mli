@@ -9,7 +9,15 @@
     an unused candidate control pin. Maximising the number of routed
     clusters dominates; total channel length is minimised secondarily
     (the [-beta] objective trick of the paper, with [beta] chosen larger
-    than any possible augmenting-path length). *)
+    than any possible augmenting-path length).
+
+    The flow network is node-split: cell [i] is nodes [2i] (in) and
+    [2i + 1] (out), request [k] is node [2 * cells + k], and the source
+    and then the sink follow. {!Mcmf_grid} is the one solver: it reads
+    each node's arcs off the cell-role layer ({!compute_roles}) instead of
+    storing them. The tests keep general min-cost-flow and Dinic solvers
+    over an explicit copy of the same network as oracles for the routed
+    count, the total length and the max-flow bound. *)
 
 open Pacor_geom
 open Pacor_grid
@@ -32,15 +40,9 @@ type outcome = {
   total_length : int;          (** sum of escape path lengths (edges) *)
 }
 
-type solver =
-  | Dijkstra  (** {!Mcmf}: Dijkstra with potentials *)
-  | Spfa      (** {!Mcmf_spfa}: Bellman–Ford queue augmentation *)
-  | Grid      (** {!Mcmf_grid}: implicit rows + persistent potentials + 0-1-BFS *)
-
 val route :
   ?alive:(unit -> bool) ->
   ?workspace:Pacor_route.Workspace.t ->
-  ?solver:solver ->
   grid:Routing_grid.t ->
   claimed:Point.Set.t ->
   pins:Point.t list ->
@@ -60,18 +62,12 @@ val route :
     [failed] — the same shape as a congested instance.
 
     [workspace] supplies the reusable search state (and attached
-    {!Pacor_route.Budget}) for the [Grid] solver's seed BFS and
-    augmentation rounds, and the scratch slots its network's flow state
-    is leased from; the other solvers keep private state and ignore it.
+    {!Pacor_route.Budget}) for the seed BFS and augmentation rounds, and
+    the scratch slots the network's flow state is leased from.
 
-    [solver] picks the min-cost-flow engine; the default is [Grid], the
-    escape-specialised solver that reads its rows off the role layer,
-    which [bench --escape-bench] measures
-    as the fastest by a wide margin at Chip1 scale (see EXPERIMENTS.md).
-    All three produce cost-optimal flows with identical
-    (routed count, total length) outcomes — the benchmark and a qcheck
-    property assert the agreement — and [Spfa]/[Dijkstra] are retained as
-    independent cross-checks.
+    The flow is cost-optimal and routes exactly the max-flow bound of
+    the network; qcheck properties assert both against the oracles in
+    the tests.
 
     - [claimed] are the cells of {e all} routed cluster channels; escape
       paths may start on their own cluster's cells but never traverse a
@@ -85,26 +81,12 @@ val route :
     congested instance returns [Ok] with the unroutable clusters listed
     in [failed]. *)
 
-val feasibility_bound :
-  ?workspace:Pacor_route.Workspace.t ->
-  grid:Routing_grid.t ->
-  claimed:Point.Set.t ->
-  pins:Point.t list ->
-  request list ->
-  int
-(** Maximum number of clusters {e any} escape assignment could route: the
-    max flow of the escape network with costs ignored (costless BFS rounds
-    on the same {!Mcmf_grid} network {!route} solves over; the tests
-    cross-check it against the independent {!Maxflow} Dinic solver).
-    [route] always routes exactly this many, which the tests assert.
-    Returns 0 on malformed inputs. *)
-
 (** {2 Network internals}
 
     For the differential oracles in the tests, which rebuild the escape
-    network as an explicit CSR and check the implicit rows, the seed and
-    the grouping against it, a split-graph search and a union-find;
-    {!route} is the entry point. *)
+    network as an explicit arc list and check the implicit rows, the
+    seed and the grouping against it, a split-graph search and a
+    union-find; {!route} is the entry point. *)
 
 (** Cell roles: excluded (obstacle, non-pin boundary, foreign claim),
     ordinary (free interior transit), pin (sink only) and start (some
@@ -125,20 +107,6 @@ val compute_roles :
 (** Cell roles, highest precedence first: blocked, pin, start, claimed,
     boundary, ordinary. With a workspace the layer aliases byte slot 0. *)
 
-val emit_network :
-  grid:Routing_grid.t ->
-  roles:Packed_roles.t ->
-  request list ->
-  emit:(int -> int -> int -> unit) ->
-  unit
-(** [emit src dst cost] per forward arc, in emission order: row-major
-    cells, neighbours in [Routing_grid.iter_neighbours4] order, then the
-    request arcs. Cell [i] is split into nodes [2i] (in) and [2i + 1]
-    (out); request [k] is node [2 * cells + k]; the source and then the
-    sink follow. This order is the row-order contract of {!Mcmf_grid},
-    which enumerates the same arcs without emitting them; the [Dijkstra]
-    and [Spfa] solvers and the tests' CSR oracle consume it directly. *)
-
 val grid_network :
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
@@ -146,7 +114,7 @@ val grid_network :
   request list ->
   Mcmf_grid.t
 (** The {!Mcmf_grid} network of these requests over [roles] (which must
-    be {!compute_roles} of them): the arcs {!emit_network} emits. *)
+    be {!compute_roles} of them). *)
 
 val seed_heights :
   Pacor_route.Workspace.t ->

@@ -1,12 +1,13 @@
 (* Unit-capacity min-cost max-flow over the escape network, read straight
    off the cell-role layer.
 
-   The network is Escape.emit_network's node-split grid (cell i is nodes
+   The network is the escape stage's node-split grid (cell i is nodes
    in(i) = 2i and out(i) = 2i + 1, request k is 2 * cells + k, then the
    source and the sink), and every arc of it follows from one cell's role
    and its neighbours' roles plus the request list. So nothing is stored
    but flow: [iter_row] enumerates a node's residual row in exactly the
-   order a CSR built from [emit_network] holds it (the .mli lists it),
+   order a CSR built from the arc emission order holds it (the .mli
+   lists both),
    each arc at a fixed row position, its port: in(i) 0-4 (reverse from
    -w, reverse from -1, own arc, reverse from +1, reverse from +w); out(i)
    0 for the reverse of in -> out, 1 + d for direction d (+1, -1, +w, -w),
@@ -42,8 +43,8 @@
    Determinism: rows keep the emission order, heap ties break on
    Pqueue's fixed order, and [decompose_paths] follows the first forward
    arc in row order still carrying flow, so the paths are those of the
-   same rounds over a CSR of [emit_network] (test/mcmf_csr.ml, kept as
-   the differential oracle). *)
+   same rounds over an explicit CSR of the emitted arcs (test/mcmf_csr.ml,
+   kept as the differential oracle). *)
 
 open Pacor_grid
 module W = Pacor_route.Workspace
@@ -251,24 +252,21 @@ let is_forward t u port =
   else u = t.source
 
 (* One 0-1-BFS round over raw costs (valid only while every potential is
-   zero, when reduced cost = cost). [costless] treats every arc as free —
-   a plain BFS for the max-flow-only probe. Returns the sink's (reduced)
-   distance, or -1 when unreachable / budget exhausted. *)
-let round_01 t ws ~costless =
+   zero, when reduced cost = cost). Returns the sink's distance, or -1
+   when unreachable / budget exhausted. *)
+let round_01 t ws =
   let stats = W.stats ws in
   let n = t.n in
   let cur = ref 0 and du = ref 0 in
   let relax port v c cap =
     if cap = 1 then begin
       Stats.touched stats;
-      let c = if costless then 0 else c in
       let nd = !du + c in
       if nd < W.dist ws v then begin
         Stats.relaxed stats;
         W.set_dist ws v nd;
         W.set_parent ws v ((port * n) + !cur);
-        if (not costless) && c = 0 then W.deque_push_front ws v
-        else W.deque_push_back ws v
+        if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
       end
     end
   in
@@ -383,7 +381,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   while !running && alive () do
     W.begin_search ws ~cells:t.n;
     t.rounds <- t.rounds + 1;
-    let d = if t.pot_zero then round_01 t ws ~costless:false else round_dijkstra t ws in
+    let d = if t.pot_zero then round_01 t ws else round_dijkstra t ws in
     if d < 0 then running := false
     else begin
       (* [d] is a reduced distance; potentials float (seeded, and shifted
@@ -403,19 +401,6 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
     end
   done;
   outcome t
-
-let max_flow ?(alive = fun () -> true) ?workspace t =
-  if t.solved then invalid_arg "Mcmf_grid.max_flow: already solved";
-  t.solved <- true;
-  let ws = match workspace with Some ws -> ws | None -> W.create () in
-  let running = ref true in
-  while !running && alive () do
-    W.begin_search ws ~cells:t.n;
-    t.rounds <- t.rounds + 1;
-    if round_01 t ws ~costless:true < 0 then running := false
-    else augment t ws
-  done;
-  t.flow
 
 (* Take one unit off the first forward arc out of [v], in row order,
    that carries flow and return its head, or -1 when none does: the

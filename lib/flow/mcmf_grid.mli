@@ -1,12 +1,21 @@
 (** Unit-capacity min-cost max-flow over the escape network, read straight
     off the cell-role layer.
 
-    The network is {!Escape.emit_network}'s node-split grid: cell [i] is
-    nodes [2i] (in) and [2i + 1] (out), request [k] is node
-    [2 * cells + k], and the source and then the sink follow. No arc is
-    stored: every node's residual row is enumerated from the
+    The network is a node-split grid: cell [i] is nodes [2i] (in) and
+    [2i + 1] (out), request [k] is node [2 * cells + k], and the source
+    and then the sink follow. All capacities are 1. Its forward arcs, in
+    {e emission order}:
+    - row-major over cells that are not excluded: a pin cell's
+      [in(i) -> sink] (cost 0); otherwise an ordinary cell's
+      [in(i) -> out(i)] (cost 0), then [out(i) -> in(j)] (cost 1) for
+      each ordinary or pin neighbour [j] in
+      {!Pacor_grid.Routing_grid.iter_neighbours4} order;
+    - then per request [k] in input order: [source -> k] (cost 0), then
+      [k -> out(s)] (cost 0) for each start cell [s] in input order.
+
+    No arc is stored: every node's residual row is enumerated from the
     {!Pacor_grid.Packed_roles} layer and the request list, in exactly the
-    order a CSR built from [emit_network] holds it (each arc at both
+    order a CSR built from that emission holds it (each arc at both
     endpoints, in emission order):
     - [in(i)] of an ordinary or pin cell: reverse arcs from [out(i - w)]
       and [out(i - 1)], its own arc to [out(i)] (ordinary) or the sink
@@ -41,10 +50,10 @@
     from the textbook ones by a constant, which leaves reduced costs and
     paths unchanged; a path's true cost is [d + pot(sink) - pot(source)].
 
-    The tests run the same solver over an explicit CSR of
-    [emit_network] as a differential oracle: rows, paths, rounds and
-    search counters match exactly, and the general {!Mcmf} and
-    {!Mcmf_spfa} solvers agree on the (flow, cost) optimum. *)
+    The tests run the same solver over an explicit CSR of the emitted
+    arcs as a differential oracle: rows, paths, rounds and search
+    counters match exactly, and general min-cost-flow solvers kept in
+    the tests agree on the (flow, cost) optimum. *)
 
 (** Cell roles, the only input the arcs depend on besides the requests:
     excluded (no arcs), ordinary (transit), pin (sink only) and start
@@ -107,14 +116,6 @@ val seed : t -> h:(int -> int) -> unit
     distance is; the escape stage derives it from a cell-level BFS. A
     budget-starved caller may pass a partial [h]: every later round then
     fails on its first pop. Raises [Invalid_argument] after a solve. *)
-
-val max_flow :
-  ?alive:(unit -> bool) ->
-  ?workspace:Pacor_route.Workspace.t ->
-  t ->
-  int
-(** Max flow with costs ignored (plain BFS augmentation): the feasibility
-    probe. Counts as the network's one solve. *)
 
 val decompose_paths : t -> int list list
 (** Split the computed flow into source->sink unit node-paths, consuming

@@ -26,10 +26,9 @@ let set_bit t i b =
 let blocked t p = (not (in_bounds t p)) || get_bit t (index t p)
 let free t p = not (blocked t p)
 
-(* Index variants for the routers' allocation-free inner loops: the caller
+(* Index variant for the routers' allocation-free inner loops: the caller
    guarantees [i] is a valid dense index (the index-based neighbour
    iteration only produces in-bounds cells). *)
-let blocked_i t i = get_bit t i
 let free_i t i = not (get_bit t i)
 
 (* Eight cells per bitmap byte: entry [b] is the little-endian word whose

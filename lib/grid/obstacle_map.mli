@@ -20,14 +20,11 @@ val blocked : t -> Point.t -> bool
 
 val free : t -> Point.t -> bool
 
-val blocked_i : t -> int -> bool
-(** [blocked_i t i] reads cell [i] of the dense row-major index space
-    ([y * width + x], the same layout as {!Routing_grid.index}). Unlike
-    {!blocked} the index must be valid — the routers' index-based
-    neighbour iteration never produces an out-of-bounds cell. *)
-
 val free_i : t -> int -> bool
-(** [not (blocked_i t i)]. *)
+(** [free_i t i] reads cell [i] of the dense row-major index space
+    ([y * width + x], the same layout as {!Routing_grid.index}). Unlike
+    {!free} the index must be valid — the routers' index-based
+    neighbour iteration never produces an out-of-bounds cell. *)
 
 val fill_free : t -> Bytes.t -> unit
 (** [fill_free t b] writes one byte per cell of the dense index space into

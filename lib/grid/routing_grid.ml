@@ -49,7 +49,6 @@ let boundary_points t =
     done;
   List.rev !acc
 
-let free_neighbours t p = List.filter (free t) (Point.neighbours4 p)
 
 let nearest_free t p =
   let max_radius = t.width + t.height in

@@ -40,9 +40,6 @@ val on_boundary : t -> Point.t -> bool
 val boundary_points : t -> Point.t list
 (** All boundary cells, blocked or not, in deterministic order. *)
 
-val free_neighbours : t -> Point.t -> Point.t list
-(** In-bounds, statically free 4-neighbours. *)
-
 val nearest_free : t -> Point.t -> Point.t option
 (** Closest statically free cell to the given point, searching outward ring
     by ring (the embedding search of Sec. 4.1); [None] if the whole grid is

@@ -130,13 +130,6 @@ let try_map_ctx t f xs =
       | Some (e, _) -> Error e
       | None -> Ok (Option.get results.(i)))
 
-let search_stats t =
-  Array.fold_left
-    (fun acc (w : worker) ->
-       Pacor_route.Search_stats.add acc
-         (Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats w.workspace)))
-    Pacor_route.Search_stats.zero t.workers
-
 (* Queued tasks still run: workers drain the queue before they exit. *)
 let shutdown t =
   Mutex.lock t.mutex;

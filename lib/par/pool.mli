@@ -58,10 +58,6 @@ val try_map_ctx : t -> (worker -> 'a -> 'b) -> 'a list -> ('b, exn) result list
     lost, and [shutdown] joins normally afterwards.
     @raise Invalid_argument on a pool that has been shut down. *)
 
-val search_stats : t -> Pacor_route.Search_stats.snapshot
-(** Sum of every worker context's workspace counters since [create].
-    Only meaningful while the pool is quiescent (no [map_ctx] in
-    flight). *)
 
 val shutdown : t -> unit
 (** Lets the workers drain the queue, then joins all worker domains.

@@ -5,8 +5,6 @@ let reason_label = function
   | Expansions -> "expansions"
   | Iterations -> "iterations"
 
-let pp_reason ppf r = Format.pp_print_string ppf (reason_label r)
-
 type limits = {
   timeout_s : float option;
   max_expansions : int option;

@@ -30,8 +30,6 @@ type reason = Deadline | Expansions | Iterations
 val reason_label : reason -> string
 (** ["deadline"] / ["expansions"] / ["iterations"]. *)
 
-val pp_reason : Format.formatter -> reason -> unit
-
 type limits = {
   timeout_s : float option;       (** wall-clock seconds per engine run *)
   max_expansions : int option;    (** total queue pops per engine run *)

@@ -260,9 +260,6 @@ let release t i =
 
 let claimed t i = t.claim_stamp.(i) = t.claim_epoch && t.claim_count_a.(i) > 0
 
-let claim_count t i =
-  if t.claim_stamp.(i) = t.claim_epoch then t.claim_count_a.(i) else 0
-
 let entry_count t i = if t.fill_stamp.(i) = t.epoch then t.fill.(i) else 0
 let entry_slot t ~cell k = (cell * t.stride) + k
 let entry_cell t slot = slot / t.stride

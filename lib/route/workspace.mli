@@ -136,8 +136,6 @@ val release : t -> int -> unit
 val claimed : t -> int -> bool
 (** True iff the cell's current-generation claim count is positive. *)
 
-val claim_count : t -> int -> int
-
 (** {2 Bounded-search visit entries}
 
     Entries live in a flat pool; a slot id is [cell * max_visits + k] with

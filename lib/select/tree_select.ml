@@ -1,7 +1,7 @@
 open Pacor_geom
 open Pacor_dme
 
-type solver = Exact | Greedy | Local_search | Mwcp_clique
+type solver = Exact
 
 type config = {
   lambda : float;
@@ -57,12 +57,11 @@ let selection_weight ~lambda per_cluster chosen =
   nodes +. pairs 0.0 chosen
 
 (* Precomputed instance: candidates are flattened to global indices so the
-   solvers never recompute geometric costs (branch and bound visits each
+   search never recomputes geometric costs (branch and bound visits each
    pair many times). *)
 type instance = {
   clusters : int array array;   (* per cluster: global candidate indices *)
   cand : Candidate.t array;     (* by global index *)
-  cluster_of : int array;
   node_w : float array;
   pair_w : float array array;   (* 0 within a cluster, symmetric *)
 }
@@ -149,7 +148,7 @@ let build_instance ~lambda per_cluster =
       end
     done
   done;
-  { clusters; cand; cluster_of; node_w; pair_w }
+  { clusters; cand; node_w; pair_w }
 
 (* [selection_weight] of a full selection, read off the instance: the node
    sum, then the pairs in list order, so the result is bit-identical. *)
@@ -167,6 +166,9 @@ let objective inst chosen =
   done;
   !nodes +. !pairs
 
+(* Clusters in input order, each taking the candidate with the best
+   marginal weight against the choices already made: the incumbent that
+   seeds [exact]. *)
 let greedy inst =
   let n = Array.length inst.clusters in
   let chosen = Array.make n (-1) in
@@ -188,34 +190,6 @@ let greedy inst =
          end)
       inst.clusters.(i);
     chosen.(i) <- !best
-  done;
-  chosen
-
-let local_search inst start =
-  let n = Array.length inst.clusters in
-  let chosen = Array.copy start in
-  let weight_with i g =
-    let w = ref inst.node_w.(g) in
-    for j = 0 to n - 1 do
-      if j <> i then w := !w +. inst.pair_w.(g).(chosen.(j))
-    done;
-    !w
-  in
-  let improved = ref true in
-  let rounds = ref 0 in
-  while !improved && !rounds < 100 do
-    improved := false;
-    incr rounds;
-    for i = 0 to n - 1 do
-      let current = weight_with i chosen.(i) in
-      Array.iter
-        (fun g ->
-           if weight_with i g > current +. 1e-12 then begin
-             chosen.(i) <- g;
-             improved := true
-           end)
-        inst.clusters.(i)
-    done
   done;
   chosen
 
@@ -312,50 +286,13 @@ let exact ?alive inst =
   go 0 0.0;
   !best
 
-(* The paper's literal formulation: one graph node per candidate, edges
-   between candidates of different clusters, maximum weight clique. A large
-   uniform node bonus M makes bigger cliques always dominate, so the
-   optimum covers every cluster (the graph is complete multipartite); the
-   remaining weight is exactly the selection objective. *)
-let mwcp_clique inst =
-  let total = Array.length inst.cand in
-  let graph =
-    { Pacor_graphs.Clique.n = total;
-      adjacent = (fun i j -> i <> j && inst.cluster_of.(i) <> inst.cluster_of.(j)) }
-  in
-  (* M dominates any achievable |objective|: one more node gains M and
-     costs at most the sum of every weight's magnitude. (A pair cost sums
-     over all edge pairs of the two trees, so it is not bounded by 1.) *)
-  let big =
-    let s = ref 1.0 in
-    Array.iter (fun w -> s := !s +. Float.abs w) inst.node_w;
-    Array.iter (Array.iter (fun w -> s := !s +. Float.abs w)) inst.pair_w;
-    !s
-  in
-  let weighted =
-    { Pacor_graphs.Clique.graph;
-      node_weight = (fun i -> big +. inst.node_w.(i));
-      edge_weight = (fun i j -> inst.pair_w.(i).(j)) }
-  in
-  let clique, _w = Pacor_graphs.Clique.max_weight_clique weighted in
-  (* One node per cluster, in cluster order. *)
-  let by_cluster = Array.make (Array.length inst.clusters) (-1) in
-  List.iter (fun g -> by_cluster.(inst.cluster_of.(g)) <- g) clique;
-  by_cluster
-
 let select ?alive ?(config = default_config) per_cluster =
   if List.exists (fun cands -> cands = []) per_cluster then
     Error "a cluster has no candidate trees"
   else if per_cluster = [] then Ok { chosen = []; objective = 0.0 }
   else begin
     let inst = build_instance ~lambda:config.lambda per_cluster in
-    let chosen_idx =
-      match config.solver with
-      | Greedy -> greedy inst
-      | Local_search -> local_search inst (greedy inst)
-      | Exact -> exact ?alive inst
-      | Mwcp_clique -> mwcp_clique inst
-    in
+    let chosen_idx = match config.solver with Exact -> exact ?alive inst in
     let chosen = Array.to_list (Array.map (fun g -> inst.cand.(g)) chosen_idx) in
     Ok { chosen; objective = objective inst chosen_idx }
   end

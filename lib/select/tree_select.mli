@@ -9,27 +9,19 @@
 
     Because every pair of candidates from different clusters is connected,
     a clique that covers all clusters is exactly a one-candidate-per-cluster
-    selection; we solve that selection problem directly. Three solvers
-    mirror the paper's three implementations:
-
-    - [Exact]: branch and bound with admissible remaining-cost bounds (the
-      open clusters' best node weights, and their best marginal weights
-      against the choices so far) — the stand-in for the paper's Gurobi
-      ILP (optimal; under a millisecond at the flow's instance sizes);
-    - [Greedy]: clusters in input order, each picking the candidate with
-      the best marginal cost against choices already made (the "graph-based
-      algorithm");
-    - [Local_search]: greedy start, then single-cluster exchange moves to a
-      local optimum (the unconstrained-quadratic-programming analogue);
-    - [Mwcp_clique]: the paper's literal formulation — one graph node per
-      candidate, edges between different clusters' candidates, maximum
-      weight clique via {!Pacor_graphs.Clique} (a large uniform node bonus
-      forces full cluster coverage). Optimal, like [Exact]; used to
-      cross-check it. *)
+    selection; we solve that selection problem directly, by branch and
+    bound with admissible remaining-cost bounds (the open clusters' best
+    node weights, and their best marginal weights against the choices so
+    far), seeded with a greedy pass in cluster order. It stands in for the
+    paper's Gurobi ILP: optimal, and under a millisecond at the flow's
+    instance sizes. The tests cross-check it against the paper's literal
+    formulation, a maximum weight clique over one graph node per
+    candidate, and against brute force. *)
 
 open Pacor_dme
 
-type solver = Exact | Greedy | Local_search | Mwcp_clique
+(* One solver; the type stays because perfbench/bench.ml builds [{ lambda; solver }]. *)
+type solver = Exact
 
 type config = {
   lambda : float;    (** weight of mismatch vs overlap, paper default 0.1 *)
@@ -65,8 +57,7 @@ val select :
     exponential in the cluster count: it is polled every 256 search
     nodes, and once it returns false the search stops and returns its
     incumbent — greedy-seeded, so always a full selection, though no
-    longer proven optimal. Without [alive] the search runs to completion.
-    Other solvers ignore [alive]. *)
+    longer proven optimal. Without [alive] the search runs to completion. *)
 
 val selection_weight : lambda:float -> Candidate.t list list -> Candidate.t list -> float
 (** Objective value of an arbitrary full selection, by the naive fold over

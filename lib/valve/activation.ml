@@ -65,4 +65,3 @@ let all_dont_care n =
 
 let pp_status ppf s = Format.pp_print_char ppf (char_of_status s)
 let pp_sequence ppf s = Format.pp_print_string ppf (string_of_sequence s)
-let equal_sequence a b = a = b

@@ -38,4 +38,3 @@ val all_dont_care : int -> sequence
 
 val pp_status : Format.formatter -> status -> unit
 val pp_sequence : Format.formatter -> sequence -> unit
-val equal_sequence : sequence -> sequence -> bool

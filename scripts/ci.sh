@@ -100,7 +100,7 @@ routejson=$(mktemp)
 ./_build/default/bench/main.exe --route-bench --smoke --json-out "$routejson" > /dev/null
 # Schema drift: the committed record and the fresh smoke run must both
 # carry the sections CI (and downstream tooling) read.
-for key in '"bench": "pacor-route-bench"' '"negotiation"' '"escape"' '"totals"'; do
+for key in '"bench": "pacor-route-bench"' '"negotiation"' '"totals"'; do
   grep -qF "$key" BENCH_route.json || {
     echo "BENCH_route.json schema drift: missing $key" >&2; exit 1; }
   grep -qF "$key" "$routejson" || {
@@ -128,8 +128,8 @@ for key in '"bench": "pacor-escape-bench"' '"instances"' '"corpus"'; do
     echo "escape-bench smoke output schema drift: missing $key" >&2; exit 1; }
 done
 # Determinism drift: the smoke sizes are a subset of the committed run, so
-# every fingerprint (per-solver routed/length, feasibility bound, corpus
-# engine outcomes; wall-clock excluded) must appear verbatim.
+# every fingerprint (escape routed/length, corpus engine outcomes;
+# wall-clock excluded) must appear verbatim.
 sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$escjson" | while IFS= read -r fp; do
   grep -qF "\"$fp\"" BENCH_escape.json || {
     echo "escape-bench determinism drift: fingerprint not in BENCH_escape.json:" >&2

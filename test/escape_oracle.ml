@@ -1,9 +1,11 @@
-(* Differential oracles for the escape stage: the node-split seed search
-   and the cell union-find grouping that [Escape] used before it moved to
-   a cell-level BFS and a flood fill, plus a route pipeline built from
-   them that solves over the explicit CSR network ([Mcmf_csr]). They
-   share the network emitter and the cell roles with [Escape], and
-   nothing else. *)
+(* Differential oracles for the escape stage: the explicit network
+   emitter, the node-split seed search and the cell union-find grouping
+   that [Escape] used before it moved to implicit rows, a cell-level BFS
+   and a flood fill, plus a route pipeline built from them that solves
+   over the explicit CSR network ([Mcmf_csr]), a joint solve with the
+   general [Mcmf] and [Mcmf_spfa] solvers, and the Dinic ([Maxflow])
+   bound on how many clusters any assignment could route. They share the
+   cell roles with [Escape], and nothing else. *)
 
 open Pacor_grid
 open Pacor_flow
@@ -37,10 +39,50 @@ let split_seed ws ~n ~sink arcs =
   done;
   Array.init n (fun v -> if W.closed ws v then W.dist ws v else -1)
 
+(* The escape network, one [emit src dst cost] per forward arc (all
+   capacities 1), in the emission order [Mcmf_grid]'s rows follow:
+   row-major cells, neighbours in [Routing_grid.iter_neighbours4] order,
+   then the request arcs in input order. Cell i is nodes 2i (in) and
+   2i + 1 (out), request k is node 2 * cells + k, and the source and then
+   the sink follow. *)
+let emit_network ~grid ~roles (requests : Escape.request list) ~emit =
+  let cells = Routing_grid.cells grid in
+  let nreq = List.length requests in
+  let source = (2 * cells) + nreq and sink = (2 * cells) + nreq + 1 in
+  for i = 0 to cells - 1 do
+    let role = Packed_roles.get roles i in
+    if role <> Escape.role_excluded then begin
+      let out_node = (2 * i) + 1 in
+      if role = Escape.role_pin then emit (2 * i) sink 0
+      else begin
+        if role = Escape.role_ordinary then emit (2 * i) out_node 0;
+        Routing_grid.iter_neighbours4 grid i (fun j ->
+          let rj = Packed_roles.get roles j in
+          if rj = Escape.role_ordinary || rj = Escape.role_pin then emit out_node (2 * j) 1)
+      end
+    end
+  done;
+  List.iteri
+    (fun k (r : Escape.request) ->
+       emit source ((2 * cells) + k) 0;
+       List.iter
+         (fun p -> emit ((2 * cells) + k) ((2 * Routing_grid.index grid p) + 1) 0)
+         r.start_cells)
+    requests
+
 let network_arcs ~grid ~roles requests =
   let arcs = ref [] in
-  Escape.emit_network ~grid ~roles requests ~emit:(fun s d c -> arcs := (s, d, c) :: !arcs);
+  emit_network ~grid ~roles requests ~emit:(fun s d c -> arcs := (s, d, c) :: !arcs);
   List.rev !arcs
+
+(* Maximum number of clusters any escape assignment could route: Dinic's
+   max flow of the network with costs ignored. *)
+let feasibility_bound ~grid ~claimed ~pins requests =
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let n = (2 * Routing_grid.cells grid) + List.length requests + 2 in
+  let net = Maxflow.create n in
+  emit_network ~grid ~roles requests ~emit:(fun src dst _ -> Maxflow.add_edge net ~src ~dst ~cap:1);
+  Maxflow.max_flow net ~source:(n - 2) ~sink:(n - 1)
 
 (* [split_seed] over the escape network of [requests]: the oracle for
    [Escape.seed_heights]. *)
@@ -51,7 +93,7 @@ let escape_split_seed ws ~grid ~roles requests =
   split_seed ws ~n ~sink:(n - 1) (network_arcs ~grid ~roles requests)
 
 (* Union-find over every cell, linking exactly the cell pairs
-   [Escape.emit_network] connects, then fusing each request's live start
+   [emit_network] connects, then fusing each request's live start
    cells: the oracle for [Escape.group_requests], same result type. *)
 let union_find_groups ~grid ~roles ~pins req_arr =
   let cells = Routing_grid.cells grid in
@@ -113,23 +155,10 @@ let union_find_groups ~grid ~roles ~pins req_arr =
     Some (gid, group_pins)
   end
 
-(* One joint solve seeded by [split_seed], mapped back to grid paths the
-   way [Escape] maps its own. *)
-let solve_joint ws ~grid ~claimed ~pins requests =
+(* Unit node-paths source -> request -> cells -> sink mapped back to grid
+   paths the way [Escape] maps its own. *)
+let routed_of_paths ~grid requests node_paths =
   let cells = Routing_grid.cells grid in
-  let nreq = List.length requests in
-  let n = (2 * cells) + nreq + 2 in
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
-  let arcs = network_arcs ~grid ~roles requests in
-  let emit_arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs in
-  let net = Mcmf_csr.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
-  if nreq >= 2 then begin
-    let h = split_seed ws ~n ~sink:(n - 1) arcs in
-    Mcmf_csr.seed net ~h:(fun v -> h.(v))
-  end;
-  let (_ : Mcmf_csr.outcome) =
-    Mcmf_csr.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
-  in
   let reqs = Array.of_list requests in
   List.filter_map
     (fun nodes ->
@@ -154,7 +183,40 @@ let solve_joint ws ~grid ~claimed ~pins requests =
                pin = Path.target path;
                path })
       | _ -> None)
-    (Mcmf_csr.decompose_paths net)
+    node_paths
+
+(* The outcome of [routed] paths for [requests], in request order. *)
+let outcome_of_routed requests routed =
+  let find (r : Escape.request) =
+    List.find_opt (fun (e : Escape.routed) -> e.idx = r.cluster_idx) routed
+  in
+  let routed_in_order = List.filter_map find requests in
+  { Escape.routed = routed_in_order;
+    failed =
+      List.filter_map
+        (fun (r : Escape.request) -> if find r = None then Some r.cluster_idx else None)
+        requests;
+    total_length =
+      List.fold_left (fun acc (e : Escape.routed) -> acc + Path.length e.path) 0
+        routed_in_order }
+
+(* One joint solve seeded by [split_seed]. *)
+let solve_joint ws ~grid ~claimed ~pins requests =
+  let cells = Routing_grid.cells grid in
+  let nreq = List.length requests in
+  let n = (2 * cells) + nreq + 2 in
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let arcs = network_arcs ~grid ~roles requests in
+  let emit_arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs in
+  let net = Mcmf_csr.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
+  if nreq >= 2 then begin
+    let h = split_seed ws ~n ~sink:(n - 1) arcs in
+    Mcmf_csr.seed net ~h:(fun v -> h.(v))
+  end;
+  let (_ : Mcmf_csr.outcome) =
+    Mcmf_csr.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
+  in
+  routed_of_paths ~grid requests (Mcmf_csr.decompose_paths net)
 
 (* [Escape.route] (grid solver, no budget) rebuilt from the oracles: the
    union-find groups, each solved on [ws] with the split-graph seed. *)
@@ -175,16 +237,30 @@ let route ws ~grid ~claimed ~pins requests =
                (List.filteri (fun k _ -> gid.(k) = g) requests))
            (Array.to_list group_pins))
   in
-  let find (r : Escape.request) =
-    List.find_opt (fun (e : Escape.routed) -> e.idx = r.cluster_idx) routed
-  in
-  let routed_in_order = List.filter_map find requests in
-  { Escape.routed = routed_in_order;
-    failed =
-      List.filter_map
-        (fun (r : Escape.request) -> if find r = None then Some r.cluster_idx else None)
-        requests;
-    total_length =
-      List.fold_left (fun acc (e : Escape.routed) -> acc + Path.length e.path) 0
-        routed_in_order }
+  outcome_of_routed requests routed
 
+(* The whole escape network (no grouping) solved by a general min-cost-flow
+   solver under the same [-beta] stopping threshold as [Escape]: an
+   optimum with the same routed count and total length. *)
+let general_route solver ~grid ~claimed ~pins requests =
+  let cells = Routing_grid.cells grid in
+  let n = (2 * cells) + List.length requests + 2 in
+  let source = n - 2 and sink = n - 1 in
+  let stop_when_cost_reaches = (4 * cells) + 16 in
+  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let paths =
+    match solver with
+    | `Dijkstra ->
+      let net = Mcmf.create n in
+      emit_network ~grid ~roles requests ~emit:(fun src dst cost ->
+        Mcmf.add_edge net ~src ~dst ~cap:1 ~cost);
+      let (_ : Mcmf.outcome) = Mcmf.solve ~stop_when_cost_reaches net ~source ~sink in
+      Mcmf.decompose_paths net ~source ~sink
+    | `Spfa ->
+      let net = Mcmf_spfa.create n in
+      emit_network ~grid ~roles requests ~emit:(fun src dst cost ->
+        Mcmf_spfa.add_edge net ~src ~dst ~cap:1 ~cost);
+      let (_ : Mcmf_spfa.outcome) = Mcmf_spfa.solve ~stop_when_cost_reaches net ~source ~sink in
+      Mcmf_spfa.decompose_paths net ~source ~sink
+  in
+  outcome_of_routed requests (routed_of_paths ~grid requests paths)

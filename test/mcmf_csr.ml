@@ -14,7 +14,7 @@
    The rounds, the seed, the lazy potentials, the stop threshold and the
    decomposition tie-break (lowest-index forward arc still carrying flow)
    are [Mcmf_grid]'s, line for line, so over a CSR of
-   [Escape.emit_network] both solvers settle the same nodes in the same
+   [Escape_oracle.emit_network] both solvers settle the same nodes in the same
    order and return the same paths. Any arc list works here, which is
    what the hand-made-graph tests use. *)
 
@@ -117,10 +117,9 @@ let[@inline] arc_cost t a = Char.code (Bytes.unsafe_get t.costb a) - 1
 let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
 
 (* One 0-1-BFS round over raw costs (valid only while every potential is
-   zero, when reduced cost = cost). [costless] treats every arc as free —
-   a plain BFS for the max-flow-only probe. Returns the sink's (reduced)
-   distance, or -1 when unreachable / budget exhausted. *)
-let round_01 t ws ~costless =
+   zero, when reduced cost = cost). Returns the sink's distance, or -1
+   when unreachable / budget exhausted. *)
+let round_01 t ws =
   let stats = W.stats ws in
   W.set_dist ws t.source 0;
   W.deque_push_back ws t.source;
@@ -143,14 +142,13 @@ let round_01 t ws ~costless =
           if has_cap t a then begin
             Stats.touched stats;
             let v = t.arc_dst.(a) in
-            let c = if costless then 0 else arc_cost t a in
+            let c = arc_cost t a in
             let nd = du + c in
             if nd < W.dist ws v then begin
               Stats.relaxed stats;
               W.set_dist ws v nd;
               W.set_parent ws v a;
-              if (not costless) && c = 0 then W.deque_push_front ws v
-              else W.deque_push_back ws v
+              if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
             end
           end
         done
@@ -248,7 +246,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   while !running && alive () do
     W.begin_search ws ~cells:t.n;
     t.rounds <- t.rounds + 1;
-    let d = if t.pot_zero then round_01 t ws ~costless:false else round_dijkstra t ws in
+    let d = if t.pot_zero then round_01 t ws else round_dijkstra t ws in
     if d < 0 then running := false
     else begin
       (* [d] is a reduced distance; potentials float (seeded, and shifted
@@ -268,19 +266,6 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
     end
   done;
   outcome t
-
-let max_flow ?(alive = fun () -> true) ?workspace t =
-  if t.solved then invalid_arg "Mcmf_csr.max_flow: already solved";
-  t.solved <- true;
-  let ws = match workspace with Some ws -> ws | None -> W.create () in
-  let running = ref true in
-  while !running && alive () do
-    W.begin_search ws ~cells:t.n;
-    t.rounds <- t.rounds + 1;
-    if round_01 t ws ~costless:true < 0 then running := false
-    else augment t ws
-  done;
-  t.flow
 
 let row t v =
   List.init (t.off.(v + 1) - t.off.(v)) (fun k ->

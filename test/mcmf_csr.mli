@@ -38,14 +38,6 @@ val seed : t -> h:(int -> int) -> unit
 (** {!Pacor_flow.Mcmf_grid.seed}. Raises [Invalid_argument] after a
     solve; {!reset} clears the seed. *)
 
-val max_flow :
-  ?alive:(unit -> bool) ->
-  ?workspace:Pacor_route.Workspace.t ->
-  t ->
-  int
-(** {!Pacor_flow.Mcmf_grid.max_flow}: costless BFS augmentation. Counts
-    as the network's one solve. *)
-
 val reset : t -> unit
 (** Restore initial capacities, zero potentials and clear dead marks,
     keeping the CSR structure. *)

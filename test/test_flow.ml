@@ -324,7 +324,7 @@ let test_escape_matches_feasibility_bound () =
        let reqs =
          List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
        in
-       let bound = Escape.feasibility_bound ~grid ~claimed ~pins reqs in
+       let bound = Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs in
        match Escape.route ~grid ~claimed ~pins reqs with
        | Error e -> Alcotest.failf "escape failed: %s" e
        | Ok out -> Alcotest.(check int) "routed = bound" bound (List.length out.routed))
@@ -362,9 +362,9 @@ let test_grid_solve_basics () =
     paths
 
 let test_grid_reset_shares_structure () =
-  (* One CSR build serves the feasibility probe, the solve, and a retry. *)
+  (* One CSR build serves a solve and two retries. *)
   let net = Mcmf_csr.build ~n:4 ~source:0 ~sink:3 ~emit_arcs:(emit_list diamond_arcs) in
-  Alcotest.(check int) "probe max flow" 2 (Mcmf_csr.max_flow net);
+  Alcotest.(check int) "first max flow" 2 (Mcmf_csr.solve net).Mcmf_csr.flow;
   Mcmf_csr.reset net;
   let a = Mcmf_csr.solve net in
   Mcmf_csr.reset net;
@@ -584,21 +584,25 @@ let test_grid_agrees_with_general_solvers () =
          og.Mcmf_csr.flow;
        Alcotest.(check int) (Printf.sprintf "cost seed %d" seed) oa.Mcmf.cost
          og.Mcmf_csr.cost;
-       (* The costless probe must agree with the independent Dinic solver. *)
-       Mcmf_csr.reset g;
+       (* Unthresholded, the flow is a maximum one: the independent Dinic
+          solver must agree. *)
        let df = Maxflow.max_flow d ~source:0 ~sink:(n - 1) in
-       Alcotest.(check int) (Printf.sprintf "max flow seed %d" seed) df
-         (Mcmf_csr.max_flow g))
+       Alcotest.(check int) (Printf.sprintf "max flow seed %d" seed) df og.Mcmf_csr.flow)
     [ 1; 2; 3; 5; 7; 8; 11; 13; 19; 21; 34; 42; 55; 89; 101; 144; 233; 999 ]
 
 (* ---------- Escape: three-way solver agreement ---------- *)
 
-let solvers = [ ("grid", Escape.Grid); ("spfa", Escape.Spfa); ("dijkstra", Escape.Dijkstra) ]
-
-let route_with solver ~grid ~claimed ~pins reqs =
-  match Escape.route ~solver ~grid ~claimed ~pins reqs with
+let route_exn ~grid ~claimed ~pins reqs =
+  match Escape.route ~grid ~claimed ~pins reqs with
   | Error e -> Alcotest.failf "escape failed: %s" e
   | Ok out -> out
+
+(* [Escape.route] and the general solvers over the explicit network
+   (test/escape_oracle.ml), grid first. *)
+let solvers =
+  [ ("grid", route_exn);
+    ("spfa", Escape_oracle.general_route `Spfa);
+    ("dijkstra", Escape_oracle.general_route `Dijkstra) ]
 
 let test_escape_three_way_agreement () =
   (* Instances whose optimum assignment is unique, so all three solvers
@@ -611,7 +615,7 @@ let test_escape_three_way_agreement () =
          List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
        in
        let outs =
-         List.map (fun (name, s) -> (name, route_with s ~grid ~claimed ~pins reqs)) solvers
+         List.map (fun (name, route) -> (name, route ~grid ~claimed ~pins reqs)) solvers
        in
        match outs with
        | (_, ref_out) :: rest ->
@@ -659,7 +663,7 @@ let test_escape_workspace_reuse () =
   let reqs =
     List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
   in
-  let fresh = route_with Escape.Grid ~grid ~claimed ~pins reqs in
+  let fresh = route_exn ~grid ~claimed ~pins reqs in
   let ws = Pacor_route.Workspace.create () in
   for _ = 1 to 3 do
     match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
@@ -697,7 +701,7 @@ let test_escape_long_path_regression () =
   let reqs = [ { Escape.cluster_idx = 0; start_cells = [ start ] } ] in
   let claimed = Point.Set.singleton start in
   let outs =
-    List.map (fun (name, s) -> (name, route_with s ~grid ~claimed ~pins reqs)) solvers
+    List.map (fun (name, route) -> (name, route ~grid ~claimed ~pins reqs)) solvers
   in
   List.iter
     (fun (name, out) ->
@@ -713,6 +717,31 @@ let test_escape_long_path_regression () =
            b.Escape.total_length)
       rest
   | [] -> assert false
+
+(* The instances the route and escape benches used to race the solvers
+   on: pins across the top boundary, one start cell per request on a low
+   row, nothing claimed (bench/main.ml's [escape_instance_rect]). The
+   bench fingerprints pinned these (routed, total length) outcomes. *)
+let test_escape_bench_instances () =
+  List.iter
+    (fun (width, height, routed, length) ->
+       let grid = Routing_grid.create ~width ~height () in
+       let pins = List.init ((width - 2) / 2) (fun i -> Point.make (1 + (2 * i)) 0) in
+       let reqs =
+         List.init (width / 4) (fun i ->
+           { Escape.cluster_idx = i; start_cells = [ Point.make (2 + (3 * i)) (height - 3) ] })
+       in
+       let claimed = Point.Set.empty in
+       let label name = Printf.sprintf "%dx%d %s" width height name in
+       List.iter
+         (fun (name, route) ->
+            let out = route ~grid ~claimed ~pins reqs in
+            Alcotest.(check (pair int int)) (label name) (routed, length)
+              (List.length out.Escape.routed, out.Escape.total_length))
+         solvers;
+       Alcotest.(check int) (label "Dinic bound") routed
+         (Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs))
+    [ (16, 16, 4, 54); (24, 24, 6, 129); (32, 32, 8, 236); (48, 48, 12, 546) ]
 
 let test_mcmf_long_chain_decompose () =
   (* Deep unit path through the general solver: the decompose walk must be
@@ -786,7 +815,7 @@ let prop_escape_routed_equals_bound =
        let reqs =
          List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
        in
-       let bound = Escape.feasibility_bound ~grid ~claimed ~pins reqs in
+       let bound = Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs in
        match Escape.route ~grid ~claimed ~pins reqs with
        | Error _ -> false
        | Ok out -> List.length out.routed = bound)
@@ -802,8 +831,9 @@ type escape_instance = {
 
 let prop_three_solvers_agree =
   (* Random grids with obstacles, boundary pins, and multi-start requests:
-     Grid, Spfa and Dijkstra must agree on (routed count, total length),
-     and the feasibility bound must equal the routed count. *)
+     [Escape.route] and the general Spfa and Dijkstra solvers over the
+     explicit network must agree on (routed count, total length), and the
+     Dinic bound must equal the routed count. *)
   let gen =
     QCheck.Gen.(
       let* gw = int_range 7 14 and* gh = int_range 7 14 in
@@ -876,21 +906,19 @@ let prop_three_solvers_agree =
           (List.concat_map (fun (r : Escape.request) -> r.Escape.start_cells) inst.gen_reqs
            @ inst.claim_extra)
       in
+      let pins = inst.gen_pins and reqs = inst.gen_reqs in
+      let aggregates (out : Escape.outcome) = (List.length out.routed, out.total_length) in
       let outcomes =
-        List.map
-          (fun solver ->
-             match
-               Escape.route ~solver ~grid ~claimed ~pins:inst.gen_pins inst.gen_reqs
-             with
-             | Error e -> QCheck.Test.fail_reportf "route error: %s" e
-             | Ok out -> (List.length out.Escape.routed, out.Escape.total_length))
-          [ Escape.Grid; Escape.Spfa; Escape.Dijkstra ]
+        match Escape.route ~grid ~claimed ~pins reqs with
+        | Error e -> QCheck.Test.fail_reportf "route error: %s" e
+        | Ok out ->
+          [ aggregates out;
+            aggregates (Escape_oracle.general_route `Spfa ~grid ~claimed ~pins reqs);
+            aggregates (Escape_oracle.general_route `Dijkstra ~grid ~claimed ~pins reqs) ]
       in
       match outcomes with
       | [ (gr, gl); (sr, sl); (dr, dl) ] ->
-        let bound =
-          Escape.feasibility_bound ~grid ~claimed ~pins:inst.gen_pins inst.gen_reqs
-        in
+        let bound = Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs in
         if not (gr = sr && sr = dr) then
           QCheck.Test.fail_reportf "routed counts differ: grid=%d spfa=%d dijkstra=%d" gr
             sr dr
@@ -1165,11 +1193,11 @@ type implicit_instance = {
 
 let prop_implicit_network_matches_csr =
   (* The implicit network against the CSR oracle built from
-     [Escape.emit_network] (test/mcmf_csr.ml): every node's residual row
-     (heads, costs, capacities, in order) before and after the solve, and
-     the outcome, paths and every search counter of the solve, of the
-     costless max-flow probe, and of a solve under a tight expansion
-     budget, which must trip at the same pop with the same partial flow.
+     [Escape_oracle.emit_network] (test/mcmf_csr.ml): every node's
+     residual row (heads, costs, capacities, in order) before and after
+     the solve, and the outcome, paths and every search counter of the
+     solve and of a solve under a tight expansion budget, which must trip
+     at the same pop with the same partial flow.
      Random grids with obstacles, claimed blocks and 1-6 requests,
      including 1xk and kx1 grids, start cells listed twice in one
      request, start cells that are pins, and a request whose every start
@@ -1307,11 +1335,6 @@ let prop_implicit_network_matches_csr =
       in
       solve_both "solve";
       solve_both ~budget:t.ibudget "budgeted solve";
-      let ws = workspace None and ws' = workspace None in
-      let fa = Mcmf_grid.max_flow ~workspace:ws (implicit ()) in
-      let fb = Mcmf_csr.max_flow ~workspace:ws' (csr ()) in
-      if fa <> fb || snapshot ws <> snapshot ws' then
-        QCheck.Test.fail_reportf "max flow %d <> CSR %d, or its counters differ" fa fb;
       true)
 
 let qcheck_cases =
@@ -1370,5 +1393,7 @@ let () =
             test_escape_duplicate_idx_rejected;
           Alcotest.test_case "workspace reuse" `Quick test_escape_workspace_reuse;
           Alcotest.test_case "serpentine long-path regression" `Quick
-            test_escape_long_path_regression ] );
+            test_escape_long_path_regression;
+          Alcotest.test_case "bench instances = recorded outcomes" `Quick
+            test_escape_bench_instances ] );
       ("properties", qcheck_cases) ]

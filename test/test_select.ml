@@ -132,19 +132,32 @@ let random_instance seed =
          let x2 = next () mod 15 and y2 = next () mod 15 in
          fake_candidate [ ((x1, y1), (x2, y2)) ] (next () mod 5)))
 
+(* The two optimal solvers as (chosen, objective): [Tree_select.select]
+   and the literal MWCP clique formulation (test/mwcp_clique.ml), whose
+   objective is the naive [selection_weight] fold. *)
+let exact_solvers =
+  [ ( "exact",
+      fun per_cluster ->
+        match Tree_select.select per_cluster with
+        | Ok sel -> (sel.chosen, sel.objective)
+        | Error e -> Alcotest.failf "select failed: %s" e );
+    ( "mwcp clique",
+      fun per_cluster ->
+        let chosen = Mwcp_clique.select ~lambda:0.1 per_cluster in
+        (chosen, Tree_select.selection_weight ~lambda:0.1 per_cluster chosen) ) ]
+
 let test_mwcp_clique_matches_exact () =
   (* The paper's literal MWCP formulation and the direct branch-and-bound
      must agree on the optimum. *)
   List.iter
     (fun seed ->
        let per_cluster = random_instance seed in
-       let run solver =
-         match Tree_select.select ~config:{ Tree_select.lambda = 0.1; solver } per_cluster with
-         | Ok sel -> sel.objective
-         | Error e -> Alcotest.failf "solver failed: %s" e
-       in
-       Alcotest.(check (float 1e-9)) (Printf.sprintf "seed %d" seed)
-         (run Tree_select.Exact) (run Tree_select.Mwcp_clique))
+       let objective (_, solve) = snd (solve per_cluster) in
+       match exact_solvers with
+       | [ exact; clique ] ->
+         Alcotest.(check (float 1e-9)) (Printf.sprintf "seed %d" seed) (objective exact)
+           (objective clique)
+       | _ -> assert false)
     [ 3; 17; 99; 123; 4242; 31337 ]
 
 let test_exact_matches_brute_force () =
@@ -169,38 +182,19 @@ let test_mwcp_clique_multi_edge_overlap () =
   let a = fake_candidate [ e; e; e ] 0 and b = fake_candidate [ e; e; e ] 0 in
   Alcotest.(check (float 1e-9)) "overlap cost" 9.0 (Tree_select.overlap_cost a b);
   List.iter
-    (fun solver ->
-       match Tree_select.select ~config:{ Tree_select.lambda = 0.1; solver } [ [ a ]; [ b ] ] with
-       | Error e -> Alcotest.failf "select failed: %s" e
-       | Ok sel ->
-         Alcotest.(check int) "both clusters covered" 2 (List.length sel.chosen);
-         Alcotest.(check (float 1e-9)) "objective" (-8.1) sel.objective)
-    [ Tree_select.Exact; Tree_select.Mwcp_clique ]
+    (fun (name, solve) ->
+       let chosen, objective = solve [ [ a ]; [ b ] ] in
+       Alcotest.(check int) (name ^ ": both clusters covered") 2 (List.length chosen);
+       Alcotest.(check (float 1e-9)) (name ^ ": objective") (-8.1) objective)
+    exact_solvers
 
 let test_solvers_agree_on_feasibility () =
   let per_cluster = random_instance 7 in
   List.iter
-    (fun solver ->
-       match Tree_select.select ~config:{ Tree_select.lambda = 0.1; solver } per_cluster with
-       | Error e -> Alcotest.failf "solver failed: %s" e
-       | Ok sel -> Alcotest.(check int) "full selection" 3 (List.length sel.chosen))
-    [ Tree_select.Exact; Tree_select.Greedy; Tree_select.Local_search;
-      Tree_select.Mwcp_clique ]
-
-let test_local_search_at_least_greedy () =
-  List.iter
-    (fun seed ->
-       let per_cluster = random_instance seed in
-       let run solver =
-         match Tree_select.select ~config:{ Tree_select.lambda = 0.1; solver } per_cluster with
-         | Ok sel -> sel.objective
-         | Error e -> Alcotest.failf "solver failed: %s" e
-       in
-       let g = run Tree_select.Greedy and ls = run Tree_select.Local_search in
-       let ex = run Tree_select.Exact in
-       Alcotest.(check bool) "local search >= greedy" true (ls >= g -. 1e-9);
-       Alcotest.(check bool) "exact >= local search" true (ex >= ls -. 1e-9))
-    [ 11; 29; 57 ]
+    (fun (name, solve) ->
+       Alcotest.(check int) (name ^ ": full selection") 3
+         (List.length (fst (solve per_cluster))))
+    exact_solvers
 
 (* ---------- Differential oracle ---------- *)
 
@@ -405,6 +399,5 @@ let () =
           Alcotest.test_case "MWCP clique on multi-edge overlap" `Quick
             test_mwcp_clique_multi_edge_overlap;
           Alcotest.test_case "all solvers feasible" `Quick test_solvers_agree_on_feasibility;
-          Alcotest.test_case "solver quality ordering" `Quick test_local_search_at_least_greedy;
           Alcotest.test_case "Chip1 = bound-only oracle" `Quick test_chip1_matches_oracle ] );
       ("properties", qcheck_cases) ]
