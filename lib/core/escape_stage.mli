@@ -41,4 +41,16 @@ val single :
 (** One cluster's escape in isolation (the rematch pass): a multi-source A*
     from the cluster's start cells onto the free pins, avoiding [claimed]
     and all boundary transit. [idx] of the result is 0 — the caller knows
-    which cluster it asked for. *)
+    which cluster it asked for.
+
+    The search is goal-directed by {!nearest_pin_steps} when every pin
+    lies on the boundary ring, and falls back to {!Pacor_route.Astar}'s
+    box heuristic otherwise. Either way the escape is a shortest one;
+    the heuristic only picks among escapes of equal length. *)
+
+val nearest_pin_steps : grid:Routing_grid.t -> Point.t list -> (int -> int) option
+(** [nearest_pin_steps ~grid pins] is the Manhattan distance from a cell
+    (dense row-major index) to the nearest of [pins], built from four 1-D
+    distance transforms, one per boundary side, in O(width + height +
+    pins). [None] when some pin is off the boundary ring. [pins] must be
+    non-empty. *)

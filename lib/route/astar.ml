@@ -11,20 +11,24 @@ type spec = {
 let obstacle_spec obstacles =
   { usable = (fun i -> Obstacle_map.free_i obstacles i); extra_cost = (fun _ -> 0) }
 
-let attempt ws ~grid ~spec ~sources ~targets =
+let attempt ws ~grid ~spec ~heuristic ~sources ~targets =
   let n = Routing_grid.cells grid in
   let width = Routing_grid.width grid in
-  (* Admissible heuristic: Manhattan distance to the bounding box of the
-     target set (0 inside the box), in cost_scale units. The box spans
-     the {e raw} target list — out-of-bounds targets widen it exactly as
-     they did in the point-based implementation, keeping expansion order
-     (and therefore returned paths) unchanged. *)
-  let box = Rect.of_point_list targets in
-  let h i =
-    let x = i mod width and y = i / width in
-    let dx = max 0 (max (box.Rect.x0 - x) (x - box.Rect.x1)) in
-    let dy = max 0 (max (box.Rect.y0 - y) (y - box.Rect.y1)) in
-    (dx + dy) * cost_scale
+  (* Default admissible heuristic: Manhattan distance to the bounding box
+     of the target set (0 inside the box), in cost_scale units. The box
+     spans the {e raw} target list — out-of-bounds targets widen it
+     exactly as they did in the point-based implementation, keeping
+     expansion order (and therefore returned paths) unchanged. *)
+  let h =
+    match heuristic with
+    | Some steps -> fun i -> steps i * cost_scale
+    | None ->
+      let box = Rect.of_point_list targets in
+      fun i ->
+        let x = i mod width and y = i / width in
+        let dx = max 0 (max (box.Rect.x0 - x) (x - box.Rect.x1)) in
+        let dy = max 0 (max (box.Rect.y0 - y) (y - box.Rect.y1)) in
+        (dx + dy) * cost_scale
   in
   Workspace.begin_search ws ~cells:n;
   let idx p = Routing_grid.index grid p in
@@ -83,12 +87,12 @@ let attempt ws ~grid ~spec ~sources ~targets =
   in
   loop ()
 
-let search ?workspace ~grid ~spec ~sources ~targets () =
+let search ?workspace ?heuristic ~grid ~spec ~sources ~targets () =
   match sources, targets with
   | [], _ | _, [] -> None
   | _ :: _, _ :: _ ->
     let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
-    attempt ws ~grid ~spec ~sources ~targets
+    attempt ws ~grid ~spec ~heuristic ~sources ~targets
 
 let shortest ?workspace ~grid ~obstacles a b =
   search ?workspace ~grid ~spec:(obstacle_spec obstacles) ~sources:[ a ] ~targets:[ b ] ()

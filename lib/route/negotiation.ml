@@ -58,15 +58,25 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
       cost_of_bumps.(k) <- int_of_float (!h *. float_of_int Astar.cost_scale)
     done
   in
-  (* The four grid-sized per-cell arrays lease workspace scratch slots
-     instead of allocating per call: at 1000x1000+ cells the old
-     [Array.make]s dominated negotiation setup and GC churn. An explicit
-     fill of the leading [n] cells (memset-speed) replaces the allocator's
-     zeroing. *)
+  (* The four per-cell arrays lease workspace scratch slots 0–3, which
+     read zero between calls: a call that only touches a few dozen cells
+     must not pay for a grid-sized fill. History, owner and bump round
+     only ever change on cells a path of this call claimed, so every
+     claimed cell goes on [dirty] (a cell may appear more than once), and
+     the [Fun.protect] below zeroes exactly those cells on exit, however
+     the call ends. *)
   let bumps = Workspace.scratch_int ws ~slot:0 ~cells:n in
   let hcost = Workspace.scratch_int ws ~slot:1 ~cells:n in
-  Array.fill bumps 0 n 0;
-  Array.fill hcost 0 n 0;
+  let dirty = ref (Array.make 64 0) and dirty_len = ref 0 in
+  let mark_dirty i =
+    if !dirty_len = Array.length !dirty then begin
+      let b = Array.make (2 * !dirty_len) 0 in
+      Array.blit !dirty 0 b 0 !dirty_len;
+      dirty := b
+    end;
+    Array.unsafe_set !dirty !dirty_len i;
+    incr dirty_len
+  in
   let bump_cell i =
     if bumps.(i) < max_bumps then begin
       bumps.(i) <- bumps.(i) + 1;
@@ -75,18 +85,18 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
   in
   (* Routed paths claim their cells in the workspace's claim layer (the
      replacement for the per-round [Obstacle_map.copy]); [owner] remembers
-     the claiming edge slot so conflict analysis can find who to rip.
-     Shared branch-point cells are refcounted; their owner is the last
-     claimant (a deliberate heuristic — ripping either sibling frees the
-     contended region). *)
+     the claiming edge slot, plus one (0 = no owner), so conflict analysis
+     can find who to rip. Shared branch-point cells are refcounted; their
+     owner is the last claimant (a deliberate heuristic — ripping either
+     sibling frees the contended region). *)
   let owner = Workspace.scratch_int ws ~slot:2 ~cells:n in
-  Array.fill owner 0 n (-1);
   let claim_path slot path =
     List.iter
       (fun p ->
          let i = idx p in
          Workspace.claim ws i;
-         owner.(i) <- slot)
+         if owner.(i) = 0 then mark_dirty i;
+         owner.(i) <- slot + 1)
       (Path.points path)
   in
   let release_path slot path =
@@ -94,7 +104,7 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
       (fun p ->
          let i = idx p in
          Workspace.release ws i;
-         if owner.(i) = slot then owner.(i) <- -1)
+         if owner.(i) = slot + 1 then owner.(i) <- 0)
       (Path.points path)
   in
   let spec =
@@ -133,10 +143,9 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
     order_len := nedges
   in
   reset_order ();
-  (* Which round last bumped a cell — a round bumps each cell at most once
-     even when several ideal paths cross it. *)
+  (* Which round last bumped a cell, plus one (0 = never) — a round bumps
+     each cell at most once even when several ideal paths cross it. *)
   let bump_round = Workspace.scratch_int ws ~slot:3 ~cells:n in
-  Array.fill bump_round 0 n (-1);
   (* Outcome of the current [paths] array, in input (slot) order. *)
   let snapshot r =
     let acc = ref [] in
@@ -241,11 +250,11 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
                 (fun q ->
                    let i = idx q in
                    if i <> ai && i <> bi && Workspace.claimed ws i then begin
-                     if bump_round.(i) <> r then begin
-                       bump_round.(i) <- r;
+                     if bump_round.(i) <> r + 1 then begin
+                       bump_round.(i) <- r + 1;
                        bump_cell i
                      end;
-                     let o = owner.(i) in
+                     let o = owner.(i) - 1 in
                      if o >= 0 && not ripped.(o) then begin
                        (match paths.(o) with
                         | Some p ->
@@ -276,6 +285,18 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
       end
     end
   in
+  let clear_dirty () =
+    for k = 0 to !dirty_len - 1 do
+      let i = Array.unsafe_get !dirty k in
+      bumps.(i) <- 0;
+      hcost.(i) <- 0;
+      owner.(i) <- 0;
+      bump_round.(i) <- 0
+    done;
+    dirty_len := 0
+  in
+  (* Leave slots 0–3 zero, also when a search raises. *)
+  Fun.protect ~finally:clear_dirty @@ fun () ->
   match config.mode with
   | Full_reroute ->
     Workspace.begin_claims ws ~cells:n;
@@ -321,8 +342,7 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
          history, input order — and keep the better outcome. Multi-round
          history pressure in the baseline can settle on globally shorter
          configurations than conflict-local bumping. *)
-      Array.fill bumps 0 n 0;
-      Array.fill hcost 0 n 0;
+      clear_dirty ();
       Array.fill paths 0 nedges None;
       Array.fill hopeless 0 nedges false;
       reset_order ();

@@ -77,7 +77,9 @@ val route :
     other clusters' valves). On [success = false], [paths] holds the best
     subset found across rounds — most edges routed, total wirelength as the
     tie-break. Pass [workspace] to reuse one search state across the
-    O(gamma x edges) inner A* calls.
+    O(gamma x edges) inner A* calls. The per-cell history lives in the
+    workspace's int scratch slots 0–3, which read zero between calls: a
+    call costs what its searches touch, not a fill of the grid.
 
     Each round charges one iteration against the workspace's
     {!Budget.t} ({!Budget.note_iteration}); an exhausted budget ends

@@ -23,8 +23,9 @@ type t = {
   mutable claim_epoch : int;
   (* Scratch pools: grid-sized arrays leased by stages that used to
      [Array.make n] per call (negotiation history, escape roles, the
-     escape flow state). Contents are arbitrary between leases — the
-     borrower fills what it reads. *)
+     escape flow state). Int slots 0–3 are negotiation's and read zero
+     between its calls; elsewhere contents are arbitrary between leases —
+     the borrower fills what it reads. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)

@@ -172,12 +172,16 @@ val prepare : t -> cells:int -> unit
 (** {2 Scratch pools}
 
     Grid-sized arrays leased by stages that historically allocated per
-    call. Contents are arbitrary between leases: the borrower must fill
-    every element it later reads. Arrays grow monotonically (by at least a
-    quarter) and are shared by slot, so two concurrent borrowers of one
-    slot would corrupt each other — the workspace is single-threaded, as
-    documented above. Slot owners:
-    - int slots 0–3: {!Negotiation}'s history, cost, owner and bump arrays;
+    call. Apart from int slots 0–3, contents are arbitrary between leases:
+    the borrower must fill every element it later reads. Arrays grow
+    monotonically (by at least a quarter; a grown int array reads zero) and
+    are shared by slot, so two concurrent borrowers of one slot would
+    corrupt each other — the workspace is single-threaded, as documented
+    above. Slot owners:
+    - int slots 0–3: {!Negotiation}'s history, cost, owner and bump-round
+      arrays. They belong to {!Negotiation} alone and read zero, over
+      their whole length, between its calls: each call zeroes the cells
+      it wrote before it returns or raises, so it never fills the grid;
     - int slots 4 and 5: the escape grouping's flood fill
       ([Pacor_flow.Escape.group_requests]), labels in 4 and the stack in
       5, one int per cell;

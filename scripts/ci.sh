@@ -181,8 +181,8 @@ for d in Scaled2 Scaled3; do
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
     --verbose > "$svgdir/$d.out" 2> /dev/null
 done
-for pin in Chip1:11563731579e970d24f55f578d75c001 Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
-           Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:ed395ba6a5713ff51c3084e73caf2949; do
+for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
+           Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8; do
   name=${pin%%:*}
   want=${pin#*:}
   got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)
@@ -201,15 +201,15 @@ cat > "$svgdir/Chip1.search" <<'PINS'
 search lm-routing     searches=121 refused=0 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
 search escape         searches=216 refused=0 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
 search detour         searches=7 refused=4 pops=34 pushes=61 touched=120 relax=93 resets=7
-search rematch        searches=46 refused=4 pops=35938 pushes=37438 touched=143584 relax=70379 resets=54
-search total          searches=390 refused=8 pops=227801 pushes=264125 touched=841548 relax=296199 resets=400
+search rematch        searches=46 refused=4 pops=1831 pushes=2977 touched=7072 relax=3925 resets=54
+search total          searches=390 refused=8 pops=193694 pushes=229664 touched=705036 relax=229745 resets=400
 PINS
 cat > "$svgdir/Scaled3.search" <<'PINS'
 search lm-routing     searches=51 refused=0 pops=439 pushes=924 touched=1552 relax=1024 resets=52
 search escape         searches=47 refused=0 pops=300273 pushes=314105 touched=1124829 relax=313879 resets=47
 search detour         searches=4 refused=4 pops=0 pushes=0 touched=0 relax=0 resets=4
-search rematch        searches=46 refused=4 pops=45255 pushes=46641 touched=180856 relax=90898 resets=53
-search total          searches=148 refused=8 pops=345967 pushes=361670 touched=1307237 relax=405801 resets=156
+search rematch        searches=46 refused=4 pops=1565 pushes=2863 touched=6096 relax=3581 resets=53
+search total          searches=148 refused=8 pops=302277 pushes=317892 touched=1132477 relax=318484 resets=156
 PINS
 for name in Chip1 Scaled3; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"

@@ -8,10 +8,24 @@ open Pacor_grid
 open Pacor_dme
 open Pacor
 
+(* The nearest-pin distance by brute force: the minimum of
+   [Point.manhattan] over every pin, per cell. *)
+let nearest_pin_brute ~grid pins i =
+  let p = Routing_grid.point_of_index grid i in
+  List.fold_left (fun acc q -> min acc (Point.manhattan p q)) max_int pins
+
+(* Same heuristic policy as the production search: the nearest-pin
+   distance when every pin is on the boundary ring, the box default
+   otherwise. *)
 let single ?workspace ~grid ~claimed ~pins ~start_cells () =
   match pins with
   | [] -> None
   | _ :: _ ->
+    let heuristic =
+      if List.for_all (Routing_grid.on_boundary grid) pins then
+        Some (nearest_pin_brute ~grid pins)
+      else None
+    in
     let usable p =
       Routing_grid.free grid p
       && (not (Point.Set.mem p claimed))
@@ -22,7 +36,8 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
         extra_cost = (fun _ -> 0) }
     in
     (match
-       Pacor_route.Astar.search ?workspace ~grid ~spec ~sources:start_cells ~targets:pins ()
+       Pacor_route.Astar.search ?workspace ?heuristic ~grid ~spec ~sources:start_cells
+         ~targets:pins ()
      with
      | Some path ->
        Some

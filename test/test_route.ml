@@ -823,6 +823,62 @@ let prop_incremental_no_worse =
        end
        else true)
 
+(* Negotiation keeps its per-cell state in workspace scratch slots 0–3,
+   which must read zero between calls. A random sequence of calls on one
+   shared workspace (both modes, some under an expansion cap that trips
+   mid-call, grids shrinking after the first and largest one) must return
+   exactly what each call returns on a fresh workspace, and leave the
+   four slots zero after every call. *)
+let prop_negotiation_workspace_isolation =
+  QCheck.Test.make ~name:"negotiation leaves its scratch slots zero" ~count:120
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+       let state = ref (seed land 0x3FFFFFFF) in
+       let rand bound =
+         state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+         !state mod bound
+       in
+       let ws = Workspace.create () in
+       let calls = 3 + rand 4 in
+       for k = 0 to calls - 1 do
+         let w = if k = 0 then 18 else 6 + rand 12 in
+         let h = if k = 0 then 18 else 6 + rand 12 in
+         let g = grid w h in
+         let blocked = List.init (rand (w * h / 6)) (fun _ -> Point.make (rand w) (rand h)) in
+         let edges =
+           List.init (3 + rand 6) (fun i ->
+             { Negotiation.edge_id = i;
+               ends = (Point.make (rand w) (rand h), Point.make (rand w) (rand h)) })
+         in
+         let mode = if rand 2 = 0 then Negotiation.Incremental else Negotiation.Full_reroute in
+         let limits =
+           if rand 3 = 0 then Budget.limits ~max_expansions:(1 + rand 80) ()
+           else Budget.no_limits
+         in
+         let run ws =
+           let obs = Routing_grid.fresh_work_map g in
+           List.iter (Obstacle_map.block obs) blocked;
+           Workspace.set_budget ws (Budget.create limits);
+           let out =
+             Negotiation.route ~workspace:ws
+               ~config:{ Negotiation.default_config with mode }
+               ~grid:g ~obstacles:obs edges
+           in
+           Workspace.set_budget ws (Budget.unlimited ());
+           out
+         in
+         let shared = run ws in
+         let fresh = run (Workspace.create ()) in
+         if shared <> fresh then
+           QCheck.Test.fail_reportf "call %d (%dx%d): shared workspace outcome differs" k w h;
+         for slot = 0 to 3 do
+           if not (Array.for_all (( = ) 0) (Workspace.scratch_int ws ~slot ~cells:1)) then
+             QCheck.Test.fail_reportf "call %d (%dx%d): slot %d not zero after the call" k w
+               h slot
+         done
+       done;
+       true)
+
 (* The hopelessness certificate is sound: on small random grids, whenever
    the bounded search refuses, the brute-force oracle finds no simple path
    of length >= the bound, and a search that returns a path was not
@@ -881,7 +937,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_astar_optimal_no_obstacles; prop_mst_router_claims_terminals;
       prop_lengthen_parity; prop_rsmt_between_bounds; prop_workspace_equals_fresh;
-      prop_workspace_epoch_isolation; prop_incremental_no_worse; prop_block_cut_sound ]
+      prop_workspace_epoch_isolation; prop_incremental_no_worse;
+      prop_negotiation_workspace_isolation; prop_block_cut_sound ]
 
 let () =
   Alcotest.run "route"

@@ -564,10 +564,87 @@ let prop_refinement_masks_random_trees =
            (List.map (fun _ -> None) routed));
       true)
 
+(* ---------- Goal-directed single escapes ---------- *)
+
+(* A random subset of the boundary ring: [keep] in 1..8 keeps each ring
+   cell with probability keep/8, so sparse draws leave whole sides (and
+   the corners) empty and dense ones fill them. *)
+let gen_ring_pins ~width ~height =
+  QCheck.Gen.(
+    let ring = Routing_grid.boundary_points (Routing_grid.create ~width ~height ()) in
+    let* keep = int_range 1 8 in
+    let* bits = list_repeat (List.length ring) (int_range 0 7) in
+    return (List.filteri (fun k _ -> List.nth bits k < keep) ring))
+
+let prop_nearest_pin_transform =
+  let gen =
+    QCheck.Gen.(
+      let* width = int_range 1 14 and* height = int_range 1 14 in
+      let* pins = gen_ring_pins ~width ~height in
+      return (width, height, pins))
+  in
+  QCheck.Test.make ~name:"nearest-pin transform = brute-force minimum" ~count:300
+    (QCheck.make gen) (fun (width, height, pins) ->
+      QCheck.assume (pins <> []);
+      let grid = Routing_grid.create ~width ~height () in
+      match Escape_stage.nearest_pin_steps ~grid pins with
+      | None -> QCheck.Test.fail_report "ring pins must give a transform"
+      | Some h ->
+        for i = 0 to Routing_grid.cells grid - 1 do
+          let want = Refine_oracle.nearest_pin_brute ~grid pins i in
+          if h i <> want then
+            QCheck.Test.fail_reportf "%dx%d cell %d: transform %d, brute force %d" width
+              height i (h i) want
+        done;
+        (* A pin off the ring falls back to the box heuristic. *)
+        (width < 3 || height < 3
+         || Escape_stage.nearest_pin_steps ~grid (Point.make 1 1 :: pins) = None))
+
+let prop_single_escape_shortest =
+  let gen =
+    QCheck.Gen.(
+      let* width = int_range 4 18 and* height = int_range 4 18 in
+      let* pins = gen_ring_pins ~width ~height in
+      let cell = pair (int_range 1 (width - 2)) (int_range 1 (height - 2)) in
+      let* starts = list_size (int_range 1 3) cell in
+      let* blocks = list_size (int_range 0 (width * height / 3)) cell in
+      let* walls =
+        list_size (int_range 0 3)
+          (let* x = int_range 1 (width - 2) and* y = int_range 1 (height - 2) in
+           let* len = int_range 1 (max 1 (height / 2)) in
+           return (Rect.make ~x0:x ~y0:y ~x1:x ~y1:(min (height - 2) (y + len))))
+      in
+      return (width, height, pins, starts, blocks, walls))
+  in
+  QCheck.Test.make ~name:"goal-directed single escape is shortest" ~count:300
+    (QCheck.make gen) (fun (width, height, pins, starts, blocks, walls) ->
+      QCheck.assume (pins <> []);
+      let grid = Routing_grid.create ~width ~height ~obstacles:walls () in
+      let pt (x, y) = Point.make x y in
+      let start_cells = List.map pt starts in
+      let claimed = Point.Set.of_list (List.map pt blocks) in
+      let got = Escape_stage.single ~workspace:mask_ws ~grid ~claimed ~pins ~start_cells () in
+      let usable i =
+        let p = Routing_grid.point_of_index grid i in
+        Routing_grid.free grid p
+        && (not (Point.Set.mem p claimed))
+        && not (Routing_grid.on_boundary grid p)
+      in
+      let dijkstra =
+        Pacor_route.Astar.search ~heuristic:(fun _ -> 0) ~grid
+          ~spec:{ Pacor_route.Astar.usable; extra_cost = (fun _ -> 0) }
+          ~sources:start_cells ~targets:pins ()
+      in
+      match got, dijkstra with
+      | None, None -> true
+      | Some e, Some p -> Path.length e.Pacor_flow.Escape.path = Path.length p
+      | Some _, None | None, Some _ -> false)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engine_routes_random_instances; prop_variants_all_valid;
-      prop_refinement_masks_random_trees ]
+      prop_refinement_masks_random_trees; prop_nearest_pin_transform;
+      prop_single_escape_shortest ]
 
 let () =
   Alcotest.run "stages"
