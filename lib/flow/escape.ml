@@ -119,12 +119,25 @@ let validate ~grid ~pins requests =
          | None -> Ok ()
        end)
 
+(* One BFS step of [seed_heights] onto cell [j], with [tail] the FIFO's
+   end: an undiscovered ordinary cell gets distance [next] and joins the
+   FIFO. Returns the new end. *)
+let[@inline] seed_visit stats roles d queue next j tail =
+  Stats.touched stats;
+  if Array.unsafe_get d j < 0 && Packed_roles.get roles j = role_ordinary then begin
+    Stats.relaxed stats;
+    Stats.pushed stats;
+    Array.unsafe_set d j next;
+    Array.unsafe_set queue tail j;
+    tail + 1
+  end
+  else tail
+
 (* Goal-direction seed for [Mcmf_grid.seed]. In the node-split network
    only ordinary cells transit, so every node's distance to the sink is a
-   cell distance. One multi-source BFS over cells — from the pins through
-   ordinary cells, on the workspace's own dist array and deque — gives
-   [D(i)], the steps from ordinary cell [i] to the nearest pin ([D] = 0 on
-   pins), and each node's [h] follows exactly:
+   cell distance. One multi-source BFS over cells, from the pins through
+   ordinary cells, gives [D(i)], the steps from ordinary cell [i] to the
+   nearest pin ([D] = 0 on pins), and each node's [h] follows exactly:
    - [in(pin)] = 0, through its zero-cost arc into the sink;
    - [in(i)] = [out(i)] = [D(i)] for an ordinary cell [i];
    - [out(start)] = 1 + the least [D] over its ordinary and pin
@@ -132,54 +145,60 @@ let validate ~grid ~pins requests =
    - a request node = the least [h] over its start cells' [out] nodes;
    - the source = the least [h] over the request nodes; the sink = 0.
    Every other node (pin [out], start [in], excluded cells, and anything
-   the BFS never reached) has no [h] and is dead. The BFS is one workspace
-   search: it ticks the budget and counts its pops like any other. A
-   budget trip inside it leaves [D] partial, which is harmless because
-   every later round then fails on its first pop. The returned function
-   reads the workspace, so it is valid until the next search on it. *)
+   the BFS never reached) has no [h] and is dead.
+
+   The BFS is one flat loop over two leased int arrays, [D] in int slot 4
+   (-1 = unreached) and its FIFO in slot 5, with the four neighbours
+   written out in [Routing_grid.iter_neighbours4] order, so a step costs
+   array reads and no call. It counts as one workspace search, with the
+   counters a deque BFS charges (a push per discovered cell, a touch per
+   in-grid neighbour), and ticks the budget once per pop, the final
+   empty one included, so a budget trips where a deque BFS's would. A budget trip inside it leaves [D]
+   partial, which is harmless because every later round then fails on
+   its first pop. The returned function reads slot 4, so it stays valid
+   while the rounds search, until int slots 4–5 are next leased. *)
 let seed_heights ws ~grid ~roles ~pins requests =
   let cells = Routing_grid.cells grid in
-  let stats = W.stats ws in
+  let w = Routing_grid.width grid in
+  let stats = W.stats ws and budget = W.budget ws in
   W.begin_search ws ~cells;
+  let d = W.scratch_int ws ~slot:4 ~cells and queue = W.scratch_int ws ~slot:5 ~cells in
+  Array.fill d 0 cells (-1);
+  let tail = ref 0 in
   List.iter
     (fun p ->
        if Routing_grid.in_bounds grid p then begin
          let i = Routing_grid.index grid p in
-         if Packed_roles.get roles i = role_pin && W.dist ws i <> 0 then begin
-           W.set_dist ws i 0;
-           W.deque_push_back ws i
+         if Packed_roles.get roles i = role_pin && d.(i) <> 0 then begin
+           Stats.pushed stats;
+           d.(i) <- 0;
+           queue.(!tail) <- i;
+           incr tail
          end
        end)
     pins;
-  let next = ref 0 in
-  let visit j =
-    Stats.touched stats;
-    if Packed_roles.get roles j = role_ordinary && W.dist ws j = max_int then begin
-      Stats.relaxed stats;
-      W.set_dist ws j !next;
-      W.deque_push_back ws j
-    end
-  in
-  let running = ref true in
-  while !running do
-    let u = W.deque_pop_front ws in
-    if u < 0 then running := false
-    else begin
-      next := W.dist ws u + 1;
-      Routing_grid.iter_neighbours4 grid u visit
-    end
+  let head = ref 0 in
+  while Pacor_route.Budget.tick budget && !head < !tail do
+    let u = Array.unsafe_get queue !head in
+    incr head;
+    Stats.popped stats;
+    let next = Array.unsafe_get d u + 1 and x = u mod w in
+    let t = !tail in
+    let t = if x + 1 < w then seed_visit stats roles d queue next (u + 1) t else t in
+    let t = if x > 0 then seed_visit stats roles d queue next (u - 1) t else t in
+    let t = if u + w < cells then seed_visit stats roles d queue next (u + w) t else t in
+    tail := if u >= w then seed_visit stats roles d queue next (u - w) t else t
   done;
-  let d i = let x = W.dist ws i in if x = max_int then -1 else x in
   let h_in i =
     let r = Packed_roles.get roles i in
-    if r = role_pin then 0 else if r = role_ordinary then d i else -1
+    if r = role_pin then 0 else if r = role_ordinary then d.(i) else -1
   in
   (* The lesser of two heights, where a negative one is missing. *)
   let least a b = if a < 0 || (b >= 0 && b < a) then b else a in
   let best = ref (-1) in
   let h_out i =
     let r = Packed_roles.get roles i in
-    if r = role_ordinary then d i
+    if r = role_ordinary then d.(i)
     else if r = role_start then begin
       best := -1;
       Routing_grid.iter_neighbours4 grid i (fun j -> best := least !best (h_in j));

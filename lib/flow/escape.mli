@@ -124,10 +124,12 @@ val seed_heights :
   request list ->
   int ->
   int
-(** Runs the seed's BFS over cells (one search on the workspace) and
-    returns each node's exact distance to the sink, negative when it
-    cannot reach it: the [h] for {!Mcmf_grid.seed}, valid until the next
-    search on the workspace. *)
+(** Runs the seed's BFS over cells (one search on the workspace, on its
+    int slots 4 and 5) and returns each node's exact distance to the
+    sink, negative when it cannot reach it: the [h] for
+    {!Mcmf_grid.seed}. It reads slot 4, so it stays valid across the
+    solve's rounds, until int slots 4–5 are next leased (the next seed
+    or grouping on the workspace). *)
 
 val group_requests :
   ?workspace:Pacor_route.Workspace.t ->

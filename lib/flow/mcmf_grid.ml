@@ -28,13 +28,20 @@
    sink settles and carries Johnson potentials to the next round; all
    per-round state (dist/parent/closed, both queues, the settle trail)
    lives in a generation-stamped Pacor_route.Workspace. An unseeded solve
-   starts with a 0-1-BFS over raw costs. [seed] sets [pot(v) = -h(v)]
-   from the caller's exact sink distances, a feasible potential, so
+   starts with a 0-1-BFS over raw costs. [seed] stores the caller's exact
+   sink distances [h], and [pot(v) = -h(v)] is a feasible potential, so
    Dijkstra on the reduced costs is an A* search toward the sink
    (Goldberg & Harrelson); nodes without an [h] are dead and never
    relaxed, since residual arcs out of a sink-unreachable set only lead
    back into it and augmentation adds arcs between sink-reachable nodes
-   only. After a round with sink distance [d], the textbook update
+   only. Potentials are installed on first touch: a node's state byte
+   reads unseen until a round relaxes it, the path-cost readout reads it
+   or the potential update reaches it, and only then is [h] evaluated
+   (once) and [pot(v)] written, so a solve pays for the nodes its rounds
+   reach, not for the grid. Only the install and the update write a
+   potential, and the update installs first, so every potential read
+   equals an eager install's. An unseeded network installs 0. After a round with sink
+   distance [d], the textbook update
    [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) - d] to
    the settled nodes only: the same reduced costs, heap order and paths
    in O(settled), and a path's true cost is [d + pot(sink) -
@@ -55,6 +62,12 @@ let role_ordinary = 1
 let role_pin = 2
 let role_start = 3
 
+(* Node states: not yet installed, installed without an [h], installed
+   with [pot = -h]. *)
+let unseen = '\000'
+let dead = '\001'
+let live = '\002'
+
 type t = {
   roles : Packed_roles.t;
   width : int;
@@ -70,8 +83,10 @@ type t = {
   fl : Bytes.t;             (* per-cell flow bits, see the header *)
   rflow : Bytes.t;          (* flow on each request -> out(start) arc *)
   sflow : Bytes.t;          (* flow on each source -> request arc *)
-  pot : int array;          (* Johnson potentials, persistent across rounds *)
-  dead : Bytes.t;           (* 1 iff [seed] found the sink unreachable *)
+  pot : int array;          (* Johnson potentials, persistent across rounds;
+                               read only once the node is installed *)
+  state : Bytes.t;          (* per node: [unseen], [dead] or [live] *)
+  mutable h : int -> int;   (* sink distances the install reads *)
   mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
   mutable flow : int;
   mutable cost : int;
@@ -116,18 +131,18 @@ let create ?workspace ~grid ~roles starts =
        fun slot len -> W.scratch_bytes ws ~slot ~len)
     | None -> ((fun _ len -> Array.make len 0), fun _ len -> Bytes.create len)
   in
-  (* Leased contents are arbitrary: fill what is read later. *)
+  (* Leased contents are arbitrary: fill what is read later. [pot] is
+     written by a node's install before anything reads it. *)
   let fl = bytes 1 cells in
   Bytes.fill fl 0 cells '\000';
-  let dead = bytes 2 n in
-  Bytes.fill dead 0 n '\000';
+  let state = bytes 2 n in
+  Bytes.fill state 0 n unseen;
   let pot = ints 6 n in
-  Array.fill pot 0 n 0;
   { roles; width = Routing_grid.width grid; cells; nreq; n;
     source = (2 * cells) + nreq; sink = (2 * cells) + nreq + 1;
     req_first; arc_cell; arc_req; by_cell; fl;
     rflow = Bytes.make m '\000'; sflow = Bytes.make nreq '\000';
-    pot; dead; pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
+    pot; state; h = (fun _ -> 0); pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
 
 let[@inline] role t i = Packed_roles.get t.roles i
 let[@inline] transit r = r = role_ordinary || r = role_start
@@ -138,7 +153,31 @@ let[@inline] byte b a = Char.code (Bytes.unsafe_get b a)
 let[@inline] flip_byte b a = Bytes.unsafe_set b a (Char.unsafe_chr (byte b a lxor 1))
 let[@inline] flip_bit t i d =
   Bytes.unsafe_set t.fl i (Char.unsafe_chr (byte t.fl i lxor (1 lsl d)))
-let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
+
+(* First touch of node [v]: evaluate [h] once and install [pot(v) = -h(v)]
+   and live, or potential 0 and dead. True iff live. *)
+let install t v =
+  let hv = t.h v in
+  if hv >= 0 then begin
+    t.pot.(v) <- - hv;
+    Bytes.unsafe_set t.state v live;
+    true
+  end
+  else begin
+    t.pot.(v) <- 0;
+    Bytes.unsafe_set t.state v dead;
+    false
+  end
+
+(* The relax test: one byte compare for an installed live node. *)
+let[@inline] is_live t v =
+  let s = Bytes.unsafe_get t.state v in
+  s = live || (s = unseen && install t v)
+
+(* Node [v]'s potential, installing it first if unseen. *)
+let[@inline] pot t v =
+  if Bytes.unsafe_get t.state v = unseen then ignore (install t v : bool);
+  t.pot.(v)
 
 (* Neighbour of cell [i] in direction [d] (+1, -1, +w, -w), or -1 off the
    grid: the [Routing_grid.iter_neighbours4] order. *)
@@ -294,13 +333,15 @@ let round_01 t ws =
   !dsink
 
 (* One Dijkstra round over reduced costs, early exit at the sink. Dead
-   nodes are skipped: they cannot lie on an augmenting path. *)
+   nodes are skipped: they cannot lie on an augmenting path. Every node
+   pushed is installed first (the source here, the rest by [is_live]), so
+   a popped node's potential reads directly. *)
 let round_dijkstra t ws =
   let stats = W.stats ws in
   let n = t.n in
   let cur = ref 0 and du = ref 0 and pu = ref 0 in
   let relax port v c cap =
-    if cap = 1 && not (is_dead t v) then begin
+    if cap = 1 && is_live t v then begin
       Stats.touched stats;
       let nd = !du + c + !pu - t.pot.(v) in
       if nd < W.dist ws v then begin
@@ -311,6 +352,7 @@ let round_dijkstra t ws =
       end
     end
   in
+  ignore (pot t t.source : int);
   W.set_dist ws t.source 0;
   W.push ws ~prio:0 t.source;
   let dsink = ref (-1) in
@@ -346,15 +388,11 @@ let augment t ws =
   done;
   t.flow <- t.flow + 1
 
-(* Install the caller's exact sink distances: [pot(v) = -h(v)] on every
-   node with [h(v) >= 0], and a dead mark on the rest (their potential
-   stays 0). *)
+(* Keep the caller's exact sink distances for [install]: O(1), no node is
+   read here. *)
 let seed t ~h =
   if t.solved then invalid_arg "Mcmf_grid.seed: already solved";
-  for v = 0 to t.n - 1 do
-    let hv = h v in
-    if hv >= 0 then t.pot.(v) <- - hv else Bytes.unsafe_set t.dead v '\001'
-  done;
+  t.h <- h;
   t.pot_zero <- false
 
 (* After an early-exit round with sink distance [d]: settled nodes hold
@@ -366,7 +404,7 @@ let update_potentials t ws d =
   if d > 0 then begin
     for k = 0 to W.trail_length ws - 1 do
       let v = W.trail_get ws k in
-      t.pot.(v) <- t.pot.(v) + W.dist ws v - d
+      t.pot.(v) <- pot t v + W.dist ws v - d
     done;
     t.pot_zero <- false
   end
@@ -386,7 +424,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
     else begin
       (* [d] is a reduced distance; potentials float (seeded, and shifted
          by the lazy update), so undo both ends to get the true cost. *)
-      let path_cost = d + t.pot.(t.sink) - t.pot.(t.source) in
+      let path_cost = d + pot t t.sink - pot t t.source in
       let over =
         match stop_when_cost_reaches with
         | Some threshold -> path_cost >= threshold

@@ -37,12 +37,17 @@
 
     {b Goal-directed rounds.} A caller that knows each node's exact
     distance [h] to the sink hands it over with {!seed} before solving;
-    the solver then sets [pot(v) = -h(v)], a feasible potential, so every
+    the solver then uses [pot(v) = -h(v)], a feasible potential, so every
     round is an early-exit Dijkstra on reduced costs — an A* search toward
-    the sink. Nodes without an [h] are marked dead and never relaxed; no
-    later residual graph reconnects them. The escape stage seeds every
-    solve with two or more requests from one BFS over grid cells
-    ({!Escape}); an unseeded solve starts with a 0-1-BFS over raw costs.
+    the sink. Nodes without an [h] are dead and never relaxed; no later
+    residual graph reconnects them. [h] is read lazily: a node's
+    potential (or its dead mark) is installed the first time a round
+    relaxes it, the path-cost readout reads it or the potential update
+    reaches it, so a solve evaluates [h] only on the nodes its rounds
+    touch, once each, and neither {!create} nor {!seed} does per-node
+    work. The escape stage seeds every solve with two or more requests
+    from one BFS over grid cells ({!Escape}); an unseeded solve starts
+    with a 0-1-BFS over raw costs and installs potential 0.
 
     {b Lazy potentials.} Each round appends the nodes it settles to the
     workspace's settle trail, and the potential update touches only
@@ -85,9 +90,11 @@ val create :
     cell must have role start or pin, which {!Escape.compute_roles}
     guarantees; [Invalid_argument] otherwise. The network reads [roles]
     on every pop, so the layer must not change while it is in use. With
-    a workspace the per-cell flow bits, dead marks and potentials are
+    a workspace the per-cell flow bits, node states and potentials are
     leased from it (byte slots 1 and 2, int slot 6) and stay valid until
-    the next [create] on it; without one they are allocated. *)
+    the next [create] on it; without one they are allocated. Only the
+    byte arrays are cleared here: each potential is written when its
+    node is installed, so the int slot is never filled. *)
 
 val solve :
   ?alive:(unit -> bool) ->
@@ -107,15 +114,18 @@ val solve :
     A network solves once. *)
 
 val seed : t -> h:(int -> int) -> unit
-(** [seed t ~h] installs goal-directed potentials before {!solve}: [h v]
-    is node [v]'s exact cost-distance to the sink in the initial residual
-    graph (forward arcs only), or a negative value when [v] cannot reach
-    the sink, which marks it dead. Called once per node, in node order.
-    Rounds stay exact shortest-path searches only when [h] is consistent
-    ([h v <= c + h w] over every arc [v -> w] of cost [c]), which an exact
-    distance is; the escape stage derives it from a cell-level BFS. A
-    budget-starved caller may pass a partial [h]: every later round then
-    fails on its first pop. Raises [Invalid_argument] after a solve. *)
+(** [seed t ~h] hands over goal-directed potentials before {!solve}:
+    [h v] is node [v]'s exact cost-distance to the sink in the initial
+    residual graph (forward arcs only), or a negative value when [v]
+    cannot reach the sink, which marks it dead. [seed] only stores [h]:
+    it is read lazily during {!solve}, at most once per node and only for
+    nodes a round touches, in no fixed order, so it must stay valid until
+    [solve] returns. Rounds stay exact shortest-path searches only when
+    [h] is consistent ([h v <= c + h w] over every arc [v -> w] of cost
+    [c]), which an exact distance is; the escape stage derives it from a
+    cell-level BFS. A budget-starved caller may pass a partial [h]: every
+    later round then fails on its first pop. Raises [Invalid_argument]
+    after a solve. *)
 
 val decompose_paths : t -> int list list
 (** Split the computed flow into source->sink unit node-paths, consuming

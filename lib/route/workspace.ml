@@ -25,7 +25,7 @@ type t = {
      [Array.make n] per call (negotiation history, escape roles, the
      escape flow state). Int slots 0–3 are negotiation's and read zero
      between its calls; elsewhere contents are arbitrary between leases —
-     the borrower fills what it reads. *)
+     the borrower writes each element before it reads it. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)

@@ -184,11 +184,15 @@ val prepare : t -> cells:int -> unit
       it wrote before it returns or raises, so it never fills the grid;
     - int slots 4 and 5: the escape grouping's flood fill
       ([Pacor_flow.Escape.group_requests]), labels in 4 and the stack in
-      5, one int per cell;
+      5, and then each seed's BFS ([Pacor_flow.Escape.seed_heights]),
+      distances in 4 and the FIFO in 5, one int per cell. The grouping
+      is read out before any seed runs, and a seed's distances are read
+      until its solve returns;
     - int slot 6 and byte slots 1–2: the escape flow network's state
-      ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and dead marks
-      (byte slot 2), one per node, and the per-cell flow bits (byte
-      slot 1);
+      ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and node
+      states (byte slot 2: unseen, dead or live), one per node, and the
+      per-cell flow bits (byte slot 1). Slot 6 is never zero-filled: a
+      node's potential is written when its state leaves unseen;
     - byte slot 0: the escape stage's packed cell roles, which the flow
       network reads while it solves;
     - byte slot 3: the refinement stages' usable-cell mask, one byte per

@@ -192,17 +192,29 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1 and Scaled3 route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2 and Scaled3 route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
-# workspace growth, not search work, and is left out.
+# workspace growth, not search work, and is left out. Scaled2's escape
+# line covers its group subsolves and single-request solves.
 cat > "$svgdir/Chip1.search" <<'PINS'
 search lm-routing     searches=121 refused=0 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
 search escape         searches=216 refused=0 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
 search detour         searches=7 refused=4 pops=34 pushes=61 touched=120 relax=93 resets=7
 search rematch        searches=46 refused=4 pops=1831 pushes=2977 touched=7072 relax=3925 resets=54
 search total          searches=390 refused=8 pops=193694 pushes=229664 touched=705036 relax=229745 resets=400
+PINS
+cat > "$svgdir/Chip2.search" <<'PINS'
+search lm-routing     searches=22 refused=0 pops=346 pushes=676 touched=1296 relax=842 resets=23
+search escape         searches=36 refused=0 pops=67622 pushes=72354 touched=256334 relax=71824 resets=36
+search total          searches=58 refused=0 pops=67968 pushes=73030 touched=257630 relax=72666 resets=59
+PINS
+cat > "$svgdir/Scaled2.search" <<'PINS'
+search lm-routing     searches=33 refused=0 pops=343 pushes=689 touched=1240 relax=792 resets=34
+search escape         searches=114 refused=0 pops=378201 pushes=395710 touched=1446127 relax=395282 resets=117
+search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
+search total          searches=147 refused=0 pops=378544 pushes=396399 touched=1447367 relax=396074 resets=151
 PINS
 cat > "$svgdir/Scaled3.search" <<'PINS'
 search lm-routing     searches=51 refused=0 pops=439 pushes=924 touched=1552 relax=1024 resets=52
@@ -211,7 +223,7 @@ search detour         searches=4 refused=4 pops=0 pushes=0 touched=0 relax=0 res
 search rematch        searches=46 refused=4 pops=1565 pushes=2863 touched=6096 relax=3581 resets=53
 search total          searches=148 refused=8 pops=302277 pushes=317892 touched=1132477 relax=318484 resets=156
 PINS
-for name in Chip1 Scaled3; do
+for name in Chip1 Chip2 Scaled2 Scaled3; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2

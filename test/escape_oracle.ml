@@ -1,9 +1,10 @@
 (* Differential oracles for the escape stage: the explicit network
    emitter, the node-split seed search and the cell union-find grouping
-   that [Escape] used before it moved to implicit rows, a cell-level BFS
-   and a flood fill, plus a route pipeline built from them that solves
-   over the explicit CSR network ([Mcmf_csr]), a joint solve with the
-   general [Mcmf] and [Mcmf_spfa] solvers, and the Dinic ([Maxflow])
+   that [Escape] used before it moved to implicit rows, the deque-based
+   cell seed BFS it used before its BFS became a flat loop, a cell-level
+   BFS and a flood fill, plus a route pipeline built from them that
+   solves over the explicit CSR network ([Mcmf_csr]), a joint solve with
+   the general [Mcmf] and [Mcmf_spfa] solvers, and the Dinic ([Maxflow])
    bound on how many clusters any assignment could route. They share the
    cell roles with [Escape], and nothing else. *)
 
@@ -91,6 +92,81 @@ let escape_split_seed ws ~grid ~roles requests =
   let nreq = List.length requests in
   let n = (2 * cells) + nreq + 2 in
   split_seed ws ~n ~sink:(n - 1) (network_arcs ~grid ~roles requests)
+
+(* The seed as [Escape.seed_heights] computed it before its BFS became a
+   flat loop over leased arrays: a multi-source BFS from the pins through
+   ordinary cells on the workspace's stamped [dist] array and its deque,
+   each neighbour visited through [Routing_grid.iter_neighbours4]'s
+   closure. The same node formulas follow (see [Escape.seed_heights]);
+   they are read into an array of all [2 * cells + nreq + 2] nodes before
+   anything else searches on [ws]. One search on [ws], charged to its
+   budget like any deque search: the oracle for the flat BFS's heights,
+   its search counters and the point where a budget trips. *)
+let deque_seed ws ~grid ~roles ~pins (requests : Escape.request list) =
+  let cells = Routing_grid.cells grid in
+  let stats = W.stats ws in
+  W.begin_search ws ~cells;
+  List.iter
+    (fun p ->
+       if Routing_grid.in_bounds grid p then begin
+         let i = Routing_grid.index grid p in
+         if Packed_roles.get roles i = Escape.role_pin && W.dist ws i <> 0 then begin
+           W.set_dist ws i 0;
+           W.deque_push_back ws i
+         end
+       end)
+    pins;
+  let next = ref 0 in
+  let visit j =
+    Pacor_route.Search_stats.touched stats;
+    if Packed_roles.get roles j = Escape.role_ordinary && W.dist ws j = max_int then begin
+      Pacor_route.Search_stats.relaxed stats;
+      W.set_dist ws j !next;
+      W.deque_push_back ws j
+    end
+  in
+  let running = ref true in
+  while !running do
+    let u = W.deque_pop_front ws in
+    if u < 0 then running := false
+    else begin
+      next := W.dist ws u + 1;
+      Routing_grid.iter_neighbours4 grid u visit
+    end
+  done;
+  let d i = let x = W.dist ws i in if x = max_int then -1 else x in
+  let h_in i =
+    let r = Packed_roles.get roles i in
+    if r = Escape.role_pin then 0 else if r = Escape.role_ordinary then d i else -1
+  in
+  let least a b = if a < 0 || (b >= 0 && b < a) then b else a in
+  let h_out i =
+    let r = Packed_roles.get roles i in
+    if r = Escape.role_ordinary then d i
+    else if r = Escape.role_start then begin
+      let best = ref (-1) in
+      Routing_grid.iter_neighbours4 grid i (fun j -> best := least !best (h_in j));
+      if !best < 0 then -1 else !best + 1
+    end
+    else -1
+  in
+  let base = 2 * cells in
+  let h_req =
+    Array.of_list
+      (List.map
+         (fun (r : Escape.request) ->
+            List.fold_left
+              (fun acc p -> least acc (h_out (Routing_grid.index grid p)))
+              (-1) r.start_cells)
+         requests)
+  in
+  let nreq = Array.length h_req in
+  let h_source = Array.fold_left least (-1) h_req in
+  Array.init (base + nreq + 2) (fun v ->
+    if v < base then if v land 1 = 0 then h_in (v lsr 1) else h_out (v lsr 1)
+    else if v < base + nreq then h_req.(v - base)
+    else if v = base + nreq then h_source
+    else 0)
 
 (* Union-find over every cell, linking exactly the cell pairs
    [emit_network] connects, then fusing each request's live start

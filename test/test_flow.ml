@@ -531,7 +531,7 @@ let test_grid_workspace_stats_rounds () =
     (snapshot ws).Pacor_route.Search_stats.searches
 
 let test_grid_warm_workspace_leases () =
-  (* The network leases its flow bits, dead marks and potentials from the
+  (* The network leases its flow bits, node states and potentials from the
      solving workspace: on slots a bigger instance left dirty it solves
      exactly like a network on fresh arrays, and a warm re-solve
      allocates nothing. *)
@@ -1337,11 +1337,282 @@ let prop_implicit_network_matches_csr =
       solve_both ~budget:t.ibudget "budgeted solve";
       true)
 
+type seed_instance = {
+  sw : int;
+  sh : int;
+  sobstacles : Point.t list;
+  sclaim : Point.t list;
+  spins : Point.t list;
+  sreqs : Escape.request list;
+  sbudget : int option;
+}
+
+(* Escape instances for the seed properties: 1xk, kx1 and 5-12 x 5-12
+   grids with obstacles, boundary pins and 1-5 requests. On grids of at
+   least 5x5 a request may sit in a claimed pocket: its first start cell
+   is ringed by its eight claimed neighbours, with one side left open or
+   none. One instance in five on such grids is sealed: every request is
+   one start cell in a closed pocket away from the boundary, so no
+   request reaches a pin and the source is dead. A pin may also be listed
+   as a start cell. [sbudget] is an expansion cap from 0 to one more than
+   the cell count, or none. *)
+let seed_instance_gen =
+  QCheck.Gen.(
+    let* shape = int_range 0 3 in
+    let* k = int_range 2 12 and* a = int_range 5 12 and* b = int_range 5 12 in
+    let sw, sh = match shape with 0 -> (1, k) | 1 -> (k, 1) | _ -> (a, b) in
+    let roomy = sw >= 5 && sh >= 5 in
+    let cell =
+      let* x = int_range 0 (sw - 1) and* y = int_range 0 (sh - 1) in
+      return (Point.make x y)
+    in
+    let inset m =
+      let* x = int_range m (sw - 1 - m) and* y = int_range m (sh - 1 - m) in
+      return (Point.make x y)
+    in
+    let interior = if roomy then inset 1 else cell in
+    let boundary =
+      let* side = int_range 0 3 and* x = int_range 0 (sw - 1) and* y = int_range 0 (sh - 1) in
+      return
+        (match side with
+         | 0 -> Point.make 0 y
+         | 1 -> Point.make (sw - 1) y
+         | 2 -> Point.make x 0
+         | _ -> Point.make x (sh - 1))
+    in
+    let* n_obs = int_range 0 8 and* n_pin = int_range 1 6 and* n_req = int_range 1 5 in
+    let* obs = list_size (return n_obs) interior in
+    let* pins = list_size (return n_pin) boundary in
+    let* raw =
+      list_size (return n_req)
+        (let* k = int_range 1 3 in
+         list_size (return k) interior)
+    in
+    let* pockets = list_size (return n_req) (int_range 0 3)
+    and* exits = list_size (return n_req) (int_range 0 4)
+    and* centers = list_size (return n_req) (if roomy then inset 2 else cell) in
+    let* sealed = map (fun r -> roomy && r = 0) (int_range 0 4) in
+    let* pin_start = bool and* pick = int_range 0 5 in
+    let* sbudget =
+      let* on = bool in
+      if on then map Option.some (int_range 0 ((sw * sh) + 1)) else return None
+    in
+    let pins = List.sort_uniq Point.compare pins in
+    let ring (c : Point.t) exit =
+      List.filter_map
+        (fun (dx, dy, d) ->
+          if d = exit then None else Some (Point.make (c.x + dx) (c.y + dy)))
+        [ (1, 0, 0); (-1, 0, 1); (0, 1, 2); (0, -1, 3);
+          (1, 1, -1); (-1, 1, -1); (1, -1, -1); (-1, -1, -1) ]
+    in
+    let reqs, rings =
+      List.split
+        (List.map2
+           (fun (cells, (kind, exit)) c ->
+             if sealed then ([ c ], ring c (-1))
+             else if roomy && kind >= 2 then
+               (c :: cells, ring c (if kind = 2 then -1 else exit))
+             else (cells, []))
+           (List.combine raw (List.combine pockets exits))
+           centers)
+    in
+    let reqs = Array.of_list reqs in
+    if pin_start then
+      reqs.(pick mod n_req) <- List.nth pins (pick mod List.length pins) :: reqs.(pick mod n_req);
+    let starts = List.concat (Array.to_list reqs) in
+    return
+      { sw; sh;
+        sobstacles = List.filter (fun o -> not (List.exists (Point.equal o) starts)) obs;
+        sclaim = List.concat rings;
+        spins = pins;
+        sreqs =
+          Array.to_list
+            (Array.mapi (fun i cells -> { Escape.cluster_idx = i; start_cells = cells }) reqs);
+        sbudget })
+
+let print_seed_instance t =
+  let pp_pts = Format.pp_print_list Point.pp in
+  Format.asprintf "%dx%d obstacles=[%a] claim=[%a] pins=[%a] reqs=[%a] budget=%s" t.sw t.sh
+    pp_pts t.sobstacles pp_pts t.sclaim pp_pts t.spins
+    (Format.pp_print_list (fun ppf (r : Escape.request) ->
+       Format.fprintf ppf "#%d:%a" r.Escape.cluster_idx pp_pts r.Escape.start_cells))
+    t.sreqs
+    (match t.sbudget with Some b -> string_of_int b | None -> "none")
+
+(* Grid and roles of a seed instance. *)
+let seed_instance_roles t =
+  let grid =
+    Routing_grid.create ~width:t.sw ~height:t.sh
+      ~obstacles:
+        (List.map (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y) t.sobstacles)
+      ()
+  in
+  let claimed =
+    Point.Set.of_list
+      (List.concat_map (fun (r : Escape.request) -> r.start_cells) t.sreqs @ t.sclaim)
+  in
+  (grid, Escape.compute_roles ~grid ~claimed ~pins:t.spins t.sreqs)
+
+(* A workspace charged against an armed expansion cap of [b] (0 allowed),
+   or unlimited. *)
+let capped_workspace b =
+  let ws = Pacor_route.Workspace.create () in
+  Option.iter
+    (fun b ->
+      let budget =
+        Pacor_route.Budget.create
+          { Pacor_route.Budget.timeout_s = None; max_expansions = Some b; max_iterations = None }
+      in
+      Pacor_route.Budget.arm budget;
+      Pacor_route.Workspace.set_budget ws budget)
+    b;
+  ws
+
+(* Search work of a counter delta: every counter but [grid_allocs], which
+   measures workspace growth, not the search. *)
+let search_work (s : Pacor_route.Search_stats.snapshot) =
+  { s with Pacor_route.Search_stats.grid_allocs = 0 }
+
+let prop_flat_seed_matches_deque_oracle =
+  (* The flat leased-array BFS of [Escape.seed_heights] against the
+     deque BFS on workspace stamps it replaced
+     ([Escape_oracle.deque_seed]): every node's height, the search
+     counters (but [grid_allocs]) and, under expansion caps of 0 up to
+     past the cell count, the point where the budget trips. A budget's
+     state is its exhaustion and the ticks it still grants. *)
+  let module B = Pacor_route.Budget in
+  let remaining_ticks ws limit =
+    let b = Pacor_route.Workspace.budget ws in
+    let k = ref 0 in
+    while !k <= limit && B.tick b do incr k done;
+    !k
+  in
+  QCheck.Test.make ~name:"flat seed BFS = deque oracle (heights, counters, budget)" ~count:500
+    (QCheck.make ~print:print_seed_instance seed_instance_gen) (fun t ->
+      let grid, roles = seed_instance_roles t in
+      let n = (2 * Routing_grid.cells grid) + List.length t.sreqs + 2 in
+      let ws = capped_workspace t.sbudget and ws' = capped_workspace t.sbudget in
+      let h = Escape.seed_heights ws ~grid ~roles ~pins:t.spins t.sreqs in
+      let h_oracle = Escape_oracle.deque_seed ws' ~grid ~roles ~pins:t.spins t.sreqs in
+      for v = 0 to n - 1 do
+        if h v <> h_oracle.(v) then
+          QCheck.Test.fail_reportf "height of node %d: flat %d, deque %d" v (h v) h_oracle.(v)
+      done;
+      let work ws = search_work (snapshot ws) in
+      if work ws <> work ws' then
+        QCheck.Test.fail_reportf "counters: flat %a, deque %a" Pacor_route.Search_stats.pp
+          (work ws) Pacor_route.Search_stats.pp (work ws');
+      let ex ws = B.exhausted (Pacor_route.Workspace.budget ws) in
+      if ex ws <> ex ws' then QCheck.Test.fail_report "budget exhaustion differs";
+      let limit = (t.sw * t.sh) + 2 in
+      let a = remaining_ticks ws limit and b = remaining_ticks ws' limit in
+      if a <> b then QCheck.Test.fail_reportf "budget grants %d more ticks, deque %d" a b;
+      true)
+
+let prop_lazy_seed_installs_on_touch =
+  (* Potentials are installed on first touch. Over a counting [h], each
+     node is evaluated at most once per solve, every settled node of a
+     seeded solve is evaluated, and every evaluated node is the source,
+     the sink or the head of an arc out of a node some round settled
+     (each round's settled set is read off the workspace trail when
+     [alive] is polled, and after the last round). The same instance
+     then solves on one workspace reused across instances, whose
+     potential slot (int slot 6) is overwritten with junk after the
+     network is created, and on the CSR oracle seeded eagerly: paths,
+     flow, cost, rounds and every counter but [grid_allocs] must match
+     the fresh solve. Sealed instances have a dead source. Instances of
+     two or more requests also solve unseeded, as one request always
+     does: the potentials then install as 0, and a later round reads
+     the update the first 0-1-BFS round made. *)
+  let reused = Pacor_route.Workspace.create () in
+  let module S = Pacor_route.Search_stats in
+  QCheck.Test.make ~name:"lazy seed: installs on touch, dirty slots = fresh = eager CSR"
+    ~count:400 (QCheck.make ~print:print_seed_instance seed_instance_gen) (fun t ->
+      let grid, roles = seed_instance_roles t in
+      let reqs = t.sreqs and pins = t.spins in
+      let cells = Routing_grid.cells grid in
+      let nreq = List.length reqs in
+      let n = (2 * cells) + nreq + 2 in
+      let source = n - 2 and sink = n - 1 in
+      let beta = (4 * cells) + 16 in
+      let check seeded =
+        let mode = if seeded then "seeded" else "unseeded" in
+        (* Fresh workspace, counting every evaluation of [h]. *)
+        let ws = Pacor_route.Workspace.create () in
+        let net = Escape.grid_network ~workspace:ws ~grid ~roles reqs in
+        let evals = Array.make n 0 in
+        if seeded then begin
+          let h = Escape.seed_heights ws ~grid ~roles ~pins reqs in
+          Mcmf_grid.seed net ~h:(fun v -> evals.(v) <- evals.(v) + 1; h v)
+        end;
+        let settled = Array.make n false in
+        let note_settled () =
+          for k = 0 to Pacor_route.Workspace.trail_length ws - 1 do
+            settled.(Pacor_route.Workspace.trail_get ws k) <- true
+          done
+        in
+        let a =
+          Mcmf_grid.solve ~alive:(fun () -> note_settled (); true) ~workspace:ws
+            ~stop_when_cost_reaches:beta net
+        in
+        note_settled ();
+        let reachable = Array.make n false in
+        reachable.(source) <- true;
+        reachable.(sink) <- true;
+        Array.iteri
+          (fun u s ->
+            if s then List.iter (fun (v, _, _) -> reachable.(v) <- true) (Mcmf_grid.row net u))
+          settled;
+        Array.iteri
+          (fun v e ->
+            if e > 1 then QCheck.Test.fail_reportf "node %d evaluated %d times" v e;
+            if e = 1 && not reachable.(v) then
+              QCheck.Test.fail_reportf "node %d evaluated but no round touched it" v;
+            if seeded && settled.(v) && e = 0 then
+              QCheck.Test.fail_reportf "settled node %d never evaluated" v)
+          evals;
+        let a_paths = Mcmf_grid.decompose_paths net in
+        let a_work = search_work (snapshot ws) in
+        (* One workspace reused dirty across instances, junk potentials. *)
+        let before = snapshot reused in
+        let net = Escape.grid_network ~workspace:reused ~grid ~roles reqs in
+        Array.fill (Pacor_route.Workspace.scratch_int reused ~slot:6 ~cells:n) 0 n 0x1e3c5a;
+        if seeded then Mcmf_grid.seed net ~h:(Escape.seed_heights reused ~grid ~roles ~pins reqs);
+        let b = Mcmf_grid.solve ~workspace:reused ~stop_when_cost_reaches:beta net in
+        let b_paths = Mcmf_grid.decompose_paths net in
+        let b_work = search_work (S.diff (snapshot reused) before) in
+        (* The CSR oracle, seeded eagerly (every node's [h] read up front). *)
+        let ws' = Pacor_route.Workspace.create () in
+        let oracle =
+          Mcmf_csr.build ~n ~source ~sink
+            ~emit_arcs:(emit_list (Escape_oracle.network_arcs ~grid ~roles reqs))
+        in
+        if seeded then Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs);
+        let c = Mcmf_csr.solve ~workspace:ws' ~stop_when_cost_reaches:beta oracle in
+        let c_paths = Mcmf_csr.decompose_paths oracle in
+        let c_work = search_work (snapshot ws') in
+        let triple (o : Mcmf_grid.outcome) = (o.flow, o.cost, o.rounds) in
+        List.iter
+          (fun (label, (f, c, r), paths, work) ->
+            if (f, c, r) <> triple a then
+              QCheck.Test.fail_reportf "%s: flow/cost/rounds (%d, %d, %d) <> fresh (%d, %d, %d)"
+                label f c r a.flow a.cost a.rounds;
+            if paths <> a_paths then QCheck.Test.fail_reportf "%s: paths differ" label;
+            if work <> a_work then
+              QCheck.Test.fail_reportf "%s: counters %a <> fresh %a" label S.pp work S.pp a_work)
+          [ (mode ^ ", reused dirty workspace", triple b, b_paths, b_work);
+            (mode ^ ", eager CSR", (c.Mcmf_csr.flow, c.cost, c.rounds), c_paths, c_work) ]
+      in
+      check false;
+      if nreq >= 2 then check true;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
       prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
-      prop_implicit_network_matches_csr ]
+      prop_implicit_network_matches_csr; prop_flat_seed_matches_deque_oracle;
+      prop_lazy_seed_installs_on_touch ]
 
 let () =
   Alcotest.run "flow"
