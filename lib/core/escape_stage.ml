@@ -61,38 +61,27 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
        the search's own targets, and it stops at the first target popped, so
        the path cannot run {e through} one candidate pin on its way to
        another (which a later escape might then be assigned). The search
-       reads a byte mask (free interior cells, minus [claimed]) leased from
-       the workspace, not a set lookup per probe. The pins ring the chip,
-       so the box heuristic would read 0 everywhere; the distance to the
-       nearest pin steers the search instead. *)
-    let cells = Routing_grid.cells grid in
-    let mask =
-      match workspace with
-      | Some ws -> Pacor_route.Workspace.scratch_bytes ws ~slot:3 ~len:cells
-      | None -> Bytes.create cells
+       reads a byte mask of free interior cells minus [claimed], not a set
+       lookup per probe: the workspace's interior-free mask, with the
+       claimed cells cleared for this search only. The pins ring the
+       chip, so the box heuristic would read 0 everywhere; the distance to
+       the nearest pin steers the search instead. *)
+    let ws = match workspace with Some ws -> ws | None -> Pacor_route.Workspace.create () in
+    let clear set =
+      Point.Set.iter
+        (fun p -> if Routing_grid.in_bounds grid p then set (Routing_grid.index grid p))
+        claimed
     in
-    Routing_grid.fill_interior_free grid mask;
-    Point.Set.iter
-      (fun p ->
-         if Routing_grid.in_bounds grid p then
-           Bytes.unsafe_set mask (Routing_grid.index grid p) '\000')
-      claimed;
-    let spec =
-      { Pacor_route.Astar.usable = (fun i -> Bytes.unsafe_get mask i = '\001');
-        extra_cost = (fun _ -> 0) }
-    in
-    (match
-       Pacor_route.Astar.search ?workspace
-         ?heuristic:(nearest_pin_steps ~grid pins)
-         ~grid ~spec ~sources:start_cells ~targets:pins ()
-     with
-     | Some path ->
-       Some
-         { Pacor_flow.Escape.idx = 0;
-           start_cell = Path.source path;
-           pin = Path.target path;
-           path }
-     | None -> None)
+    Pacor_route.Workspace.with_interior_free_mask ws grid ~clear (fun mask ->
+      let spec =
+        { Pacor_route.Astar.usable = (fun i -> Bytes.unsafe_get mask i = '\001');
+          extra_cost = (fun _ -> 0) }
+      in
+      Pacor_route.Astar.search ~workspace:ws
+        ?heuristic:(nearest_pin_steps ~grid pins)
+        ~grid ~spec ~sources:start_cells ~targets:pins ())
+    |> Option.map (fun path ->
+      { Pacor_flow.Escape.idx = 0; start_cell = Path.source path; pin = Path.target path; path })
 
 let run ?alive ?workspace ~grid ~pins routed_clusters =
   let claimed =

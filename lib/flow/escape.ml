@@ -1,5 +1,6 @@
 open Pacor_geom
 open Pacor_grid
+open Pacor_graphs
 module W = Pacor_route.Workspace
 module Stats = Pacor_route.Search_stats
 
@@ -28,13 +29,24 @@ let role_ordinary = Mcmf_grid.role_ordinary (* free interior transit cell *)
 let role_pin = Mcmf_grid.role_pin (* candidate control pin: sink only *)
 let role_start = Mcmf_grid.role_start (* claimed cell usable as some cluster's source *)
 
+(* The pin and start overlay of a role layer: later writes win, and the
+   writes are guarded by [free_i] so a blocked cell stays excluded. *)
+let overlay_roles ~grid roles ~pins requests =
+  let set role p =
+    if Routing_grid.in_bounds grid p then begin
+      let i = Routing_grid.index grid p in
+      if Routing_grid.free_i grid i then Packed_roles.set roles i role
+    end
+  in
+  List.iter (fun r -> List.iter (set role_start) r.start_cells) requests;
+  List.iter (set role_pin) pins
+
 (* Dense role layer indexed by [Routing_grid.index]: the
    O(log n)-per-probe [Point.Set.mem] lookups of the old builder become
-   one two-bit read per cell and per neighbour. The overlay order below
-   realises the precedence: later writes win, and the pin/start writes
-   are guarded by [free_i] so a blocked cell stays excluded. The backing
-   bytes come from the workspace scratch pool when one is supplied, so
-   repeated escape solves on a warm workspace allocate nothing. *)
+   one two-bit read per cell and per neighbour. The overlay order
+   realises the precedence. The backing bytes come from the workspace
+   scratch pool when one is supplied, so repeated escape solves on a warm
+   workspace allocate nothing. *)
 let compute_roles ?workspace ~grid ~claimed ~pins requests =
   let cells = Routing_grid.cells grid in
   let roles =
@@ -50,24 +62,28 @@ let compute_roles ?workspace ~grid ~claimed ~pins requests =
        if Routing_grid.in_bounds grid p then
          Packed_roles.set roles (Routing_grid.index grid p) role_excluded)
     claimed;
-  List.iter
-    (fun r ->
-       List.iter
-         (fun p ->
-            if Routing_grid.in_bounds grid p then begin
-              let i = Routing_grid.index grid p in
-              if Routing_grid.free_i grid i then Packed_roles.set roles i role_start
-            end)
-         r.start_cells)
-    requests;
-  List.iter
-    (fun p ->
-       if Routing_grid.in_bounds grid p then begin
-         let i = Routing_grid.index grid p in
-         if Routing_grid.free_i grid i then Packed_roles.set roles i role_pin
-       end)
-    pins;
+  overlay_roles ~grid roles ~pins requests;
   roles
+
+(* Two [compute_roles] layers of one grid and [claimed] differ only on
+   pins and start cells, so one becomes the other by resetting
+   [from_pins] and [from]'s start cells to their claimed-or-boundary role
+   and overlaying the new pins and starts: O(pins + start cells). *)
+let retarget_roles ~grid ~claimed roles ~from_pins ~from ~pins requests =
+  let reset p =
+    if Routing_grid.in_bounds grid p then begin
+      let i = Routing_grid.index grid p in
+      let ordinary =
+        Routing_grid.free_i grid i
+        && (not (Routing_grid.on_boundary_i grid i))
+        && not (Point.Set.mem p claimed)
+      in
+      Packed_roles.set roles i (if ordinary then role_ordinary else role_excluded)
+    end
+  in
+  List.iter reset from_pins;
+  List.iter (fun r -> List.iter reset r.start_cells) from;
+  overlay_roles ~grid roles ~pins requests
 
 (* The [Mcmf_grid] network of [requests] over [roles]: a node-split grid
    (cell i -> nodes 2i / 2i+1) plus one node per request and a super
@@ -119,25 +135,92 @@ let validate ~grid ~pins requests =
          | None -> Ok ()
        end)
 
-(* One BFS step of [seed_heights] onto cell [j], with [tail] the FIFO's
-   end: an undiscovered ordinary cell gets distance [next] and joins the
-   FIFO. Returns the new end. *)
-let[@inline] seed_visit stats roles d queue next j tail =
-  Stats.touched stats;
-  if Array.unsafe_get d j < 0 && Packed_roles.get roles j = role_ordinary then begin
-    Stats.relaxed stats;
-    Stats.pushed stats;
-    Array.unsafe_set d j next;
-    Array.unsafe_set queue tail j;
-    tail + 1
-  end
-  else tail
+(* The seed BFS's word for a reached cell (int slot 4): its distance in
+   the low [label_shift] bits and, above them, the label of the pin whose
+   front reached it, so a discovered cell's word is its parent's plus
+   one. A negative word is a cell no pin reached: -1 untouched, -2 - [l]
+   labelled [l] by the grouping. *)
+let label_shift = 32
+let dist_mask = (1 lsl label_shift) - 1
 
-(* Goal-direction seed for [Mcmf_grid.seed]. In the node-split network
-   only ordinary cells transit, so every node's distance to the sink is a
-   cell distance. One multi-source BFS over cells, from the pins through
-   ordinary cells, gives [D(i)], the steps from ordinary cell [i] to the
-   nearest pin ([D] = 0 on pins), and each node's [h] follows exactly:
+(* One BFS step of [seed_bfs] from a cell with word [wu] onto cell [j],
+   with [tail] the FIFO's end: an undiscovered ordinary cell gets word
+   [wu + 1] and joins the FIFO; a reached one (ordinary or pin) whose
+   label differs joins [wu]'s region, unless both cells are pins (the
+   only cells at distance 0), which no arc links. Returns the new end. *)
+let[@inline] seed_visit roles d queue uf wu j tail =
+  let wj = Array.unsafe_get d j in
+  if wj < 0 then
+    if Packed_roles.get roles j = role_ordinary then begin
+      Array.unsafe_set d j (wu + 1);
+      Array.unsafe_set queue tail j;
+      tail + 1
+    end
+    else tail
+  else begin
+    if (wu lxor wj) lsr label_shift <> 0 && (wu lor wj) land dist_mask <> 0 then
+      ignore (Union_find.union uf (wu lsr label_shift) (wj lsr label_shift) : bool);
+    tail
+  end
+
+(* The seed's BFS, one multi-source BFS over cells from the pins through
+   ordinary cells, as one flat loop over two leased int arrays: words in
+   int slot 4 and the FIFO in slot 5, with the four neighbours written
+   out in [Routing_grid.iter_neighbours4] order, so a step costs array
+   reads and no call. Ordinary cells are interior (no role layer puts
+   one on the ring), so only a pin, at distance 0, pays a division for
+   its column and can lack a neighbour. Pins are labels
+   0 .. [npins - 1] in push order; the union-find has [spare] more. It
+   ticks the budget once per pop, the final empty one included, so a
+   budget trips where a deque BFS's would, and returns, for the caller
+   to charge, the work a deque BFS charges: one search and reset, a push
+   per pin and discovered cell, a pop per cell and a touch per in-grid
+   neighbour. *)
+let seed_bfs ws ~grid ~roles ~pins ~spare =
+  let cells = Routing_grid.cells grid in
+  let w = Routing_grid.width grid in
+  let budget = W.budget ws in
+  let d = W.scratch_int ws ~slot:4 ~cells and queue = W.scratch_int ws ~slot:5 ~cells in
+  Array.fill d 0 cells (-1);
+  let uf = Union_find.create (List.length pins + spare) in
+  let tail = ref 0 in
+  List.iter
+    (fun p ->
+       if Routing_grid.in_bounds grid p then begin
+         let i = Routing_grid.index grid p in
+         if Packed_roles.get roles i = role_pin && d.(i) < 0 then begin
+           d.(i) <- !tail lsl label_shift;
+           queue.(!tail) <- i;
+           incr tail
+         end
+       end)
+    pins;
+  let npins = !tail and head = ref 0 in
+  while Pacor_route.Budget.tick budget && !head < !tail do
+    let u = Array.unsafe_get queue !head in
+    incr head;
+    let wu = Array.unsafe_get d u in
+    let x = if wu land dist_mask = 0 then u mod w else 1 and t = !tail in
+    let t = if x + 1 < w then seed_visit roles d queue uf wu (u + 1) t else t in
+    let t = if x > 0 then seed_visit roles d queue uf wu (u - 1) t else t in
+    let t = if u + w < cells then seed_visit roles d queue uf wu (u + w) t else t in
+    tail := if u >= w then seed_visit roles d queue uf wu (u - w) t else t
+  done;
+  let touched = ref (4 * !head) in
+  for k = 0 to min !head npins - 1 do
+    let u = queue.(k) in
+    List.iter (fun off -> if off then decr touched)
+      [ u mod w = w - 1; u mod w = 0; u + w >= cells; u < w ]
+  done;
+  ( d, uf, npins,
+    { Stats.zero with
+      Stats.searches = 1; resets = 1; pops = !head; pushes = !tail; touched = !touched;
+      relaxations = !tail - npins } )
+
+(* Goal-direction seed for [Mcmf_grid.seed], read off the BFS words [d].
+   In the node-split network only ordinary cells transit, so every node's
+   distance to the sink is a cell distance: with [D(i)] the steps from
+   ordinary cell [i] to the nearest pin ([D] = 0 on pins),
    - [in(pin)] = 0, through its zero-cost arc into the sink;
    - [in(i)] = [out(i)] = [D(i)] for an ordinary cell [i];
    - [out(start)] = 1 + the least [D] over its ordinary and pin
@@ -145,60 +228,25 @@ let[@inline] seed_visit stats roles d queue next j tail =
    - a request node = the least [h] over its start cells' [out] nodes;
    - the source = the least [h] over the request nodes; the sink = 0.
    Every other node (pin [out], start [in], excluded cells, and anything
-   the BFS never reached) has no [h] and is dead.
-
-   The BFS is one flat loop over two leased int arrays, [D] in int slot 4
-   (-1 = unreached) and its FIFO in slot 5, with the four neighbours
-   written out in [Routing_grid.iter_neighbours4] order, so a step costs
-   array reads and no call. It counts as one workspace search, with the
-   counters a deque BFS charges (a push per discovered cell, a touch per
-   in-grid neighbour), and ticks the budget once per pop, the final
-   empty one included, so a budget trips where a deque BFS's would. A budget trip inside it leaves [D]
-   partial, which is harmless because every later round then fails on
-   its first pop. The returned function reads slot 4, so it stays valid
-   while the rounds search, until int slots 4–5 are next leased. *)
-let seed_heights ws ~grid ~roles ~pins requests =
+   the BFS never reached) has no [h] and is dead. A budget trip inside
+   the BFS leaves [D] partial, which is harmless because every later
+   round then fails on its first pop. *)
+let heights ~grid ~roles d requests =
   let cells = Routing_grid.cells grid in
-  let w = Routing_grid.width grid in
-  let stats = W.stats ws and budget = W.budget ws in
-  W.begin_search ws ~cells;
-  let d = W.scratch_int ws ~slot:4 ~cells and queue = W.scratch_int ws ~slot:5 ~cells in
-  Array.fill d 0 cells (-1);
-  let tail = ref 0 in
-  List.iter
-    (fun p ->
-       if Routing_grid.in_bounds grid p then begin
-         let i = Routing_grid.index grid p in
-         if Packed_roles.get roles i = role_pin && d.(i) <> 0 then begin
-           Stats.pushed stats;
-           d.(i) <- 0;
-           queue.(!tail) <- i;
-           incr tail
-         end
-       end)
-    pins;
-  let head = ref 0 in
-  while Pacor_route.Budget.tick budget && !head < !tail do
-    let u = Array.unsafe_get queue !head in
-    incr head;
-    Stats.popped stats;
-    let next = Array.unsafe_get d u + 1 and x = u mod w in
-    let t = !tail in
-    let t = if x + 1 < w then seed_visit stats roles d queue next (u + 1) t else t in
-    let t = if x > 0 then seed_visit stats roles d queue next (u - 1) t else t in
-    let t = if u + w < cells then seed_visit stats roles d queue next (u + w) t else t in
-    tail := if u >= w then seed_visit stats roles d queue next (u - w) t else t
-  done;
+  let dist i =
+    let w = Array.unsafe_get d i in
+    if w < 0 then -1 else w land dist_mask
+  in
   let h_in i =
     let r = Packed_roles.get roles i in
-    if r = role_pin then 0 else if r = role_ordinary then d.(i) else -1
+    if r = role_pin then 0 else if r = role_ordinary then dist i else -1
   in
   (* The lesser of two heights, where a negative one is missing. *)
   let least a b = if a < 0 || (b >= 0 && b < a) then b else a in
   let best = ref (-1) in
   let h_out i =
     let r = Packed_roles.get roles i in
-    if r = role_ordinary then d.(i)
+    if r = role_ordinary then dist i
     else if r = role_start then begin
       best := -1;
       Routing_grid.iter_neighbours4 grid i (fun j -> best := least !best (h_in j));
@@ -224,32 +272,53 @@ let seed_heights ws ~grid ~roles ~pins requests =
     else if v = base + nreq then h_source
     else 0
 
-(* Escape groups for [solve_once]: requests whose reachable regions share
-   no cell cannot exchange flow. Cells are linked by the symmetric closure
-   of the network's cell-to-cell arcs — a cell with out-arcs
-   (ordinary or start) to an enterable neighbour (ordinary or pin) — and
-   each request fuses the regions of all its live (role start) cells. A
-   pin is linked to its neighbours on every side, so it fuses the regions
-   around it even though flow can only end there: the grouping is
-   conservative, never finer than the flow allows. Each region is one
-   flood fill from a request's first unlabelled live start cell, labelling
-   cells in [comp] (workspace int slot 4) with slot 5 as the stack; a
-   small union-find over region ids records the fusions. Returns [None]
-   for at most one group, else each request's group (groups numbered in
-   first-request order; a request with no live start rides with group 0,
-   where its subsolve fails it as the joint solve would) and each group's
-   pins in input order (a pin no live request can reach is dropped: it
-   carries no flow). *)
-let group_requests ?workspace ~grid ~roles ~pins req_arr =
-  let cells = Routing_grid.cells grid in
-  let nreq = Array.length req_arr in
-  let comp, stack =
-    match workspace with
-    | Some ws -> (W.scratch_int ws ~slot:4 ~cells, W.scratch_int ws ~slot:5 ~cells)
-    | None -> (Array.make cells 0, Array.make cells 0)
-  in
-  Array.fill comp 0 cells (-1);
+let seed_heights ws ~grid ~roles ~pins requests =
+  let d, _, _, work = seed_bfs ws ~grid ~roles ~pins ~spare:0 in
+  Stats.charge (W.stats ws) work;
+  heights ~grid ~roles d requests
+
+(* Escape groups for [solve_once] (see the interface for the linking
+   rule), read off the seed BFS's labels: the BFS has already united the
+   regions of the pins it reached. What is left is O(start cells) but
+   for pockets: a live start is a fresh label joined with those of its
+   ordinary and pin neighbours, an ordinary neighbour no pin reached
+   first floods its pinless pocket under a fresh label (slot 5 is the
+   stack), and a request joins its starts. Pocket and start cells keep
+   their label as a negative word, which [heights] reads as unreached (a
+   start's own word is never read). *)
+let group_requests ws ~grid ~roles ~pins requests =
+  let nstarts = List.fold_left (fun acc r -> acc + List.length r.start_cells) 0 requests in
+  (* Fresh labels: at most four pockets and one own label per start. *)
+  let d, uf, npins, work = seed_bfs ws ~grid ~roles ~pins ~spare:(5 * nstarts) in
+  let h = heights ~grid ~roles d requests in
   let role i = Packed_roles.get roles i in
+  let nlabels = ref npins in
+  let fresh () = incr nlabels; !nlabels - 1 in
+  let label w = if w >= 0 then w lsr label_shift else -2 - w in
+  let stack = W.scratch_int ws ~slot:5 ~cells:(Routing_grid.cells grid) in
+  let sp = ref 0 in
+  let mark l j = d.(j) <- -2 - l; stack.(!sp) <- j; incr sp in
+  let flood s l =
+    mark l s;
+    while !sp > 0 do
+      decr sp;
+      Routing_grid.iter_neighbours4 grid stack.(!sp) (fun j ->
+        if d.(j) = -1 && role j = role_ordinary then mark l j)
+    done
+  in
+  let start_label i =
+    if d.(i) = -1 then begin
+      let l = fresh () in
+      d.(i) <- -2 - l;
+      Routing_grid.iter_neighbours4 grid i (fun j ->
+        let r = role j in
+        if r = role_ordinary || r = role_pin then begin
+          if d.(j) = -1 then flood j (fresh ());
+          ignore (Union_find.union uf l (label d.(j)) : bool)
+        end)
+    end;
+    label d.(i)
+  in
   let index_with_role r p =
     if Routing_grid.in_bounds grid p then begin
       let i = Routing_grid.index grid p in
@@ -257,97 +326,54 @@ let group_requests ?workspace ~grid ~roles ~pins req_arr =
     end
     else -1
   in
-  let transit r = r = role_ordinary || r = role_start in
-  let enterable r = r = role_ordinary || r = role_pin in
-  (* At most one region per live start cell. *)
-  let region_parent =
-    Array.make (Array.fold_left (fun acc r -> acc + List.length r.start_cells) 0 req_arr) 0
+  let first r =
+    List.fold_left
+      (fun l p ->
+         let i = index_with_role role_start p in
+         if i < 0 then l
+         else if l < 0 then start_label i
+         else (ignore (Union_find.union uf l (start_label i) : bool); l))
+      (-1) r.start_cells
   in
-  let nregions = ref 0 in
-  let sp = ref 0 in
-  let push j =
-    comp.(j) <- !nregions;
-    stack.(!sp) <- j;
-    incr sp
+  let firsts = Array.of_list (List.map first requests) in
+  let gid_of_root = Array.make !nlabels (-1) and ngroups = ref 0 in
+  let gid =
+    Array.map
+      (fun l ->
+         if l < 0 then 0
+         else begin
+           let root = Union_find.find uf l in
+           if gid_of_root.(root) < 0 then begin
+             gid_of_root.(root) <- !ngroups;
+             incr ngroups
+           end;
+           gid_of_root.(root)
+         end)
+      firsts
   in
-  let ru = ref role_excluded in
-  let visit j =
-    if comp.(j) < 0 then begin
-      let rj = role j in
-      if (transit !ru && enterable rj) || (transit rj && enterable !ru) then push j
-    end
-  in
-  let flood s =
-    region_parent.(!nregions) <- !nregions;
-    push s;
-    while !sp > 0 do
-      decr sp;
-      let u = stack.(!sp) in
-      ru := role u;
-      Routing_grid.iter_neighbours4 grid u visit
-    done;
-    incr nregions
-  in
-  let rec find r =
-    let p = region_parent.(r) in
-    if p = r then r
-    else begin
-      let root = find p in
-      region_parent.(r) <- root;
-      root
-    end
-  in
-  let first = Array.make nreq (-1) in
-  Array.iteri
-    (fun k r ->
-       List.iter
-         (fun p ->
-            let i = index_with_role role_start p in
-            if i >= 0 then begin
-              if comp.(i) < 0 then flood i;
-              if first.(k) < 0 then first.(k) <- comp.(i)
-              else begin
-                let a = find first.(k) and b = find comp.(i) in
-                if a <> b then region_parent.(b) <- a
-              end
-            end)
-         r.start_cells)
-    req_arr;
-  let gid_of_root = Array.make !nregions (-1) in
-  let ngroups = ref 0 in
-  let gid = Array.make nreq 0 in
-  Array.iteri
-    (fun k r ->
-       if r >= 0 then begin
-         let root = find r in
-         if gid_of_root.(root) < 0 then begin
-           gid_of_root.(root) <- !ngroups;
-           incr ngroups
-         end;
-         gid.(k) <- gid_of_root.(root)
-       end)
-    first;
-  if !ngroups <= 1 then None
+  if !ngroups <= 1 then begin
+    Stats.charge (W.stats ws) work;
+    (h, None)
+  end
   else begin
     let group_pins = Array.make !ngroups [] in
     List.iter
       (fun p ->
          let i = index_with_role role_pin p in
-         if i >= 0 && comp.(i) >= 0 then begin
-           let g = gid_of_root.(find comp.(i)) in
-           group_pins.(g) <- p :: group_pins.(g)
+         if i >= 0 then begin
+           let g = gid_of_root.(Union_find.find uf (label d.(i))) in
+           if g >= 0 then group_pins.(g) <- p :: group_pins.(g)
          end)
       (List.rev pins);
-    Some (gid, group_pins)
+    (h, Some (gid, group_pins))
   end
 
 (* One min-cost-flow solve over one joint network, no decomposition:
-   [solve_once] composes these. Inputs are assumed validated; [roles] is
-   [compute_roles] of exactly these pins and requests. The solve is
-   seeded ([seed_heights]) whenever there are two or more requests; one
-   request is a single shortest-path search with nothing to amortise the
-   seed over. *)
-let solve_joint ~alive ?workspace ~grid ~roles ~pins requests =
+   [solve_once] composes these, and each adds its routed requests to
+   [routed_tbl]. Inputs are assumed validated; [roles] is [compute_roles]
+   of exactly these requests and their pins, and [seed], when given, is
+   [seed_heights] of them. *)
+let solve_joint ~alive ws ~grid ~roles ~seed requests routed_tbl =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
   let beta = (4 * cells) + 16 in
@@ -355,9 +381,8 @@ let solve_joint ~alive ?workspace ~grid ~roles ~pins requests =
      threshold: augment while a path still costs less than beta, which is
      larger than any possible augmenting-path cost — so the flow first
      maximises the number of routed clusters, then total length. *)
-  let ws = match workspace with Some ws -> ws | None -> W.create () in
   let net = grid_network ~workspace:ws ~grid ~roles requests in
-  if nreq >= 2 then Mcmf_grid.seed net ~h:(seed_heights ws ~grid ~roles ~pins requests);
+  Option.iter (fun h -> Mcmf_grid.seed net ~h) seed;
   let (_ : Mcmf_grid.outcome) =
     Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
   in
@@ -365,7 +390,6 @@ let solve_joint ~alive ?workspace ~grid ~roles ~pins requests =
   (* Map each unit path back to its request (second node is the cluster
      node) and to grid points (in/out pairs collapse). *)
   let request_arr = Array.of_list requests in
-  let routed_tbl = Hashtbl.create 16 in
   List.iter
     (fun nodes ->
        match nodes with
@@ -397,78 +421,50 @@ let solve_joint ~alive ?workspace ~grid ~roles ~pins requests =
             Hashtbl.replace routed_tbl req.cluster_idx
               { idx = req.cluster_idx; start_cell = first; pin = Path.target path; path })
        | _ -> ())
-    node_paths;
-  let routed =
-    List.filter_map (fun r -> Hashtbl.find_opt routed_tbl r.cluster_idx) requests
-  in
-  let failed =
-    List.filter_map
-      (fun r ->
-         if Hashtbl.mem routed_tbl r.cluster_idx then None else Some r.cluster_idx)
-      requests
-  in
-  let total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed in
-  { routed; failed; total_length }
+    node_paths
 
-(* Independent escape subnetworks. Two requests whose reachable regions
-   share no cell cannot exchange flow: the min-cost-flow over the joint
-   network is exactly the union of the flows over the per-group
-   subnetworks. [solve_once] finds the groups ([group_requests]), and when
-   there are at least two it solves each subinstance separately, in group
-   order on the caller's workspace: requests and pins keep input order
-   within their group, and groups merge in first-request order.
-
-   The single-group case (the common one: chips have connected free
-   space) runs the historical joint solve, byte-for-byte. Decomposition
-   is disabled when the caller's workspace carries real budget limits, so
-   a budgeted solve keeps the joint solve's operation order and trips
-   its budget at the same point. *)
+(* Independent escape subnetworks: requests whose reachable regions share
+   no cell cannot exchange flow, so the joint min-cost flow is the union
+   of the per-group flows. With two or more groups ([group_requests], on
+   the joint seed's BFS) each is solved in turn on one workspace, over
+   the joint role layer retargeted to it and restored after; requests and
+   pins keep input order within their group. One group (the common case:
+   chips have connected free space) is the joint solve on that BFS. A
+   solve of two or more requests is seeded; one request is a single
+   shortest-path search with nothing to amortise the seed over. Under
+   real budget limits nothing is grouped, so a budgeted solve trips its
+   budget where the joint solve does. *)
 let solve_once ~alive ?workspace ~grid ~claimed ~pins requests =
+  let ws = match workspace with Some ws -> ws | None -> W.create () in
+  let roles = compute_roles ~workspace:ws ~grid ~claimed ~pins requests in
+  let tbl = Hashtbl.create 16 in
+  let solve ~seed reqs = solve_joint ~alive ws ~grid ~roles ~seed reqs tbl in
+  let seeded reqs = List.compare_length_with reqs 2 >= 0 in
+  let seed ~pins reqs =
+    if seeded reqs then Some (seed_heights ws ~grid ~roles ~pins reqs) else None
+  in
   let budget_free =
-    match workspace with
-    | None -> true
-    | Some ws -> Pacor_route.Budget.is_no_limits (Pacor_route.Budget.limits_of (W.budget ws))
+    Pacor_route.Budget.is_no_limits (Pacor_route.Budget.limits_of (W.budget ws))
   in
-  let req_arr = Array.of_list requests in
-  let roles = compute_roles ?workspace ~grid ~claimed ~pins requests in
-  let groups =
-    if budget_free && Array.length req_arr >= 2 then
-      group_requests ?workspace ~grid ~roles ~pins req_arr
-    else None
-  in
-  match groups with
-  | None -> solve_joint ~alive ?workspace ~grid ~roles ~pins requests
-  | Some (gid, group_pins) ->
-    let ws = match workspace with Some ws -> ws | None -> W.create () in
-    let ng = Array.length group_pins in
-    let group_reqs = Array.make ng [] in
-    for k = Array.length req_arr - 1 downto 0 do
-      group_reqs.(gid.(k)) <- req_arr.(k) :: group_reqs.(gid.(k))
-    done;
-    let tbl = Hashtbl.create 16 in
-    let total = ref 0 in
-    for g = 0 to ng - 1 do
-      let roles =
-        compute_roles ~workspace:ws ~grid ~claimed ~pins:group_pins.(g) group_reqs.(g)
-      in
-      let out =
-        solve_joint ~alive ~workspace:ws ~grid ~roles ~pins:group_pins.(g) group_reqs.(g)
-      in
-      List.iter (fun r -> Hashtbl.replace tbl r.idx r) out.routed;
-      total := !total + out.total_length
-    done;
-    let routed =
+  (if not (budget_free && seeded requests) then solve ~seed:(seed ~pins requests) requests
+   else
+     match group_requests ws ~grid ~roles ~pins requests with
+     | h, None -> solve ~seed:(Some h) requests
+     | _, Some (gid, group_pins) ->
+       Array.iteri
+         (fun g gpins ->
+            let greqs = List.filteri (fun k _ -> gid.(k) = g) requests in
+            retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins:gpins greqs;
+            solve ~seed:(seed ~pins:gpins greqs) greqs)
+         group_pins;
+       retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins requests);
+  let routed = List.filter_map (fun r -> Hashtbl.find_opt tbl r.cluster_idx) requests in
+  { routed;
+    failed =
       List.filter_map
-        (fun (r : request) -> Hashtbl.find_opt tbl r.cluster_idx)
-        requests
-    in
-    let failed =
-      List.filter_map
-        (fun (r : request) ->
-          if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
-        requests
-    in
-    { routed; failed; total_length = !total }
+        (fun r -> if Hashtbl.mem tbl r.cluster_idx then None else Some r.cluster_idx)
+        requests;
+    total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed }
 
 let route ?(alive = fun () -> true) ?workspace ~grid ~claimed ~pins requests =
   match validate ~grid ~pins requests with

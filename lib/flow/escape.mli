@@ -107,6 +107,25 @@ val compute_roles :
 (** Cell roles, highest precedence first: blocked, pin, start, claimed,
     boundary, ordinary. With a workspace the layer aliases byte slot 0. *)
 
+val retarget_roles :
+  grid:Routing_grid.t ->
+  claimed:Point.Set.t ->
+  Packed_roles.t ->
+  from_pins:Point.t list ->
+  from:request list ->
+  pins:Point.t list ->
+  request list ->
+  unit
+(** [retarget_roles ~grid ~claimed roles ~from_pins ~from ~pins requests]
+    rewrites each cell of [from_pins] and of [from]'s start cells to its
+    role in [compute_roles ~grid ~claimed ~pins requests] and leaves every
+    other cell as it is, in O(pins + start cells). So when [roles] is
+    [compute_roles ~grid ~claimed ~pins:from_pins from] (or a layer
+    retargeted from it) and [pins] and [requests]' start cells are among
+    [from_pins] and [from]'s, [roles] becomes exactly the
+    [compute_roles] of [pins] and [requests]: how {!route} edits the
+    joint layer for each group's subsolve and restores it afterwards. *)
+
 val grid_network :
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
@@ -124,21 +143,27 @@ val seed_heights :
   request list ->
   int ->
   int
-(** Runs the seed's BFS over cells (one search on the workspace, on its
-    int slots 4 and 5) and returns each node's exact distance to the
-    sink, negative when it cannot reach it: the [h] for
-    {!Mcmf_grid.seed}. It reads slot 4, so it stays valid across the
-    solve's rounds, until int slots 4–5 are next leased (the next seed
-    or grouping on the workspace). *)
+(** Runs the seed's BFS over cells, from the pins through ordinary cells
+    (one search on the workspace, on its int slots 4 and 5), and returns
+    each node's exact distance to the sink, negative when it cannot reach
+    it: the [h] for {!Mcmf_grid.seed}. Each reached cell's slot-4 word
+    also carries the label of the pin whose front reached it, which
+    {!group_requests} reads. [h] reads slot 4, so it stays valid across
+    the solve's rounds, until int slots 4–5 are next leased (the next
+    seed on the workspace). *)
 
 val group_requests :
-  ?workspace:Pacor_route.Workspace.t ->
+  Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   roles:Packed_roles.t ->
   pins:Point.t list ->
-  request array ->
-  (int array * Point.t list array) option
-(** The groups {!route} solves separately: [None] for at most one, else
-    each request's group (first-request order; a request without a live
-    start cell is in group 0) and each group's pins in input order. With
-    a workspace the fill uses int slots 4 and 5. *)
+  request list ->
+  (int -> int) * (int array * Point.t list array) option
+(** {!seed_heights} of all the requests, and the groups {!route} solves
+    separately, read off the BFS's labels with O(start cells) more work
+    (plus a flood of any pinless pocket beside a live start): [None] for
+    at most one, else each request's group (first-request order; a
+    request without a live start cell is in group 0) and each group's
+    pins in input order. With groups the BFS's search work is not
+    charged: the groups' own seeds charge theirs. Meant for a workspace
+    without budget limits, where the BFS's ticks charge nothing. *)

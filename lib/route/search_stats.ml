@@ -55,6 +55,17 @@ let snapshot (t : t) : snapshot =
     grid_allocs = t.grid_allocs;
   }
 
+(* Adds [s] field by field, for work counted off the counters. *)
+let charge (t : t) (s : snapshot) =
+  t.searches <- t.searches + s.searches;
+  t.refused <- t.refused + s.refused;
+  t.pops <- t.pops + s.pops;
+  t.pushes <- t.pushes + s.pushes;
+  t.touches <- t.touches + s.touched;
+  t.relaxations <- t.relaxations + s.relaxations;
+  t.resets <- t.resets + s.resets;
+  t.grid_allocs <- t.grid_allocs + s.grid_allocs
+
 let zero =
   { searches = 0; refused = 0; pops = 0; pushes = 0; touched = 0; relaxations = 0; resets = 0;
     grid_allocs = 0 }

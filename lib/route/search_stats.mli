@@ -41,6 +41,12 @@ val grid_alloc_noted : t -> unit
 
 val snapshot : t -> snapshot
 
+val charge : t -> snapshot -> unit
+(** [charge t s] adds every count of [s] to [t]: for a search that tallies
+    its work in locals and charges it once, or only when the caller keeps
+    its result (the escape stage's seed BFS, which is not charged when it
+    finds independent groups that are then solved one by one). *)
+
 val zero : snapshot
 
 val diff : snapshot -> snapshot -> snapshot

@@ -28,6 +28,10 @@ type t = {
      the borrower writes each element before it reads it. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
+  (* [Routing_grid.fill_interior_free] of [mask_grid], which reads so
+     between borrows (see [with_interior_free_mask]). *)
+  mutable mask : Bytes.t;
+  mutable mask_grid : Pacor_grid.Routing_grid.t option;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
   pq : Pacor_graphs.Pqueue.t;
@@ -71,6 +75,8 @@ let create ?stats () =
     claim_epoch = 1;
     scratch_ints = Array.make scratch_slots [||];
     scratch_bs = Array.make scratch_byte_slots Bytes.empty;
+    mask = Bytes.empty;
+    mask_grid = None;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
     dq = [||];
@@ -312,3 +318,34 @@ let scratch_bytes t ~slot ~len =
     Search_stats.grid_alloc_noted t.stats
   end;
   t.scratch_bs.(slot)
+
+(* A grid's static map never changes once the grid is built (overlays
+   make new grids), so a mask built for the same grid, by physical
+   identity, is still exact. Int slot 5 lists the cells [clear] turned
+   from usable to clear, each once, so they fit in [cells]. *)
+let with_interior_free_mask t grid ~clear f =
+  let cells = Pacor_grid.Routing_grid.cells grid in
+  (match t.mask_grid with
+   | Some g when g == grid -> ()
+   | Some _ | None ->
+     if Bytes.length t.mask < cells then begin
+       t.mask <- Bytes.create (grown (Bytes.length t.mask) cells);
+       Search_stats.grid_alloc_noted t.stats
+     end;
+     Pacor_grid.Routing_grid.fill_interior_free grid t.mask;
+     t.mask_grid <- Some grid);
+  let mask = t.mask and cleared = scratch_int t ~slot:5 ~cells in
+  let n = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      for k = 0 to !n - 1 do
+        Bytes.unsafe_set mask cleared.(k) '\001'
+      done)
+    (fun () ->
+      clear (fun i ->
+        if Bytes.get mask i = '\001' then begin
+          Bytes.unsafe_set mask i '\000';
+          cleared.(!n) <- i;
+          incr n
+        end);
+      f mask)

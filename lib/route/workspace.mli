@@ -182,23 +182,25 @@ val prepare : t -> cells:int -> unit
       arrays. They belong to {!Negotiation} alone and read zero, over
       their whole length, between its calls: each call zeroes the cells
       it wrote before it returns or raises, so it never fills the grid;
-    - int slots 4 and 5: the escape grouping's flood fill
-      ([Pacor_flow.Escape.group_requests]), labels in 4 and the stack in
-      5, and then each seed's BFS ([Pacor_flow.Escape.seed_heights]),
-      distances in 4 and the FIFO in 5, one int per cell. The grouping
-      is read out before any seed runs, and a seed's distances are read
-      until its solve returns;
+    - int slots 4 and 5: each escape seed's BFS
+      ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4 a
+      word per cell, its distance to the nearest pin with the label of
+      that pin's front above it, and in slot 5 the FIFO. The grouping
+      ([Pacor_flow.Escape.group_requests]) reads the labels right after
+      the joint seed's BFS, writes pocket and start labels into slot 4
+      and floods pinless pockets with slot 5 as its stack. A seed's slot
+      4 is read until its solve returns. Slot 5 also lists the cells
+      {!with_interior_free_mask} cleared, while its [f] runs;
     - int slot 6 and byte slots 1–2: the escape flow network's state
       ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and node
       states (byte slot 2: unseen, dead or live), one per node, and the
       per-cell flow bits (byte slot 1). Slot 6 is never zero-filled: a
       node's potential is written when its state leaves unseen;
     - byte slot 0: the escape stage's packed cell roles, which the flow
-      network reads while it solves;
-    - byte slot 3: the refinement stages' usable-cell mask, one byte per
-      cell, for the single-cluster escape search and the detour stage
-      ([Pacor.Escape_stage.single], [Pacor.Detour_stage]), which never
-      run nested. *)
+      network reads while it solves; group subsolves retarget the joint
+      layer in place and restore it;
+    - byte slot 3: the detour stage's usable-cell mask, one byte per
+      cell ([Pacor.Detour_stage]). *)
 
 val scratch_slots : int
 (** Number of independent int slots (currently 7). *)
@@ -211,3 +213,17 @@ val scratch_byte_slots : int
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)
+
+val with_interior_free_mask :
+  t -> Pacor_grid.Routing_grid.t -> clear:((int -> unit) -> unit) -> (Bytes.t -> 'a) -> 'a
+(** [with_interior_free_mask t grid ~clear f] is [f mask], where [mask]
+    holds [Routing_grid.fill_interior_free grid] ('\001' for a free
+    interior cell) minus the cells [clear] passes to its argument, by
+    dense index. The workspace keeps the mask between calls and refills
+    it only when [grid] is not the previous call's grid (by physical
+    identity), which is sound because a grid's static map never changes
+    once built. The cleared cells are listed in int slot 5 and set back
+    when [f] returns or raises, so a call costs O(cleared), not O(grid):
+    the rematch pass's single escapes ([Pacor.Escape_stage.single]) clear
+    their claimed cells this way. Not re-entrant, and [f] must not lease
+    int slot 5. *)

@@ -232,6 +232,31 @@ for name in Chip1 Chip2 Scaled2 Scaled3; do
   fi
 done
 
+echo "== search counters under a budget: Chip1 route --max-expansions 40000 --verbose =="
+# The cap trips inside the first escape solve, after the negotiation
+# stage's searches, so these lines pin where each stage charges the
+# budget: a seed BFS or grouping that ticked, pushed or touched in a new
+# order would move the escape line. The degraded route leaves clusters
+# without a pin and fails validation (exit 1).
+rc=0
+./_build/default/bin/pacor_cli.exe route -d Chip1 --max-expansions 40000 --verbose \
+  > "$svgdir/Chip1-budget.out" 2> /dev/null || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "budget pin: Chip1 --max-expansions 40000 exited $rc, expected 1" >&2
+  exit 1
+fi
+cat > "$svgdir/Chip1-budget.search" <<'PINS'
+search lm-routing     searches=121 refused=0 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
+search escape         searches=1 refused=0 pops=38717 pushes=39531 touched=154308 relax=38975 resets=1
+search total          searches=122 refused=0 pops=40000 pushes=41978 touched=158952 relax=41842 resets=123
+PINS
+sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/Chip1-budget.out" > "$svgdir/Chip1-budget.got"
+if ! cmp -s "$svgdir/Chip1-budget.search" "$svgdir/Chip1-budget.got"; then
+  echo "budget pin: Chip1 --max-expansions 40000 search lines differ from the pins:" >&2
+  diff "$svgdir/Chip1-budget.search" "$svgdir/Chip1-budget.got" >&2 || true
+  exit 1
+fi
+
 echo "== fault-sweep smoke + BENCH_fault.json drift check =="
 faultjson=$(mktemp)
 ./_build/default/bench/main.exe --fault-sweep --smoke --json-out "$faultjson" > /dev/null

@@ -170,7 +170,8 @@ let deque_seed ws ~grid ~roles ~pins (requests : Escape.request list) =
 
 (* Union-find over every cell, linking exactly the cell pairs
    [emit_network] connects, then fusing each request's live start
-   cells: the oracle for [Escape.group_requests], same result type. *)
+   cells: the oracle for the groups [Escape.group_requests] returns,
+   same type. *)
 let union_find_groups ~grid ~roles ~pins req_arr =
   let cells = Routing_grid.cells grid in
   let role i = Packed_roles.get roles i in

@@ -1013,24 +1013,35 @@ type oracle_instance = {
 }
 
 let prop_escape_matches_oracles =
-  (* The cell-level seed, the flood-fill grouping and the whole route
-     against the split-graph seed, the cell union-find and a route built
-     from them (test/escape_oracle.ml), on random grids with obstacles,
-     claimed blocks and 2-6 requests. Two thirds of the grids get an
-     obstacle wall that splits them into two regions (several groups);
-     half of those get a pin on the wall's boundary end whose two boundary
-     neighbours are start cells of requests 0 and 1 on either side, so
-     the pin touches both regions and fuses them. Some instances also
-     list a pin as a start cell. One workspace serves every grouping call,
-     so its leased slots are always dirty. The route runs on a fresh
-     workspace and then twice more on one workspace reused across every
-     instance (and so dirty from earlier instances). Every run must match
-     the oracle route's paths and search count, and the reused runs must
-     match the fresh run on every search counter but [grid_allocs]
-     (allocation events measure workspace warmth, not the search). The
-     other counters cannot be held to the oracle: its seed is a BFS over
-     the node-split graph, which pops two nodes per cell and counts no
-     touches. *)
+  (* The cell-level seed, the grouping read off its labelled BFS and the
+     whole route against the split-graph seed, the cell union-find and a
+     route built from them (test/escape_oracle.ml), on random grids with
+     obstacles, claimed blocks and 2-6 requests. Two thirds of the grids
+     get an obstacle wall that splits them into two regions (several
+     groups). A third of those get a pin on the wall's boundary end whose
+     two boundary neighbours are start cells of requests 0 and 1 on either
+     side, so the pin touches both regions and fuses them; another third
+     get two adjacent pins on the ring above the wall's end, each touching
+     only a start cell of request 0 or 1 on its own side, so pin–pin
+     adjacency must not fuse the regions. Adversarial extras, each on
+     about half the instances: an obstacle box whose pinless pocket is
+     entered through a start cell on its side and holds another request's
+     start cell; a start cell walled in by obstacles (no ordinary or pin
+     neighbour); adjacent start cells of two requests; a start cell listed
+     by two requests; a pin listed twice; a pin sealed off by an obstacle,
+     which no request reaches. Some instances also list a pin as a start
+     cell. The grouping's heights must equal the deque BFS oracle's
+     ([Escape_oracle.deque_seed]), with its counters charged when it finds
+     one group and none when it finds several. One workspace serves every
+     grouping call, so its leased slots are always dirty. The route runs
+     on a fresh workspace and then twice more on one workspace reused
+     across every instance (and so dirty from earlier instances). Every
+     run must match the oracle route's paths and search count, and the
+     reused runs must match the fresh run on every search counter but
+     [grid_allocs] (allocation events measure workspace warmth, not the
+     search). The other counters cannot be held to the oracle: its seed
+     is a BFS over the node-split graph, which pops two nodes per cell and
+     counts no touches. *)
   let gen =
     QCheck.Gen.(
       let* ow = int_range 8 14 and* oh = int_range 8 14 in
@@ -1040,7 +1051,6 @@ let prop_escape_matches_oracles =
       in
       let* wall = int_range 0 2 in
       let* c = int_range 3 (ow - 4) in
-      let* bridge = bool in
       let wall_cells = if wall > 0 then List.init (oh - 2) (fun k -> Point.make c (k + 1)) else [] in
       let* n_obs = int_range 0 8 in
       let* obs = list_size (return n_obs) interior in
@@ -1072,33 +1082,87 @@ let prop_escape_matches_oracles =
                    List.init h (fun dy -> Point.make (p.Point.x + dx) (p.Point.y + dy))))))
       in
       let* pin_start = bool and* pin_pick = int_range 0 5 and* req_pick = int_range 0 5 in
+      let* wall_end = int_range 0 2 in
+      let* box = int_range 0 3 and* bx = int_range 1 (ow - 6) and* by = int_range 2 (oh - 6) in
+      let* walled = bool and* wx = int_range 2 (ow - 3) and* wy = int_range 2 (oh - 3) in
+      let* adjacent = bool and* ax = int_range 1 (ow - 3) and* ay = int_range 1 (oh - 2) in
+      let* dup_start = bool and* dup_pin = bool in
+      let* sealed = bool and* sx = int_range 1 (ow - 2) in
       let raw = Array.of_list raw in
-      let bridged = wall > 0 && bridge in
+      let add k p = raw.(k mod n_req) <- p :: raw.(k mod n_req) in
+      (* The wall's top end: a pin on the ring fusing two starts across it
+         (1), or two adjacent ring pins, one per side (2). *)
+      let bridged = wall > 0 && wall_end = 1 and paired = wall > 0 && wall_end = 2 in
       if bridged then begin
-        raw.(0) <- Point.make (c - 1) 0 :: raw.(0);
-        raw.(1) <- Point.make (c + 1) 0 :: raw.(1)
+        add 0 (Point.make (c - 1) 0);
+        add 1 (Point.make (c + 1) 0)
       end;
-      let pins = if bridged then Point.make c 0 :: pins else pins in
+      let wall_cells =
+        if paired then begin
+          add 0 (Point.make (c - 1) 1);
+          add 1 (Point.make c 1);
+          List.filter (fun (p : Point.t) -> p.y > 1) wall_cells
+        end
+        else wall_cells
+      in
+      let pins =
+        if bridged then Point.make c 0 :: pins
+        else if paired then Point.make (c - 1) 0 :: Point.make c 0 :: pins
+        else pins
+      in
+      let pins = if sealed then Point.make sx (oh - 1) :: pins else pins in
       let pins = List.sort_uniq Point.compare pins in
       if pin_start then begin
         let p = List.nth pins (pin_pick mod List.length pins) in
-        let k = req_pick mod n_req in
-        raw.(k) <- p :: raw.(k)
+        add req_pick p
       end;
+      (* A 4x4 obstacle box around a pinless 2x2 pocket: its left side's
+         upper middle cell is a start (a gate into the pocket) when [box]
+         is odd, and the pocket holds a start of another request when
+         [box >= 2]. *)
+      let box_cells =
+        if box = 0 then []
+        else begin
+          let gate = Point.make bx (by + 1) in
+          if box land 1 = 1 then add req_pick gate;
+          if box >= 2 then add (req_pick + 1) (Point.make (bx + 1) (by + 1));
+          List.concat
+            (List.init 4 (fun dx ->
+               List.filter_map
+                 (fun dy ->
+                   if (dx = 0 || dx = 3 || dy = 0 || dy = 3)
+                      && not (box land 1 = 1 && dx = 0 && dy = 1)
+                   then Some (Point.make (bx + dx) (by + dy))
+                   else None)
+                 [ 0; 1; 2; 3 ]))
+        end
+      in
+      let walled_cells =
+        if walled then begin
+          add (req_pick + 2) (Point.make wx wy);
+          Point.[ make (wx + 1) wy; make (wx - 1) wy; make wx (wy + 1); make wx (wy - 1) ]
+        end
+        else []
+      in
+      if adjacent then begin
+        add (req_pick + 3) (Point.make ax ay);
+        add (req_pick + 4) (Point.make (ax + 1) ay)
+      end;
+      let raw = Array.map (List.sort_uniq Point.compare) raw in
+      if dup_start then raw.(1) <- List.sort_uniq Point.compare (List.hd raw.(0) :: raw.(1));
+      let pins = if dup_pin then pins @ [ List.hd pins ] else pins in
       let starts = List.concat (Array.to_list raw) in
       let free_of_starts = List.filter (fun o -> not (List.exists (Point.equal o) starts)) in
+      let sealing = if sealed then [ Point.make sx (oh - 2) ] else [] in
       let interior_cell (p : Point.t) = p.x < ow - 1 && p.y < oh - 1 in
       return
         { ow; oh;
-          oobstacles = free_of_starts (wall_cells @ obs);
+          oobstacles = free_of_starts (wall_cells @ obs @ box_cells @ walled_cells @ sealing);
           oclaim = List.filter interior_cell (List.concat blocks);
           opins = pins;
           oreqs =
             Array.to_list
-              (Array.mapi
-                 (fun i cells ->
-                   { Escape.cluster_idx = i; start_cells = List.sort_uniq Point.compare cells })
-                 raw) })
+              (Array.mapi (fun i cells -> { Escape.cluster_idx = i; start_cells = cells }) raw) })
   in
   let pp_pts = Format.pp_print_list Point.pp in
   let print t =
@@ -1142,9 +1206,20 @@ let prop_escape_matches_oracles =
       if !bad_node >= 0 then
         QCheck.Test.fail_reportf "seed differs at node %d: cell BFS %d, split graph %d"
           !bad_node (h !bad_node) h_oracle.(!bad_node);
-      let groups =
-        Escape.group_requests ~workspace:group_ws ~grid ~roles ~pins (Array.of_list reqs)
-      in
+      let group_before = snap group_ws in
+      let h, groups = Escape.group_requests group_ws ~grid ~roles ~pins reqs in
+      let group_work = work (S.diff (snap group_ws) group_before) in
+      let deque_ws = fresh () in
+      let h_deque = Escape_oracle.deque_seed deque_ws ~grid ~roles ~pins reqs in
+      Array.iteri
+        (fun v hv ->
+          if h v <> hv then
+            QCheck.Test.fail_reportf "grouping seed differs at node %d: %d, deque oracle %d" v
+              (h v) hv)
+        h_deque;
+      let charged = if groups = None then work (snap deque_ws) else S.zero in
+      if group_work <> charged then
+        QCheck.Test.fail_reportf "grouping charged %a, expected %a" S.pp group_work S.pp charged;
       let groups_oracle = Escape_oracle.union_find_groups ~grid ~roles ~pins (Array.of_list reqs) in
       let same_groups =
         match groups, groups_oracle with
@@ -1607,12 +1682,73 @@ let prop_lazy_seed_installs_on_touch =
       if nreq >= 2 then check true;
       true)
 
+let prop_retarget_roles_matches_compute =
+  (* [Escape.retarget_roles], the group subsolves' O(pins + starts) edit of
+     the joint role layer, against [Escape.compute_roles] of the group on
+     every cell: from the joint layer to a random subset of the pins and
+     requests, from there straight to a second subset, and back to the
+     joint layer. Start cells are claimed or not at random, so a start
+     cell that leaves the layer may fall back to ordinary, and pins and
+     starts may sit on blocked cells, on the ring, or on each other. *)
+  let gen =
+    QCheck.Gen.(
+      let* w = int_range 1 10 and* h = int_range 1 10 in
+      let cell =
+        let* x = int_range 0 (w - 1) and* y = int_range 0 (h - 1) in
+        return (Point.make x y)
+      in
+      let ring = Routing_grid.boundary_points (Routing_grid.create ~width:w ~height:h ()) in
+      let* obstacles = list_size (int_range 0 (w * h / 4)) cell in
+      let* claims = list_size (int_range 0 (w * h / 3)) cell in
+      let* pins = list_size (int_range 0 6) (oneofl ring) in
+      let* reqs = list_size (int_range 1 5) (list_size (int_range 1 4) cell) in
+      let* claim_starts = list_repeat (List.length reqs) bool in
+      let* masks = list_repeat 2 (pair (list_repeat (List.length pins) bool)
+                                          (list_repeat (List.length reqs) bool)) in
+      return (w, h, obstacles, claims, pins, reqs, claim_starts, masks))
+  in
+  QCheck.Test.make ~name:"retargeted roles = compute_roles of the group" ~count:500
+    (QCheck.make gen) (fun (w, h, obstacles, claims, pins, reqs, claim_starts, masks) ->
+      let grid =
+        Routing_grid.create ~width:w ~height:h
+          ~obstacles:(List.map (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y) obstacles)
+          ()
+      in
+      let requests =
+        List.mapi (fun i start_cells -> { Escape.cluster_idx = i; start_cells }) reqs
+      in
+      let claimed =
+        Point.Set.of_list
+          (claims
+           @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
+      in
+      let pick mask l = List.filteri (fun k _ -> List.nth mask k) l in
+      let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+      let expect label ~pins requests =
+        let want = Escape.compute_roles ~grid ~claimed ~pins requests in
+        for i = 0 to Routing_grid.cells grid - 1 do
+          if Packed_roles.get roles i <> Packed_roles.get want i then
+            QCheck.Test.fail_reportf "%s: cell %d has role %d, compute_roles %d" label i
+              (Packed_roles.get roles i) (Packed_roles.get want i)
+        done
+      in
+      List.iteri
+        (fun k (pin_mask, req_mask) ->
+          let gpins = pick pin_mask pins and greqs = pick req_mask requests in
+          Escape.retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins:gpins
+            greqs;
+          expect (Printf.sprintf "subset %d" k) ~pins:gpins greqs)
+        masks;
+      Escape.retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins requests;
+      expect "restored" ~pins requests;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
       prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
       prop_implicit_network_matches_csr; prop_flat_seed_matches_deque_oracle;
-      prop_lazy_seed_installs_on_touch ]
+      prop_lazy_seed_installs_on_touch; prop_retarget_roles_matches_compute ]
 
 let () =
   Alcotest.run "flow"

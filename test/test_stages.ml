@@ -640,11 +640,78 @@ let prop_single_escape_shortest =
       | Some e, Some p -> Path.length e.Pacor_flow.Escape.path = Path.length p
       | Some _, None | None, Some _ -> false)
 
+let prop_single_mask_alternating_grids =
+  (* [Escape_stage.single] reuses the workspace's interior-free mask while
+     the grid stays the same, and clears and restores only its claimed
+     cells. One fresh workspace serves six calls that alternate between
+     two grids, of the same size half of the time, each call with its own
+     claims: every escape must match the set-predicate oracle, and after
+     every call, and after a borrower that raises, the mask must read
+     interior-free for that call's grid. *)
+  let gen =
+    QCheck.Gen.(
+      let* width = int_range 4 14 and* height = int_range 4 14 in
+      let* same_size = bool in
+      let* width' = if same_size then return width else int_range 4 14 in
+      let* height' = if same_size then return height else int_range 4 14 in
+      let side w h =
+        let cell = pair (int_range 1 (w - 2)) (int_range 1 (h - 2)) in
+        let* obstacles = list_size (int_range 0 (w * h / 4)) cell in
+        let* pins = gen_ring_pins ~width:w ~height:h in
+        let* calls =
+          list_repeat 3
+            (let* starts = list_size (int_range 1 3) cell in
+             let* claims = list_size (int_range 0 (w * h / 3)) cell in
+             return (starts, claims))
+        in
+        return (w, h, obstacles, pins, calls)
+      in
+      pair (side width height) (side width' height'))
+  in
+  QCheck.Test.make ~name:"single escape: one mask across alternating grids" ~count:200
+    (QCheck.make gen) (fun (a, b) ->
+      let ws = Pacor_route.Workspace.create () in
+      let pt (x, y) = Point.make x y in
+      let setup (w, h, obstacles, pins, calls) =
+        let obstacles = List.map (fun (x, y) -> Rect.make ~x0:x ~y0:y ~x1:x ~y1:y) obstacles in
+        (Routing_grid.create ~width:w ~height:h ~obstacles (), pins, calls)
+      in
+      let ga, pa, ca = setup a and gb, pb, cb = setup b in
+      let call (grid, pins, (starts, claims)) =
+        let start_cells = List.map pt starts in
+        let claimed = Point.Set.of_list (List.map pt (starts @ claims)) in
+        let got = Escape_stage.single ~workspace:ws ~grid ~claimed ~pins ~start_cells () in
+        let want = Refine_oracle.single ~grid ~claimed ~pins ~start_cells () in
+        if escape_key got <> escape_key want then
+          QCheck.Test.fail_report "escape differs from the set-predicate oracle";
+        let cells = Routing_grid.cells grid in
+        let fresh = Bytes.create cells in
+        Routing_grid.fill_interior_free grid fresh;
+        let mask_now () =
+          Pacor_route.Workspace.with_interior_free_mask ws grid ~clear:ignore (fun mask ->
+            Bytes.sub mask 0 cells)
+        in
+        if mask_now () <> fresh then
+          QCheck.Test.fail_report "mask not interior-free after the call";
+        (* A borrower that raises still gets its cleared cells set back. *)
+        (try
+           Pacor_route.Workspace.with_interior_free_mask ws grid
+             ~clear:(fun set -> List.iter (fun p -> set (Routing_grid.index grid (pt p))) claims)
+             (fun _ -> raise Exit)
+         with Exit -> ());
+        if mask_now () <> fresh then
+          QCheck.Test.fail_report "mask not interior-free after a raising borrower"
+      in
+      List.iter2
+        (fun x y -> call (ga, pa, x); call (gb, pb, y))
+        ca cb;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engine_routes_random_instances; prop_variants_all_valid;
       prop_refinement_masks_random_trees; prop_nearest_pin_transform;
-      prop_single_escape_shortest ]
+      prop_single_escape_shortest; prop_single_mask_alternating_grids ]
 
 let () =
   Alcotest.run "stages"
