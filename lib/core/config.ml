@@ -15,6 +15,10 @@ type t = {
   verbose : bool;
 }
 
+let log config fmt =
+  if config.verbose then Format.eprintf ("[pacor] " ^^ fmt ^^ "@.")
+  else Format.ifprintf Format.err_formatter fmt
+
 let default =
   {
     variant = Full;

@@ -35,5 +35,8 @@ val relax : t -> t
     doubled, rip-up rounds x1.5. The problem itself is untouched, so a
     relaxed retry still answers the same routing question. *)
 
+val log : t -> ('a, Format.formatter, unit) format -> 'a
+(** Prints a ["[pacor] "]-prefixed line on stderr when [verbose] is set. *)
+
 val variant_name : variant -> string
 val pp : Format.formatter -> t -> unit

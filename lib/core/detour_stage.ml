@@ -254,3 +254,22 @@ let run ?workspace ~grid ~delta ~theta ~blocked routed_list =
       routed_list
   in
   { updated; matched_ids = List.rev !matched; unmatched_ids = List.rev !unmatched }
+
+let blocked ~reserved ~base routed escapes =
+  List.fold_left
+    (fun acc (e : Pacor_flow.Escape.routed) ->
+       List.fold_left (fun s p -> Point.Set.add p s) acc (Path.points e.path))
+    (Point.Set.union reserved (Point.Set.union base (Routed.claims_of routed)))
+    escapes
+
+let around ?workspace ~grid ~delta ~theta ~reserved ~base assignments =
+  let routed = List.map (fun (a : Escape_stage.assignment) -> a.routed) assignments in
+  if not (List.exists (needs_detour ~delta) routed) then assignments
+  else begin
+    let escapes = List.filter_map (fun (a : Escape_stage.assignment) -> a.escape) assignments in
+    let blocked = blocked ~reserved ~base routed escapes in
+    let out = run ?workspace ~grid ~delta ~theta ~blocked routed in
+    List.map2
+      (fun routed (a : Escape_stage.assignment) -> { a with routed })
+      out.updated assignments
+  end

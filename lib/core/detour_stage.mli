@@ -49,3 +49,26 @@ val detour_one :
     everything else it must avoid. Returns the updated route and whether
     the spread now fits [delta]; on failure the original route is returned
     unchanged (Algorithm 2's restore). Raises on non-tree routes. *)
+
+val blocked :
+  reserved:Point.Set.t ->
+  base:Point.Set.t ->
+  Routed.t list ->
+  Pacor_flow.Escape.routed list ->
+  Point.Set.t
+(** What a detour must avoid: the [reserved] valve and pin cells, the
+    [base] cells of clusters outside the stage, the clusters' claims and
+    the escapes' cells. *)
+
+val around :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  delta:int ->
+  theta:int ->
+  reserved:Point.Set.t ->
+  base:Point.Set.t ->
+  Escape_stage.assignment list ->
+  Escape_stage.assignment list
+(** The detour stage after escape: {!run} over the assignments' clusters
+    against {!blocked}, escapes unchanged; nothing is built when no tree
+    needs a detour. *)

@@ -1,12 +1,20 @@
-(** The PACOR flow of Fig. 2, end to end:
+(** The PACOR flow of Fig. 2, end to end, as a sequence of stages:
 
-    valve clustering -> length-matching cluster routing (DME candidates,
-    MWCP selection, negotiated routing) -> MST routing of ordinary clusters
-    -> min-cost-flow escape routing with rip-up / declustering -> final path
-    detouring for length matching.
+    valve clustering -> length-matching cluster routing ({!Cluster_route}:
+    DME candidates, MWCP selection, negotiated routing) -> MST routing of
+    ordinary clusters ({!Plain_route}) -> min-cost-flow escape routing on
+    the rip-up ladder ({!Escape_stage.ripup}) -> final path detouring
+    ({!Detour_stage.around}) -> rematch ({!Rematch_stage}).
+
+    The ladder is the one {!Pacor_fault.Repair} runs too; the engine adds
+    two rungs of its own. A pinless length-matched tree first retries its
+    remaining DME candidates before it is demoted, and when only walled-in
+    singletons are left, the neighbouring clusters that jail them are
+    demoted to compact ordinary routes around a reserved lane.
 
     The [Detour_first] variant runs the detour stage between negotiation and
-    escape instead; [Without_selection] skips the MWCP selection. *)
+    escape instead, and skips rematch; [Without_selection] skips the MWCP
+    selection. *)
 
 type error = {
   stage : string;
@@ -57,6 +65,18 @@ val run :
     and of which domain runs it — except under a wall-clock deadline,
     which by nature trips at a load-dependent point; expansion and
     iteration caps remain deterministic. *)
+
+val scoped :
+  ?workspace:Pacor_route.Workspace.t ->
+  Pacor_route.Budget.limits ->
+  (Pacor_route.Workspace.t -> 'a) ->
+  ('a, string) result
+(** [scoped ?workspace limits f] runs [f] on [workspace] (a fresh one by
+    default) under a newly armed budget for [limits], so every search [f]
+    performs, and nothing outside it, is charged. The previous budget is
+    restored on every exit path, and an exception escaping [f] becomes
+    [Error] with its message. {!run} and {!Pacor_fault.Repair} run in
+    it. *)
 
 (** {2 Benchmark compatibility}
 

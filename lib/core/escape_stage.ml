@@ -1,5 +1,6 @@
 open Pacor_geom
 open Pacor_grid
+open Pacor_valve
 
 type assignment = {
   routed : Routed.t;
@@ -83,37 +84,101 @@ let single ?workspace ~grid ~claimed ~pins ~start_cells () =
     |> Option.map (fun path ->
       { Pacor_flow.Escape.idx = 0; start_cell = Path.source path; pin = Path.target path; path })
 
-let run ?alive ?workspace ~grid ~pins routed_clusters =
-  let claimed =
-    List.fold_left
-      (fun acc (r : Routed.t) -> Point.Set.union acc r.claimed)
-      Point.Set.empty routed_clusters
-  in
-  let requests =
-    List.mapi
-      (fun i (r : Routed.t) ->
-         { Pacor_flow.Escape.cluster_idx = i; start_cells = Routed.start_cells r })
-      routed_clusters
-  in
-  match
-    Pacor_flow.Escape.route ?alive ?workspace ~grid ~claimed ~pins requests
-  with
-  | Error _ as e -> e
-  | Ok out ->
-    let by_idx = Hashtbl.create 16 in
-    List.iter
-      (fun (r : Pacor_flow.Escape.routed) -> Hashtbl.replace by_idx r.idx r)
-      out.routed;
-    let assignments =
+(* What a solve that never ran reports: every cluster pinless, so stats
+   and [Solution.validate] name exactly what is missing. *)
+let unrouted routed_clusters =
+  { assignments = List.map (fun r -> { routed = r; escape = None }) routed_clusters;
+    failed_clusters =
+      List.map (fun (r : Routed.t) -> r.cluster.Cluster.id) routed_clusters;
+    escape_length = 0 }
+
+let run ?alive ?workspace ?(base = Point.Set.empty) ~grid ~pins routed_clusters =
+  if routed_clusters = [] then Ok (unrouted [])
+  else begin
+    let claimed = Point.Set.union base (Routed.claims_of routed_clusters) in
+    let requests =
       List.mapi
-        (fun i r -> { routed = r; escape = Hashtbl.find_opt by_idx i })
+        (fun i (r : Routed.t) ->
+           { Pacor_flow.Escape.cluster_idx = i; start_cells = Routed.start_cells r })
         routed_clusters
     in
-    let failed_clusters =
-      List.filter_map
-        (fun a ->
-           if a.escape = None then Some a.routed.Routed.cluster.Pacor_valve.Cluster.id
-           else None)
-        assignments
-    in
-    Ok { assignments; failed_clusters; escape_length = out.total_length }
+    match Pacor_flow.Escape.route ?alive ?workspace ~grid ~claimed ~pins requests with
+    | Error _ as e -> e
+    | Ok out ->
+      let by_idx = Hashtbl.create 16 in
+      List.iter
+        (fun (r : Pacor_flow.Escape.routed) -> Hashtbl.replace by_idx r.idx r)
+        out.routed;
+      let assignments =
+        List.mapi
+          (fun i r -> { routed = r; escape = Hashtbl.find_opt by_idx i })
+          routed_clusters
+      in
+      let failed_clusters =
+        List.filter_map
+          (fun a ->
+             if a.escape = None then Some a.routed.Routed.cluster.Cluster.id
+             else None)
+          assignments
+      in
+      Ok { assignments; failed_clusters; escape_length = out.total_length }
+  end
+
+let replace_each ~base ~context step pending =
+  let rec go done_ = function
+    | [] -> done_
+    | r :: rest ->
+      let others = Point.Set.union base (Routed.claims_of (context @ done_ @ rest)) in
+      go (done_ @ step ~others r) rest
+  in
+  go [] pending
+
+let ripup ?(retry = fun ~others:_ _ -> None) ?(unjail = fun ~keep:_ ~failed:_ -> None)
+    ~config ~workspace ~grid ~reserved ~fresh_id ?(base = Point.Set.empty) ~pins routed =
+  let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
+  let rec round k routed =
+    if not (alive ()) then Ok (unrouted routed)
+    else
+      match run ~alive ~workspace ~base ~grid ~pins routed with
+      | Error _ as e -> e
+      | Ok out
+        when out.failed_clusters = [] || k >= config.Config.max_ripup_rounds
+             || not (alive ()) ->
+        (* The budget is also polled inside the flow solve; a dead budget
+           keeps the current partial assignment rather than ripping
+           further. *)
+        Ok out
+      | Ok out ->
+        Config.log config "escape round %d: %d clusters unrouted, ripping up" k
+          (List.length out.failed_clusters);
+        let keep, failed =
+          List.partition
+            (fun (r : Routed.t) ->
+               not (List.mem r.cluster.Cluster.id out.failed_clusters))
+            routed
+        in
+        let step ~others (r : Routed.t) =
+          if Routed.is_length_matched_shape r then begin
+            (* Ripped at a higher cost (Sec. 3): the caller's retry first,
+               else routed as an ordinary cluster. *)
+            match retry ~others r with
+            | Some r' -> [ r' ]
+            | None ->
+              Plain_route.route_one ~workspace ~grid ~valve_cells:reserved
+                ~already_claimed:others ~fresh_id r.cluster
+          end
+          else if Cluster.size r.cluster >= 2 then
+            List.map Routed.make_singleton (Cluster.split r.cluster ~fresh_id)
+          else [ r ]
+        in
+        let changes (r : Routed.t) =
+          Routed.is_length_matched_shape r || Cluster.size r.cluster >= 2
+        in
+        if List.exists changes failed then
+          round (k + 1) (keep @ replace_each ~base ~context:keep step failed)
+        else
+          match unjail ~keep ~failed with
+          | Some routed -> round (k + 1) routed
+          | None -> Ok out
+  in
+  round 0 routed

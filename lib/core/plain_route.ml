@@ -42,3 +42,6 @@ let route_all ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id clusters 
   in
   let routed = List.concat_map route_one order in
   { routed; declustered = !declustered }
+
+let route_one ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id cluster =
+  (route_all ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id [ cluster ]).routed

@@ -25,3 +25,16 @@ val route_all :
     all valves outside the cluster. A cluster whose MST cannot be routed is
     split into singletons (which claim just their valve cell and always
     succeed); [fresh_id] mints their cluster ids. *)
+
+val route_one :
+  ?workspace:Pacor_route.Workspace.t ->
+  grid:Routing_grid.t ->
+  valve_cells:Point.Set.t ->
+  already_claimed:Point.Set.t ->
+  fresh_id:(unit -> int) ->
+  Cluster.t ->
+  Routed.t list
+(** [route_all] of one cluster: its MST, or its singletons when the MST
+    fails. The rip-up ladder demotes a length-matched cluster with it, the
+    engine's jailer rung its jailers, and repair re-routes a dirty cluster
+    no candidate could route. *)

@@ -91,6 +91,12 @@ let pin_count t = List.length t.pins
 let obstacle_count t = Obstacle_map.blocked_count (Routing_grid.obstacles t.grid)
 let find_valve t id = List.find_opt (fun (v : Valve.t) -> v.id = id) t.valves
 
+let reserved_cells t =
+  List.fold_left
+    (fun acc p -> Point.Set.add p acc)
+    (Point.Set.of_list (List.map (fun (v : Valve.t) -> v.position) t.valves))
+    t.pins
+
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %dx%d grid, %d valves, %d pins, %d obstacles, delta=%d" t.name
     (Routing_grid.width t.grid) (Routing_grid.height t.grid) (valve_count t) (pin_count t)

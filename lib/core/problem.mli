@@ -57,6 +57,12 @@ val obstacle_count : t -> int
 val find_valve : t -> Valve.id -> Valve.t option
 val pp_summary : Format.formatter -> t -> unit
 
+val reserved_cells : t -> Point.Set.t
+(** Valve cells plus candidate pins: blockages for every internal-routing
+    stage. A channel routed over a pin would collide with whichever escape
+    later terminates there; A* exempts each search's own endpoints, and the
+    escape router receives the pin list separately. *)
+
 val with_delta : t -> int -> (t, string) result
 (** Same instance under a different length-matching threshold (used by the
     delta-sweep experiment and the serving layer's [set_delta] request). *)

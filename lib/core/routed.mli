@@ -47,6 +47,9 @@ val escape_anchor_lengths : t -> (Valve.id * int) list
 val is_length_matched_shape : t -> bool
 (** The cluster is still being routed under the length-matching regime. *)
 
+val claims_of : t list -> Point.Set.t
+(** Union of the clusters' [claimed] cells. *)
+
 val spread : t -> int option
 (** [max - min] of {!escape_anchor_lengths}; [None] for ordinary routes. *)
 

@@ -26,6 +26,54 @@ type t = {
   budget_exhausted : Pacor_route.Budget.reason option;
 }
 
+let assemble ~delta (r : Routed.t) escape =
+  let escape_len =
+    match escape with None -> 0 | Some (e : Pacor_flow.Escape.routed) -> Path.length e.path
+  in
+  let lengths =
+    List.map (fun (vid, l) -> (vid, l + escape_len)) (Routed.escape_anchor_lengths r)
+  in
+  let matched =
+    Routed.is_length_matched_shape r
+    && escape <> None
+    && (match Routed.spread r with Some s -> s <= delta | None -> false)
+  in
+  { routed = r; escape; lengths; matched }
+
+type measured = {
+  seconds : float;
+  search : Pacor_route.Search_stats.snapshot;
+  outcome : stage_outcome;
+}
+
+let measure workspace f =
+  let budget = Pacor_route.Workspace.budget workspace in
+  let snapshot () = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats workspace) in
+  let before = Pacor_route.Budget.exhausted budget in
+  let s0 = snapshot () in
+  let start = Pacor_route.Clock.now_mono () in
+  let result = f () in
+  let seconds = Pacor_route.Clock.now_mono () -. start in
+  let search = Pacor_route.Search_stats.diff (snapshot ()) s0 in
+  let outcome =
+    match before, Pacor_route.Budget.exhausted budget with
+    | None, None -> Completed
+    | None, Some Pacor_route.Budget.Deadline -> Timed_out
+    | None, Some r -> Degraded (Pacor_route.Budget.reason_label r)
+    | Some r, _ ->
+      (* Exhausted before the stage even started: it ran in fail-fast
+         mode (or was skipped outright at its gate). *)
+      Degraded ("skipped: " ^ Pacor_route.Budget.reason_label r)
+  in
+  (result, { seconds; search; outcome })
+
+let add_stages t stages =
+  let column f = List.map (fun (label, m) -> (label, f m)) stages in
+  { t with
+    stage_seconds = t.stage_seconds @ column (fun m -> m.seconds);
+    stage_search = t.stage_search @ column (fun m -> m.search);
+    stage_outcomes = t.stage_outcomes @ column (fun m -> m.outcome) }
+
 let degraded t =
   List.exists (fun (_, o) -> o <> Completed) t.stage_outcomes
 

@@ -53,6 +53,29 @@ type stats = {
   runtime_s : float;
 }
 
+val assemble : delta:int -> Routed.t -> Pacor_flow.Escape.routed option -> routed_cluster
+(** A routed cluster with its escape: [lengths] add the escape's length to
+    each valve's anchor length, and [matched] holds for a length-matched
+    shape with an escape and a spread within [delta]. *)
+
+(** {2 Stage bookkeeping} *)
+
+type measured = {
+  seconds : float;  (** monotonic wall clock *)
+  search : Pacor_route.Search_stats.snapshot;
+  outcome : stage_outcome;
+}
+
+val measure : Pacor_route.Workspace.t -> (unit -> 'a) -> 'a * measured
+(** Runs one stage: its wall time, the search counters it added to the
+    workspace, and its outcome under the workspace's budget ([Completed]
+    while no limit trips; a stage entered on an exhausted budget is
+    [Degraded "skipped: …"]). *)
+
+val add_stages : t -> (string * measured) list -> t
+(** Appends labelled stages to [stage_seconds], [stage_search] and
+    [stage_outcomes]. *)
+
 val cluster_total_length : routed_cluster -> int
 val stats : t -> stats
 

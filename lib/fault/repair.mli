@@ -4,15 +4,19 @@
     wrong price — most channels are nowhere near the fault. [run] instead
     computes the {e dirty set} (clusters owning a stuck valve, clusters
     whose channels or escape cross a faulted cell), rips up exactly those,
-    and re-routes them around the fault with the ordinary PACOR machinery:
-    negotiation-based candidate routing for length-matched clusters, MST /
-    singleton fallback, one global min-cost-flow escape solve
-    ({!Pacor_flow.Escape}) over the replacement clusters, and
-    the detour stage to restore length matching. Untouched clusters are
+    and re-routes them around the fault with the engine's own stages, run
+    from a base made of the untouched clusters (their footprints as
+    obstacles, their pins out of the offer): candidate routing for
+    length-matched clusters with an MST / singleton fallback, escape on
+    the engine's rip-up ladder ({!Pacor.Escape_stage.ripup}: demote a
+    pinless length-matched cluster, decluster a pinless multi-valve
+    ordinary one; without the engine's alternative-candidate and jailer
+    rungs), and the detour stage ({!Pacor.Detour_stage.around}) to restore
+    length matching. There is no rematch pass. Untouched clusters are
     reused as-is — their paths come out byte-identical.
 
     The whole repair runs under a {!Pacor_route.Budget} attached to the
-    workspace, so a pathological fault set degrades (clusters fall back to
+    workspace ({!Pacor.Engine.scoped}), so a pathological fault set degrades (clusters fall back to
     singleton routing, refinement is skipped) instead of hanging. A
     replacement cluster that cannot reach any pin is {e quarantined}: its
     valves are retired from the instance — the same graceful-degradation

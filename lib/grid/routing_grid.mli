@@ -20,6 +20,9 @@ val obstacles : t -> Obstacle_map.t
 val fresh_work_map : t -> Obstacle_map.t
 (** A private copy of the static obstacle map for a router to scribble on. *)
 
+val blocked_work_map : t -> Point.Set.t list -> Obstacle_map.t
+(** [fresh_work_map] with every cell of the given sets blocked. *)
+
 val with_extra_obstacles : t -> Pacor_geom.Point.t list -> t
 (** A new grid whose static map additionally blocks the given cells (the
     fault overlay of the online-repair flow). The original grid is

@@ -44,6 +44,13 @@ let split t ~fresh_id =
     (fun v -> { id = fresh_id (); valves = [ v ]; length_matched = false })
     t.valves
 
+let fresh_ids ts =
+  let next = ref (1 + List.fold_left (fun m t -> max m t.id) 0 ts) in
+  fun () ->
+    let id = !next in
+    incr next;
+    id
+
 let pp ppf t =
   Format.fprintf ppf "cluster %d%s {%a}" t.id
     (if t.length_matched then " [LM]" else "")

@@ -30,4 +30,8 @@ val split : t -> fresh_id:(unit -> int) -> t list
     be routed as a whole). Singletons drop the length-matching flag: a single
     valve is trivially matched. *)
 
+val fresh_ids : t list -> unit -> int
+(** [fresh_ids ts] mints ids above every id of [ts], counting up from the
+    largest plus one (for {!split} and other rip-up replacements). *)
+
 val pp : Format.formatter -> t -> unit

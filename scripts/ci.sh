@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build, full test suite, and a bench smoke run.
+# Tier-1 verification: build, full test suite, bench smoke runs, and full
+# bench runs whose fingerprints must equal the committed records.
 # Used by CI and as the local pre-merge gate.
 set -eu
 cd "$(dirname "$0")/.."
@@ -95,48 +96,49 @@ if grep -qF '"deterministic": false' BENCH_parallel.json; then
   echo "BENCH_parallel.json: a jobs count diverged from jobs=1" >&2; exit 1
 fi
 
-echo "== route-bench smoke + BENCH_route.json drift check =="
+# Determinism drift: a full bench run must reproduce its committed
+# record's fingerprint list exactly, in order (wall-clock and allocations
+# are excluded from fingerprints).
+fingerprints() {
+  sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$1"
+}
+same_fingerprints() {
+  fingerprints "$1" > "$1.got"
+  fingerprints "$2" > "$1.want"
+  if ! cmp -s "$1.want" "$1.got"; then
+    echo "$3 determinism drift: fingerprints differ from $2:" >&2
+    diff "$1.want" "$1.got" >&2 || true
+    exit 1
+  fi
+  rm -f "$1.got" "$1.want"
+}
+
+echo "== route-bench + BENCH_route.json drift check =="
 routejson=$(mktemp)
-./_build/default/bench/main.exe --route-bench --smoke --json-out "$routejson" > /dev/null
-# Schema drift: the committed record and the fresh smoke run must both
+./_build/default/bench/main.exe --route-bench --json-out "$routejson" > /dev/null
+# Schema drift: the committed record and the fresh run must both
 # carry the sections CI (and downstream tooling) read.
 for key in '"bench": "pacor-route-bench"' '"negotiation"' '"totals"'; do
   grep -qF "$key" BENCH_route.json || {
     echo "BENCH_route.json schema drift: missing $key" >&2; exit 1; }
   grep -qF "$key" "$routejson" || {
-    echo "route-bench smoke output schema drift: missing $key" >&2; exit 1; }
+    echo "route-bench output schema drift: missing $key" >&2; exit 1; }
 done
-# Determinism drift: every fingerprint (routed/length/expansion counts;
-# wall-clock and allocations excluded) produced by the smoke sizes must
-# appear verbatim in the committed record.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$routejson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_route.json || {
-    echo "route-bench determinism drift: fingerprint not in BENCH_route.json:" >&2
-    echo "  $fp" >&2
-    exit 1
-  }
-done
+# Routed/length/expansion counts per negotiation size.
+same_fingerprints "$routejson" BENCH_route.json route-bench
 rm -f "$routejson"
 
-echo "== escape-bench smoke + BENCH_escape.json drift check =="
+echo "== escape-bench + BENCH_escape.json drift check =="
 escjson=$(mktemp)
-./_build/default/bench/main.exe --escape-bench --smoke --json-out "$escjson" > /dev/null
+./_build/default/bench/main.exe --escape-bench --json-out "$escjson" > /dev/null
 for key in '"bench": "pacor-escape-bench"' '"instances"' '"corpus"'; do
   grep -qF "$key" BENCH_escape.json || {
     echo "BENCH_escape.json schema drift: missing $key" >&2; exit 1; }
   grep -qF "$key" "$escjson" || {
-    echo "escape-bench smoke output schema drift: missing $key" >&2; exit 1; }
+    echo "escape-bench output schema drift: missing $key" >&2; exit 1; }
 done
-# Determinism drift: the smoke sizes are a subset of the committed run, so
-# every fingerprint (escape routed/length, corpus engine outcomes;
-# wall-clock excluded) must appear verbatim.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$escjson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_escape.json || {
-    echo "escape-bench determinism drift: fingerprint not in BENCH_escape.json:" >&2
-    echo "  $fp" >&2
-    exit 1
-  }
-done
+# Escape routed/length per instance and the corpus engine outcomes.
+same_fingerprints "$escjson" BENCH_escape.json escape-bench
 rm -f "$escjson"
 
 echo "== Scaled3 flat route guard (validates, pinned score) =="
@@ -257,14 +259,14 @@ if ! cmp -s "$svgdir/Chip1-budget.search" "$svgdir/Chip1-budget.got"; then
   exit 1
 fi
 
-echo "== fault-sweep smoke + BENCH_fault.json drift check =="
+echo "== fault-sweep + BENCH_fault.json drift check =="
 faultjson=$(mktemp)
-./_build/default/bench/main.exe --fault-sweep --smoke --json-out "$faultjson" > /dev/null
+./_build/default/bench/main.exe --fault-sweep --json-out "$faultjson" > /dev/null
 for key in '"bench": "pacor-fault-sweep"' '"cases"' '"all_cheaper"' '"all_valid"'; do
   grep -qF "$key" BENCH_fault.json || {
     echo "BENCH_fault.json schema drift: missing $key" >&2; exit 1; }
   grep -qF "$key" "$faultjson" || {
-    echo "fault-sweep smoke output schema drift: missing $key" >&2; exit 1; }
+    echo "fault-sweep output schema drift: missing $key" >&2; exit 1; }
 done
 # The committed record must assert repair cheaper than a full re-route on
 # every case, with every repaired solution passing the validator.
@@ -272,16 +274,10 @@ grep -qF '"all_cheaper": true' BENCH_fault.json || {
   echo "BENCH_fault.json: repair is not cheaper than full re-route" >&2; exit 1; }
 grep -qF '"all_valid": true' BENCH_fault.json || {
   echo "BENCH_fault.json: a repaired solution failed validation" >&2; exit 1; }
-# Determinism drift: the smoke cases are a subset of the committed sweep,
-# so every fingerprint (fault counts, per-fault outcomes, expansion
-# counts, length delta; wall-clock excluded) must appear verbatim.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$faultjson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_fault.json || {
-    echo "fault-sweep determinism drift: fingerprint not in BENCH_fault.json:" >&2
-    echo "  $fp" >&2
-    exit 1
-  }
-done
+# Fault counts, per-fault outcomes, expansion counts and length delta per
+# case; the full sweep is the run that demotes length-matched clusters in
+# repair's rip-up ladder.
+same_fingerprints "$faultjson" BENCH_fault.json fault-sweep
 rm -f "$faultjson"
 
 echo "== serve smoke: daemon over a pipe (route, cache hit, delta, shutdown) =="
@@ -313,33 +309,25 @@ printf '%s\n' "$serveout" | sed -n '3p' | grep -qF '"incremental":true' || {
   echo "serve smoke: move_valve was not served incrementally" >&2
   printf '%s\n' "$serveout" >&2; exit 1; }
 
-echo "== serve-bench smoke + BENCH_serve.json drift check =="
+echo "== serve-bench + BENCH_serve.json drift check =="
 servejson=$(mktemp)
-./_build/default/bench/main.exe --serve-bench --smoke --json-out "$servejson" > /dev/null
+./_build/default/bench/main.exe --serve-bench --json-out "$servejson" > /dev/null
 for key in '"bench": "pacor-serve-bench"' '"instances"' '"trace"' '"latency"' \
            '"expansions"' '"daemon_stats"'; do
   grep -qF "$key" BENCH_serve.json || {
     echo "BENCH_serve.json schema drift: missing $key" >&2; exit 1; }
   grep -qF "$key" "$servejson" || {
-    echo "serve-bench smoke output schema drift: missing $key" >&2; exit 1; }
+    echo "serve-bench output schema drift: missing $key" >&2; exit 1; }
 done
 # The committed record must assert the incremental path pays: delta
 # requests cost strictly fewer A* expansions than from-scratch re-routes
-# of the same mutated instances — and so must the fresh smoke run.
+# of the same mutated instances — and so must the fresh run.
 grep -qF '"deltas_strictly_cheaper": true' BENCH_serve.json || {
   echo "BENCH_serve.json: deltas are not cheaper than scratch re-routes" >&2; exit 1; }
 grep -qF '"deltas_strictly_cheaper": true' "$servejson" || {
-  echo "serve-bench smoke: deltas are not cheaper than scratch re-routes" >&2; exit 1; }
-# Determinism drift: the smoke instances are a subset of the committed
-# run, so every instance fingerprint (problem fingerprint, routed valve
-# count, total length; wall-clock excluded) must appear verbatim.
-sed -n 's/.*"fingerprint": "\([^"]*\)".*/\1/p' "$servejson" | while IFS= read -r fp; do
-  grep -qF "\"$fp\"" BENCH_serve.json || {
-    echo "serve-bench determinism drift: fingerprint not in BENCH_serve.json:" >&2
-    echo "  $fp" >&2
-    exit 1
-  }
-done
+  echo "serve-bench: deltas are not cheaper than scratch re-routes" >&2; exit 1; }
+# Problem fingerprint, routed valve count and total length per instance.
+same_fingerprints "$servejson" BENCH_serve.json serve-bench
 rm -f "$servejson"
 
 echo "== chaos-soak smoke + BENCH_chaos.json drift check =="

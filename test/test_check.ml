@@ -57,6 +57,13 @@ let test_corpus () =
           | Error _ -> ()))
     files
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
+  scan 0
+
+let id_of (c : Pacor.Solution.routed_cluster) = c.routed.Pacor.Routed.cluster.Cluster.id
+
 let multi_valve (sol : Pacor.Solution.t) =
   match
     List.find_opt
@@ -99,17 +106,190 @@ let test_serve_delta () =
      | Error e -> Alcotest.failf "reroute failed: %s" e
      | Ok r -> both_accept "Chip2 add_obstacle delta" r.Pacor_fault.Repair.solution)
 
+(* ---------- The rip-up ladder's declustering rung ---------- *)
+
+(* A 3x3 room walled by obstacles on three sides and sealed on the fourth
+   by a length-matched pair's channel (valves at (2,6) and (6,6)). Inside
+   sits an ordinary pair A = (3,4), B = (5,4), compatible with each other
+   but not with the sealing pair, so clustering makes it one multi-valve
+   ordinary cluster whose channel has no way out. With [gap] the bottom
+   wall has a hole at (4,2) over a pin at (4,0). *)
+let sealed_room ~gap =
+  let seq s = Result.get_ok (Activation.sequence_of_string s) in
+  let valve id x y s = Valve.make ~id ~position:(Point.make x y) ~sequence:(seq s) in
+  let bottom =
+    if gap then [ Rect.make ~x0:2 ~y0:2 ~x1:3 ~y1:2; Rect.make ~x0:5 ~y0:2 ~x1:6 ~y1:2 ]
+    else [ Rect.make ~x0:2 ~y0:2 ~x1:6 ~y1:2 ]
+  in
+  let grid =
+    Routing_grid.create ~width:9 ~height:9
+      ~obstacles:
+        (Rect.make ~x0:2 ~y0:3 ~x1:2 ~y1:5 :: Rect.make ~x0:6 ~y0:3 ~x1:6 ~y1:5 :: bottom)
+      ()
+  in
+  let l1 = valve 0 2 6 "10" and l2 = valve 1 6 6 "10" in
+  let a = valve 2 3 4 "01" and b = valve 3 5 4 "01" in
+  let pins =
+    (if gap then [ Point.make 4 0 ] else [])
+    @ [ Point.make 1 8; Point.make 3 8; Point.make 5 8; Point.make 7 8 ]
+  in
+  Pacor.Problem.create_exn ~grid ~valves:[ l1; l2; a; b ]
+    ~lm_clusters:[ Cluster.make_exn ~id:0 ~length_matched:true [ l1; l2 ] ]
+    ~pins ()
+
+let room_valves = [ 2; 3 ]
+
+(* Every valve of the room pair is alone in its cluster (or, for repair,
+   quarantined out of the instance). *)
+let room_split label (sol : Pacor.Solution.t) =
+  List.iter
+    (fun (c : Pacor.Solution.routed_cluster) ->
+       let ids = Cluster.valve_ids c.routed.Pacor.Routed.cluster in
+       if List.exists (fun v -> List.mem v room_valves) ids then
+         Alcotest.(check (list int)) (label ^ ": room valve in a singleton") [ List.hd ids ] ids)
+    sol.clusters
+
+(* The engine's ladder: the room pair fails escape and is declustered; the
+   singletons, still walled in, then let the jailer rung reroute the
+   sealing pair around a lane from each valve to a pin. *)
+let test_decluster_engine () =
+  let sol = route (sealed_room ~gap:false) in
+  room_split "engine" sol;
+  both_accept "engine sealed room" sol
+
+(* Repair's ladder: route with the gap open (the pair escapes through it
+   as one cluster), then close the gap. Repair rips the pair, re-routes it,
+   fails its escape and declusters it; with no jailer rung the walled-in
+   singletons are quarantined, and the sealing pair is reused. Splitting
+   alone can never reach a pin the whole cluster could not (its cells were
+   all escape starts), so without the rung the same valves would be
+   quarantined: this half pins repair's ladder end to end, the engine half
+   pins the rung. *)
+let test_decluster_repair () =
+  let sol = route (sealed_room ~gap:true) in
+  let room =
+    List.find
+      (fun (c : Pacor.Solution.routed_cluster) ->
+         Cluster.valve_ids c.routed.Pacor.Routed.cluster = room_valves)
+      sol.clusters
+  in
+  let hole = Point.make 4 2 in
+  Alcotest.(check bool) "the pair escapes through the gap" true
+    (Point.Set.mem hole (Pacor_fault.Repair.footprint room));
+  match Pacor.Problem.add_obstacle sol.problem hole with
+  | Error e -> Alcotest.failf "add_obstacle: %s" e
+  | Ok problem ->
+    let is_dirty c = Point.Set.mem hole (Pacor_fault.Repair.footprint c) in
+    (match Pacor_fault.Repair.reroute ~problem ~is_dirty sol with
+     | Error e -> Alcotest.failf "reroute failed: %s" e
+     | Ok r ->
+       Alcotest.(check (list int)) "only the room pair is ripped"
+         [ id_of room ] r.Pacor_fault.Repair.dirty;
+       Alcotest.(check (list int)) "both room valves quarantined" room_valves
+         r.Pacor_fault.Repair.quarantined;
+       room_split "repair" r.Pacor_fault.Repair.solution;
+       both_accept "repair sealed room" r.Pacor_fault.Repair.solution)
+
+(* ---------- Repair through the shared ladder, fuzzed ---------- *)
+
+(* Two problem families: the synthetic generator (length-matched clusters
+   and singletons), and a small obstacle-dense chip whose valves draw from
+   a few mutually compatible activation sequences, so clustering forms
+   ordinary multi-valve clusters and scarce pins make the ladder's rungs
+   fire. *)
+let gen_synthetic =
+  QCheck.Gen.(
+    let* seed = int_range 1 10_000 in
+    let* pairs = int_range 0 2 and* triples = int_range 0 1 and* singles = int_range 1 3 in
+    return
+      (Pacor_designs.Synthetic.generate
+         { Pacor_designs.Synthetic.name = "fuzz"; width = 22; height = 22; obstacle_cells = 30;
+           lm_cluster_sizes = List.init pairs (fun _ -> 2) @ List.init triples (fun _ -> 3);
+           singleton_valves = singles; pin_count = 14; seed = Int64.of_int seed; delta = 1 }))
+
+let gen_congested =
+  QCheck.Gen.(
+    let size = 10 in
+    let inner = int_range 1 (size - 2) in
+    let* walls =
+      list_repeat 9
+        (let* x = inner and* y = inner and* len = int_range 0 3 and* vertical = bool in
+         return
+           (if vertical then Rect.make ~x0:x ~y0:y ~x1:x ~y1:(min (size - 2) (y + len))
+            else Rect.make ~x0:x ~y0:y ~x1:(min (size - 2) (x + len)) ~y1:y))
+    in
+    let* cells = list_repeat 7 (pair inner inner) in
+    let* seqs = list_repeat 7 (oneofl [ "01"; "01"; "10"; "0X"; "X1"; "11"; "00" ]) in
+    let ring =
+      List.init size (fun i -> [ Point.make i 0; Point.make i (size - 1) ])
+      @ List.init (size - 2) (fun i -> [ Point.make 0 (i + 1); Point.make (size - 1) (i + 1) ])
+      |> List.concat
+    in
+    (* About one boundary cell in four is a candidate pin. *)
+    let* picks = list_repeat (List.length ring) (int_bound 3) in
+    let grid = Routing_grid.create ~width:size ~height:size ~obstacles:walls () in
+    let valves =
+      List.sort_uniq (fun (a, _) (b, _) -> compare a b) (List.combine cells seqs)
+      |> List.filter (fun ((x, y), _) -> Routing_grid.free grid (Point.make x y))
+      |> List.mapi (fun id ((x, y), s) ->
+        Valve.make ~id ~position:(Point.make x y)
+          ~sequence:(Result.get_ok (Activation.sequence_of_string s)))
+    in
+    let pins =
+      List.combine ring picks
+      |> List.filter_map (fun (p, k) -> if k = 0 && Routing_grid.free grid p then Some p else None)
+    in
+    return (Pacor.Problem.create ~grid ~valves ~pins ()))
+
+let prop_repair_fuzz =
+  QCheck.Test.make ~name:"repair of every and of a random dirty set passes both judges"
+    ~count:120
+    (QCheck.make
+       ~print:(fun (problem, seed) ->
+         Printf.sprintf "dirty-set seed %d\n%s" seed
+           (match problem with Ok p -> Pacor.Problem_io.to_string p | Error e -> e))
+       QCheck.Gen.(pair (oneof [ gen_synthetic; gen_congested ]) int))
+    (fun (problem, subset_seed) ->
+       match problem with
+       | Error _ -> QCheck.assume_fail ()
+       | Ok problem ->
+         let sol = route problem in
+         (* The engine's own result: both judges agree on it. *)
+         if Result.is_ok (Pacor.Solution.validate sol) then both_accept "engine" sol
+         else if Result.is_ok (Naive_check.check sol) then
+           QCheck.Test.fail_report "naive accepts what validate rejects";
+         let rng = Random.State.make [| subset_seed |] in
+         let picked =
+           List.filter_map
+             (fun (c : Pacor.Solution.routed_cluster) ->
+                (* A pinless cluster is always ripped: reused, it would
+                   leave its valves unrouted. *)
+                if c.escape = None || Random.State.bool rng then Some (id_of c) else None)
+             sol.clusters
+         in
+         List.iter
+           (fun (label, is_dirty) ->
+              match Pacor_fault.Repair.reroute ~problem ~is_dirty sol with
+              | Error e when contains e "no valves survive" ->
+                () (* every valve quarantined: the one structural error *)
+              | Error e -> QCheck.Test.fail_reportf "%s: reroute failed: %s" label e
+              | Ok r ->
+                both_accept label r.Pacor_fault.Repair.solution;
+                List.iter
+                  (fun c ->
+                     if not (is_dirty c || List.memq c r.Pacor_fault.Repair.solution.clusters)
+                     then QCheck.Test.fail_reportf "%s: cluster %d not reused" label (id_of c))
+                  sol.clusters)
+           [ ("all dirty", fun _ -> true);
+             ("random subset", fun c -> List.mem (id_of c) picked) ];
+         true)
+
 (* ---------- Planted mutants ---------- *)
 
 let rejects label (sol : Pacor.Solution.t) ~mentions =
   match Naive_check.check sol with
   | Ok () -> Alcotest.failf "%s: mutant accepted" label
   | Error es ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-      scan 0
-    in
     if not (List.exists (fun e -> contains e mentions) es) then
       Alcotest.failf "%s: no error mentions %S: %s" label mentions (String.concat "; " es)
 
@@ -120,8 +300,6 @@ let replace_cluster (sol : Pacor.Solution.t) id f =
         (fun (c : Pacor.Solution.routed_cluster) ->
            if c.routed.Pacor.Routed.cluster.Cluster.id = id then f c else c)
         sol.clusters }
-
-let id_of (c : Pacor.Solution.routed_cluster) = c.routed.Pacor.Routed.cluster.Cluster.id
 
 (* Flip one corner cell of a channel to the opposite corner of its unit
    square: the path stays 4-connected (a [Path.t] cannot be otherwise),
@@ -196,7 +374,12 @@ let () =
           Alcotest.test_case "agrees with validate on the corpus" `Quick test_corpus;
           Alcotest.test_case "accepts a fault repair" `Quick test_repair;
           Alcotest.test_case "accepts a serve delta" `Quick test_serve_delta;
+          Alcotest.test_case "engine declusters a walled-in pair" `Quick
+            test_decluster_engine;
+          Alcotest.test_case "repair declusters a walled-in pair" `Quick
+            test_decluster_repair;
           Alcotest.test_case "rejects a shifted path cell" `Quick test_mutant_shifted_cell;
           Alcotest.test_case "rejects a flipped matched flag" `Quick
             test_mutant_flipped_matched;
-          Alcotest.test_case "rejects a duplicated pin" `Quick test_mutant_duplicated_pin ] ) ]
+          Alcotest.test_case "rejects a duplicated pin" `Quick test_mutant_duplicated_pin ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_repair_fuzz ]) ]
