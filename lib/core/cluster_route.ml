@@ -55,14 +55,11 @@ let build_routed (cluster : Cluster.t) (candidate : Candidate.t)
      | _ -> invalid_arg "Cluster_route: pair cluster needs exactly one path")
   | _ -> Routed.make_tree cluster ~candidate ~edge_paths:paths
 
-let route ?workspace ~config ~grid ~valve_cells clusters =
+let route ?workspace ~config ~grid ~obstacles clusters =
   let lm = List.filter Cluster.needs_matching clusters in
   if lm = [] then { routed = []; demoted = []; iterations = 0 }
   else begin
-    let static = Routing_grid.obstacles grid in
-    let usable p =
-      Obstacle_map.free static p && not (Point.Set.mem p valve_cells)
-    in
+    let usable = Obstacle_map.free obstacles in
     let per_cluster =
       List.map (fun c -> (c, candidates_for ~config ~grid ~usable c)) lm
     in
@@ -96,10 +93,8 @@ let route ?workspace ~config ~grid ~valve_cells clusters =
          | Ok sel -> sel.chosen
          | Error msg -> invalid_arg ("Cluster_route: " ^ msg))
     in
-    (* Negotiation obstacles: static blockages plus every valve cell; each
-       edge's own endpoints are exempted inside the router. *)
-    let obstacles = Obstacle_map.copy static in
-    Point.Set.iter (fun p -> Obstacle_map.block obstacles p) valve_cells;
+    (* Negotiation obstacles: [obstacles] (never written; each batch copies
+       it); each edge's own endpoints are exempted inside the router. *)
     let rec attempt active demoted iterations =
       match active with
       | [] -> { routed = []; demoted; iterations }

@@ -21,14 +21,16 @@ val route :
   ?workspace:Pacor_route.Workspace.t ->
   config:Config.t ->
   grid:Routing_grid.t ->
-  valve_cells:Point.Set.t ->
+  obstacles:Obstacle_map.t ->
   Cluster.t list ->
   outcome
-(** [route ~config ~grid ~valve_cells clusters] routes every length-matched
-    cluster of [clusters] (others are ignored). [valve_cells] must hold the
-    positions of {e all} valves of the chip; they are treated as blockages
-    so no channel runs over a foreign valve (each edge's own endpoints are
-    exempt inside the router). *)
+(** [route ~config ~grid ~obstacles clusters] routes every length-matched
+    cluster of [clusters] (others are ignored) around [obstacles], which
+    it only reads. [obstacles] must block the static blockages and the
+    positions of {e all} valves of the chip, so no channel runs over a
+    foreign valve (each edge's own endpoints are exempt inside the
+    router): the engine passes its owner layer's
+    {!Pacor_route.Workspace.occupied}. *)
 
 val candidates_for :
   config:Config.t ->

@@ -29,16 +29,12 @@ let mark ~grid mask iter cells f =
        end)
     cells
 
-(* Every statically free cell usable, then [blocked] blocked. *)
-let lease_mask ?workspace ~grid ~blocked () =
-  let cells = Routing_grid.cells grid in
+(* Usable exactly where the owner layer's occupied map is free. *)
+let lease_mask ~workspace ~grid =
   let mask =
-    match workspace with
-    | Some ws -> Pacor_route.Workspace.scratch_bytes ws ~slot:3 ~len:cells
-    | None -> Bytes.create cells
+    Pacor_route.Workspace.scratch_bytes workspace ~slot:3 ~len:(Routing_grid.cells grid)
   in
-  Obstacle_map.fill_free (Routing_grid.obstacles grid) mask;
-  mark ~grid mask Point.Set.iter blocked (fun _ _ -> blocked_cell);
+  Obstacle_map.fill_free (Pacor_route.Workspace.occupied workspace) mask;
   mask
 
 (* Detour one tree-routed cluster. [mask] marks usable exactly the
@@ -46,7 +42,7 @@ let lease_mask ?workspace ~grid ~blocked () =
    blockage; the cluster's own cells are usable. Returns the (possibly
    updated) route and whether it now satisfies delta; [mask] is as it
    was on return. *)
-let detour_tree ?workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
+let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
   let candidate, _ =
     match original.shape with
     | Some (Routed.Tree { candidate; edge_paths }) -> (candidate, edge_paths)
@@ -85,7 +81,7 @@ let detour_tree ?workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
              an uncapped budget dominates the whole stage's runtime on
              large chips. *)
           (match
-             Pacor_route.Bounded_astar.search ?workspace ~grid ~usable:usable_i
+             Pacor_route.Bounded_astar.search ~workspace ~grid ~usable:usable_i
                ~pop_budget:20_000
                ~source:(Path.source leg) ~target:(Path.target leg) ~min_length:target ()
            with
@@ -188,21 +184,29 @@ let needs_detour ~delta (r : Routed.t) =
   | Some (Routed.Tree _), Some s -> s > delta
   | _, _ -> false
 
-let detour_one ?workspace ~grid ~delta ~theta ~blocked (r : Routed.t) =
+(* Detour [r] on [mask], which tracks the owner layer: [r]'s own cells
+   (the statically free ones) are opened for its detour and its updated
+   cells blocked after, as the layer moves from its old to its new
+   route. *)
+let detour_held ~workspace ~grid ~mask ~delta ~theta (r : Routed.t) =
+  mark ~grid mask Point.Set.iter r.claimed (fun i _ ->
+    if Routing_grid.free_i grid i then usable else blocked_cell);
+  let r', ok = detour_tree ~workspace ~grid ~mask ~delta ~theta r in
+  mark ~grid mask Point.Set.iter r'.claimed (fun _ _ -> blocked_cell);
+  if r' != r then begin
+    Routed.vacate workspace r;
+    Routed.occupy workspace r'
+  end;
+  (r', ok)
+
+let detour_one ~workspace ~grid ~delta ~theta (r : Routed.t) =
   match r.shape with
   | Some (Routed.Tree _) when not (needs_detour ~delta r) -> (r, true)
-  | _ ->
-    let mask = lease_mask ?workspace ~grid ~blocked () in
-    detour_tree ?workspace ~grid ~mask ~delta ~theta r
+  | _ -> detour_held ~workspace ~grid ~mask:(lease_mask ~workspace ~grid) ~delta ~theta r
 
-let run ?workspace ~grid ~delta ~theta ~blocked routed_list =
-  (* [mask] tracks the set of cells blocked for the next cluster: it
-     starts as [blocked], and each tree cluster's own cells are made
-     usable (statically free ones) for its detour, and its updated cells
-     blocked after. *)
+let run ~workspace ~grid ~delta ~theta routed_list =
   let mask =
-    if List.exists (needs_detour ~delta) routed_list then
-      Some (lease_mask ?workspace ~grid ~blocked ())
+    if List.exists (needs_detour ~delta) routed_list then Some (lease_mask ~workspace ~grid)
     else None
   in
   let matched = ref [] and unmatched = ref [] in
@@ -229,12 +233,7 @@ let run ?workspace ~grid ~delta ~theta ~blocked routed_list =
       let r', ok =
         match mask with
         | None -> (r, true)
-        | Some mask ->
-          mark ~grid mask Point.Set.iter r.claimed (fun i _ ->
-            if Routing_grid.free_i grid i then usable else blocked_cell);
-          let r', ok = detour_tree ?workspace ~grid ~mask ~delta ~theta r in
-          mark ~grid mask Point.Set.iter r'.claimed (fun _ _ -> blocked_cell);
-          (r', ok)
+        | Some mask -> detour_held ~workspace ~grid ~mask ~delta ~theta r
       in
       if ok then matched := r'.cluster.Pacor_valve.Cluster.id :: !matched
       else unmatched := r'.cluster.Pacor_valve.Cluster.id :: !unmatched;
@@ -255,20 +254,11 @@ let run ?workspace ~grid ~delta ~theta ~blocked routed_list =
   in
   { updated; matched_ids = List.rev !matched; unmatched_ids = List.rev !unmatched }
 
-let blocked ~reserved ~base routed escapes =
-  List.fold_left
-    (fun acc (e : Pacor_flow.Escape.routed) ->
-       List.fold_left (fun s p -> Point.Set.add p s) acc (Path.points e.path))
-    (Point.Set.union reserved (Point.Set.union base (Routed.claims_of routed)))
-    escapes
-
-let around ?workspace ~grid ~delta ~theta ~reserved ~base assignments =
+let around ~workspace ~grid ~delta ~theta assignments =
   let routed = List.map (fun (a : Escape_stage.assignment) -> a.routed) assignments in
   if not (List.exists (needs_detour ~delta) routed) then assignments
   else begin
-    let escapes = List.filter_map (fun (a : Escape_stage.assignment) -> a.escape) assignments in
-    let blocked = blocked ~reserved ~base routed escapes in
-    let out = run ?workspace ~grid ~delta ~theta ~blocked routed in
+    let out = run ~workspace ~grid ~delta ~theta routed in
     List.map2
       (fun routed (a : Escape_stage.assignment) -> { a with routed })
       out.updated assignments

@@ -15,7 +15,6 @@
     fixed endpoints move in steps of 2), so they are already matched
     whenever [delta >= 1] or the distance is even. *)
 
-open Pacor_geom
 open Pacor_grid
 
 type outcome = {
@@ -25,50 +24,36 @@ type outcome = {
 }
 
 val run :
-  ?workspace:Pacor_route.Workspace.t ->
+  workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   delta:int ->
   theta:int ->
-  blocked:Point.Set.t ->
   Routed.t list ->
   outcome
-(** [blocked] holds every cell the detours must avoid beyond the clusters'
-    own internal paths: other clusters' claims, escape channels, valve
-    cells. Each cluster's own internal cells are handled internally. *)
+(** Every cell the workspace's owner layer occupies is off limits to the
+    detours (other clusters' claims and escape channels, valve and pin
+    cells), except each cluster's own internal cells. The clusters must
+    be in the layer; on return it holds their updated routes. *)
 
 val detour_one :
-  ?workspace:Pacor_route.Workspace.t ->
+  workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   delta:int ->
   theta:int ->
-  blocked:Point.Set.t ->
   Routed.t ->
   Routed.t * bool
-(** Detour a single tree-routed cluster. [blocked] must exclude the
-    cluster's own internal cells (they are handled internally) but include
-    everything else it must avoid. Returns the updated route and whether
-    the spread now fits [delta]; on failure the original route is returned
-    unchanged (Algorithm 2's restore). Raises on non-tree routes. *)
-
-val blocked :
-  reserved:Point.Set.t ->
-  base:Point.Set.t ->
-  Routed.t list ->
-  Pacor_flow.Escape.routed list ->
-  Point.Set.t
-(** What a detour must avoid: the [reserved] valve and pin cells, the
-    [base] cells of clusters outside the stage, the clusters' claims and
-    the escapes' cells. *)
+(** Detour a single tree-routed cluster held in the owner layer, against
+    everything else the layer holds, and move it to its updated route in
+    the layer. Returns the updated route and whether the spread now fits
+    [delta]; on failure the original route is returned unchanged
+    (Algorithm 2's restore). Raises on non-tree routes. *)
 
 val around :
-  ?workspace:Pacor_route.Workspace.t ->
+  workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   delta:int ->
   theta:int ->
-  reserved:Point.Set.t ->
-  base:Point.Set.t ->
   Escape_stage.assignment list ->
   Escape_stage.assignment list
-(** The detour stage after escape: {!run} over the assignments' clusters
-    against {!blocked}, escapes unchanged; nothing is built when no tree
-    needs a detour. *)
+(** The detour stage after escape: {!run} over the assignments' clusters,
+    escapes unchanged; nothing is built when no tree needs a detour. *)

@@ -8,15 +8,15 @@ type error = {
 }
 
 (* The engine's rung for a pinless length-matched tree: its next untried
-   DME candidate, routed around [others] (a different root placement often
-   frees an exit toward the boundary). [tried] counts, per cluster, the
-   candidates used so far. *)
-let alternative_candidate ~config ~workspace ~grid ~reserved tried ~others (r : Routed.t) =
+   DME candidate, routed around everything else in the owner layer (a
+   different root placement often frees an exit toward the boundary).
+   [tried] counts, per cluster, the candidates used so far. *)
+let alternative_candidate ~config ~workspace ~grid tried (r : Routed.t) =
   match r.shape with
   | Some (Routed.Pair _) | None -> None
   | Some (Routed.Tree { candidate = current; _ }) ->
     let id = r.cluster.Cluster.id in
-    let obstacles = Routing_grid.blocked_work_map grid [ reserved; others ] in
+    let obstacles = Pacor_route.Workspace.occupied workspace in
     (* Indexed once: [List.nth candidates tried] re-walks the candidate
        list on every rip-up round, and raises an undiagnosable [Failure _]
        if the enumeration ever shrinks between rounds. *)
@@ -43,7 +43,7 @@ let alternative_candidate ~config ~workspace ~grid ~reserved tried ~others (r : 
    Demote the adjacent clusters with channels (the "jailers") to compact
    ordinary routes that leave a ring around the jailed valves and one lane
    from each jailed cluster to a pin open. *)
-let unjail ~config ~workspace ~grid ~reserved ~fresh_id ~pins ~keep ~failed =
+let unjail ~config ~workspace ~grid ~fresh_id ~pins ~keep ~failed =
   let failed_cells =
     List.fold_left
       (fun acc r -> List.fold_left (fun s p -> Point.Set.add p s) acc (Routed.start_cells r))
@@ -59,18 +59,13 @@ let unjail ~config ~workspace ~grid ~reserved ~fresh_id ~pins ~keep ~failed =
   else begin
     Config.log config "escape rip-up: rerouting %d jailer clusters" (List.length jailers);
     let ring =
-      Point.Set.fold
-        (fun p acc -> List.fold_left (fun s q -> Point.Set.add q s) acc (Point.neighbours4 p))
-        failed_cells Point.Set.empty
+      Point.Set.fold (fun p acc -> Point.neighbours4 p @ acc) failed_cells []
     in
-    let lane_cells = ref Point.Set.empty in
+    (* Lanes may cross the jailers' channels: those are rerouted next. *)
+    List.iter (Routed.vacate workspace) jailers;
     let lane_for (r : Routed.t) =
-      let work =
-        Routing_grid.blocked_work_map grid
-          [ reserved; !lane_cells;
-            Routed.claims_of (free_keep @ List.filter (fun x -> x != r) failed) ]
-      in
-      Pacor_route.Astar.search ~workspace ~grid ~spec:(Pacor_route.Astar.obstacle_spec work)
+      Pacor_route.Astar.search ~workspace ~grid
+        ~spec:(Pacor_route.Astar.obstacle_spec (Pacor_route.Workspace.occupied workspace))
         ~sources:(Routed.start_cells r) ~targets:pins ()
     in
     let rec drop_last = function [] | [ _ ] -> [] | p :: rest -> p :: drop_last rest in
@@ -80,20 +75,26 @@ let unjail ~config ~workspace ~grid ~reserved ~fresh_id ~pins ~keep ~failed =
     let failed =
       List.map
         (fun (r : Routed.t) ->
-           match lane_for r with
-           | Some path when Path.length path >= 1 ->
-             let lane = Path.of_points (drop_last (Path.points path)) in
-             List.iter (fun p -> lane_cells := Point.Set.add p !lane_cells) (Path.points lane);
-             Routed.make_plain r.cluster ~paths:(lane :: r.paths) ~claimed:r.claimed
-           | Some _ | None -> r)
+           Routed.vacate workspace r;
+           let r' =
+             match lane_for r with
+             | Some path when Path.length path >= 1 ->
+               let lane = Path.of_points (drop_last (Path.points path)) in
+               Routed.make_plain r.cluster ~paths:(lane :: r.paths) ~claimed:r.claimed
+             | Some _ | None -> r
+           in
+           Routed.occupy workspace r';
+           r')
         failed
     in
+    (* The jailers' old channels come back, less the lanes, until each is
+       rerouted around the others, the lanes and the ring. *)
+    List.iter (Routed.occupy workspace) jailers;
+    List.iter (Routed.occupy workspace) failed;
     let demoted =
-      Escape_stage.replace_each ~base:(Point.Set.union ring !lane_cells)
-        ~context:(free_keep @ failed)
-        (fun ~others (r : Routed.t) ->
-           Plain_route.route_one ~workspace ~grid ~valve_cells:reserved ~already_claimed:others
-             ~fresh_id r.cluster)
+      Escape_stage.replace_each ~workspace
+        (fun (r : Routed.t) ->
+           (Plain_route.route_all ~fence:ring ~workspace ~grid ~fresh_id [ r.cluster ]).routed)
         jailers
     in
     Some (free_keep @ demoted @ failed)
@@ -118,11 +119,7 @@ let route_inner ~config ~workspace (problem : Problem.t) =
     else timed label (fun () -> x)
   in
   let { Problem.grid; delta; pins; _ } = problem in
-  let reserved = Problem.reserved_cells problem in
-  let detour =
-    Detour_stage.around ~workspace ~grid ~delta ~theta:config.Config.theta ~reserved
-      ~base:Point.Set.empty
-  in
+  let detour = Detour_stage.around ~workspace ~grid ~delta ~theta:config.Config.theta in
   (* Stage 1: valve clustering under broadcast addressing. *)
   match
     timed "clustering" (fun () ->
@@ -137,11 +134,17 @@ let route_inner ~config ~workspace (problem : Problem.t) =
     Config.log config "clustering: %d clusters (%d multi-valve)" (List.length clusters)
       initial_multi_clusters;
     let fresh_id = Cluster.fresh_ids clusters in
+    (* From here on, every stage routes against the owner layer: loaded
+       with the valve and pin cells here, it holds each cluster's cells
+       from the moment the cluster is routed. *)
+    Pacor_route.Workspace.load_owners workspace grid ~reserved:(Problem.reserved_cells problem);
     (* Stage 2: length-matching cluster routing. *)
     let lm_out =
       timed "lm-routing" (fun () ->
-        Cluster_route.route ~workspace ~config ~grid ~valve_cells:reserved clusters)
+        Cluster_route.route ~workspace ~config ~grid
+          ~obstacles:(Pacor_route.Workspace.occupied workspace) clusters)
     in
+    List.iter (Routed.occupy workspace) lm_out.Cluster_route.routed;
     Config.log config "lm routing: %d routed, %d demoted (%d negotiation rounds)"
       (List.length lm_out.Cluster_route.routed)
       (List.length lm_out.Cluster_route.demoted)
@@ -160,21 +163,21 @@ let route_inner ~config ~workspace (problem : Problem.t) =
     (* Stage 3: MST routing for ordinary and demoted clusters. *)
     let plain_out =
       timed "plain-routing" (fun () ->
-        Plain_route.route_all ~workspace ~grid ~valve_cells:reserved
-          ~already_claimed:(Routed.claims_of lm_routed) ~fresh_id
+        Plain_route.route_all ~workspace ~grid ~fresh_id
           (List.filter (fun c -> not (Cluster.needs_matching c)) clusters
            @ lm_out.Cluster_route.demoted))
     in
+    List.iter (Routed.occupy workspace) plain_out.Plain_route.routed;
     Config.log config "plain routing: %d routes (%d declustered)"
       (List.length plain_out.Plain_route.routed)
       plain_out.Plain_route.declustered;
     (* Stage 4: escape routing on the rip-up ladder, with the engine's two
        extra rungs. *)
-    let retry = alternative_candidate ~config ~workspace ~grid ~reserved (Hashtbl.create 16) in
-    let unjail = unjail ~config ~workspace ~grid ~reserved ~fresh_id ~pins in
+    let retry = alternative_candidate ~config ~workspace ~grid (Hashtbl.create 16) in
+    let unjail = unjail ~config ~workspace ~grid ~fresh_id ~pins in
     (match
        timed "escape" (fun () ->
-         Escape_stage.ripup ~retry ~unjail ~config ~workspace ~grid ~reserved ~fresh_id ~pins
+         Escape_stage.ripup ~retry ~unjail ~config ~workspace ~grid ~fresh_id ~pins
            (lm_routed @ plain_out.Plain_route.routed))
      with
      | Error message -> Error { stage = "escape"; message }
@@ -187,7 +190,7 @@ let route_inner ~config ~workspace (problem : Problem.t) =
          | Config.Full | Config.Without_selection ->
            escaped.Escape_stage.assignments
            |> refine "detour" detour
-           |> refine "rematch" (Rematch_stage.run ~config ~workspace ~grid ~delta ~reserved ~pins)
+           |> refine "rematch" (Rematch_stage.run ~config ~workspace ~grid ~delta ~pins)
        in
        let runtime_s = Pacor_route.Clock.now_mono () -. t0 in
        Config.log config "done in %.2fs" runtime_s;

@@ -66,6 +66,23 @@ val run :
     which by nature trips at a load-dependent point; expansion and
     iteration caps remain deterministic. *)
 
+(** {2 The engine's rungs on the rip-up ladder}
+
+    {!run} passes both to {!Escape_stage.ripup}: [alternative_candidate
+    ~config ~workspace ~grid tried] as [retry] (a pinless tree's next
+    untried DME candidate; [tried] counts them per cluster id), and
+    [unjail ~config ~workspace ~grid ~fresh_id ~pins] (a lane from each
+    walled-in singleton to a pin, and its jailers demoted around it). *)
+
+val alternative_candidate :
+  config:Config.t -> workspace:Pacor_route.Workspace.t -> grid:Pacor_grid.Routing_grid.t ->
+  (int, int) Hashtbl.t -> Routed.t -> Routed.t option
+
+val unjail :
+  config:Config.t -> workspace:Pacor_route.Workspace.t -> grid:Pacor_grid.Routing_grid.t ->
+  fresh_id:(unit -> int) -> pins:Pacor_geom.Point.t list -> keep:Routed.t list ->
+  failed:Routed.t list -> Routed.t list option
+
 val scoped :
   ?workspace:Pacor_route.Workspace.t ->
   Pacor_route.Budget.limits ->

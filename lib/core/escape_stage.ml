@@ -52,35 +52,38 @@ let nearest_pin_steps ~grid pins =
            (min (x + Array.unsafe_get left y) (w - 1 - x + Array.unsafe_get right y)))
   end
 
+(* An assignment's cells in the owner layer: its channels and its escape
+   path, under its cluster's id. *)
+let hold edit workspace a =
+  let edit = edit workspace ~id:a.routed.Routed.cluster.Cluster.id in
+  Point.Set.iter edit a.routed.claimed;
+  Option.iter (fun (e : Pacor_flow.Escape.routed) -> List.iter edit (Path.points e.path)) a.escape
+
+let occupy = hold Pacor_route.Workspace.occupy
+let vacate = hold Pacor_route.Workspace.vacate
+
 (* One cluster's escape in isolation is a multi-source shortest path — no
    need for the full min-cost-flow network the global stage uses. *)
-let single ?workspace ~grid ~claimed ~pins ~start_cells () =
+let single ~workspace ~grid ~pins ~start_cells () =
   match pins with
   | [] -> None
   | _ :: _ ->
     (* Boundary cells — pins included — are never transit space: A* exempts
        the search's own targets, and it stops at the first target popped, so
        the path cannot run {e through} one candidate pin on its way to
-       another (which a later escape might then be assigned). The search
-       reads a byte mask of free interior cells minus [claimed], not a set
-       lookup per probe: the workspace's interior-free mask, with the
-       claimed cells cleared for this search only. The pins ring the
-       chip, so the box heuristic would read 0 everywhere; the distance to
-       the nearest pin steers the search instead. *)
-    let ws = match workspace with Some ws -> ws | None -> Pacor_route.Workspace.create () in
-    let clear set =
-      Point.Set.iter
-        (fun p -> if Routing_grid.in_bounds grid p then set (Routing_grid.index grid p))
-        claimed
+       another (which a later escape might then be assigned). Each probe
+       reads one bit of the owner layer's occupied map, not a set. The pins
+       ring the chip, so the box heuristic would read 0 everywhere; the
+       distance to the nearest pin steers the search instead. *)
+    let occupied = Pacor_route.Workspace.occupied workspace in
+    let spec =
+      { Pacor_route.Astar.usable =
+          (fun i -> Obstacle_map.free_i occupied i && not (Routing_grid.on_boundary_i grid i));
+        extra_cost = (fun _ -> 0) }
     in
-    Pacor_route.Workspace.with_interior_free_mask ws grid ~clear (fun mask ->
-      let spec =
-        { Pacor_route.Astar.usable = (fun i -> Bytes.unsafe_get mask i = '\001');
-          extra_cost = (fun _ -> 0) }
-      in
-      Pacor_route.Astar.search ~workspace:ws
-        ?heuristic:(nearest_pin_steps ~grid pins)
-        ~grid ~spec ~sources:start_cells ~targets:pins ())
+    Pacor_route.Astar.search ~workspace
+      ?heuristic:(nearest_pin_steps ~grid pins)
+      ~grid ~spec ~sources:start_cells ~targets:pins ()
     |> Option.map (fun path ->
       { Pacor_flow.Escape.idx = 0; start_cell = Path.source path; pin = Path.target path; path })
 
@@ -92,17 +95,20 @@ let unrouted routed_clusters =
       List.map (fun (r : Routed.t) -> r.cluster.Cluster.id) routed_clusters;
     escape_length = 0 }
 
-let run ?alive ?workspace ?(base = Point.Set.empty) ~grid ~pins routed_clusters =
+let run ?alive ~workspace ~grid ~pins routed_clusters =
   if routed_clusters = [] then Ok (unrouted [])
   else begin
-    let claimed = Point.Set.union base (Routed.claims_of routed_clusters) in
+    let claimed =
+      Pacor_route.Workspace.fold_owned workspace (fun p _ acc -> Point.Set.add p acc)
+        Point.Set.empty
+    in
     let requests =
       List.mapi
         (fun i (r : Routed.t) ->
            { Pacor_flow.Escape.cluster_idx = i; start_cells = Routed.start_cells r })
         routed_clusters
     in
-    match Pacor_flow.Escape.route ?alive ?workspace ~grid ~claimed ~pins requests with
+    match Pacor_flow.Escape.route ?alive ~workspace ~grid ~claimed ~pins requests with
     | Error _ as e -> e
     | Ok out ->
       let by_idx = Hashtbl.create 16 in
@@ -124,22 +130,22 @@ let run ?alive ?workspace ?(base = Point.Set.empty) ~grid ~pins routed_clusters 
       Ok { assignments; failed_clusters; escape_length = out.total_length }
   end
 
-let replace_each ~base ~context step pending =
-  let rec go done_ = function
-    | [] -> done_
-    | r :: rest ->
-      let others = Point.Set.union base (Routed.claims_of (context @ done_ @ rest)) in
-      go (done_ @ step ~others r) rest
-  in
-  go [] pending
+let replace_each ~workspace step pending =
+  List.concat_map
+    (fun r ->
+       Routed.vacate workspace r;
+       let replacements = step r in
+       List.iter (Routed.occupy workspace) replacements;
+       replacements)
+    pending
 
-let ripup ?(retry = fun ~others:_ _ -> None) ?(unjail = fun ~keep:_ ~failed:_ -> None)
-    ~config ~workspace ~grid ~reserved ~fresh_id ?(base = Point.Set.empty) ~pins routed =
+let ripup ?(retry = fun _ -> None) ?(unjail = fun ~keep:_ ~failed:_ -> None)
+    ~config ~workspace ~grid ~fresh_id ~pins routed =
   let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
   let rec round k routed =
     if not (alive ()) then Ok (unrouted routed)
     else
-      match run ~alive ~workspace ~base ~grid ~pins routed with
+      match run ~alive ~workspace ~grid ~pins routed with
       | Error _ as e -> e
       | Ok out
         when out.failed_clusters = [] || k >= config.Config.max_ripup_rounds
@@ -157,15 +163,13 @@ let ripup ?(retry = fun ~others:_ _ -> None) ?(unjail = fun ~keep:_ ~failed:_ ->
                not (List.mem r.cluster.Cluster.id out.failed_clusters))
             routed
         in
-        let step ~others (r : Routed.t) =
+        let step (r : Routed.t) =
           if Routed.is_length_matched_shape r then begin
             (* Ripped at a higher cost (Sec. 3): the caller's retry first,
                else routed as an ordinary cluster. *)
-            match retry ~others r with
+            match retry r with
             | Some r' -> [ r' ]
-            | None ->
-              Plain_route.route_one ~workspace ~grid ~valve_cells:reserved
-                ~already_claimed:others ~fresh_id r.cluster
+            | None -> (Plain_route.route_all ~workspace ~grid ~fresh_id [ r.cluster ]).routed
           end
           else if Cluster.size r.cluster >= 2 then
             List.map Routed.make_singleton (Cluster.split r.cluster ~fresh_id)
@@ -175,10 +179,14 @@ let ripup ?(retry = fun ~others:_ _ -> None) ?(unjail = fun ~keep:_ ~failed:_ ->
           Routed.is_length_matched_shape r || Cluster.size r.cluster >= 2
         in
         if List.exists changes failed then
-          round (k + 1) (keep @ replace_each ~base ~context:keep step failed)
+          round (k + 1) (keep @ replace_each ~workspace step failed)
         else
           match unjail ~keep ~failed with
           | Some routed -> round (k + 1) routed
           | None -> Ok out
   in
-  round 0 routed
+  Result.map
+    (fun out ->
+       List.iter (occupy workspace) out.assignments;
+       out)
+    (round 0 routed)

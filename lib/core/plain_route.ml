@@ -7,11 +7,27 @@ type outcome = {
   declustered : int;
 }
 
-let route_all ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id clusters =
-  let static = Routing_grid.obstacles grid in
-  let work = Obstacle_map.copy static in
-  Point.Set.iter (fun p -> Obstacle_map.block work p) already_claimed;
-  Point.Set.iter (fun p -> Obstacle_map.block work p) valve_cells;
+(* Route [cluster] on the private map [work], which blocks everything it
+   must avoid, including its own valves (every valve is a reserved cell);
+   its MST's cells are blocked there for whatever is routed next. *)
+let route_on ~workspace ~grid ~fresh_id work declustered (cluster : Cluster.t) =
+  let own = Cluster.positions cluster in
+  (* The cluster's own valves are legal cells for its channels. *)
+  List.iter (Obstacle_map.unblock work) own;
+  let result = Pacor_route.Mst_router.route ~workspace ~grid ~obstacles:work own in
+  List.iter (Obstacle_map.block work) own;
+  match result with
+  | Some mst ->
+    Point.Set.iter (fun p -> Obstacle_map.block work p) mst.claimed;
+    [ Routed.make_plain cluster ~paths:mst.paths ~claimed:mst.claimed ]
+  | None ->
+    incr declustered;
+    let singles = Cluster.split cluster ~fresh_id in
+    List.map Routed.make_singleton singles
+
+let route_all ?(fence = []) ~workspace ~grid ~fresh_id clusters =
+  let work = Obstacle_map.copy (Pacor_route.Workspace.occupied workspace) in
+  List.iter (Obstacle_map.block work) fence;
   let order =
     List.sort
       (fun (a : Cluster.t) b ->
@@ -20,28 +36,5 @@ let route_all ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id clusters 
       clusters
   in
   let declustered = ref 0 in
-  let route_one (cluster : Cluster.t) =
-    let own = Cluster.positions cluster in
-    (* The cluster's own valves are legal cells for its channels. *)
-    List.iter (Obstacle_map.unblock work) own;
-    let reblock_foreign () =
-      List.iter
-        (fun p -> if Point.Set.mem p valve_cells then Obstacle_map.block work p)
-        own
-    in
-    match Pacor_route.Mst_router.route ?workspace ~grid ~obstacles:work own with
-    | Some mst ->
-      reblock_foreign ();
-      Point.Set.iter (fun p -> Obstacle_map.block work p) mst.claimed;
-      [ Routed.make_plain cluster ~paths:mst.paths ~claimed:mst.claimed ]
-    | None ->
-      reblock_foreign ();
-      incr declustered;
-      let singles = Cluster.split cluster ~fresh_id in
-      List.map Routed.make_singleton singles
-  in
-  let routed = List.concat_map route_one order in
+  let routed = List.concat_map (route_on ~workspace ~grid ~fresh_id work declustered) order in
   { routed; declustered = !declustered }
-
-let route_one ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id cluster =
-  (route_all ?workspace ~grid ~valve_cells ~already_claimed ~fresh_id [ cluster ]).routed

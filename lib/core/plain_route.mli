@@ -1,6 +1,8 @@
 (** Stage "MST-based cluster routing" (Sec. 3): route ordinary clusters —
     those without the length-matching constraint plus any demoted ones —
-    and decluster into singletons whatever cannot be routed whole. *)
+    and decluster into singletons whatever cannot be routed whole, against
+    the workspace's owner layer ({!Pacor_route.Workspace.occupied}),
+    which it leaves unedited. *)
 
 open Pacor_geom
 open Pacor_grid
@@ -12,29 +14,18 @@ type outcome = {
 }
 
 val route_all :
-  ?workspace:Pacor_route.Workspace.t ->
+  ?fence:Point.t list ->
+  workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
-  valve_cells:Point.Set.t ->
-  already_claimed:Point.Set.t ->
   fresh_id:(unit -> int) ->
   Cluster.t list ->
   outcome
-(** Routes clusters largest-first. Obstacles for each cluster: static
-    blockages, [already_claimed] cells (earlier clusters, length-matched
-    trees), the claims of clusters routed before it, and the positions of
-    all valves outside the cluster. A cluster whose MST cannot be routed is
-    split into singletons (which claim just their valve cell and always
-    succeed); [fresh_id] mints their cluster ids. *)
-
-val route_one :
-  ?workspace:Pacor_route.Workspace.t ->
-  grid:Routing_grid.t ->
-  valve_cells:Point.Set.t ->
-  already_claimed:Point.Set.t ->
-  fresh_id:(unit -> int) ->
-  Cluster.t ->
-  Routed.t list
-(** [route_all] of one cluster: its MST, or its singletons when the MST
-    fails. The rip-up ladder demotes a length-matched cluster with it, the
-    engine's jailer rung its jailers, and repair re-routes a dirty cluster
+(** Routes clusters largest-first, each against the layer, the [fence]
+    cells (default none) and the claims of the clusters routed before it;
+    a cluster's own valves are open to its channels. A cluster whose MST
+    cannot be routed is split into singletons (which claim just their
+    valve cell and always succeed); [fresh_id] mints their cluster ids.
+    Besides the engine's plain-routing stage, the rip-up ladder demotes a
+    length-matched cluster with it, the engine's jailer rung its jailers
+    (fenced off the jailed valves), and repair re-routes a dirty cluster
     no candidate could route. *)

@@ -1,95 +1,64 @@
-open Pacor_geom
 open Pacor_valve
 
-let run ~config ~workspace ~grid ~delta ~reserved ~pins
-    (assignments : Escape_stage.assignment list) =
+let run ~config ~workspace ~grid ~delta ~pins (assignments : Escape_stage.assignment list) =
   let log fmt = Config.log config fmt in
   let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
-  (* Per-cluster escape assignments, replaced as rescues succeed.
-     [escape_cells] caches an assignment's cell set the first time a
-     rematch attempt unions it into its forbidden set; [set_escape] drops
-     the stale entry. Most runs rematch nothing and never build a set. *)
-  let escapes : (int, Pacor_flow.Escape.routed option) Hashtbl.t = Hashtbl.create 16 in
-  let escape_cells : (int, Point.Set.t) Hashtbl.t = Hashtbl.create 16 in
-  let set_escape id e =
-    Hashtbl.replace escapes id e;
-    Hashtbl.remove escape_cells id
-  in
-  List.iter
-    (fun (a : Escape_stage.assignment) -> set_escape a.routed.cluster.Cluster.id a.escape)
-    assignments;
-  let escape_cells_of (r : Routed.t) =
-    let id = r.cluster.Cluster.id in
-    match Hashtbl.find_opt escape_cells id with
-    | Some cells -> cells
-    | None ->
-      let cells =
-        match Hashtbl.find_opt escapes id with
-        | Some (Some e) ->
-          Point.Set.of_list (Pacor_grid.Path.points e.Pacor_flow.Escape.path)
-        | Some None | None -> Point.Set.empty
-      in
-      Hashtbl.replace escape_cells id cells;
-      cells
-  in
-  let rematch_one committed (r : Routed.t) =
+  let id_of (a : Escape_stage.assignment) = a.routed.Routed.cluster.Cluster.id in
+  (* Every attempt below runs on the owner layer with the ripped clusters
+     vacated: it reads everything else there, and holds what it tries
+     until the try fails. *)
+  let occupied = Pacor_route.Workspace.occupied workspace in
+  let occupy = Escape_stage.occupy workspace and vacate = Escape_stage.vacate workspace in
+  let rematch_one current (a : Escape_stage.assignment) =
+    let r = a.routed in
     let unmatched_tree =
       match r.shape, Routed.spread r with
       | Some (Routed.Tree _), Some s -> s > delta
       | (Some (Routed.Pair _) | None), _ | _, None -> false
     in
-    let has_no_escape =
-      Hashtbl.find_opt escapes r.cluster.Cluster.id = Some None
-    in
-    if (not unmatched_tree) || has_no_escape then []
+    if (not unmatched_tree) || a.escape = None then []
     else begin
-      let others =
-        List.filter (fun (x : Routed.t) -> x.cluster.Cluster.id <> r.cluster.Cluster.id)
-          committed
-      in
-      let forbidden_of rs =
-        List.fold_left
-          (fun acc (x : Routed.t) ->
-             Point.Set.union acc (Point.Set.union x.claimed (escape_cells_of x)))
-          Point.Set.empty rs
-      in
+      let others = List.filter (fun x -> id_of x <> id_of a) current in
       let pins_available rs =
         let used =
           List.filter_map
-            (fun (x : Routed.t) ->
-               match Hashtbl.find_opt escapes x.cluster.Cluster.id with
-               | Some (Some e) -> Some e.Pacor_flow.Escape.pin
-               | Some None | None -> None)
+            (fun (x : Escape_stage.assignment) ->
+               Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin) x.escape)
             rs
         in
-        List.filter (fun p -> not (List.exists (Point.equal p) used)) pins
+        List.filter (fun p -> not (List.exists (Pacor_geom.Point.equal p) used)) pins
       in
-      let forbidden = forbidden_of others in
+      vacate a;
       let available_pins = pins_available others in
-      let obstacles = Pacor_grid.Routing_grid.blocked_work_map grid [ reserved; forbidden ] in
       let candidates =
         Cluster_route.candidates_for ~config ~grid
-          ~usable:(Pacor_grid.Obstacle_map.free obstacles) r.cluster
+          ~usable:(Pacor_grid.Obstacle_map.free occupied) r.cluster
       in
       let try_candidate (cand : Pacor_dme.Candidate.t) =
         match
-          Cluster_route.route_single ~workspace ~config ~grid ~obstacles r.cluster cand
+          Cluster_route.route_single ~workspace ~config ~grid ~obstacles:occupied r.cluster cand
         with
         | None -> None
         | Some r' ->
-          let claimed = Point.Set.union forbidden r'.claimed in
+          Routed.occupy workspace r';
           (match
-             Escape_stage.single ~workspace ~grid ~claimed ~pins:available_pins
+             Escape_stage.single ~workspace ~grid ~pins:available_pins
                ~start_cells:(Routed.start_cells r') ()
            with
            | Some e ->
-             let blocked = Detour_stage.blocked ~reserved ~base:forbidden [] [ e ] in
+             let tried = { Escape_stage.routed = r'; escape = Some e } in
+             occupy tried;
              let r'', ok =
-               Detour_stage.detour_one ~workspace ~grid ~delta ~theta:config.Config.theta
-                 ~blocked r'
+               Detour_stage.detour_one ~workspace ~grid ~delta ~theta:config.Config.theta r'
              in
-             if ok then Some (r'', e) else None
-           | None -> None)
+             if ok then Some { tried with routed = r'' }
+             else begin
+               vacate tried;
+               None
+             end
+           | None ->
+             Routed.vacate workspace r';
+             None)
       in
       (* Last resort: rip this cluster and its nearest tree neighbour
          jointly — the neighbour's channels are usually what starves the
@@ -97,17 +66,17 @@ let run ~config ~workspace ~grid ~delta ~reserved ~pins
       let try_joint () =
         let tree_neighbours =
           List.filter
-            (fun (x : Routed.t) ->
-               match x.shape with Some (Routed.Tree _) -> true | _ -> false)
+            (fun (x : Escape_stage.assignment) ->
+               match x.routed.shape with Some (Routed.Tree _) -> true | _ -> false)
             others
         in
-        let distance (x : Routed.t) =
+        let distance (x : Escape_stage.assignment) =
           List.fold_left
             (fun acc p ->
                List.fold_left
-                 (fun a q -> min a (Point.manhattan p q))
+                 (fun a q -> min a (Pacor_geom.Point.manhattan p q))
                  acc
-                 (Cluster.positions x.cluster))
+                 (Cluster.positions x.routed.cluster))
             max_int
             (Cluster.positions r.cluster)
         in
@@ -121,89 +90,80 @@ let run ~config ~workspace ~grid ~delta ~reserved ~pins
         in
         match partner with
         | None -> []
-        | Some ((n : Routed.t), _) ->
-          let rest =
-            List.filter
-              (fun (x : Routed.t) -> x.cluster.Cluster.id <> n.cluster.Cluster.id)
-              others
-          in
-          let forbidden2 = forbidden_of rest in
+        | Some (n, _) ->
+          vacate n;
+          let rest = List.filter (fun x -> id_of x <> id_of n) others in
           let joint =
-            Cluster_route.route ~workspace ~config ~grid
-              ~valve_cells:(Point.Set.union reserved forbidden2)
-              [ r.cluster; n.cluster ]
+            Cluster_route.route ~workspace ~config ~grid ~obstacles:occupied
+              [ r.cluster; n.routed.cluster ]
           in
           log "rematch-joint: %d routed, %d demoted"
             (List.length joint.Cluster_route.routed)
             (List.length joint.Cluster_route.demoted);
-          (match joint.Cluster_route.routed, joint.Cluster_route.demoted with
-           | ([ _; _ ] as both), [] ->
-             (match
-                Escape_stage.run ~alive ~workspace ~base:forbidden2 ~grid
-                  ~pins:(pins_available rest) both
-              with
-              | Ok { assignments = [ { escape = Some e0; _ }; { escape = Some e1; _ } ]; _ } ->
-                let blocked = Detour_stage.blocked ~reserved ~base:forbidden2 both [ e0; e1 ] in
-                let out =
-                  Detour_stage.run ~workspace ~grid ~delta ~theta:config.Config.theta
-                    ~blocked both
-                in
-                log "rematch-joint: detour matched %d of 2"
-                  (List.length out.Detour_stage.matched_ids);
-                if List.length out.Detour_stage.matched_ids = 2 then begin
-                  log "rematch: clusters %d and %d jointly rerouted"
-                    r.cluster.Cluster.id n.cluster.Cluster.id;
-                  List.iter2
-                    (fun (x : Routed.t) e -> set_escape x.cluster.Cluster.id (Some e))
-                    both [ e0; e1 ];
-                  List.map
-                    (fun (x : Routed.t) -> (x.cluster.Cluster.id, x))
-                    out.Detour_stage.updated
-                end
-                else []
-              | Ok o ->
-                log "rematch-joint: escape failed (%d routed)"
-                  (List.length o.assignments - List.length o.failed_clusters);
-                []
-              | Error msg ->
-                log "rematch-joint: escape error %s" msg;
-                [])
-           | _, _ -> [])
+          let rescued =
+            match joint.Cluster_route.routed, joint.Cluster_route.demoted with
+            | ([ _; _ ] as both), [] ->
+              List.iter (Routed.occupy workspace) both;
+              (match
+                 Escape_stage.run ~alive ~workspace ~grid ~pins:(pins_available rest) both
+               with
+               | Ok { assignments = [ { escape = Some _; _ }; { escape = Some _; _ } ] as pair; _ }
+                 ->
+                 List.iter occupy pair;
+                 let out =
+                   Detour_stage.run ~workspace ~grid ~delta ~theta:config.Config.theta both
+                 in
+                 log "rematch-joint: detour matched %d of 2"
+                   (List.length out.Detour_stage.matched_ids);
+                 let pair =
+                   List.map2
+                     (fun routed (x : Escape_stage.assignment) -> { x with routed })
+                     out.Detour_stage.updated pair
+                 in
+                 if List.length out.Detour_stage.matched_ids = 2 then begin
+                   log "rematch: clusters %d and %d jointly rerouted"
+                     r.cluster.Cluster.id n.routed.cluster.Cluster.id;
+                   pair
+                 end
+                 else begin
+                   List.iter vacate pair;
+                   []
+                 end
+               | Ok o ->
+                 log "rematch-joint: escape failed (%d routed)"
+                   (List.length o.assignments - List.length o.failed_clusters);
+                 List.iter (Routed.vacate workspace) both;
+                 []
+               | Error msg ->
+                 log "rematch-joint: escape error %s" msg;
+                 List.iter (Routed.vacate workspace) both;
+                 [])
+            | _, _ -> []
+          in
+          if rescued = [] then occupy n;
+          rescued
       in
-      let rec try_all = function
-        | [] -> try_joint ()
-        | cand :: rest ->
-          (match try_candidate cand with
-           | Some (r'', e) ->
-             log "rematch: cluster %d rescued with an alternative candidate"
-               r.cluster.Cluster.id;
-             set_escape r.cluster.Cluster.id (Some e);
-             [ (r.cluster.Cluster.id, r'') ]
-           | None -> try_all rest)
+      let rescued =
+        match List.find_map try_candidate candidates with
+        | Some a' ->
+          log "rematch: cluster %d rescued with an alternative candidate" r.cluster.Cluster.id;
+          [ a' ]
+        | None -> try_joint ()
       in
-      try_all candidates
+      if rescued = [] then occupy a;
+      rescued
     end
   in
   let apply current replacements =
     List.map
-      (fun (x : Routed.t) ->
-         match List.assoc_opt x.cluster.Cluster.id replacements with
+      (fun x ->
+         match List.find_opt (fun y -> id_of y = id_of x) replacements with
          | Some x' -> x'
          | None -> x)
       current
   in
-  let rec pass current = function
-    | [] -> current
-    | (r : Routed.t) :: rest ->
-      let r_now =
-        List.find
-          (fun (x : Routed.t) -> x.cluster.Cluster.id = r.cluster.Cluster.id)
-          current
-      in
-      pass (apply current (rematch_one current r_now)) rest
-  in
-  let routed = List.map (fun (a : Escape_stage.assignment) -> a.routed) assignments in
-  List.map
-    (fun (r : Routed.t) ->
-       { Escape_stage.routed = r; escape = Hashtbl.find escapes r.cluster.Cluster.id })
-    (pass routed routed)
+  List.fold_left
+    (fun current a ->
+       let a_now = List.find (fun x -> id_of x = id_of a) current in
+       apply current (rematch_one current a_now))
+    assignments assignments

@@ -17,11 +17,11 @@ val run :
   workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
   delta:int ->
-  reserved:Point.Set.t ->
   pins:Point.t list ->
   Escape_stage.assignment list ->
   Escape_stage.assignment list
-(** [reserved] are the valve and pin cells ({!Problem.reserved_cells}),
-    [pins] every candidate pin. Clusters are visited in input order, each
-    against the current state of the others; the result keeps that
-    order. *)
+(** [pins] are every candidate pin. The workspace's owner layer must hold
+    every assignment (channels and escapes); "everything else" is that
+    layer with the ripped clusters vacated, and on return it holds the
+    result. Clusters are visited in input order, each against the current
+    state of the others; the result keeps that order. *)

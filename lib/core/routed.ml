@@ -90,7 +90,8 @@ let escape_anchor_lengths t =
 
 let is_length_matched_shape t = Option.is_some t.shape
 
-let claims_of ts = List.fold_left (fun acc t -> Point.Set.union acc t.claimed) Point.Set.empty ts
+let occupy ws t = Point.Set.iter (Pacor_route.Workspace.occupy ws ~id:t.cluster.Cluster.id) t.claimed
+let vacate ws t = Point.Set.iter (Pacor_route.Workspace.vacate ws ~id:t.cluster.Cluster.id) t.claimed
 
 let spread t =
   match escape_anchor_lengths t with

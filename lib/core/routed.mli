@@ -47,8 +47,10 @@ val escape_anchor_lengths : t -> (Valve.id * int) list
 val is_length_matched_shape : t -> bool
 (** The cluster is still being routed under the length-matching regime. *)
 
-val claims_of : t list -> Point.Set.t
-(** Union of the clusters' [claimed] cells. *)
+val occupy : Pacor_route.Workspace.t -> t -> unit
+val vacate : Pacor_route.Workspace.t -> t -> unit
+(** Hold or free the [claimed] cells in the workspace's owner layer
+    ({!Pacor_route.Workspace.occupy}), under the cluster's id. *)
 
 val spread : t -> int option
 (** [max - min] of {!escape_anchor_lengths}; [None] for ordinary routes. *)

@@ -79,6 +79,9 @@ val add_stages : t -> (string * measured) list -> t
 val cluster_total_length : routed_cluster -> int
 val stats : t -> stats
 
+val cluster_cells : routed_cluster -> Pacor_geom.Point.Set.t
+(** The cluster's claimed cells and its escape path's cells. *)
+
 val validate : t -> (unit, string list) result
 (** Re-checks the solution from scratch:
     - every path cell is in bounds and off static obstacles;

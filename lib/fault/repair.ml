@@ -25,13 +25,7 @@ type t = {
   wall_s : float;
 }
 
-let escape_cells (c : Pacor.Solution.routed_cluster) =
-  match c.escape with
-  | None -> Point.Set.empty
-  | Some e -> Point.Set.of_list (Path.points e.Pacor_flow.Escape.path)
-
-let footprint (c : Pacor.Solution.routed_cluster) =
-  Point.Set.union c.routed.Pacor.Routed.claimed (escape_cells c)
+let footprint = Pacor.Solution.cluster_cells
 
 (* Does this fault dirty this routed cluster? A stuck valve dirties its
    owner; a blocked cell or leak dirties every cluster whose channels or
@@ -60,27 +54,33 @@ let dirty_set ~faults (sol : Pacor.Solution.t) =
        sol.Pacor.Solution.clusters)
 
 (* The re-route core, shared by fault repair and the serving layer's delta
-   handlers: the engine's stages, run from a base made of the untouched
-   clusters. [fproblem] is the already-mutated instance; [is_dirty] names
-   the routed clusters to rip up; [revise] maps a ripped cluster to the
-   cluster to route in its place ([None] retires it outright — e.g. every
-   member valve died). Untouched clusters are reused without so much as a
-   copy, so their channels stay byte-identical. Returns the result (with no
-   per-fault reports) plus the ripped and the rebuilt clusters. *)
+   handlers: the engine's stages, run on an owner layer loaded with the
+   untouched clusters. [fproblem] is the already-mutated instance;
+   [is_dirty] names the routed clusters to rip up, and a cluster without
+   an escape is ripped whatever it says (reused, it would leave its valves
+   unrouted); [revise] maps a ripped cluster to the cluster to route in
+   its place ([None] retires it outright — e.g. every member valve died).
+   Untouched clusters are reused without so much as a copy, so their
+   channels stay byte-identical. Returns the result (with no per-fault
+   reports) plus the ripped and the rebuilt clusters. *)
 let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Solution.t) =
   let config = sol.Pacor.Solution.config in
   let { Pacor.Problem.grid; delta; _ } = fproblem in
   let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
   let rebuild () =
     let untouched, dirty =
-      List.partition (fun c -> not (is_dirty c)) sol.Pacor.Solution.clusters
+      List.partition
+        (fun (c : Pacor.Solution.routed_cluster) -> c.escape <> None && not (is_dirty c))
+        sol.Pacor.Solution.clusters
     in
-    let reserved = Pacor.Problem.reserved_cells fproblem in
-    (* The base every stage routes against: the untouched clusters'
-       channels and escape paths, and the pins they hold. *)
-    let base =
-      List.fold_left (fun acc c -> Point.Set.union acc (footprint c)) Point.Set.empty untouched
-    in
+    (* Every stage routes against the owner layer: the untouched clusters'
+       channels and escape paths, then each replacement as it is routed. *)
+    Pacor_route.Workspace.load_owners workspace grid
+      ~reserved:(Pacor.Problem.reserved_cells fproblem);
+    List.iter
+      (fun (c : Pacor.Solution.routed_cluster) ->
+         Pacor.Escape_stage.occupy workspace { routed = c.routed; escape = c.escape })
+      untouched;
     let used_pins =
       List.filter_map
         (fun (c : Pacor.Solution.routed_cluster) ->
@@ -99,43 +99,40 @@ let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Sol
            sol.Pacor.Solution.clusters)
     in
     (* Rip-up and re-route, sequentially so each replacement avoids the
-       claims of the ones routed before it. A dirty length-matched cluster
-       first retries its DME candidates around the change; when none routes
-       (or the budget is dead and every search fails fast) it falls back to
-       MST / singleton routing, which cannot fail. *)
-    let reroute_one forbidden (cluster : Cluster.t) =
+       ones routed before it (not the clusters still ripped). A dirty
+       length-matched cluster first retries its DME candidates around the
+       change; when none routes (or the budget is dead and every search
+       fails fast) it falls back to MST / singleton routing, which cannot
+       fail. *)
+    let reroute_one (cluster : Cluster.t) =
+      let obstacles = Pacor_route.Workspace.occupied workspace in
       let lm_attempt () =
         if not (Cluster.needs_matching cluster && alive ()) then None
-        else begin
-          let obstacles = Routing_grid.blocked_work_map grid [ reserved; forbidden ] in
+        else
           Pacor.Cluster_route.candidates_for ~config ~grid ~usable:(Obstacle_map.free obstacles)
             cluster
           |> List.find_map (fun cand ->
             if alive () then
               Pacor.Cluster_route.route_single ~workspace ~config ~grid ~obstacles cluster cand
             else None)
-        end
       in
       match lm_attempt () with
       | Some r -> [ r ]
-      | None ->
-        Pacor.Plain_route.route_one ~workspace ~grid ~valve_cells:reserved
-          ~already_claimed:forbidden ~fresh_id cluster
+      | None -> (Pacor.Plain_route.route_all ~workspace ~grid ~fresh_id [ cluster ]).routed
     in
     let replacements =
-      List.fold_left
-        (fun done_ (c : Pacor.Solution.routed_cluster) ->
+      List.concat_map
+        (fun (c : Pacor.Solution.routed_cluster) ->
            match revise c.routed.Pacor.Routed.cluster with
-           | None -> done_ (* retired: e.g. every valve dead *)
+           | None -> [] (* retired: e.g. every valve dead *)
            | Some cluster' ->
-             done_ @ reroute_one (Point.Set.union base (Pacor.Routed.claims_of done_)) cluster')
-        [] dirty
+             let rs = reroute_one cluster' in
+             List.iter (Pacor.Routed.occupy workspace) rs;
+             rs)
+        dirty
     in
     (* Escape on the engine's rip-up ladder, without its extra rungs. *)
-    match
-      Pacor.Escape_stage.ripup ~config ~workspace ~grid ~reserved ~fresh_id ~base ~pins
-        replacements
-    with
+    match Pacor.Escape_stage.ripup ~config ~workspace ~grid ~fresh_id ~pins replacements with
     | Error e -> Error (stage ^ ": escape: " ^ e)
     | Ok escaped ->
       (* A replacement still pinless after the ladder is unrepairable
@@ -146,6 +143,7 @@ let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Sol
           (fun (a : Pacor.Escape_stage.assignment) -> a.escape <> None)
           escaped.Pacor.Escape_stage.assignments
       in
+      List.iter (Pacor.Escape_stage.vacate workspace) pinless;
       let quarantined =
         List.concat_map
           (fun (a : Pacor.Escape_stage.assignment) -> Cluster.valve_ids a.routed.cluster)
@@ -163,8 +161,7 @@ let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Sol
          let kept =
            if not (alive ()) then kept
            else
-             Pacor.Detour_stage.around ~workspace ~grid ~delta ~theta:config.Pacor.Config.theta
-               ~reserved ~base kept
+             Pacor.Detour_stage.around ~workspace ~grid ~delta ~theta:config.Pacor.Config.theta kept
          in
          let rebuilt =
            List.map

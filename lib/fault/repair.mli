@@ -4,9 +4,9 @@
     wrong price — most channels are nowhere near the fault. [run] instead
     computes the {e dirty set} (clusters owning a stuck valve, clusters
     whose channels or escape cross a faulted cell), rips up exactly those,
-    and re-routes them around the fault with the engine's own stages, run
-    from a base made of the untouched clusters (their footprints as
-    obstacles, their pins out of the offer): candidate routing for
+    and re-routes them around the fault with the engine's own stages, on
+    a workspace owner layer loaded with the untouched clusters (their
+    footprints held, their pins out of the offer): candidate routing for
     length-matched clusters with an MST / singleton fallback, escape on
     the engine's rip-up ladder ({!Pacor.Escape_stage.ripup}: demote a
     pinless length-matched cluster, decluster a pinless multi-valve
@@ -96,7 +96,8 @@ val reroute :
   Pacor.Solution.t ->
   (t, string) result
 (** [reroute ~problem ~is_dirty sol] rips up the clusters [is_dirty]
-    selects and re-routes them against [problem] — an already-mutated
+    selects, and every cluster without an escape, and re-routes them
+    against [problem] — an already-mutated
     variant of [sol.problem] (obstacle added or removed, valve moved…).
     [revise] maps each ripped cluster to the cluster to route in its place
     ([None] retires it; default: route it unchanged) — a moved valve's
@@ -106,7 +107,8 @@ val reroute :
     (e.g. any cluster whose {!footprint} contains a newly blocked cell).
     [stage] names the appended stage in the solution's bookkeeping
     (default ["reroute"]). The result's [reports] list is empty — per-fault
-    verdicts only make sense for [run]. *)
+    verdicts only make sense for [run]. On return, [workspace]'s owner
+    layer holds the result's clusters. *)
 
 val pp_outcome : Format.formatter -> fault_outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -26,11 +26,6 @@ let in_bounds t p = Obstacle_map.in_bounds t.obstacles p
 let blocked t p = Obstacle_map.blocked t.obstacles p
 let free t p = Obstacle_map.free t.obstacles p
 
-let blocked_work_map t sets =
-  let work = fresh_work_map t in
-  List.iter (Point.Set.iter (Obstacle_map.block work)) sets;
-  work
-
 let on_boundary t (p : Point.t) =
   in_bounds t p && (p.x = 0 || p.y = 0 || p.x = t.width - 1 || p.y = t.height - 1)
 

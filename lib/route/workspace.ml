@@ -1,3 +1,5 @@
+module Obstacle_map = Pacor_grid.Obstacle_map
+
 type t = {
   mutable cap : int;
   mutable dist_a : int array;
@@ -21,6 +23,14 @@ type t = {
   mutable claim_count_a : int array;
   mutable claim_stamp : int array;
   mutable claim_epoch : int;
+  (* Owner layer: per cell, the holding cluster's id, live while
+     [owner_stamp] is [owner_epoch]; [fixed] blocks static and reserved
+     cells, [occupied] those and every held cell. *)
+  mutable owner_a : int array;
+  mutable owner_stamp : int array;
+  mutable owner_epoch : int;
+  mutable fixed : Obstacle_map.t;
+  mutable occupied : Obstacle_map.t;
   (* Scratch pools: grid-sized arrays leased by stages that used to
      [Array.make n] per call (negotiation history, escape roles, the
      escape flow state). Int slots 0–3 are negotiation's and read zero
@@ -28,10 +38,6 @@ type t = {
      the borrower writes each element before it reads it. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
-  (* [Routing_grid.fill_interior_free] of [mask_grid], which reads so
-     between borrows (see [with_interior_free_mask]). *)
-  mutable mask : Bytes.t;
-  mutable mask_grid : Pacor_grid.Routing_grid.t option;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
   pq : Pacor_graphs.Pqueue.t;
@@ -73,10 +79,13 @@ let create ?stats () =
     claim_count_a = [||];
     claim_stamp = [||];
     claim_epoch = 1;
+    owner_a = [||];
+    owner_stamp = [||];
+    owner_epoch = 1;
+    fixed = Obstacle_map.create ~width:1 ~height:1;
+    occupied = Obstacle_map.create ~width:1 ~height:1;
     scratch_ints = Array.make scratch_slots [||];
     scratch_bs = Array.make scratch_byte_slots Bytes.empty;
-    mask = Bytes.empty;
-    mask_grid = None;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
     dq = [||];
@@ -267,6 +276,55 @@ let release t i =
 
 let claimed t i = t.claim_stamp.(i) = t.claim_epoch && t.claim_count_a.(i) > 0
 
+(* -- Owner layer -------------------------------------------------------- *)
+
+(* Not grown by [reserve_cells]: the escape network sizes the search
+   arrays by node count, and a regrowth must not wipe the layer. *)
+let load_owners t grid ~reserved =
+  let cells = Pacor_grid.Routing_grid.cells grid in
+  if Array.length t.owner_a < cells then begin
+    t.owner_a <- Array.make cells 0;
+    t.owner_stamp <- Array.make cells 0;
+    Search_stats.grid_alloc_noted t.stats
+  end;
+  t.owner_epoch <- t.owner_epoch + 1;
+  let fixed = Pacor_grid.Routing_grid.fresh_work_map grid in
+  Pacor_geom.Point.Set.iter (Obstacle_map.block fixed) reserved;
+  t.fixed <- fixed;
+  t.occupied <- Obstacle_map.copy fixed
+
+let occupied t = t.occupied
+
+let owner_i t i = if t.owner_stamp.(i) = t.owner_epoch then t.owner_a.(i) else -1
+
+(* The cell's dense index, [-1] out of bounds. *)
+let cell t (p : Pacor_geom.Point.t) =
+  if Obstacle_map.in_bounds t.occupied p then (p.y * Obstacle_map.width t.occupied) + p.x else -1
+
+let occupy t ~id p =
+  let i = cell t p in
+  if i >= 0 then begin
+    t.owner_stamp.(i) <- t.owner_epoch;
+    t.owner_a.(i) <- id;
+    Obstacle_map.block t.occupied p
+  end
+
+let vacate t ~id p =
+  let i = cell t p in
+  if i >= 0 && owner_i t i = id then begin
+    t.owner_a.(i) <- -1;
+    if Obstacle_map.free t.fixed p then Obstacle_map.unblock t.occupied p
+  end
+
+let fold_owned t f acc =
+  let width = Obstacle_map.width t.occupied in
+  let acc = ref acc in
+  for i = 0 to (width * Obstacle_map.height t.occupied) - 1 do
+    let id = owner_i t i in
+    if id >= 0 then acc := f (Pacor_geom.Point.make (i mod width) (i / width)) id !acc
+  done;
+  !acc
+
 let entry_count t i = if t.fill_stamp.(i) = t.epoch then t.fill.(i) else 0
 let entry_slot t ~cell k = (cell * t.stride) + k
 let entry_cell t slot = slot / t.stride
@@ -318,34 +376,3 @@ let scratch_bytes t ~slot ~len =
     Search_stats.grid_alloc_noted t.stats
   end;
   t.scratch_bs.(slot)
-
-(* A grid's static map never changes once the grid is built (overlays
-   make new grids), so a mask built for the same grid, by physical
-   identity, is still exact. Int slot 5 lists the cells [clear] turned
-   from usable to clear, each once, so they fit in [cells]. *)
-let with_interior_free_mask t grid ~clear f =
-  let cells = Pacor_grid.Routing_grid.cells grid in
-  (match t.mask_grid with
-   | Some g when g == grid -> ()
-   | Some _ | None ->
-     if Bytes.length t.mask < cells then begin
-       t.mask <- Bytes.create (grown (Bytes.length t.mask) cells);
-       Search_stats.grid_alloc_noted t.stats
-     end;
-     Pacor_grid.Routing_grid.fill_interior_free grid t.mask;
-     t.mask_grid <- Some grid);
-  let mask = t.mask and cleared = scratch_int t ~slot:5 ~cells in
-  let n = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      for k = 0 to !n - 1 do
-        Bytes.unsafe_set mask cleared.(k) '\001'
-      done)
-    (fun () ->
-      clear (fun i ->
-        if Bytes.get mask i = '\001' then begin
-          Bytes.unsafe_set mask i '\000';
-          cleared.(!n) <- i;
-          incr n
-        end);
-      f mask)

@@ -15,7 +15,8 @@
     [cell * max_visits + k], so no per-visit allocation happens either.
 
     A workspace is single-threaded and non-reentrant: one search at a time.
-    Every operation below is O(1). *)
+    Every operation below is O(1), except the growth, load and fold
+    calls, which say what they cost. *)
 
 type t
 
@@ -136,6 +137,35 @@ val release : t -> int -> unit
 val claimed : t -> int -> bool
 (** True iff the cell's current-generation claim count is positive. *)
 
+(** {2 Owner layer (which cluster holds each cell)}
+
+    The cells of every routed cluster's channels, valves and escape path,
+    by cluster id. The stages after cluster routing route one cluster
+    against everything the others hold: the layer with that cluster
+    vacated for one attempt. A pipeline loads it once and edits it in
+    O(cells changed). It is separate from the claim layer above, which
+    {!Negotiation} restarts on every call; loading charges no
+    {!Search_stats} reset. A cell has one owner, the last to {!occupy}
+    it. *)
+
+val load_owners : t -> Pacor_grid.Routing_grid.t -> reserved:Pacor_geom.Point.Set.t -> unit
+(** A new generation for [grid], every cell free; {!occupied} blocks the
+    static obstacles and [reserved] (valve and pin cells: blocked whoever
+    holds them). Two obstacle-bitmap copies, O(cells / 8). *)
+
+val occupy : t -> id:int -> Pacor_geom.Point.t -> unit
+val vacate : t -> id:int -> Pacor_geom.Point.t -> unit
+(** Cluster [id] (non-negative) holds the cell, or frees it if it holds
+    it. Out-of-bounds cells are ignored. *)
+
+val occupied : t -> Pacor_grid.Obstacle_map.t
+(** Static obstacles, reserved and held cells blocked; edited in place,
+    so read or copy it, never write it. *)
+
+val fold_owned : t -> (Pacor_geom.Point.t -> int -> 'a -> 'a) -> 'a -> 'a
+(** The held cells and their owners, in dense index order (one pass over
+    the grid). *)
+
 (** {2 Bounded-search visit entries}
 
     Entries live in a flat pool; a slot id is [cell * max_visits + k] with
@@ -189,8 +219,7 @@ val prepare : t -> cells:int -> unit
       ([Pacor_flow.Escape.group_requests]) reads the labels right after
       the joint seed's BFS, writes pocket and start labels into slot 4
       and floods pinless pockets with slot 5 as its stack. A seed's slot
-      4 is read until its solve returns. Slot 5 also lists the cells
-      {!with_interior_free_mask} cleared, while its [f] runs;
+      4 is read until its solve returns;
     - int slot 6 and byte slots 1–2: the escape flow network's state
       ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and node
       states (byte slot 2: unseen, dead or live), one per node, and the
@@ -213,17 +242,3 @@ val scratch_byte_slots : int
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)
-
-val with_interior_free_mask :
-  t -> Pacor_grid.Routing_grid.t -> clear:((int -> unit) -> unit) -> (Bytes.t -> 'a) -> 'a
-(** [with_interior_free_mask t grid ~clear f] is [f mask], where [mask]
-    holds [Routing_grid.fill_interior_free grid] ('\001' for a free
-    interior cell) minus the cells [clear] passes to its argument, by
-    dense index. The workspace keeps the mask between calls and refills
-    it only when [grid] is not the previous call's grid (by physical
-    identity), which is sound because a grid's static map never changes
-    once built. The cleared cells are listed in int slot 5 and set back
-    when [f] returns or raises, so a call costs O(cleared), not O(grid):
-    the rematch pass's single escapes ([Pacor.Escape_stage.single]) clear
-    their claimed cells this way. Not re-entrant, and [f] must not lease
-    int slot 5. *)

@@ -14,6 +14,19 @@ let seq s =
 
 let mk_valve id x y s = Valve.make ~id ~position:(Point.make x y) ~sequence:(seq s)
 
+(* The grid's static map with [cells] blocked too. *)
+let obstacles_of grid cells =
+  let m = Routing_grid.fresh_work_map grid in
+  Point.Set.iter (Obstacle_map.block m) cells;
+  m
+
+(* A workspace whose owner layer blocks [reserved] and holds [routed]. *)
+let layer ?(reserved = Point.Set.empty) grid routed =
+  let ws = Pacor_route.Workspace.create () in
+  Pacor_route.Workspace.load_owners ws grid ~reserved;
+  List.iter (Routed.occupy ws) routed;
+  ws
+
 (* ---------- Cluster_route ---------- *)
 
 let test_cluster_route_pair_and_tree () =
@@ -26,7 +39,8 @@ let test_cluster_route_pair_and_tree () =
     Point.Set.of_list (List.map (fun (v : Valve.t) -> v.position) [ a0; a1; b0; b1; b2 ])
   in
   let out =
-    Cluster_route.route ~config:Config.default ~grid ~valve_cells [ pair; tree ]
+    Cluster_route.route ~config:Config.default ~grid ~obstacles:(obstacles_of grid valve_cells)
+      [ pair; tree ]
   in
   Alcotest.(check int) "both routed" 2 (List.length out.routed);
   Alcotest.(check int) "nothing demoted" 0 (List.length out.demoted);
@@ -51,7 +65,7 @@ let test_cluster_route_ignores_plain () =
   let plain = Cluster.make_exn ~id:0 ~length_matched:false [ v ] in
   let out =
     Cluster_route.route ~config:Config.default ~grid
-      ~valve_cells:(Point.Set.singleton v.position) [ plain ]
+      ~obstacles:(obstacles_of grid (Point.Set.singleton v.position)) [ plain ]
   in
   Alcotest.(check int) "nothing to do" 0 (List.length out.routed)
 
@@ -79,7 +93,10 @@ let test_escape_stage_assigns_all () =
   let c0 = Cluster.make_exn ~id:0 ~length_matched:false [ mk_valve 0 4 4 "01" ] in
   let c1 = Cluster.make_exn ~id:1 ~length_matched:false [ mk_valve 1 9 9 "10" ] in
   let routed = [ Routed.make_singleton c0; Routed.make_singleton c1 ] in
-  match Escape_stage.run ~grid ~pins:[ Point.make 0 4; Point.make 13 9 ] routed with
+  match
+    Escape_stage.run ~workspace:(layer grid routed) ~grid ~pins:[ Point.make 0 4; Point.make 13 9 ]
+      routed
+  with
   | Error e -> Alcotest.failf "escape stage: %s" e
   | Ok out ->
     Alcotest.(check (list int)) "no failures" [] out.failed_clusters;
@@ -92,7 +109,7 @@ let test_escape_stage_reports_failures () =
   let c1 = Cluster.make_exn ~id:8 ~length_matched:false [ mk_valve 1 9 9 "10" ] in
   let routed = [ Routed.make_singleton c0; Routed.make_singleton c1 ] in
   (* Only one pin for two clusters. *)
-  match Escape_stage.run ~grid ~pins:[ Point.make 0 4 ] routed with
+  match Escape_stage.run ~workspace:(layer grid routed) ~grid ~pins:[ Point.make 0 4 ] routed with
   | Error e -> Alcotest.failf "escape stage: %s" e
   | Ok out -> Alcotest.(check int) "one failure" 1 (List.length out.failed_clusters)
 
@@ -102,7 +119,10 @@ let test_escape_stage_reports_failures () =
 let routed_tree_cluster grid vs =
   let cluster = Cluster.make_exn ~id:0 ~length_matched:true vs in
   let valve_cells = Point.Set.of_list (List.map (fun (v : Valve.t) -> v.position) vs) in
-  let out = Cluster_route.route ~config:Config.default ~grid ~valve_cells [ cluster ] in
+  let out =
+    Cluster_route.route ~config:Config.default ~grid ~obstacles:(obstacles_of grid valve_cells)
+      [ cluster ]
+  in
   match out.routed with
   | [ r ] -> r
   | _ -> Alcotest.fail "cluster did not route"
@@ -113,7 +133,7 @@ let test_detour_stage_fixes_imbalance () =
     routed_tree_cluster grid
       [ mk_valve 0 4 4 "01"; mk_valve 1 4 13 "01"; mk_valve 2 13 8 "01" ]
   in
-  let out = Detour_stage.run ~grid ~delta:1 ~theta:10 ~blocked:r.claimed [ r ] in
+  let out = Detour_stage.run ~workspace:(layer grid [ r ]) ~grid ~delta:1 ~theta:10 [ r ] in
   (match out.updated with
    | [ r' ] ->
      (match Routed.spread r' with
@@ -126,7 +146,7 @@ let test_detour_stage_skips_plain () =
   let grid = Routing_grid.create ~width:10 ~height:10 () in
   let c = Cluster.make_exn ~id:3 ~length_matched:false [ mk_valve 0 4 4 "01" ] in
   let r = Routed.make_singleton c in
-  let out = Detour_stage.run ~grid ~delta:1 ~theta:10 ~blocked:Point.Set.empty [ r ] in
+  let out = Detour_stage.run ~workspace:(layer grid [ r ]) ~grid ~delta:1 ~theta:10 [ r ] in
   Alcotest.(check int) "no matched ids" 0 (List.length out.matched_ids);
   Alcotest.(check int) "no unmatched ids" 0 (List.length out.unmatched_ids)
 
@@ -148,7 +168,8 @@ let test_detour_one_restores_on_failure () =
         if not (Point.Set.mem p r.claimed) then blocked := Point.Set.add p !blocked
       done
     done;
-    let r', ok = Detour_stage.detour_one ~grid ~delta:1 ~theta:10 ~blocked:!blocked r in
+    let workspace = layer ~reserved:!blocked grid [ r ] in
+    let r', ok = Detour_stage.detour_one ~workspace ~grid ~delta:1 ~theta:10 r in
     Alcotest.(check bool) "failed" false ok;
     Alcotest.(check bool) "identical claims (restored)" true
       (Point.Set.equal r'.Routed.claimed r.Routed.claimed)
@@ -402,10 +423,11 @@ let test_certificate_detoured_escape_fails () =
 (* ---------- Mask vs set predicates (refinement equivalence) ---------- *)
 
 (* [Escape_stage.single], [Detour_stage.detour_one] and [Detour_stage.run]
-   read a byte mask leased from the workspace; test/refine_oracle.ml keeps
-   their [Point.Set]-predicate versions. Both must return identical
-   routes. One workspace serves every mask call, so its leased mask slot
-   always holds the previous call's contents. *)
+   read the workspace's owner layer and a byte mask leased from it;
+   test/refine_oracle.ml keeps their [Point.Set]-predicate versions. Both
+   must return identical routes. One workspace serves every layer-backed
+   call, so its leased mask slot always holds the previous call's
+   contents. *)
 
 let mask_ws = Pacor_route.Workspace.create ()
 
@@ -432,13 +454,20 @@ let path_cells = function
 (* Compare all three stages on [routed] (with [escapes], one per route)
    under [blocked_base] (valve and pin cells): one [run], [detour_one] on
    every tree and [single] on every [stride]-th cluster (each [single] is
-   a real search, so the named designs sample them). Returns how many
-   calls were compared. *)
+   a real search, so the named designs sample them). Each layer-backed
+   call gets a freshly loaded layer holding what the oracle blocks.
+   Returns how many calls were compared. *)
 let check_refinement ?(stride = 1) ~label ~grid ~pins ~delta ~blocked_base routed escapes =
   let theta = Config.default.Config.theta in
+  let assignments = List.map2 (fun routed escape -> { Escape_stage.routed; escape }) routed escapes in
+  let load ~reserved assignments =
+    Pacor_route.Workspace.load_owners mask_ws grid ~reserved;
+    List.iter (Escape_stage.occupy mask_ws) assignments
+  in
   let escape_cells = List.fold_left (fun acc e -> Point.Set.union acc (path_cells e)) Point.Set.empty escapes in
   let blocked = Point.Set.union blocked_base (Point.Set.union (claims routed) escape_cells) in
-  let a = Detour_stage.run ~workspace:mask_ws ~grid ~delta ~theta ~blocked routed in
+  load ~reserved:blocked_base assignments;
+  let a = Detour_stage.run ~workspace:mask_ws ~grid ~delta ~theta routed in
   let b = Refine_oracle.run ~grid ~delta ~theta ~blocked routed in
   Alcotest.(check bool) (label ^ ": run routes") true
     (List.map route_key a.updated = List.map route_key b.updated);
@@ -461,9 +490,11 @@ let check_refinement ?(stride = 1) ~label ~grid ~pins ~delta ~blocked_base route
       if k mod stride = 0 then begin
         let claimed = Point.Set.union forbidden r.claimed in
         let start_cells = Routed.start_cells r in
-        let e =
-          Escape_stage.single ~workspace:mask_ws ~grid ~claimed ~pins:free_pins ~start_cells ()
-        in
+        (* The cluster's channels, without its escape. *)
+        load ~reserved:Point.Set.empty
+          (List.mapi (fun j a -> if j = k then { a with Escape_stage.escape = None } else a)
+             assignments);
+        let e = Escape_stage.single ~workspace:mask_ws ~grid ~pins:free_pins ~start_cells () in
         let e' = Refine_oracle.single ~grid ~claimed ~pins:free_pins ~start_cells () in
         incr calls;
         Alcotest.(check bool) (Printf.sprintf "%s: single %d" label k) true
@@ -474,7 +505,8 @@ let check_refinement ?(stride = 1) ~label ~grid ~pins ~delta ~blocked_base route
         let blocked =
           Point.Set.union blocked_base (Point.Set.union forbidden (path_cells (List.nth escapes k)))
         in
-        let x, ok = Detour_stage.detour_one ~workspace:mask_ws ~grid ~delta ~theta ~blocked r in
+        load ~reserved:blocked_base assignments;
+        let x, ok = Detour_stage.detour_one ~workspace:mask_ws ~grid ~delta ~theta r in
         let y, ok' = Refine_oracle.detour_one ~grid ~delta ~theta ~blocked r in
         incr calls;
         Alcotest.(check bool) (Printf.sprintf "%s: detour_one %d" label k) true
@@ -497,9 +529,12 @@ let check_design label (problem : Problem.t) =
     | Error e -> Alcotest.failf "%s: clustering: %s" label e
   in
   let lm =
-    Cluster_route.route ~config:Config.default ~grid ~valve_cells:blocked_base clusters
+    Cluster_route.route ~config:Config.default ~grid ~obstacles:(obstacles_of grid blocked_base)
+      clusters
   in
   let routed = lm.Cluster_route.routed in
+  Pacor_route.Workspace.load_owners mask_ws grid ~reserved:blocked_base;
+  List.iter (Routed.occupy mask_ws) routed;
   match Escape_stage.run ~workspace:mask_ws ~grid ~pins:problem.Problem.pins routed with
   | Error e -> Alcotest.failf "%s: escape: %s" label e
   | Ok out ->
@@ -548,7 +583,8 @@ let prop_refinement_masks_random_trees =
       let c2 = Cluster.make_exn ~id:1 ~length_matched:true (List.filteri (fun i _ -> i >= n1) vs) in
       let valve_cells = Point.Set.of_list (List.map (fun (v : Valve.t) -> v.position) vs) in
       let routed =
-        (Cluster_route.route ~config:Config.default ~grid ~valve_cells [ c1; c2 ])
+        (Cluster_route.route ~config:Config.default ~grid
+           ~obstacles:(obstacles_of grid valve_cells) [ c1; c2 ])
           .Cluster_route.routed
       in
       QCheck.assume (routed <> []);
@@ -623,7 +659,9 @@ let prop_single_escape_shortest =
       let pt (x, y) = Point.make x y in
       let start_cells = List.map pt starts in
       let claimed = Point.Set.of_list (List.map pt blocks) in
-      let got = Escape_stage.single ~workspace:mask_ws ~grid ~claimed ~pins ~start_cells () in
+      Pacor_route.Workspace.load_owners mask_ws grid ~reserved:Point.Set.empty;
+      Point.Set.iter (Pacor_route.Workspace.occupy mask_ws ~id:0) claimed;
+      let got = Escape_stage.single ~workspace:mask_ws ~grid ~pins ~start_cells () in
       let usable i =
         let p = Routing_grid.point_of_index grid i in
         Routing_grid.free grid p
@@ -640,14 +678,12 @@ let prop_single_escape_shortest =
       | Some e, Some p -> Path.length e.Pacor_flow.Escape.path = Path.length p
       | Some _, None | None, Some _ -> false)
 
-let prop_single_mask_alternating_grids =
-  (* [Escape_stage.single] reuses the workspace's interior-free mask while
-     the grid stays the same, and clears and restores only its claimed
-     cells. One fresh workspace serves six calls that alternate between
+let prop_single_alternating_grids =
+  (* [Escape_stage.single] reads its claims from the workspace's owner
+     layer. One fresh workspace serves six calls that alternate between
      two grids, of the same size half of the time, each call with its own
-     claims: every escape must match the set-predicate oracle, and after
-     every call, and after a borrower that raises, the mask must read
-     interior-free for that call's grid. *)
+     claims loaded into the layer: every escape must match the
+     set-predicate oracle. *)
   let gen =
     QCheck.Gen.(
       let* width = int_range 4 14 and* height = int_range 4 14 in
@@ -668,7 +704,7 @@ let prop_single_mask_alternating_grids =
       in
       pair (side width height) (side width' height'))
   in
-  QCheck.Test.make ~name:"single escape: one mask across alternating grids" ~count:200
+  QCheck.Test.make ~name:"single escape: one workspace across alternating grids" ~count:200
     (QCheck.make gen) (fun (a, b) ->
       let ws = Pacor_route.Workspace.create () in
       let pt (x, y) = Point.make x y in
@@ -680,27 +716,12 @@ let prop_single_mask_alternating_grids =
       let call (grid, pins, (starts, claims)) =
         let start_cells = List.map pt starts in
         let claimed = Point.Set.of_list (List.map pt (starts @ claims)) in
-        let got = Escape_stage.single ~workspace:ws ~grid ~claimed ~pins ~start_cells () in
+        Pacor_route.Workspace.load_owners ws grid ~reserved:Point.Set.empty;
+        Point.Set.iter (Pacor_route.Workspace.occupy ws ~id:0) claimed;
+        let got = Escape_stage.single ~workspace:ws ~grid ~pins ~start_cells () in
         let want = Refine_oracle.single ~grid ~claimed ~pins ~start_cells () in
         if escape_key got <> escape_key want then
-          QCheck.Test.fail_report "escape differs from the set-predicate oracle";
-        let cells = Routing_grid.cells grid in
-        let fresh = Bytes.create cells in
-        Routing_grid.fill_interior_free grid fresh;
-        let mask_now () =
-          Pacor_route.Workspace.with_interior_free_mask ws grid ~clear:ignore (fun mask ->
-            Bytes.sub mask 0 cells)
-        in
-        if mask_now () <> fresh then
-          QCheck.Test.fail_report "mask not interior-free after the call";
-        (* A borrower that raises still gets its cleared cells set back. *)
-        (try
-           Pacor_route.Workspace.with_interior_free_mask ws grid
-             ~clear:(fun set -> List.iter (fun p -> set (Routing_grid.index grid (pt p))) claims)
-             (fun _ -> raise Exit)
-         with Exit -> ());
-        if mask_now () <> fresh then
-          QCheck.Test.fail_report "mask not interior-free after a raising borrower"
+          QCheck.Test.fail_report "escape differs from the set-predicate oracle"
       in
       List.iter2
         (fun x y -> call (ga, pa, x); call (gb, pb, y))
@@ -711,7 +732,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engine_routes_random_instances; prop_variants_all_valid;
       prop_refinement_masks_random_trees; prop_nearest_pin_transform;
-      prop_single_escape_shortest; prop_single_mask_alternating_grids ]
+      prop_single_escape_shortest; prop_single_alternating_grids ]
 
 let () =
   Alcotest.run "stages"
