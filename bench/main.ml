@@ -785,8 +785,8 @@ let print_escape_bench () =
          let grid, pins, requests = escape_instance_rect ~width ~height in
          let t0 = Unix.gettimeofday () in
          let result =
-           Pacor_flow.Escape.route ~workspace:ws ~grid ~claimed:Pacor_geom.Point.Set.empty
-             ~pins requests
+           Pacor_flow.Escape.route ~workspace:ws ~grid
+             ~occupied:(Pacor_grid.Routing_grid.obstacles grid) ~pins requests
          in
          let wall = Unix.gettimeofday () -. t0 in
          match result with

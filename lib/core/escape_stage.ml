@@ -98,17 +98,14 @@ let unrouted routed_clusters =
 let run ?alive ~workspace ~grid ~pins routed_clusters =
   if routed_clusters = [] then Ok (unrouted [])
   else begin
-    let claimed =
-      Pacor_route.Workspace.fold_owned workspace (fun p _ acc -> Point.Set.add p acc)
-        Point.Set.empty
-    in
     let requests =
       List.mapi
         (fun i (r : Routed.t) ->
            { Pacor_flow.Escape.cluster_idx = i; start_cells = Routed.start_cells r })
         routed_clusters
     in
-    match Pacor_flow.Escape.route ?alive ~workspace ~grid ~claimed ~pins requests with
+    let occupied = Pacor_route.Workspace.occupied workspace in
+    match Pacor_flow.Escape.route ?alive ~workspace ~grid ~occupied ~pins requests with
     | Error _ as e -> e
     | Ok out ->
       let by_idx = Hashtbl.create 16 in

@@ -27,9 +27,12 @@ val run :
   pins:Point.t list ->
   Routed.t list ->
   (outcome, string) result
-(** Every cell the workspace's owner layer holds (these clusters' channels
-    and whatever other clusters hold) becomes non-transit; each cluster's
-    start cells follow Sec. 5's three cases (see {!Routed.start_cells}).
+(** The solver reads {!Pacor_route.Workspace.occupied} as its
+    non-transit cells: the static obstacles, the valve and pin cells and
+    every cell the owner layer holds (these clusters' channels and
+    whatever other clusters hold). The layer must hold each valve under
+    its cluster, as every stage leaves it; each cluster's start cells
+    follow Sec. 5's three cases (see {!Routed.start_cells}).
     An empty cluster list is answered without a solve.
     [alive] is polled between flow augmentations (see
     {!Pacor_flow.Escape.route}); a cancelled solve reports the clusters

@@ -25,8 +25,6 @@ type t = {
   wall_s : float;
 }
 
-let footprint = Pacor.Solution.cluster_cells
-
 (* Does this fault dirty this routed cluster? A stuck valve dirties its
    owner; a blocked cell or leak dirties every cluster whose channels or
    escape path run through the retired cells (valve cells are part of
@@ -35,9 +33,9 @@ let touches fault (c : Pacor.Solution.routed_cluster) =
   match fault with
   | Fault.Stuck_valve { valve; _ } ->
     List.mem valve (Cluster.valve_ids c.routed.Pacor.Routed.cluster)
-  | Fault.Blocked_cell p -> Point.Set.mem p (footprint c)
+  | Fault.Blocked_cell p -> Point.Set.mem p (Pacor.Solution.cluster_cells c)
   | Fault.Leaky_segment { a; b } ->
-    let fp = footprint c in
+    let fp = Pacor.Solution.cluster_cells c in
     Point.Set.mem a fp || Point.Set.mem b fp
 
 let cluster_ids cs =

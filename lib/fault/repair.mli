@@ -73,12 +73,6 @@ val run :
     re-solve, quarantine — but against an instance mutated by an {e edit}
     rather than a fault overlay. These entry points expose that core. *)
 
-val footprint : Pacor.Solution.routed_cluster -> Pacor_geom.Point.Set.t
-(** Every cell a routed cluster occupies: claimed channel cells (valve
-    cells included) plus its escape path. The membership test behind every
-    dirty-set predicate. *)
-
-
 val dirty_set : faults:Fault.t list -> Pacor.Solution.t -> int list
 (** Ids (sorted) of the clusters any fault in the list touches — what [run]
     would rip up, without ripping anything. The serving layer phrases
@@ -104,7 +98,8 @@ val reroute :
     owner, for instance, needs its valve record updated to the new
     position. Untouched clusters are reused byte-identically, so the caller
     must ensure [is_dirty] covers every cluster [problem] invalidates
-    (e.g. any cluster whose {!footprint} contains a newly blocked cell).
+    (e.g. any cluster whose {!Pacor.Solution.cluster_cells} contain a newly
+    blocked cell).
     [stage] names the appended stage in the solution's bookkeeping
     (default ["reroute"]). The result's [reports] list is empty — per-fault
     verdicts only make sense for [run]. On return, [workspace]'s owner

@@ -23,11 +23,11 @@ type outcome = {
 }
 
 (* Cell roles in the flow network, packed two bits per cell. Precedence
-   (highest wins): blocked > pin > start > claimed > boundary > ordinary. *)
-let role_excluded = Mcmf_grid.role_excluded (* obstacle, non-pin boundary, foreign claim *)
+   (highest wins): blocked > pin > start > occupied or boundary > ordinary. *)
+let role_excluded = Mcmf_grid.role_excluded (* obstacle, non-pin boundary, occupied cell *)
 let role_ordinary = Mcmf_grid.role_ordinary (* free interior transit cell *)
 let role_pin = Mcmf_grid.role_pin (* candidate control pin: sink only *)
-let role_start = Mcmf_grid.role_start (* claimed cell usable as some cluster's source *)
+let role_start = Mcmf_grid.role_start (* occupied cell usable as some cluster's source *)
 
 (* The pin and start overlay of a role layer: later writes win, and the
    writes are guarded by [free_i] so a blocked cell stays excluded. *)
@@ -41,42 +41,42 @@ let overlay_roles ~grid roles ~pins requests =
   List.iter (fun r -> List.iter (set role_start) r.start_cells) requests;
   List.iter (set role_pin) pins
 
-(* Dense role layer indexed by [Routing_grid.index]: the
-   O(log n)-per-probe [Point.Set.mem] lookups of the old builder become
-   one two-bit read per cell and per neighbour. The overlay order
+(* Dense role layer indexed by [Routing_grid.index]: one two-bit read per
+   cell and per neighbour. Before the overlay a cell is ordinary iff it is
+   interior and free in [occupied], excluded otherwise; the overlay order
    realises the precedence. The backing bytes come from the workspace
    scratch pool when one is supplied, so repeated escape solves on a warm
    workspace allocate nothing. *)
-let compute_roles ?workspace ~grid ~claimed ~pins requests =
-  let cells = Routing_grid.cells grid in
+let compute_roles ?workspace ~grid ~occupied ~pins requests =
+  let w = Routing_grid.width grid and h = Routing_grid.height grid in
+  if Obstacle_map.width occupied <> w || Obstacle_map.height occupied <> h then
+    invalid_arg "Escape.compute_roles: occupied map and grid differ in size";
   let roles =
     match workspace with
     | Some ws ->
-      Packed_roles.wrap ~len:cells
-        (Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len:(Packed_roles.bytes_needed cells))
-    | None -> Packed_roles.create cells
+      Packed_roles.wrap ~len:(w * h)
+        (Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len:(Packed_roles.bytes_needed (w * h)))
+    | None -> Packed_roles.create (w * h)
   in
-  Routing_grid.fill_interior_free_packed grid roles;
-  Point.Set.iter
-    (fun p ->
-       if Routing_grid.in_bounds grid p then
-         Packed_roles.set roles (Routing_grid.index grid p) role_excluded)
-    claimed;
+  Packed_roles.clear roles;
+  for y = 1 to h - 2 do
+    for i = (y * w) + 1 to (y * w) + w - 2 do
+      if Obstacle_map.free_i occupied i then Packed_roles.set roles i role_ordinary
+    done
+  done;
   overlay_roles ~grid roles ~pins requests;
   roles
 
-(* Two [compute_roles] layers of one grid and [claimed] differ only on
+(* Two [compute_roles] layers of one grid and [occupied] differ only on
    pins and start cells, so one becomes the other by resetting
-   [from_pins] and [from]'s start cells to their claimed-or-boundary role
+   [from_pins] and [from]'s start cells to their role before the overlay
    and overlaying the new pins and starts: O(pins + start cells). *)
-let retarget_roles ~grid ~claimed roles ~from_pins ~from ~pins requests =
+let retarget_roles ~grid ~occupied roles ~from_pins ~from ~pins requests =
   let reset p =
     if Routing_grid.in_bounds grid p then begin
       let i = Routing_grid.index grid p in
       let ordinary =
-        Routing_grid.free_i grid i
-        && (not (Routing_grid.on_boundary_i grid i))
-        && not (Point.Set.mem p claimed)
+        Obstacle_map.free_i occupied i && not (Routing_grid.on_boundary_i grid i)
       in
       Packed_roles.set roles i (if ordinary then role_ordinary else role_excluded)
     end
@@ -434,9 +434,9 @@ let solve_joint ~alive ws ~grid ~roles ~seed requests routed_tbl =
    shortest-path search with nothing to amortise the seed over. Under
    real budget limits nothing is grouped, so a budgeted solve trips its
    budget where the joint solve does. *)
-let solve_once ~alive ?workspace ~grid ~claimed ~pins requests =
+let solve_once ~alive ?workspace ~grid ~occupied ~pins requests =
   let ws = match workspace with Some ws -> ws | None -> W.create () in
-  let roles = compute_roles ~workspace:ws ~grid ~claimed ~pins requests in
+  let roles = compute_roles ~workspace:ws ~grid ~occupied ~pins requests in
   let tbl = Hashtbl.create 16 in
   let solve ~seed reqs = solve_joint ~alive ws ~grid ~roles ~seed reqs tbl in
   let seeded reqs = List.compare_length_with reqs 2 >= 0 in
@@ -454,10 +454,10 @@ let solve_once ~alive ?workspace ~grid ~claimed ~pins requests =
        Array.iteri
          (fun g gpins ->
             let greqs = List.filteri (fun k _ -> gid.(k) = g) requests in
-            retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins:gpins greqs;
+            retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins:gpins greqs;
             solve ~seed:(seed ~pins:gpins greqs) greqs)
          group_pins;
-       retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins requests);
+       retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins requests);
   let routed = List.filter_map (fun r -> Hashtbl.find_opt tbl r.cluster_idx) requests in
   { routed;
     failed =
@@ -466,7 +466,7 @@ let solve_once ~alive ?workspace ~grid ~claimed ~pins requests =
         requests;
     total_length = List.fold_left (fun acc r -> acc + Path.length r.path) 0 routed }
 
-let route ?(alive = fun () -> true) ?workspace ~grid ~claimed ~pins requests =
+let route ?(alive = fun () -> true) ?workspace ~grid ~occupied ~pins requests =
   match validate ~grid ~pins requests with
   | Error _ as e -> e
-  | Ok () -> Ok (solve_once ~alive ?workspace ~grid ~claimed ~pins requests)
+  | Ok () -> Ok (solve_once ~alive ?workspace ~grid ~occupied ~pins requests)

@@ -44,11 +44,11 @@ val route :
   ?alive:(unit -> bool) ->
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
-  claimed:Point.Set.t ->
+  occupied:Obstacle_map.t ->
   pins:Point.t list ->
   request list ->
   (outcome, string) result
-(** [route ~grid ~claimed ~pins requests]:
+(** [route ~grid ~occupied ~pins requests]:
 
     Requests whose reachable regions share no cell of the role graph
     route on separate subnetworks, one after another on [workspace], and
@@ -69,12 +69,15 @@ val route :
     the network; qcheck properties assert both against the oracles in
     the tests.
 
-    - [claimed] are the cells of {e all} routed cluster channels; escape
-      paths may start on their own cluster's cells but never traverse a
-      claimed cell (constraint 11);
+    - [occupied] is a map of [grid]'s size that blocks the grid's static
+      obstacles and every cell of {e all} routed cluster channels (for
+      the engine, {!Pacor_route.Workspace.occupied}); escape paths may
+      start on their own cluster's cells but never traverse an occupied
+      cell (constraint 11);
     - [pins] are candidate control-pin cells, each usable by at most one
-      cluster; they must be free boundary cells;
-    - every start cell must lie in [claimed] or be a free cell.
+      cluster; they must be free boundary cells of the grid, and are
+      overlaid whether or not [occupied] blocks them;
+    - start cells may lie on occupied cells, never on a static obstacle.
 
     Errors on malformed inputs (pin off the boundary, blocked pin, start
     cell on an obstacle, duplicate [cluster_idx]). A feasible but
@@ -88,7 +91,7 @@ val route :
     seed and the grouping against it, a split-graph search and a
     union-find; {!route} is the entry point. *)
 
-(** Cell roles: excluded (obstacle, non-pin boundary, foreign claim),
+(** Cell roles: excluded (obstacle, non-pin boundary, occupied cell),
     ordinary (free interior transit), pin (sink only) and start (some
     request's start cell, out-arcs only). *)
 
@@ -100,27 +103,29 @@ val role_start : int
 val compute_roles :
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
-  claimed:Point.Set.t ->
+  occupied:Obstacle_map.t ->
   pins:Point.t list ->
   request list ->
   Packed_roles.t
-(** Cell roles, highest precedence first: blocked, pin, start, claimed,
-    boundary, ordinary. With a workspace the layer aliases byte slot 0. *)
+(** Cell roles, highest precedence first: blocked in the grid (excluded),
+    pin, start, then ordinary iff the cell is interior and free in
+    [occupied], else excluded. [Invalid_argument] when [occupied] is not
+    the grid's size. With a workspace the layer aliases byte slot 0. *)
 
 val retarget_roles :
   grid:Routing_grid.t ->
-  claimed:Point.Set.t ->
+  occupied:Obstacle_map.t ->
   Packed_roles.t ->
   from_pins:Point.t list ->
   from:request list ->
   pins:Point.t list ->
   request list ->
   unit
-(** [retarget_roles ~grid ~claimed roles ~from_pins ~from ~pins requests]
+(** [retarget_roles ~grid ~occupied roles ~from_pins ~from ~pins requests]
     rewrites each cell of [from_pins] and of [from]'s start cells to its
-    role in [compute_roles ~grid ~claimed ~pins requests] and leaves every
+    role in [compute_roles ~grid ~occupied ~pins requests] and leaves every
     other cell as it is, in O(pins + start cells). So when [roles] is
-    [compute_roles ~grid ~claimed ~pins:from_pins from] (or a layer
+    [compute_roles ~grid ~occupied ~pins:from_pins from] (or a layer
     retargeted from it) and [pins] and [requests]' start cells are among
     [from_pins] and [from]'s, [roles] becomes exactly the
     [compute_roles] of [pins] and [requests]: how {!route} edits the

@@ -80,35 +80,6 @@ let on_boundary_i t i =
   let x = i mod t.width and y = i / t.width in
   x = 0 || y = 0 || x = t.width - 1 || y = t.height - 1
 
-(* Baseline transit mask for dense role arrays: byte [i] becomes 1 iff
-   cell [i] is statically free and off the boundary ring, 0 otherwise.
-   The free mask comes eight cells at a time; the ring is cleared after. *)
-let fill_interior_free t b =
-  let w = t.width and h = t.height in
-  if Bytes.length b < w * h then
-    invalid_arg "Routing_grid.fill_interior_free: buffer smaller than the grid";
-  Obstacle_map.fill_free t.obstacles b;
-  Bytes.fill b 0 w '\000';
-  Bytes.fill b ((h - 1) * w) w '\000';
-  for y = 1 to h - 2 do
-    Bytes.unsafe_set b (y * w) '\000';
-    Bytes.unsafe_set b ((y * w) + w - 1) '\000'
-  done
-
-(* Packed variant of [fill_interior_free]: role 1 for free interior cells,
-   role 0 elsewhere, two bits per cell. *)
-let fill_interior_free_packed t pk =
-  let w = t.width and h = t.height in
-  if Packed_roles.length pk < w * h then
-    invalid_arg "Routing_grid.fill_interior_free_packed: layer smaller than the grid";
-  Packed_roles.clear pk;
-  for y = 1 to h - 2 do
-    let row = y * w in
-    for x = 1 to w - 2 do
-      if Obstacle_map.free_i t.obstacles (row + x) then Packed_roles.set pk (row + x) 1
-    done
-  done
-
 (* Row-stride neighbour iteration for the search inner loops: no
    intermediate [Point.t] list, only in-bounds cells, and the emission
    order matches [Point.neighbours4] ([x+1; x-1; y+1; y-1]) so that

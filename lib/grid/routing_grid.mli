@@ -56,18 +56,6 @@ val free_i : t -> int -> bool
 val on_boundary_i : t -> int -> bool
 (** {!on_boundary} by dense index; the index must be valid. *)
 
-val fill_interior_free : t -> Bytes.t -> unit
-(** [fill_interior_free t b] writes a dense transit mask into [b] (which
-    must hold at least {!cells} bytes): byte [i] is ['\001'] iff cell [i]
-    is statically free {e and} off the boundary ring, ['\000'] otherwise.
-    The baseline for role arrays layered by the flow network builder. *)
-
-val fill_interior_free_packed : t -> Packed_roles.t -> unit
-(** {!fill_interior_free} into a two-bit {!Packed_roles} layer (role [1]
-    for free interior cells, [0] otherwise) — the allocation-light baseline
-    the escape network builder layers pins and starts onto. The layer must
-    hold at least {!cells} cells. *)
-
 val iter_neighbours4 : t -> int -> (int -> unit) -> unit
 (** [iter_neighbours4 t i f] applies [f] to the dense indices of the
     in-bounds 4-neighbours of cell [i], by row-stride arithmetic — no

@@ -270,7 +270,7 @@ let plan_delta (sess : session) (delta : Protocol.delta_op) =
       in
       (* Dirty: the valve's own cluster, plus anyone whose channels run
          through the destination cell. *)
-      let is_dirty c = owns c || Point.Set.mem pos (Pacor_fault.Repair.footprint c) in
+      let is_dirty c = owns c || Point.Set.mem pos (Pacor.Solution.cluster_cells c) in
       let revise (cluster : Cluster.t) =
         if not (List.mem valve (Cluster.valve_ids cluster)) then Some cluster
         else begin
@@ -294,7 +294,7 @@ let plan_delta (sess : session) (delta : Protocol.delta_op) =
     match Pacor.Problem.add_obstacle problem pos with
     | Error m -> verr m
     | Ok p' ->
-      let is_dirty c = Point.Set.mem pos (Pacor_fault.Repair.footprint c) in
+      let is_dirty c = Point.Set.mem pos (Pacor.Solution.cluster_cells c) in
       Ok (Reroute { problem = p'; is_dirty; revise = (fun c -> Some c) }))
   | Protocol.Remove_obstacle { x; y } -> (
     match Pacor.Problem.remove_obstacle problem (Point.make x y) with

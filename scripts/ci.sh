@@ -166,25 +166,27 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
   }
 done
 
-echo "== route --svg byte-identity: Chip1, Chip2, Scaled2 and Scaled3 =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3 and Scaled5 =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
 # Scaled2 adds six escape networks per route, most of them group
-# subsolves and three of a single request.
+# subsolves and three of a single request. Scaled5 is the largest design
+# with more than one escape solve (two, ~1.85M escape pops).
 svgdir="$fuzzdir/svg"
 mkdir -p "$svgdir"
 for d in Chip1 Chip2; do
   ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" --verbose \
     > "$svgdir/$d.out" 2> /dev/null
 done
-for d in Scaled2 Scaled3; do
+for d in Scaled2 Scaled3 Scaled5; do
   ./_build/default/bin/pacor_cli.exe designs --emit "$d" > "$svgdir/$d.chip"
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
     --verbose > "$svgdir/$d.out" 2> /dev/null
 done
 for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
-           Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8; do
+           Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8 \
+           Scaled5:f6bdb29bccacf96b04d26105e028eed9; do
   name=${pin%%:*}
   want=${pin#*:}
   got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)
@@ -194,7 +196,7 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1, Chip2, Scaled2 and Scaled3 route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2, Scaled3 and Scaled5 route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
@@ -225,7 +227,14 @@ search detour         searches=4 refused=4 pops=0 pushes=0 touched=0 relax=0 res
 search rematch        searches=46 refused=4 pops=1565 pushes=2863 touched=6096 relax=3581 resets=53
 search total          searches=148 refused=8 pops=302277 pushes=317892 touched=1132477 relax=318484 resets=156
 PINS
-for name in Chip1 Chip2 Scaled2 Scaled3; do
+cat > "$svgdir/Scaled5.search" <<'PINS'
+search lm-routing     searches=85 refused=0 pops=1036 pushes=1935 touched=3804 relax=2364 resets=86
+search escape         searches=160 refused=0 pops=1847781 pushes=1941890 touched=6674082 relax=1941142 resets=161
+search detour         searches=3 refused=3 pops=0 pushes=0 touched=0 relax=0 resets=3
+search rematch        searches=27 refused=3 pops=1810 pushes=3062 touched=7144 relax=4076 resets=31
+search total          searches=275 refused=6 pops=1850627 pushes=1946887 touched=6685030 relax=1947582 resets=281
+PINS
+for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2

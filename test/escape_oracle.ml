@@ -5,12 +5,80 @@
    BFS and a flood fill, plus a route pipeline built from them that
    solves over the explicit CSR network ([Mcmf_csr]), a joint solve with
    the general [Mcmf] and [Mcmf_spfa] solvers, and the Dinic ([Maxflow])
-   bound on how many clusters any assignment could route. They share the
-   cell roles with [Escape], and nothing else. *)
+   bound on how many clusters any assignment could route. The held cells
+   come as a [Point.Set], the form [Escape] took them in before it read
+   the owner layer's map: [compute_roles] and [retarget_roles] below are
+   its role builders of that time, the reference for the map-based ones,
+   and every oracle here builds its roles with them. [occupied] turns
+   such a set into the map [Escape] reads. They share the role constants
+   with [Escape], and nothing else. *)
 
+open Pacor_geom
 open Pacor_grid
 open Pacor_flow
 module W = Pacor_route.Workspace
+
+(* The map [Escape.route] reads for a set of claimed cells: [grid]'s
+   static obstacles plus [claimed]. *)
+let occupied ~grid claimed =
+  let map = Routing_grid.fresh_work_map grid in
+  Point.Set.iter (Obstacle_map.block map) claimed;
+  map
+
+(* The pin and start overlay of a role layer: later writes win, and the
+   writes are guarded by [free_i] so a blocked cell stays excluded. *)
+let overlay_roles ~grid roles ~pins (requests : Escape.request list) =
+  let set role p =
+    if Routing_grid.in_bounds grid p then begin
+      let i = Routing_grid.index grid p in
+      if Routing_grid.free_i grid i then Packed_roles.set roles i role
+    end
+  in
+  List.iter (fun (r : Escape.request) -> List.iter (set Escape.role_start) r.start_cells) requests;
+  List.iter (set Escape.role_pin) pins
+
+(* The static grid's free interior cells ordinary, then [claimed] walked
+   over them and excluded, then the overlay. Precedence (highest wins):
+   blocked > pin > start > claimed > boundary > ordinary. *)
+let compute_roles ~grid ~claimed ~pins requests =
+  let w = Routing_grid.width grid and h = Routing_grid.height grid in
+  let roles = Packed_roles.create (w * h) in
+  for y = 1 to h - 2 do
+    let row = y * w in
+    for x = 1 to w - 2 do
+      if Routing_grid.free_i grid (row + x) then
+        Packed_roles.set roles (row + x) Escape.role_ordinary
+    done
+  done;
+  Point.Set.iter
+    (fun p ->
+       if Routing_grid.in_bounds grid p then
+         Packed_roles.set roles (Routing_grid.index grid p) Escape.role_excluded)
+    claimed;
+  overlay_roles ~grid roles ~pins requests;
+  roles
+
+(* Two [compute_roles] layers of one grid and [claimed] differ only on
+   pins and start cells, so one becomes the other by resetting
+   [from_pins] and [from]'s start cells to their claimed-or-boundary role
+   and overlaying the new pins and starts. *)
+let retarget_roles ~grid ~claimed roles ~from_pins ~(from : Escape.request list) ~pins
+    requests =
+  let reset p =
+    if Routing_grid.in_bounds grid p then begin
+      let i = Routing_grid.index grid p in
+      let ordinary =
+        Routing_grid.free_i grid i
+        && (not (Routing_grid.on_boundary_i grid i))
+        && not (Point.Set.mem p claimed)
+      in
+      Packed_roles.set roles i
+        (if ordinary then Escape.role_ordinary else Escape.role_excluded)
+    end
+  in
+  List.iter reset from_pins;
+  List.iter (fun (r : Escape.request) -> List.iter reset r.start_cells) from;
+  overlay_roles ~grid roles ~pins requests
 
 (* Backward 0-1-BFS from the sink over the forward arcs [(src, dst,
    cost)] of an [n]-node network: each node's exact distance to the sink,
@@ -79,7 +147,7 @@ let network_arcs ~grid ~roles requests =
 (* Maximum number of clusters any escape assignment could route: Dinic's
    max flow of the network with costs ignored. *)
 let feasibility_bound ~grid ~claimed ~pins requests =
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let roles = compute_roles ~grid ~claimed ~pins requests in
   let n = (2 * Routing_grid.cells grid) + List.length requests + 2 in
   let net = Maxflow.create n in
   emit_network ~grid ~roles requests ~emit:(fun src dst _ -> Maxflow.add_edge net ~src ~dst ~cap:1);
@@ -282,7 +350,7 @@ let solve_joint ws ~grid ~claimed ~pins requests =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
   let n = (2 * cells) + nreq + 2 in
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let roles = compute_roles ~grid ~claimed ~pins requests in
   let arcs = network_arcs ~grid ~roles requests in
   let emit_arcs f = List.iter (fun (src, dst, cost) -> f ~src ~dst ~cost) arcs in
   let net = Mcmf_csr.build ~n ~source:(n - 2) ~sink:(n - 1) ~emit_arcs in
@@ -299,7 +367,7 @@ let solve_joint ws ~grid ~claimed ~pins requests =
    union-find groups, each solved on [ws] with the split-graph seed. *)
 let route ws ~grid ~claimed ~pins requests =
   let req_arr = Array.of_list requests in
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let roles = compute_roles ~grid ~claimed ~pins requests in
   let groups =
     if Array.length req_arr >= 2 then union_find_groups ~grid ~roles ~pins req_arr else None
   in
@@ -324,7 +392,7 @@ let general_route solver ~grid ~claimed ~pins requests =
   let n = (2 * cells) + List.length requests + 2 in
   let source = n - 2 and sink = n - 1 in
   let stop_when_cost_reaches = (4 * cells) + 16 in
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let roles = compute_roles ~grid ~claimed ~pins requests in
   let paths =
     match solver with
     | `Dijkstra ->

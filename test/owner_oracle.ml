@@ -3,7 +3,8 @@
    replaced them. "Every cell but cluster r's" was the union of the
    other clusters' claimed cells and escape paths; the layer must hold
    exactly the union of every cluster's, each cell under its cluster's
-   id. *)
+   id, and its map must block no interior cell but the grid's obstacles
+   and those. *)
 
 open Pacor_geom
 open Pacor_grid
@@ -48,9 +49,29 @@ let owners assignments =
 let layer ws =
   Pacor_route.Workspace.fold_owned ws (fun p id acc -> (p, id) :: acc) [] |> List.sort compare
 
+(* The first interior cell where the layer's [occupied] map disagrees
+   with [grid]'s static obstacles plus the held [cells]: a reserved cell
+   no cluster holds, or a held cell the map lets through. The escape
+   solver reads the map as the held cells, so they must agree. *)
+let unheld_interior ~grid ws cells =
+  let occupied = Pacor_route.Workspace.occupied ws in
+  let w = Routing_grid.width grid and h = Routing_grid.height grid in
+  let bad = ref None in
+  for y = h - 2 downto 1 do
+    for x = w - 2 downto 1 do
+      let p = Point.make x y in
+      if Obstacle_map.blocked occupied p <> (Routing_grid.blocked grid p || Point.Set.mem p cells)
+      then bad := Some p
+    done
+  done;
+  !bad
+
 (* [Ok ()] when the workspace's layer holds exactly the assignments'
-   cells, each under its cluster's id. *)
-let check ws assignments =
+   cells, each under its cluster's id, and its map blocks exactly the
+   grid's obstacles, those cells and [retired] inside the ring.
+   [retired] is for the cells of valves repair quarantined after its
+   last escape solve: they stay reserved with no cluster to hold them. *)
+let check ~grid ?(retired = Point.Set.empty) ws assignments =
   match owners assignments with
   | Error _ as e -> e
   | Ok want ->
@@ -62,6 +83,17 @@ let check ws assignments =
            (Point.Set.cardinal (footprints assignments)))
     else
       match List.find_opt (fun (w, g) -> w <> g) (List.combine want got) with
-      | None -> Ok ()
       | Some ((p, id), (_, id')) ->
         Error (Format.asprintf "%a held by %d, the oracle says %d" Point.pp p id' id)
+      | None ->
+        let cells = Point.Set.union cells retired in
+        match unheld_interior ~grid ws cells with
+        | None -> Ok ()
+        | Some p ->
+          Error
+            (Format.asprintf "%a is %s in the occupied map, but %s" Point.pp p
+               (if Obstacle_map.blocked (Pacor_route.Workspace.occupied ws) p then "blocked"
+                else "free")
+               (if Routing_grid.blocked grid p || Point.Set.mem p cells then
+                  "an obstacle or held"
+                else "neither an obstacle nor held"))

@@ -101,7 +101,7 @@ let test_serve_delta () =
   match Pacor.Problem.add_obstacle sol.problem pos with
   | Error e -> Alcotest.failf "add_obstacle: %s" e
   | Ok problem ->
-    let is_dirty c = Point.Set.mem pos (Pacor_fault.Repair.footprint c) in
+    let is_dirty c = Point.Set.mem pos (Pacor.Solution.cluster_cells c) in
     (match Pacor_fault.Repair.reroute ~stage:"add_obstacle" ~problem ~is_dirty sol with
      | Error e -> Alcotest.failf "reroute failed: %s" e
      | Ok r -> both_accept "Chip2 add_obstacle delta" r.Pacor_fault.Repair.solution)
@@ -175,11 +175,11 @@ let test_decluster_repair () =
   in
   let hole = Point.make 4 2 in
   Alcotest.(check bool) "the pair escapes through the gap" true
-    (Point.Set.mem hole (Pacor_fault.Repair.footprint room));
+    (Point.Set.mem hole (Pacor.Solution.cluster_cells room));
   match Pacor.Problem.add_obstacle sol.problem hole with
   | Error e -> Alcotest.failf "add_obstacle: %s" e
   | Ok problem ->
-    let is_dirty c = Point.Set.mem hole (Pacor_fault.Repair.footprint c) in
+    let is_dirty c = Point.Set.mem hole (Pacor.Solution.cluster_cells c) in
     (match Pacor_fault.Repair.reroute ~problem ~is_dirty sol with
      | Error e -> Alcotest.failf "reroute failed: %s" e
      | Ok r ->
@@ -343,8 +343,8 @@ let test_pin_failed_joint () =
 let assignment (c : Pacor.Solution.routed_cluster) =
   { Pacor.Escape_stage.routed = c.routed; escape = c.escape }
 
-let layer_holds label workspace assignments =
-  match Owner_oracle.check workspace assignments with
+let layer_holds ?retired label ~grid workspace assignments =
+  match Owner_oracle.check ~grid ?retired workspace assignments with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: owner layer: %s" label e
 
@@ -386,7 +386,8 @@ let staged_layers label (problem : Pacor.Problem.t) (sol : Pacor.Solution.t) =
         | Error e -> Alcotest.failf "%s: escape: %s" label e
         | Ok escaped ->
           let after stage assignments =
-            layer_holds (Printf.sprintf "%s: after %s" label stage) workspace assignments;
+            layer_holds (Printf.sprintf "%s: after %s" label stage) ~grid workspace
+              assignments;
             assignments
           in
           after "ripup" escaped.assignments
@@ -446,7 +447,16 @@ let prop_repair_fuzz =
               | Error e -> QCheck.Test.fail_reportf "%s: reroute failed: %s" label e
               | Ok r ->
                 both_accept label r.Pacor_fault.Repair.solution;
-                layer_holds (label ^ ": repair") workspace
+                let retired =
+                  List.filter_map
+                    (fun (v : Valve.t) ->
+                       if List.mem v.id r.Pacor_fault.Repair.quarantined then Some v.position
+                       else None)
+                    problem.Pacor.Problem.valves
+                  |> Point.Set.of_list
+                in
+                layer_holds ~retired (label ^ ": repair") ~grid:problem.Pacor.Problem.grid
+                  workspace
                   (List.map assignment r.Pacor_fault.Repair.solution.clusters);
                 (* Clean clusters come back as they were, except a pinless
                    one: repair rebuilds it rather than leave its valves

@@ -109,7 +109,8 @@ let test_escape_single_cluster () =
   let start = Point.make 5 5 in
   let pins = [ Point.make 0 5; Point.make 9 5 ] in
   match
-    Escape.route ~grid ~claimed:(Point.Set.singleton start) ~pins
+    Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid (Point.Set.singleton start))
+      ~pins
       [ { Escape.cluster_idx = 0; start_cells = [ start ] } ]
   with
   | Error e -> Alcotest.failf "escape failed: %s" e
@@ -127,7 +128,7 @@ let test_escape_two_clusters_disjoint () =
   let claimed = Point.Set.of_list [ s1; s2 ] in
   let pins = [ Point.make 0 5; Point.make 9 5; Point.make 5 0 ] in
   match
-    Escape.route ~grid ~claimed ~pins
+    Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins
       [ { Escape.cluster_idx = 10; start_cells = [ s1 ] };
         { Escape.cluster_idx = 20; start_cells = [ s2 ] } ]
   with
@@ -152,7 +153,7 @@ let test_escape_avoids_claimed () =
   let claimed = Point.Set.of_list (start :: wall) in
   let pins = [ Point.make 0 5 ] in
   match
-    Escape.route ~grid ~claimed ~pins
+    Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins
       [ { Escape.cluster_idx = 0; start_cells = [ start ] } ]
   with
   | Error e -> Alcotest.failf "escape failed: %s" e
@@ -174,7 +175,7 @@ let test_escape_more_clusters_than_pins () =
   let reqs =
     List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
   in
-  match Escape.route ~grid ~claimed ~pins reqs with
+  match Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins reqs with
   | Error e -> Alcotest.failf "escape failed: %s" e
   | Ok out ->
     Alcotest.(check int) "two routed" 2 (List.length out.routed);
@@ -188,7 +189,8 @@ let test_escape_prefers_max_routed_over_length () =
   let s1 = Point.make 5 2 and s2 = Point.make 6 2 in
   let pins = [ Point.make 0 2; Point.make 11 2 ] in
   match
-    Escape.route ~grid ~claimed:(Point.Set.of_list [ s1; s2 ]) ~pins
+    Escape.route ~grid
+      ~occupied:(Escape_oracle.occupied ~grid (Point.Set.of_list [ s1; s2 ])) ~pins
       [ { Escape.cluster_idx = 0; start_cells = [ s1 ] };
         { Escape.cluster_idx = 1; start_cells = [ s2 ] } ]
   with
@@ -199,13 +201,15 @@ let test_escape_validation () =
   let grid = grid10 () in
   let bad_pin = Point.make 5 5 (* not boundary *) in
   (match
-     Escape.route ~grid ~claimed:Point.Set.empty ~pins:[ bad_pin ]
+     Escape.route ~grid
+       ~occupied:(Escape_oracle.occupied ~grid Point.Set.empty) ~pins:[ bad_pin ]
        [ { Escape.cluster_idx = 0; start_cells = [ Point.make 2 2 ] } ]
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "interior pin accepted");
   (match
-     Escape.route ~grid ~claimed:Point.Set.empty ~pins:[ Point.make 0 5 ]
+     Escape.route ~grid
+       ~occupied:(Escape_oracle.occupied ~grid Point.Set.empty) ~pins:[ Point.make 0 5 ]
        [ { Escape.cluster_idx = 0; start_cells = [] } ]
    with
    | Error _ -> ()
@@ -215,7 +219,9 @@ let test_escape_total_length () =
   let grid = grid10 () in
   let start = Point.make 5 5 in
   match
-    Escape.route ~grid ~claimed:(Point.Set.singleton start) ~pins:[ Point.make 0 5 ]
+    Escape.route ~grid
+      ~occupied:(Escape_oracle.occupied ~grid (Point.Set.singleton start))
+      ~pins:[ Point.make 0 5 ]
       [ { Escape.cluster_idx = 0; start_cells = [ start ] } ]
   with
   | Error e -> Alcotest.failf "escape failed: %s" e
@@ -325,7 +331,7 @@ let test_escape_matches_feasibility_bound () =
          List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
        in
        let bound = Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs in
-       match Escape.route ~grid ~claimed ~pins reqs with
+       match Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins reqs with
        | Error e -> Alcotest.failf "escape failed: %s" e
        | Ok out -> Alcotest.(check int) "routed = bound" bound (List.length out.routed))
     [ ([ Point.make 0 5; Point.make 9 5 ], [ Point.make 3 3; Point.make 6 6 ]);
@@ -434,7 +440,8 @@ let walled_instance () =
 let escape_stats ?budget (grid, claimed, pins, requests) =
   let ws = Pacor_route.Workspace.create () in
   Option.iter (Pacor_route.Workspace.set_budget ws) budget;
-  let out = Escape.route ~workspace:ws ~grid ~claimed ~pins requests in
+  let occupied = Escape_oracle.occupied ~grid claimed in
+  let out = Escape.route ~workspace:ws ~grid ~occupied ~pins requests in
   (out, Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws))
 
 let test_grid_dead_nodes_never_settled () =
@@ -443,7 +450,8 @@ let test_grid_dead_nodes_never_settled () =
      start cell would sweep the right region out to the pin distance
      before reaching the pin. *)
   let ((grid, claimed, pins, requests) as inst) = walled_instance () in
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let occupied = Escape_oracle.occupied ~grid claimed in
+  let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
   let ws = Pacor_route.Workspace.create () in
   let h = Escape.seed_heights ws ~grid ~roles ~pins requests in
   let seed_pops =
@@ -495,7 +503,8 @@ let test_grid_budget_trips_in_seed () =
    [Escape] does: one more search on the same workspace. [lease] creates
    the network on the solving workspace instead of fresh arrays. *)
 let implicit_solve ?(lease = false) ws (grid, claimed, pins, requests) =
-  let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+  let occupied = Escape_oracle.occupied ~grid claimed in
+  let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
   let net =
     Escape.grid_network ?workspace:(if lease then Some ws else None) ~grid ~roles requests
   in
@@ -593,7 +602,7 @@ let test_grid_agrees_with_general_solvers () =
 (* ---------- Escape: three-way solver agreement ---------- *)
 
 let route_exn ~grid ~claimed ~pins reqs =
-  match Escape.route ~grid ~claimed ~pins reqs with
+  match Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins reqs with
   | Error e -> Alcotest.failf "escape failed: %s" e
   | Ok out -> out
 
@@ -639,7 +648,9 @@ let test_escape_duplicate_idx_rejected () =
   let grid = grid10 () in
   let s1 = Point.make 3 3 and s2 = Point.make 6 6 in
   match
-    Escape.route ~grid ~claimed:(Point.Set.of_list [ s1; s2 ]) ~pins:[ Point.make 0 5 ]
+    Escape.route ~grid
+      ~occupied:(Escape_oracle.occupied ~grid (Point.Set.of_list [ s1; s2 ]))
+      ~pins:[ Point.make 0 5 ]
       [ { Escape.cluster_idx = 7; start_cells = [ s1 ] };
         { Escape.cluster_idx = 7; start_cells = [ s2 ] } ]
   with
@@ -665,8 +676,9 @@ let test_escape_workspace_reuse () =
   in
   let fresh = route_exn ~grid ~claimed ~pins reqs in
   let ws = Pacor_route.Workspace.create () in
+  let occupied = Escape_oracle.occupied ~grid claimed in
   for _ = 1 to 3 do
-    match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
+    match Escape.route ~workspace:ws ~grid ~occupied ~pins reqs with
     | Error e -> Alcotest.failf "escape failed: %s" e
     | Ok out ->
       Alcotest.(check int) "routed as fresh" (List.length fresh.Escape.routed)
@@ -816,7 +828,7 @@ let prop_escape_routed_equals_bound =
          List.mapi (fun i s -> { Escape.cluster_idx = i; start_cells = [ s ] }) starts
        in
        let bound = Escape_oracle.feasibility_bound ~grid ~claimed ~pins reqs in
-       match Escape.route ~grid ~claimed ~pins reqs with
+       match Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins reqs with
        | Error _ -> false
        | Ok out -> List.length out.routed = bound)
 
@@ -909,7 +921,7 @@ let prop_three_solvers_agree =
       let pins = inst.gen_pins and reqs = inst.gen_reqs in
       let aggregates (out : Escape.outcome) = (List.length out.routed, out.total_length) in
       let outcomes =
-        match Escape.route ~grid ~claimed ~pins reqs with
+        match Escape.route ~grid ~occupied:(Escape_oracle.occupied ~grid claimed) ~pins reqs with
         | Error e -> QCheck.Test.fail_reportf "route error: %s" e
         | Ok out ->
           [ aggregates out;
@@ -1198,7 +1210,8 @@ let prop_escape_matches_oracles =
           (List.concat_map (fun (r : Escape.request) -> r.start_cells) t.oreqs @ t.oclaim)
       in
       let pins = t.opins and reqs = t.oreqs in
-      let roles = Escape.compute_roles ~grid ~claimed ~pins reqs in
+      let occupied = Escape_oracle.occupied ~grid claimed in
+      let roles = Escape.compute_roles ~grid ~occupied ~pins reqs in
       let h = Escape.seed_heights (fresh ()) ~grid ~roles ~pins reqs in
       let h_oracle = Escape_oracle.escape_split_seed (fresh ()) ~grid ~roles reqs in
       let bad_node = ref (-1) in
@@ -1235,7 +1248,8 @@ let prop_escape_matches_oracles =
       let oracle_searches = (snap ws_oracle).S.searches in
       let run label ws =
         let before = snap ws in
-        match Escape.route ~workspace:ws ~grid ~claimed ~pins reqs with
+        let occupied = Escape_oracle.occupied ~grid claimed in
+        match Escape.route ~workspace:ws ~grid ~occupied ~pins reqs with
         | Error e -> QCheck.Test.fail_reportf "%s: route error: %s" label e
         | Ok out ->
           let w = work (S.diff (snap ws) before) in
@@ -1362,7 +1376,8 @@ let prop_implicit_network_matches_csr =
         Point.Set.of_list
           (List.concat_map (fun (r : Escape.request) -> r.start_cells) reqs @ t.iclaim)
       in
-      let roles = Escape.compute_roles ~grid ~claimed ~pins reqs in
+      let occupied = Escape_oracle.occupied ~grid claimed in
+      let roles = Escape.compute_roles ~grid ~occupied ~pins reqs in
       let cells = Routing_grid.cells grid in
       let nreq = List.length reqs in
       let n = (2 * cells) + nreq + 2 in
@@ -1526,7 +1541,8 @@ let seed_instance_roles t =
     Point.Set.of_list
       (List.concat_map (fun (r : Escape.request) -> r.start_cells) t.sreqs @ t.sclaim)
   in
-  (grid, Escape.compute_roles ~grid ~claimed ~pins:t.spins t.sreqs)
+  let occupied = Escape_oracle.occupied ~grid claimed in
+  (grid, Escape.compute_roles ~grid ~occupied ~pins:t.spins t.sreqs)
 
 (* A workspace charged against an armed expansion cap of [b] (0 allowed),
    or unlimited. *)
@@ -1723,9 +1739,10 @@ let prop_retarget_roles_matches_compute =
            @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
       in
       let pick mask l = List.filteri (fun k _ -> List.nth mask k) l in
-      let roles = Escape.compute_roles ~grid ~claimed ~pins requests in
+      let occupied = Escape_oracle.occupied ~grid claimed in
+      let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
       let expect label ~pins requests =
-        let want = Escape.compute_roles ~grid ~claimed ~pins requests in
+        let want = Escape.compute_roles ~grid ~occupied ~pins requests in
         for i = 0 to Routing_grid.cells grid - 1 do
           if Packed_roles.get roles i <> Packed_roles.get want i then
             QCheck.Test.fail_reportf "%s: cell %d has role %d, compute_roles %d" label i
@@ -1735,12 +1752,79 @@ let prop_retarget_roles_matches_compute =
       List.iteri
         (fun k (pin_mask, req_mask) ->
           let gpins = pick pin_mask pins and greqs = pick req_mask requests in
-          Escape.retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins:gpins
+          Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins:gpins
             greqs;
           expect (Printf.sprintf "subset %d" k) ~pins:gpins greqs)
         masks;
-      Escape.retarget_roles ~grid ~claimed roles ~from_pins:pins ~from:requests ~pins requests;
+      Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins requests;
       expect "restored" ~pins requests;
+      true)
+
+let prop_roles_match_set_oracle =
+  (* The role rule read off a map against [Escape_oracle]'s roles of the
+     same held cells as a [Point.Set], the form the solver took them in
+     before it read the owner layer: after a full fill, and after a
+     retarget to a random subset of the pins and requests. The held cells
+     always take in some ring cells, the first offered pin, every pin left
+     out of the offer (the layer reserves every pin cell) and the first
+     request's start cells; the other requests' start cells are held at
+     random. Obstacles, pins and starts may coincide. *)
+  let gen =
+    QCheck.Gen.(
+      let* w = int_range 1 10 and* h = int_range 1 10 in
+      let cell =
+        let* x = int_range 0 (w - 1) and* y = int_range 0 (h - 1) in
+        return (Point.make x y)
+      in
+      let ring = Routing_grid.boundary_points (Routing_grid.create ~width:w ~height:h ()) in
+      let* obstacles = list_size (int_range 0 (w * h / 4)) cell in
+      let* claims = list_size (int_range 0 (w * h / 3)) cell in
+      let* ring_claims = list_size (int_range 1 3) (oneofl ring) in
+      let* design_pins = list_size (int_range 1 6) (oneofl ring) in
+      let* offer = list_repeat (List.length design_pins) bool in
+      let* pin_mask = list_repeat (List.length design_pins) bool in
+      let* reqs = list_size (int_range 1 5) (list_size (int_range 1 4) cell) in
+      let* claim_starts = list_repeat (List.length reqs) bool in
+      let* req_mask = list_repeat (List.length reqs) bool in
+      return
+        ( w, h, obstacles, claims @ ring_claims,
+          (design_pins, offer, pin_mask), reqs, (true :: List.tl claim_starts), req_mask ))
+  in
+  QCheck.Test.make ~name:"map roles = set oracle roles, filled and retargeted" ~count:500
+    (QCheck.make gen)
+    (fun (w, h, obstacles, claims, (design_pins, offer, pin_mask), reqs, claim_starts, req_mask) ->
+      let grid =
+        Routing_grid.create ~width:w ~height:h
+          ~obstacles:(List.map (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y) obstacles)
+          ()
+      in
+      let pick mask l = List.filteri (fun k _ -> List.nth mask k) l in
+      let pins = pick offer design_pins in
+      let left_out = pick (List.map not offer) design_pins in
+      let requests =
+        List.mapi (fun i start_cells -> { Escape.cluster_idx = i; start_cells }) reqs
+      in
+      let claimed =
+        Point.Set.of_list
+          (claims @ left_out @ List.filteri (fun k _ -> k = 0) pins
+           @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
+      in
+      let occupied = Escape_oracle.occupied ~grid claimed in
+      let same label roles want =
+        for i = 0 to Routing_grid.cells grid - 1 do
+          if Packed_roles.get roles i <> Packed_roles.get want i then
+            QCheck.Test.fail_reportf "%s: cell %d has role %d, the oracle %d" label i
+              (Packed_roles.get roles i) (Packed_roles.get want i)
+        done
+      in
+      let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
+      let want = Escape_oracle.compute_roles ~grid ~claimed ~pins requests in
+      same "filled" roles want;
+      let gpins = pick (pick offer pin_mask) pins and greqs = pick req_mask requests in
+      Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins:gpins greqs;
+      Escape_oracle.retarget_roles ~grid ~claimed want ~from_pins:pins ~from:requests
+        ~pins:gpins greqs;
+      same "retargeted" roles want;
       true)
 
 let qcheck_cases =
@@ -1748,7 +1832,8 @@ let qcheck_cases =
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
       prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
       prop_implicit_network_matches_csr; prop_flat_seed_matches_deque_oracle;
-      prop_lazy_seed_installs_on_touch; prop_retarget_roles_matches_compute ]
+      prop_lazy_seed_installs_on_touch; prop_retarget_roles_matches_compute;
+      prop_roles_match_set_oracle ]
 
 let () =
   Alcotest.run "flow"

@@ -244,27 +244,38 @@ let test_packed_roles_roundtrip () =
    | exception Invalid_argument _ -> ())
 
 let prop_fill_masks_match_free =
-  (* The eight-cells-per-step fills against the per-cell predicates, on
-     grids whose cell count is rarely a multiple of eight, into buffers
-     that start dirty and run past the grid. *)
-  QCheck.Test.make ~name:"fill_free / fill_interior_free = per-cell free" ~count:200
-    QCheck.(triple (int_range 1 23) (int_range 1 23) (small_list (pair small_nat small_nat)))
-    (fun (w, h, obs) ->
+  (* The eight-cells-per-step free mask and the escape network's role
+     fill against the per-cell predicates, on grids whose cell count is
+     rarely a multiple of eight, into buffers that start dirty (the mask's
+     runs past the grid). The role fill reads a map that blocks more
+     than the grid: a cell is ordinary iff it is interior and free in it. *)
+  QCheck.Test.make ~name:"fill_free / compute_roles = per-cell free" ~count:200
+    QCheck.(
+      quad (int_range 1 23) (int_range 1 23) (small_list (pair small_nat small_nat))
+        (small_list (pair small_nat small_nat)))
+    (fun (w, h, obs, held) ->
       let grid =
         Routing_grid.create ~width:w ~height:h
           ~obstacles:(List.map (fun (x, y) -> Rect.make ~x0:(x mod w) ~y0:(y mod h) ~x1:(x mod w) ~y1:(y mod h)) obs)
           ()
       in
+      let occupied = Routing_grid.fresh_work_map grid in
+      List.iter (fun (x, y) -> Obstacle_map.block occupied (Point.make (x mod w) (y mod h))) held;
       let n = w * h in
-      let b = Bytes.make (n + 9) '\007' and c = Bytes.make (n + 9) '\007' in
+      let b = Bytes.make (n + 9) '\007' in
       Obstacle_map.fill_free (Routing_grid.obstacles grid) b;
-      Routing_grid.fill_interior_free grid c;
-      let ok = ref (Bytes.get b n = '\007' && Bytes.get c n = '\007') in
+      let ws = Pacor_route.Workspace.create () in
+      Bytes.fill
+        (Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len:(Packed_roles.bytes_needed n))
+        0 (Packed_roles.bytes_needed n) '\255';
+      let roles = Pacor_flow.Escape.compute_roles ~workspace:ws ~grid ~occupied ~pins:[] [] in
+      let ok = ref (Bytes.get b n = '\007') in
       for i = 0 to n - 1 do
         let free = Routing_grid.free_i grid i in
         if Bytes.get b i <> (if free then '\001' else '\000') then ok := false;
-        if Bytes.get c i <> (if free && not (Routing_grid.on_boundary_i grid i) then '\001' else '\000')
-        then ok := false
+        let ordinary = Obstacle_map.free_i occupied i && not (Routing_grid.on_boundary_i grid i) in
+        let want = Pacor_flow.Escape.(if ordinary then role_ordinary else role_excluded) in
+        if Packed_roles.get roles i <> want then ok := false
       done;
       !ok)
 
