@@ -37,12 +37,13 @@ let candidates_for ~config ~grid ~usable (cluster : Cluster.t) =
 
 (* Non-trivial tree edges keyed by child node id. *)
 let tree_edges (candidate : Candidate.t) =
+  let by_id = Candidate.nodes_by_id candidate in
   List.filter_map
     (fun (n : Candidate.node) ->
        match n.parent with
        | None -> None
        | Some pid ->
-         let ppos = Candidate.node_pos candidate pid in
+         let ppos = by_id.(pid).pos in
          if Point.equal ppos n.pos then None else Some (n.id, ppos, n.pos))
     candidate.nodes
 
@@ -54,6 +55,81 @@ let build_routed (cluster : Cluster.t) (candidate : Candidate.t)
      | [ (_, path) ] -> Routed.make_pair cluster ~a:a.id ~b:b.id ~path
      | _ -> invalid_arg "Cluster_route: pair cluster needs exactly one path")
   | _ -> Routed.make_tree cluster ~candidate ~edge_paths:paths
+
+(* Negotiate every non-trivial tree edge of [pairs] (cluster, chosen
+   candidate) in one batch around [obstacles], which it only reads.
+   Returns the rounds used and either every cluster's route, in [pairs]
+   order, or which slots of [pairs] own an edge left unrouted. *)
+let negotiate ?workspace ~config ~grid ~obstacles pairs =
+  (* Every chosen candidate's node cells become blockages for the whole
+     batch: otherwise an early path may transit a cell that a later edge
+     terminates on (endpoints are exempt from blockage for their own
+     search), silently overlapping two clusters. *)
+  let batch_obstacles = Obstacle_map.copy obstacles in
+  List.iter
+    (fun (_, (cand : Candidate.t)) ->
+       List.iter
+         (fun (n : Candidate.node) -> Obstacle_map.block batch_obstacles n.pos)
+         cand.nodes)
+    pairs;
+  (* An edge's id is its index in [owners], which holds the (slot, child
+     node id) that owns it. *)
+  let owned =
+    List.concat
+      (List.mapi
+         (fun slot (_cluster, candidate) ->
+            List.map
+              (fun (child_id, ppos, cpos) -> ((slot, child_id), (ppos, cpos)))
+              (tree_edges candidate))
+         pairs)
+  in
+  let owners = Array.of_list (List.map fst owned) in
+  let edges =
+    List.mapi (fun eid (_, ends) -> { Pacor_route.Negotiation.edge_id = eid; ends }) owned
+  in
+  let result =
+    Pacor_route.Negotiation.route ?workspace
+      ~config:config.Config.negotiation ~grid ~obstacles:batch_obstacles edges
+  in
+  (* Negotiation echoes the ids: a stale one names itself instead of
+     dropping a path (and leaving a tree short of an edge) or raising a
+     bare index error. *)
+  let known eid =
+    if eid < 0 || eid >= Array.length owners then
+      invalid_arg
+        (Printf.sprintf
+           "Cluster_route.negotiate: negotiation returned unknown edge id %d (have %d edges)"
+           eid (Array.length owners));
+    eid
+  in
+  let slots = List.length pairs in
+  let outcome =
+    if result.success then begin
+      (* Bucket the paths by owning slot in one pass, each bucket in
+         negotiation's return order. *)
+      let by_slot = Array.make slots [] in
+      List.iter
+        (fun (eid, path) ->
+           let slot, child_id = owners.(known eid) in
+           by_slot.(slot) <- (child_id, path) :: by_slot.(slot))
+        result.paths;
+      Ok
+        (List.mapi
+           (fun slot (cluster, candidate) ->
+              build_routed cluster candidate (List.rev by_slot.(slot)))
+           pairs)
+    end
+    else begin
+      let routed_edge = Array.make (Array.length owners) false in
+      List.iter (fun (eid, _) -> routed_edge.(known eid) <- true) result.paths;
+      let failed = Array.make slots false in
+      Array.iteri
+        (fun eid (slot, _) -> if not routed_edge.(eid) then failed.(slot) <- true)
+        owners;
+      Error failed
+    end
+  in
+  (result.iterations, outcome)
 
 let route ?workspace ~config ~grid ~obstacles clusters =
   let lm = List.filter Cluster.needs_matching clusters in
@@ -105,15 +181,14 @@ let route ?workspace ~config ~grid ~obstacles clusters =
            always reach its own endpoints) and the trees would overlap.
            Resolve collisions by switching the later cluster to another of
            its candidates; demote it if none is collision-free. *)
-        let node_cells (c : Candidate.t) =
-          Point.Set.of_list (List.map (fun (n : Candidate.node) -> n.pos) c.nodes)
-        in
         let fix_collisions chosen =
+          (* Node cells of the clusters resolved so far, grown one cell at
+             a time: a candidate collides iff one of its nodes is in it. *)
           let used = ref Point.Set.empty in
           List.map2
             (fun (_, cands) cand ->
-               let collides c =
-                 not (Point.Set.is_empty (Point.Set.inter (node_cells c) !used))
+               let collides (c : Candidate.t) =
+                 List.exists (fun (n : Candidate.node) -> Point.Set.mem n.pos !used) c.nodes
                in
                let pick =
                  if collides cand then
@@ -122,7 +197,7 @@ let route ?workspace ~config ~grid ~obstacles clusters =
                in
                (match pick with
                 | Some c ->
-                  used := Point.Set.union !used (node_cells c);
+                  List.iter (fun (n : Candidate.node) -> used := Point.Set.add n.pos !used) c.nodes;
                   Some c
                 | None -> None))
             active chosen
@@ -148,125 +223,41 @@ let route ?workspace ~config ~grid ~obstacles clusters =
         let pairs =
           List.map (fun ((cluster, _cands), cand) -> (cluster, cand)) pairs_and_choice
         in
-        (* Every chosen candidate's node cells become blockages for the
-           whole batch: otherwise an early path may transit a cell that a
-           later edge terminates on (endpoints are exempt from blockage for
-           their own search), silently overlapping two clusters. *)
-        let batch_obstacles = Obstacle_map.copy obstacles in
-        List.iter
-          (fun (_, (cand : Candidate.t)) ->
-             List.iter
-               (fun (n : Candidate.node) -> Obstacle_map.block batch_obstacles n.pos)
-               cand.nodes)
-          pairs;
-        (* Flatten all tree edges, remembering ownership. *)
-        let edge_info = ref [] in
-        let edges =
-          List.concat
-            (List.mapi
-               (fun cluster_slot (_cluster, candidate) ->
-                  List.map
-                    (fun (child_id, ppos, cpos) ->
-                       let eid = List.length !edge_info in
-                       edge_info := (eid, (cluster_slot, child_id)) :: !edge_info;
-                       { Pacor_route.Negotiation.edge_id = eid; ends = (ppos, cpos) })
-                    (tree_edges candidate))
-               pairs)
-        in
-        let info = !edge_info in
-        let result =
-          Pacor_route.Negotiation.route ?workspace
-            ~config:config.Config.negotiation ~grid ~obstacles:batch_obstacles
-            edges
-        in
-        let iterations = iterations + result.iterations in
-        if result.success then begin
-          let paths_of slot =
-            List.filter_map
-              (fun (eid, path) ->
-                 match List.assoc_opt eid info with
-                 | Some (s, child_id) when s = slot -> Some (child_id, path)
-                 | Some _ | None -> None)
-              result.paths
-          in
-          let routed =
-            List.mapi
-              (fun slot (cluster, candidate) ->
-                 build_routed cluster candidate (paths_of slot))
-              pairs
-          in
-          { routed; demoted; iterations }
-        end
-        else begin
+        let rounds, outcome = negotiate ?workspace ~config ~grid ~obstacles pairs in
+        let iterations = iterations + rounds in
+        match outcome with
+        | Ok routed -> { routed; demoted; iterations }
+        | Error failed ->
           (* Demote every cluster owning a failed edge and retry with the
-             rest (Fig. 2's fallback to MST-based routing). *)
-          let routed_ids = List.map fst result.paths in
-          let failed_slots =
-            List.filter_map
-              (fun (eid, (slot, _)) ->
-                 if List.mem eid routed_ids then None else Some slot)
-              info
-            |> List.sort_uniq Int.compare
-          in
-          (* Edge case: negotiation gave up with all edges individually
-             routable but never jointly; demote the largest cluster. *)
-          let failed_slots =
-            if failed_slots = [] then
-              [ fst
-                  (List.fold_left
-                     (fun (best, best_size) (slot, (c, _)) ->
-                        let size = Cluster.size c in
-                        if size > best_size then (slot, size) else (best, best_size))
-                     (0, -1)
-                     (List.mapi (fun i p -> (i, p)) pairs)) ]
-            else failed_slots
-          in
+             rest (Fig. 2's fallback to MST-based routing). Edge case:
+             negotiation gave up with all edges individually routable but
+             never jointly; demote the largest cluster. *)
+          if not (Array.exists Fun.id failed) then begin
+            let largest, _ =
+              List.fold_left
+                (fun (best, best_size) (slot, (c, _)) ->
+                   let size = Cluster.size c in
+                   if size > best_size then (slot, size) else (best, best_size))
+                (0, -1)
+                (List.mapi (fun i p -> (i, p)) pairs)
+            in
+            failed.(largest) <- true
+          end;
           let keep, drop =
             List.partition
-              (fun (slot, _) -> not (List.mem slot failed_slots))
+              (fun (slot, _) -> not failed.(slot))
               (List.mapi (fun i a -> (i, a)) pairs_and_choice)
           in
           attempt
             (List.map (fun (_, (cluster_cands, _)) -> cluster_cands) keep)
             (demoted @ List.map (fun (_, ((c, _), _)) -> c) drop)
             iterations
-        end
     in
     let out = attempt with_candidates no_candidates 0 in
     out
   end
 
 let route_single ?workspace ~config ~grid ~obstacles cluster candidate =
-  let obstacles = Obstacle_map.copy obstacles in
-  List.iter
-    (fun (n : Candidate.node) -> Obstacle_map.block obstacles n.pos)
-    candidate.Candidate.nodes;
-  let tree_edges = tree_edges candidate in
-  let edges =
-    List.mapi
-      (fun i (_, ppos, cpos) -> { Pacor_route.Negotiation.edge_id = i; ends = (ppos, cpos) })
-      tree_edges
-  in
-  (* Child-node ids indexed once by edge slot: [List.nth] per returned path
-     is quadratic in tree size and raises a bare [Failure] on a short list,
-     whereas a stale edge id should name itself. *)
-  let ids = Array.of_list (List.map (fun (child_id, _, _) -> child_id) tree_edges) in
-  let result =
-    Pacor_route.Negotiation.route ?workspace
-      ~config:config.Config.negotiation ~grid ~obstacles edges
-  in
-  if not result.success then None
-  else begin
-    let paths =
-      List.map
-        (fun (i, path) ->
-           if i < 0 || i >= Array.length ids then
-             invalid_arg
-               (Printf.sprintf "Cluster_route.route_single: negotiation returned \
-                                unknown edge id %d (have %d edges)"
-                  i (Array.length ids));
-           (ids.(i), path))
-        result.paths
-    in
-    Some (build_routed cluster candidate paths)
-  end
+  match negotiate ?workspace ~config ~grid ~obstacles [ (cluster, candidate) ] with
+  | _, Ok [ routed ] -> Some routed
+  | _, (Ok _ | Error _) -> None

@@ -30,7 +30,9 @@ val route :
     positions of {e all} valves of the chip, so no channel runs over a
     foreign valve (each edge's own endpoints are exempt inside the
     router): the engine passes its owner layer's
-    {!Pacor_route.Workspace.occupied}. *)
+    {!Pacor_route.Workspace.occupied}. Raises [Invalid_argument] naming
+    the id if negotiation returns a path for an edge id it was not
+    given. *)
 
 val candidates_for :
   config:Config.t ->

@@ -43,7 +43,7 @@ let lease_mask ~workspace ~grid =
    updated) route and whether it now satisfies delta; [mask] is as it
    was on return. *)
 let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
-  let candidate, _ =
+  let candidate, edge_paths =
     match original.shape with
     | Some (Routed.Tree { candidate; edge_paths }) -> (candidate, edge_paths)
     | Some (Routed.Pair _) | None -> invalid_arg "detour_tree: not a tree"
@@ -51,44 +51,49 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
   let anchor_lengths (r : Routed.t) =
     Array.of_list (List.map snd (Routed.escape_anchor_lengths r))
   in
-  let edge_paths_of (r : Routed.t) =
-    match r.shape with
-    | Some (Routed.Tree { edge_paths; _ }) -> edge_paths
-    | Some (Routed.Pair _) | None -> assert false
-  in
-  (* Lengthen the leg [child] of [r] to at least [target] edges. *)
-  let lengthen_leg (r : Routed.t) child target =
-    match List.assoc_opt child (edge_paths_of r) with
-    | None -> None
-    | Some leg ->
-      (* The leg may use its own cells but no other cell of the cluster:
-         hold every claimed cell, release the leg's, and release the rest
-         once done. *)
-      let swap ~from ~into _ c = if c = from then into else c in
-      mark ~grid mask Point.Set.iter r.claimed (swap ~from:usable ~into:held);
-      mark ~grid mask List.iter (Path.points leg) (swap ~from:held ~into:usable);
-      let usable_i i = Bytes.unsafe_get mask i = usable in
-      let usable_p p = Routing_grid.in_bounds grid p && usable_i (Routing_grid.index grid p) in
-      let result =
-        match Pacor_route.Detour.lengthen leg ~target ~usable:usable_p with
-        | Some path -> Some (Routed.with_edge_path r ~child path)
-        | None ->
-          (* Bumps ran out of room: fall back to the paper's minimum-length
-             bounded rerouting of the whole leg. When the leg's endpoints
-             sit in a pocket too small for the target length, the search's
-             block-cut certificate refuses it without a pop. Otherwise it
-             may still fail after a long search, so its budget is capped:
-             an uncapped budget dominates the whole stage's runtime on
-             large chips. *)
-          (match
-             Pacor_route.Bounded_astar.search ~workspace ~grid ~usable:usable_i
-               ~pop_budget:20_000
-               ~source:(Path.source leg) ~target:(Path.target leg) ~min_length:target ()
-           with
-           | Some path -> Some (Routed.with_edge_path r ~child path)
-           | None -> None)
-      in
-      mark ~grid mask Point.Set.iter r.claimed (swap ~from:held ~into:usable);
+  (* The tree is indexed once, not searched per step: its sink chains, its
+     nodes by id, each node's children in node order, and the current
+     route's leg per child (the first entry of [edge_paths], as
+     [List.assoc_opt] reads it), which [lengthen_leg] keeps current. *)
+  let chain = Candidate.chain_index candidate in
+  let nodes = Candidate.nodes_by_id candidate in
+  let kids = Array.make (Array.length nodes) [] in
+  List.iter
+    (fun (n : Candidate.node) -> Option.iter (fun p -> kids.(p) <- n :: kids.(p)) n.parent)
+    (List.rev candidate.Candidate.nodes);
+  let legs = Array.make (Array.length nodes) None in
+  List.iter (fun (child, p) -> legs.(child) <- Some p) (List.rev edge_paths);
+  (* Lengthen the leg [child] of [r], now [leg], to at least [target]
+     edges. *)
+  let lengthen_leg (r : Routed.t) child leg target =
+    (* The leg may use its own cells but no other cell of the cluster:
+       hold every claimed cell, release the leg's, and release the rest
+       once done. *)
+    let swap ~from ~into _ c = if c = from then into else c in
+    mark ~grid mask Point.Set.iter r.claimed (swap ~from:usable ~into:held);
+    mark ~grid mask List.iter (Path.points leg) (swap ~from:held ~into:usable);
+    let usable_i i = Bytes.unsafe_get mask i = usable in
+    let usable_p p = Routing_grid.in_bounds grid p && usable_i (Routing_grid.index grid p) in
+    let result =
+      match Pacor_route.Detour.lengthen leg ~target ~usable:usable_p with
+      | Some _ as lengthened -> lengthened
+      | None ->
+        (* Bumps ran out of room: fall back to the paper's minimum-length
+           bounded rerouting of the whole leg. When the leg's endpoints
+           sit in a pocket too small for the target length, the search's
+           block-cut certificate refuses it without a pop. Otherwise it
+           may still fail after a long search, so its budget is capped:
+           an uncapped budget dominates the whole stage's runtime on
+           large chips. *)
+        Pacor_route.Bounded_astar.search ~workspace ~grid ~usable:usable_i
+          ~pop_budget:20_000
+          ~source:(Path.source leg) ~target:(Path.target leg) ~min_length:target ()
+    in
+    mark ~grid mask Point.Set.iter r.claimed (swap ~from:held ~into:usable);
+    Option.map
+      (fun path ->
+         legs.(child) <- Some path;
+         Routed.with_edge_path r ~child path)
       result
   in
   (* Sinks in the subtree hanging off [child] — lengthening that leg adds
@@ -98,11 +103,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
       match frontier with
       | [] -> acc
       | id :: rest ->
-        let kids =
-          List.filter_map
-            (fun (n : Candidate.node) -> if n.parent = Some id then Some n else None)
-            candidate.Candidate.nodes
-        in
+        let kids = kids.(id) in
         let acc =
           List.fold_left
             (fun a (n : Candidate.node) ->
@@ -111,10 +112,9 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
         in
         descend acc (List.map (fun (n : Candidate.node) -> n.id) kids @ rest)
     in
-    match List.find_opt (fun (n : Candidate.node) -> n.id = child) candidate.Candidate.nodes with
-    | Some { Candidate.sink = Some s; _ } -> [ s ]
-    | Some _ -> descend [] [ child ]
-    | None -> []
+    match nodes.(child).sink with
+    | Some s -> [ s ]
+    | None -> descend [] [ child ]
   in
   let rec loop (r : Routed.t) round =
     let lengths = anchor_lengths r in
@@ -131,7 +131,6 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
       let rec handle_shorts r = function
         | [] -> Some r
         | (sink, len) :: rest ->
-          let chain = Candidate.chain_to_root candidate ~sink in
           let need = maxl - delta - len in
           (* Bump insertion moves in steps of two, so this is the amount the
              leg will actually grow by. *)
@@ -153,18 +152,18 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
                 in
                 if not safe then try_legs more
                 else
-                  match List.assoc_opt child (edge_paths_of r) with
+                  match legs.(child) with
                   | None -> try_legs more (* zero-length embedded edge *)
                   | Some leg ->
                     let target = Path.length leg + need in
-                    (match lengthen_leg r child target with
+                    (match lengthen_leg r child leg target with
                      | Some r' ->
                        detoured_this_round := child :: !detoured_this_round;
                        Some r'
                      | None -> try_legs more)
               end
           in
-          (match try_legs chain with
+          (match try_legs (chain ~sink) with
            | Some r' -> handle_shorts r' rest
            | None -> None)
       in
@@ -175,14 +174,16 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
   in
   loop original 0
 
-(* Whether [detour_tree] has anything to do: only a tree whose spread
-   exceeds [delta]. Any other tree leaves it at once with the mask
-   unread, so the grid-sized mask fill is skipped when no tree needs a
-   detour. *)
-let needs_detour ~delta (r : Routed.t) =
-  match r.shape, Routed.spread r with
+(* Whether [detour_tree] has anything to do, given [r]'s spread: only a
+   tree whose spread exceeds [delta]. Any other tree leaves it at once
+   with the mask unread, so the grid-sized mask fill is skipped when no
+   tree needs a detour. *)
+let exceeds ~delta (r : Routed.t) spread =
+  match r.shape, spread with
   | Some (Routed.Tree _), Some s -> s > delta
   | _, _ -> false
+
+let needs_detour ~delta r = exceeds ~delta r (Routed.spread r)
 
 (* Detour [r] on [mask], which tracks the owner layer: [r]'s own cells
    (the statically free ones) are opened for its detour and its updated
@@ -204,9 +205,14 @@ let detour_one ~workspace ~grid ~delta ~theta (r : Routed.t) =
   | Some (Routed.Tree _) when not (needs_detour ~delta r) -> (r, true)
   | _ -> detour_held ~workspace ~grid ~mask:(lease_mask ~workspace ~grid) ~delta ~theta r
 
-let run ~workspace ~grid ~delta ~theta routed_list =
+(* Each route with its spread, read once: the detour test, the sort key
+   and the pair verdict all use it. *)
+let with_spreads routed = List.map (fun (r : Routed.t) -> (Routed.spread r, r)) routed
+
+let run_spread ~workspace ~grid ~delta ~theta spread_list =
   let mask =
-    if List.exists (needs_detour ~delta) routed_list then Some (lease_mask ~workspace ~grid)
+    if List.exists (fun (s, r) -> exceeds ~delta r s) spread_list then
+      Some (lease_mask ~workspace ~grid)
     else None
   in
   let matched = ref [] and unmatched = ref [] in
@@ -216,24 +222,27 @@ let run ~workspace ~grid ~delta ~theta routed_list =
      order. *)
   let order =
     List.stable_sort
-      (fun (a : Routed.t) (b : Routed.t) ->
-         let spread r = Option.value ~default:0 (Routed.spread r) in
-         Int.compare (spread b) (spread a))
-      routed_list
+      (fun (a, _) (b, _) ->
+         let key s = Option.value ~default:0 s in
+         Int.compare (key b) (key a))
+      spread_list
   in
-  let process (r : Routed.t) =
+  let process (spread, (r : Routed.t)) =
     match r.shape with
     | None -> r
     | Some (Routed.Pair _) ->
-      let ok = match Routed.spread r with Some s -> s <= delta | None -> false in
+      let ok = match spread with Some s -> s <= delta | None -> false in
       if ok then matched := r.cluster.Pacor_valve.Cluster.id :: !matched
       else unmatched := r.cluster.Pacor_valve.Cluster.id :: !unmatched;
       r
     | Some (Routed.Tree _) ->
+      (* A tree within [delta] has no short path: [detour_held] would hand
+         it back unchanged with the mask as it was. *)
       let r', ok =
         match mask with
-        | None -> (r, true)
-        | Some mask -> detour_held ~workspace ~grid ~mask ~delta ~theta r
+        | Some mask when exceeds ~delta r spread ->
+          detour_held ~workspace ~grid ~mask ~delta ~theta r
+        | Some _ | None -> (r, true)
       in
       if ok then matched := r'.cluster.Pacor_valve.Cluster.id :: !matched
       else unmatched := r'.cluster.Pacor_valve.Cluster.id :: !unmatched;
@@ -241,24 +250,29 @@ let run ~workspace ~grid ~delta ~theta routed_list =
   in
   let results : (int, Routed.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (r : Routed.t) ->
-       Hashtbl.replace results r.cluster.Pacor_valve.Cluster.id (process r))
+    (fun ((_, (r : Routed.t)) as entry) ->
+       Hashtbl.replace results r.cluster.Pacor_valve.Cluster.id (process entry))
     order;
   let updated =
     List.map
-      (fun (r : Routed.t) ->
+      (fun (_, (r : Routed.t)) ->
          match Hashtbl.find_opt results r.cluster.Pacor_valve.Cluster.id with
          | Some r' -> r'
          | None -> r)
-      routed_list
+      spread_list
   in
   { updated; matched_ids = List.rev !matched; unmatched_ids = List.rev !unmatched }
 
+let run ~workspace ~grid ~delta ~theta routed_list =
+  run_spread ~workspace ~grid ~delta ~theta (with_spreads routed_list)
+
 let around ~workspace ~grid ~delta ~theta assignments =
-  let routed = List.map (fun (a : Escape_stage.assignment) -> a.routed) assignments in
-  if not (List.exists (needs_detour ~delta) routed) then assignments
+  let spread_list =
+    with_spreads (List.map (fun (a : Escape_stage.assignment) -> a.routed) assignments)
+  in
+  if not (List.exists (fun (s, r) -> exceeds ~delta r s) spread_list) then assignments
   else begin
-    let out = run ~workspace ~grid ~delta ~theta routed in
+    let out = run_spread ~workspace ~grid ~delta ~theta spread_list in
     List.map2
       (fun routed (a : Escape_stage.assignment) -> { a with routed })
       out.updated assignments

@@ -57,15 +57,6 @@ let start_cells t =
   | Some (Pair { path; _ }) -> [ pair_middle path ]
   | None -> Point.Set.elements t.claimed
 
-let tree_chain_length candidate edge_paths ~sink =
-  let chain = Candidate.chain_to_root candidate ~sink in
-  List.fold_left
-    (fun acc (child, _parent) ->
-       match List.assoc_opt child edge_paths with
-       | Some p -> acc + Path.length p
-       | None -> acc (* zero-length (coincident) edge *))
-    0 chain
-
 let escape_anchor_lengths t =
   match t.shape with
   | None -> []
@@ -84,9 +75,18 @@ let escape_anchor_lengths t =
            "Routed.escape_anchor_lengths: cluster %d has %d valves but its \
             candidate has %d sinks"
            t.cluster.Cluster.id (Array.length valves) (Array.length candidate.sinks));
-    List.init (Array.length candidate.sinks) (fun sink_idx ->
-      (valves.(sink_idx).Valve.id,
-       tree_chain_length candidate edge_paths ~sink:sink_idx))
+    (* Nodes and leg lengths indexed once per call, not searched per chain
+       step: this runs for every tree each time its spread is read. A
+       child without a path is a zero-length (coincident) edge; a child
+       listed twice counts its first path, as [List.assoc_opt] would. *)
+    let chain = Candidate.chain_index candidate in
+    let legs = Array.make (List.length candidate.nodes) 0 in
+    List.iter
+      (fun (child, p) -> if child >= 0 && child < Array.length legs then legs.(child) <- Path.length p)
+      (List.rev edge_paths);
+    List.init (Array.length candidate.sinks) (fun sink ->
+      (valves.(sink).Valve.id,
+       List.fold_left (fun acc (child, _parent) -> acc + legs.(child)) 0 (chain ~sink)))
 
 let is_length_matched_shape t = Option.is_some t.shape
 

@@ -20,29 +20,36 @@ type t = {
   total_estimate : int;
 }
 
-let node_pos t id =
-  match List.find_opt (fun n -> n.id = id) t.nodes with
-  | Some n -> n.pos
-  | None -> invalid_arg "Candidate.node_pos: unknown node"
+let nodes_by_id t =
+  let by_id = Array.of_list t.nodes in
+  Array.iteri
+    (fun i n ->
+       if n.id <> i then
+         invalid_arg (Printf.sprintf "Candidate.nodes_by_id: node %d has id %d" i n.id))
+    by_id;
+  by_id
 
-let chain_to_root t ~sink =
-  let leaf =
-    match List.find_opt (fun n -> n.sink = Some sink) t.nodes with
-    | Some n -> n
-    | None -> invalid_arg "Candidate.chain_to_root: unknown sink"
-  in
-  let rec up n acc =
-    match n.parent with
-    | None -> List.rev acc
-    | Some pid ->
-      let parent =
-        match List.find_opt (fun m -> m.id = pid) t.nodes with
-        | Some m -> m
-        | None -> assert false
-      in
-      up parent ((n.id, pid) :: acc)
-  in
-  up leaf []
+let chain_index t =
+  let by_id = nodes_by_id t in
+  (* The first leaf of each sink, as a search of [nodes] would find it. *)
+  let leaves = Array.make (Array.length t.sinks) (-1) in
+  Array.iter
+    (fun n ->
+       match n.sink with
+       | Some s when s >= 0 && s < Array.length leaves && leaves.(s) < 0 -> leaves.(s) <- n.id
+       | Some _ | None -> ())
+    by_id;
+  fun ~sink ->
+    if sink < 0 || sink >= Array.length leaves || leaves.(sink) < 0 then
+      invalid_arg "Candidate.chain_to_root: unknown sink";
+    let rec up id acc =
+      match by_id.(id).parent with
+      | None -> List.rev acc
+      | Some pid -> up pid ((id, pid) :: acc)
+    in
+    up leaves.(sink) []
+
+let chain_to_root t ~sink = chain_index t ~sink
 
 (* Place a tilted coordinate on a usable grid cell: snap, then expand rings
    (the paper's encircling-loop search) until usable cells appear.

@@ -22,7 +22,8 @@ type node = {
 
 type t = {
   root : Point.t;
-  nodes : node list;                (** embedded tree, preorder, root first *)
+  nodes : node list;
+      (** embedded tree, preorder, root first; node [i] has id [i] *)
   edges : edge list;                (** non-trivial tree edges, parent first *)
   sinks : Point.t array;            (** sink positions, index-aligned *)
   full_path_lengths : int array;    (** per sink: Manhattan estimate, Def. 5 *)
@@ -35,7 +36,14 @@ val chain_to_root : t -> sink:int -> (int * int) list
     pairs, nearest-the-sink first — the {e path sequence} order of Def. 6.
     Zero-length edges (coincident embeddings) are included. *)
 
-val node_pos : t -> int -> Point.t
+val chain_index : t -> sink:int -> (int * int) list
+(** [chain_index t] indexes [t]'s nodes once; the function it returns is
+    {!chain_to_root}[ t], one array read per chain step. Walk every sink
+    of a tree through one index. *)
+
+val nodes_by_id : t -> node array
+(** [nodes] as an array, which node ids index. Raises [Invalid_argument]
+    when node [i] of [nodes] does not have id [i]. *)
 
 val embed :
   ?root_cell:Point.t ->

@@ -166,13 +166,15 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
   }
 done
 
-echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3 and Scaled5 =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
 # Scaled2 adds six escape networks per route, most of them group
 # subsolves and three of a single request. Scaled5 is the largest design
 # with more than one escape solve (two, ~1.85M escape pops).
+# corpus-bigcluster and corpus-dense route their length-matched trees
+# through one cluster-routing negotiation each.
 svgdir="$fuzzdir/svg"
 mkdir -p "$svgdir"
 for d in Chip1 Chip2; do
@@ -184,9 +186,15 @@ for d in Scaled2 Scaled3 Scaled5; do
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
     --verbose > "$svgdir/$d.out" 2> /dev/null
 done
+for d in corpus-bigcluster corpus-dense; do
+  ./_build/default/bin/pacor_cli.exe route -f "corpus/$d.chip" --svg "$svgdir/$d.svg" \
+    --verbose > "$svgdir/$d.out" 2> /dev/null
+done
 for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
            Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8 \
-           Scaled5:f6bdb29bccacf96b04d26105e028eed9; do
+           Scaled5:f6bdb29bccacf96b04d26105e028eed9 \
+           corpus-bigcluster:92dc39d9cd12a3c7d9c53e3e408abb67 \
+           corpus-dense:d38a370c2f8514716044de1ee81469d7; do
   name=${pin%%:*}
   want=${pin#*:}
   got=$(md5sum "$svgdir/$name.svg" | cut -d' ' -f1)
@@ -196,7 +204,7 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1, Chip2, Scaled2, Scaled3 and Scaled5 route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
@@ -234,7 +242,19 @@ search detour         searches=3 refused=3 pops=0 pushes=0 touched=0 relax=0 res
 search rematch        searches=27 refused=3 pops=1810 pushes=3062 touched=7144 relax=4076 resets=31
 search total          searches=275 refused=6 pops=1850627 pushes=1946887 touched=6685030 relax=1947582 resets=281
 PINS
-for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5; do
+cat > "$svgdir/corpus-bigcluster.search" <<'PINS'
+search lm-routing     searches=18 refused=0 pops=146 pushes=295 touched=512 relax=318 resets=19
+search escape         searches=7 refused=0 pops=1505 pushes=1598 touched=5693 relax=1556 resets=7
+search total          searches=25 refused=0 pops=1651 pushes=1893 touched=6205 relax=1874 resets=26
+PINS
+cat > "$svgdir/corpus-dense.search" <<'PINS'
+search lm-routing     searches=180 refused=0 pops=2071 pushes=3457 touched=7121 relax=4074 resets=192
+search plain-routing  searches=3 refused=0 pops=24 pushes=52 touched=84 relax=57 resets=3
+search escape         searches=10 refused=0 pops=994 pushes=1163 touched=3473 relax=1114 resets=10
+search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
+search total          searches=193 refused=0 pops=3089 pushes=4672 touched=10678 relax=5245 resets=205
+PINS
+for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 corpus-bigcluster corpus-dense; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2

@@ -269,6 +269,46 @@ let test_pin_rematch_joint () =
         "search rematch        searches=256 refused=2 pops=7018 pushes=8580 touched=25806 relax=11510 resets=292";
         "search total          searches=270 refused=3 pops=7509 pushes=9186 touched=27337 relax=12127 resets=307" ]
 
+(* ---------- Byte-identity on the lattices ---------- *)
+
+(* FPVA lattices put many length-matched trees into one cluster-routing
+   negotiation (28 seven-valve trees on the 14x14 lattice, one per row
+   chunk), which no design pinned in scripts/ci.sh does. The 14x14 spec
+   is one of the lattice-batch workload's (perfbench); fpva-8x8 is the
+   family's tree lattice. Pinned like the rungs above: SVG digest and
+   per-stage search lines. *)
+
+let pin_lattice label problem ~digest ~search =
+  let sol, _ = verbose_route problem in
+  both_accept label sol;
+  Alcotest.(check string) (label ^ ": svg digest") digest
+    (Digest.to_hex (Digest.string (Pacor.Svg.solution sol)));
+  Alcotest.(check (list string)) (label ^ ": search lines") search (search_lines sol)
+
+let test_pin_lattice14 () =
+  pin_lattice "fpva14"
+    (Pacor_designs.Fpva.generate_exn
+       { Pacor_designs.Fpva.name = "fpva14-ring322205"; rows = 14; cols = 14; pitch = 5;
+         group = 7; seed = 322205L; delta = 2 })
+    ~digest:"587478770592ed35002eb0228957d9b5"
+    ~search:
+      [ "search lm-routing     searches=336 refused=0 pops=3136 pushes=5824 touched=11200 relax=6216 resets=337";
+        "search escape         searches=30 refused=0 pops=6862 pushes=8860 touched=20875 relax=8611 resets=30";
+        "search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0";
+        "search total          searches=366 refused=0 pops=9998 pushes=14684 touched=32075 relax=14827 resets=367" ]
+
+let test_pin_lattice8 () =
+  let spec =
+    List.find (fun (s : Pacor_designs.Fpva.spec) -> s.name = "fpva-8x8")
+      (Pacor_designs.Fpva.family ())
+  in
+  pin_lattice "fpva-8x8" (Pacor_designs.Fpva.generate_exn spec)
+    ~digest:"312b0f8bae39dc70edfe87ac2860efe9"
+    ~search:
+      [ "search lm-routing     searches=72 refused=0 pops=360 pushes=768 touched=1152 relax=760 resets=73";
+        "search escape         searches=26 refused=0 pops=2229 pushes=3032 touched=6500 relax=2935 resets=26";
+        "search total          searches=98 refused=0 pops=2589 pushes=3800 touched=7652 relax=3695 resets=99" ]
+
 (* ---------- Repair through the shared ladder, fuzzed ---------- *)
 
 (* Two problem families: the synthetic generator (length-matched clusters
@@ -568,6 +608,8 @@ let () =
           Alcotest.test_case "pins the jailer rung" `Quick test_pin_jailer;
           Alcotest.test_case "pins rematch's joint reroute" `Quick test_pin_rematch_joint;
           Alcotest.test_case "pins a failed joint reroute" `Quick test_pin_failed_joint;
+          Alcotest.test_case "pins a 14x14 lattice" `Quick test_pin_lattice14;
+          Alcotest.test_case "pins fpva-8x8" `Quick test_pin_lattice8;
           Alcotest.test_case "owner layer = union oracle on the rung pins" `Quick
             test_layers_rungs;
           Alcotest.test_case "rejects a shifted path cell" `Quick test_mutant_shifted_cell;

@@ -113,6 +113,95 @@ let test_escape_stage_reports_failures () =
   | Error e -> Alcotest.failf "escape stage: %s" e
   | Ok out -> Alcotest.(check int) "one failure" 1 (List.length out.failed_clusters)
 
+(* ---------- Cluster_route: every path on its own tree ---------- *)
+
+(* The length-matched clusters of [problem], routed by [Cluster_route.route]
+   against the owner layer as the engine loads it. *)
+let route_lm (problem : Problem.t) =
+  match Clustering.cluster ~seeds:problem.lm_clusters problem.valves with
+  | Error e -> Alcotest.failf "clustering: %s" e
+  | Ok partition ->
+    let ws = Pacor_route.Workspace.create () in
+    Pacor_route.Workspace.load_owners ws problem.grid ~reserved:(Problem.reserved_cells problem);
+    Cluster_route.route ~workspace:ws ~config:Config.default ~grid:problem.grid
+      ~obstacles:(Pacor_route.Workspace.occupied ws) partition.Clustering.clusters
+
+(* The oracle reads a candidate's edges off its node list, a parent
+   search per node, and shares nothing with the slot index in
+   [Cluster_route.route]: each non-trivial edge (parent and child on
+   different cells) keyed by its child id, with its two node cells. *)
+let oracle_edges (c : Pacor_dme.Candidate.t) =
+  List.filter_map
+    (fun (n : Pacor_dme.Candidate.node) ->
+       match n.parent with
+       | None -> None
+       | Some pid ->
+         let parent = List.find (fun (m : Pacor_dme.Candidate.node) -> m.id = pid) c.nodes in
+         if Point.equal parent.pos n.pos then None else Some (n.id, (parent.pos, n.pos)))
+    c.nodes
+
+(* [r]'s paths are its own tree's: one path per non-trivial edge, keyed
+   by the edge's child id and running from the parent's cell to the
+   child's; a pair's path runs from valve [a] to valve [b]. *)
+let on_own_tree (r : Routed.t) =
+  let joins path (src, dst) = Point.equal (Path.source path) src && Point.equal (Path.target path) dst in
+  match r.shape with
+  | Some (Routed.Tree { candidate; edge_paths }) ->
+    let want = oracle_edges candidate in
+    List.sort Int.compare (List.map fst edge_paths) = List.sort Int.compare (List.map fst want)
+    && List.for_all (fun (child, path) -> joins path (List.assoc child want)) edge_paths
+  | Some (Routed.Pair { path; a; b }) ->
+    let pos id =
+      (List.find (fun (v : Valve.t) -> v.id = id) r.cluster.Cluster.valves).Valve.position
+    in
+    joins path (pos a, pos b)
+  | None -> false
+
+let gen_lm_problem =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let fpva =
+      let* side = int_range 4 9 and* pitch = int_range 4 5 and* group = int_range 2 5 in
+      return
+        (Pacor_designs.Fpva.generate
+           { Pacor_designs.Fpva.name = "prop"; rows = side; cols = side; pitch; group;
+             seed = Int64.of_int seed; delta = 2 })
+    in
+    let synthetic =
+      let* trees = list_size (int_range 2 4) (int_range 3 5) and* side = int_range 30 40 in
+      return
+        (Pacor_designs.Synthetic.generate
+           { Pacor_designs.Synthetic.name = "prop"; width = side; height = side;
+             obstacle_cells = side; lm_cluster_sizes = trees; singleton_valves = 2;
+             pin_count = 24; seed = Int64.of_int seed; delta = 2 })
+    in
+    oneof [ fpva; synthetic ])
+
+let prop_paths_on_own_tree =
+  QCheck.Test.make ~name:"cluster routing: every path on its own tree" ~count:60
+    (QCheck.make gen_lm_problem) (function
+      | Error _ -> QCheck.assume_fail ()
+      | Ok problem ->
+        let out = route_lm problem in
+        List.for_all on_own_tree out.routed)
+
+(* One of the lattice-batch workload's lattices: 28 seven-valve trees in
+   one negotiation. *)
+let test_lattice_paths_on_own_tree () =
+  let out =
+    route_lm
+      (Pacor_designs.Fpva.generate_exn
+         { Pacor_designs.Fpva.name = "fpva14"; rows = 14; cols = 14; pitch = 5; group = 7;
+           seed = 322205L; delta = 2 })
+  in
+  Alcotest.(check int) "28 trees routed" 28 (List.length out.routed);
+  List.iter
+    (fun (r : Routed.t) ->
+       Alcotest.(check bool)
+         (Printf.sprintf "cluster %d on its own tree" r.cluster.Cluster.id)
+         true (on_own_tree r))
+    out.routed
+
 (* ---------- Detour_stage ---------- *)
 
 (* Build a routed tree cluster by running the real pipeline pieces. *)
@@ -176,6 +265,47 @@ let test_detour_one_restores_on_failure () =
   | Some _ | None ->
     (* Already matched without detours: nothing to assert here. *)
     ()
+
+(* Trees of equal spread are processed in input order, after every tree
+   of a larger spread. With [delta] above every spread no tree is
+   detoured, and [matched_ids] lists the trees in processing order. *)
+let test_detour_stage_equal_spreads_in_input_order () =
+  let problem =
+    Pacor_designs.Fpva.generate_exn
+      { Pacor_designs.Fpva.name = "fpva10"; rows = 10; cols = 10; pitch = 5; group = 4;
+        seed = 1L; delta = 2 }
+  in
+  let out = route_lm problem in
+  let spread (r : Routed.t) = Option.get (Routed.spread r) in
+  let spreads = List.sort_uniq Int.compare (List.map spread out.routed) in
+  (* The lattice has tie groups and more than one spread: both halves of
+     the order are exercised. *)
+  Alcotest.(check bool) "several spreads" true (List.length spreads >= 2);
+  Alcotest.(check bool) "a tie of three" true
+    (List.exists
+       (fun s -> List.length (List.filter (fun r -> spread r = s) out.routed) >= 3)
+       spreads);
+  (* Any fixed permutation of the routing order will do; this one
+     interleaves the two halves. *)
+  let input =
+    let a = Array.of_list out.routed in
+    let n = Array.length a in
+    List.init n (fun i -> a.(if i mod 2 = 0 then i / 2 else n - 1 - (i / 2)))
+  in
+  let id (r : Routed.t) = r.cluster.Cluster.id in
+  let want =
+    List.concat_map
+      (fun s -> List.filter_map (fun r -> if spread r = s then Some (id r) else None) input)
+      (List.rev spreads)
+  in
+  let delta = 1 + List.fold_left max 0 spreads in
+  let got =
+    Detour_stage.run ~workspace:(layer problem.Problem.grid input) ~grid:problem.Problem.grid
+      ~delta ~theta:10 input
+  in
+  Alcotest.(check (list int)) "processing order" want got.matched_ids;
+  Alcotest.(check (list int)) "results in input order" (List.map id input)
+    (List.map id got.updated)
 
 (* ---------- Render ---------- *)
 
@@ -730,7 +860,7 @@ let prop_single_alternating_grids =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_engine_routes_random_instances; prop_variants_all_valid;
+    [ prop_engine_routes_random_instances; prop_variants_all_valid; prop_paths_on_own_tree;
       prop_refinement_masks_random_trees; prop_nearest_pin_transform;
       prop_single_escape_shortest; prop_single_alternating_grids ]
 
@@ -739,7 +869,9 @@ let () =
     [ ( "cluster_route",
         [ Alcotest.test_case "pair and tree" `Quick test_cluster_route_pair_and_tree;
           Alcotest.test_case "ignores plain" `Quick test_cluster_route_ignores_plain;
-          Alcotest.test_case "route_single" `Quick test_route_single_roundtrip ] );
+          Alcotest.test_case "route_single" `Quick test_route_single_roundtrip;
+          Alcotest.test_case "paths on their own tree, 14x14 lattice" `Quick
+            test_lattice_paths_on_own_tree ] );
       ( "escape_stage",
         [ Alcotest.test_case "assigns all" `Quick test_escape_stage_assigns_all;
           Alcotest.test_case "reports failures" `Quick test_escape_stage_reports_failures ] );
@@ -747,6 +879,8 @@ let () =
         [ Alcotest.test_case "fixes imbalance" `Quick test_detour_stage_fixes_imbalance;
           Alcotest.test_case "skips plain" `Quick test_detour_stage_skips_plain;
           Alcotest.test_case "restores on failure" `Quick test_detour_one_restores_on_failure;
+          Alcotest.test_case "equal spreads in input order" `Quick
+            test_detour_stage_equal_spreads_in_input_order;
           Alcotest.test_case "mask = set predicate on Chip1" `Quick
             test_refinement_masks_chip1;
           Alcotest.test_case "mask = set predicate on Scaled2" `Quick
