@@ -239,11 +239,13 @@ let run ?(config = Config.default) ?workspace (problem : Problem.t) =
     | Some w -> w
     | None -> Pacor_route.Workspace.create ()
   in
-  (* One-time growth to the instance's size: a cold workspace on a
-     1000x1000+ grid pays a single allocation event here instead of a
-     doubling cascade inside the first searches; a pooled workspace grows
-     monotonically and reuses its arrays across differently-sized
-     problems. *)
+  (* One-time growth to the instance's size: the cell layers to the grid
+     and the per-node arrays to the escape network over it, so a cold
+     workspace on a 1000x1000+ grid pays one allocation event per group
+     here instead of regrowing inside the first searches or a rip-up
+     round; a pooled workspace grows monotonically and reuses its arrays
+     across differently-sized problems. The bounded searches' visit pool
+     grows by what they append. *)
   Pacor_route.Workspace.prepare workspace ~cells:(Routing_grid.cells problem.Problem.grid);
   match
     scoped ~workspace config.Config.limits (fun workspace ->

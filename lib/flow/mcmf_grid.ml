@@ -417,7 +417,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   let ws = match workspace with Some ws -> ws | None -> W.create () in
   let running = ref true in
   while !running && alive () do
-    W.begin_search ws ~cells:t.n;
+    W.begin_flow ws ~nodes:t.n;
     t.rounds <- t.rounds + 1;
     let d = if t.pot_zero then round_01 t ws else round_dijkstra t ws in
     if d < 0 then running := false

@@ -1,12 +1,14 @@
 open Pacor_grid
 
-(* Per-cell visit entries: G value and parent slot, drawn from the
-   workspace's flat pool ([cell * max_visits + k]) — no per-visit
-   allocation, and appending is O(1) (the old representation grew a fresh
-   array per visit, O(k^2) per cell). Every stored entry's parent chain is
-   a simple path (checked at insertion), so reconstruction never fails. G
-   strictly decreases along parents, so chains terminate. Dedup on G scans
-   the cell's fill count, which is capped at [max_visits_per_cell].
+(* Per-cell visit entries: G value and parent slot, appended to the
+   workspace's visit pool and chained per cell — no per-visit allocation,
+   and appending is O(1) (the old representation grew a fresh array per
+   visit, O(k^2) per cell). Every stored entry's parent chain is a simple
+   path (checked at insertion), so reconstruction never fails. G strictly
+   decreases along parents, so chains terminate. Dedup on G walks the
+   cell's chain, which is capped at [max_visits_per_cell] entries. Slot
+   ids are append positions; the heap breaks ties by push/pop order
+   alone, so they do not steer the search.
 
    Like [Astar], the inner loop works on dense cell indices: row-stride
    neighbour iteration, index-based [usable], and a Manhattan heuristic
@@ -17,7 +19,7 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
     let cells = Routing_grid.cells grid in
     let width = Routing_grid.width grid in
     let budget = if pop_budget > 0 then pop_budget else 50 * cells in
-    Workspace.begin_bounded ws ~cells ~max_visits_per_cell;
+    Workspace.begin_bounded ws ~cells;
     let source_i = Routing_grid.index grid source in
     let target_i = Routing_grid.index grid target in
     let tx = target_i mod width and ty = target_i / width in
@@ -38,13 +40,13 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
       | -1 -> false
       | parent -> on_chain i parent
     in
+    (* Room for one more entry on the cell, and none with G [g]? *)
+    let rec fresh g slot count =
+      if slot < 0 then count < max_visits_per_cell
+      else Workspace.entry_g ws slot <> g && fresh g (Workspace.entry_next ws slot) (count + 1)
+    in
     let add_entry i g parent =
-      let count = Workspace.entry_count ws i in
-      let rec dup k =
-        k < count && (Workspace.entry_g ws (Workspace.entry_slot ws ~cell:i k) = g || dup (k + 1))
-      in
-      if count >= max_visits_per_cell then -1
-      else if dup 0 then -1
+      if not (fresh g (Workspace.entry_head ws i) 0) then -1
       else if parent >= 0 && on_chain i parent then -1
       else Workspace.append_entry ws ~cell:i ~g ~parent
     in

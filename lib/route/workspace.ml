@@ -1,21 +1,30 @@
 module Obstacle_map = Pacor_grid.Obstacle_map
 
 type t = {
-  mutable cap : int;
+  (* Node arrays: the per-node state every search reads (distance,
+     parent, settled). Sized by the largest node count asked for — the
+     escape flow's node-split network has about twice as many nodes as
+     the grid has cells — with [node_slack] to spare. *)
+  mutable node_cap : int;
   mutable dist_a : int array;
   mutable parent_a : int array;
   mutable dist_stamp : int array;
   mutable closed_stamp : int array;
+  (* Cell layers: read by the grid searches alone, so sized by grid
+     cells. *)
+  mutable cell_cap : int;
   mutable target_stamp : int array;
   mutable source_stamp : int array;
-  (* Bounded-search visit pool: [fill] counts a cell's entries this epoch;
-     slots are [cell * stride + k]. *)
-  mutable fill : int array;
-  mutable fill_stamp : int array;
+  (* Bounded-search visit pool: entries are appended in one growing pool
+     and chained per cell; [head] is a cell's newest entry, live while
+     [head_stamp] is the epoch. *)
+  mutable head : int array;
+  mutable head_stamp : int array;
   mutable entry_g_a : int array;
   mutable entry_parent_a : int array;
-  mutable entry_cap : int;
-  mutable stride : int;
+  mutable entry_cell_a : int array;
+  mutable entry_next_a : int array;
+  mutable entry_len : int;
   (* Claim layer: refcounted cell ownership shared by the negotiation
      rounds. Claims live on their own epoch — [begin_epoch] (one bump per
      search) must not wipe them, because one negotiation run performs many
@@ -63,19 +72,21 @@ let scratch_byte_slots = 4
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Search_stats.create () in
   {
-    cap = 0;
+    node_cap = 0;
     dist_a = [||];
     parent_a = [||];
     dist_stamp = [||];
     closed_stamp = [||];
+    cell_cap = 0;
     target_stamp = [||];
     source_stamp = [||];
-    fill = [||];
-    fill_stamp = [||];
+    head = [||];
+    head_stamp = [||];
     entry_g_a = [||];
     entry_parent_a = [||];
-    entry_cap = 0;
-    stride = 0;
+    entry_cell_a = [||];
+    entry_next_a = [||];
+    entry_len = 0;
     claim_count_a = [||];
     claim_stamp = [||];
     claim_epoch = 1;
@@ -103,29 +114,36 @@ let block_cut t = t.block_cut
 let budget t = t.budget
 let set_budget t b = t.budget <- b
 
-let reserve_cells t n =
-  if t.cap < n then begin
-    let cap = max n (2 * t.cap) in
+(* Node arrays grow to the request plus at least [node_slack], rounded to
+   a multiple of it. The escape network's node count is 2 * cells plus
+   one node per request plus two, and a rip-up round adds a request: the
+   slack absorbs that drift, so a growth happens only for a larger grid
+   and costs the new size, never a doubling. *)
+let node_slack = 4096
+let room n = (n + (2 * node_slack) - 1) / node_slack * node_slack
+
+let reserve_nodes t n =
+  if t.node_cap < n then begin
+    let cap = room n in
     t.dist_a <- Array.make cap 0;
     t.parent_a <- Array.make cap 0;
     t.dist_stamp <- Array.make cap 0;
     t.closed_stamp <- Array.make cap 0;
-    t.target_stamp <- Array.make cap 0;
-    t.source_stamp <- Array.make cap 0;
-    t.fill <- Array.make cap 0;
-    t.fill_stamp <- Array.make cap 0;
-    t.claim_count_a <- Array.make cap 0;
-    t.claim_stamp <- Array.make cap 0;
-    t.cap <- cap;
+    t.node_cap <- cap;
     Search_stats.grid_alloc_noted t.stats
   end
 
-let reserve_entries t n =
-  if t.entry_cap < n then begin
-    let cap = max n (2 * t.entry_cap) in
-    t.entry_g_a <- Array.make cap 0;
-    t.entry_parent_a <- Array.make cap (-1);
-    t.entry_cap <- cap;
+(* Cell layers grow to exactly the grid: a grid's cell count does not
+   drift between the searches of one problem. *)
+let reserve_cells t n =
+  if t.cell_cap < n then begin
+    t.target_stamp <- Array.make n 0;
+    t.source_stamp <- Array.make n 0;
+    t.head <- Array.make n 0;
+    t.head_stamp <- Array.make n 0;
+    t.claim_count_a <- Array.make n 0;
+    t.claim_stamp <- Array.make n 0;
+    t.cell_cap <- n;
     Search_stats.grid_alloc_noted t.stats
   end
 
@@ -135,17 +153,21 @@ let begin_epoch t =
   t.dq_head <- 0;
   t.dq_len <- 0;
   t.trail_len <- 0;
+  t.entry_len <- 0;
   Search_stats.started t.stats;
   Search_stats.reset_noted t.stats
 
 let begin_search t ~cells =
+  reserve_nodes t cells;
   reserve_cells t cells;
   begin_epoch t
 
-let begin_bounded t ~cells ~max_visits_per_cell =
+let begin_flow t ~nodes =
+  reserve_nodes t nodes;
+  begin_epoch t
+
+let begin_bounded t ~cells =
   reserve_cells t cells;
-  reserve_entries t (cells * max_visits_per_cell);
-  t.stride <- max_visits_per_cell;
   begin_epoch t
 
 let dist t i = if t.dist_stamp.(i) = t.epoch then t.dist_a.(i) else max_int
@@ -240,9 +262,7 @@ let deque_is_empty t = t.dq_len = 0
 
 let trail_push t i =
   if t.trail_len = Array.length t.trail then begin
-    (* A search settles each cell at most once, so the cell capacity
-       almost always fits the whole trail in one step. *)
-    let b = Array.make (max t.cap (max 64 (2 * t.trail_len))) 0 in
+    let b = Array.make (max 64 (2 * t.trail_len)) 0 in
     Array.blit t.trail 0 b 0 t.trail_len;
     t.trail <- b;
     Search_stats.grid_alloc_noted t.stats
@@ -278,8 +298,8 @@ let claimed t i = t.claim_stamp.(i) = t.claim_epoch && t.claim_count_a.(i) > 0
 
 (* -- Owner layer -------------------------------------------------------- *)
 
-(* Not grown by [reserve_cells]: the escape network sizes the search
-   arrays by node count, and a regrowth must not wipe the layer. *)
+(* Not grown by [reserve_cells]: a regrowth must not wipe the layer, and
+   only the pipeline's [load_owners] knows the grid it holds. *)
 let load_owners t grid ~reserved =
   let cells = Pacor_grid.Routing_grid.cells grid in
   if Array.length t.owner_a < cells then begin
@@ -325,38 +345,60 @@ let fold_owned t f acc =
   done;
   !acc
 
-let entry_count t i = if t.fill_stamp.(i) = t.epoch then t.fill.(i) else 0
-let entry_slot t ~cell k = (cell * t.stride) + k
-let entry_cell t slot = slot / t.stride
+(* -- Bounded-search visit pool ------------------------------------------ *)
+
+let entry_head t i = if t.head_stamp.(i) = t.epoch then t.head.(i) else -1
+let entry_next t slot = t.entry_next_a.(slot)
+let entry_cell t slot = t.entry_cell_a.(slot)
 let entry_g t slot = t.entry_g_a.(slot)
 let entry_parent t slot = t.entry_parent_a.(slot)
 
+(* The pool doubles from 64 slots and keeps its entries: a search appends
+   while it runs, so a growth copies the live prefix. *)
+let grow_pool t =
+  let cap = max 64 (2 * t.entry_len) in
+  let grow a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 t.entry_len;
+    b
+  in
+  t.entry_g_a <- grow t.entry_g_a;
+  t.entry_parent_a <- grow t.entry_parent_a;
+  t.entry_cell_a <- grow t.entry_cell_a;
+  t.entry_next_a <- grow t.entry_next_a;
+  Search_stats.grid_alloc_noted t.stats
+
 let append_entry t ~cell ~g ~parent =
-  let k = entry_count t cell in
-  let slot = (cell * t.stride) + k in
+  if t.entry_len = Array.length t.entry_g_a then grow_pool t;
+  let slot = t.entry_len in
   t.entry_g_a.(slot) <- g;
   t.entry_parent_a.(slot) <- parent;
-  t.fill.(cell) <- k + 1;
-  t.fill_stamp.(cell) <- t.epoch;
+  t.entry_cell_a.(slot) <- cell;
+  t.entry_next_a.(slot) <- entry_head t cell;
+  t.head.(cell) <- slot;
+  t.head_stamp.(cell) <- t.epoch;
+  t.entry_len <- slot + 1;
   slot
 
 (* -- One-time growth ---------------------------------------------------- *)
 
-(* Jump every per-cell array (and the bounded-search pool) straight to the
-   target size in one allocation event, so routing a 1000x1000+ instance on
-   a reused workspace never reallocates mid-run and a later, smaller
-   instance reuses the grown arrays untouched. *)
+(* Grow the cell layers to the grid and the node arrays to the escape
+   network over it (2 * cells + 2 nodes; [node_slack] covers the request
+   nodes) in one allocation event each, so routing a 1000x1000+ instance
+   on a reused workspace never reallocates them mid-run and a later,
+   smaller instance reuses them untouched. The visit pool and the trail
+   are sized by what searches append, not here. *)
 let prepare t ~cells =
   reserve_cells t cells;
-  reserve_entries t (cells * 8)
+  reserve_nodes t ((2 * cells) + 2)
 
 (* -- Scratch pools ------------------------------------------------------ *)
 
-(* Grow by a quarter past the request: the escape network's per-node
-   arrays are megabytes on large grids and their size drifts a little
-   with the request count between rip-up rounds, so doubling would strand
-   half of each array. *)
-let grown cur len = max len (cur + (cur / 4))
+(* Grow to [room] of the request, or by a quarter when that is more: the
+   escape network's per-node leases are megabytes on large grids and
+   their size drifts with the request count between rip-up rounds, which
+   the slack absorbs; doubling would strand half of each array. *)
+let grown cur len = max (room len) (cur + (cur / 4))
 
 let scratch_int t ~slot ~cells =
   if slot < 0 || slot >= scratch_slots then invalid_arg "Workspace.scratch_int: bad slot";

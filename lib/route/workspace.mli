@@ -11,8 +11,14 @@
     its stamp equals the current epoch — stale entries read as their
     defaults ([max_int] distance, [-1] parent, not closed, not a member).
     The priority queue is cleared and reused, and the bounded-length
-    searcher's per-cell visit entries draw from a flat pool indexed by
-    [cell * max_visits + k], so no per-visit allocation happens either.
+    searcher's visit entries are appended to one pool that grows by
+    doubling and then sticks, so no per-visit allocation happens either.
+
+    Each array is only as large as the searches that read it: the four
+    per-node arrays (distance, parent and their stamps) grow to the
+    largest node count asked for — the escape flow's node-split network
+    has about twice as many nodes as cells — while the target, source,
+    visit-head and claim layers stay at grid cells.
 
     A workspace is single-threaded and non-reentrant: one search at a time.
     Every operation below is O(1), except the growth, load and fold
@@ -43,12 +49,22 @@ val set_budget : t -> Budget.t -> unit
     future search fails fast along its ordinary no-route path. *)
 
 val begin_search : t -> cells:int -> unit
-(** Start a plain A* search over a [cells]-cell grid: ensures capacity,
-    bumps the epoch (invalidating all per-cell state), clears the queue. *)
+(** Start a plain A* search over a [cells]-cell grid: ensures node and
+    cell capacity, bumps the epoch (invalidating all per-cell state),
+    clears the queue. *)
 
-val begin_bounded : t -> cells:int -> max_visits_per_cell:int -> unit
-(** Start a bounded-length search: like {!begin_search} but also sizes the
-    visit-entry pool to [cells * max_visits_per_cell] slots. *)
+val begin_flow : t -> nodes:int -> unit
+(** Start a search over [nodes] graph nodes that reads only the per-node
+    state ({!dist}, {!parent}, {!closed}), the queues and the trail — the
+    escape flow's rounds. Node capacity grows to [nodes] plus at least
+    4096 to spare (rounded to a multiple of 4096), so a network that
+    gains a few request nodes between rip-up rounds never regrows it;
+    the cell layers are not touched. *)
+
+val begin_bounded : t -> cells:int -> unit
+(** Start a bounded-length search over a [cells]-cell grid: ensures cell
+    capacity, bumps the epoch and empties the visit-entry pool. Reads no
+    per-node state. *)
 
 (** {2 Per-cell A* state (valid between [begin_*] calls)} *)
 
@@ -83,7 +99,7 @@ val pop_cell : t -> int
 (** {2 Shared 0-1-BFS deque (instrumented)}
 
     A circular int buffer for deque-based searches (the escape flow
-    solver's 0-1-BFS rounds). Reset by {!begin_search} like the priority
+    solver's 0-1-BFS rounds). Reset by every [begin_*] like the priority
     queue; pushes and pops feed the same {!Search_stats} counters, and
     {!deque_pop_front} charges the attached {!Budget} exactly like
     {!pop_cell} — so flow augmentation and A* expansion draw from one
@@ -103,8 +119,8 @@ val deque_is_empty : t -> bool
     An append-only int buffer for the ids a search settled this epoch, so
     a caller can revisit exactly the settled set in O(settled) rather than
     sweep every cell: the escape flow solver updates its potentials this
-    way after each round. Emptied by {!begin_search}; grows on demand and
-    then sticks, like the deque. *)
+    way after each round. Emptied by every [begin_*]; doubles from 64
+    entries on demand and then sticks, like the deque. *)
 
 val trail_push : t -> int -> unit
 
@@ -168,43 +184,53 @@ val fold_owned : t -> (Pacor_geom.Point.t -> int -> 'a -> 'a) -> 'a -> 'a
 
 (** {2 Bounded-search visit entries}
 
-    Entries live in a flat pool; a slot id is [cell * max_visits + k] with
-    [k < entry_count cell]. The workspace stores mechanism only — dedup and
-    simple-path policy stay in {!Bounded_astar}. *)
+    Entries are appended to one pool, emptied by every [begin_*], and
+    chained per cell, newest first: walk a cell's entries from
+    {!entry_head} along {!entry_next} to [-1]. A slot id is an entry's
+    append position, so ids carry no cell arithmetic. The pool doubles
+    from 64 entries when full and then sticks, so its size follows what
+    searches append, not the grid. The workspace stores mechanism only —
+    dedup, the per-cell cap and simple-path policy stay in
+    {!Bounded_astar}. *)
 
-val entry_count : t -> int -> int
-(** Entries recorded for a cell this epoch. *)
+val entry_head : t -> int -> int
+(** The cell's newest entry this epoch, [-1] when it has none. *)
 
-val entry_slot : t -> cell:int -> int -> int
-(** [entry_slot t ~cell k] is the slot id of the cell's [k]-th entry. *)
+val entry_next : t -> int -> int
+(** The next older entry of the same cell, [-1] after the oldest. *)
 
 val entry_cell : t -> int -> int
-(** The cell a slot belongs to. *)
+(** The cell an entry belongs to. *)
 
 val entry_g : t -> int -> int
 val entry_parent : t -> int -> int
 (** Parent slot id, [-1] for the search root. *)
 
 val append_entry : t -> cell:int -> g:int -> parent:int -> int
-(** Unchecked append (caller enforces [entry_count < max_visits_per_cell]);
-    returns the new slot id. *)
+(** Append an entry (unchecked: the caller enforces its per-cell cap) and
+    make it the cell's head; returns its slot id. *)
 
 (** {2 One-time growth} *)
 
 val prepare : t -> cells:int -> unit
-(** Grow every per-cell array (and the bounded-search entry pool at the
-    default visit stride) to [cells] in one step. The engine calls this
-    once per run with the instance's cell count, so 1000x1000+ grids pay a
-    single allocation event on a cold workspace and none at all on a warm
-    one — a batch worker's workspace grows monotonically across
-    differently-sized problems and never shrinks. *)
+(** Grow the cell layers to [cells] and the per-node arrays to the escape
+    network over such a grid ([2 * cells + 2] nodes plus the slack of
+    {!begin_flow}) in one step each. The engine calls this once per run
+    with the instance's cell count, so 1000x1000+ grids pay a single
+    allocation event per group on a cold workspace and none at all on a
+    warm one — a batch worker's workspace grows monotonically across
+    differently-sized problems and never shrinks. The visit pool and the
+    settle trail are not grown here: they grow by what searches append. *)
 
 (** {2 Scratch pools}
 
     Grid-sized arrays leased by stages that historically allocated per
     call. Apart from int slots 0–3, contents are arbitrary between leases:
     the borrower must fill every element it later reads. Arrays grow
-    monotonically (by at least a quarter; a grown int array reads zero) and
+    monotonically (by at least a quarter, and to at least 4096 entries
+    past the request, the slack of {!begin_flow}, so the escape network's
+    per-node leases survive a rip-up round's extra request; a grown int
+    array reads zero) and
     are shared by slot, so two concurrent borrowers of one slot would
     corrupt each other — the workspace is single-threaded, as documented
     above. Slot owners:

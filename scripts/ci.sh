@@ -166,6 +166,27 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
   }
 done
 
+echo "== cold route memory guard: Scaled6 peak RSS from a fresh process =="
+# A cold route sizes the search workspace once: per-node arrays to the
+# escape network, per-cell layers to the grid, the visit pool and settle
+# trail by what searches append. Scaled6 (1008x1008) then peaks at ~211
+# MB (median of 10 runs, x86-64 Linux, OCaml 5.1); when ten arrays grew
+# together to twice the escape network it peaked at ~741 MB. Fail above
+# 1.5x the committed figure (316 MB).
+scaled6="$fuzzdir/Scaled6.chip"
+./_build/default/bin/pacor_cli.exe designs --emit Scaled6 > "$scaled6"
+rss_kb=$(python3 - "$scaled6" <<'PY'
+import resource, subprocess, sys
+subprocess.run(["./_build/default/bin/pacor_cli.exe", "route", "-f", sys.argv[1]],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+PY
+)
+if [ "$rss_kb" -gt 323584 ]; then
+  echo "cold route memory guard: Scaled6 peaked at $rss_kb KB, limit 323584 KB (316 MB)" >&2
+  exit 1
+fi
+
 echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that

@@ -87,7 +87,7 @@ let retarget_roles ~grid ~claimed roles ~from_pins ~(from : Escape.request list)
 let split_seed ws ~n ~sink arcs =
   let preds = Array.make n [] in
   List.iter (fun (u, v, c) -> preds.(v) <- (u, c) :: preds.(v)) arcs;
-  W.begin_search ws ~cells:n;
+  W.begin_flow ws ~nodes:n;
   W.set_dist ws sink 0;
   W.deque_push_back ws sink;
   let running = ref true in

@@ -570,6 +570,33 @@ let test_grid_warm_workspace_leases () =
   Alcotest.(check int) "warm re-solve allocates nothing" warm
     (snapshot ws).Pacor_route.Search_stats.grid_allocs
 
+let test_grid_ripup_request_no_regrowth () =
+  (* A rip-up round re-solves the escape network with one more request
+     node. The node-sized state (search arrays and the network's leased
+     potentials and node states) keeps slack for that, so the second
+     solve on the same workspace allocates nothing. The added request
+     starts next to a pin, so no round of the second solve settles more
+     nodes than the first solve's largest: the settle trail, which grows
+     by what a round settles, stays put too, and any allocation here is
+     node-sized state regrowing. *)
+  let grid = Routing_grid.create ~width:40 ~height:30 () in
+  let starts = [ Point.make 20 8; Point.make 30 22; Point.make 2 14 ] in
+  let requests =
+    List.mapi (fun i p -> { Escape.cluster_idx = i; start_cells = [ p ] }) starts
+  in
+  let pins = List.init 6 (fun k -> Point.make 0 (3 + (4 * k))) in
+  let inst reqs = (grid, Point.Set.of_list starts, pins, reqs) in
+  let ws = Pacor_route.Workspace.create () in
+  let (two : Mcmf_grid.outcome), _ =
+    implicit_solve ~lease:true ws (inst (List.filteri (fun i _ -> i < 2) requests))
+  in
+  Alcotest.(check int) "two requests routed" 2 two.flow;
+  let before = (snapshot ws).Pacor_route.Search_stats.grid_allocs in
+  let (three : Mcmf_grid.outcome), _ = implicit_solve ~lease:true ws (inst requests) in
+  Alcotest.(check int) "three requests routed" 3 three.flow;
+  Alcotest.(check int) "one more request allocates nothing" before
+    (snapshot ws).Pacor_route.Search_stats.grid_allocs
+
 let unit_cost_network seed =
   (* [random_network] variant constrained to the grid solver's domain:
      unit capacities, costs 0 or 1. *)
@@ -1865,6 +1892,8 @@ let () =
             test_grid_dead_nodes_never_settled;
           Alcotest.test_case "budget trips in seed" `Quick test_grid_budget_trips_in_seed;
           Alcotest.test_case "warm workspace leases" `Quick test_grid_warm_workspace_leases;
+          Alcotest.test_case "rip-up request, no regrowth" `Quick
+            test_grid_ripup_request_no_regrowth;
           Alcotest.test_case "grid = mcmf = dinic" `Quick
             test_grid_agrees_with_general_solvers;
           Alcotest.test_case "long chain decompose" `Quick test_mcmf_long_chain_decompose ] );

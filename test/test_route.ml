@@ -602,6 +602,63 @@ let test_workspace_allocs_monotonic () =
   Alcotest.(check int) "bounded pool allocated once" after_bounded
     (Search_stats.snapshot stats).Search_stats.grid_allocs
 
+(* The visit pool grows by what a search appends, not by the grid: a
+   short bounded search on a 1000x1000 grid allocates a few kilobytes once
+   the cell layers exist (a pool sized at 8 visits per cell was 128 MB). *)
+let test_bounded_pool_sized_by_appends () =
+  let g = grid 1000 1000 in
+  let ws = Workspace.create () in
+  Workspace.begin_search ws ~cells:(Routing_grid.cells g);
+  let before = Gc.allocated_bytes () in
+  let found =
+    Bounded_astar.search ~workspace:ws ~grid:g ~usable:(fun _ -> true)
+      ~source:(Point.make 500 500) ~target:(Point.make 503 500) ~min_length:7 ()
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match found with
+   | Some p -> Alcotest.(check int) "bound met" 7 (Path.length p)
+   | None -> Alcotest.fail "expected a 7-edge path");
+  if allocated >= 1e6 then Alcotest.failf "bounded search allocated %.0f bytes" allocated
+
+(* Pins of a bounded search in which cells hold several visit entries
+   (up to four with the default cap, three with a cap of 3, which the
+   second search reaches), so the per-cell chain walk that dedups G values
+   and enforces the cap decides the pushes. Path and counters were
+   recorded with the earlier fixed-stride pool. *)
+let test_bounded_multi_entry_pins () =
+  let g = grid 7 5 in
+  let run max_visits_per_cell =
+    let stats = Search_stats.create () in
+    let ws = Workspace.create ~stats () in
+    let found =
+      Bounded_astar.search ~workspace:ws ~grid:g ~usable:(fun _ -> true) ~max_visits_per_cell
+        ~source:(Point.make 1 2) ~target:(Point.make 5 2) ~min_length:12 ()
+    in
+    let most = ref 0 in
+    for i = 0 to Routing_grid.cells g - 1 do
+      let rec entries slot n = if slot < 0 then n else entries (Workspace.entry_next ws slot) (n + 1) in
+      most := max !most (entries (Workspace.entry_head ws i) 0)
+    done;
+    let s = Search_stats.snapshot stats in
+    let path =
+      match found with
+      | None -> "none"
+      | Some p ->
+        String.concat ";"
+          (List.map (fun (q : Point.t) -> Printf.sprintf "%d,%d" q.x q.y) (Path.points p))
+    in
+    ( Printf.sprintf "pops=%d pushes=%d touched=%d relax=%d path=%s" s.Search_stats.pops
+        s.Search_stats.pushes s.Search_stats.touched s.Search_stats.relaxations path,
+      !most )
+  in
+  let path = "1,2;0,2;0,3;0,4;1,4;2,4;2,3;2,2;2,1;3,1;4,1;5,1;5,2" in
+  let line, most = run 8 in
+  Alcotest.(check string) "default cap" ("pops=18 pushes=35 touched=61 relax=61 path=" ^ path) line;
+  Alcotest.(check int) "most entries on a cell, default cap" 4 most;
+  let line, most = run 3 in
+  Alcotest.(check string) "cap 3" ("pops=17 pushes=34 touched=57 relax=57 path=" ^ path) line;
+  Alcotest.(check int) "most entries on a cell, cap 3" 3 most
+
 (* The shared 0-1-BFS deque honours deque order: push_front items come out
    before everything pushed at the back, and pops are charged to the same
    budget/stat counters as heap pops. *)
@@ -968,6 +1025,9 @@ let () =
           Alcotest.test_case "respects obstacles" `Quick test_bounded_respects_obstacles;
           Alcotest.test_case "impossible bound" `Quick test_bounded_impossible_bound;
           Alcotest.test_case "visit saturation" `Quick test_bounded_saturation;
+          Alcotest.test_case "visit pool sized by appends" `Quick
+            test_bounded_pool_sized_by_appends;
+          Alcotest.test_case "multi-entry cells, pinned" `Quick test_bounded_multi_entry_pins;
           Alcotest.test_case "refuses Scaled3's pocket" `Quick test_bounded_refuses_pocket ] );
       ( "workspace",
         [ Alcotest.test_case "allocations stay flat" `Quick
