@@ -356,14 +356,17 @@ let scaling_batch ~steps ~seeds =
   Pacor_designs.Scaling.family ~steps ()
   |> List.concat_map (fun (spec : Pacor_designs.Synthetic.spec) ->
     List.init seeds (fun k ->
+      (* The job keeps its [name#k] label; the instance itself gets a name
+         its text can carry ([#] would start a comment). *)
+      let label = Printf.sprintf "%s#%d" spec.name k in
       let spec =
         { spec with
-          Pacor_designs.Synthetic.name = Printf.sprintf "%s#%d" spec.name k;
+          Pacor_designs.Synthetic.name = Printf.sprintf "%s-%d" spec.name k;
           seed = Int64.add spec.seed (Int64.of_int (97 * k)) }
       in
       match Pacor_designs.Synthetic.generate spec with
-      | Ok p -> (spec.Pacor_designs.Synthetic.name, p)
-      | Error e -> failwith (spec.Pacor_designs.Synthetic.name ^ ": " ^ e)))
+      | Ok p -> (label, p)
+      | Error e -> failwith (label ^ ": " ^ e)))
 
 (* Deterministic digest of a batch's routing results: identical across
    jobs counts iff the pool preserved sequential semantics. *)

@@ -38,7 +38,9 @@ val create :
       after full declustering);
     - seed clusters pairwise compatible, flagged length-matched, and only
       referencing known valves;
-    - [delta >= 0] (default 1, the paper's setting). *)
+    - [delta >= 0] (default 1, the paper's setting);
+    - a [name] the instance text can carry unchanged: no newline or [#],
+      no leading or trailing whitespace, no doubled space. *)
 
 val create_exn :
   ?name:string ->

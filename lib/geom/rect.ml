@@ -1,7 +1,7 @@
 type t = { x0 : int; y0 : int; x1 : int; y1 : int }
 
 let make ~x0 ~y0 ~x1 ~y1 =
-  { x0 = min x0 x1; y0 = min y0 y1; x1 = max x0 x1; y1 = max y0 y1 }
+  { x0 = Int.min x0 x1; y0 = Int.min y0 y1; x1 = Int.max x0 x1; y1 = Int.max y0 y1 }
 
 let of_points (a : Point.t) (b : Point.t) = make ~x0:a.x ~y0:a.y ~x1:b.x ~y1:b.y
 

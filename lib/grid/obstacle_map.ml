@@ -71,9 +71,13 @@ let unblock t p =
   end
 
 let block_rect t (r : Rect.t) =
-  for y = max 0 r.y0 to min (t.height - 1) r.y1 do
-    for x = max 0 r.x0 to min (t.width - 1) r.x1 do
-      block t (Point.make x y)
+  for y = Int.max 0 r.y0 to Int.min (t.height - 1) r.y1 do
+    for x = Int.max 0 r.x0 to Int.min (t.width - 1) r.x1 do
+      let i = (y * t.width) + x in
+      if not (get_bit t i) then begin
+        set_bit t i true;
+        t.count <- t.count + 1
+      end
     done
   done
 
@@ -88,6 +92,21 @@ let iter_blocked t f =
       let p = Point.make x y in
       if get_bit t (index t p) then f p
     done
+  done
+
+(* Whole zero bytes (eight free cells) are skipped with one test, so a
+   sparse map costs a pass over its bytes plus one call per blocked cell. *)
+let iter_blocked_index t f =
+  let n = t.width * t.height in
+  for k = 0 to Bytes.length t.bits - 1 do
+    let byte = Char.code (Bytes.unsafe_get t.bits k) in
+    if byte <> 0 then
+      for b = 0 to 7 do
+        if byte land (1 lsl b) <> 0 then begin
+          let i = (k lsl 3) + b in
+          if i < n then f i
+        end
+      done
   done
 
 let pp ppf t =

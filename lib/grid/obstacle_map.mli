@@ -50,5 +50,10 @@ val copy : t -> t
 
 val iter_blocked : t -> (Point.t -> unit) -> unit
 
+val iter_blocked_index : t -> (int -> unit) -> unit
+(** [iter_blocked_index t f] calls [f i] for every blocked cell in
+    ascending dense index ([y * width + x]), i.e. row-major like
+    {!iter_blocked}, without allocating a point per cell. *)
+
 val pp : Format.formatter -> t -> unit
 (** ASCII rendering, ['#'] blocked / ['.'] free, row [height-1] on top. *)

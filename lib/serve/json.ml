@@ -134,6 +134,12 @@ let hex4 cur =
   cur.i <- cur.i + 4;
   !v
 
+(* The end of the run of characters from [i] that need no unescaping. *)
+let rec plain_run s i n =
+  if i < n && (match String.unsafe_get s i with '"' | '\\' -> false | _ -> true) then
+    plain_run s (i + 1) n
+  else i
+
 let parse_string cur =
   expect cur '"';
   let buf = Buffer.create 16 in
@@ -178,9 +184,12 @@ let parse_string cur =
             else add_utf8 buf cp
           | c -> fail cur "bad escape \\%C" c);
          go ())
-    | Some c ->
-      advance cur;
-      Buffer.add_char buf c;
+    | Some _ ->
+      (* A run of plain characters is copied in one piece: a route
+         request carries a whole instance text in one string. *)
+      let start = cur.i in
+      cur.i <- plain_run cur.s start (String.length cur.s);
+      Buffer.add_substring buf cur.s start (cur.i - start);
       go ()
   in
   go ();

@@ -140,12 +140,15 @@ let stage_outcome_label = function
   | Pacor.Solution.Degraded why -> "degraded: " ^ why
   | Pacor.Solution.Timed_out -> "timed-out"
 
-let solution_fields (sol : Pacor.Solution.t) =
+let solution_fields ?validation (sol : Pacor.Solution.t) =
   let stats = Pacor.Solution.stats sol in
   let problem = sol.Pacor.Solution.problem in
   let valves = Pacor.Problem.valve_count problem in
   let validation =
-    match Pacor.Solution.validate sol with
+    let verdict =
+      match validation with Some v -> v | None -> Pacor.Solution.validate sol
+    in
+    match verdict with
     | Ok () -> []
     | Error msgs -> List.map (fun m -> Json.String m) msgs
   in

@@ -72,11 +72,14 @@ val parse_request : string -> (request, Json.t * error_class * string) result
 (** {2 Solution summaries} — shared by the daemon, [route --json] and the
     bench, so every surface speaks the same schema. *)
 
-val solution_fields : Pacor.Solution.t -> (string * Json.t) list
+val solution_fields :
+  ?validation:(unit, string list) result -> Pacor.Solution.t -> (string * Json.t) list
 (** The summary as an ordered field list, so delta handlers can prepend
     their own keys ([dirty], [incremental], …) to the same object. Includes
     the problem {!Pacor.Problem_io.fingerprint} and the full
-    {!Pacor.Solution.validate} verdict. *)
+    {!Pacor.Solution.validate} verdict; a caller that has already run
+    [validate] on this solution passes its result as [validation] instead
+    of having it run again. *)
 
 val solution_result : Pacor.Solution.t -> Json.t
 

@@ -1,14 +1,24 @@
 open Pacor_geom
 open Pacor_valve
 
+(* A solution with its response fields ({!Protocol.solution_fields}):
+   rendered at most once, however often a [get] or a cache hit reads
+   them. *)
+type rendered = {
+  solution : Pacor.Solution.t;
+  fields : (string * Json.t) list Lazy.t;
+}
+
+let rendered ?validation solution =
+  { solution; fields = lazy (Protocol.solution_fields ?validation solution) }
+
 type session = {
-  mutable problem : Pacor.Problem.t;
-  mutable solution : Pacor.Solution.t;
+  mutable current : rendered;
   mutable revision : int;
 }
 
 type t = {
-  cache : (Pacor.Solution.t * string) Lru.t;
+  cache : (rendered * string) Lru.t;  (* fingerprint -> answer, its result text *)
   sessions : (string, session) Hashtbl.t;
   mutable pool : Pacor_route.Workspace.t list;
   pool_limit : int;
@@ -83,8 +93,6 @@ let better (a : Pacor.Solution.t) (b : Pacor.Solution.t) =
   in
   score a >= score b
 
-let valid sol = Pacor.Solution.validate sol = Ok ()
-
 (* Every session mutation is journalled (canonical problem text + revision)
    and fsync'd before the response that acknowledges it leaves the daemon:
    an acknowledged session is, by construction, recoverable after a kill. *)
@@ -95,13 +103,12 @@ let journal_bind t ~session ~revision ~(problem : Pacor.Problem.t) =
     Journal.record_bind j ~session ~revision
       ~problem_text:(Pacor.Problem_io.to_string problem)
 
-let bind_session t name (sol : Pacor.Solution.t) =
+let bind_session t name (r : rendered) =
   match name with
   | None -> ()
   | Some name ->
-    Hashtbl.replace t.sessions name
-      { problem = sol.Pacor.Solution.problem; solution = sol; revision = 0 };
-    journal_bind t ~session:name ~revision:0 ~problem:sol.Pacor.Solution.problem
+    Hashtbl.replace t.sessions name { current = r; revision = 0 };
+    journal_bind t ~session:name ~revision:0 ~problem:r.solution.Pacor.Solution.problem
 
 (* Rebuild the session store from the journal: parse each surviving
    record's canonical text and route it from scratch. Crash-only: a record
@@ -136,8 +143,7 @@ let recover t =
                    e.Pacor.Engine.stage e.message;
                  acc
                | Ok sol ->
-                 Hashtbl.replace t.sessions session
-                   { problem = sol.Pacor.Solution.problem; solution = sol; revision };
+                 Hashtbl.replace t.sessions session { current = rendered sol; revision };
                  t.recovered <- t.recovered + 1;
                  acc + 1))
           0 (Journal.live j))
@@ -170,7 +176,8 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
         Error (Protocol.Internal, "request quarantined after earlier failure: " ^ why)
       | None -> (
         match Lru.find t.cache fp with
-        | Some (sol, _) when req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None ->
+        | Some ({ solution = sol; _ }, _)
+          when req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None ->
           (* Defensive: the store guard below keeps degraded solutions out
              of the cache, but a strict request must never be answered with
              one regardless of how it got there. *)
@@ -179,8 +186,8 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
               "budget exhausted: "
               ^ Pacor_route.Budget.reason_label
                   (Option.get sol.Pacor.Solution.budget_exhausted) )
-        | Some (sol, result) ->
-          bind_session t session sol;
+        | Some (r, result) ->
+          bind_session t session r;
           Ok (result, true)
         | None -> (
           let config = config_for t req.Protocol.limits in
@@ -208,7 +215,8 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
                   ^ Pacor_route.Budget.reason_label
                       (Option.get sol.Pacor.Solution.budget_exhausted) )
             else begin
-              let result = Json.to_string (Protocol.solution_result sol) in
+              let r = rendered sol in
+              let result = Json.to_string (Json.Obj (Lazy.force r.fields)) in
               (* Only full-budget runs enter the cache: a budget-limited
                  request — per-request limits or daemon-wide ones installed
                  at create time — must not poison later unlimited ones with
@@ -217,8 +225,8 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
                 req.Protocol.limits = None
                 && Pacor_route.Budget.is_no_limits config.Pacor.Config.limits
                 && sol.Pacor.Solution.budget_exhausted = None
-              then Lru.add t.cache fp (sol, result);
-              bind_session t session sol;
+              then Lru.add t.cache fp (r, result);
+              bind_session t session r;
               Ok (result, false)
             end))))
 
@@ -254,9 +262,16 @@ let rematch_flags ~delta ~problem (sol : Pacor.Solution.t) =
   in
   { sol with Pacor.Solution.problem; clusters }
 
-let plan_delta (sess : session) (delta : Protocol.delta_op) =
-  let problem = sess.problem in
-  let sol = sess.solution in
+(* Whether a cluster's channels or escape path run through [pos]. *)
+let occupies pos (c : Pacor.Solution.routed_cluster) =
+  Point.Set.mem pos c.routed.Pacor.Routed.claimed
+  ||
+  match c.escape with
+  | Some e -> Pacor_grid.Path.mem e.Pacor_flow.Escape.path pos
+  | None -> false
+
+let plan_delta (sol : Pacor.Solution.t) (delta : Protocol.delta_op) =
+  let problem = sol.Pacor.Solution.problem in
   let verr m = Error (Protocol.Validation, m) in
   match delta with
   | Protocol.Move_valve { valve; x; y } -> (
@@ -270,7 +285,7 @@ let plan_delta (sess : session) (delta : Protocol.delta_op) =
       in
       (* Dirty: the valve's own cluster, plus anyone whose channels run
          through the destination cell. *)
-      let is_dirty c = owns c || Point.Set.mem pos (Pacor.Solution.cluster_cells c) in
+      let is_dirty c = owns c || occupies pos c in
       let revise (cluster : Cluster.t) =
         if not (List.mem valve (Cluster.valve_ids cluster)) then Some cluster
         else begin
@@ -294,7 +309,7 @@ let plan_delta (sess : session) (delta : Protocol.delta_op) =
     match Pacor.Problem.add_obstacle problem pos with
     | Error m -> verr m
     | Ok p' ->
-      let is_dirty c = Point.Set.mem pos (Pacor.Solution.cluster_cells c) in
+      let is_dirty c = occupies pos c in
       Ok (Reroute { problem = p'; is_dirty; revise = (fun c -> Some c) }))
   | Protocol.Remove_obstacle { x; y } -> (
     match Pacor.Problem.remove_obstacle problem (Point.make x y) with
@@ -357,7 +372,10 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
     t.delta_requests <- t.delta_requests + 1;
     let stats = Pacor_route.Workspace.stats workspace in
     let s0 = Pacor_route.Search_stats.snapshot stats in
-    let finish ~incremental ~dirty (sol : Pacor.Solution.t) =
+    let base = sess.current.solution in
+    (* [validation], when given, is the verdict the certificate check
+       already computed for [sol]; the answer's fields reuse it. *)
+    let finish ?validation ~incremental ~dirty (sol : Pacor.Solution.t) =
       if req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None then
         Error
           ( Protocol.Budget,
@@ -367,11 +385,11 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
       else begin
         let s1 = Pacor_route.Search_stats.snapshot stats in
         let expansions = (Pacor_route.Search_stats.diff s1 s0).Pacor_route.Search_stats.pops in
-        let sol = trim_stages sol in
-        sess.problem <- sol.Pacor.Solution.problem;
-        sess.solution <- sol;
+        let r = rendered ?validation (trim_stages sol) in
+        sess.current <- r;
         sess.revision <- sess.revision + 1;
-        journal_bind t ~session:name ~revision:sess.revision ~problem:sess.problem;
+        journal_bind t ~session:name ~revision:sess.revision
+          ~problem:r.solution.Pacor.Solution.problem;
         if incremental then t.incremental_served <- t.incremental_served + 1;
         let fields =
           ("op", Json.String (Protocol.delta_label delta))
@@ -379,7 +397,7 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           :: ("incremental", Json.Bool incremental)
           :: ("dirty", Json.List (List.map (fun i -> Json.Int i) dirty))
           :: ("expansions", Json.Int expansions)
-          :: Protocol.solution_fields sol
+          :: Lazy.force r.fields
         in
         Ok (Json.to_string (Json.Obj fields), false)
       end
@@ -388,20 +406,35 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
        iff it validates, quarantined nothing (unless the delta is itself a
        fault, where quarantine is the contract) and ran within budget;
        otherwise route the mutated problem from scratch and serve whichever
-       answer is lexicographically better on (routed valves, length). *)
+       answer is lexicographically better on (routed valves, length). A
+       candidate handed to the fallback has already validated. *)
     let fallback ~problem ~dirty incremental_sol =
       let config = config_for t req.Protocol.limits in
       match Pacor.Engine.run ~config ~workspace problem with
       | Error e -> (
         match incremental_sol with
-        | Some sol -> finish ~incremental:true ~dirty sol
+        | Some sol -> finish ~validation:(Ok ()) ~incremental:true ~dirty sol
         | None -> Error (Protocol.Engine, e.Pacor.Engine.stage ^ ": " ^ e.message))
       | Ok full -> (
         match incremental_sol with
-        | Some sol when better sol full -> finish ~incremental:true ~dirty sol
+        | Some sol when better sol full -> finish ~validation:(Ok ()) ~incremental:true ~dirty sol
         | Some _ | None -> finish ~incremental:false ~dirty full)
     in
-    match plan_delta sess delta with
+    (* One [Solution.validate] per incremental answer: its verdict decides
+       the certificate and fills the served fields. *)
+    let certify (r : Pacor_fault.Repair.t) ~quarantine_ok ~problem =
+      let sol = r.Pacor_fault.Repair.solution in
+      let validation = Pacor.Solution.validate sol in
+      let candidate =
+        validation = Ok () && (quarantine_ok || r.Pacor_fault.Repair.quarantined = [])
+      in
+      if candidate && sol.Pacor.Solution.budget_exhausted = None then
+        finish ~validation ~incremental:true ~dirty:r.Pacor_fault.Repair.dirty sol
+      else
+        fallback ~problem ~dirty:r.Pacor_fault.Repair.dirty
+          (if candidate then Some sol else None)
+    in
+    match plan_delta base delta with
     | Error _ as e -> e
     | Ok (Rebase sol) -> finish ~incremental:true ~dirty:[] sol
     | Ok (Reroute { problem; is_dirty; revise }) -> (
@@ -410,55 +443,39 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
           (List.filter_map
              (fun (c : Pacor.Solution.routed_cluster) ->
                 if is_dirty c then Some c.routed.Pacor.Routed.cluster.Cluster.id else None)
-             sess.solution.Pacor.Solution.clusters)
+             base.Pacor.Solution.clusters)
       in
       if dirty_ids = [] then
-        finish ~incremental:true ~dirty:[]
-          { sess.solution with Pacor.Solution.problem }
+        finish ~incremental:true ~dirty:[] { base with Pacor.Solution.problem }
       else
         match
           Pacor_fault.Repair.reroute ~workspace ?limits:req.Protocol.limits
-            ~stage:(Protocol.delta_label delta) ~problem ~is_dirty ~revise sess.solution
+            ~stage:(Protocol.delta_label delta) ~problem ~is_dirty ~revise base
         with
-        | Ok r
-          when valid r.Pacor_fault.Repair.solution
-               && r.Pacor_fault.Repair.quarantined = []
-               && r.Pacor_fault.Repair.solution.Pacor.Solution.budget_exhausted = None ->
-          finish ~incremental:true ~dirty:r.Pacor_fault.Repair.dirty
-            r.Pacor_fault.Repair.solution
         | Ok r ->
           (* A quarantine drops valves from the instance, so that answer
              solves a smaller problem than the edit asked for: it is no
              candidate here, not even when it ties scratch on score. *)
-          fallback ~problem ~dirty:r.Pacor_fault.Repair.dirty
-            (if valid r.Pacor_fault.Repair.solution && r.Pacor_fault.Repair.quarantined = []
-             then Some r.Pacor_fault.Repair.solution
-             else None)
+          certify r ~quarantine_ok:false ~problem
         | Error _ -> fallback ~problem ~dirty:dirty_ids None)
     | Ok (Repair { faults; fproblem }) -> (
       match
-        Pacor_fault.Repair.run ~workspace ?limits:req.Protocol.limits ~faults
-          sess.solution
+        Pacor_fault.Repair.run ~workspace ?limits:req.Protocol.limits ~faults base
       with
-      | Ok r
-        when valid r.Pacor_fault.Repair.solution
-             && r.Pacor_fault.Repair.solution.Pacor.Solution.budget_exhausted = None ->
+      | Ok r ->
         (* Quarantine is a legitimate fault outcome, not a certificate
            failure: a pinless valve stays pinless under a full re-route of
            the faulted instance too. *)
-        finish ~incremental:true ~dirty:r.Pacor_fault.Repair.dirty
-          r.Pacor_fault.Repair.solution
-      | Ok r ->
-        fallback ~problem:fproblem ~dirty:r.Pacor_fault.Repair.dirty
-          (if valid r.Pacor_fault.Repair.solution then
-             Some r.Pacor_fault.Repair.solution
-           else None)
+        certify r ~quarantine_ok:true ~problem:fproblem
       | Error _ ->
         fallback ~problem:fproblem
-          ~dirty:(Pacor_fault.Repair.dirty_set ~faults sess.solution)
+          ~dirty:(Pacor_fault.Repair.dirty_set ~faults base)
           None))
 
 (* ---------- the other ops ---------- *)
+
+let session_solution t name =
+  Option.map (fun sess -> sess.current.solution) (Hashtbl.find_opt t.sessions name)
 
 let do_get t ~session:name =
   match Hashtbl.find_opt t.sessions name with
@@ -467,7 +484,7 @@ let do_get t ~session:name =
     let fields =
       ("session", Json.String name)
       :: ("revision", Json.Int sess.revision)
-      :: Protocol.solution_fields sess.solution
+      :: Lazy.force sess.current.fields
     in
     Ok (Json.to_string (Json.Obj fields), false)
 

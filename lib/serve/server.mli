@@ -2,7 +2,9 @@
     and then answers design-loop edits by re-routing only what each edit
     dirties.
 
-    State: a {e session store} (named, mutable (problem, solution) pairs), a
+    State: a {e session store} (named, mutable solutions, each holding its
+    response fields rendered once per write: a [get] reads them, with no
+    validation and no fingerprint), a
     fingerprint-keyed {e LRU solution cache} whose entries pre-render their
     response so cache hits replay byte-identical bytes, a {e warm workspace
     pool} (one leased per connection, arrays stay grown), and a {e poisoned
@@ -67,6 +69,9 @@ val handle : ?workspace:Pacor_route.Workspace.t -> t -> string -> outcome
     across calls (the I/O loop passes the connection's leased one; tests
     and the bench drive this directly); otherwise one is leased from the
     pool per call. *)
+
+val session_solution : t -> string -> Pacor.Solution.t option
+(** The named session's current solution, the one its [get] describes. *)
 
 val take_workspace : t -> Pacor_route.Workspace.t
 val return_workspace : t -> Pacor_route.Workspace.t -> unit

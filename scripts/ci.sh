@@ -187,6 +187,49 @@ if [ "$rss_kb" -gt 323584 ]; then
   exit 1
 fi
 
+echo "== canonical instance text: designs --emit and re-emitted corpus chips, md5-pinned =="
+# The canonical text is the serving layer's cache key (its md5 is the
+# problem fingerprint) and the journal's record format, so it must not
+# move. These digests were recorded with the Printf writer the linear one
+# replaced. Corpus chips are re-emitted through --save-instance, which
+# writes the parsed instance before routing; a one-expansion budget cuts
+# the route short (exit 1), and only the saved text is checked.
+textdir="$fuzzdir/text"
+mkdir -p "$textdir"
+for pin in Chip1:3d2172376f58c7a356c565150716ce89 Chip2:24fab23a4df51b85834aa558e69e3290 \
+           S1:fff54d1f0f1652f940221870ba771093 S2:ecb2aa7004e1a0dc131984940e77dbf7 \
+           S3:664e6e63b4fbfa169b8e7c3061755c40 S4:ed49dfa6037eb7cbd0c8174a8f4e7873 \
+           S5:c6f0db225cea58c31f8d0b01757519ab Scaled1:446c6c030652f1992d517cbb3d9900a1 \
+           Scaled2:ce651ddd94e1caefb4110407f04b1ee2 Scaled3:29f0824215bf516994971731bce8aadc \
+           Scaled4:69e59ef3dcaa3c06f378256ff4209a28 Scaled5:e641336b4af88f0f75962022f60b1fb4 \
+           Scaled6:0f7999bb2bca518bbb5cf4952ad35c56 Scaled7:173bf641f3c6dfe85198856252cf403b \
+           Scaled8:d52ff8caf68d109d5a0487cd4b9484f7; do
+  name=${pin%%:*}
+  want=${pin#*:}
+  got=$(./_build/default/bin/pacor_cli.exe designs --emit "$name" | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "canonical text: designs --emit $name md5 is $got, pinned $want" >&2
+    exit 1
+  fi
+done
+for pin in corpus-bigcluster:e8cf129d1330ca548e049ee7b5a2a78f \
+           corpus-dense:a7a2378429341d0ff3bf02ee8824ab22 \
+           corpus-obstacles:015d93da25403b35b4a2a5b918037560 \
+           corpus-pairs:cf192842822f83801e8182798aeea51d \
+           degenerate/corpus-empty-clusters:9d9bed6447a18b9d6fb70c0424f4485c \
+           degenerate/corpus-infeasible:587cf0fe8339c7d426e6e2d7cac92804; do
+  name=${pin%%:*}
+  want=${pin#*:}
+  out="$textdir/$(basename "$name").chip"
+  ./_build/default/bin/pacor_cli.exe route -f "corpus/$name.chip" --save-instance "$out" \
+    --max-expansions 1 > /dev/null 2>&1 || true
+  got=$(md5sum < "$out" | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "canonical text: re-emitted corpus/$name.chip md5 is $got, pinned $want" >&2
+    exit 1
+  fi
+done
+
 echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that

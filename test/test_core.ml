@@ -79,6 +79,32 @@ let test_problem_valve_on_obstacle () =
   Alcotest.(check bool) "valve on obstacle" true
     (Result.is_error (Problem.create ~grid ~valves:[ v ] ~pins:[ Point.make 0 5 ] ()))
 
+(* Names the instance text cannot carry: before [create] refused them,
+   [of_string (to_string p)] gave "a  b" back as "a b", " a" as "a" and
+   "x#1" as "x" (so the fingerprint moved across a journal round trip),
+   and a newline rendered text that no longer parsed. *)
+let test_problem_rejects_untextable_names () =
+  let grid = Routing_grid.create ~width:10 ~height:10 () in
+  let v = mk_valve 0 5 5 "01" in
+  let create name = Problem.create ~name ~grid ~valves:[ v ] ~pins:[ Point.make 0 5 ] () in
+  List.iter
+    (fun name ->
+       Alcotest.(check bool) (Printf.sprintf "%S rejected" name) true
+         (Result.is_error (create name)))
+    [ "a  b"; " a"; "a "; "x#1"; "a\nb"; "lines\n"; "\ta"; "a\r" ];
+  List.iter
+    (fun name ->
+       match create name with
+       | Error e -> Alcotest.failf "%S refused: %s" name e
+       | Ok p -> (
+         match Problem_io.of_string (Problem_io.to_string p) with
+         | Error e -> Alcotest.failf "%S: reparse failed: %s" name e
+         | Ok p' ->
+           Alcotest.(check string) (Printf.sprintf "%S round trip" name) name p'.Problem.name;
+           Alcotest.(check string) "same fingerprint" (Problem_io.fingerprint p)
+             (Problem_io.fingerprint p')))
+    [ ""; "a"; "a b"; "Chip2-v1"; "delta=3"; "a\tb"; "scale-24x24-0" ]
+
 (* ---------- Problem IO ---------- *)
 
 let test_problem_io_roundtrip () =
@@ -308,7 +334,9 @@ let () =
     [ ( "problem",
         [ Alcotest.test_case "valid problem" `Quick test_problem_ok;
           Alcotest.test_case "rejects bad inputs" `Quick test_problem_rejects_bad_inputs;
-          Alcotest.test_case "valve on obstacle" `Quick test_problem_valve_on_obstacle ] );
+          Alcotest.test_case "valve on obstacle" `Quick test_problem_valve_on_obstacle;
+          Alcotest.test_case "rejects names the text cannot carry" `Quick
+            test_problem_rejects_untextable_names ] );
       ( "problem_io",
         [ Alcotest.test_case "roundtrip" `Quick test_problem_io_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_problem_io_parse_errors;

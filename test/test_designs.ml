@@ -208,6 +208,27 @@ let test_harness_measures_s1 () =
     Alcotest.(check string) "design name" "S1" row.Pacor.Report.design;
     Alcotest.(check int) "clusters" 2 row.Pacor.Report.clusters
 
+(* [Problem.create] refuses names the instance text cannot carry; every
+   generator's names must pass it. *)
+let test_generator_names_text_safe () =
+  let generated what = function
+    | Ok (p : Pacor.Problem.t) ->
+      (match Pacor.Problem_io.of_string (Pacor.Problem_io.to_string p) with
+       | Ok p' -> Alcotest.(check string) (what ^ " name round trip") p.name p'.Pacor.Problem.name
+       | Error e -> Alcotest.failf "%s: reparse failed: %s" what e)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  List.iter (fun n -> generated n (Table1.load n)) Table1.names;
+  List.iter
+    (fun s -> generated (Scaled.name s) (Scaled.load s))
+    Scaled.scales;
+  List.iter
+    (fun (s : Fpva.spec) -> generated s.name (Fpva.generate s))
+    (Fpva.family ());
+  List.iter
+    (fun (s : Synthetic.spec) -> generated s.name (Synthetic.generate s))
+    (Scaling.family ~steps:5 ())
+
 let () =
   Alcotest.run "designs"
     [ ( "rng",
@@ -226,7 +247,9 @@ let () =
           Alcotest.test_case "specs consistent" `Quick test_table1_specs_consistent;
           Alcotest.test_case "small designs generate" `Quick
             test_table1_small_designs_generate;
-          Alcotest.test_case "unknown design" `Quick test_table1_unknown ] );
+          Alcotest.test_case "unknown design" `Quick test_table1_unknown;
+          Alcotest.test_case "generator names are text-safe" `Quick
+            test_generator_names_text_safe ] );
       ( "extensions",
         [ Alcotest.test_case "scaling family" `Quick test_scaling_family_well_formed;
           Alcotest.test_case "scaling measures" `Slow test_scaling_measures;

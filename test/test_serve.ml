@@ -917,6 +917,98 @@ let test_delta_never_serves_quarantine () =
   Alcotest.(check string) "session holds the mutated problem"
     (Pacor.Problem_io.fingerprint p') (result_str g "fingerprint")
 
+(* ---------- session fields never go stale ---------- *)
+
+(* A session holds its response fields, rendered once per write. After
+   every kind of write, [get] must answer exactly what rendering the
+   session's current solution afresh would. *)
+let check_get_fresh what server session =
+  let line, j =
+    handle_ok server (req [ ("op", Json.String "get"); ("session", Json.String session) ])
+  in
+  match Server.session_solution server session with
+  | None -> Alcotest.failf "%s: session %s gone" what session
+  | Some sol ->
+    let want =
+      Json.to_string
+        (Json.Obj
+           (("session", Json.String session)
+            :: ("revision", Json.Int (result_int j "revision"))
+            :: Protocol.solution_fields sol))
+    in
+    Alcotest.(check string) (what ^ ": get = fresh fields") want (result_of line)
+
+let pocket_text =
+  String.concat "\n"
+    [ "name pocket"; "grid 10 10"; "delta 1";
+      "obstacle 1 2 1 2"; "obstacle 2 1 2 1"; "obstacle 2 3 2 3";
+      "valve 0 2 2 01X"; "valve 1 6 6 10X";
+      "pin 0 5"; "pin 9 5"; "pin 5 0"; "pin 5 9"; "" ]
+
+let test_session_fields_fresh () =
+  let route server ~session text =
+    snd
+      (handle_ok server
+         (req [ ("op", Json.String "route"); ("problem", Json.String text);
+                ("session", Json.String session) ]))
+  in
+  let edit server ~session what fields =
+    let _, j = handle_ok server (req (("op", Json.String what) :: ("session", Json.String session) :: fields)) in
+    check_get_fresh what server session;
+    j
+  in
+  let incremental j =
+    Option.bind (Option.bind (Json.member "result" j) (Json.member "incremental")) Json.bool_opt
+  in
+  with_temp_journal (fun path ->
+      let journal = journal_exn path in
+      let server = Server.create ~journal () in
+      let p = Synthetic.generate_exn (synthetic_spec 7) in
+      let text = Pacor.Problem_io.to_string p in
+      ignore (route server ~session:"s" text);
+      check_get_fresh "route" server "s";
+      let v = List.hd p.Pacor.Problem.valves in
+      let dest = List.nth (free_cells p) 5 in
+      ignore
+        (edit server ~session:"s" "move_valve"
+           [ ("valve", Json.Int v.Pacor_valve.Valve.id);
+             ("x", Json.Int dest.Pacor_geom.Point.x); ("y", Json.Int dest.Pacor_geom.Point.y) ]);
+      let cell = List.nth (free_cells p) 11 in
+      ignore
+        (edit server ~session:"s" "add_obstacle"
+           [ ("x", Json.Int cell.Pacor_geom.Point.x); ("y", Json.Int cell.Pacor_geom.Point.y) ]);
+      ignore
+        (edit server ~session:"s" "remove_obstacle"
+           [ ("x", Json.Int cell.Pacor_geom.Point.x); ("y", Json.Int cell.Pacor_geom.Point.y) ]);
+      ignore (edit server ~session:"s" "set_delta" [ ("delta", Json.Int 4) ]);
+      ignore (edit server ~session:"s" "set_delta" [ ("delta", Json.Int 0) ]);
+      (* A cache-hit route rebinds the session to the base solution. *)
+      let _, hit =
+        handle_ok server
+          (req [ ("op", Json.String "route"); ("problem", Json.String text);
+                 ("session", Json.String "s") ])
+      in
+      Alcotest.(check (option bool)) "rebinding route is a cache hit" (Some true)
+        (Option.bind (Json.member "cached" hit) Json.bool_opt);
+      check_get_fresh "cache-hit route" server "s";
+      (* Walling valve 0 in: a blocked cell (fault) quarantines it, an
+         obstacle (edit) is answered by the scratch fallback. *)
+      ignore (route server ~session:"f" pocket_text);
+      let j = edit server ~session:"f" "inject_fault" [ ("fault", Json.String "cell=3:2") ] in
+      Alcotest.(check int) "the fault quarantined valve 0" 1 (result_int j "routed_valves");
+      ignore (route server ~session:"w" pocket_text);
+      let j = edit server ~session:"w" "add_obstacle" [ ("x", Json.Int 3); ("y", Json.Int 2) ] in
+      Alcotest.(check (option bool)) "answered by the scratch fallback" (Some false)
+        (incremental j);
+      ignore (edit server ~session:"s" "set_delta" [ ("delta", Json.Int 3) ]);
+      Journal.close journal;
+      (* Journal recovery rebinds every session from its record. *)
+      let journal = journal_exn path in
+      let recovered = Server.create ~journal () in
+      Alcotest.(check int) "three sessions recovered" 3 (Server.recover recovered);
+      List.iter (fun s -> check_get_fresh ("recovered " ^ s) recovered s) [ "s"; "f"; "w" ];
+      Journal.close journal)
+
 let () =
   Alcotest.run "serve"
     [
@@ -955,6 +1047,8 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_journal_torn_tail;
           Alcotest.test_case "compaction" `Quick test_journal_compaction;
           Alcotest.test_case "server recovery" `Quick test_recover;
+          Alcotest.test_case "session fields never go stale" `Quick
+            test_session_fields_fresh;
         ] );
       ( "overload",
         [ Alcotest.test_case "serve loop under fire" `Quick test_serve_loop_overload ] );
