@@ -136,6 +136,10 @@ let cluster_cells rc =
   in
   Point.Set.union rc.routed.Routed.claimed escape_cells
 
+let occupies rc p =
+  Point.Set.mem p rc.routed.Routed.claimed
+  || match rc.escape with Some e -> Path.mem e.Pacor_flow.Escape.path p | None -> false
+
 let validate (t : t) =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in

@@ -82,6 +82,10 @@ val stats : t -> stats
 val cluster_cells : routed_cluster -> Pacor_geom.Point.Set.t
 (** The cluster's claimed cells and its escape path's cells. *)
 
+val occupies : routed_cluster -> Pacor_geom.Point.t -> bool
+(** [occupies rc p] is [Point.Set.mem p (cluster_cells rc)], without
+    building the union. *)
+
 val validate : t -> (unit, string list) result
 (** Re-checks the solution from scratch:
     - every path cell is in bounds and off static obstacles;

@@ -33,10 +33,8 @@ let touches fault (c : Pacor.Solution.routed_cluster) =
   match fault with
   | Fault.Stuck_valve { valve; _ } ->
     List.mem valve (Cluster.valve_ids c.routed.Pacor.Routed.cluster)
-  | Fault.Blocked_cell p -> Point.Set.mem p (Pacor.Solution.cluster_cells c)
-  | Fault.Leaky_segment { a; b } ->
-    let fp = Pacor.Solution.cluster_cells c in
-    Point.Set.mem a fp || Point.Set.mem b fp
+  | Fault.Blocked_cell p -> Pacor.Solution.occupies c p
+  | Fault.Leaky_segment { a; b } -> Pacor.Solution.occupies c a || Pacor.Solution.occupies c b
 
 let cluster_ids cs =
   List.sort Int.compare

@@ -262,14 +262,6 @@ let rematch_flags ~delta ~problem (sol : Pacor.Solution.t) =
   in
   { sol with Pacor.Solution.problem; clusters }
 
-(* Whether a cluster's channels or escape path run through [pos]. *)
-let occupies pos (c : Pacor.Solution.routed_cluster) =
-  Point.Set.mem pos c.routed.Pacor.Routed.claimed
-  ||
-  match c.escape with
-  | Some e -> Pacor_grid.Path.mem e.Pacor_flow.Escape.path pos
-  | None -> false
-
 let plan_delta (sol : Pacor.Solution.t) (delta : Protocol.delta_op) =
   let problem = sol.Pacor.Solution.problem in
   let verr m = Error (Protocol.Validation, m) in
@@ -285,7 +277,7 @@ let plan_delta (sol : Pacor.Solution.t) (delta : Protocol.delta_op) =
       in
       (* Dirty: the valve's own cluster, plus anyone whose channels run
          through the destination cell. *)
-      let is_dirty c = owns c || occupies pos c in
+      let is_dirty c = owns c || Pacor.Solution.occupies c pos in
       let revise (cluster : Cluster.t) =
         if not (List.mem valve (Cluster.valve_ids cluster)) then Some cluster
         else begin
@@ -309,7 +301,7 @@ let plan_delta (sol : Pacor.Solution.t) (delta : Protocol.delta_op) =
     match Pacor.Problem.add_obstacle problem pos with
     | Error m -> verr m
     | Ok p' ->
-      let is_dirty c = occupies pos c in
+      let is_dirty c = Pacor.Solution.occupies c pos in
       Ok (Reroute { problem = p'; is_dirty; revise = (fun c -> Some c) }))
   | Protocol.Remove_obstacle { x; y } -> (
     match Pacor.Problem.remove_obstacle problem (Point.make x y) with

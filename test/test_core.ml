@@ -258,6 +258,33 @@ let test_engine_single_valve_chip () =
 
 (* ---------- Solution validation catches corruption ---------- *)
 
+(* [occupies] answers [cluster_cells] membership without building the
+   union: the serving layer's and repair's dirty predicates rest on it. *)
+let prop_occupies_is_cluster_cells =
+  QCheck.Test.make ~count:20 ~name:"occupies = mem of cluster_cells, every cell"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let spec =
+        { Pacor_designs.Synthetic.name = "occupies"; width = 20; height = 16;
+          obstacle_cells = 12; lm_cluster_sizes = [ 2; 3 ]; singleton_valves = 3;
+          pin_count = 14; seed = Int64.of_int seed; delta = 1 }
+      in
+      match Pacor_designs.Synthetic.generate spec with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok p -> (
+        match Engine.run p with
+        | Error _ -> QCheck.assume_fail ()
+        | Ok sol ->
+          List.for_all
+            (fun rc ->
+               let cells = Solution.cluster_cells rc in
+               List.for_all
+                 (fun i ->
+                    let q = Point.make (i mod 20) (i / 20) in
+                    Solution.occupies rc q = Point.Set.mem q cells)
+                 (List.init (20 * 16) Fun.id))
+            sol.Solution.clusters))
+
 let test_validate_detects_unmatched_lie () =
   let sol = run_ok (small_problem ()) in
   (* Forge a matched flag on a cluster with a too-large spread by tampering
@@ -354,7 +381,8 @@ let () =
           Alcotest.test_case "single valve chip" `Quick test_engine_single_valve_chip ] );
       ( "solution",
         [ Alcotest.test_case "validate detects stale matched flags" `Quick
-            test_validate_detects_unmatched_lie ] );
+            test_validate_detects_unmatched_lie;
+          QCheck_alcotest.to_alcotest prop_occupies_is_cluster_cells ] );
       ( "report",
         [ Alcotest.test_case "row and averages" `Quick test_report_row_and_averages;
           Alcotest.test_case "paper reference table" `Quick test_report_paper_reference;
