@@ -953,7 +953,10 @@ let test_session_fields_fresh () =
                 ("session", Json.String session) ]))
   in
   let edit server ~session what fields =
-    let _, j = handle_ok server (req (("op", Json.String what) :: ("session", Json.String session) :: fields)) in
+    let _, j =
+      handle_ok server
+        (req (("op", Json.String what) :: ("session", Json.String session) :: fields))
+    in
     check_get_fresh what server session;
     j
   in
