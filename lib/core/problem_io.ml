@@ -279,12 +279,9 @@ let parse text =
       clusters = []; pins = [] }
   in
   let sc = { text; lineno = 0; ntok = 0; starts = Array.make 8 0; stops = Array.make 8 0 } in
-  let run () =
-    match scan_lines sc acc 0 with () -> Ok () | exception Malformed m -> Error m
-  in
-  match run () with
-  | Error _ as e -> e
-  | Ok () ->
+  match scan_lines sc acc 0 with
+  | exception Malformed m -> Error m
+  | () ->
     (match acc.dims with
      | None -> Error "missing 'grid' directive"
      | Some (width, height) when width <= 0 || height <= 0 ->
