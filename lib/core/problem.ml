@@ -16,24 +16,28 @@ let rec first_duplicate compare = function
   | [] | [ _ ] -> None
   | a :: (b :: _ as rest) -> if compare a b = 0 then Some a else first_duplicate compare rest
 
-(* The instance text carries a name as the space-separated tokens of its
-   [name] line, after the [#] cut and the trim every line gets. A name
-   survives that round trip iff it has no newline or [#], no leading or
-   trailing whitespace and no doubled space; any other name would come
-   back changed, and with it the problem's fingerprint. *)
+(* The instance text carries a name on its [name] line, which the parser
+   cuts at [#], trims, splits on single spaces and joins back with one
+   space. A name survives that round trip iff reading its line gives it
+   back: no newline or [#], no leading space, no trailing whitespace, no
+   doubled space. Any other name would come back changed, and with it
+   the problem's fingerprint. *)
 let text_safe_name name =
   (not (String.contains name '\n'))
   && (not (String.contains name '#'))
-  && String.equal name
-       (String.concat " "
-          (List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim name))))
+  &&
+  match
+    List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim ("name " ^ name)))
+  with
+  | _ :: tokens -> String.equal name (String.concat " " tokens)
+  | [] -> false
 
 let create ?(name = "unnamed") ?(rules = Design_rules.default) ~grid ~valves
     ?(lm_clusters = []) ~pins ?(delta = 1) () =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   if not (text_safe_name name) then
-    err "name %S cannot be carried by the instance text (newline, '#', doubled \
-         space or surrounding whitespace)" name
+    err "name %S cannot be carried by the instance text (newline, '#', leading \
+         space, trailing whitespace or doubled space)" name
   else if valves = [] then err "no valves"
   else if delta < 0 then err "negative delta"
   else begin

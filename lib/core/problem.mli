@@ -40,7 +40,7 @@ val create :
       referencing known valves;
     - [delta >= 0] (default 1, the paper's setting);
     - a [name] the instance text can carry unchanged: no newline or [#],
-      no leading or trailing whitespace, no doubled space. *)
+      no leading space, no trailing whitespace, no doubled space. *)
 
 val create_exn :
   ?name:string ->

@@ -268,6 +268,23 @@ let prop_parser_bytes =
     QCheck.(string_gen_of_size (Gen.int_range 0 200) Gen.char)
     (fun s -> same_verdict ("grid 8 8\n" ^ s) && same_verdict s)
 
+(* [Problem.create] refuses names the text cannot carry; a name the
+   parser has just read is always one it can, so no text that parsed
+   before that check is refused now. *)
+let prop_parsed_names_accepted =
+  QCheck.Test.make ~count:500 ~name:"every name the parser reads is accepted"
+    QCheck.(
+      string_gen_of_size (Gen.int_range 0 12)
+        (Gen.oneofl [ 'a'; 'Z'; '-'; ' '; '\t'; '\r'; '\012'; '=' ]))
+    (fun name ->
+      let text = "name " ^ name ^ "\ngrid 4 4\nvalve 0 1 1 01\npin 0 1\n" in
+      match Problem_io.of_string text with
+      | Error e -> QCheck.Test.fail_reportf "%S refused: %s" name e
+      | Ok p -> (
+        match Problem_io.of_string (Problem_io.to_string p) with
+        | Ok p' -> String.equal p.Problem.name p'.Problem.name
+        | Error e -> QCheck.Test.fail_reportf "%S: reparse refused: %s" p.Problem.name e))
+
 let () =
   Alcotest.run "codec"
     [ ( "writer",
@@ -280,4 +297,5 @@ let () =
         [ Alcotest.test_case "named designs = oracle" `Quick test_parser_named;
           Alcotest.test_case "corpus = oracle" `Quick test_parser_corpus;
           QCheck_alcotest.to_alcotest prop_parser_mutated;
-          QCheck_alcotest.to_alcotest prop_parser_bytes ] ) ]
+          QCheck_alcotest.to_alcotest prop_parser_bytes;
+          QCheck_alcotest.to_alcotest prop_parsed_names_accepted ] ) ]

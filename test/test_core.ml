@@ -91,7 +91,7 @@ let test_problem_rejects_untextable_names () =
     (fun name ->
        Alcotest.(check bool) (Printf.sprintf "%S rejected" name) true
          (Result.is_error (create name)))
-    [ "a  b"; " a"; "a "; "x#1"; "a\nb"; "lines\n"; "\ta"; "a\r" ];
+    [ "a  b"; " a"; "a "; "x#1"; "a\nb"; "lines\n"; "a\t"; "a\r"; "\t" ];
   List.iter
     (fun name ->
        match create name with
@@ -103,7 +103,7 @@ let test_problem_rejects_untextable_names () =
            Alcotest.(check string) (Printf.sprintf "%S round trip" name) name p'.Problem.name;
            Alcotest.(check string) "same fingerprint" (Problem_io.fingerprint p)
              (Problem_io.fingerprint p')))
-    [ ""; "a"; "a b"; "Chip2-v1"; "delta=3"; "a\tb"; "scale-24x24-0" ]
+    [ ""; "a"; "a b"; "Chip2-v1"; "delta=3"; "a\tb"; "\ta"; "a \t b"; "scale-24x24-0" ]
 
 (* ---------- Problem IO ---------- *)
 
