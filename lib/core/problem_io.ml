@@ -109,7 +109,8 @@ let to_string (p : Problem.t) =
     (List.sort Point.compare p.pins);
   Buffer.contents buf
 
-let fingerprint p = Digest.to_hex (Digest.string (to_string p))
+let text_fingerprint text = Digest.to_hex (Digest.string text)
+let fingerprint p = text_fingerprint (to_string p)
 
 (* 16M cells (~2^24): far above any realistic chip, far below what makes
    grid allocation or block-filling a denial-of-service vector. *)

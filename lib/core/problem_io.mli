@@ -26,6 +26,10 @@ val fingerprint : Problem.t -> string
     Equal problems — however constructed or reordered — share a
     fingerprint; the serving layer's solution-cache key. *)
 
+val text_fingerprint : string -> string
+(** [text_fingerprint (to_string p) = fingerprint p], for a caller that
+    already holds the canonical text. *)
+
 val of_string : string -> (Problem.t, string) result
 (** Total: never raises, whatever the input. Malformed integers, unknown
     directives, non-positive or oversized grids (> 16M cells), duplicate

@@ -79,12 +79,9 @@ val add_stages : t -> (string * measured) list -> t
 val cluster_total_length : routed_cluster -> int
 val stats : t -> stats
 
-val cluster_cells : routed_cluster -> Pacor_geom.Point.Set.t
-(** The cluster's claimed cells and its escape path's cells. *)
-
 val occupies : routed_cluster -> Pacor_geom.Point.t -> bool
-(** [occupies rc p] is [Point.Set.mem p (cluster_cells rc)], without
-    building the union. *)
+(** [occupies rc p] holds when [p] is one of the cluster's claimed cells
+    or a cell of its escape path. *)
 
 val validate : t -> (unit, string list) result
 (** Re-checks the solution from scratch:
@@ -95,7 +92,11 @@ val validate : t -> (unit, string list) result
     - every valve reaches a pin (100 % completion) — reported as an error
       string, not an exception, since congested instances may fail;
     - every cluster marked [matched] really has length spread <= delta;
-    - valves sharing a pin are pairwise compatible. *)
+    - valves sharing a pin are pairwise compatible.
+
+    Messages come in that order. One walk over each cluster's cells
+    checks the first three; its scratch is sized by the routed cells, not
+    by the grid. It reads no router structure. *)
 
 val degraded : t -> bool
 (** True when any stage outcome is not [Completed]. *)

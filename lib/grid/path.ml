@@ -32,6 +32,7 @@ let target t = t.pts.(Array.length t.pts - 1)
 let length t = Array.length t.pts - 1
 let is_trivial t = length t = 0
 let mem t p = Point.Set.mem p t.set
+let iter f t = Array.iter f t.pts
 let reverse t = { t with pts = Array.init (Array.length t.pts) (fun i -> t.pts.(Array.length t.pts - 1 - i)) }
 
 let append a b =

@@ -27,6 +27,9 @@ val is_trivial : t -> bool
 
 val mem : t -> Point.t -> bool
 
+val iter : (Point.t -> unit) -> t -> unit
+(** The path's points, source to target. *)
+
 val reverse : t -> t
 
 val append : t -> t -> t

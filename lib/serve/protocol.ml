@@ -140,7 +140,7 @@ let stage_outcome_label = function
   | Pacor.Solution.Degraded why -> "degraded: " ^ why
   | Pacor.Solution.Timed_out -> "timed-out"
 
-let solution_fields ?validation (sol : Pacor.Solution.t) =
+let solution_fields ?validation ?fingerprint (sol : Pacor.Solution.t) =
   let stats = Pacor.Solution.stats sol in
   let problem = sol.Pacor.Solution.problem in
   let valves = Pacor.Problem.valve_count problem in
@@ -154,7 +154,9 @@ let solution_fields ?validation (sol : Pacor.Solution.t) =
   in
   [
     ("problem", Json.String problem.Pacor.Problem.name);
-    ("fingerprint", Json.String (Pacor.Problem_io.fingerprint problem));
+    ( "fingerprint",
+      Json.String
+        (match fingerprint with Some fp -> fp | None -> Pacor.Problem_io.fingerprint problem) );
     ("valves", Json.Int valves);
     ("routed_valves", Json.Int (routed_valves sol));
     ("clusters", Json.Int (List.length sol.Pacor.Solution.clusters));

@@ -9,8 +9,8 @@ type rendered = {
   fields : (string * Json.t) list Lazy.t;
 }
 
-let rendered ?validation solution =
-  { solution; fields = lazy (Protocol.solution_fields ?validation solution) }
+let rendered ?validation ?fingerprint solution =
+  { solution; fields = lazy (Protocol.solution_fields ?validation ?fingerprint solution) }
 
 type session = {
   mutable current : rendered;
@@ -19,6 +19,7 @@ type session = {
 
 type t = {
   cache : (rendered * string) Lru.t;  (* fingerprint -> answer, its result text *)
+  raw : string Lru.t;  (* digest of a route's instance text -> its fingerprint *)
   sessions : (string, session) Hashtbl.t;
   mutable pool : Pacor_route.Workspace.t list;
   pool_limit : int;
@@ -46,6 +47,7 @@ let create ?(cache_capacity = 64) ?(limits = Pacor_route.Budget.no_limits)
     ?(replay_capacity = 256) ?journal () =
   {
     cache = Lru.create ~capacity:cache_capacity;
+    raw = Lru.create ~capacity:cache_capacity;
     sessions = Hashtbl.create 16;
     pool = [];
     pool_limit = 8;
@@ -95,20 +97,24 @@ let better (a : Pacor.Solution.t) (b : Pacor.Solution.t) =
 
 (* Every session mutation is journalled (canonical problem text + revision)
    and fsync'd before the response that acknowledges it leaves the daemon:
-   an acknowledged session is, by construction, recoverable after a kill. *)
+   an acknowledged session is, by construction, recoverable after a kill.
+   Returns the fingerprint of the text it wrote, if it wrote one, so the
+   response fields need not render the problem a second time. *)
 let journal_bind t ~session ~revision ~(problem : Pacor.Problem.t) =
   match t.journal with
-  | None -> ()
+  | None -> None
   | Some j ->
-    Journal.record_bind j ~session ~revision
-      ~problem_text:(Pacor.Problem_io.to_string problem)
+    let problem_text = Pacor.Problem_io.to_string problem in
+    Journal.record_bind j ~session ~revision ~problem_text;
+    Some (Pacor.Problem_io.text_fingerprint problem_text)
 
 let bind_session t name (r : rendered) =
   match name with
   | None -> ()
   | Some name ->
     Hashtbl.replace t.sessions name { current = r; revision = 0 };
-    journal_bind t ~session:name ~revision:0 ~problem:r.solution.Pacor.Solution.problem
+    ignore
+      (journal_bind t ~session:name ~revision:0 ~problem:r.solution.Pacor.Solution.problem)
 
 (* Rebuild the session store from the journal: parse each surviving
    record's canonical text and route it from scratch. Crash-only: a record
@@ -164,71 +170,91 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
       with Sys_error e | Failure e -> Error e)
     | None, None -> Error "route requires \"problem\" or \"file\""
   in
+  let parse text =
+    Result.map_error (fun m -> (Protocol.Parse, "problem: " ^ m)) (Pacor.Problem_io.of_string text)
+  in
+  (* Everything a route does once it knows the instance's fingerprint: the
+     quarantine check and the one cache lookup; [None] on a cache miss. *)
+  let lookup fp =
+    match Hashtbl.find_opt t.poisoned fp with
+    | Some why ->
+      Some (Error (Protocol.Internal, "request quarantined after earlier failure: " ^ why))
+    | None -> (
+      match Lru.find t.cache fp with
+      | Some ({ solution = sol; _ }, _)
+        when req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None ->
+        (* Defensive: the store guard below keeps degraded solutions out
+           of the cache, but a strict request must never be answered with
+           one regardless of how it got there. *)
+        Some
+          (Error
+             ( Protocol.Budget,
+               "budget exhausted: "
+               ^ Pacor_route.Budget.reason_label
+                   (Option.get sol.Pacor.Solution.budget_exhausted) ))
+      | Some (r, result) ->
+        bind_session t session r;
+        Some (Ok (result, true))
+      | None -> None)
+  in
+  let route fp problem =
+    let config = config_for t req.Protocol.limits in
+    match
+      try Pacor.Engine.run ~config ~workspace problem with
+      | exn ->
+        (* [Engine.run] is total by contract; if that contract ever
+           breaks, remember the offender so one bad instance cannot
+           crash-loop the daemon. *)
+        Hashtbl.replace t.poisoned fp (Printexc.to_string exn);
+        Error { Pacor.Engine.stage = "internal"; message = Printexc.to_string exn }
+    with
+    | Error e ->
+      if e.Pacor.Engine.stage = "internal" then ()
+      else Hashtbl.replace t.poisoned fp (e.stage ^ ": " ^ e.message);
+      Error
+        ( (if e.Pacor.Engine.stage = "internal" then Protocol.Internal else Protocol.Engine),
+          e.stage ^ ": " ^ e.message )
+    | Ok sol ->
+      if req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None then
+        Error
+          ( Protocol.Budget,
+            "budget exhausted: "
+            ^ Pacor_route.Budget.reason_label (Option.get sol.Pacor.Solution.budget_exhausted) )
+      else begin
+        (* The engine answers for the problem it was given: [fp] is its
+           fingerprint. *)
+        let r = rendered ~fingerprint:fp sol in
+        let result = Json.to_string (Json.Obj (Lazy.force r.fields)) in
+        (* Only full-budget runs enter the cache: a budget-limited
+           request — per-request limits or daemon-wide ones installed
+           at create time — must not poison later unlimited ones with
+           its degraded answer. *)
+        if
+          req.Protocol.limits = None
+          && Pacor_route.Budget.is_no_limits config.Pacor.Config.limits
+          && sol.Pacor.Solution.budget_exhausted = None
+        then Lru.add t.cache fp (r, result);
+        bind_session t session r;
+        Ok (result, false)
+      end
+  in
   match text with
   | Error m -> Error (Protocol.Validation, m)
   | Ok text -> (
-    match Pacor.Problem_io.of_string text with
-    | Error m -> Error (Protocol.Parse, "problem: " ^ m)
-    | Ok problem -> (
-      let fp = Pacor.Problem_io.fingerprint problem in
-      match Hashtbl.find_opt t.poisoned fp with
-      | Some why ->
-        Error (Protocol.Internal, "request quarantined after earlier failure: " ^ why)
-      | None -> (
-        match Lru.find t.cache fp with
-        | Some ({ solution = sol; _ }, _)
-          when req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None ->
-          (* Defensive: the store guard below keeps degraded solutions out
-             of the cache, but a strict request must never be answered with
-             one regardless of how it got there. *)
-          Error
-            ( Protocol.Budget,
-              "budget exhausted: "
-              ^ Pacor_route.Budget.reason_label
-                  (Option.get sol.Pacor.Solution.budget_exhausted) )
-        | Some (r, result) ->
-          bind_session t session r;
-          Ok (result, true)
-        | None -> (
-          let config = config_for t req.Protocol.limits in
-          match
-            try Pacor.Engine.run ~config ~workspace problem with
-            | exn ->
-              (* [Engine.run] is total by contract; if that contract ever
-                 breaks, remember the offender so one bad instance cannot
-                 crash-loop the daemon. *)
-              Hashtbl.replace t.poisoned fp (Printexc.to_string exn);
-              Error { Pacor.Engine.stage = "internal"; message = Printexc.to_string exn }
-          with
-          | Error e ->
-            if e.Pacor.Engine.stage = "internal" then ()
-            else Hashtbl.replace t.poisoned fp (e.stage ^ ": " ^ e.message);
-            Error
-              ( (if e.Pacor.Engine.stage = "internal" then Protocol.Internal
-                 else Protocol.Engine),
-                e.stage ^ ": " ^ e.message )
-          | Ok sol ->
-            if req.Protocol.strict && sol.Pacor.Solution.budget_exhausted <> None then
-              Error
-                ( Protocol.Budget,
-                  "budget exhausted: "
-                  ^ Pacor_route.Budget.reason_label
-                      (Option.get sol.Pacor.Solution.budget_exhausted) )
-            else begin
-              let r = rendered sol in
-              let result = Json.to_string (Json.Obj (Lazy.force r.fields)) in
-              (* Only full-budget runs enter the cache: a budget-limited
-                 request — per-request limits or daemon-wide ones installed
-                 at create time — must not poison later unlimited ones with
-                 its degraded answer. *)
-              if
-                req.Protocol.limits = None
-                && Pacor_route.Budget.is_no_limits config.Pacor.Config.limits
-                && sol.Pacor.Solution.budget_exhausted = None
-              then Lru.add t.cache fp (r, result);
-              bind_session t session r;
-              Ok (result, false)
-            end))))
+    (* A text seen before maps straight to its fingerprint: a
+       byte-identical repeat skips the parse and the canonical render.
+       Only a miss whose answer has left the cache still parses. *)
+    let raw = Digest.string text in
+    match Lru.find t.raw raw with
+    | Some fp -> (
+      match lookup fp with
+      | Some answer -> answer
+      | None -> Result.bind (parse text) (route fp))
+    | None ->
+      Result.bind (parse text) (fun problem ->
+        let fp = Pacor.Problem_io.fingerprint problem in
+        Lru.add t.raw raw fp;
+        match lookup fp with Some answer -> answer | None -> route fp problem))
 
 (* ---------- deltas ---------- *)
 
@@ -377,11 +403,14 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
       else begin
         let s1 = Pacor_route.Search_stats.snapshot stats in
         let expansions = (Pacor_route.Search_stats.diff s1 s0).Pacor_route.Search_stats.pops in
-        let r = rendered ?validation (trim_stages sol) in
+        let sol = trim_stages sol in
+        let revision = sess.revision + 1 in
+        let fingerprint =
+          journal_bind t ~session:name ~revision ~problem:sol.Pacor.Solution.problem
+        in
+        let r = rendered ?validation ?fingerprint sol in
         sess.current <- r;
-        sess.revision <- sess.revision + 1;
-        journal_bind t ~session:name ~revision:sess.revision
-          ~problem:r.solution.Pacor.Solution.problem;
+        sess.revision <- revision;
         if incremental then t.incremental_served <- t.incremental_served + 1;
         let fields =
           ("op", Json.String (Protocol.delta_label delta))
@@ -504,6 +533,14 @@ let stats_result t =
             ("hits", Json.Int (Lru.hits t.cache));
             ("misses", Json.Int (Lru.misses t.cache));
             ("evictions", Json.Int (Lru.evictions t.cache));
+          ] );
+      (* Routes whose instance text was recognised without a parse. *)
+      ( "raw_keys",
+        Json.Obj
+          [
+            ("size", Json.Int (Lru.length t.raw));
+            ("hits", Json.Int (Lru.hits t.raw));
+            ("misses", Json.Int (Lru.misses t.raw));
           ] );
       ("poisoned", Json.Int (Hashtbl.length t.poisoned));
       ("replayed", Json.Int t.replayed);

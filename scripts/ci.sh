@@ -373,32 +373,46 @@ grep -qF '"all_valid": true' BENCH_fault.json || {
 same_fingerprints "$faultjson" BENCH_fault.json fault-sweep
 rm -f "$faultjson"
 
-echo "== serve smoke: daemon over a pipe (route, cache hit, delta, shutdown) =="
+echo "== serve smoke: daemon over a pipe (route, cache hits, delta, shutdown) =="
 # pacor client spawns the daemon on stdin/stdout pipes; --check turns any
-# ok:false response into exit 1.
+# ok:false response into exit 1. The second route repeats the first text
+# (answered by the raw-text key), the third is the same instance with a
+# comment line inserted (answered by the canonical key after a parse), the
+# fourth repeats the first text again.
 servetrace=$(mktemp)
-cat > "$servetrace" <<'EOF'
+commented=$(mktemp)
+sed '2i # the same instance, one comment line longer' corpus/corpus-pairs.chip > "$commented"
+cat > "$servetrace" <<EOF
 {"id":1,"op":"route","file":"corpus/corpus-pairs.chip","session":"ci"}
 {"id":2,"op":"route","file":"corpus/corpus-pairs.chip"}
-{"id":3,"op":"move_valve","session":"ci","valve":10,"x":9,"y":10}
-{"id":4,"op":"stats"}
-{"id":5,"op":"shutdown"}
+{"id":3,"op":"route","file":"$commented"}
+{"id":4,"op":"route","file":"corpus/corpus-pairs.chip"}
+{"id":5,"op":"move_valve","session":"ci","valve":10,"x":9,"y":10}
+{"id":6,"op":"stats"}
+{"id":7,"op":"shutdown"}
 EOF
 serveout=$(./_build/default/bin/pacor_cli.exe client --check < "$servetrace")
-rm -f "$servetrace"
-# The repeat route must be served from the cache, byte-identical to the
+rm -f "$servetrace" "$commented"
+# Every repeat route must be served from the cache, byte-identical to the
 # first computation (the result field is rendered once and replayed).
-printf '%s\n' "$serveout" | sed -n '2p' | grep -qF '"cached":true' || {
-  echo "serve smoke: repeat route was not a cache hit" >&2
-  printf '%s\n' "$serveout" >&2; exit 1; }
 r1=$(printf '%s\n' "$serveout" | sed -n '1s/.*"result"://p')
-r2=$(printf '%s\n' "$serveout" | sed -n '2s/.*"result"://p')
-if [ -z "$r1" ] || [ "$r1" != "$r2" ]; then
-  echo "serve smoke: cache hit is not byte-identical to the first route" >&2
-  printf '%s\n' "$serveout" >&2; exit 1
-fi
+for n in 2 3 4; do
+  printf '%s\n' "$serveout" | sed -n "${n}p" | grep -qF '"cached":true' || {
+    echo "serve smoke: route $n was not a cache hit" >&2
+    printf '%s\n' "$serveout" >&2; exit 1; }
+  rn=$(printf '%s\n' "$serveout" | sed -n "${n}s/.*\"result\"://p")
+  if [ -z "$r1" ] || [ "$r1" != "$rn" ]; then
+    echo "serve smoke: cache hit $n is not byte-identical to the first route" >&2
+    printf '%s\n' "$serveout" >&2; exit 1
+  fi
+done
+# Two texts, each seen twice: two raw-key hits, two misses.
+printf '%s\n' "$serveout" | sed -n '6p' \
+  | grep -qF '"raw_keys":{"size":2,"hits":2,"misses":2}' || {
+  echo "serve smoke: raw-key counters differ" >&2
+  printf '%s\n' "$serveout" >&2; exit 1; }
 # The delta must be served incrementally (certificate held, no fallback).
-printf '%s\n' "$serveout" | sed -n '3p' | grep -qF '"incremental":true' || {
+printf '%s\n' "$serveout" | sed -n '5p' | grep -qF '"incremental":true' || {
   echo "serve smoke: move_valve was not served incrementally" >&2
   printf '%s\n' "$serveout" >&2; exit 1; }
 

@@ -277,7 +277,7 @@ let prop_occupies_is_cluster_cells =
         | Ok sol ->
           List.for_all
             (fun rc ->
-               let cells = Solution.cluster_cells rc in
+               let cells = Validate_oracle.cluster_cells rc in
                List.for_all
                  (fun i ->
                     let q = Point.make (i mod 20) (i / 20) in
