@@ -6,7 +6,9 @@
     response fields rendered once per write: a [get] reads them, with no
     validation and no fingerprint), a
     fingerprint-keyed {e LRU solution cache} whose entries pre-render their
-    response so cache hits replay byte-identical bytes, a {e warm workspace
+    response so cache hits replay byte-identical bytes (a second LRU maps
+    the digest of a route's raw instance text to its fingerprint, so a
+    byte-identical repeat skips the parse), a {e warm workspace
     pool} (one leased per connection, arrays stay grown), and a {e poisoned
     set} remembering request fingerprints that crashed the engine so one bad
     instance cannot crash-loop the daemon.
@@ -78,9 +80,11 @@ val return_workspace : t -> Pacor_route.Workspace.t -> unit
 
 val stats_result : t -> Json.t
 (** The [stats] op's result object (also handy for the bench). Includes the
-    overload counters ([busy_rejected], [oversized_lines], [idle_reaped],
-    [shed]) and the bounded-memory gauges ([max_pending_bytes],
-    [max_outgoing_bytes]) the chaos soak asserts on. *)
+    solution cache's counters, the raw-text key map's ([raw_keys]: size,
+    hits, misses), the overload counters ([busy_rejected],
+    [oversized_lines], [idle_reaped], [shed]) and the bounded-memory
+    gauges ([max_pending_bytes], [max_outgoing_bytes]) the chaos soak
+    asserts on. *)
 
 val listen : port:int -> Unix.file_descr * int
 (** Bind and listen on 127.0.0.1:[port] (0 picks an ephemeral port) and
