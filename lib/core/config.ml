@@ -48,7 +48,3 @@ let variant_name = function
   | Full -> "PACOR"
   | Without_selection -> "w/o Sel"
   | Detour_first -> "Detour First"
-
-let pp ppf t =
-  Format.fprintf ppf "%s (lambda=%.2f cand=%d gamma=%d theta=%d)"
-    (variant_name t.variant) t.lambda t.max_candidates t.negotiation.gamma t.theta

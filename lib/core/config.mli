@@ -19,7 +19,7 @@ type t = {
       (** [b_g] = 1.0, [alpha] = 0.1, [gamma] = 10 *)
   theta : int;           (** detour-stage iteration bound, default 10 *)
   max_ripup_rounds : int;
-      (** escape rip-up / decluster rounds, default 10 *)
+      (** escape rip-up rounds, default 10 *)
   limits : Pacor_route.Budget.limits;
       (** search budget per engine run (deadline / expansion cap /
           negotiation-iteration cap); default {!Pacor_route.Budget.no_limits} *)
@@ -39,4 +39,3 @@ val log : t -> ('a, Format.formatter, unit) format -> 'a
 (** Prints a ["[pacor] "]-prefixed line on stderr when [verbose] is set. *)
 
 val variant_name : variant -> string
-val pp : Format.formatter -> t -> unit

@@ -38,11 +38,11 @@ let alternative_candidate ~config ~workspace ~grid tried (r : Routed.t) =
       routed
     end
 
-(* The engine's rung for when every pinless cluster is a singleton the
-   ladder cannot change: it must be walled in by a neighbour's channels.
-   Demote the adjacent clusters with channels (the "jailers") to compact
-   ordinary routes that leave a ring around the jailed valves and one lane
-   from each jailed cluster to a pin open. *)
+(* The engine's rung for when every pinless cluster is an ordinary one
+   the ladder leaves as it is: it must be walled in by a neighbour's
+   channels. Demote the adjacent clusters with channels (the "jailers")
+   to compact ordinary routes that leave a ring around the jailed cells
+   and one lane from each jailed cluster to a pin open. *)
 let unjail ~config ~workspace ~grid ~fresh_id ~pins ~keep ~failed =
   let failed_cells =
     List.fold_left
@@ -100,12 +100,7 @@ let unjail ~config ~workspace ~grid ~fresh_id ~pins ~keep ~failed =
     Some (free_keep @ demoted @ failed)
   end
 
-let route_inner ~config ~workspace (problem : Problem.t) =
-  (* Monotonic wall-clock (not process CPU, not gettimeofday) time: with
-     several engine runs in flight on concurrent domains, [Sys.time]
-     charges every domain's work to each run and misreports per-instance
-     runtime and batch speedup. *)
-  let t0 = Pacor_route.Clock.now_mono () in
+let route_inner ~config ~workspace ~t0 (problem : Problem.t) =
   let stages = ref [] in
   let timed label f =
     let result, measured = Solution.measure workspace f in
@@ -239,6 +234,12 @@ let run ?(config = Config.default) ?workspace (problem : Problem.t) =
     | Some w -> w
     | None -> Pacor_route.Workspace.create ()
   in
+  (* Monotonic wall-clock (not process CPU, not gettimeofday) time: with
+     several engine runs in flight on concurrent domains, [Sys.time]
+     charges every domain's work to each run and misreports per-instance
+     runtime and batch speedup. The clock starts before [prepare], so
+     [runtime_s] counts a cold workspace's allocation too. *)
+  let t0 = Pacor_route.Clock.now_mono () in
   (* One-time growth to the instance's size: the cell layers to the grid
      and the per-node arrays to the escape network over it, so a cold
      workspace on a 1000x1000+ grid pays one allocation event per group
@@ -249,7 +250,7 @@ let run ?(config = Config.default) ?workspace (problem : Problem.t) =
   Pacor_route.Workspace.prepare workspace ~cells:(Routing_grid.cells problem.Problem.grid);
   match
     scoped ~workspace config.Config.limits (fun workspace ->
-      route_inner ~config ~workspace problem)
+      route_inner ~config ~workspace ~t0 problem)
   with
   | Ok result -> result
   | Error message -> Error { stage = "internal"; message }

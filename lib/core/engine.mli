@@ -57,7 +57,8 @@ val run :
     flow holds module-level mutable state. Concurrent [run] calls from
     several domains are therefore safe, and may even share the (immutable)
     [Problem.t], provided each call uses a distinct workspace. Timing
-    ([Solution.runtime_s], [stage_seconds]) is the monotonic wall clock
+    ([Solution.runtime_s], which includes growing [workspace] to the
+    instance, and [stage_seconds]) is the monotonic wall clock
     ({!Pacor_route.Clock.now_mono}), not process CPU time and not the
     NTP-adjustable system clock, so per-run figures stay truthful when
     other domains are busy or the system clock steps mid-run. The result is a deterministic
@@ -72,7 +73,8 @@ val run :
     ~config ~workspace ~grid tried] as [retry] (a pinless tree's next
     untried DME candidate; [tried] counts them per cluster id), and
     [unjail ~config ~workspace ~grid ~fresh_id ~pins] (a lane from each
-    walled-in singleton to a pin, and its jailers demoted around it). *)
+    walled-in ordinary cluster to a pin, and its jailers demoted around
+    it). *)
 
 val alternative_candidate :
   config:Config.t -> workspace:Pacor_route.Workspace.t -> grid:Pacor_grid.Routing_grid.t ->

@@ -168,14 +168,9 @@ let ripup ?(retry = fun _ -> None) ?(unjail = fun ~keep:_ ~failed:_ -> None)
             | Some r' -> [ r' ]
             | None -> (Plain_route.route_all ~workspace ~grid ~fresh_id [ r.cluster ]).routed
           end
-          else if Cluster.size r.cluster >= 2 then
-            List.map Routed.make_singleton (Cluster.split r.cluster ~fresh_id)
           else [ r ]
         in
-        let changes (r : Routed.t) =
-          Routed.is_length_matched_shape r || Cluster.size r.cluster >= 2
-        in
-        if List.exists changes failed then
+        if List.exists Routed.is_length_matched_shape failed then
           round (k + 1) (keep @ replace_each ~workspace step failed)
         else
           match unjail ~keep ~failed with

@@ -73,12 +73,15 @@ val nearest_pin_steps : grid:Routing_grid.t -> Point.t list -> (int -> int) opti
     on a dead budget skips its solve and reports every cluster pinless).
     Otherwise each pinless cluster is replaced, one at a time, against
     everything else the layer holds: a length-matched one is ripped at a
-    higher cost (the caller's [retry], else {!Plain_route.route_all}), a
-    multi-valve ordinary one is declustered into singletons, and a
-    singleton stays. When no cluster changed, the caller's [unjail] may
-    return a new cluster list for another round.
+    higher cost (the caller's [retry], else {!Plain_route.route_all}), and
+    an ordinary one stays as it is. Splitting a pinless ordinary cluster
+    cannot help: its every cell is already an escape start, so its
+    singletons reach no pin the whole cluster could not. When no cluster
+    changed, the caller's [unjail] may return a new cluster list for
+    another round.
 
-    The engine passes both rungs; repair passes neither. *)
+    The engine passes both rungs; repair passes neither, so its ladder
+    ends as soon as only ordinary clusters are pinless. *)
 
 val ripup :
   ?retry:(Routed.t -> Routed.t option) ->
@@ -90,7 +93,8 @@ val ripup :
   pins:Point.t list ->
   Routed.t list ->
   (outcome, string) result
-(** [fresh_id] mints the ids of declustered singletons. [retry r] may
+(** [fresh_id] mints ids for {!Plain_route.route_all}'s singletons when it
+    re-routes a length-matched cluster that [retry] left. [retry r] may
     re-route a pinless length-matched [r] (vacated); [unjail ~keep ~failed]
     sees the escaped and the (unchanged) pinless clusters, and leaves the
     layer holding the list it returns. The outcome's assignments carry

@@ -101,8 +101,6 @@ val validate : t -> (unit, string list) result
 val degraded : t -> bool
 (** True when any stage outcome is not [Completed]. *)
 
-val pp_stage_outcome : Format.formatter -> stage_outcome -> unit
-
 val pp_outcomes : Format.formatter -> t -> unit
 (** One line: either "all stages completed" or the exhaustion reason plus
     the non-completed stages. *)

@@ -55,17 +55,6 @@ let measure_problems ?(progress = fun _ -> ()) ?(jobs = 1)
   in
   rows [] problems summary.Pacor_par.Batch.items
 
-let measure_problem ?jobs ?limits ?retries problem =
-  match measure_problems ?jobs ?limits ?retries [ problem ] with
-  | Error _ as e -> e
-  | Ok [ row ] -> Ok row
-  | Ok _ -> Error "harness: expected exactly one row"
-
-let measure_design ?jobs ?limits ?retries name =
-  match Table1.load name with
-  | Error _ as e -> e
-  | Ok problem -> measure_problem ?jobs ?limits ?retries problem
-
 let measure_table2 ?progress ?jobs ?limits ?retries names =
   let rec load acc = function
     | [] -> Ok (List.rev acc)

@@ -12,33 +12,6 @@
     a permanently failing job still fails the whole measurement, since a
     Table 2 row with holes is meaningless. *)
 
-val measure_problem :
-  ?jobs:int ->
-  ?limits:Pacor_route.Budget.limits ->
-  ?retries:int ->
-  Pacor.Problem.t ->
-  (Pacor.Report.row, string) result
-(** Runs "w/o Sel", "Detour First" and PACOR on the instance, validating
-    each solution; any validation failure is an error. *)
-
-val measure_design :
-  ?jobs:int ->
-  ?limits:Pacor_route.Budget.limits ->
-  ?retries:int ->
-  string ->
-  (Pacor.Report.row, string) result
-(** [measure_design name] loads a Table 1 design and measures it. *)
-
-val measure_problems :
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  ?limits:Pacor_route.Budget.limits ->
-  ?retries:int ->
-  Pacor.Problem.t list ->
-  (Pacor.Report.row list, string) result
-(** Measure several already-loaded instances; [progress] fires once per
-    design, in input order, as its row is assembled. *)
-
 val measure_table2 :
   ?progress:(string -> unit) ->
   ?jobs:int ->
@@ -46,5 +19,7 @@ val measure_table2 :
   ?retries:int ->
   string list ->
   (Pacor.Report.row list, string) result
-(** Measure several designs by name, reporting progress through
-    [progress]. *)
+(** Measure several designs by name: for each, run "w/o Sel", "Detour
+    First" and PACOR, validating each solution (any validation failure is
+    an error). [progress] fires once per design, in input order, as its
+    row is assembled. *)

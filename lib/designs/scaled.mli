@@ -7,11 +7,8 @@
     cells. Deterministic per scale (fixed seed), loadable from the CLI as
     [pacor designs --emit Scaled3]. *)
 
-val max_scale : int
-(** Largest supported scale (8: a 1344x1344 grid). *)
-
 val scales : int list
-(** [1 .. max_scale]. *)
+(** [1 .. 8]; Scaled8 is a 1344x1344 grid. *)
 
 val name : int -> string
 (** ["Scaled3"] for scale 3. *)
@@ -20,7 +17,7 @@ val of_name : string -> int option
 (** Inverse of {!name}; [None] for other strings or out-of-range scales. *)
 
 val spec : int -> Synthetic.spec
-(** Raises [Invalid_argument] outside [1 .. max_scale]. *)
+(** Raises [Invalid_argument] outside [1 .. 8]. *)
 
 val load : int -> (Pacor.Problem.t, string) result
 val load_exn : int -> Pacor.Problem.t

@@ -88,6 +88,11 @@ type enode = {
   kids : (int * enode) list;
 }
 
+(* One candidate with the root at [root_at], clamped into the root merging
+   region. [root_cell] pins the root's grid placement instead of the
+   snap-and-ring search, which diversifies candidates when that region is
+   a single point. [None] when an internal node has no usable cell; leaves
+   stay at their sinks whatever [usable] says. *)
 let embed ?root_cell ~grid ~usable ~sinks mroot ~root_at () =
   let root_coord = Tilted.nearest_in mroot.Merge.region root_at in
   let is_root = ref true in

@@ -45,23 +45,6 @@ val nodes_by_id : t -> node array
 (** [nodes] as an array, which node ids index. Raises [Invalid_argument]
     when node [i] of [nodes] does not have id [i]. *)
 
-val embed :
-  ?root_cell:Point.t ->
-  grid:Routing_grid.t ->
-  usable:(Point.t -> bool) ->
-  sinks:Point.t array ->
-  Merge.node ->
-  root_at:Tilted.coord ->
-  unit ->
-  t option
-(** Embed one candidate with the root at the given tilted coordinate (which
-    is clamped into the root merging region). [root_cell] pins the root's
-    grid placement instead of the default snap-and-ring search — the extra
-    degree of freedom used to diversify candidates when the root merging
-    region is a single point. [None] when an internal node cannot be placed
-    on any usable cell. Leaves stay at their exact sink positions regardless
-    of [usable]. *)
-
 val enumerate :
   grid:Routing_grid.t ->
   usable:(Point.t -> bool) ->

@@ -9,10 +9,10 @@
     footprints held, their pins out of the offer): candidate routing for
     length-matched clusters with an MST / singleton fallback, escape on
     the engine's rip-up ladder ({!Pacor.Escape_stage.ripup}: demote a
-    pinless length-matched cluster, decluster a pinless multi-valve
-    ordinary one; without the engine's alternative-candidate and jailer
-    rungs), and the detour stage ({!Pacor.Detour_stage.around}) to restore
-    length matching. There is no rematch pass. Untouched clusters are
+    pinless length-matched cluster; without the engine's
+    alternative-candidate and jailer rungs, so a pinless ordinary cluster
+    is quarantined), and the detour stage ({!Pacor.Detour_stage.around})
+    to restore length matching. There is no rematch pass. Untouched clusters are
     reused as-is — their paths come out byte-identical.
 
     The whole repair runs under a {!Pacor_route.Budget} attached to the
@@ -105,6 +105,5 @@ val reroute :
     verdicts only make sense for [run]. On return, [workspace]'s owner
     layer holds the result's clusters. *)
 
-val pp_outcome : Format.formatter -> fault_outcome -> unit
 val pp_report : Format.formatter -> report -> unit
 val pp_summary : Format.formatter -> t -> unit

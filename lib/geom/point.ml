@@ -16,7 +16,6 @@ let equal a b = a.x = b.x && a.y = b.y
 let compare a b = if a.x <> b.x then Int.compare a.x b.x else Int.compare a.y b.y
 let hash a = (a.x * 1_000_003) lxor a.y
 let pp ppf a = Format.fprintf ppf "(%d,%d)" a.x a.y
-let to_string a = Format.asprintf "%a" pp a
 
 let neighbours4 p =
   [ { p with x = p.x + 1 }; { p with x = p.x - 1 };

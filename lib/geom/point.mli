@@ -23,9 +23,7 @@ val midpoint : t -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** 4-neighbourhood in fixed order: east, west, north, south. *)
 val neighbours4 : t -> t list

@@ -24,8 +24,6 @@ let inter a b =
   if x0 <= x1 && y0 <= y1 then Some { x0; y0; x1; y1 } else None
 
 let overlap_cells a b = match inter a b with None -> 0 | Some r -> cells r
-let equal a b = a.x0 = b.x0 && a.y0 = b.y0 && a.x1 = b.x1 && a.y1 = b.y1
-let pp ppf r = Format.fprintf ppf "[%d,%d]x[%d,%d]" r.x0 r.x1 r.y0 r.y1
 
 let points r =
   let acc = ref [] in

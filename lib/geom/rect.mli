@@ -31,8 +31,5 @@ val inter : t -> t -> t option
 (** Cells in the overlap of two rectangles, 0 when disjoint. *)
 val overlap_cells : t -> t -> int
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** All grid points inside the rectangle, row-major. *)
 val points : t -> Point.t list

@@ -84,5 +84,3 @@ let grid_round_error c = coord_dist c (coord_of_point (nearest_grid_point c))
 let is_on_grid c = grid_round_error c = 0
 
 let pp ppf t = Format.fprintf ppf "u:[%d,%d] v:[%d,%d]" t.ulo t.uhi t.vlo t.vhi
-let pp_coord ppf c = Format.fprintf ppf "(u=%d,v=%d)" c.u c.v
-let equal a b = a.ulo = b.ulo && a.uhi = b.uhi && a.vlo = b.vlo && a.vhi = b.vhi

@@ -51,10 +51,6 @@ val nearest_in : t -> coord -> coord
 (** Closest point of the region to the given tilted point (coordinate-wise
     clamp, which is exact for Chebyshev distance). *)
 
-val center : t -> coord
-
-val corners : t -> coord list
-
 val sample : t -> int -> coord list
 (** [sample t n] returns up to [n] distinct points of the region spread over
     it (always includes the center; then corners and edge midpoints). Used to
@@ -71,5 +67,3 @@ val grid_round_error : coord -> int
 val is_on_grid : coord -> bool
 
 val pp : Format.formatter -> t -> unit
-val pp_coord : Format.formatter -> coord -> unit
-val equal : t -> t -> bool

@@ -13,7 +13,3 @@ let validate t =
   else if t.channel_spacing_um <= 0 then Error "channel spacing must be positive"
   else if t.valve_size_um <= 0 then Error "valve size must be positive"
   else Ok t
-
-let pp ppf t =
-  Format.fprintf ppf "width=%dum spacing=%dum valve=%dum (pitch %dum)"
-    t.channel_width_um t.channel_spacing_um t.valve_size_um (grid_pitch_um t)

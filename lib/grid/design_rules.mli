@@ -23,5 +23,3 @@ val um_of_grid_length : t -> int -> int
 
 val validate : t -> (t, string) result
 (** Reject non-positive dimensions. *)
-
-val pp : Format.formatter -> t -> unit

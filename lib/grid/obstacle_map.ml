@@ -108,11 +108,3 @@ let iter_blocked_index t f =
         end
       done
   done
-
-let pp ppf t =
-  for y = t.height - 1 downto 0 do
-    for x = 0 to t.width - 1 do
-      Format.pp_print_char ppf (if blocked t (Point.make x y) then '#' else '.')
-    done;
-    if y > 0 then Format.pp_print_newline ppf ()
-  done

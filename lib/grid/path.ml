@@ -58,13 +58,6 @@ let replace_segment t ~from_idx ~to_idx seg =
   in
   of_points (prefix @ points seg @ suffix)
 
-let splice t ~at ~replacement =
-  match Array.to_list t.pts |> List.mapi (fun i p -> (i, p))
-        |> List.find_opt (fun (_, p) -> Point.equal p at)
-  with
-  | None -> invalid_arg "Path.splice: vertex not on path"
-  | Some (i, _) -> replace_segment t ~from_idx:i ~to_idx:i replacement
-
 let bounding_box t = Rect.of_point_list (points t)
 
 let shares_vertex a b =
@@ -78,8 +71,3 @@ let shares_vertex a b =
 let equal a b =
   Array.length a.pts = Array.length b.pts
   && Array.for_all2 Point.equal a.pts b.pts
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "-") Point.pp)
-    (points t)

@@ -37,12 +37,6 @@ val append : t -> t -> t
     [Invalid_argument] otherwise or when the result would repeat a vertex
     other than the junction. *)
 
-val splice : t -> at:Point.t -> replacement:t -> t
-(** [splice p ~at ~replacement] replaces the single vertex [at] of [p] with
-    the sub-path [replacement], whose source and target must both equal
-    [at] — a loop inserted at one vertex. Raises [Invalid_argument] when
-    [at] is not on the path or endpoints mismatch. *)
-
 val replace_segment : t -> from_idx:int -> to_idx:int -> t -> t
 (** [replace_segment p ~from_idx ~to_idx seg] substitutes the sub-path of
     [p] between vertex indices [from_idx] and [to_idx] (inclusive) with
@@ -57,4 +51,3 @@ val shares_vertex : t -> t -> bool
 (** True when the two paths have any grid point in common. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

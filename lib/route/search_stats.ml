@@ -24,16 +24,6 @@ let create () : t =
   { searches = 0; refused = 0; pops = 0; pushes = 0; touches = 0; relaxations = 0; resets = 0;
     grid_allocs = 0 }
 
-let reset (t : t) =
-  t.searches <- 0;
-  t.refused <- 0;
-  t.pops <- 0;
-  t.pushes <- 0;
-  t.touches <- 0;
-  t.relaxations <- 0;
-  t.resets <- 0;
-  t.grid_allocs <- 0
-
 let started (t : t) = t.searches <- t.searches + 1
 let refused (t : t) = t.refused <- t.refused + 1
 let popped (t : t) = t.pops <- t.pops + 1

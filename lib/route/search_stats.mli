@@ -28,7 +28,6 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val started : t -> unit
 val refused : t -> unit

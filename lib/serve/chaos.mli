@@ -43,11 +43,6 @@ val apply : t -> fault -> attempt:int -> Unix.file_descr -> string -> unit
     the {!Client.set_sender} signature, partially applied. [attempt > 0]
     writes clean regardless of [fault]. *)
 
-val garbage : t -> len:int -> string
-(** [len] bytes of printable noise, no newline, never parseable as JSON. *)
-
 val counts : t -> (string * int) list
 (** How often each fault was dealt, as [(label, count)] pairs in a fixed
     order — the soak's survival-report material. *)
-
-val label : fault -> string

@@ -21,10 +21,6 @@ let high_water t = t.hw
 
 let note_hw t = if Buffer.length t.buf > t.hw then t.hw <- Buffer.length t.buf
 
-let reset t =
-  Buffer.clear t.buf;
-  t.discarding <- false
-
 let feed t chunk off len =
   if off < 0 || len < 0 || off + len > Bytes.length chunk then
     invalid_arg "Linebuf.feed: bad slice";

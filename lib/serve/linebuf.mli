@@ -43,7 +43,3 @@ val pending : t -> int
 val high_water : t -> int
 (** Most bytes ever buffered at once — the daemon's bounded-memory gauge.
     Invariant: [high_water t <= max_line t]. *)
-
-val reset : t -> unit
-(** Drop any partial line and leave discard mode (a fresh connection's
-    state). *)

@@ -92,12 +92,3 @@ let add t key value =
     let node = { key; value; prev = None; next = None } in
     push_front t node;
     Hashtbl.add t.tbl key node
-
-let iter t f =
-  let rec go = function
-    | None -> ()
-    | Some node ->
-      f node.key node.value;
-      go node.next
-  in
-  go t.head

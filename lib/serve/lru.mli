@@ -22,9 +22,6 @@ val add : 'a t -> string -> 'a -> unit
 
 val remove : 'a t -> string -> unit
 
-val iter : 'a t -> (string -> 'a -> unit) -> unit
-(** Most-recent first. *)
-
 val length : 'a t -> int
 val capacity : 'a t -> int
 val hits : 'a t -> int

@@ -36,8 +36,6 @@
 
 type error_class = Parse | Validation | Budget | Engine | Busy | Internal
 
-val class_label : error_class -> string
-
 type delta_op =
   | Move_valve of { valve : int; x : int; y : int }
   | Add_obstacle of { x : int; y : int }

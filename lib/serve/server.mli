@@ -95,8 +95,6 @@ val listen : port:int -> Unix.file_descr * int
 
 val default_max_conns : int
 val default_high_water : int
-val default_idle_timeout_s : float
-val default_tick_s : float
 
 val serve_loop :
   ?stdio:bool ->

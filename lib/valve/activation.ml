@@ -62,6 +62,3 @@ let meet a b =
 let all_dont_care n =
   if n <= 0 then invalid_arg "Activation.all_dont_care: non-positive length";
   Array.make n Dont_care
-
-let pp_status ppf s = Format.pp_print_char ppf (char_of_status s)
-let pp_sequence ppf s = Format.pp_print_string ppf (string_of_sequence s)

@@ -15,9 +15,6 @@ val status_compatible : status -> status -> bool
 val status_meet : status -> status -> status option
 (** Most constrained status satisfying both; [None] when incompatible. *)
 
-val char_of_status : status -> char
-val status_of_char : char -> (status, string) result
-
 type sequence = status array
 (** Def. 1: an activation sequence. All sequences of one chip have equal
     length [n] (the number of scheduled time steps). *)
@@ -35,6 +32,3 @@ val meet : sequence -> sequence -> sequence option
 val all_dont_care : int -> sequence
 (** A sequence compatible with everything — valves with no switching
     requirement. *)
-
-val pp_status : Format.formatter -> status -> unit
-val pp_sequence : Format.formatter -> sequence -> unit

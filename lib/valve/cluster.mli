@@ -26,8 +26,8 @@ val needs_matching : t -> bool
 (** Length matching only binds clusters with at least two valves. *)
 
 val split : t -> fresh_id:(unit -> int) -> t list
-(** Decluster into singleton clusters (used by rip-up when a cluster cannot
-    be routed as a whole). Singletons drop the length-matching flag: a single
+(** Decluster into singleton clusters (used by MST routing when a cluster
+    cannot be routed as a whole). Singletons drop the length-matching flag: a single
     valve is trivially matched. *)
 
 val fresh_ids : t list -> unit -> int

@@ -12,7 +12,6 @@ val build : Valve.t list -> t
 (** O(n^2) pairwise compatibility. Duplicate ids are rejected. *)
 
 val valve_count : t -> int
-val edge_count : t -> int
 
 val density : t -> float
 (** Edges over possible pairs; 1.0 for fully compatible valve sets. *)
@@ -20,16 +19,11 @@ val density : t -> float
 val compatible : t -> Valve.id -> Valve.id -> bool
 val degree : t -> Valve.id -> int
 
-val independent_set_size : t -> int
-(** Size of a greedily-built independent set: a {b lower bound} on the
-    number of control pins any addressing scheme needs. *)
-
-val clique_cover_size : t -> int
-(** Number of clusters the flow's greedy clique cover produces — the pin
-    count actually used (without length-matching seeds). *)
-
 val pin_bounds : t -> int * int
-(** [(lower, upper)] pin-count bounds: greedy independent set and greedy
-    clique cover. [lower <= optimum <= upper]. *)
+(** [(lower, upper)] pin-count bounds. [lower] is the size of a greedily
+    built independent set: no addressing scheme needs fewer control pins.
+    [upper] is the number of clusters the flow's greedy clique cover
+    produces (without length-matching seeds), the pin count actually
+    used. [lower <= optimum <= upper]. *)
 
 val pp_summary : Format.formatter -> t -> unit

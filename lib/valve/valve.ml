@@ -28,6 +28,3 @@ let shared_sequence = function
 
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
-
-let pp ppf v =
-  Format.fprintf ppf "v%d@%a[%a]" v.id Point.pp v.position Activation.pp_sequence v.sequence

@@ -28,4 +28,3 @@ val shared_sequence : t list -> Activation.sequence option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

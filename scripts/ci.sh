@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+echo "== benchmark harness build (perfbench profile) =="
+# perfbench/dune builds only under the perfbench profile, so the plain
+# build above skips the harness and would not notice a library change
+# that breaks it. Build it as perfbench/run.py does, in a build directory
+# of its own.
+dune build --root . --profile perfbench --build-dir _build_perfbench \
+  --cache=disabled --display=quiet ./perfbench/bench.exe
+
 echo "== dune runtest (hard 15-minute timeout) =="
 # A hang here (a lost pool worker, an unbudgeted search loop) should fail
 # the gate, not wedge it.

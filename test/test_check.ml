@@ -106,7 +106,7 @@ let test_serve_delta () =
      | Error e -> Alcotest.failf "reroute failed: %s" e
      | Ok r -> both_accept "Chip2 add_obstacle delta" r.Pacor_fault.Repair.solution)
 
-(* ---------- The rip-up ladder's declustering rung ---------- *)
+(* ---------- The rip-up ladder on a sealed room ---------- *)
 
 (* A 3x3 room walled by obstacles on three sides and sealed on the fourth
    by a length-matched pair's channel (valves at (2,6) and (6,6)). Inside
@@ -139,40 +139,46 @@ let sealed_room ~gap =
 
 let room_valves = [ 2; 3 ]
 
-(* Every valve of the room pair is alone in its cluster (or, for repair,
-   quarantined out of the instance). *)
-let room_split label (sol : Pacor.Solution.t) =
-  List.iter
-    (fun (c : Pacor.Solution.routed_cluster) ->
-       let ids = Cluster.valve_ids c.routed.Pacor.Routed.cluster in
-       if List.exists (fun v -> List.mem v room_valves) ids then
-         Alcotest.(check (list int)) (label ^ ": room valve in a singleton") [ List.hd ids ] ids)
-    sol.clusters
+let room_cluster (clusters : Pacor.Solution.routed_cluster list) =
+  match
+    List.find_opt
+      (fun (c : Pacor.Solution.routed_cluster) ->
+         Cluster.valve_ids c.routed.Pacor.Routed.cluster = room_valves)
+      clusters
+  with
+  | Some c -> c
+  | None -> Alcotest.fail "the room pair is not one cluster"
 
-(* The engine's ladder: the room pair fails escape and is declustered; the
-   singletons, still walled in, then let the jailer rung reroute the
-   sealing pair around a lane from each valve to a pin. *)
-let test_decluster_engine () =
+(* The engine's ladder: the room pair fails escape and stays one ordinary
+   cluster (splitting it could reach no pin the pair could not: its every
+   cell is already an escape start), so the jailer rung takes it at once.
+   It lays one lane from the pair's channel to a pin, as a channel of the
+   pair, and reroutes the sealing pair around it; the next escape round
+   only needs the lane's last hop. *)
+let test_room_engine () =
   let sol = route (sealed_room ~gap:false) in
-  room_split "engine" sol;
+  let room = room_cluster sol.clusters in
+  (match room.escape, room.routed.Pacor.Routed.paths with
+   | Some e, [ lane; _channel ] ->
+     Alcotest.(check bool) "the escape starts where the lane ends" true
+       (Point.equal e.Pacor_flow.Escape.start_cell (Path.target lane));
+     Alcotest.(check int) "the escape is the lane's last hop" 1 (Path.length e.path)
+   | None, _ -> Alcotest.fail "the room pair has no pin"
+   | Some _, paths ->
+     Alcotest.failf "expected the pair's channel and one lane, got %d paths" (List.length paths));
   both_accept "engine sealed room" sol
 
 (* Repair's ladder: route with the gap open (the pair escapes through it
-   as one cluster), then close the gap. Repair rips the pair, re-routes it,
-   fails its escape and declusters it; with no jailer rung the walled-in
-   singletons are quarantined, and the sealing pair is reused. Splitting
-   alone can never reach a pin the whole cluster could not (its cells were
-   all escape starts), so without the rung the same valves would be
-   quarantined: this half pins repair's ladder end to end, the engine half
-   pins the rung. *)
-let test_decluster_repair () =
+   as one cluster), then close the gap. Repair rips the pair, re-routes it
+   and fails its escape; with no jailer rung and nothing the ladder can
+   change, it quarantines the pair after that one escape solve, and the
+   sealing pair is reused. The reroute stage's searches are the pair's
+   MST and that solve's one search: splitting the pair into singletons
+   first would cost a second solve, two more searches, and quarantine
+   the same valves. *)
+let test_room_repair () =
   let sol = route (sealed_room ~gap:true) in
-  let room =
-    List.find
-      (fun (c : Pacor.Solution.routed_cluster) ->
-         Cluster.valve_ids c.routed.Pacor.Routed.cluster = room_valves)
-      sol.clusters
-  in
+  let room = room_cluster sol.clusters in
   let hole = Point.make 4 2 in
   Alcotest.(check bool) "the pair escapes through the gap" true
     (Point.Set.mem hole (Validate_oracle.cluster_cells room));
@@ -183,12 +189,18 @@ let test_decluster_repair () =
     (match Pacor_fault.Repair.reroute ~problem ~is_dirty sol with
      | Error e -> Alcotest.failf "reroute failed: %s" e
      | Ok r ->
+       let repaired = r.Pacor_fault.Repair.solution in
        Alcotest.(check (list int)) "only the room pair is ripped"
          [ id_of room ] r.Pacor_fault.Repair.dirty;
        Alcotest.(check (list int)) "both room valves quarantined" room_valves
          r.Pacor_fault.Repair.quarantined;
-       room_split "repair" r.Pacor_fault.Repair.solution;
-       both_accept "repair sealed room" r.Pacor_fault.Repair.solution)
+       Alcotest.(check (list int)) "the sealing pair is reused" [ 0 ]
+         (List.map id_of repaired.clusters);
+       (match List.assoc_opt "reroute" repaired.stage_search with
+        | None -> Alcotest.fail "no reroute stage counters"
+        | Some (s : Pacor_route.Search_stats.snapshot) ->
+          Alcotest.(check int) "reroute searches: one MST, one escape solve" 2 s.searches);
+       both_accept "repair sealed room" repaired)
 
 (* ---------- Rungs no committed design reaches ---------- *)
 
@@ -240,12 +252,12 @@ let check_pins label ~log ~fires (sol, out) ~digest ~search =
 let test_pin_jailer () =
   let routed = verbose_route (sealed_room ~gap:false) in
   check_pins "sealed room" ~log:"jailer" ~fires:"rerouting 1 jailer clusters" routed
-    ~digest:"08d061b6c07803a180f7c0fca75005d5"
+    ~digest:"4938ef45452236e2c3282fa2d3f7f7c1"
     ~search:
       [ "search lm-routing     searches=1 refused=0 pops=5 pushes=13 touched=16 relax=12 resets=2";
         "search plain-routing  searches=1 refused=0 pops=3 pushes=7 touched=8 relax=6 resets=1";
-        "search escape         searches=14 refused=0 pops=161 pushes=195 touched=464 relax=186 resets=14";
-        "search total          searches=16 refused=0 pops=169 pushes=215 touched=488 relax=204 resets=17" ]
+        "search escape         searches=9 refused=0 pops=118 pushes=148 touched=362 relax=151 resets=9";
+        "search total          searches=11 refused=0 pops=126 pushes=168 touched=386 relax=169 resets=12" ]
 
 (* The joint reroute needs two trees, one of them unmatched after the
    detour stage with no rescuing candidate of its own. The congested
@@ -902,10 +914,10 @@ let () =
           Alcotest.test_case "agrees with validate on the corpus" `Quick test_corpus;
           Alcotest.test_case "accepts a fault repair" `Quick test_repair;
           Alcotest.test_case "accepts a serve delta" `Quick test_serve_delta;
-          Alcotest.test_case "engine declusters a walled-in pair" `Quick
-            test_decluster_engine;
-          Alcotest.test_case "repair declusters a walled-in pair" `Quick
-            test_decluster_repair;
+          Alcotest.test_case "engine unjails a walled-in pair" `Quick
+            test_room_engine;
+          Alcotest.test_case "repair quarantines a walled-in pair" `Quick
+            test_room_repair;
           Alcotest.test_case "pins the jailer rung" `Quick test_pin_jailer;
           Alcotest.test_case "pins rematch's joint reroute" `Quick test_pin_rematch_joint;
           Alcotest.test_case "pins a failed joint reroute" `Quick test_pin_failed_joint;

@@ -202,11 +202,12 @@ let test_scaling_measures () =
       samples
 
 let test_harness_measures_s1 () =
-  match Harness.measure_design "S1" with
+  match Harness.measure_table2 [ "S1" ] with
   | Error e -> Alcotest.failf "harness failed: %s" e
-  | Ok row ->
+  | Ok [ row ] ->
     Alcotest.(check string) "design name" "S1" row.Pacor.Report.design;
     Alcotest.(check int) "clusters" 2 row.Pacor.Report.clusters
+  | Ok rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* [Problem.create] refuses names the instance text cannot carry; every
    generator's names must pass it. *)
