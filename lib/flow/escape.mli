@@ -48,13 +48,10 @@ val route :
   pins:Point.t list ->
   request list ->
   (outcome, string) result
-(** [route ~grid ~occupied ~pins requests]:
-
-    Requests whose reachable regions share no cell of the role graph
-    route on separate subnetworks, one after another on [workspace], and
-    merge in first-request order; the single-component case is the
-    historical joint solve verbatim, and the split disables itself when
-    the workspace carries real budget limits.
+(** [route ~grid ~occupied ~pins requests]: one min-cost-flow solve
+    over the network of all the requests, seeded by {!seed_heights} when
+    there are two or more. Budget limits on [workspace] only stop the
+    solve early; they never change the path it takes.
 
     [alive] (default always true) is a cooperative cancellation hook
     polled between flow augmentations; when it turns false the solve
@@ -87,9 +84,8 @@ val route :
 (** {2 Network internals}
 
     For the differential oracles in the tests, which rebuild the escape
-    network as an explicit arc list and check the implicit rows, the
-    seed and the grouping against it, a split-graph search and a
-    union-find; {!route} is the entry point. *)
+    network as an explicit arc list and check the implicit rows and the
+    seed against it; {!route} is the entry point. *)
 
 (** Cell roles: excluded (obstacle, non-pin boundary, occupied cell),
     ordinary (free interior transit), pin (sink only) and start (some
@@ -112,25 +108,6 @@ val compute_roles :
     [occupied], else excluded. [Invalid_argument] when [occupied] is not
     the grid's size. With a workspace the layer aliases byte slot 0. *)
 
-val retarget_roles :
-  grid:Routing_grid.t ->
-  occupied:Obstacle_map.t ->
-  Packed_roles.t ->
-  from_pins:Point.t list ->
-  from:request list ->
-  pins:Point.t list ->
-  request list ->
-  unit
-(** [retarget_roles ~grid ~occupied roles ~from_pins ~from ~pins requests]
-    rewrites each cell of [from_pins] and of [from]'s start cells to its
-    role in [compute_roles ~grid ~occupied ~pins requests] and leaves every
-    other cell as it is, in O(pins + start cells). So when [roles] is
-    [compute_roles ~grid ~occupied ~pins:from_pins from] (or a layer
-    retargeted from it) and [pins] and [requests]' start cells are among
-    [from_pins] and [from]'s, [roles] becomes exactly the
-    [compute_roles] of [pins] and [requests]: how {!route} edits the
-    joint layer for each group's subsolve and restores it afterwards. *)
-
 val grid_network :
   ?workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->
@@ -151,24 +128,6 @@ val seed_heights :
 (** Runs the seed's BFS over cells, from the pins through ordinary cells
     (one search on the workspace, on its int slots 4 and 5), and returns
     each node's exact distance to the sink, negative when it cannot reach
-    it: the [h] for {!Mcmf_grid.seed}. Each reached cell's slot-4 word
-    also carries the label of the pin whose front reached it, which
-    {!group_requests} reads. [h] reads slot 4, so it stays valid across
-    the solve's rounds, until int slots 4–5 are next leased (the next
-    seed on the workspace). *)
-
-val group_requests :
-  Pacor_route.Workspace.t ->
-  grid:Routing_grid.t ->
-  roles:Packed_roles.t ->
-  pins:Point.t list ->
-  request list ->
-  (int -> int) * (int array * Point.t list array) option
-(** {!seed_heights} of all the requests, and the groups {!route} solves
-    separately, read off the BFS's labels with O(start cells) more work
-    (plus a flood of any pinless pocket beside a live start): [None] for
-    at most one, else each request's group (first-request order; a
-    request without a live start cell is in group 0) and each group's
-    pins in input order. With groups the BFS's search work is not
-    charged: the groups' own seeds charge theirs. Meant for a workspace
-    without budget limits, where the BFS's ticks charge nothing. *)
+    it: the [h] for {!Mcmf_grid.seed}. [h] reads slot 4, so it stays
+    valid across the solve's rounds, until int slots 4–5 are next leased
+    (the next seed on the workspace). *)

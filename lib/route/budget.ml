@@ -98,8 +98,6 @@ let create l =
     exhausted = None;
   }
 
-let limits_of t = t.limits
-
 let arm t =
   if not t.free then begin
     (match t.limits.timeout_s with

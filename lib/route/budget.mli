@@ -61,8 +61,6 @@ val create : limits -> t
 (** Unarmed budget: allowances are loaded but the deadline countdown only
     starts at {!arm}. *)
 
-val limits_of : t -> limits
-
 val arm : t -> unit
 (** Starts (or restarts) the run: deadline := now + timeout, allowances
     and any previous exhaustion reset. No-op on an unlimited budget. *)

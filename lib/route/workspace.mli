@@ -239,21 +239,16 @@ val prepare : t -> cells:int -> unit
       their whole length, between its calls: each call zeroes the cells
       it wrote before it returns or raises, so it never fills the grid;
     - int slots 4 and 5: each escape seed's BFS
-      ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4 a
-      word per cell, its distance to the nearest pin with the label of
-      that pin's front above it, and in slot 5 the FIFO. The grouping
-      ([Pacor_flow.Escape.group_requests]) reads the labels right after
-      the joint seed's BFS, writes pocket and start labels into slot 4
-      and floods pinless pockets with slot 5 as its stack. A seed's slot
-      4 is read until its solve returns;
+      ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4
+      its distance to the nearest pin (-1 unreached), in slot 5 the
+      FIFO. A seed's slot 4 is read until its solve returns;
     - int slot 6 and byte slots 1–2: the escape flow network's state
       ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and node
       states (byte slot 2: unseen, dead or live), one per node, and the
       per-cell flow bits (byte slot 1). Slot 6 is never zero-filled: a
       node's potential is written when its state leaves unseen;
     - byte slot 0: the escape stage's packed cell roles, which the flow
-      network reads while it solves; group subsolves retarget the joint
-      layer in place and restore it;
+      network reads while it solves;
     - byte slot 3: the detour stage's usable-cell mask, one byte per
       cell ([Pacor.Detour_stage]). *)
 

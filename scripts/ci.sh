@@ -238,13 +238,13 @@ for pin in corpus-bigcluster:e8cf129d1330ca548e049ee7b5a2a78f \
   fi
 done
 
-echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
-# Scaled2 adds six escape networks per route, most of them group
-# subsolves and three of a single request. Scaled5 is the largest design
-# with more than one escape solve (two, ~1.85M escape pops).
+# Scaled2 adds six escape networks per route, three of them of a single
+# request. Scaled5 has two escape solves (~1.85M escape pops). Scaled6 is
+# the largest design with an escape network of disjoint reachable regions.
 # corpus-bigcluster and corpus-dense route their length-matched trees
 # through one cluster-routing negotiation each.
 svgdir="$fuzzdir/svg"
@@ -253,7 +253,7 @@ for d in Chip1 Chip2; do
   ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" --verbose \
     > "$svgdir/$d.out" 2> /dev/null
 done
-for d in Scaled2 Scaled3 Scaled5; do
+for d in Scaled2 Scaled3 Scaled5 Scaled6; do
   ./_build/default/bin/pacor_cli.exe designs --emit "$d" > "$svgdir/$d.chip"
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
     --verbose > "$svgdir/$d.out" 2> /dev/null
@@ -264,7 +264,7 @@ for d in corpus-bigcluster corpus-dense; do
 done
 for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
            Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8 \
-           Scaled5:f6bdb29bccacf96b04d26105e028eed9 \
+           Scaled5:f6bdb29bccacf96b04d26105e028eed9 Scaled6:4715c265a74671b38b75c9d78a091c38 \
            corpus-bigcluster:92dc39d9cd12a3c7d9c53e3e408abb67 \
            corpus-dense:d38a370c2f8514716044de1ee81469d7; do
   name=${pin%%:*}
@@ -276,18 +276,18 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5 and two corpus chips route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6 and two corpus chips route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
 # workspace growth, not search work, and is left out. Scaled2's escape
-# line covers its group subsolves and single-request solves.
+# line covers its single-request solves too.
 cat > "$svgdir/Chip1.search" <<'PINS'
 search lm-routing     searches=121 refused=0 pops=1283 pushes=2447 touched=4644 relax=2867 resets=122
-search escape         searches=216 refused=0 pops=190546 pushes=224179 touched=693200 relax=222860 resets=217
+search escape         searches=215 refused=0 pops=190547 pushes=224180 touched=693206 relax=222858 resets=216
 search detour         searches=7 refused=4 pops=34 pushes=61 touched=120 relax=93 resets=7
 search rematch        searches=46 refused=4 pops=1831 pushes=2977 touched=7072 relax=3925 resets=54
-search total          searches=390 refused=8 pops=193694 pushes=229664 touched=705036 relax=229745 resets=400
+search total          searches=389 refused=8 pops=193695 pushes=229665 touched=705042 relax=229743 resets=399
 PINS
 cat > "$svgdir/Chip2.search" <<'PINS'
 search lm-routing     searches=22 refused=0 pops=346 pushes=676 touched=1296 relax=842 resets=23
@@ -296,9 +296,9 @@ search total          searches=58 refused=0 pops=67968 pushes=73030 touched=2576
 PINS
 cat > "$svgdir/Scaled2.search" <<'PINS'
 search lm-routing     searches=33 refused=0 pops=343 pushes=689 touched=1240 relax=792 resets=34
-search escape         searches=114 refused=0 pops=378201 pushes=395710 touched=1446127 relax=395282 resets=117
+search escape         searches=111 refused=0 pops=378200 pushes=395709 touched=1446137 relax=395276 resets=114
 search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
-search total          searches=147 refused=0 pops=378544 pushes=396399 touched=1447367 relax=396074 resets=151
+search total          searches=144 refused=0 pops=378543 pushes=396398 touched=1447377 relax=396068 resets=148
 PINS
 cat > "$svgdir/Scaled3.search" <<'PINS'
 search lm-routing     searches=51 refused=0 pops=439 pushes=924 touched=1552 relax=1024 resets=52
@@ -309,10 +309,17 @@ search total          searches=148 refused=8 pops=302277 pushes=317892 touched=1
 PINS
 cat > "$svgdir/Scaled5.search" <<'PINS'
 search lm-routing     searches=85 refused=0 pops=1036 pushes=1935 touched=3804 relax=2364 resets=86
-search escape         searches=160 refused=0 pops=1847781 pushes=1941890 touched=6674082 relax=1941142 resets=161
+search escape         searches=159 refused=0 pops=1847782 pushes=1941891 touched=6674088 relax=1941140 resets=160
 search detour         searches=3 refused=3 pops=0 pushes=0 touched=0 relax=0 resets=3
 search rematch        searches=27 refused=3 pops=1810 pushes=3062 touched=7144 relax=4076 resets=31
-search total          searches=275 refused=6 pops=1850627 pushes=1946887 touched=6685030 relax=1947582 resets=281
+search total          searches=274 refused=6 pops=1850628 pushes=1946888 touched=6685036 relax=1947580 resets=280
+PINS
+cat > "$svgdir/Scaled6.search" <<'PINS'
+search lm-routing     searches=99 refused=0 pops=893 pushes=1862 touched=3176 relax=2098 resets=100
+search escape         searches=211 refused=0 pops=2972458 pushes=3147964 touched=10361690 relax=3147199 resets=215
+search detour         searches=2 refused=2 pops=0 pushes=0 touched=0 relax=0 resets=2
+search rematch        searches=30 refused=3 pops=4835 pushes=8583 touched=19236 relax=11164 resets=36
+search total          searches=342 refused=5 pops=2978186 pushes=3158409 touched=10384102 relax=3160461 resets=353
 PINS
 cat > "$svgdir/corpus-bigcluster.search" <<'PINS'
 search lm-routing     searches=18 refused=0 pops=146 pushes=295 touched=512 relax=318 resets=19
@@ -326,7 +333,7 @@ search escape         searches=10 refused=0 pops=994 pushes=1163 touched=3473 re
 search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
 search total          searches=193 refused=0 pops=3089 pushes=4672 touched=10678 relax=5245 resets=205
 PINS
-for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 corpus-bigcluster corpus-dense; do
+for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 corpus-bigcluster corpus-dense; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2
@@ -338,8 +345,8 @@ done
 echo "== search counters under a budget: Chip1 route --max-expansions 40000 --verbose =="
 # The cap trips inside the first escape solve, after the negotiation
 # stage's searches, so these lines pin where each stage charges the
-# budget: a seed BFS or grouping that ticked, pushed or touched in a new
-# order would move the escape line. The degraded route leaves clusters
+# budget: a seed BFS that ticked, pushed or touched in a new order would
+# move the escape line. The degraded route leaves clusters
 # without a pin and fails validation (exit 1).
 rc=0
 ./_build/default/bin/pacor_cli.exe route -d Chip1 --max-expansions 40000 --verbose \

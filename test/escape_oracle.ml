@@ -1,17 +1,16 @@
 (* Differential oracles for the escape stage: the explicit network
-   emitter, the node-split seed search and the cell union-find grouping
-   that [Escape] used before it moved to implicit rows, the deque-based
-   cell seed BFS it used before its BFS became a flat loop, a cell-level
-   BFS and a flood fill, plus a route pipeline built from them that
+   emitter and the node-split seed search that [Escape] used before it
+   moved to implicit rows, the deque-based cell seed BFS it used before
+   its BFS became a flat loop, plus a route pipeline built from them that
    solves over the explicit CSR network ([Mcmf_csr]), a joint solve with
    the general [Mcmf] and [Mcmf_spfa] solvers, and the Dinic ([Maxflow])
    bound on how many clusters any assignment could route. The held cells
    come as a [Point.Set], the form [Escape] took them in before it read
-   the owner layer's map: [compute_roles] and [retarget_roles] below are
-   its role builders of that time, the reference for the map-based ones,
-   and every oracle here builds its roles with them. [occupied] turns
-   such a set into the map [Escape] reads. They share the role constants
-   with [Escape], and nothing else. *)
+   the owner layer's map: [compute_roles] below is its role builder of
+   that time, the reference for the map-based one, and every oracle here
+   builds its roles with it. [occupied] turns such a set into the map
+   [Escape] reads. They share the role constants with [Escape], and
+   nothing else. *)
 
 open Pacor_geom
 open Pacor_grid
@@ -57,28 +56,6 @@ let compute_roles ~grid ~claimed ~pins requests =
     claimed;
   overlay_roles ~grid roles ~pins requests;
   roles
-
-(* Two [compute_roles] layers of one grid and [claimed] differ only on
-   pins and start cells, so one becomes the other by resetting
-   [from_pins] and [from]'s start cells to their claimed-or-boundary role
-   and overlaying the new pins and starts. *)
-let retarget_roles ~grid ~claimed roles ~from_pins ~(from : Escape.request list) ~pins
-    requests =
-  let reset p =
-    if Routing_grid.in_bounds grid p then begin
-      let i = Routing_grid.index grid p in
-      let ordinary =
-        Routing_grid.free_i grid i
-        && (not (Routing_grid.on_boundary_i grid i))
-        && not (Point.Set.mem p claimed)
-      in
-      Packed_roles.set roles i
-        (if ordinary then Escape.role_ordinary else Escape.role_excluded)
-    end
-  in
-  List.iter reset from_pins;
-  List.iter (fun (r : Escape.request) -> List.iter reset r.start_cells) from;
-  overlay_roles ~grid roles ~pins requests
 
 (* Backward 0-1-BFS from the sink over the forward arcs [(src, dst,
    cost)] of an [n]-node network: each node's exact distance to the sink,
@@ -236,70 +213,6 @@ let deque_seed ws ~grid ~roles ~pins (requests : Escape.request list) =
     else if v = base + nreq then h_source
     else 0)
 
-(* Union-find over every cell, linking exactly the cell pairs
-   [emit_network] connects, then fusing each request's live start
-   cells: the oracle for the groups [Escape.group_requests] returns,
-   same type. *)
-let union_find_groups ~grid ~roles ~pins req_arr =
-  let cells = Routing_grid.cells grid in
-  let role i = Packed_roles.get roles i in
-  let parent = Array.init cells (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to cells - 1 do
-    let r = role i in
-    if r = Escape.role_ordinary || r = Escape.role_start then
-      Routing_grid.iter_neighbours4 grid i (fun j ->
-        let rj = role j in
-        if rj = Escape.role_ordinary || rj = Escape.role_pin then union i j)
-  done;
-  let nreq = Array.length req_arr in
-  let live = Array.make nreq (-1) in
-  Array.iteri
-    (fun k (r : Escape.request) ->
-      List.iter
-        (fun p ->
-          if Routing_grid.in_bounds grid p then begin
-            let i = Routing_grid.index grid p in
-            if role i = Escape.role_start then
-              if live.(k) < 0 then live.(k) <- i else union live.(k) i
-          end)
-        r.start_cells)
-    req_arr;
-  let gid_of_root = Hashtbl.create 16 in
-  let gid = Array.make nreq 0 in
-  Array.iteri
-    (fun k i ->
-      if i >= 0 then begin
-        let r = find i in
-        match Hashtbl.find_opt gid_of_root r with
-        | Some g -> gid.(k) <- g
-        | None ->
-          let g = Hashtbl.length gid_of_root in
-          Hashtbl.add gid_of_root r g;
-          gid.(k) <- g
-      end)
-    live;
-  let ngroups = Hashtbl.length gid_of_root in
-  if ngroups <= 1 then None
-  else begin
-    let group_pins = Array.make ngroups [] in
-    List.iter
-      (fun p ->
-        if Routing_grid.in_bounds grid p then begin
-          let i = Routing_grid.index grid p in
-          if role i = Escape.role_pin then
-            match Hashtbl.find_opt gid_of_root (find i) with
-            | Some g -> group_pins.(g) <- p :: group_pins.(g)
-            | None -> ()
-        end)
-      (List.rev pins);
-    Some (gid, group_pins)
-  end
-
 (* Unit node-paths source -> request -> cells -> sink mapped back to grid
    paths the way [Escape] maps its own. *)
 let routed_of_paths ~grid requests node_paths =
@@ -345,8 +258,10 @@ let outcome_of_routed requests routed =
       List.fold_left (fun acc (e : Escape.routed) -> acc + Path.length e.path) 0
         routed_in_order }
 
-(* One joint solve seeded by [split_seed]. *)
-let solve_joint ws ~grid ~claimed ~pins requests =
+(* [Escape.route] (grid solver, no budget) rebuilt from the oracles: one
+   solve of the whole network over the explicit CSR network on [ws],
+   seeded by [split_seed] when there are two or more requests. *)
+let route ws ~grid ~claimed ~pins requests =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
   let n = (2 * cells) + nreq + 2 in
@@ -361,30 +276,9 @@ let solve_joint ws ~grid ~claimed ~pins requests =
   let (_ : Mcmf_csr.outcome) =
     Mcmf_csr.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
   in
-  routed_of_paths ~grid requests (Mcmf_csr.decompose_paths net)
+  outcome_of_routed requests (routed_of_paths ~grid requests (Mcmf_csr.decompose_paths net))
 
-(* [Escape.route] (grid solver, no budget) rebuilt from the oracles: the
-   union-find groups, each solved on [ws] with the split-graph seed. *)
-let route ws ~grid ~claimed ~pins requests =
-  let req_arr = Array.of_list requests in
-  let roles = compute_roles ~grid ~claimed ~pins requests in
-  let groups =
-    if Array.length req_arr >= 2 then union_find_groups ~grid ~roles ~pins req_arr else None
-  in
-  let routed =
-    match groups with
-    | None -> solve_joint ws ~grid ~claimed ~pins requests
-    | Some (gid, group_pins) ->
-      List.concat
-        (List.mapi
-           (fun g pins ->
-             solve_joint ws ~grid ~claimed ~pins
-               (List.filteri (fun k _ -> gid.(k) = g) requests))
-           (Array.to_list group_pins))
-  in
-  outcome_of_routed requests routed
-
-(* The whole escape network (no grouping) solved by a general min-cost-flow
+(* The whole escape network solved by a general min-cost-flow
    solver under the same [-beta] stopping threshold as [Escape]: an
    optimum with the same routed count and total length. *)
 let general_route solver ~grid ~claimed ~pins requests =

@@ -12,10 +12,12 @@ let corpus_dir =
   | Some root -> Filename.concat root "corpus"
   | None -> Filename.concat (Sys.getcwd ()) "../../../corpus"
 
-let route problem =
-  match Pacor.Engine.run problem with
+let route_with limits problem =
+  match Pacor.Engine.run ~config:{ Pacor.Config.default with limits } problem with
   | Ok sol -> sol
   | Error e -> Alcotest.failf "engine failed at %s: %s" e.stage e.message
+
+let route = route_with Pacor_route.Budget.no_limits
 
 let design name = lazy (route (Pacor_designs.Table1.load_exn name))
 
@@ -241,12 +243,13 @@ let search_lines sol =
   |> String.split_on_char '\n'
   |> List.filter_map (fun l -> if l = "" then None else Some (drop_allocs l))
 
+let svg_digest sol = Digest.to_hex (Digest.string (Pacor.Svg.solution sol))
+
 let check_pins label ~log ~fires (sol, out) ~digest ~search =
   Alcotest.(check bool) (label ^ ": rung fires") true (contains out log);
   Alcotest.(check bool) (label ^ ": " ^ fires) true (contains out fires);
   both_accept label sol;
-  Alcotest.(check string) (label ^ ": svg digest") digest
-    (Digest.to_hex (Digest.string (Pacor.Svg.solution sol)));
+  Alcotest.(check string) (label ^ ": svg digest") digest (svg_digest sol);
   Alcotest.(check (list string)) (label ^ ": search lines") search (search_lines sol)
 
 let test_pin_jailer () =
@@ -293,8 +296,7 @@ let test_pin_rematch_joint () =
 let pin_lattice label problem ~digest ~search =
   let sol, _ = verbose_route problem in
   both_accept label sol;
-  Alcotest.(check string) (label ^ ": svg digest") digest
-    (Digest.to_hex (Digest.string (Pacor.Svg.solution sol)));
+  Alcotest.(check string) (label ^ ": svg digest") digest (svg_digest sol);
   Alcotest.(check (list string)) (label ^ ": search lines") search (search_lines sol)
 
 let test_pin_lattice14 () =
@@ -387,8 +389,41 @@ let test_pin_failed_joint () =
       [ "search lm-routing     searches=8 refused=0 pops=61 pushes=101 touched=212 relax=112 resets=9";
         "search escape         searches=6 refused=0 pops=394 pushes=461 touched=1254 relax=446 resets=6";
         "search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0";
-        "search rematch        searches=388 refused=0 pops=10068 pushes=12661 touched=36177 relax=16746 resets=446";
-        "search total          searches=402 refused=0 pops=10523 pushes=13223 touched=37643 relax=17304 resets=461" ]
+        "search rematch        searches=388 refused=0 pops=10294 pushes=12893 touched=37447 relax=16964 resets=446";
+        "search total          searches=402 refused=0 pops=10749 pushes=13455 touched=38913 relax=17522 resets=461" ]
+
+(* ---------- A budget that never trips changes nothing ---------- *)
+
+(* A budget limit must only stop work early: these two generated chips,
+   whose escape solves find disjoint reachable regions, once routed
+   differently under limits that never run out than with none. *)
+let untripped_limits =
+  [ ("unlimited", Pacor_route.Budget.no_limits);
+    ("max_expansions = max_int", Pacor_route.Budget.limits ~max_expansions:max_int ());
+    ("timeout 3600 s", Pacor_route.Budget.limits ~timeout_s:3600. ()) ]
+
+let test_untripped_budget () =
+  List.iter
+    (fun (spec : Pacor_designs.Synthetic.spec) ->
+       let problem = Pacor_designs.Synthetic.generate_exn spec in
+       let digests =
+         List.map
+           (fun (label, limits) ->
+              let sol = route_with limits problem in
+              both_accept (spec.name ^ ", " ^ label) sol;
+              svg_digest sol)
+           untripped_limits
+       in
+       List.iter
+         (fun (d, (label, _)) ->
+            Alcotest.(check string) (spec.name ^ ": " ^ label ^ " = unlimited") (List.hd digests) d)
+         (List.combine digests untripped_limits))
+    [ { Pacor_designs.Synthetic.name = "untripped-19"; width = 19; height = 19;
+        obstacle_cells = 12; lm_cluster_sizes = [ 2; 3 ]; singleton_valves = 0; pin_count = 7;
+        seed = 2781L; delta = 1 };
+      { Pacor_designs.Synthetic.name = "untripped-28"; width = 28; height = 28;
+        obstacle_cells = 36; lm_cluster_sizes = [ 2; 3; 3; 3 ]; singleton_valves = 3;
+        pin_count = 18; seed = 2720L; delta = 2 } ]
 
 (* ---------- The owner layer against the union oracle ---------- *)
 
@@ -536,6 +571,9 @@ let prop_repair_fuzz =
        | Error _ -> QCheck.assume_fail ()
        | Ok problem ->
          let sol = route problem in
+         let capped = route_with (Pacor_route.Budget.limits ~max_expansions:max_int ()) problem in
+         if svg_digest capped <> svg_digest sol then
+           QCheck.Test.fail_report "max_expansions = max_int routes differently from no limits";
          staged_layers "engine" problem sol;
          serve_routes problem sol;
          (* The engine's own result: both judges agree on it. *)
@@ -923,6 +961,8 @@ let () =
           Alcotest.test_case "pins a failed joint reroute" `Quick test_pin_failed_joint;
           Alcotest.test_case "pins a 14x14 lattice" `Quick test_pin_lattice14;
           Alcotest.test_case "pins fpva-8x8" `Quick test_pin_lattice8;
+          Alcotest.test_case "an untripped budget routes as none" `Quick
+            test_untripped_budget;
           Alcotest.test_case "owner layer = union oracle on the rung pins" `Quick
             test_layers_rungs;
           Alcotest.test_case "rejects a shifted path cell" `Quick test_mutant_shifted_cell;

@@ -1052,30 +1052,28 @@ type oracle_instance = {
 }
 
 let prop_escape_matches_oracles =
-  (* The cell-level seed, the grouping read off its labelled BFS and the
-     whole route against the split-graph seed, the cell union-find and a
-     route built from them (test/escape_oracle.ml), on random grids with
-     obstacles, claimed blocks and 2-6 requests. Two thirds of the grids
-     get an obstacle wall that splits them into two regions (several
-     groups). A third of those get a pin on the wall's boundary end whose
-     two boundary neighbours are start cells of requests 0 and 1 on either
-     side, so the pin touches both regions and fuses them; another third
-     get two adjacent pins on the ring above the wall's end, each touching
-     only a start cell of request 0 or 1 on its own side, so pin–pin
-     adjacency must not fuse the regions. Adversarial extras, each on
-     about half the instances: an obstacle box whose pinless pocket is
-     entered through a start cell on its side and holds another request's
-     start cell; a start cell walled in by obstacles (no ordinary or pin
-     neighbour); adjacent start cells of two requests; a start cell listed
-     by two requests; a pin listed twice; a pin sealed off by an obstacle,
-     which no request reaches. Some instances also list a pin as a start
-     cell. The grouping's heights must equal the deque BFS oracle's
-     ([Escape_oracle.deque_seed]), with its counters charged when it finds
-     one group and none when it finds several. One workspace serves every
-     grouping call, so its leased slots are always dirty. The route runs
-     on a fresh workspace and then twice more on one workspace reused
-     across every instance (and so dirty from earlier instances). Every
-     run must match the oracle route's paths and search count, and the
+  (* The cell-level seed and the whole route against the split-graph
+     seed and the whole-network solve over the explicit CSR network
+     (test/escape_oracle.ml), on random grids with obstacles, claimed
+     blocks and 2-6 requests. Two thirds of the grids get an obstacle
+     wall that splits them into two regions. A third of those get a pin
+     on the wall's boundary end whose two boundary neighbours are start
+     cells of requests 0 and 1 on either side, so the pin touches both
+     regions; another third get two adjacent pins on the ring above the
+     wall's end, each touching only a start cell of request 0 or 1 on its
+     own side. Adversarial extras, each on about half the instances: an
+     obstacle box whose pinless pocket is entered through a start cell
+     on its side and holds another request's start cell; a start cell
+     walled in by obstacles (no ordinary or pin neighbour); adjacent
+     start cells of two requests; a start cell listed by two requests; a
+     pin listed twice; a pin sealed off by an obstacle, which no request
+     reaches. Some instances also list a pin as a start cell. The seed's
+     heights and counters must equal the deque BFS oracle's
+     ([Escape_oracle.deque_seed]) on one workspace that serves every
+     seed, so its leased slots are always dirty. The route runs on a
+     fresh workspace and then twice more on one workspace reused across
+     every instance (and so dirty from earlier instances). Every run
+     must match the oracle route's paths and search count, and the
      reused runs must match the fresh run on every search counter but
      [grid_allocs] (allocation events measure workspace warmth, not the
      search). The other counters cannot be held to the oracle: its seed
@@ -1211,7 +1209,7 @@ let prop_escape_matches_oracles =
          Format.fprintf ppf "#%d:%a" r.Escape.cluster_idx pp_pts r.Escape.start_cells))
       t.oreqs
   in
-  let group_ws = Pacor_route.Workspace.create () in
+  let seed_ws = Pacor_route.Workspace.create () in
   let reused_ws = Pacor_route.Workspace.create () in
   let fresh () = Pacor_route.Workspace.create () in
   let module S = Pacor_route.Search_stats in
@@ -1222,7 +1220,7 @@ let prop_escape_matches_oracles =
     List.map key a.routed = List.map key b.routed
     && a.failed = b.failed && a.total_length = b.total_length
   in
-  QCheck.Test.make ~name:"escape seed, groups and route match the split-graph oracles"
+  QCheck.Test.make ~name:"escape seed and route match the split-graph oracles"
     ~count:300 (QCheck.make ~print gen) (fun t ->
       let grid =
         Routing_grid.create ~width:t.ow ~height:t.oh
@@ -1239,37 +1237,25 @@ let prop_escape_matches_oracles =
       let pins = t.opins and reqs = t.oreqs in
       let occupied = Escape_oracle.occupied ~grid claimed in
       let roles = Escape.compute_roles ~grid ~occupied ~pins reqs in
-      let h = Escape.seed_heights (fresh ()) ~grid ~roles ~pins reqs in
+      let seed_before = snap seed_ws in
+      let h = Escape.seed_heights seed_ws ~grid ~roles ~pins reqs in
+      let seed_work = work (S.diff (snap seed_ws) seed_before) in
       let h_oracle = Escape_oracle.escape_split_seed (fresh ()) ~grid ~roles reqs in
       let bad_node = ref (-1) in
       Array.iteri (fun v hv -> if !bad_node < 0 && h v <> hv then bad_node := v) h_oracle;
       if !bad_node >= 0 then
         QCheck.Test.fail_reportf "seed differs at node %d: cell BFS %d, split graph %d"
           !bad_node (h !bad_node) h_oracle.(!bad_node);
-      let group_before = snap group_ws in
-      let h, groups = Escape.group_requests group_ws ~grid ~roles ~pins reqs in
-      let group_work = work (S.diff (snap group_ws) group_before) in
       let deque_ws = fresh () in
       let h_deque = Escape_oracle.deque_seed deque_ws ~grid ~roles ~pins reqs in
       Array.iteri
         (fun v hv ->
           if h v <> hv then
-            QCheck.Test.fail_reportf "grouping seed differs at node %d: %d, deque oracle %d" v
-              (h v) hv)
+            QCheck.Test.fail_reportf "seed differs at node %d: %d, deque oracle %d" v (h v) hv)
         h_deque;
-      let charged = if groups = None then work (snap deque_ws) else S.zero in
-      if group_work <> charged then
-        QCheck.Test.fail_reportf "grouping charged %a, expected %a" S.pp group_work S.pp charged;
-      let groups_oracle = Escape_oracle.union_find_groups ~grid ~roles ~pins (Array.of_list reqs) in
-      let same_groups =
-        match groups, groups_oracle with
-        | None, None -> true
-        | Some (g, p), Some (g', p') ->
-          g = g' && Array.length p = Array.length p'
-          && Array.for_all2 (List.equal Point.equal) p p'
-        | Some _, None | None, Some _ -> false
-      in
-      if not same_groups then QCheck.Test.fail_report "groups differ from the union-find";
+      if seed_work <> work (snap deque_ws) then
+        QCheck.Test.fail_reportf "seed charged %a, deque oracle %a" S.pp seed_work S.pp
+          (work (snap deque_ws));
       let ws_oracle = fresh () in
       let oracle = Escape_oracle.route ws_oracle ~grid ~claimed ~pins reqs in
       let oracle_searches = (snap ws_oracle).S.searches in
@@ -1725,77 +1711,14 @@ let prop_lazy_seed_installs_on_touch =
       if nreq >= 2 then check true;
       true)
 
-let prop_retarget_roles_matches_compute =
-  (* [Escape.retarget_roles], the group subsolves' O(pins + starts) edit of
-     the joint role layer, against [Escape.compute_roles] of the group on
-     every cell: from the joint layer to a random subset of the pins and
-     requests, from there straight to a second subset, and back to the
-     joint layer. Start cells are claimed or not at random, so a start
-     cell that leaves the layer may fall back to ordinary, and pins and
-     starts may sit on blocked cells, on the ring, or on each other. *)
-  let gen =
-    QCheck.Gen.(
-      let* w = int_range 1 10 and* h = int_range 1 10 in
-      let cell =
-        let* x = int_range 0 (w - 1) and* y = int_range 0 (h - 1) in
-        return (Point.make x y)
-      in
-      let ring = Routing_grid.boundary_points (Routing_grid.create ~width:w ~height:h ()) in
-      let* obstacles = list_size (int_range 0 (w * h / 4)) cell in
-      let* claims = list_size (int_range 0 (w * h / 3)) cell in
-      let* pins = list_size (int_range 0 6) (oneofl ring) in
-      let* reqs = list_size (int_range 1 5) (list_size (int_range 1 4) cell) in
-      let* claim_starts = list_repeat (List.length reqs) bool in
-      let* masks = list_repeat 2 (pair (list_repeat (List.length pins) bool)
-                                          (list_repeat (List.length reqs) bool)) in
-      return (w, h, obstacles, claims, pins, reqs, claim_starts, masks))
-  in
-  QCheck.Test.make ~name:"retargeted roles = compute_roles of the group" ~count:500
-    (QCheck.make gen) (fun (w, h, obstacles, claims, pins, reqs, claim_starts, masks) ->
-      let grid =
-        Routing_grid.create ~width:w ~height:h
-          ~obstacles:(List.map (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y) obstacles)
-          ()
-      in
-      let requests =
-        List.mapi (fun i start_cells -> { Escape.cluster_idx = i; start_cells }) reqs
-      in
-      let claimed =
-        Point.Set.of_list
-          (claims
-           @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
-      in
-      let pick mask l = List.filteri (fun k _ -> List.nth mask k) l in
-      let occupied = Escape_oracle.occupied ~grid claimed in
-      let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
-      let expect label ~pins requests =
-        let want = Escape.compute_roles ~grid ~occupied ~pins requests in
-        for i = 0 to Routing_grid.cells grid - 1 do
-          if Packed_roles.get roles i <> Packed_roles.get want i then
-            QCheck.Test.fail_reportf "%s: cell %d has role %d, compute_roles %d" label i
-              (Packed_roles.get roles i) (Packed_roles.get want i)
-        done
-      in
-      List.iteri
-        (fun k (pin_mask, req_mask) ->
-          let gpins = pick pin_mask pins and greqs = pick req_mask requests in
-          Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins:gpins
-            greqs;
-          expect (Printf.sprintf "subset %d" k) ~pins:gpins greqs)
-        masks;
-      Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins requests;
-      expect "restored" ~pins requests;
-      true)
-
 let prop_roles_match_set_oracle =
   (* The role rule read off a map against [Escape_oracle]'s roles of the
      same held cells as a [Point.Set], the form the solver took them in
-     before it read the owner layer: after a full fill, and after a
-     retarget to a random subset of the pins and requests. The held cells
-     always take in some ring cells, the first offered pin, every pin left
-     out of the offer (the layer reserves every pin cell) and the first
-     request's start cells; the other requests' start cells are held at
-     random. Obstacles, pins and starts may coincide. *)
+     before it read the owner layer. The held cells always take in some
+     ring cells, the first offered pin, every pin left out of the offer
+     (the layer reserves every pin cell) and the first request's start
+     cells; the other requests' start cells are held at random.
+     Obstacles, pins and starts may coincide. *)
   let gen =
     QCheck.Gen.(
       let* w = int_range 1 10 and* h = int_range 1 10 in
@@ -1809,17 +1732,14 @@ let prop_roles_match_set_oracle =
       let* ring_claims = list_size (int_range 1 3) (oneofl ring) in
       let* design_pins = list_size (int_range 1 6) (oneofl ring) in
       let* offer = list_repeat (List.length design_pins) bool in
-      let* pin_mask = list_repeat (List.length design_pins) bool in
       let* reqs = list_size (int_range 1 5) (list_size (int_range 1 4) cell) in
       let* claim_starts = list_repeat (List.length reqs) bool in
-      let* req_mask = list_repeat (List.length reqs) bool in
       return
-        ( w, h, obstacles, claims @ ring_claims,
-          (design_pins, offer, pin_mask), reqs, (true :: List.tl claim_starts), req_mask ))
+        ( w, h, obstacles, claims @ ring_claims, (design_pins, offer), reqs,
+          true :: List.tl claim_starts ))
   in
-  QCheck.Test.make ~name:"map roles = set oracle roles, filled and retargeted" ~count:500
-    (QCheck.make gen)
-    (fun (w, h, obstacles, claims, (design_pins, offer, pin_mask), reqs, claim_starts, req_mask) ->
+  QCheck.Test.make ~name:"map roles = set oracle roles, filled" ~count:500 (QCheck.make gen)
+    (fun (w, h, obstacles, claims, (design_pins, offer), reqs, claim_starts) ->
       let grid =
         Routing_grid.create ~width:w ~height:h
           ~obstacles:(List.map (fun (p : Point.t) -> Rect.make ~x0:p.x ~y0:p.y ~x1:p.x ~y1:p.y) obstacles)
@@ -1837,21 +1757,13 @@ let prop_roles_match_set_oracle =
            @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
       in
       let occupied = Escape_oracle.occupied ~grid claimed in
-      let same label roles want =
-        for i = 0 to Routing_grid.cells grid - 1 do
-          if Packed_roles.get roles i <> Packed_roles.get want i then
-            QCheck.Test.fail_reportf "%s: cell %d has role %d, the oracle %d" label i
-              (Packed_roles.get roles i) (Packed_roles.get want i)
-        done
-      in
       let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
       let want = Escape_oracle.compute_roles ~grid ~claimed ~pins requests in
-      same "filled" roles want;
-      let gpins = pick (pick offer pin_mask) pins and greqs = pick req_mask requests in
-      Escape.retarget_roles ~grid ~occupied roles ~from_pins:pins ~from:requests ~pins:gpins greqs;
-      Escape_oracle.retarget_roles ~grid ~claimed want ~from_pins:pins ~from:requests
-        ~pins:gpins greqs;
-      same "retargeted" roles want;
+      for i = 0 to Routing_grid.cells grid - 1 do
+        if Packed_roles.get roles i <> Packed_roles.get want i then
+          QCheck.Test.fail_reportf "cell %d has role %d, the oracle %d" i
+            (Packed_roles.get roles i) (Packed_roles.get want i)
+      done;
       true)
 
 let qcheck_cases =
@@ -1859,8 +1771,7 @@ let qcheck_cases =
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
       prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
       prop_implicit_network_matches_csr; prop_flat_seed_matches_deque_oracle;
-      prop_lazy_seed_installs_on_touch; prop_retarget_roles_matches_compute;
-      prop_roles_match_set_oracle ]
+      prop_lazy_seed_installs_on_touch; prop_roles_match_set_oracle ]
 
 let () =
   Alcotest.run "flow"
