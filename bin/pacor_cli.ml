@@ -151,9 +151,13 @@ let route_cmd =
           | Error e -> Format.eprintf "warning: could not save instance: %s@." e)
        | None -> ());
       (* The single-instance retry mirrors the batch runner: a failing or
-         invalid run re-attempts under a relaxed config. *)
+         invalid run re-attempts under a relaxed config. Each attempt runs
+         on a fresh workspace, so the escape part times it keeps are the
+         returned run's alone. *)
+      let workspace = ref (Pacor_route.Workspace.create ()) in
       let rec attempt config tries_left =
-        match Pacor.Engine.run ~config problem with
+        workspace := Pacor_route.Workspace.create ();
+        match Pacor.Engine.run ~config ~workspace:!workspace problem with
         | Error e when tries_left > 0 ->
           Format.eprintf "retrying after engine failure at %s: %s@." e.stage e.message;
           attempt (Pacor.Config.relax config) (tries_left - 1)
@@ -190,6 +194,9 @@ let route_cmd =
            List.iter
              (fun (stage, seconds) -> Format.printf "  stage %-14s %.3fs@." stage seconds)
              sol.Pacor.Solution.stage_seconds;
+           let ms k = 1000. *. (Pacor_route.Workspace.escape_parts !workspace).(k) in
+           Format.printf "  escape parts roles=%.2fms seed=%.2fms rounds=%.2fms decompose=%.2fms@."
+             (ms 0) (ms 1) (ms 2) (ms 3);
            Pacor.Report.print_search_stats Format.std_formatter sol
          end;
          if render then Format.printf "%s@." (Pacor.Render.solution sol);

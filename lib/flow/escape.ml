@@ -42,26 +42,31 @@ let overlay_roles ~grid roles ~pins requests =
 
 (* Dense role layer indexed by [Routing_grid.index]: one two-bit read per
    cell and per neighbour. Before the overlay a cell is ordinary iff it is
-   interior and free in [occupied], excluded otherwise; the overlay order
-   realises the precedence. The backing bytes come from the workspace
-   scratch pool when one is supplied, so repeated escape solves on a warm
-   workspace allocate nothing. *)
+   interior and free in [occupied], excluded otherwise: the free cells
+   are filled eight at a time from the bitmap, then the ring is cleared.
+   The overlay order realises the precedence. The backing bytes come
+   from the workspace scratch pool when one is supplied, so repeated
+   escape solves on a warm workspace allocate nothing. *)
 let compute_roles ?workspace ~grid ~occupied ~pins requests =
   let w = Routing_grid.width grid and h = Routing_grid.height grid in
   if Obstacle_map.width occupied <> w || Obstacle_map.height occupied <> h then
     invalid_arg "Escape.compute_roles: occupied map and grid differ in size";
-  let roles =
+  let len = Packed_roles.bytes_needed (w * h) in
+  let data =
     match workspace with
-    | Some ws ->
-      Packed_roles.wrap ~len:(w * h)
-        (Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len:(Packed_roles.bytes_needed (w * h)))
-    | None -> Packed_roles.create (w * h)
+    | Some ws -> W.scratch_bytes ws ~slot:0 ~len
+    | None -> Bytes.create len
   in
-  Packed_roles.clear roles;
+  Obstacle_map.fill_free_packed occupied data role_ordinary;
+  let roles = Packed_roles.wrap ~len:(w * h) data in
+  let exclude i = Packed_roles.set roles i role_excluded in
+  for x = 0 to w - 1 do
+    exclude x;
+    exclude (((h - 1) * w) + x)
+  done;
   for y = 1 to h - 2 do
-    for i = (y * w) + 1 to (y * w) + w - 2 do
-      if Obstacle_map.free_i occupied i then Packed_roles.set roles i role_ordinary
-    done
+    exclude (y * w);
+    exclude ((y * w) + w - 1)
   done;
   overlay_roles ~grid roles ~pins requests;
   roles
@@ -234,14 +239,24 @@ let seed_heights ws ~grid ~roles ~pins requests =
 
 (* One min-cost-flow solve over the whole network. Inputs are assumed
    validated. A solve of two or more requests is seeded; one request is a
-   single shortest-path search with nothing to amortise the seed over. *)
+   single shortest-path search with nothing to amortise the seed over.
+   Each part's wall time is added to the workspace's [escape_parts]. *)
 let solve ~alive ?workspace ~grid ~occupied ~pins requests =
   let ws = match workspace with Some ws -> ws | None -> W.create () in
+  let parts = W.escape_parts ws in
+  let clock = ref (Pacor_route.Clock.now_mono ()) in
+  let lap k =
+    let now = Pacor_route.Clock.now_mono () in
+    parts.(k) <- parts.(k) +. (now -. !clock);
+    clock := now
+  in
   let roles = compute_roles ~workspace:ws ~grid ~occupied ~pins requests in
+  lap 0;
   let cells = Routing_grid.cells grid in
   let request_arr = Array.of_list requests in
   let nreq = Array.length request_arr in
   let seed = if nreq >= 2 then Some (seed_heights ws ~grid ~roles ~pins requests) else None in
+  lap 1;
   let beta = (4 * cells) + 16 in
   (* The paper's [-beta] reward per routed path is realised as a stopping
      threshold: augment while a path still costs less than beta, which is
@@ -252,41 +267,18 @@ let solve ~alive ?workspace ~grid ~occupied ~pins requests =
   let (_ : Mcmf_grid.outcome) =
     Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
   in
-  (* Map each unit path back to its request (second node is the cluster
-     node) and to grid points (in/out pairs collapse). *)
+  lap 2;
   let routed_arr = Array.make nreq None in
   List.iter
-    (fun nodes ->
-       match nodes with
-       | _src :: cnode :: rest when cnode >= 2 * cells && cnode < (2 * cells) + nreq ->
-         let req = request_arr.(cnode - (2 * cells)) in
-         let points =
-           List.filter_map
-             (fun node ->
-                if node < 2 * cells then Some (Routing_grid.point_of_index grid (node / 2))
-                else None)
-             rest
-         in
-         (* Drop the in/out duplicate of each transit cell; iterative
-            accumulator so Chip1-length escapes cannot overflow the
-            stack. *)
-         let collapse pts =
-           let rec go acc = function
-             | a :: (b :: _ as tl) when Point.equal a b -> go acc tl
-             | a :: tl -> go (a :: acc) tl
-             | [] -> List.rev acc
-           in
-           go [] pts
-         in
-         (match collapse points with
-          | [] -> ()
-          | first :: _ as pts ->
-            let path = Path.of_points pts in
-            routed_arr.(cnode - (2 * cells)) <-
-              Some { idx = req.cluster_idx; start_cell = first; pin = Path.target path; path })
-       | _ -> ())
-    (Mcmf_grid.decompose_paths net);
+    (fun (k, cells) ->
+       let path = Path.of_points (List.map (Routing_grid.point_of_index grid) cells) in
+       routed_arr.(k) <-
+         Some
+           { idx = request_arr.(k).cluster_idx; start_cell = Path.source path;
+             pin = Path.target path; path })
+    (Mcmf_grid.paths net);
   let routed = List.filter_map Fun.id (Array.to_list routed_arr) in
+  lap 3;
   { routed;
     failed =
       List.filteri (fun k _ -> Option.is_none routed_arr.(k)) requests

@@ -60,7 +60,8 @@ val route :
 
     [workspace] supplies the reusable search state (and attached
     {!Pacor_route.Budget}) for the seed BFS and augmentation rounds, and
-    the scratch slots the network's flow state is leased from.
+    the scratch slots the network's flow state is leased from; each
+    part's wall time goes to its {!Pacor_route.Workspace.escape_parts}.
 
     The flow is cost-optimal and routes exactly the max-flow bound of
     the network; qcheck properties assert both against the oracles in
@@ -105,8 +106,11 @@ val compute_roles :
   Packed_roles.t
 (** Cell roles, highest precedence first: blocked in the grid (excluded),
     pin, start, then ordinary iff the cell is interior and free in
-    [occupied], else excluded. [Invalid_argument] when [occupied] is not
-    the grid's size. With a workspace the layer aliases byte slot 0. *)
+    [occupied], else excluded: the free cells are read off [occupied]'s
+    bitmap eight at a time, then the ring is cleared and the pins and
+    starts overlaid. Every packed byte the layer owns is written.
+    [Invalid_argument] when [occupied] is not the grid's size. With a
+    workspace the layer aliases byte slot 0. *)
 
 val grid_network :
   ?workspace:Pacor_route.Workspace.t ->

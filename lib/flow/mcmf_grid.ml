@@ -26,8 +26,9 @@
    Rounds. Successive shortest paths need only the distance to the sink,
    so each round is a search over reduced costs that stops the moment the
    sink settles and carries Johnson potentials to the next round; all
-   per-round state (dist/parent/closed, both queues, the settle trail)
-   lives in a generation-stamped Pacor_route.Workspace. An unseeded solve
+   per-round state (both queues, the settle trail, and the node record
+   holding each node's stamp, dist, parent and potential) lives in a
+   generation-stamped Pacor_route.Workspace. An unseeded solve
    starts with a 0-1-BFS over raw costs. [seed] stores the caller's exact
    sink distances [h], and [pot(v) = -h(v)] is a feasible potential, so
    Dijkstra on the reduced costs is an A* search toward the sink
@@ -48,9 +49,9 @@
    pot(source)].
 
    Determinism: rows keep the emission order, heap ties break on
-   Pqueue's fixed order, and [decompose_paths] follows the first forward
-   arc in row order still carrying flow, so the paths are those of the
-   same rounds over an explicit CSR of the emitted arcs (test/mcmf_csr.ml,
+   Pqueue's fixed order, and [paths] follows the first forward arc in
+   row order still carrying flow, so the paths are those of the same
+   rounds over an explicit CSR of the emitted arcs (test/mcmf_csr.ml,
    kept as the differential oracle). *)
 
 open Pacor_grid
@@ -83,8 +84,10 @@ type t = {
   fl : Bytes.t;             (* per-cell flow bits, see the header *)
   rflow : Bytes.t;          (* flow on each request -> out(start) arc *)
   sflow : Bytes.t;          (* flow on each source -> request arc *)
-  pot : int array;          (* Johnson potentials, persistent across rounds;
-                               read only once the node is installed *)
+  mutable nodes : int array; (* the solving workspace's node record: dist,
+                               parent and stamps per round, and the
+                               Johnson potentials, read only once the node
+                               is installed, persistent across rounds *)
   state : Bytes.t;          (* per node: [unseen], [dead] or [live] *)
   mutable h : int -> int;   (* sink distances the install reads *)
   mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
@@ -93,6 +96,15 @@ type t = {
   mutable rounds : int;     (* augmentation searches run (incl. the last,
                                empty one) *)
   mutable solved : bool;
+  (* What [visit] does with each arc [iter_row] enumerates: 0 collects
+     it into [acc] ([row]), 1 relaxes it in a 0-1-BFS round, 2 in a
+     Dijkstra round, from node [cur] at [du] (plus [cur]'s potential in
+     a Dijkstra round) in the epoch whose touched stamp is [e2]. *)
+  mutable mode : int;
+  mutable cur : int;
+  mutable du : int;
+  mutable e2 : int;
+  mutable acc : (int * int * int) list;
 }
 
 type outcome = { flow : int; cost : int; rounds : int }
@@ -124,25 +136,24 @@ let create ?workspace ~grid ~roles starts =
     starts;
   let by_cell = Array.init m (fun a -> a) in
   Array.stable_sort (fun a b -> Int.compare arc_cell.(a) arc_cell.(b)) by_cell;
-  let ints, bytes =
+  let bytes slot len =
     match workspace with
-    | Some ws ->
-      ((fun slot len -> W.scratch_int ws ~slot ~cells:len),
-       fun slot len -> W.scratch_bytes ws ~slot ~len)
-    | None -> ((fun _ len -> Array.make len 0), fun _ len -> Bytes.create len)
+    | Some ws -> W.scratch_bytes ws ~slot ~len
+    | None -> Bytes.create len
   in
-  (* Leased contents are arbitrary: fill what is read later. [pot] is
-     written by a node's install before anything reads it. *)
+  (* Leased contents are arbitrary: fill what is read later. A node's
+     potential is written by its install before anything reads it. *)
   let fl = bytes 1 cells in
   Bytes.fill fl 0 cells '\000';
   let state = bytes 2 n in
   Bytes.fill state 0 n unseen;
-  let pot = ints 6 n in
   { roles; width = Routing_grid.width grid; cells; nreq; n;
     source = (2 * cells) + nreq; sink = (2 * cells) + nreq + 1;
     req_first; arc_cell; arc_req; by_cell; fl;
     rflow = Bytes.make m '\000'; sflow = Bytes.make nreq '\000';
-    pot; state; h = (fun _ -> 0); pot_zero = true; flow = 0; cost = 0; rounds = 0; solved = false }
+    nodes = [||]; state; h = (fun _ -> 0); pot_zero = true;
+    flow = 0; cost = 0; rounds = 0; solved = false;
+    mode = 0; cur = 0; du = 0; e2 = 0; acc = [] }
 
 let[@inline] role t i = Packed_roles.get t.roles i
 let[@inline] transit r = r = role_ordinary || r = role_start
@@ -159,12 +170,12 @@ let[@inline] flip_bit t i d =
 let install t v =
   let hv = t.h v in
   if hv >= 0 then begin
-    t.pot.(v) <- - hv;
+    t.nodes.((4 * v) + 3) <- - hv;
     Bytes.unsafe_set t.state v live;
     true
   end
   else begin
-    t.pot.(v) <- 0;
+    t.nodes.((4 * v) + 3) <- 0;
     Bytes.unsafe_set t.state v dead;
     false
   end
@@ -177,17 +188,19 @@ let[@inline] is_live t v =
 (* Node [v]'s potential, installing it first if unseen. *)
 let[@inline] pot t v =
   if Bytes.unsafe_get t.state v = unseen then ignore (install t v : bool);
-  t.pot.(v)
+  t.nodes.((4 * v) + 3)
 
 (* Neighbour of cell [i] in direction [d] (+1, -1, +w, -w), or -1 off the
-   grid: the [Routing_grid.iter_neighbours4] order. *)
-let[@inline] nbr t i d =
+   grid: the [Routing_grid.iter_neighbours4] order. An [interior] cell
+   has all four, so it skips the bounds test: every ordinary cell is
+   interior ([Escape.compute_roles] excludes the ring). *)
+let[@inline] nbr t ~interior i d =
   let w = t.width in
   match d with
-  | 0 -> if (i mod w) + 1 < w then i + 1 else -1
-  | 1 -> if i mod w > 0 then i - 1 else -1
-  | 2 -> if i + w < t.cells then i + w else -1
-  | _ -> if i >= w then i - w else -1
+  | 0 -> if interior || (i mod w) + 1 < w then i + 1 else -1
+  | 1 -> if interior || i mod w > 0 then i - 1 else -1
+  | 2 -> if interior || i + w < t.cells then i + w else -1
+  | _ -> if interior || i >= w then i - w else -1
 
 (* First [by_cell] index whose arc starts at cell [i] or later. *)
 let lower_bound t i =
@@ -198,41 +211,69 @@ let lower_bound t i =
   done;
   !lo
 
-(* [f port head cost cap] for every arc of node [u]'s row, in row order;
-   [cap] is the residual capacity, 0 or 1. *)
-let[@inline] iter_row t u f =
+(* One arc of a row: [port] into [v] at cost [c], residual capacity
+   [cap] (0 or 1), handled as [t.mode] says. A round reads and writes the
+   workspace's node record directly (four ints per node at [4 * v]:
+   stamp, dist, parent, potential; touched this epoch once the stamp
+   reaches [e2] = [2 * epoch], closed at [e2 + 1]), and a 0-1-BFS round
+   reads no potential: they are all zero then, but not yet installed.
+   The scan is a mode, not a closure argument, because without flambda
+   the native compiler calls an inlined function's closure argument
+   through [caml_applyN]; this way every arc's work is inlined into the
+   one enumerator that both rounds and [row] share. *)
+let[@inline] visit t ws port v c cap =
+  if t.mode = 0 then t.acc <- (v, c, cap) :: t.acc
+  else if cap = 1 && (t.mode = 1 || is_live t v) then begin
+    let stats = W.stats ws and nodes = t.nodes and b = 4 * v in
+    Stats.touched stats;
+    let nd = t.du + c - if t.mode = 2 then Array.unsafe_get nodes (b + 3) else 0 in
+    let fresh = Array.unsafe_get nodes b < t.e2 in
+    if fresh || nd < Array.unsafe_get nodes (b + 1) then begin
+      Stats.relaxed stats;
+      if fresh then Array.unsafe_set nodes b t.e2;
+      Array.unsafe_set nodes (b + 1) nd;
+      Array.unsafe_set nodes (b + 2) ((port * t.n) + t.cur);
+      if t.mode = 2 then W.push ws ~prio:nd v
+      else if c = 0 then W.deque_push_front ws v
+      else W.deque_push_back ws v
+    end
+  end
+
+(* [visit] every arc of node [u]'s row, in row order. *)
+let iter_row t ws u =
   let base = 2 * t.cells in
   if u < base then begin
     let i = u lsr 1 in
     let r = role t i in
+    let interior = r = role_ordinary in
     if u land 1 = 0 then begin
       if enterable r then begin
         (* Reverse arcs out(j) -> in(i) from transit neighbours j; their
            flow is j's bit for the direction back towards i. *)
-        let j = nbr t i 3 in
-        if j >= 0 && transit (role t j) then f 0 ((2 * j) + 1) (-1) (bit t j 2);
-        let j = nbr t i 1 in
-        if j >= 0 && transit (role t j) then f 1 ((2 * j) + 1) (-1) (bit t j 0);
-        f 2 (if r = role_pin then t.sink else u + 1) 0 (1 - bit t i 4);
-        let j = nbr t i 0 in
-        if j >= 0 && transit (role t j) then f 3 ((2 * j) + 1) (-1) (bit t j 1);
-        let j = nbr t i 2 in
-        if j >= 0 && transit (role t j) then f 4 ((2 * j) + 1) (-1) (bit t j 3)
+        let j = nbr t ~interior i 3 in
+        if j >= 0 && transit (role t j) then visit t ws 0 ((2 * j) + 1) (-1) (bit t j 2);
+        let j = nbr t ~interior i 1 in
+        if j >= 0 && transit (role t j) then visit t ws 1 ((2 * j) + 1) (-1) (bit t j 0);
+        visit t ws 2 (if r = role_pin then t.sink else u + 1) 0 (1 - bit t i 4);
+        let j = nbr t ~interior i 0 in
+        if j >= 0 && transit (role t j) then visit t ws 3 ((2 * j) + 1) (-1) (bit t j 1);
+        let j = nbr t ~interior i 2 in
+        if j >= 0 && transit (role t j) then visit t ws 4 ((2 * j) + 1) (-1) (bit t j 3)
       end
     end
     else begin
-      if r = role_ordinary then f 0 (u - 1) 0 (bit t i 4);
+      if interior then visit t ws 0 (u - 1) 0 (bit t i 4);
       if transit r then
         for d = 0 to 3 do
-          let j = nbr t i d in
-          if j >= 0 && enterable (role t j) then f (1 + d) (2 * j) 1 (1 - bit t i d)
+          let j = nbr t ~interior i d in
+          if j >= 0 && enterable (role t j) then visit t ws (1 + d) (2 * j) 1 (1 - bit t i d)
         done;
       if r = role_start || r = role_pin then begin
         let j = ref (lower_bound t i) in
         let m = Array.length t.by_cell in
         while !j < m && t.arc_cell.(t.by_cell.(!j)) = i do
           let a = t.by_cell.(!j) in
-          f (5 + !j) (base + t.arc_req.(a)) 0 (byte t.rflow a);
+          visit t ws (5 + !j) (base + t.arc_req.(a)) 0 (byte t.rflow a);
           incr j
         done
       end
@@ -240,24 +281,25 @@ let[@inline] iter_row t u f =
   end
   else if u < base + t.nreq then begin
     let k = u - base in
-    f 0 t.source 0 (byte t.sflow k);
+    visit t ws 0 t.source 0 (byte t.sflow k);
     for a = t.req_first.(k) to t.req_first.(k + 1) - 1 do
-      f (1 + a) ((2 * t.arc_cell.(a)) + 1) 0 (1 - byte t.rflow a)
+      visit t ws (1 + a) ((2 * t.arc_cell.(a)) + 1) 0 (1 - byte t.rflow a)
     done
   end
   else if u = t.source then
     for k = 0 to t.nreq - 1 do
-      f k (base + k) 0 (1 - byte t.sflow k)
+      visit t ws k (base + k) 0 (1 - byte t.sflow k)
     done
   else
     for i = 0 to t.cells - 1 do
-      if role t i = role_pin then f i (2 * i) 0 (bit t i 4)
+      if role t i = role_pin then visit t ws i (2 * i) 0 (bit t i 4)
     done
 
 let row t u =
-  let acc = ref [] in
-  iter_row t u (fun _port v c cap -> acc := (v, c, cap) :: !acc);
-  List.rev !acc
+  t.mode <- 0;
+  t.acc <- [];
+  iter_row t (W.create ()) u;
+  List.rev t.acc
 
 (* Flip the flow bit behind the arc at [port] of [u]'s row: the arc's own
    bit if it is a forward arc, its forward twin's if it is a reverse arc.
@@ -283,99 +325,51 @@ let flip t u port =
   end
   else flip_byte t.sflow port
 
-(* Forward arcs by row position; the sink's row has none. *)
-let is_forward t u port =
-  let base = 2 * t.cells in
-  if u < base then if u land 1 = 0 then port = 2 else port >= 1 && port <= 4
-  else if u < base + t.nreq then port >= 1
-  else u = t.source
-
-(* One 0-1-BFS round over raw costs (valid only while every potential is
-   zero, when reduced cost = cost). Returns the sink's distance, or -1
-   when unreachable / budget exhausted. *)
-let round_01 t ws =
-  let stats = W.stats ws in
-  let n = t.n in
-  let cur = ref 0 and du = ref 0 in
-  let relax port v c cap =
-    if cap = 1 then begin
-      Stats.touched stats;
-      let nd = !du + c in
-      if nd < W.dist ws v then begin
-        Stats.relaxed stats;
-        W.set_dist ws v nd;
-        W.set_parent ws v ((port * n) + !cur);
-        if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
-      end
-    end
-  in
-  W.set_dist ws t.source 0;
-  W.deque_push_back ws t.source;
-  let dsink = ref (-1) in
-  let running = ref true in
+(* One search round: [W.pop_cell] ([dijkstra]) or [W.deque_pop_front],
+   closing each node once (the record's [close]), adding it to the
+   settle trail and scanning its row, until the sink settles. Returns the
+   sink's distance, or -1 when it is unreachable / the budget is
+   exhausted. *)
+let[@inline] run_round t ws ~dijkstra =
+  t.mode <- (if dijkstra then 2 else 1);
+  t.e2 <- W.touched_stamp ws;
+  let nodes = t.nodes and e2 = t.e2 in
+  let dsink = ref (-1) and running = ref true in
   while !running do
-    let u = W.deque_pop_front ws in
+    let u = if dijkstra then W.pop_cell ws else W.deque_pop_front ws in
     if u < 0 then running := false
-    else if not (W.closed ws u) then begin
-      W.close ws u;
+    else if nodes.(4 * u) <> e2 + 1 then begin
+      nodes.(4 * u) <- e2 + 1;
       W.trail_push ws u;
       if u = t.sink then begin
-        dsink := W.dist ws u;
+        dsink := nodes.((4 * u) + 1);
         running := false
       end
       else begin
-        cur := u;
-        du := W.dist ws u;
-        iter_row t u relax
+        t.cur <- u;
+        t.du <- nodes.((4 * u) + 1) + (if dijkstra then nodes.((4 * u) + 3) else 0);
+        iter_row t ws u
       end
     end
   done;
   !dsink
+
+(* One 0-1-BFS round over raw costs (valid only while every potential is
+   zero, when reduced cost = cost). *)
+let round_01 t ws =
+  W.set_dist ws t.source 0;
+  W.deque_push_back ws t.source;
+  run_round t ws ~dijkstra:false
 
 (* One Dijkstra round over reduced costs, early exit at the sink. Dead
    nodes are skipped: they cannot lie on an augmenting path. Every node
    pushed is installed first (the source here, the rest by [is_live]), so
    a popped node's potential reads directly. *)
 let round_dijkstra t ws =
-  let stats = W.stats ws in
-  let n = t.n in
-  let cur = ref 0 and du = ref 0 and pu = ref 0 in
-  let relax port v c cap =
-    if cap = 1 && is_live t v then begin
-      Stats.touched stats;
-      let nd = !du + c + !pu - t.pot.(v) in
-      if nd < W.dist ws v then begin
-        Stats.relaxed stats;
-        W.set_dist ws v nd;
-        W.set_parent ws v ((port * n) + !cur);
-        W.push ws ~prio:nd v
-      end
-    end
-  in
   ignore (pot t t.source : int);
   W.set_dist ws t.source 0;
   W.push ws ~prio:0 t.source;
-  let dsink = ref (-1) in
-  let running = ref true in
-  while !running do
-    let u = W.pop_cell ws in
-    if u < 0 then running := false
-    else if not (W.closed ws u) then begin
-      W.close ws u;
-      W.trail_push ws u;
-      if u = t.sink then begin
-        dsink := W.dist ws u;
-        running := false
-      end
-      else begin
-        cur := u;
-        du := W.dist ws u;
-        pu := t.pot.(u);
-        iter_row t u relax
-      end
-    end
-  done;
-  !dsink
+  run_round t ws ~dijkstra:true
 
 (* Push the unit of flow along the parent-arc chain sink -> source. *)
 let augment t ws =
@@ -404,7 +398,7 @@ let update_potentials t ws d =
   if d > 0 then begin
     for k = 0 to W.trail_length ws - 1 do
       let v = W.trail_get ws k in
-      t.pot.(v) <- pot t v + W.dist ws v - d
+      t.nodes.((4 * v) + 3) <- pot t v + t.nodes.((4 * v) + 1) - d
     done;
     t.pot_zero <- false
   end
@@ -418,6 +412,9 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   let running = ref true in
   while !running && alive () do
     W.begin_flow ws ~nodes:t.n;
+    (* Only a growth replaces the record, and only the first round can
+       grow it: no potential is installed before that round. *)
+    t.nodes <- W.node_record ws;
     t.rounds <- t.rounds + 1;
     let d = if t.pot_zero then round_01 t ws else round_dijkstra t ws in
     if d < 0 then running := false
@@ -440,37 +437,38 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
   done;
   outcome t
 
-(* Take one unit off the first forward arc out of [v], in row order,
-   that carries flow and return its head, or -1 when none does: the
-   deterministic tie-break when several unit paths cross one node. *)
-let take_flow_from t v =
-  let port = ref (-1) and head = ref (-1) in
-  iter_row t v (fun p w _ cap ->
-    if !port < 0 && cap = 0 && is_forward t v p then begin
-      port := p;
-      head := w
-    end);
-  if !port >= 0 then flip t v !port;
-  !head
+(* Request [k]'s unit, from its first start arc carrying flow: out(i)
+   leaves by its first direction bit set, in(j) by its own arc, which at
+   a pin ends in the sink. That is the first forward arc in row order
+   carrying flow at every node. The walk consumes each arc's flow, so
+   requests sharing a start cell take its directions in request order. *)
+let walk t k =
+  let dead_end () = failwith "Mcmf_grid.paths: flow dead-ends" in
+  let a = ref t.req_first.(k) in
+  while !a < t.req_first.(k + 1) && byte t.rflow !a = 0 do incr a done;
+  if !a = t.req_first.(k + 1) then dead_end ();
+  flip_byte t.rflow !a;
+  let i = ref t.arc_cell.(!a) and cells = ref [ t.arc_cell.(!a) ] in
+  while role t !i <> role_pin do
+    let bits = byte t.fl !i land 15 in
+    if bits = 0 then dead_end ();
+    let d = ref 0 in
+    while bits land (1 lsl !d) = 0 do incr d done;
+    flip_bit t !i !d;
+    let j = nbr t ~interior:(role t !i = role_ordinary) !i !d in
+    if bit t j 4 = 0 then dead_end ();
+    flip_bit t j 4;
+    cells := j :: !cells;
+    i := j
+  done;
+  List.rev !cells
 
-let decompose_paths t =
-  let paths = ref [] in
-  let rec next_unit () =
-    let first = take_flow_from t t.source in
-    if first >= 0 then begin
-      (* Walk one unit sink-ward, consuming its flow; iterative loop with
-         an accumulator, so Chip1-length paths cannot overflow the stack. *)
-      let acc = ref [ t.source ] in
-      let v = ref first in
-      while !v <> t.sink do
-        acc := !v :: !acc;
-        let next = take_flow_from t !v in
-        if next < 0 then failwith "Mcmf_grid.decompose_paths: flow dead-ends";
-        v := next
-      done;
-      paths := List.rev (t.sink :: !acc) :: !paths;
-      next_unit ()
+let paths t =
+  let acc = ref [] in
+  for k = 0 to t.nreq - 1 do
+    if byte t.sflow k = 1 then begin
+      flip_byte t.sflow k;
+      acc := (k, walk t k) :: !acc
     end
-  in
-  next_unit ();
-  List.rev !paths
+  done;
+  List.rev !acc

@@ -33,7 +33,9 @@
 
     Augmentation runs successive shortest paths with persistent Johnson
     potentials, all per-round state generation-stamped in a
-    {!Pacor_route.Workspace}: allocation-free after warm-up.
+    {!Pacor_route.Workspace}: allocation-free after warm-up. The rounds
+    read and write its node record directly; the potentials live in its
+    fourth field, beside each node's stamp, distance and parent.
 
     {b Goal-directed rounds.} A caller that knows each node's exact
     distance [h] to the sink hands it over with {!seed} before solving;
@@ -90,11 +92,10 @@ val create :
     cell must have role start or pin, which {!Escape.compute_roles}
     guarantees; [Invalid_argument] otherwise. The network reads [roles]
     on every pop, so the layer must not change while it is in use. With
-    a workspace the per-cell flow bits, node states and potentials are
-    leased from it (byte slots 1 and 2, int slot 6) and stay valid until
-    the next [create] on it; without one they are allocated. Only the
-    byte arrays are cleared here: each potential is written when its
-    node is installed, so the int slot is never filled. *)
+    a workspace the per-cell flow bits and node states are leased from it
+    (byte slots 1 and 2) and stay valid until the next [create] on it;
+    without one they are allocated. Each potential is written to the
+    solving workspace's node record when its node is installed. *)
 
 val solve :
   ?alive:(unit -> bool) ->
@@ -104,7 +105,7 @@ val solve :
   outcome
 (** Min-cost max-flow by successive shortest paths. [alive] is polled
     between augmentation rounds; [workspace] supplies the reusable
-    dist/parent/queue/trail state (a private one is created when absent)
+    node record, queues and trail (a private one is created when absent)
     and its attached {!Pacor_route.Budget} is charged one tick per settle,
     so an exhausted budget stops the solve mid-round — or before its first
     round — with the flow found so far. [stop_when_cost_reaches] stops
@@ -127,11 +128,13 @@ val seed : t -> h:(int -> int) -> unit
     later round then fails on its first pop. Raises [Invalid_argument]
     after a solve. *)
 
-val decompose_paths : t -> int list list
-(** Split the computed flow into source->sink unit node-paths, consuming
-    it. Deterministic tie-break: at every node the walk follows the first
-    forward arc in row order still carrying flow. Iterative — safe on
-    paths of any length. *)
+val paths : t -> (int * int list) list
+(** The computed flow as one [(k, cells)] per routed request [k], in
+    request order: the grid cells of its unit path, start cell to pin.
+    Consumes the flow. At every node the walk follows the first forward
+    arc in row order still carrying flow, so the paths are a row-order
+    decomposition's, each in/out pair read as its cell; a start cell
+    shared by requests gives its first direction to the lowest. *)
 
 val row : t -> int -> (int * int * int) list
 (** [row t v] is node [v]'s residual row as [(head, cost, residual

@@ -52,6 +52,26 @@ let fill_free t b =
     Bytes.unsafe_set b i (if get_bit t i then '\000' else '\001')
   done
 
+(* Eight cells per bitmap byte, as two packed bytes: entry [b] has the
+   two-bit field [k] set to 1 iff bit [k] of [b] is clear (cell free). *)
+let free_pairs =
+  Array.init 256 (fun b ->
+    List.fold_left (fun w k -> if b land (1 lsl k) = 0 then w lor (1 lsl (2 * k)) else w)
+      0 [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* The last bitmap byte may hold fewer than eight cells: its fields past
+   the grid are masked to 0, and a packed byte past [len] is not written. *)
+let fill_free_packed t b v =
+  let n = t.width * t.height in
+  let len = (n + 3) lsr 2 in
+  if Bytes.length b < len then invalid_arg "Obstacle_map.fill_free_packed: buffer too small";
+  for k = 0 to ((n + 7) lsr 3) - 1 do
+    let w = v * free_pairs.(Char.code (Bytes.unsafe_get t.bits k)) in
+    let w = if (k + 1) lsl 3 > n then w land ((1 lsl (2 * (n land 7))) - 1) else w in
+    Bytes.unsafe_set b (2 * k) (Char.unsafe_chr (w land 255));
+    if (2 * k) + 1 < len then Bytes.unsafe_set b ((2 * k) + 1) (Char.unsafe_chr (w lsr 8))
+  done
+
 let block t p =
   if in_bounds t p then begin
     let i = index t p in

@@ -32,6 +32,12 @@ val fill_free : t -> Bytes.t -> unit
     ['\000'] where it is blocked. Eight cells per step, for masks rebuilt
     per call on large grids. *)
 
+val fill_free_packed : t -> Bytes.t -> int -> unit
+(** [fill_free_packed t b v] writes {!Packed_roles}' two-bit layout into
+    the first [(width * height + 3) / 4] bytes of [b]: [v] (0–3) where
+    the cell is free, 0 where it is blocked or past the last cell. One
+    table lookup per eight cells. *)
+
 val block : t -> Point.t -> unit
 (** No-op out of bounds. *)
 

@@ -18,8 +18,6 @@ let wrap ~len data =
 
 let length t = t.len
 
-let clear t = Bytes.fill t.data 0 (bytes_needed t.len) '\000'
-
 let[@inline] get t i =
   (Char.code (Bytes.unsafe_get t.data (i lsr 2)) lsr ((i land 3) * 2)) land 3
 

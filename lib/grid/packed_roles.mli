@@ -23,12 +23,9 @@ val bytes_needed : int -> int
 val wrap : len:int -> Bytes.t -> t
 (** View an existing buffer (e.g. a workspace scratch lease) as a layer of
     [len] cells without copying. The buffer must be at least
-    {!bytes_needed}[ len] long; existing contents are kept — callers that
-    need a clean layer follow with {!clear}. *)
+    {!bytes_needed}[ len] long; existing contents are kept. *)
 
 val length : t -> int
-val clear : t -> unit
-(** Reset every cell to role [0]. *)
 
 val get : t -> int -> int
 (** Unchecked read (hot path). *)

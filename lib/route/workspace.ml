@@ -1,15 +1,14 @@
 module Obstacle_map = Pacor_grid.Obstacle_map
 
 type t = {
-  (* Node arrays: the per-node state every search reads (distance,
-     parent, settled). Sized by the largest node count asked for — the
-     escape flow's node-split network has about twice as many nodes as
-     the grid has cells — with [node_slack] to spare. *)
+  (* Node record: the per-node state every search reads, four ints per
+     node at [4 * v]: stamp ([2 * epoch] once touched, + 1 once closed),
+     distance, parent and the flow's potential. Sized by the largest node
+     count asked for — the escape flow's node-split network has about
+     twice as many nodes as the grid has cells — with [node_slack] to
+     spare. *)
   mutable node_cap : int;
-  mutable dist_a : int array;
-  mutable parent_a : int array;
-  mutable dist_stamp : int array;
-  mutable closed_stamp : int array;
+  mutable nodes : int array;
   (* Cell layers: read by the grid searches alone, so sized by grid
      cells. *)
   mutable cell_cap : int;
@@ -64,19 +63,19 @@ type t = {
   stats : Search_stats.t;
   mutable budget : Budget.t;
   block_cut : Block_cut.t;
+  (* Wall seconds of the escape solves' parts, summed: roles, seed,
+     rounds, paths. *)
+  escape_parts : float array;
 }
 
-let scratch_slots = 7
+let scratch_slots = 6
 let scratch_byte_slots = 4
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Search_stats.create () in
   {
     node_cap = 0;
-    dist_a = [||];
-    parent_a = [||];
-    dist_stamp = [||];
-    closed_stamp = [||];
+    nodes = [||];
     cell_cap = 0;
     target_stamp = [||];
     source_stamp = [||];
@@ -107,28 +106,27 @@ let create ?stats () =
     stats;
     budget = Budget.unlimited ();
     block_cut = Block_cut.create ();
+    escape_parts = Array.make 4 0.;
   }
 
 let stats t = t.stats
 let block_cut t = t.block_cut
 let budget t = t.budget
 let set_budget t b = t.budget <- b
+let escape_parts t = t.escape_parts
 
-(* Node arrays grow to the request plus at least [node_slack], rounded to
-   a multiple of it. The escape network's node count is 2 * cells plus
-   one node per request plus two, and a rip-up round adds a request: the
-   slack absorbs that drift, so a growth happens only for a larger grid
-   and costs the new size, never a doubling. *)
+(* The node record grows to the request plus at least [node_slack],
+   rounded to a multiple of it. The escape network's node count is
+   2 * cells plus one node per request plus two, and a rip-up round adds
+   a request: the slack absorbs that drift, so a growth happens only for
+   a larger grid and costs the new size, never a doubling. *)
 let node_slack = 4096
 let room n = (n + (2 * node_slack) - 1) / node_slack * node_slack
 
 let reserve_nodes t n =
   if t.node_cap < n then begin
     let cap = room n in
-    t.dist_a <- Array.make cap 0;
-    t.parent_a <- Array.make cap 0;
-    t.dist_stamp <- Array.make cap 0;
-    t.closed_stamp <- Array.make cap 0;
+    t.nodes <- Array.make (4 * cap) 0;
     t.node_cap <- cap;
     Search_stats.grid_alloc_noted t.stats
   end
@@ -170,25 +168,27 @@ let begin_bounded t ~cells =
   reserve_cells t cells;
   begin_epoch t
 
-let dist t i = if t.dist_stamp.(i) = t.epoch then t.dist_a.(i) else max_int
+let node_record t = t.nodes
+let touched_stamp t = 2 * t.epoch
 
-(* First touch of a cell in an epoch also resets its parent, so [parent]
-   never reads a stale predecessor through a fresh distance stamp. *)
+(* A stamp below [2 * epoch] is an earlier epoch's: the node reads
+   untouched. *)
+let dist t i = if t.nodes.(4 * i) >= 2 * t.epoch then t.nodes.((4 * i) + 1) else max_int
+
+(* First touch of a node in an epoch also resets its parent, so [parent]
+   never reads a stale predecessor through a fresh stamp; a closed node
+   keeps its closed stamp. *)
 let set_dist t i d =
-  if t.dist_stamp.(i) <> t.epoch then begin
-    t.dist_stamp.(i) <- t.epoch;
-    t.parent_a.(i) <- -1
+  if t.nodes.(4 * i) < 2 * t.epoch then begin
+    t.nodes.(4 * i) <- 2 * t.epoch;
+    t.nodes.((4 * i) + 2) <- -1
   end;
-  t.dist_a.(i) <- d
+  t.nodes.((4 * i) + 1) <- d
 
-let parent t i =
-  if t.dist_stamp.(i) = t.epoch then t.parent_a.(i) else -1
-
-let set_parent t i j =
-  t.parent_a.(i) <- j
-
-let closed t i = t.closed_stamp.(i) = t.epoch
-let close t i = t.closed_stamp.(i) <- t.epoch
+let parent t i = if t.nodes.(4 * i) >= 2 * t.epoch then t.nodes.((4 * i) + 2) else -1
+let set_parent t i j = t.nodes.((4 * i) + 2) <- j
+let closed t i = t.nodes.(4 * i) = (2 * t.epoch) + 1
+let close t i = t.nodes.(4 * i) <- (2 * t.epoch) + 1
 
 let mark_target t i = t.target_stamp.(i) <- t.epoch
 let is_target t i = t.target_stamp.(i) = t.epoch
@@ -382,7 +382,7 @@ let append_entry t ~cell ~g ~parent =
 
 (* -- One-time growth ---------------------------------------------------- *)
 
-(* Grow the cell layers to the grid and the node arrays to the escape
+(* Grow the cell layers to the grid and the node record to the escape
    network over it (2 * cells + 2 nodes; [node_slack] covers the request
    nodes) in one allocation event each, so routing a 1000x1000+ instance
    on a reused workspace never reallocates them mid-run and a later,

@@ -14,11 +14,10 @@
     searcher's visit entries are appended to one pool that grows by
     doubling and then sticks, so no per-visit allocation happens either.
 
-    Each array is only as large as the searches that read it: the four
-    per-node arrays (distance, parent and their stamps) grow to the
-    largest node count asked for — the escape flow's node-split network
-    has about twice as many nodes as cells — while the target, source,
-    visit-head and claim layers stay at grid cells.
+    Each array is only as large as the searches that read it: the node
+    record grows to the largest node count asked for — the escape flow's
+    node-split network has about twice as many nodes as cells — while the
+    target, source, visit-head and claim layers stay at grid cells.
 
     A workspace is single-threaded and non-reentrant: one search at a time.
     Every operation below is O(1), except the growth, load and fold
@@ -66,25 +65,48 @@ val begin_bounded : t -> cells:int -> unit
     capacity, bumps the epoch and empties the visit-entry pool. Reads no
     per-node state. *)
 
-(** {2 Per-cell A* state (valid between [begin_*] calls)} *)
+(** {2 Per-node search state (valid between [begin_*] calls)}
+
+    One int array, four fields per node [v]: at [4v] a stamp ([2 * epoch]
+    once {!set_dist} touched [v] this epoch, [+ 1] once closed; smaller
+    is stale, read as untouched), then the distance, the parent (reset to
+    [-1] by the epoch's first {!set_dist}) and a field no [begin_*]
+    resets, where [Pacor_flow.Mcmf_grid] keeps its potentials across
+    rounds (arbitrary until written; zeroed by a growth). Close a node
+    only after {!set_dist} in the same epoch, as {!Astar} and [Mcmf_grid]
+    do: an untouched node closed would read its stale distance.
+    {!set_dist} on a closed node keeps it closed. *)
 
 val dist : t -> int -> int
-(** [max_int] when the cell is untouched this epoch. *)
+(** [max_int] when the node is untouched this epoch. *)
 
 val set_dist : t -> int -> int -> unit
 
 val parent : t -> int -> int
-(** [-1] when the cell is untouched this epoch. *)
+(** [-1] when the node is untouched this epoch. *)
 
 val set_parent : t -> int -> int -> unit
 
 val closed : t -> int -> bool
 val close : t -> int -> unit
 
+val node_record : t -> int array
+(** The record, for a search loop that reads and writes it without calls:
+    [4 * nodes] long or more after [begin_flow ~nodes]; a growth replaces
+    it, so read it again after each [begin_*]. *)
+
+val touched_stamp : t -> int
+(** [2 * epoch]. *)
+
 val mark_target : t -> int -> unit
 val is_target : t -> int -> bool
 val mark_source : t -> int -> unit
 val is_source : t -> int -> bool
+
+val escape_parts : t -> float array
+(** Wall seconds of the escape solves on this workspace, summed per part:
+    role fill, seed BFS, flow rounds (with the network's set-up) and path
+    walk, at indices 0–3. [Pacor_flow.Escape] adds to it. *)
 
 (** {2 Shared priority queue (instrumented)} *)
 
@@ -213,7 +235,7 @@ val append_entry : t -> cell:int -> g:int -> parent:int -> int
 (** {2 One-time growth} *)
 
 val prepare : t -> cells:int -> unit
-(** Grow the cell layers to [cells] and the per-node arrays to the escape
+(** Grow the cell layers to [cells] and the node record to the escape
     network over such a grid ([2 * cells + 2] nodes plus the slack of
     {!begin_flow}) in one step each. The engine calls this once per run
     with the instance's cell count, so 1000x1000+ grids pay a single
@@ -242,18 +264,16 @@ val prepare : t -> cells:int -> unit
       ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4
       its distance to the nearest pin (-1 unreached), in slot 5 the
       FIFO. A seed's slot 4 is read until its solve returns;
-    - int slot 6 and byte slots 1–2: the escape flow network's state
-      ([Pacor_flow.Mcmf_grid.create]): potentials (slot 6) and node
-      states (byte slot 2: unseen, dead or live), one per node, and the
-      per-cell flow bits (byte slot 1). Slot 6 is never zero-filled: a
-      node's potential is written when its state leaves unseen;
+    - byte slots 1–2: the escape flow network's node states (slot 2:
+      unseen, dead or live) and per-cell flow bits (slot 1)
+      ([Pacor_flow.Mcmf_grid.create]);
     - byte slot 0: the escape stage's packed cell roles, which the flow
       network reads while it solves;
     - byte slot 3: the detour stage's usable-cell mask, one byte per
       cell ([Pacor.Detour_stage]). *)
 
 val scratch_slots : int
-(** Number of independent int slots (currently 7). *)
+(** Number of independent int slots (currently 6). *)
 
 val scratch_int : t -> slot:int -> cells:int -> int array
 (** An int array of length >= [cells] for [slot] (0-based). *)

@@ -238,13 +238,15 @@ for pin in corpus-bigcluster:e8cf129d1330ca548e049ee7b5a2a78f \
   fi
 done
 
-echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6 and two corpus chips =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
 # Scaled2 adds six escape networks per route, three of them of a single
 # request. Scaled5 has two escape solves (~1.85M escape pops). Scaled6 is
 # the largest design with an escape network of disjoint reachable regions.
+# Scaled8 is the largest grid (1.81M cells), where the search workspace's
+# node record is allocated at its largest.
 # corpus-bigcluster and corpus-dense route their length-matched trees
 # through one cluster-routing negotiation each.
 svgdir="$fuzzdir/svg"
@@ -253,7 +255,7 @@ for d in Chip1 Chip2; do
   ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" --verbose \
     > "$svgdir/$d.out" 2> /dev/null
 done
-for d in Scaled2 Scaled3 Scaled5 Scaled6; do
+for d in Scaled2 Scaled3 Scaled5 Scaled6 Scaled8; do
   ./_build/default/bin/pacor_cli.exe designs --emit "$d" > "$svgdir/$d.chip"
   ./_build/default/bin/pacor_cli.exe route -f "$svgdir/$d.chip" --svg "$svgdir/$d.svg" \
     --verbose > "$svgdir/$d.out" 2> /dev/null
@@ -265,6 +267,7 @@ done
 for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
            Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8 \
            Scaled5:f6bdb29bccacf96b04d26105e028eed9 Scaled6:4715c265a74671b38b75c9d78a091c38 \
+           Scaled8:1a8d5b8bcf346064140ee0f40cfef287 \
            corpus-bigcluster:92dc39d9cd12a3c7d9c53e3e408abb67 \
            corpus-dense:d38a370c2f8514716044de1ee81469d7; do
   name=${pin%%:*}
@@ -276,7 +279,7 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6 and two corpus chips route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8 and two corpus chips route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
@@ -321,6 +324,13 @@ search detour         searches=2 refused=2 pops=0 pushes=0 touched=0 relax=0 res
 search rematch        searches=30 refused=3 pops=4835 pushes=8583 touched=19236 relax=11164 resets=36
 search total          searches=342 refused=5 pops=2978186 pushes=3158409 touched=10384102 relax=3160461 resets=353
 PINS
+cat > "$svgdir/Scaled8.search" <<'PINS'
+search lm-routing     searches=135 refused=0 pops=1208 pushes=2534 touched=4292 relax=2844 resets=136
+search escape         searches=122 refused=0 pops=2157214 pushes=2252484 touched=8070208 relax=2251883 resets=122
+search detour         searches=6 refused=6 pops=0 pushes=0 touched=0 relax=0 resets=6
+search rematch        searches=86 refused=8 pops=8745 pushes=16344 touched=34672 relax=20180 resets=100
+search total          searches=349 refused=14 pops=2167167 pushes=2271362 touched=8109172 relax=2274907 resets=364
+PINS
 cat > "$svgdir/corpus-bigcluster.search" <<'PINS'
 search lm-routing     searches=18 refused=0 pops=146 pushes=295 touched=512 relax=318 resets=19
 search escape         searches=7 refused=0 pops=1505 pushes=1598 touched=5693 relax=1556 resets=7
@@ -333,7 +343,7 @@ search escape         searches=10 refused=0 pops=994 pushes=1163 touched=3473 re
 search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
 search total          searches=193 refused=0 pops=3089 pushes=4672 touched=10678 relax=5245 resets=205
 PINS
-for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 corpus-bigcluster corpus-dense; do
+for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 Scaled8 corpus-bigcluster corpus-dense; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2

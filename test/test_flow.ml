@@ -511,9 +511,25 @@ let implicit_solve ?(lease = false) ws (grid, claimed, pins, requests) =
   if List.length requests >= 2 then
     Mcmf_grid.seed net ~h:(Escape.seed_heights ws ~grid ~roles ~pins requests);
   let out = Mcmf_grid.solve ~workspace:ws net in
-  (out, Mcmf_grid.decompose_paths net)
+  (out, Mcmf_grid.paths net)
 
 let snapshot ws = Pacor_route.Search_stats.snapshot (Pacor_route.Workspace.stats ws)
+
+(* An oracle's unit node-paths (source, request node, then the in/out
+   nodes of cells, then the sink) as [Mcmf_grid.paths] reports them: the
+   request and its cells, each in/out pair read as one cell. *)
+let cell_paths ~cells node_paths =
+  let rec dedup = function
+    | a :: (b :: _ as tl) when a = b -> dedup tl
+    | a :: tl -> a :: dedup tl
+    | [] -> []
+  in
+  List.map
+    (function
+      | _source :: k :: rest ->
+        (k - (2 * cells), dedup (List.filter_map (fun v -> if v < 2 * cells then Some (v / 2) else None) rest))
+      | _ -> failwith "cell_paths: a unit path without a request node")
+    node_paths
 
 let test_grid_workspace_stats_rounds () =
   (* Per-round instrumentation: each augmentation round is one workspace
@@ -561,7 +577,7 @@ let test_grid_warm_workspace_leases () =
     let (leased : Mcmf_grid.outcome), leased_paths = implicit_solve ~lease:true ws inst in
     Alcotest.(check int) (label ^ " flow") fresh.flow leased.flow;
     Alcotest.(check int) (label ^ " cost") fresh.cost leased.cost;
-    Alcotest.(check (list (list int))) (label ^ " paths") fresh_paths leased_paths
+    Alcotest.(check (list (pair int (list int)))) (label ^ " paths") fresh_paths leased_paths
   in
   check "big" big;
   check "small on dirty slots" small;
@@ -1300,10 +1316,13 @@ let prop_implicit_network_matches_csr =
      the solve, and the outcome, paths and every search counter of the
      solve and of a solve under a tight expansion budget, which must trip
      at the same pop with the same partial flow.
+     The paths are [Mcmf_grid.paths]' walk against the oracle's node
+     paths read as cells ([cell_paths]).
      Random grids with obstacles, claimed blocks and 1-6 requests,
-     including 1xk and kx1 grids, start cells listed twice in one
-     request, start cells that are pins, and a request whose every start
-     cell is a pin (no live start). *)
+     including 1xk and kx1 grids, a start cell listed twice in the first
+     request and a pin listed as a start cell by another, a start cell
+     two requests share (their units leave it in request order), and a
+     request whose every start cell is a pin (no live start). *)
   let gen =
     QCheck.Gen.(
       let* shape = int_range 0 3 in
@@ -1345,13 +1364,15 @@ let prop_implicit_network_matches_csr =
                 (List.init w (fun dx ->
                    List.init h (fun dy -> Point.make (p.Point.x + dx) (p.Point.y + dy))))))
       in
-      let* dup = bool and* pin_start = bool and* pinned_req = bool in
+      let* dup = bool and* pin_start = bool and* share = bool and* pinned_req = bool in
       let* pick = int_range 0 5 and* ibudget = int_range 1 80 in
       let pins = List.sort_uniq Point.compare pins in
       let pin_at j = List.nth pins (j mod List.length pins) in
       let raw = Array.of_list raw in
+      let other = if n_req = 1 then 0 else 1 + (pick mod (n_req - 1)) in
+      if share && n_req >= 2 then raw.(1) <- raw.(1) @ [ List.hd raw.(0) ];
       if dup then raw.(0) <- List.hd raw.(0) :: raw.(0);
-      if pin_start then raw.(pick mod n_req) <- pin_at pick :: raw.(pick mod n_req);
+      if pin_start then raw.(other) <- pin_at pick :: raw.(other);
       if pinned_req then raw.(n_req - 1) <- [ pin_at (pick + 1); pin_at (pick + 1) ];
       let starts = List.concat (Array.to_list raw) in
       let free_of_starts = List.filter (fun o -> not (List.exists (Point.equal o) starts)) in
@@ -1433,7 +1454,7 @@ let prop_implicit_network_matches_csr =
           QCheck.Test.fail_reportf "%s: search counters differ: %a vs %a" label
             Pacor_route.Search_stats.pp (snapshot ws) Pacor_route.Search_stats.pp (snapshot ws');
         same_rows (label ^ " after the solve") imp oracle;
-        if Mcmf_grid.decompose_paths imp <> Mcmf_csr.decompose_paths oracle then
+        if Mcmf_grid.paths imp <> cell_paths ~cells (Mcmf_csr.decompose_paths oracle) then
           QCheck.Test.fail_reportf "%s: paths differ" label
       in
       solve_both "solve";
@@ -1620,9 +1641,10 @@ let prop_lazy_seed_installs_on_touch =
      the sink or the head of an arc out of a node some round settled
      (each round's settled set is read off the workspace trail when
      [alive] is polled, and after the last round). The same instance
-     then solves on one workspace reused across instances, whose
-     potential slot (int slot 6) is overwritten with junk after the
-     network is created, and on the CSR oracle seeded eagerly: paths,
+     then solves on one workspace reused across instances, whose node
+     record's potential fields (left dirty by the earlier solves) are
+     overwritten with junk after the network is created, and on the CSR
+     oracle seeded eagerly: paths,
      flow, cost, rounds and every counter but [grid_allocs] must match
      the fresh solve. Sealed instances have a dead source. Instances of
      two or more requests also solve unseeded, as one request always
@@ -1675,15 +1697,21 @@ let prop_lazy_seed_installs_on_touch =
             if seeded && settled.(v) && e = 0 then
               QCheck.Test.fail_reportf "settled node %d never evaluated" v)
           evals;
-        let a_paths = Mcmf_grid.decompose_paths net in
+        let a_paths = Mcmf_grid.paths net in
         let a_work = search_work (snapshot ws) in
-        (* One workspace reused dirty across instances, junk potentials. *)
+        (* One workspace reused dirty across instances, junk potentials:
+           an earlier solve left the record's potential fields dirty, and
+           they are overwritten with junk on top. *)
         let before = snapshot reused in
         let net = Escape.grid_network ~workspace:reused ~grid ~roles reqs in
-        Array.fill (Pacor_route.Workspace.scratch_int reused ~slot:6 ~cells:n) 0 n 0x1e3c5a;
+        Pacor_route.Workspace.prepare reused ~cells;
+        let record = Pacor_route.Workspace.node_record reused in
+        for v = 0 to n - 1 do
+          record.((4 * v) + 3) <- 0x1e3c5a
+        done;
         if seeded then Mcmf_grid.seed net ~h:(Escape.seed_heights reused ~grid ~roles ~pins reqs);
         let b = Mcmf_grid.solve ~workspace:reused ~stop_when_cost_reaches:beta net in
-        let b_paths = Mcmf_grid.decompose_paths net in
+        let b_paths = Mcmf_grid.paths net in
         let b_work = search_work (S.diff (snapshot reused) before) in
         (* The CSR oracle, seeded eagerly (every node's [h] read up front). *)
         let ws' = Pacor_route.Workspace.create () in
@@ -1693,7 +1721,7 @@ let prop_lazy_seed_installs_on_touch =
         in
         if seeded then Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs);
         let c = Mcmf_csr.solve ~workspace:ws' ~stop_when_cost_reaches:beta oracle in
-        let c_paths = Mcmf_csr.decompose_paths oracle in
+        let c_paths = cell_paths ~cells (Mcmf_csr.decompose_paths oracle) in
         let c_work = search_work (snapshot ws') in
         let triple (o : Mcmf_grid.outcome) = (o.flow, o.cost, o.rounds) in
         List.iter
@@ -1718,10 +1746,17 @@ let prop_roles_match_set_oracle =
      ring cells, the first offered pin, every pin left out of the offer
      (the layer reserves every pin cell) and the first request's start
      cells; the other requests' start cells are held at random.
-     Obstacles, pins and starts may coincide. *)
+     Obstacles, pins and starts may coincide. Grids run to 40x40, with
+     1xk and kx1 ones, so rows start mid-byte of the bitmap and the
+     packed layer and the last bitmap byte is often partial. The layer is
+     also computed leased from a workspace whose byte slot 0 was filled
+     with ones first, and must then equal the oracle on every packed byte
+     it owns, the two-bit fields past the last cell included. *)
   let gen =
     QCheck.Gen.(
-      let* w = int_range 1 10 and* h = int_range 1 10 in
+      let* shape = int_range 0 3 and* k = int_range 1 40 in
+      let* a = int_range 1 40 and* b = int_range 1 40 in
+      let w, h = match shape with 0 -> (1, k) | 1 -> (k, 1) | _ -> (a, b) in
       let cell =
         let* x = int_range 0 (w - 1) and* y = int_range 0 (h - 1) in
         return (Point.make x y)
@@ -1757,13 +1792,21 @@ let prop_roles_match_set_oracle =
            @ List.concat (List.map2 (fun cells c -> if c then cells else []) reqs claim_starts))
       in
       let occupied = Escape_oracle.occupied ~grid claimed in
-      let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
       let want = Escape_oracle.compute_roles ~grid ~claimed ~pins requests in
-      for i = 0 to Routing_grid.cells grid - 1 do
-        if Packed_roles.get roles i <> Packed_roles.get want i then
-          QCheck.Test.fail_reportf "cell %d has role %d, the oracle %d" i
-            (Packed_roles.get roles i) (Packed_roles.get want i)
-      done;
+      let cells = Routing_grid.cells grid in
+      let check label roles fields =
+        for i = 0 to fields - 1 do
+          if Packed_roles.get roles i <> Packed_roles.get want i then
+            QCheck.Test.fail_reportf "%s: cell %d has role %d, the oracle %d" label i
+              (Packed_roles.get roles i) (Packed_roles.get want i)
+        done
+      in
+      check "allocated" (Escape.compute_roles ~grid ~occupied ~pins requests) cells;
+      let ws = Pacor_route.Workspace.create () in
+      let len = Packed_roles.bytes_needed cells in
+      let junk = Pacor_route.Workspace.scratch_bytes ws ~slot:0 ~len in
+      Bytes.fill junk 0 (Bytes.length junk) '\255';
+      check "leased" (Escape.compute_roles ~workspace:ws ~grid ~occupied ~pins requests) (4 * len);
       true)
 
 let qcheck_cases =

@@ -228,10 +228,6 @@ let test_packed_roles_roundtrip () =
   for i = 0 to len - 1 do
     Alcotest.(check int) (Printf.sprintf "cell %d" i) (i mod 4) (Packed_roles.get roles i)
   done;
-  Packed_roles.clear roles;
-  for i = 0 to len - 1 do
-    Alcotest.(check int) "cleared" 0 (Packed_roles.get roles i)
-  done;
   (* wrap keeps buffer contents; higher role bits are masked off. *)
   let buf = Bytes.make (Packed_roles.bytes_needed len) '\255' in
   let wrapped = Packed_roles.wrap ~len buf in

@@ -723,6 +723,71 @@ let test_workspace_deque_budget () =
    | _ -> Alcotest.fail "expected expansion exhaustion");
   Workspace.set_budget ws (Budget.unlimited ())
 
+(* The node record's stamp: a new epoch opens every node (a node closed
+   in the previous one reads open, at [max_int] and parent [-1]), and
+   [set_dist] on a closed node keeps it closed; both before and after
+   the record grows. Then A* on one warm workspace reused across grid
+   sizes, which grow and then reuse the record, returns the paths and
+   counters of a fresh workspace per search. *)
+let test_workspace_node_record () =
+  let stats = Search_stats.create () in
+  let ws = Workspace.create ~stats () in
+  let node_state v = (Workspace.closed ws v, Workspace.dist ws v, Workspace.parent ws v) in
+  let state = Alcotest.(triple bool int int) in
+  let epochs label begin_epoch v =
+    begin_epoch ();
+    Alcotest.check state (label ^ ": untouched") (false, max_int, -1) (node_state v);
+    Workspace.set_dist ws v 7;
+    Workspace.set_parent ws v 3;
+    Workspace.close ws v;
+    Alcotest.check state (label ^ ": closed") (true, 7, 3) (node_state v);
+    Workspace.set_dist ws v 5;
+    Alcotest.check state (label ^ ": set_dist keeps it closed") (true, 5, 3) (node_state v);
+    begin_epoch ();
+    Alcotest.check state (label ^ ": next epoch opens it") (false, max_int, -1) (node_state v);
+    Workspace.set_dist ws v 9;
+    Alcotest.check state (label ^ ": first touch resets the parent") (false, 9, -1)
+      (node_state v);
+    Workspace.close ws v;
+    begin_epoch ();
+    Alcotest.check state (label ^ ": closed again, then a new epoch") (false, max_int, -1)
+      (node_state v)
+  in
+  epochs "begin_search" (fun () -> Workspace.begin_search ws ~cells:64) 10;
+  epochs "begin_flow" (fun () -> Workspace.begin_flow ws ~nodes:64) 10;
+  let allocs () = (Search_stats.snapshot stats).Search_stats.grid_allocs in
+  let before = allocs () in
+  Workspace.set_dist ws 10 4;
+  Workspace.close ws 10;
+  Workspace.begin_flow ws ~nodes:50_000;
+  Alcotest.(check bool) "the record grew" true (allocs () > before);
+  Alcotest.check state "after a growth: closed node reads open" (false, max_int, -1)
+    (node_state 10);
+  epochs "begin_flow after a growth" (fun () -> Workspace.begin_flow ws ~nodes:50_000) 49_999;
+  epochs "begin_search after a growth" (fun () -> Workspace.begin_search ws ~cells:64) 10;
+  let warm = Workspace.create () in
+  List.iteri
+    (fun k side ->
+      let g = grid side side in
+      let obs = Routing_grid.fresh_work_map g in
+      for x = 1 to side - 2 do
+        if (x + k) mod 3 <> 0 then Obstacle_map.block obs (Point.make x (side / 2))
+      done;
+      let run workspace =
+        let stats = Search_stats.create () in
+        let workspace = Option.value workspace ~default:(Workspace.create ~stats ()) in
+        let s0 = Search_stats.snapshot (Workspace.stats workspace) in
+        let path =
+          Astar.search ~workspace ~grid:g ~spec:(free_spec obs)
+            ~sources:[ Point.make 0 0 ] ~targets:[ Point.make (side - 1) (side - 1) ] ()
+        in
+        let s1 = Search_stats.snapshot (Workspace.stats workspace) in
+        (Option.map Path.points path, s1.Search_stats.pops - s0.Search_stats.pops)
+      in
+      let fresh = run None and reused = run (Some warm) in
+      if fresh <> reused then Alcotest.failf "grid %dx%d: warm workspace differs" side side)
+    [ 12; 60; 7; 150; 30; 150; 9 ]
+
 (* ---------- QCheck ---------- *)
 
 let arb_grid_points =
@@ -1037,7 +1102,8 @@ let () =
           Alcotest.test_case "deque growth, wrap and epoch reset" `Quick
             test_workspace_deque_growth_and_reset;
           Alcotest.test_case "deque pops charge the budget" `Quick
-            test_workspace_deque_budget ] );
+            test_workspace_deque_budget;
+          Alcotest.test_case "node record stamps" `Quick test_workspace_node_record ] );
       ( "detour",
         [ Alcotest.test_case "lengthen basic" `Quick test_lengthen_basic;
           Alcotest.test_case "already long enough" `Quick test_lengthen_already_long_enough;
