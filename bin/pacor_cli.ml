@@ -45,14 +45,23 @@ let pos_int_conv =
   Arg.conv (parse, Format.pp_print_int)
 
 (* Built-in designs: the Table 1 set first, then the synthetic Scaled
-   family (Scaled1..Scaled8) behind it. *)
+   family (Scaled1..Scaled8), then the named FPVA lattices: fpva20-p8 is
+   the side-20 pitch-8 lattice on which rematch's joint reroute rescues a
+   pair. *)
+let fpva_lattices =
+  [ { Pacor_designs.Fpva.name = "fpva20-p8"; rows = 20; cols = 20; pitch = 8; group = 7;
+      seed = 1L; delta = 2 } ]
+
 let load_design name =
   match Pacor_designs.Table1.load name with
   | Ok p -> Ok p
   | Error e -> (
     match Pacor_designs.Scaled.of_name name with
     | Some s -> Pacor_designs.Scaled.load s
-    | None -> Error e)
+    | None -> (
+      match List.find_opt (fun (s : Pacor_designs.Fpva.spec) -> s.name = name) fpva_lattices with
+      | Some s -> Pacor_designs.Fpva.generate s
+      | None -> Error e))
 
 let load_problem ~design ~file =
   match design, file with
@@ -232,7 +241,8 @@ let designs_cmd =
                  to stdout (feed it to --file or the daemon's route op) \
                  instead of the parameter table. Besides the Table 1 set, \
                  the synthetic scaling family $(b,Scaled1)..$(b,Scaled8) \
-                 (Chip1-like content on a 168s-square grid) is available.")
+                 (Chip1-like content on a 168s-square grid) and the FPVA lattice \
+                 $(b,fpva20-p8) are available.")
   in
   let run emit =
     match emit with

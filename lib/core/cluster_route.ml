@@ -72,8 +72,9 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
          (fun (n : Candidate.node) -> Obstacle_map.block batch_obstacles n.pos)
          cand.nodes)
     pairs;
-  (* An edge's id is its index in [owners], which holds the (slot, child
-     node id) that owns it. *)
+  (* An edge's id is its index in [owner_slot] and [owner_child], which
+     hold the slot and child node id that own it. Int arrays: an array of
+     more than 256 young tuples would force a minor collection. *)
   let owned =
     List.concat
       (List.mapi
@@ -83,7 +84,8 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
               (tree_edges candidate))
          pairs)
   in
-  let owners = Array.of_list (List.map fst owned) in
+  let owner_slot = Array.of_list (List.map (fun ((slot, _), _) -> slot) owned) in
+  let owner_child = Array.of_list (List.map (fun ((_, child), _) -> child) owned) in
   let edges =
     List.mapi (fun eid (_, ends) -> { Pacor_route.Negotiation.edge_id = eid; ends }) owned
   in
@@ -95,11 +97,11 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
      dropping a path (and leaving a tree short of an edge) or raising a
      bare index error. *)
   let known eid =
-    if eid < 0 || eid >= Array.length owners then
+    if eid < 0 || eid >= Array.length owner_slot then
       invalid_arg
         (Printf.sprintf
            "Cluster_route.negotiate: negotiation returned unknown edge id %d (have %d edges)"
-           eid (Array.length owners));
+           eid (Array.length owner_slot));
     eid
   in
   let slots = List.length pairs in
@@ -110,8 +112,9 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
       let by_slot = Array.make slots [] in
       List.iter
         (fun (eid, path) ->
-           let slot, child_id = owners.(known eid) in
-           by_slot.(slot) <- (child_id, path) :: by_slot.(slot))
+           let eid = known eid in
+           let slot = owner_slot.(eid) in
+           by_slot.(slot) <- (owner_child.(eid), path) :: by_slot.(slot))
         result.paths;
       Ok
         (List.mapi
@@ -120,12 +123,12 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
            pairs)
     end
     else begin
-      let routed_edge = Array.make (Array.length owners) false in
+      let routed_edge = Array.make (Array.length owner_slot) false in
       List.iter (fun (eid, _) -> routed_edge.(known eid) <- true) result.paths;
       let failed = Array.make slots false in
       Array.iteri
-        (fun eid (slot, _) -> if not routed_edge.(eid) then failed.(slot) <- true)
-        owners;
+        (fun eid slot -> if not routed_edge.(eid) then failed.(slot) <- true)
+        owner_slot;
       Error failed
     end
   in

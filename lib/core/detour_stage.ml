@@ -69,7 +69,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
     (* The leg may use its own cells but no other cell of the cluster:
        hold every claimed cell, release the leg's, and release the rest
        once done. *)
-    let swap ~from ~into _ c = if c = from then into else c in
+    let swap ~from ~into _ (c : char) = if c = from then into else c in
     mark ~grid mask Point.Set.iter r.claimed (swap ~from:usable ~into:held);
     mark ~grid mask List.iter (Path.points leg) (swap ~from:held ~into:usable);
     let usable_i i = Bytes.unsafe_get mask i = usable in
@@ -118,7 +118,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
   in
   let rec loop (r : Routed.t) round =
     let lengths = anchor_lengths r in
-    let maxl = Array.fold_left max min_int lengths in
+    let maxl = Array.fold_left Int.max min_int lengths in
     let shorts =
       Array.to_list lengths
       |> List.mapi (fun i l -> (i, l))
@@ -138,7 +138,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
           let rec try_legs = function
             | [] -> None
             | (child, _parent) :: more ->
-              if List.mem child !detoured_this_round then
+              if List.exists (Int.equal child) !detoured_this_round then
                 (* A shared leg already grew this round; this full path was
                    lengthened with it (Algorithm 2's Fd check). *)
                 Some r

@@ -37,19 +37,19 @@ let nearest_pin_steps ~grid pins =
     let transform d =
       let n = Array.length d in
       for k = 1 to n - 1 do
-        d.(k) <- min d.(k) (d.(k - 1) + 1)
+        d.(k) <- Int.min d.(k) (d.(k - 1) + 1)
       done;
       for k = n - 2 downto 0 do
-        d.(k) <- min d.(k) (d.(k + 1) + 1)
+        d.(k) <- Int.min d.(k) (d.(k + 1) + 1)
       done
     in
     List.iter transform [ top; bottom; left; right ];
     Some
       (fun i ->
          let x = i mod w and y = i / w in
-         min
-           (min (y + Array.unsafe_get top x) (h - 1 - y + Array.unsafe_get bottom x))
-           (min (x + Array.unsafe_get left y) (w - 1 - x + Array.unsafe_get right y)))
+         Int.min
+           (Int.min (y + Array.unsafe_get top x) (h - 1 - y + Array.unsafe_get bottom x))
+           (Int.min (x + Array.unsafe_get left y) (w - 1 - x + Array.unsafe_get right y)))
   end
 
 (* An assignment's cells in the owner layer: its channels and its escape

@@ -74,7 +74,7 @@ let run ~config ~workspace ~grid ~delta ~pins (assignments : Escape_stage.assign
           List.fold_left
             (fun acc p ->
                List.fold_left
-                 (fun a q -> min a (Pacor_geom.Point.manhattan p q))
+                 (fun a q -> Int.min a (Pacor_geom.Point.manhattan p q))
                  acc
                  (Cluster.positions x.routed.cluster))
             max_int

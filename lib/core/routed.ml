@@ -98,17 +98,28 @@ let spread t =
   | [] -> None
   | lengths ->
     let ls = List.map snd lengths in
-    Some (List.fold_left max min_int ls - List.fold_left min max_int ls)
+    Some (List.fold_left Int.max min_int ls - List.fold_left Int.min max_int ls)
 
 let with_edge_path t ~child path =
   match t.shape with
   | Some (Tree { candidate; edge_paths }) ->
-    if not (List.mem_assoc child edge_paths) then
-      invalid_arg "Routed.with_edge_path: unknown edge";
+    let old =
+      match List.assoc_opt child edge_paths with
+      | Some old -> old
+      | None -> invalid_arg "Routed.with_edge_path: unknown edge"
+    in
     let edge_paths =
       List.map (fun (c, p) -> if c = child then (c, path) else (c, p)) edge_paths
     in
-    make_tree t.cluster ~candidate ~edge_paths
+    (* The old leg's interior cells leave the claim and the new leg's
+       cells join it; the leg's ends are tree nodes, which stay. *)
+    let claimed = ref t.claimed in
+    for i = 1 to Path.length old - 1 do
+      claimed := Point.Set.remove (Path.nth old i) !claimed
+    done;
+    Path.iter (fun q -> claimed := Point.Set.add q !claimed) path;
+    { t with shape = Some (Tree { candidate; edge_paths }); paths = List.map snd edge_paths;
+             claimed = !claimed }
   | Some (Pair _) | None -> invalid_arg "Routed.with_edge_path: not a tree route"
 
 let pair_halves t =

@@ -57,7 +57,10 @@ val spread : t -> int option
 
 val with_edge_path : t -> child:int -> Path.t -> t
 (** Replace one tree-edge path (the detour stage's update). Recomputes
-    [paths] and [claimed]. Raises on ordinary routes. *)
+    [paths]; [claimed] drops the old leg's interior cells and adds the new
+    leg's, which equals a rebuild when the new leg keeps the old one's
+    ends and no other leg or valve shares its interior. Raises on
+    ordinary routes. *)
 
 val pair_halves : t -> (int * int) option
 (** For a [Pair]: the two leg lengths around the middle start cell. *)

@@ -52,123 +52,119 @@ let chain_index t =
 let chain_to_root t ~sink = chain_index t ~sink
 
 (* Place a tilted coordinate on a usable grid cell: snap, then expand rings
-   (the paper's encircling-loop search) until usable cells appear.
-   [place_many] returns every usable cell of the first non-empty ring,
-   ordered by Manhattan distance to the snap point — alternative placements
-   are the candidate diversity left when merging regions degenerate to a
-   point (e.g. collinear sinks). *)
-let place_many ~grid ~usable coord =
-  let snapped = Tilted.nearest_grid_point coord in
-  let max_radius = Routing_grid.width grid + Routing_grid.height grid in
-  let ok p = Routing_grid.in_bounds grid p && usable p in
+   (the paper's encircling-loop search) until usable cells appear. [scan]
+   calls [f p d] on every usable in-bounds cell [p] of the first ring that
+   has one, [d] being its Manhattan distance to the snap point. *)
+let scan ~grid ~usable coord f =
+  let c = Tilted.nearest_grid_point coord in
+  let w = Routing_grid.width grid and h = Routing_grid.height grid in
+  let found = ref false in
+  let consider x y =
+    if x >= 0 && x < w && y >= 0 && y < h then begin
+      let p = Point.make x y in
+      if usable p then begin
+        found := true;
+        f p (abs (x - c.x) + abs (y - c.y))
+      end
+    end
+  in
   let rec search r =
-    if r > max_radius then []
-    else begin
-      match List.filter ok (Point.ring snapped r) with
-      | [] -> search (r + 1)
-      | candidates ->
-        List.sort
-          (fun a b ->
-             let da = Point.manhattan snapped a and db = Point.manhattan snapped b in
-             if da <> db then Int.compare da db else Point.compare a b)
-          candidates
+    if r <= w + h then begin
+      if r = 0 then consider c.x c.y
+      else begin
+        for dx = -r to r do
+          consider (c.x + dx) (c.y + r);
+          consider (c.x + dx) (c.y - r)
+        done;
+        for dy = -r + 1 to r - 1 do
+          consider (c.x + r) (c.y + dy);
+          consider (c.x - r) (c.y + dy)
+        done
+      end;
+      if not !found then search (r + 1)
     end
   in
   search 0
 
+(* Every cell [scan] finds, nearest first, ties in [Point.compare] order:
+   alternative placements are the candidate diversity left when merging
+   regions degenerate to a point (e.g. collinear sinks). *)
+let place_many ~grid ~usable coord =
+  let cells = ref [] in
+  scan ~grid ~usable coord (fun p d -> cells := (d, p) :: !cells);
+  List.sort
+    (fun (da, a) (db, b) -> if da <> db then Int.compare da db else Point.compare a b)
+    !cells
+  |> List.map snd
+
+(* The head of [place_many]'s list, without the list. *)
 let place ~grid ~usable coord =
-  match place_many ~grid ~usable coord with [] -> None | p :: _ -> Some p
+  let best = ref None and best_d = ref max_int in
+  scan ~grid ~usable coord (fun p d ->
+    match !best with
+    | Some b when d > !best_d || (d = !best_d && Point.compare p b > 0) -> ()
+    | Some _ | None ->
+      best := Some p;
+      best_d := d);
+  !best
 
-(* Embedded tree: concrete grid position per node; each child carries the
+exception Unplaceable
+
+let leaf_index (node : Merge.node) =
+  match node.topology with Topology.Leaf i -> i | Topology.Node _ -> assert false
+
+(* One candidate with the root placed on [root_cell], embedded top-down
+   from [root_coord] (a point of the root merging region). Nodes are
+   numbered in preorder as they are placed; each child carries the
    merge-prescribed edge length in grid units (longer than the embedded
-   Manhattan distance on detour-case edges). *)
-type enode = {
-  pos : Point.t;
-  leaf : int option;
-  kids : (int * enode) list;
-}
-
-(* One candidate with the root at [root_at], clamped into the root merging
-   region. [root_cell] pins the root's grid placement instead of the
-   snap-and-ring search, which diversifies candidates when that region is
-   a single point. [None] when an internal node has no usable cell; leaves
-   stay at their sinks whatever [usable] says. *)
-let embed ?root_cell ~grid ~usable ~sinks mroot ~root_at () =
-  let root_coord = Tilted.nearest_in mroot.Merge.region root_at in
-  let is_root = ref true in
-  let rec walk (node : Merge.node) coord =
-    match node.children with
-    | [] ->
-      let idx =
-        match node.topology with Topology.Leaf i -> i | Topology.Node _ -> assert false
-      in
-      Some { pos = sinks.(idx); leaf = Some idx; kids = [] }
-    | children ->
-      let placed =
-        if !is_root then begin
-          is_root := false;
-          match root_cell with
-          | Some cell -> Some cell
-          | None -> place ~grid ~usable coord
-        end
-        else place ~grid ~usable coord
-      in
-      (match placed with
-       | None -> None
-       | Some pos ->
-         let rec walk_kids acc = function
-           | [] -> Some (List.rev acc)
-           | ((child : Merge.node), edge_len) :: rest ->
-             let child_coord = Tilted.nearest_in child.Merge.region coord in
-             (match walk child child_coord with
-              | None -> None
-              | Some k -> walk_kids (((edge_len + 1) / 2, k) :: acc) rest)
+   Manhattan distance on detour-case edges). [None] when an internal node
+   has no usable cell; leaves stay at their sinks whatever [usable] says. *)
+let embed ~root_cell ~grid ~usable ~sinks (mroot : Merge.node) ~root_coord =
+  let lengths = Array.make (Array.length sinks) 0 in
+  let nodes = ref [] and edges = ref [] and count = ref 0 and total = ref 0 in
+  (* Full-path estimates use the larger of the embedded Manhattan length
+     and the merge-prescribed length: a detour-case edge will be padded
+     to its prescribed length by the detour stage, so counting only the
+     embedded distance would overstate the mismatch. *)
+  let rec visit (node : Merge.node) coord pos parent acc =
+    let id = !count in
+    incr count;
+    let sink = match node.children with [] -> Some (leaf_index node) | _ :: _ -> None in
+    nodes := { id; pos; parent; sink } :: !nodes;
+    Option.iter (fun i -> lengths.(i) <- acc) sink;
+    List.iter
+      (fun ((child : Merge.node), edge_len) ->
+         let coord = Tilted.nearest_in child.region coord in
+         let cpos =
+           match child.children with
+           | [] -> sinks.(leaf_index child)
+           | _ :: _ ->
+             (match place ~grid ~usable coord with
+              | Some p -> p
+              | None -> raise_notrace Unplaceable)
          in
-         (match walk_kids [] children with
-          | None -> None
-          | Some kids -> Some { pos; leaf = None; kids }))
+         let d = Point.manhattan pos cpos in
+         if d > 0 then begin
+           edges := { parent_pos = pos; child_pos = cpos } :: !edges;
+           total := !total + d
+         end;
+         visit child coord cpos (Some id) (acc + Int.max d ((edge_len + 1) / 2)))
+      node.children
   in
-  match walk mroot root_coord with
-  | None -> None
-  | Some root ->
-    let n = Array.length sinks in
-    let lengths = Array.make n 0 in
-    let edges = ref [] in
-    let nodes = ref [] in
-    let counter = ref 0 in
-    (* Full-path estimates use the larger of the embedded Manhattan length
-       and the merge-prescribed length: a detour-case edge will be padded
-       to its prescribed length by the detour stage, so counting only the
-       embedded distance would overstate the mismatch. *)
-    let rec dfs node parent_id acc =
-      let id = !counter in
-      incr counter;
-      nodes := { id; pos = node.pos; parent = parent_id; sink = node.leaf } :: !nodes;
-      (match node.leaf with Some i -> lengths.(i) <- acc | None -> ());
-      List.iter
-        (fun (prescribed, kid) ->
-           if not (Point.equal node.pos kid.pos) then
-             edges := { parent_pos = node.pos; child_pos = kid.pos } :: !edges;
-           let step = max (Point.manhattan node.pos kid.pos) prescribed in
-           dfs kid (Some id) (acc + step))
-        node.kids
-    in
-    dfs root None 0;
-    let maxl = Array.fold_left max min_int lengths in
-    let minl = Array.fold_left min max_int lengths in
-    let edges = List.rev !edges in
-    let total_estimate =
-      List.fold_left (fun a e -> a + Point.manhattan e.parent_pos e.child_pos) 0 edges
-    in
+  let root = match mroot.children with [] -> sinks.(leaf_index mroot) | _ :: _ -> root_cell in
+  match visit mroot root_coord root None 0 with
+  | exception Unplaceable -> None
+  | () ->
     Some
       {
-        root = root.pos;
+        root;
         nodes = List.rev !nodes;
-        edges;
+        edges = List.rev !edges;
         sinks;
         full_path_lengths = lengths;
-        mismatch = maxl - minl;
-        total_estimate;
+        mismatch =
+          Array.fold_left Int.max min_int lengths - Array.fold_left Int.min max_int lengths;
+        total_estimate = !total;
       }
 
 let edge_ends t = List.map (fun e -> (e.parent_pos, e.child_pos)) t.edges
@@ -202,21 +198,26 @@ let enumerate ~grid ~usable ?(max_candidates = 8) sinks =
                 let cells = place_many ~grid ~usable root_coord in
                 let cells = List.filteri (fun i _ -> i < 4) cells in
                 List.filter_map
-                  (fun cell ->
-                     embed ~root_cell:cell ~grid ~usable ~sinks:sink_arr mroot
-                       ~root_at:c ())
+                  (fun root_cell ->
+                     embed ~root_cell ~grid ~usable ~sinks:sink_arr mroot ~root_coord)
                   cells)
              samples)
         (Topology.alternatives sinks)
     in
-    let key c =
-      (c.root, List.sort compare (List.map (fun e -> (e.parent_pos, e.child_pos)) c.edges))
+    (* A candidate repeats an earlier one when its root and its sorted
+       edge list are the same. *)
+    let compare_edge a b =
+      let c = Point.compare a.parent_pos b.parent_pos in
+      if c <> 0 then c else Point.compare a.child_pos b.child_pos
+    in
+    let same (r1, e1) (r2, e2) =
+      Point.equal r1 r2 && List.equal (fun a b -> compare_edge a b = 0) e1 e2
     in
     let rec dedup seen = function
       | [] -> []
       | c :: rest ->
-        let k = key c in
-        if List.mem k seen then dedup seen rest else c :: dedup (k :: seen) rest
+        let k = (c.root, List.sort compare_edge c.edges) in
+        if List.exists (same k) seen then dedup seen rest else c :: dedup (k :: seen) rest
     in
     let distinct = dedup [] cands in
     let sorted =

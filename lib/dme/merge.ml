@@ -41,7 +41,7 @@ let merge_children l r =
       | Some t -> t
       | None -> assert false (* inflations meet since ea + eb = d *)
     in
-    (region, max (dl + ea) (dr + eb), [ (l, ea); (r, eb) ])
+    (region, Int.max (dl + ea) (dr + eb), [ (l, ea); (r, eb) ])
   end
 
 let build ~sinks topology =
@@ -72,7 +72,7 @@ let check_sink_distances root =
   let rec levels node =
     match node.children with
     | [] -> 1
-    | cs -> 1 + List.fold_left (fun a (c, _) -> max a (levels c)) 0 cs
+    | cs -> 1 + List.fold_left (fun a (c, _) -> Int.max a (levels c)) 0 cs
   in
   let slack = levels root in
   let rec check node =

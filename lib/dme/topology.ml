@@ -9,98 +9,91 @@ let rec leaves = function
   | Node (l, r) -> leaves l @ leaves r
 
 let rec size = function Leaf _ -> 1 | Node (l, r) -> size l + size r
-let rec depth = function Leaf _ -> 1 | Node (l, r) -> 1 + max (depth l) (depth r)
-
-let diameter pts =
-  let rec go acc = function
-    | [] -> acc
-    | p :: rest ->
-      go (List.fold_left (fun a q -> max a (Point.manhattan p q)) acc rest) rest
-  in
-  go 0 pts
-
-(* Enumerate subsets of size k of indices [0..n-1] as index lists. *)
-let rec subsets_of_size k from n =
-  if k = 0 then [ [] ]
-  else if from >= n then []
-  else
-    let with_from = List.map (fun s -> from :: s) (subsets_of_size (k - 1) (from + 1) n) in
-    with_from @ subsets_of_size k (from + 1) n
+let rec depth = function Leaf _ -> 1 | Node (l, r) -> 1 + Int.max (depth l) (depth r)
 
 let exhaustive_threshold = 12
+
+(* The first cheapest balanced split of the [n] local sinks [idx], as
+   (left, right) positions in ascending order. Combinations are walked in
+   lexicographic order over one table of pairwise distances; a later
+   split replaces the best only when strictly cheaper. For even [n]
+   position 0 stays on the left, which kills the mirror symmetry; for odd
+   [n] the sides differ in size, so every [n / 2]-subset is a left side. *)
+let cheapest_split arr idx =
+  let n = Array.length idx in
+  let d = Array.make (n * n) 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      d.((i * n) + j) <- Point.manhattan arr.(idx.(i)) arr.(idx.(j))
+    done
+  done;
+  let fixed = if n mod 2 = 0 then 1 else 0 in
+  let k = (n / 2) - fixed in
+  let comb = Array.init k (fun i -> fixed + i) in
+  let best = ref max_int and best_mask = ref 0 and more = ref true in
+  while !more do
+    let mask = Array.fold_left (fun m c -> m lor (1 lsl c)) fixed comb in
+    let dl = ref 0 and dr = ref 0 in
+    for i = 0 to n - 1 do
+      let side = (mask lsr i) land 1 in
+      for j = i + 1 to n - 1 do
+        if (mask lsr j) land 1 = side then begin
+          let dij = Array.unsafe_get d ((i * n) + j) in
+          if side = 1 then dl := Int.max !dl dij else dr := Int.max !dr dij
+        end
+      done
+    done;
+    if !dl + !dr < !best then begin
+      best := !dl + !dr;
+      best_mask := mask
+    end;
+    (* Next combination: bump the rightmost slot with room and reset the
+       slots after it to follow it. *)
+    let i = ref (k - 1) in
+    while !i >= 0 && comb.(!i) = n - k + !i do decr i done;
+    if !i < 0 then more := false
+    else begin
+      comb.(!i) <- comb.(!i) + 1;
+      for j = !i + 1 to k - 1 do comb.(j) <- comb.(j - 1) + 1 done
+    end
+  done;
+  let side bit = List.filter (fun i -> (!best_mask lsr i) land 1 = bit) (List.init n Fun.id) in
+  (side 1, side 0)
+
+(* Median split along the wider axis: the first half in (major, minor)
+   coordinate order, ties in position order, and the rest. *)
+let median_split arr idx =
+  let n = Array.length idx in
+  let pt i = arr.(idx.(i)) in
+  let range coord =
+    let lo = ref max_int and hi = ref min_int in
+    for i = 0 to n - 1 do
+      lo := Int.min !lo (coord (pt i));
+      hi := Int.max !hi (coord (pt i))
+    done;
+    !hi - !lo
+  in
+  let by_x = range (fun (p : Point.t) -> p.x) >= range (fun (p : Point.t) -> p.y) in
+  let key i : Point.t = let p = pt i in if by_x then p else { x = p.y; y = p.x } in
+  let sorted = List.stable_sort (fun a b -> Point.compare (key a) (key b)) (List.init n Fun.id) in
+  (List.filteri (fun r _ -> r < n / 2) sorted, List.filteri (fun r _ -> r >= n / 2) sorted)
 
 let balanced_bipartition points =
   if points = [] then invalid_arg "Topology.balanced_bipartition: no sinks";
   let arr = Array.of_list points in
-  (* [build idxs] returns the topology over the given sink indices. *)
-  let rec build idxs =
-    match idxs with
-    | [] -> assert false
-    | [ i ] -> Leaf i
-    | [ i; j ] -> Node (Leaf i, Leaf j)
-    | _ ->
-      let n = List.length idxs in
-      let half = n / 2 in
-      let local = Array.of_list idxs in
-      let split =
-        if n <= exhaustive_threshold then begin
-          (* For even n, fixing element 0 on the left kills the mirror
-             symmetry; for odd n the two sides have different sizes, so
-             every size-[half] subset must be considered. *)
-          let choices =
-            if n mod 2 = 0 then
-              List.map (fun c -> 0 :: c) (subsets_of_size (half - 1) 1 n)
-            else subsets_of_size half 0 n
-          in
-          let eval choice =
-            let in_left i = List.mem i choice in
-            let left = List.filter in_left (List.init n Fun.id) in
-            let right = List.filter (fun i -> not (in_left i)) (List.init n Fun.id) in
-            let dia side = diameter (List.map (fun i -> arr.(local.(i))) side) in
-            (dia left + dia right, left, right)
-          in
-          let best =
-            List.fold_left
-              (fun acc choice ->
-                 let (cost, _, _) as cand = eval choice in
-                 match acc with
-                 | Some (bcost, _, _) when bcost <= cost -> acc
-                 | _ -> Some cand)
-              None choices
-          in
-          (match best with
-           | Some (_, left, right) -> (left, right)
-           | None -> assert false)
-        end
-        else begin
-          (* Median split along the wider axis. *)
-          let pts = List.map (fun i -> (i, arr.(local.(i)))) (List.init n Fun.id) in
-          let xs = List.map (fun (_, (p : Point.t)) -> p.x) pts in
-          let ys = List.map (fun (_, (p : Point.t)) -> p.y) pts in
-          let range vs = List.fold_left max min_int vs - List.fold_left min max_int vs in
-          let key =
-            if range xs >= range ys then fun (_, (p : Point.t)) -> (p.x, p.y)
-            else fun (_, (p : Point.t)) -> (p.y, p.x)
-          in
-          let sorted = List.sort (fun a b -> compare (key a) (key b)) pts in
-          let idxs_sorted = List.map fst sorted in
-          let rec take k = function
-            | [] -> ([], [])
-            | x :: rest ->
-              if k = 0 then ([], x :: rest)
-              else begin
-                let l, r = take (k - 1) rest in
-                (x :: l, r)
-              end
-          in
-          take half idxs_sorted
-        end
+  (* [build idx] returns the topology over the given sink indices. *)
+  let rec build idx =
+    match Array.length idx with
+    | 1 -> Leaf idx.(0)
+    | 2 -> Node (Leaf idx.(0), Leaf idx.(1))
+    | n ->
+      let left, right =
+        if n <= exhaustive_threshold then cheapest_split arr idx else median_split arr idx
       in
-      let left, right = split in
-      let resolve side = List.map (fun i -> local.(i)) side in
+      let resolve side = Array.of_list (List.map (fun i -> idx.(i)) side) in
       Node (build (resolve left), build (resolve right))
   in
-  build (List.init (Array.length arr) Fun.id)
+  build (Array.init (Array.length arr) Fun.id)
 
 let rec is_balanced = function
   | Leaf _ -> true

@@ -14,20 +14,20 @@ let of_point p =
   { ulo = c.u; uhi = c.u; vlo = c.v; vhi = c.v }
 
 (* Gap between intervals [alo,ahi] and [blo,bhi]; 0 when they overlap. *)
-let gap alo ahi blo bhi = max 0 (max (blo - ahi) (alo - bhi))
+let gap alo ahi blo bhi = Int.max 0 (Int.max (blo - ahi) (alo - bhi))
 
-let dist a b = max (gap a.ulo a.uhi b.ulo b.uhi) (gap a.vlo a.vhi b.vlo b.vhi)
+let dist a b = Int.max (gap a.ulo a.uhi b.ulo b.uhi) (gap a.vlo a.vhi b.vlo b.vhi)
 
-let dist_coord c t = max (gap c.u c.u t.ulo t.uhi) (gap c.v c.v t.vlo t.vhi)
-let coord_dist a b = max (abs (a.u - b.u)) (abs (a.v - b.v))
+let dist_coord c t = Int.max (gap c.u c.u t.ulo t.uhi) (gap c.v c.v t.vlo t.vhi)
+let coord_dist a b = Int.max (abs (a.u - b.u)) (abs (a.v - b.v))
 
 let inflate t r =
   if r < 0 then invalid_arg "Tilted.inflate: negative radius"
   else { ulo = t.ulo - r; uhi = t.uhi + r; vlo = t.vlo - r; vhi = t.vhi + r }
 
 let inter a b =
-  let ulo = max a.ulo b.ulo and uhi = min a.uhi b.uhi in
-  let vlo = max a.vlo b.vlo and vhi = min a.vhi b.vhi in
+  let ulo = Int.max a.ulo b.ulo and uhi = Int.min a.uhi b.uhi in
+  let vlo = Int.max a.vlo b.vlo and vhi = Int.min a.vhi b.vhi in
   if ulo <= uhi && vlo <= vhi then Some { ulo; uhi; vlo; vhi } else None
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
@@ -60,25 +60,24 @@ let sample t n =
 
 (* A tilted point corresponds to grid point (x, y) with 4x = u + v and
    4y = u - v. We try the floor/ceil combinations of both divisions and keep
-   the closest (ties broken deterministically by candidate order). *)
+   the closest (ties broken deterministically by candidate order: x before
+   y, floor before ceil). *)
 let nearest_grid_point c =
   let div_floor a b = if a >= 0 then a / b else -(((-a) + b - 1) / b) in
-  let xs =
-    let q = div_floor (c.u + c.v) 4 in
-    [ q; q + 1 ]
-  and ys =
-    let q = div_floor (c.u - c.v) 4 in
-    [ q; q + 1 ]
-  in
-  let best = ref None in
-  let consider x y =
-    let d = coord_dist c (coord_of_point (Point.make x y)) in
-    match !best with
-    | Some (_, bd) when bd <= d -> ()
-    | _ -> best := Some (Point.make x y, d)
-  in
-  List.iter (fun x -> List.iter (fun y -> consider x y) ys) xs;
-  match !best with Some (p, _) -> p | None -> assert false
+  let qx = div_floor (c.u + c.v) 4 and qy = div_floor (c.u - c.v) 4 in
+  let best_x = ref qx and best_y = ref qy and best_d = ref max_int in
+  for x = qx to qx + 1 do
+    for y = qy to qy + 1 do
+      (* [coord_dist c (coord_of_point (x, y))] without the records. *)
+      let d = Int.max (abs (c.u - (2 * (x + y)))) (abs (c.v - (2 * (x - y)))) in
+      if d < !best_d then begin
+        best_x := x;
+        best_y := y;
+        best_d := d
+      end
+    done
+  done;
+  Point.make !best_x !best_y
 
 let grid_round_error c = coord_dist c (coord_of_point (nearest_grid_point c))
 let is_on_grid c = grid_round_error c = 0

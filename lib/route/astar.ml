@@ -26,8 +26,8 @@ let attempt ws ~grid ~spec ~heuristic ~sources ~targets =
       let box = Rect.of_point_list targets in
       fun i ->
         let x = i mod width and y = i / width in
-        let dx = max 0 (max (box.Rect.x0 - x) (x - box.Rect.x1)) in
-        let dy = max 0 (max (box.Rect.y0 - y) (y - box.Rect.y1)) in
+        let dx = Int.max 0 (Int.max (box.Rect.x0 - x) (x - box.Rect.x1)) in
+        let dy = Int.max 0 (Int.max (box.Rect.y0 - y) (y - box.Rect.y1)) in
         (dx + dy) * cost_scale
   in
   Workspace.begin_search ws ~cells:n;

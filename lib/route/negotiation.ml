@@ -36,10 +36,16 @@ let better (a : outcome) (b : outcome) =
   let ca = List.length a.paths and cb = List.length b.paths in
   ca > cb || (ca = cb && total_length a.paths < total_length b.paths)
 
+(* A static edge (a constant, never in the minor heap) to fill arrays
+   with: [Array.make] or [Array.of_list] of more than 256 elements whose
+   first element is young forces a minor collection, one per call. *)
+let no_edge = { edge_id = -1; ends = ({ Point.x = 0; y = 0 }, { Point.x = 0; y = 0 }) }
+
 let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
   let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
   let n = Routing_grid.cells grid in
-  let edge_arr = Array.of_list edges in
+  let edge_arr = Array.make (List.length edges) no_edge in
+  List.iteri (fun i e -> edge_arr.(i) <- e) edges;
   let nedges = Array.length edge_arr in
   let idx p = Routing_grid.index grid p in
   (* History per Eq. (5): after k bumps a cell costs

@@ -16,7 +16,7 @@ let edge_overlap (a1, a2) (b1, b2) =
   let ba = Rect.of_points a1 a2 and bb = Rect.of_points b1 b2 in
   let ov = Rect.overlap_cells ba bb in
   if ov = 0 then 0.0
-  else float_of_int ov /. float_of_int (min (Rect.cells ba) (Rect.cells bb))
+  else float_of_int ov /. float_of_int (Int.min (Rect.cells ba) (Rect.cells bb))
 
 let overlap_cost ca cb =
   let ea = Candidate.edge_ends ca and eb = Candidate.edge_ends cb in
@@ -27,7 +27,7 @@ let overlap_cost ca cb =
 let max_mismatch per_cluster =
   List.fold_left
     (fun acc cands ->
-       List.fold_left (fun a (c : Candidate.t) -> max a c.mismatch) acc cands)
+       List.fold_left (fun a (c : Candidate.t) -> Int.max a c.mismatch) acc cands)
     0 per_cluster
 
 let mismatch_cost per_cluster (c : Candidate.t) =

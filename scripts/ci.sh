@@ -211,7 +211,7 @@ for pin in Chip1:3d2172376f58c7a356c565150716ce89 Chip2:24fab23a4df51b85834aa558
            Scaled2:ce651ddd94e1caefb4110407f04b1ee2 Scaled3:29f0824215bf516994971731bce8aadc \
            Scaled4:69e59ef3dcaa3c06f378256ff4209a28 Scaled5:e641336b4af88f0f75962022f60b1fb4 \
            Scaled6:0f7999bb2bca518bbb5cf4952ad35c56 Scaled7:173bf641f3c6dfe85198856252cf403b \
-           Scaled8:d52ff8caf68d109d5a0487cd4b9484f7; do
+           Scaled8:d52ff8caf68d109d5a0487cd4b9484f7 fpva20-p8:c268f033f80af368c1edb7282cc732ee; do
   name=${pin%%:*}
   want=${pin#*:}
   got=$(./_build/default/bin/pacor_cli.exe designs --emit "$name" | md5sum | cut -d' ' -f1)
@@ -238,7 +238,7 @@ for pin in corpus-bigcluster:e8cf129d1330ca548e049ee7b5a2a78f \
   fi
 done
 
-echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8 and two corpus chips =="
+echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8, fpva20-p8 and two corpus chips =="
 # The SVG draws every channel and escape path and carries no runtime, so
 # its digest pins the whole solution, not just its score. A change that
 # moves any path must update these digests and say why in CHANGES.md.
@@ -248,10 +248,13 @@ echo "== route --svg byte-identity: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Sca
 # Scaled8 is the largest grid (1.81M cells), where the search workspace's
 # node record is allocated at its largest.
 # corpus-bigcluster and corpus-dense route their length-matched trees
-# through one cluster-routing negotiation each.
+# through one cluster-routing negotiation each. fpva20-p8 (the side-20
+# pitch-8 FPVA lattice) is the one input where rematch's alternative
+# candidates and joint reroute rescue pairs (57 of 60 trees matched), and
+# where lm-routing's failed searches flood whole pockets.
 svgdir="$fuzzdir/svg"
 mkdir -p "$svgdir"
-for d in Chip1 Chip2; do
+for d in Chip1 Chip2 fpva20-p8; do
   ./_build/default/bin/pacor_cli.exe route -d "$d" --svg "$svgdir/$d.svg" --verbose \
     > "$svgdir/$d.out" 2> /dev/null
 done
@@ -267,7 +270,7 @@ done
 for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f75346a9b \
            Scaled2:e15fe9506e8860b7e59d2dbe2792160f Scaled3:cc936f01d69f66272501de091d2b09b8 \
            Scaled5:f6bdb29bccacf96b04d26105e028eed9 Scaled6:4715c265a74671b38b75c9d78a091c38 \
-           Scaled8:1a8d5b8bcf346064140ee0f40cfef287 \
+           Scaled8:1a8d5b8bcf346064140ee0f40cfef287 fpva20-p8:2215817a4382fd7c9810e0724cd1ebbe \
            corpus-bigcluster:92dc39d9cd12a3c7d9c53e3e408abb67 \
            corpus-dense:d38a370c2f8514716044de1ee81469d7; do
   name=${pin%%:*}
@@ -279,7 +282,7 @@ for pin in Chip1:f86df4ff6d7cdcb5af9309a5ec54eecf Chip2:f43bca974f6bc9dacb01cd8f
   fi
 done
 
-echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8 and two corpus chips route --verbose, per stage =="
+echo "== search counters: Chip1, Chip2, Scaled2, Scaled3, Scaled5, Scaled6, Scaled8, fpva20-p8 and two corpus chips route --verbose, per stage =="
 # Pops, pushes, touched cells and relaxations follow the search heap's tie
 # order even where the paths happen not to, so these pins catch a changed
 # expansion order that the SVG digests above would miss. [allocs] counts
@@ -331,6 +334,13 @@ search detour         searches=6 refused=6 pops=0 pushes=0 touched=0 relax=0 res
 search rematch        searches=86 refused=8 pops=8745 pushes=16344 touched=34672 relax=20180 resets=100
 search total          searches=349 refused=14 pops=2167167 pushes=2271362 touched=8109172 relax=2274907 resets=364
 PINS
+cat > "$svgdir/fpva20-p8.search" <<'PINS'
+search lm-routing     searches=2906 refused=0 pops=2694290 pushes=2738111 touched=10723791 relax=5056332 resets=2910
+search escape         searches=62 refused=0 pops=48202 pushes=60195 touched=144698 relax=59684 resets=62
+search detour         searches=10 refused=10 pops=0 pushes=0 touched=0 relax=0 resets=10
+search rematch        searches=866 refused=9 pops=726238 pushes=737945 touched=2868120 relax=1204293 resets=918
+search total          searches=3844 refused=19 pops=3468730 pushes=3536251 touched=13736609 relax=6320309 resets=3900
+PINS
 cat > "$svgdir/corpus-bigcluster.search" <<'PINS'
 search lm-routing     searches=18 refused=0 pops=146 pushes=295 touched=512 relax=318 resets=19
 search escape         searches=7 refused=0 pops=1505 pushes=1598 touched=5693 relax=1556 resets=7
@@ -343,7 +353,7 @@ search escape         searches=10 refused=0 pops=994 pushes=1163 touched=3473 re
 search detour         searches=0 refused=0 pops=0 pushes=0 touched=0 relax=0 resets=0
 search total          searches=193 refused=0 pops=3089 pushes=4672 touched=10678 relax=5245 resets=205
 PINS
-for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 Scaled8 corpus-bigcluster corpus-dense; do
+for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 Scaled8 fpva20-p8 corpus-bigcluster corpus-dense; do
   sed -n 's/ allocs=[0-9]*$//; /^search /p' "$svgdir/$name.out" > "$svgdir/$name.got"
   if ! cmp -s "$svgdir/$name.search" "$svgdir/$name.got"; then
     echo "search counters: $name route --verbose search lines differ from the pins:" >&2

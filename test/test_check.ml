@@ -299,11 +299,13 @@ let pin_lattice label problem ~digest ~search =
   Alcotest.(check string) (label ^ ": svg digest") digest (svg_digest sol);
   Alcotest.(check (list string)) (label ^ ": search lines") search (search_lines sol)
 
+let lattice14 () =
+  Pacor_designs.Fpva.generate_exn
+    { Pacor_designs.Fpva.name = "fpva14-ring322205"; rows = 14; cols = 14; pitch = 5;
+      group = 7; seed = 322205L; delta = 2 }
+
 let test_pin_lattice14 () =
-  pin_lattice "fpva14"
-    (Pacor_designs.Fpva.generate_exn
-       { Pacor_designs.Fpva.name = "fpva14-ring322205"; rows = 14; cols = 14; pitch = 5;
-         group = 7; seed = 322205L; delta = 2 })
+  pin_lattice "fpva14" (lattice14 ())
     ~digest:"587478770592ed35002eb0228957d9b5"
     ~search:
       [ "search lm-routing     searches=336 refused=0 pops=3136 pushes=5824 touched=11200 relax=6216 resets=337";
@@ -435,6 +437,21 @@ let layer_holds ?retired label ~grid workspace assignments =
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: owner layer: %s" label e
 
+(* [Routed.with_edge_path] edits a tree's claimed set leg by leg as the
+   detour stage lengthens legs; every tree's set must equal the one
+   rebuilt from its legs and valves. *)
+let claims_rebuilt label assignments =
+  List.iter
+    (fun (a : Pacor.Escape_stage.assignment) ->
+       match a.routed.Pacor.Routed.shape with
+       | Some (Pacor.Routed.Tree { candidate; edge_paths }) ->
+         let rebuilt = Pacor.Routed.make_tree a.routed.cluster ~candidate ~edge_paths in
+         if not (Point.Set.equal a.routed.claimed rebuilt.claimed) then
+           Alcotest.failf "%s: cluster %d: claimed cells differ from a rebuild" label
+             a.routed.cluster.Cluster.id
+       | Some (Pacor.Routed.Pair _) | None -> ())
+    assignments
+
 (* The engine's stages run one by one on one workspace, as [Engine.run]
    runs them: after the ladder (with the engine's rungs), the detour
    stage and rematch, the owner layer must hold exactly the union
@@ -475,6 +492,7 @@ let staged_layers label (problem : Pacor.Problem.t) (sol : Pacor.Solution.t) =
           let after stage assignments =
             layer_holds (Printf.sprintf "%s: after %s" label stage) ~grid workspace
               assignments;
+            claims_rebuilt (Printf.sprintf "%s: after %s" label stage) assignments;
             assignments
           in
           after "ripup" escaped.assignments
@@ -498,7 +516,7 @@ let test_layers_rungs () =
   List.iter
     (fun (label, problem) -> staged_layers label problem (route problem))
     [ ("sealed room", sealed_room ~gap:false); ("joint rematch", joint_rematch_problem ());
-      ("failed joint", failed_joint_problem ()) ]
+      ("failed joint", failed_joint_problem ()); ("fpva14", lattice14 ()) ]
 
 (* The serve entry point: a route, its byte-identical repeat (answered by
    the raw-text key) and a reformatted text of the same instance (answered

@@ -252,10 +252,49 @@ let prop_candidate_mismatch_bounded =
     in
     List.for_all (fun (c : Candidate.t) -> c.mismatch <= 2 * levels) cands)
 
+(* The pairwise-distance walk and the list-free embedding against the
+   list-based oracles they replaced ([Topology_oracle],
+   [Candidate_oracle]). Coordinates come from a small box as often as
+   from a wide one, so duplicate and collinear sinks, and with them tied
+   splits, are common; up to 16 sinks reach the median split. *)
+let gen_sink_list ~max_n ~side =
+  QCheck.Gen.(
+    let* n = int_range 1 max_n and* side = side in
+    list_repeat n (map2 Point.make (int_bound (side - 1)) (int_bound (side - 1))))
+
+let print_sinks sinks =
+  String.concat " " (List.map (fun (p : Point.t) -> Printf.sprintf "(%d,%d)" p.x p.y) sinks)
+
+let prop_topology_oracle =
+  QCheck.Test.make ~name:"BB topology = the list-based oracle" ~count:3000
+    (QCheck.make ~print:print_sinks
+       (gen_sink_list ~max_n:16 ~side:(QCheck.Gen.oneofl [ 3; 5; 12; 40 ])))
+    (fun sinks ->
+       Topology.balanced_bipartition sinks = Topology_oracle.balanced_bipartition sinks
+       && Topology.alternatives sinks = Topology_oracle.alternatives sinks)
+
+let prop_candidate_oracle =
+  QCheck.Test.make ~name:"candidates = the list-based oracle" ~count:400
+    (QCheck.make
+       ~print:(fun (w, h, density, k, sinks) ->
+         Printf.sprintf "%dx%d usable %d/4 max %d: %s" w h density k (print_sinks sinks))
+       QCheck.Gen.(
+         let* w = int_range 2 40 and* h = int_range 2 40 in
+         let* density = int_range 1 4 and* k = int_range 1 8 in
+         let* n = int_range 1 9 in
+         let+ sinks = list_repeat n (map2 Point.make (int_bound (w - 1)) (int_bound (h - 1))) in
+         (w, h, density, k, sinks)))
+    (fun (w, h, density, max_candidates, sinks) ->
+       let grid = Routing_grid.create ~width:w ~height:h () in
+       (* A fixed pseudo-random mask: about [density] cells in four usable. *)
+       let usable (p : Point.t) = Hashtbl.hash (p.x, p.y, w, h) land 3 < density in
+       Candidate.enumerate ~grid ~usable ~max_candidates sinks
+       = Candidate_oracle.enumerate ~grid ~usable ~max_candidates sinks)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_topology_partition; prop_merge_consistent; prop_candidates_cover_sinks;
-      prop_candidate_mismatch_bounded ]
+      prop_candidate_mismatch_bounded; prop_topology_oracle; prop_candidate_oracle ]
 
 let () =
   Alcotest.run "dme"
