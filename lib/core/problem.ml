@@ -82,13 +82,21 @@ let create ?(name = "unnamed") ?(rules = Design_rules.default) ~grid ~valves
                     err "fewer pins (%d) than valves (%d)" (List.length pins)
                       (List.length valves)
                   else begin
-                    let known = List.map (fun (v : Valve.t) -> v.id) valves in
+                    (* Membership by binary search over the sorted ids. *)
+                    let known = Array.of_list ids in
+                    let rec mem id lo hi =
+                      lo < hi
+                      &&
+                      let mid = (lo + hi) lsr 1 in
+                      if known.(mid) < id then mem id (mid + 1) hi
+                      else known.(mid) = id || mem id lo mid
+                    in
                     let bad_seed =
                       List.find_opt
                         (fun (c : Cluster.t) ->
                            (not c.length_matched)
                            || List.exists
-                                (fun id -> not (List.mem id known))
+                                (fun id -> not (mem id 0 (Array.length known)))
                                 (Cluster.valve_ids c))
                         lm_clusters
                     in

@@ -2,19 +2,53 @@ open Pacor_geom
 open Pacor_grid
 open Pacor_valve
 
-(* Digits go straight into the buffer: no format string, no
-   intermediate string per integer. *)
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+(* The canonical text is written into one byte buffer per domain, grown
+   by doubling and reused with the obstacle sort's arrays, so rendering
+   allocates nothing once warm: [fingerprint] digests the buffer in
+   place and [to_string] copies it out once. *)
+type out = {
+  mutable b : Bytes.t;
+  mutable pos : int;
+  mutable start : int array;  (* counting sort: column x's first slot at x,
+                                 its next free slot at width + 1 + x *)
+  mutable ys : int array;     (* obstacle rows, column-major *)
+}
 
-let add_int buf n =
-  if n >= 0 then add_digits buf n
-  else if n = min_int then Buffer.add_string buf (string_of_int n)
+let out_key = Domain.DLS.new_key (fun () -> { b = Bytes.create 65536; pos = 0; start = [||]; ys = [||] })
+
+let grow o n =
+  let b = Bytes.create (max (o.pos + n) (2 * Bytes.length o.b)) in
+  Bytes.blit o.b 0 b 0 o.pos;
+  o.b <- b
+
+let[@inline] reserve o n = if o.pos + n > Bytes.length o.b then grow o n
+
+let[@inline] add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.b o.pos c;
+  o.pos <- o.pos + 1
+
+let add_string o s =
+  reserve o (String.length s);
+  Bytes.unsafe_blit_string s 0 o.b o.pos (String.length s);
+  o.pos <- o.pos + String.length s
+
+(* The decimal digits of [n >= 0] at [pos] of [b], which has room for
+   them; returns their end. No format string, no intermediate string. *)
+let rec put_digits b pos n =
+  let pos = if n >= 10 then put_digits b pos (n / 10) else pos in
+  Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (n mod 10)));
+  pos + 1
+
+let add_int o n =
+  if n = min_int then add_string o (string_of_int n)
   else begin
-    Buffer.add_char buf '-';
-    add_digits buf (-n)
+    reserve o 20;
+    if n < 0 then add_char o '-';
+    o.pos <- put_digits o.b o.pos (abs n)
   end
+
+let grown a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
 (* The emitted form is CANONICAL: two problems that are equal as values
    (same grid, same obstacle set, same valves/clusters/pins/delta) render to
@@ -23,15 +57,17 @@ let add_int buf n =
    repeatable section is sorted here rather than emitted in storage order.
    Within a cluster line the member order is preserved — it is part of the
    cluster's identity (sequence alignment) — but the lines themselves sort
-   by cluster id. *)
-let to_string (p : Problem.t) =
+   by cluster id. Returns the domain's buffer, the text in its first
+   [pos] bytes. *)
+let render (p : Problem.t) =
+  let o = Domain.DLS.get out_key in
+  o.pos <- 0;
   let obstacles = Routing_grid.obstacles p.grid in
   let width = Obstacle_map.width obstacles in
-  let buf = Buffer.create (4096 + (32 * Obstacle_map.blocked_count obstacles)) in
-  let str s = Buffer.add_string buf s in
-  let int n = add_int buf n in
-  let sp () = Buffer.add_char buf ' ' in
-  let nl () = Buffer.add_char buf '\n' in
+  let str s = add_string o s in
+  let int n = add_int o n in
+  let sp () = add_char o ' ' in
+  let nl () = add_char o '\n' in
   str "# PACOR control-layer routing instance\n";
   str "name ";
   str p.name;
@@ -47,20 +83,33 @@ let to_string (p : Problem.t) =
   (* Obstacles are stored cell by cell: rectangles are a convenience of the
      input format only. They are emitted in [Point.compare] order, x-major,
      by a counting sort on the column: the row-major index scan already
-     visits each column's rows in ascending order. *)
-  let start = Array.make (width + 1) 0 in
+     visits each column's rows in ascending order, and tracks its row
+     instead of dividing. *)
+  o.start <- grown o.start (2 * width + 1);
+  o.ys <- grown o.ys (Obstacle_map.blocked_count obstacles);
+  let start = o.start and ys = o.ys in
+  Array.fill start 0 (width + 1) 0;
+  let y = ref 0 and row = ref 0 in
+  let column i =
+    while i - !row >= width do
+      row := !row + width;
+      incr y
+    done;
+    i - !row
+  in
   Obstacle_map.iter_blocked_index obstacles (fun i ->
-    let x = (i mod width) + 1 in
+    let x = column i + 1 in
     start.(x) <- start.(x) + 1);
   for x = 1 to width do
-    start.(x) <- start.(x) + start.(x - 1)
+    start.(x) <- start.(x) + start.(x - 1);
+    start.(width + x) <- start.(x - 1)
   done;
-  let ys = Array.make start.(width) 0 in
-  let next = Array.sub start 0 width in
+  y := 0;
+  row := 0;
   Obstacle_map.iter_blocked_index obstacles (fun i ->
-    let x = i mod width in
-    ys.(next.(x)) <- i / width;
-    next.(x) <- next.(x) + 1);
+    let x = width + 1 + column i in
+    ys.(start.(x)) <- !y;
+    start.(x) <- start.(x) + 1);
   for x = 0 to width - 1 do
     for k = start.(x) to start.(x + 1) - 1 do
       let y = ys.(k) in
@@ -107,10 +156,17 @@ let to_string (p : Problem.t) =
        int pt.y;
        nl ())
     (List.sort Point.compare p.pins);
-  Buffer.contents buf
+  o
+
+let to_string p =
+  let o = render p in
+  Bytes.sub_string o.b 0 o.pos
 
 let text_fingerprint text = Digest.to_hex (Digest.string text)
-let fingerprint p = text_fingerprint (to_string p)
+
+let fingerprint p =
+  let o = render p in
+  Digest.to_hex (Digest.subbytes o.b 0 o.pos)
 
 (* 16M cells (~2^24): far above any realistic chip, far below what makes
    grid allocation or block-filling a denial-of-service vector. *)

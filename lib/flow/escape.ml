@@ -237,10 +237,131 @@ let seed_heights ws ~grid ~roles ~pins requests =
     else if v = base + nreq then h_source
     else 0
 
+(* The state of [single_bfs]: the node record's stamp marks an entered
+   cell [i] at [4 * i] (its parent cell in the parent field) and start
+   [s]'s out node at [4 * (cells + s)]; [queue] (int slot 5) holds the
+   distinct starts, then the entered cells. *)
+type bfs = {
+  roles : Packed_roles.t;
+  nodes : int array;
+  queue : int array;
+  e2 : int;
+  mutable tail : int;
+  mutable touched : int;
+}
+
+(* [u]'s out node relaxes [in(j)]: a touch if [j] is ordinary or a pin,
+   and on the first, [j] joins the FIFO with parent [u]. *)
+let[@inline] bfs_enter b u j =
+  let rj = Packed_roles.get b.roles j in
+  if rj = role_ordinary || rj = role_pin then begin
+    b.touched <- b.touched + 1;
+    if Array.unsafe_get b.nodes (4 * j) <> b.e2 then begin
+      Array.unsafe_set b.nodes (4 * j) b.e2;
+      Array.unsafe_set b.nodes ((4 * j) + 2) u;
+      Array.unsafe_set b.queue b.tail j;
+      b.tail <- b.tail + 1
+    end
+  end
+
+(* [u]'s out node: its neighbours in [iter_neighbours4] order. Only a
+   start can lie on the ring and lack one. *)
+let bfs_expand b ~w ~cells u =
+  let x = if Packed_roles.get b.roles u = role_ordinary then 1 else u mod w in
+  if x + 1 < w then bfs_enter b u (u + 1);
+  if x > 0 then bfs_enter b u (u - 1);
+  if u + w < cells then bfs_enter b u (u + w);
+  if u >= w then bfs_enter b u (u - w)
+
+(* One request's flow is one shortest path: a FIFO BFS over cells in the
+   order the node-split network's 0-1-BFS round visits them on a fresh
+   network: the source, the request, its distinct start cells' out nodes
+   last-first (pushed to the deque's front; a start on a pin expands
+   nothing), then each entered cell's in node, followed at once by its
+   out node (a zero-cost arc), until a pin's in node leads to the sink.
+   It ticks the budget per node pop, the final empty pop included, and
+   charges what the round charged: a pop per node, a touch per arc with
+   capacity, a relaxation and a push per first touch. A found path is
+   followed, while [alive], by the round that finds the source saturated.
+   Returns the path's cells, start to pin, or []. *)
+let single_bfs ~alive ws ~grid ~roles (r : request) =
+  let cells = Routing_grid.cells grid and w = Routing_grid.width grid in
+  let budget = W.budget ws and n = (2 * cells) + 3 in
+  let tick () = Pacor_route.Budget.tick budget in
+  let pops = ref 0 and arcs = ref 0 and rounds = ref 0 and touched = ref 0 and relaxed = ref 0 in
+  (* A node's pop, and an arc with capacity followed by its head's pop. *)
+  let pop () = tick () && (incr pops; true) in
+  let arc () = incr arcs; pop () in
+  let path = ref [] in
+  if alive () then begin
+    incr rounds;
+    W.begin_flow ws ~nodes:n;
+    let b =
+      { roles; nodes = W.node_record ws; e2 = W.touched_stamp ws; tail = 0; touched = 0;
+        queue = W.scratch_int ws ~slot:5 ~cells:(cells + List.length r.start_cells) }
+    in
+    (* The source, its arc and the request, whose arcs touch every listed
+       start and push the distinct ones, last-first. *)
+    if pop () && arc () then begin
+      b.touched <- List.length r.start_cells;
+      List.iter
+        (fun s ->
+           b.queue.(b.tail) <- s;
+           b.tail <- b.tail + 1)
+        (List.fold_left
+           (fun acc p ->
+              let s = Routing_grid.index grid p in
+              if b.nodes.(4 * (cells + s)) = b.e2 then acc
+              else begin
+                b.nodes.(4 * (cells + s)) <- b.e2;
+                s :: acc
+              end)
+           [] r.start_cells);
+      let starts = b.tail and head = ref 0 and pin = ref (-1) and live = ref true in
+      while !live && !pin < 0 do
+        if !head = b.tail then begin
+          ignore (tick () : bool);
+          live := false
+        end
+        else begin
+          let j = b.queue.(!head) in
+          incr head;
+          if !head <= starts then begin
+            live := pop ();
+            if !live && Packed_roles.get roles j = role_start then bfs_expand b ~w ~cells j
+          end
+          else begin
+            (* [in(j)], its own arc, then [out(j)] or the sink. *)
+            live := pop () && arc ();
+            if !live then
+              if Packed_roles.get roles j = role_pin then pin := j else bfs_expand b ~w ~cells j
+          end
+        end
+      done;
+      let rec walk v acc =
+        if Packed_roles.get roles v = role_start then v :: acc
+        else walk b.nodes.((4 * v) + 2) (v :: acc)
+      in
+      if !pin >= 0 then path := walk b.nodes.((4 * !pin) + 2) [ !pin ]
+    end;
+    touched := !arcs + b.touched;
+    relaxed := !arcs + b.tail
+  end;
+  if !path <> [] && alive () then begin
+    incr rounds;
+    W.begin_flow ws ~nodes:n;
+    if pop () then ignore (tick () : bool)
+  end;
+  Stats.charge (W.stats ws)
+    { Stats.zero with
+      pops = !pops; pushes = !rounds + !relaxed; touched = !touched; relaxations = !relaxed };
+  !path
+
 (* One min-cost-flow solve over the whole network. Inputs are assumed
    validated. A solve of two or more requests is seeded; one request is a
-   single shortest-path search with nothing to amortise the seed over.
-   Each part's wall time is added to the workspace's [escape_parts]. *)
+   single shortest-path search ([single_bfs]), and an empty request
+   list runs none. Each part's wall time is added to the workspace's
+   [escape_parts]. *)
 let solve ~alive ?workspace ~grid ~occupied ~pins requests =
   let ws = match workspace with Some ws -> ws | None -> W.create () in
   let parts = W.escape_parts ws in
@@ -255,19 +376,31 @@ let solve ~alive ?workspace ~grid ~occupied ~pins requests =
   let cells = Routing_grid.cells grid in
   let request_arr = Array.of_list requests in
   let nreq = Array.length request_arr in
-  let seed = if nreq >= 2 then Some (seed_heights ws ~grid ~roles ~pins requests) else None in
-  lap 1;
-  let beta = (4 * cells) + 16 in
-  (* The paper's [-beta] reward per routed path is realised as a stopping
-     threshold: augment while a path still costs less than beta, which is
-     larger than any possible augmenting-path cost — so the flow first
-     maximises the number of routed clusters, then total length. *)
-  let net = grid_network ~workspace:ws ~grid ~roles requests in
-  Option.iter (fun h -> Mcmf_grid.seed net ~h) seed;
-  let (_ : Mcmf_grid.outcome) =
-    Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
+  let paths =
+    match requests with
+    | [] -> []
+    | [ r ] ->
+      lap 1;
+      let path = single_bfs ~alive ws ~grid ~roles r in
+      lap 2;
+      if path = [] then [] else [ (0, path) ]
+    | _ ->
+      let h = seed_heights ws ~grid ~roles ~pins requests in
+      lap 1;
+      (* The paper's [-beta] reward per routed path is realised as a
+         stopping threshold: augment while a path still costs less than
+         beta, which is larger than any possible augmenting-path cost — so
+         the flow first maximises the number of routed clusters, then
+         total length. *)
+      let beta = (4 * cells) + 16 in
+      let net = grid_network ~workspace:ws ~grid ~roles requests in
+      Mcmf_grid.seed net ~h;
+      let (_ : Mcmf_grid.outcome) =
+        Mcmf_grid.solve ~alive ~workspace:ws ~stop_when_cost_reaches:beta net
+      in
+      lap 2;
+      Mcmf_grid.paths net
   in
-  lap 2;
   let routed_arr = Array.make nreq None in
   List.iter
     (fun (k, cells) ->
@@ -276,7 +409,7 @@ let solve ~alive ?workspace ~grid ~occupied ~pins requests =
          Some
            { idx = request_arr.(k).cluster_idx; start_cell = Path.source path;
              pin = Path.target path; path })
-    (Mcmf_grid.paths net);
+    paths;
   let routed = List.filter_map Fun.id (Array.to_list routed_arr) in
   lap 3;
   { routed;

@@ -13,9 +13,11 @@
 
     The flow network is node-split: cell [i] is nodes [2i] (in) and
     [2i + 1] (out), request [k] is node [2 * cells + k], and the source
-    and then the sink follow. {!Mcmf_grid} is the one solver: it reads
-    each node's arcs off the cell-role layer ({!compute_roles}) instead of
-    storing them. The tests keep general min-cost-flow and Dinic solvers
+    and then the sink follow. {!Mcmf_grid} solves it: it reads each
+    node's arcs off the cell-role layer ({!compute_roles}) instead of
+    storing them. A single request's flow is one shortest path, found by
+    a BFS over cells that visits them in the order the network's first
+    0-1-BFS round would and charges that round's search counters. The tests keep general min-cost-flow and Dinic solvers
     over an explicit copy of the same network as oracles for the routed
     count, the total length and the max-flow bound. *)
 
@@ -49,8 +51,10 @@ val route :
   request list ->
   (outcome, string) result
 (** [route ~grid ~occupied ~pins requests]: one min-cost-flow solve
-    over the network of all the requests, seeded by {!seed_heights} when
-    there are two or more. Budget limits on [workspace] only stop the
+    over the network of all the requests, seeded by {!seed_heights}, when
+    there are two or more; one cell BFS, with the network's paths,
+    counters and budget ticks, for a single request; no search for
+    none. Budget limits on [workspace] only stop the
     solve early; they never change the path it takes.
 
     [alive] (default always true) is a cooperative cancellation hook

@@ -26,12 +26,12 @@
    Rounds. Successive shortest paths need only the distance to the sink,
    so each round is a search over reduced costs that stops the moment the
    sink settles and carries Johnson potentials to the next round; all
-   per-round state (both queues, the settle trail, and the node record
+   per-round state (the heap, the settle trail, and the node record
    holding each node's stamp, dist, parent and potential) lives in a
-   generation-stamped Pacor_route.Workspace. An unseeded solve
-   starts with a 0-1-BFS over raw costs. [seed] stores the caller's exact
-   sink distances [h], and [pot(v) = -h(v)] is a feasible potential, so
-   Dijkstra on the reduced costs is an A* search toward the sink
+   generation-stamped Pacor_route.Workspace. The escape stage seeds every
+   solve: [seed] stores the caller's exact sink distances [h], and
+   [pot(v) = -h(v)] is a feasible potential, so Dijkstra on the reduced
+   costs is an A* search toward the sink
    (Goldberg & Harrelson); nodes without an [h] are dead and never
    relaxed, since residual arcs out of a sink-unreachable set only lead
    back into it and augmentation adds arcs between sink-reachable nodes
@@ -41,7 +41,8 @@
    (once) and [pot(v)] written, so a solve pays for the nodes its rounds
    reach, not for the grid. Only the install and the update write a
    potential, and the update installs first, so every potential read
-   equals an eager install's. An unseeded network installs 0. After a round with sink
+   equals an eager install's. Unseeded, every potential is 0 and every
+   round a plain Dijkstra. After a round with sink
    distance [d], the textbook update
    [pot(v) += min(dist(v), d)] is applied as [pot(v) += dist(v) - d] to
    the settled nodes only: the same reduced costs, heap order and paths
@@ -90,17 +91,15 @@ type t = {
                                is installed, persistent across rounds *)
   state : Bytes.t;          (* per node: [unseen], [dead] or [live] *)
   mutable h : int -> int;   (* sink distances the install reads *)
-  mutable pot_zero : bool;  (* all potentials still zero => 0-1-BFS applies *)
   mutable flow : int;
   mutable cost : int;
   mutable rounds : int;     (* augmentation searches run (incl. the last,
                                empty one) *)
   mutable solved : bool;
-  (* What [visit] does with each arc [iter_row] enumerates: 0 collects
-     it into [acc] ([row]), 1 relaxes it in a 0-1-BFS round, 2 in a
-     Dijkstra round, from node [cur] at [du] (plus [cur]'s potential in
-     a Dijkstra round) in the epoch whose touched stamp is [e2]. *)
-  mutable mode : int;
+  (* What [visit] does with each arc [iter_row] enumerates: collect it
+     into [acc] ([row]), or relax it in a round from node [cur] at [du]
+     (plus [cur]'s potential) in the epoch whose touched stamp is [e2]. *)
+  mutable collect : bool;
   mutable cur : int;
   mutable du : int;
   mutable e2 : int;
@@ -151,9 +150,9 @@ let create ?workspace ~grid ~roles starts =
     source = (2 * cells) + nreq; sink = (2 * cells) + nreq + 1;
     req_first; arc_cell; arc_req; by_cell; fl;
     rflow = Bytes.make m '\000'; sflow = Bytes.make nreq '\000';
-    nodes = [||]; state; h = (fun _ -> 0); pot_zero = true;
+    nodes = [||]; state; h = (fun _ -> 0);
     flow = 0; cost = 0; rounds = 0; solved = false;
-    mode = 0; cur = 0; du = 0; e2 = 0; acc = [] }
+    collect = false; cur = 0; du = 0; e2 = 0; acc = [] }
 
 let[@inline] role t i = Packed_roles.get t.roles i
 let[@inline] transit r = r = role_ordinary || r = role_start
@@ -212,30 +211,27 @@ let lower_bound t i =
   !lo
 
 (* One arc of a row: [port] into [v] at cost [c], residual capacity
-   [cap] (0 or 1), handled as [t.mode] says. A round reads and writes the
-   workspace's node record directly (four ints per node at [4 * v]:
-   stamp, dist, parent, potential; touched this epoch once the stamp
-   reaches [e2] = [2 * epoch], closed at [e2 + 1]), and a 0-1-BFS round
-   reads no potential: they are all zero then, but not yet installed.
-   The scan is a mode, not a closure argument, because without flambda
-   the native compiler calls an inlined function's closure argument
-   through [caml_applyN]; this way every arc's work is inlined into the
-   one enumerator that both rounds and [row] share. *)
+   [cap] (0 or 1), collected or relaxed as [t.collect] says. A round
+   reads and writes the workspace's node record directly (four ints per
+   node at [4 * v]: stamp, dist, parent, potential; touched this epoch
+   once the stamp reaches [e2] = [2 * epoch], closed at [e2 + 1]). The
+   scan is a flag, not a closure argument, because without flambda the
+   native compiler calls an inlined function's closure argument through
+   [caml_applyN]; this way every arc's work is inlined into the one
+   enumerator that both the rounds and [row] share. *)
 let[@inline] visit t ws port v c cap =
-  if t.mode = 0 then t.acc <- (v, c, cap) :: t.acc
-  else if cap = 1 && (t.mode = 1 || is_live t v) then begin
+  if t.collect then t.acc <- (v, c, cap) :: t.acc
+  else if cap = 1 && is_live t v then begin
     let stats = W.stats ws and nodes = t.nodes and b = 4 * v in
     Stats.touched stats;
-    let nd = t.du + c - if t.mode = 2 then Array.unsafe_get nodes (b + 3) else 0 in
+    let nd = t.du + c - Array.unsafe_get nodes (b + 3) in
     let fresh = Array.unsafe_get nodes b < t.e2 in
     if fresh || nd < Array.unsafe_get nodes (b + 1) then begin
       Stats.relaxed stats;
       if fresh then Array.unsafe_set nodes b t.e2;
       Array.unsafe_set nodes (b + 1) nd;
       Array.unsafe_set nodes (b + 2) ((port * t.n) + t.cur);
-      if t.mode = 2 then W.push ws ~prio:nd v
-      else if c = 0 then W.deque_push_front ws v
-      else W.deque_push_back ws v
+      W.push ws ~prio:nd v
     end
   end
 
@@ -296,9 +292,10 @@ let iter_row t ws u =
     done
 
 let row t u =
-  t.mode <- 0;
+  t.collect <- true;
   t.acc <- [];
   iter_row t (W.create ()) u;
+  t.collect <- false;
   List.rev t.acc
 
 (* Flip the flow bit behind the arc at [port] of [u]'s row: the arc's own
@@ -325,18 +322,22 @@ let flip t u port =
   end
   else flip_byte t.sflow port
 
-(* One search round: [W.pop_cell] ([dijkstra]) or [W.deque_pop_front],
-   closing each node once (the record's [close]), adding it to the
-   settle trail and scanning its row, until the sink settles. Returns the
-   sink's distance, or -1 when it is unreachable / the budget is
-   exhausted. *)
-let[@inline] run_round t ws ~dijkstra =
-  t.mode <- (if dijkstra then 2 else 1);
+(* One Dijkstra round over reduced costs, early exit at the sink:
+   [W.pop_cell], closing each node once (the record's [close]), adding it
+   to the settle trail and scanning its row, until the sink settles. Dead
+   nodes are skipped: they cannot lie on an augmenting path. Every node
+   pushed is installed first (the source here, the rest by [is_live]), so
+   a popped node's potential reads directly. Returns the sink's distance,
+   or -1 when it is unreachable / the budget is exhausted. *)
+let round t ws =
+  ignore (pot t t.source : int);
+  W.set_dist ws t.source 0;
+  W.push ws ~prio:0 t.source;
   t.e2 <- W.touched_stamp ws;
   let nodes = t.nodes and e2 = t.e2 in
   let dsink = ref (-1) and running = ref true in
   while !running do
-    let u = if dijkstra then W.pop_cell ws else W.deque_pop_front ws in
+    let u = W.pop_cell ws in
     if u < 0 then running := false
     else if nodes.(4 * u) <> e2 + 1 then begin
       nodes.(4 * u) <- e2 + 1;
@@ -347,29 +348,12 @@ let[@inline] run_round t ws ~dijkstra =
       end
       else begin
         t.cur <- u;
-        t.du <- nodes.((4 * u) + 1) + (if dijkstra then nodes.((4 * u) + 3) else 0);
+        t.du <- nodes.((4 * u) + 1) + nodes.((4 * u) + 3);
         iter_row t ws u
       end
     end
   done;
   !dsink
-
-(* One 0-1-BFS round over raw costs (valid only while every potential is
-   zero, when reduced cost = cost). *)
-let round_01 t ws =
-  W.set_dist ws t.source 0;
-  W.deque_push_back ws t.source;
-  run_round t ws ~dijkstra:false
-
-(* One Dijkstra round over reduced costs, early exit at the sink. Dead
-   nodes are skipped: they cannot lie on an augmenting path. Every node
-   pushed is installed first (the source here, the rest by [is_live]), so
-   a popped node's potential reads directly. *)
-let round_dijkstra t ws =
-  ignore (pot t t.source : int);
-  W.set_dist ws t.source 0;
-  W.push ws ~prio:0 t.source;
-  run_round t ws ~dijkstra:true
 
 (* Push the unit of flow along the parent-arc chain sink -> source. *)
 let augment t ws =
@@ -386,8 +370,7 @@ let augment t ws =
    read here. *)
 let seed t ~h =
   if t.solved then invalid_arg "Mcmf_grid.seed: already solved";
-  t.h <- h;
-  t.pot_zero <- false
+  t.h <- h
 
 (* After an early-exit round with sink distance [d]: settled nodes hold
    their exact distance [dist(v) <= d], and every other node's is >= d.
@@ -399,8 +382,7 @@ let update_potentials t ws d =
     for k = 0 to W.trail_length ws - 1 do
       let v = W.trail_get ws k in
       t.nodes.((4 * v) + 3) <- pot t v + t.nodes.((4 * v) + 1) - d
-    done;
-    t.pot_zero <- false
+    done
   end
 
 let outcome (t : t) : outcome = { flow = t.flow; cost = t.cost; rounds = t.rounds }
@@ -416,7 +398,7 @@ let solve ?(alive = fun () -> true) ?workspace ?stop_when_cost_reaches t =
        grow it: no potential is installed before that round. *)
     t.nodes <- W.node_record ws;
     t.rounds <- t.rounds + 1;
-    let d = if t.pot_zero then round_01 t ws else round_dijkstra t ws in
+    let d = round t ws in
     if d < 0 then running := false
     else begin
       (* [d] is a reduced distance; potentials float (seeded, and shifted

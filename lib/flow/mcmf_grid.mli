@@ -37,19 +37,20 @@
     read and write its node record directly; the potentials live in its
     fourth field, beside each node's stamp, distance and parent.
 
-    {b Goal-directed rounds.} A caller that knows each node's exact
-    distance [h] to the sink hands it over with {!seed} before solving;
-    the solver then uses [pot(v) = -h(v)], a feasible potential, so every
-    round is an early-exit Dijkstra on reduced costs — an A* search toward
-    the sink. Nodes without an [h] are dead and never relaxed; no later
+    {b Goal-directed rounds.} The caller hands each node's exact distance
+    [h] to the sink over with {!seed} before solving; the solver then
+    uses [pot(v) = -h(v)], a feasible potential, so every round is an
+    early-exit Dijkstra on reduced costs — an A* search toward the
+    sink. Nodes without an [h] are dead and never relaxed; no later
     residual graph reconnects them. [h] is read lazily: a node's
     potential (or its dead mark) is installed the first time a round
     relaxes it, the path-cost readout reads it or the potential update
     reaches it, so a solve evaluates [h] only on the nodes its rounds
     touch, once each, and neither {!create} nor {!seed} does per-node
-    work. The escape stage seeds every solve with two or more requests
-    from one BFS over grid cells ({!Escape}); an unseeded solve starts
-    with a 0-1-BFS over raw costs and installs potential 0.
+    work. The escape stage seeds every solve, all of two or more
+    requests, from one BFS over grid cells ({!Escape}); it routes a
+    single request by a cell BFS of its own and never builds a network
+    for it.
 
     {b Lazy potentials.} Each round appends the nodes it settles to the
     workspace's settle trail, and the potential update touches only
@@ -112,7 +113,8 @@ val solve :
     {e before} augmenting a path whose true cost reaches the threshold.
 
     The solve adds exactly [rounds] to the workspace's [searches] counter.
-    A network solves once. *)
+    A network solves once; without {!seed} every potential is 0 and
+    every round a plain Dijkstra. *)
 
 val seed : t -> h:(int -> int) -> unit
 (** [seed t ~h] hands over goal-directed potentials before {!solve}:

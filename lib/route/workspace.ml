@@ -49,12 +49,6 @@ type t = {
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
   pq : Pacor_graphs.Pqueue.t;
-  (* 0-1-BFS deque: a circular int buffer reset by [begin_epoch]. It shares
-     the pqueue's budget/stat discipline so a flow solver's pops charge the
-     same budget as an A* search's. *)
-  mutable dq : int array;
-  mutable dq_head : int;
-  mutable dq_len : int;
   (* Settle trail: the ids a search closed this epoch, in close order, so
      a caller can post-process exactly the settled set in O(settled).
      Grows on demand; reset by [begin_epoch]. *)
@@ -98,9 +92,6 @@ let create ?stats () =
     scratch_bs = Array.make scratch_byte_slots Bytes.empty;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
-    dq = [||];
-    dq_head = 0;
-    dq_len = 0;
     trail = [||];
     trail_len = 0;
     stats;
@@ -148,8 +139,6 @@ let reserve_cells t n =
 let begin_epoch t =
   t.epoch <- t.epoch + 1;
   Pacor_graphs.Pqueue.clear t.pq;
-  t.dq_head <- 0;
-  t.dq_len <- 0;
   t.trail_len <- 0;
   t.entry_len <- 0;
   Search_stats.started t.stats;
@@ -211,52 +200,6 @@ let pop_cell t =
     Search_stats.popped t.stats;
     Pacor_graphs.Pqueue.pop_top t.pq
   end
-
-(* -- 0-1-BFS deque ------------------------------------------------------ *)
-
-(* The deque's capacity is always a power of two (64, doubling), so ring
-   positions wrap with a mask instead of an integer division. *)
-let deque_grow t =
-  let cur = Array.length t.dq in
-  let ncap = max 64 (2 * cur) in
-  let b = Array.make ncap 0 in
-  for k = 0 to t.dq_len - 1 do
-    b.(k) <- t.dq.((t.dq_head + k) land (cur - 1))
-  done;
-  t.dq <- b;
-  t.dq_head <- 0;
-  Search_stats.grid_alloc_noted t.stats
-
-let deque_push_back t i =
-  if t.dq_len = Array.length t.dq then deque_grow t;
-  let cap = Array.length t.dq in
-  t.dq.((t.dq_head + t.dq_len) land (cap - 1)) <- i;
-  t.dq_len <- t.dq_len + 1;
-  Search_stats.pushed t.stats
-
-let deque_push_front t i =
-  if t.dq_len = Array.length t.dq then deque_grow t;
-  let cap = Array.length t.dq in
-  t.dq_head <- (t.dq_head + cap - 1) land (cap - 1);
-  t.dq.(t.dq_head) <- i;
-  t.dq_len <- t.dq_len + 1;
-  Search_stats.pushed t.stats
-
-(* Same contract as [pop_cell]: [-1] means "deque empty or budget
-   exhausted", so an exhausted budget starves the flow solver's
-   augmentation search exactly like it starves an A*. *)
-let deque_pop_front t =
-  if not (Budget.tick t.budget) then -1
-  else if t.dq_len = 0 then -1
-  else begin
-    let x = t.dq.(t.dq_head) in
-    t.dq_head <- (t.dq_head + 1) land (Array.length t.dq - 1);
-    t.dq_len <- t.dq_len - 1;
-    Search_stats.popped t.stats;
-    x
-  end
-
-let deque_is_empty t = t.dq_len = 0
 
 (* -- Settle trail ------------------------------------------------------- *)
 

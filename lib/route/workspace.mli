@@ -118,31 +118,13 @@ val pop_cell : t -> int
     difference; element ids are always non-negative. Allocation-free:
     the searchers' hot path. *)
 
-(** {2 Shared 0-1-BFS deque (instrumented)}
-
-    A circular int buffer for deque-based searches (the escape flow
-    solver's 0-1-BFS rounds). Reset by every [begin_*] like the priority
-    queue; pushes and pops feed the same {!Search_stats} counters, and
-    {!deque_pop_front} charges the attached {!Budget} exactly like
-    {!pop_cell} — so flow augmentation and A* expansion draw from one
-    budget pool. *)
-
-val deque_push_back : t -> int -> unit
-val deque_push_front : t -> int -> unit
-
-val deque_pop_front : t -> int
-(** [-1] for "empty or budget exhausted" (element ids are always
-    non-negative), mirroring {!pop_cell}. *)
-
-val deque_is_empty : t -> bool
-
 (** {2 Settle trail}
 
     An append-only int buffer for the ids a search settled this epoch, so
     a caller can revisit exactly the settled set in O(settled) rather than
     sweep every cell: the escape flow solver updates its potentials this
     way after each round. Emptied by every [begin_*]; doubles from 64
-    entries on demand and then sticks, like the deque. *)
+    entries on demand and then sticks. *)
 
 val trail_push : t -> int -> unit
 
@@ -263,7 +245,8 @@ val prepare : t -> cells:int -> unit
     - int slots 4 and 5: each escape seed's BFS
       ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4
       its distance to the nearest pin (-1 unreached), in slot 5 the
-      FIFO. A seed's slot 4 is read until its solve returns;
+      FIFO, which a one-request escape's BFS uses too. A seed's slot 4
+      is read until its solve returns;
     - byte slots 1–2: the escape flow network's node states (slot 2:
       unseen, dead or live) and per-cell flow bits (slot 1)
       ([Pacor_flow.Mcmf_grid.create]);

@@ -451,6 +451,29 @@ printf '%s\n' "$serveout" | sed -n '5p' | grep -qF '"incremental":true' || {
   echo "serve smoke: move_valve was not served incrementally" >&2
   printf '%s\n' "$serveout" >&2; exit 1; }
 
+echo "== serve fingerprints: each answer's fingerprint = md5sum of the routed text =="
+# The daemon digests its render buffer in place; md5sum shares no code
+# with it. Chip1's 70 KB text is past the buffer's first size, so the
+# buffer grows on the way.
+fptrace="$textdir/fingerprints.trace"
+: > "$fptrace"
+for name in Chip1 Chip2 fpva20-p8; do
+  ./_build/default/bin/pacor_cli.exe designs --emit "$name" > "$textdir/emit-$name.chip"
+  printf '{"id":"%s","op":"route","file":"%s"}\n' "$name" "$textdir/emit-$name.chip" >> "$fptrace"
+done
+echo '{"op":"shutdown"}' >> "$fptrace"
+fpout=$(./_build/default/bin/pacor_cli.exe client --check < "$fptrace")
+n=0
+for name in Chip1 Chip2 fpva20-p8; do
+  n=$((n + 1))
+  want=$(md5sum < "$textdir/emit-$name.chip" | cut -d' ' -f1)
+  got=$(printf '%s\n' "$fpout" | sed -n "${n}s/.*\"fingerprint\":\"\([0-9a-f]*\)\".*/\1/p")
+  if [ "$got" != "$want" ]; then
+    echo "serve fingerprints: $name answered $got, md5sum of its text is $want" >&2
+    exit 1
+  fi
+done
+
 echo "== serve-bench + BENCH_serve.json drift check =="
 servejson=$(mktemp)
 ./_build/default/bench/main.exe --serve-bench --json-out "$servejson" > /dev/null

@@ -65,11 +65,12 @@ let split_seed ws ~n ~sink arcs =
   let preds = Array.make n [] in
   List.iter (fun (u, v, c) -> preds.(v) <- (u, c) :: preds.(v)) arcs;
   W.begin_flow ws ~nodes:n;
+  let dq = Deque.create ws in
   W.set_dist ws sink 0;
-  W.deque_push_back ws sink;
+  Deque.push_back dq sink;
   let running = ref true in
   while !running do
-    let u = W.deque_pop_front ws in
+    let u = Deque.pop_front dq in
     if u < 0 then running := false
     else if not (W.closed ws u) then begin
       W.close ws u;
@@ -78,7 +79,7 @@ let split_seed ws ~n ~sink arcs =
         (fun (v, c) ->
           if hu + c < W.dist ws v then begin
             W.set_dist ws v (hu + c);
-            if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
+            if c = 0 then Deque.push_front dq v else Deque.push_back dq v
           end)
         preds.(u)
     end
@@ -151,13 +152,14 @@ let deque_seed ws ~grid ~roles ~pins (requests : Escape.request list) =
   let cells = Routing_grid.cells grid in
   let stats = W.stats ws in
   W.begin_search ws ~cells;
+  let dq = Deque.create ws in
   List.iter
     (fun p ->
        if Routing_grid.in_bounds grid p then begin
          let i = Routing_grid.index grid p in
          if Packed_roles.get roles i = Escape.role_pin && W.dist ws i <> 0 then begin
            W.set_dist ws i 0;
-           W.deque_push_back ws i
+           Deque.push_back dq i
          end
        end)
     pins;
@@ -167,12 +169,12 @@ let deque_seed ws ~grid ~roles ~pins (requests : Escape.request list) =
     if Packed_roles.get roles j = Escape.role_ordinary && W.dist ws j = max_int then begin
       Pacor_route.Search_stats.relaxed stats;
       W.set_dist ws j !next;
-      W.deque_push_back ws j
+      Deque.push_back dq j
     end
   in
   let running = ref true in
   while !running do
-    let u = W.deque_pop_front ws in
+    let u = Deque.pop_front dq in
     if u < 0 then running := false
     else begin
       next := W.dist ws u + 1;
@@ -258,10 +260,12 @@ let outcome_of_routed requests routed =
       List.fold_left (fun acc (e : Escape.routed) -> acc + Path.length e.path) 0
         routed_in_order }
 
-(* [Escape.route] (grid solver, no budget) rebuilt from the oracles: one
-   solve of the whole network over the explicit CSR network on [ws],
-   seeded by [split_seed] when there are two or more requests. *)
-let route ws ~grid ~claimed ~pins requests =
+(* [Escape.route] rebuilt from the oracles: one solve of the whole
+   network over the explicit CSR network on [ws] (and its budget),
+   seeded by [split_seed] when there are two or more requests; one
+   request runs the CSR's unseeded 0-1-BFS rounds, the order [Escape]'s
+   cell BFS follows. *)
+let route ?alive ws ~grid ~claimed ~pins requests =
   let cells = Routing_grid.cells grid in
   let nreq = List.length requests in
   let n = (2 * cells) + nreq + 2 in
@@ -274,7 +278,7 @@ let route ws ~grid ~claimed ~pins requests =
     Mcmf_csr.seed net ~h:(fun v -> h.(v))
   end;
   let (_ : Mcmf_csr.outcome) =
-    Mcmf_csr.solve ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
+    Mcmf_csr.solve ?alive ~workspace:ws ~stop_when_cost_reaches:((4 * cells) + 16) net
   in
   outcome_of_routed requests (routed_of_paths ~grid requests (Mcmf_csr.decompose_paths net))
 

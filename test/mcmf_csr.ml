@@ -120,13 +120,13 @@ let[@inline] is_dead t v = Bytes.unsafe_get t.dead v = '\001'
    zero, when reduced cost = cost). Returns the sink's distance, or -1
    when unreachable / budget exhausted. *)
 let round_01 t ws =
-  let stats = W.stats ws in
+  let stats = W.stats ws and dq = Deque.create ws in
   W.set_dist ws t.source 0;
-  W.deque_push_back ws t.source;
+  Deque.push_back dq t.source;
   let dsink = ref (-1) in
   let running = ref true in
   while !running do
-    let u = W.deque_pop_front ws in
+    let u = Deque.pop_front dq in
     if u < 0 then running := false
     else if not (W.closed ws u) then begin
       W.close ws u;
@@ -148,7 +148,7 @@ let round_01 t ws =
               Stats.relaxed stats;
               W.set_dist ws v nd;
               W.set_parent ws v a;
-              if c = 0 then W.deque_push_front ws v else W.deque_push_back ws v
+              if c = 0 then Deque.push_front dq v else Deque.push_back dq v
             end
           end
         done

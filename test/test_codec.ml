@@ -1,7 +1,9 @@
 (* The linear instance-text codec against its oracle ([Codec_oracle], the
    [Printf] writer and split-based parser it replaced): byte-equal text on
    every problem, and the same verdict on every text — the same
-   fingerprint on [Ok], the same message on [Error]. *)
+   fingerprint on [Ok], the same message on [Error]. The in-place
+   fingerprint against an md5 of the oracle's text, and the line
+   protocol's JSON codec against [Json_oracle], the one it replaced. *)
 
 open Pacor_geom
 open Pacor_grid
@@ -53,13 +55,14 @@ let check_writer what p =
   end
 
 (* The same verdict as the oracle parser: on [Ok], problems that render to
-   the same canonical text (so the same fingerprint); on [Error], the same
-   message. *)
+   the same canonical text (so the same fingerprint), which the writer
+   renders as the oracle writer does; on [Error], the same message. *)
 let same_verdict text =
   match (Codec_oracle.of_string text, Problem_io.of_string text) with
   | Ok a, Ok b ->
     String.equal (Codec_oracle.to_string a) (Codec_oracle.to_string b)
     && String.equal (Problem_io.fingerprint a) (Problem_io.fingerprint b)
+    && String.equal (Problem_io.to_string b) (Codec_oracle.to_string b)
   | Error a, Error b -> String.equal a b
   | Ok _, Error e -> QCheck.Test.fail_reportf "oracle accepts, linear parser: %s" e
   | Error e, Ok _ -> QCheck.Test.fail_reportf "linear parser accepts, oracle: %s" e
@@ -159,6 +162,117 @@ let prop_writer_bitmap =
     (fun b ->
       let p = bitmap_problem b in
       String.equal (Codec_oracle.to_string p) (Problem_io.to_string p))
+
+(* [fingerprint] digests the domain's render buffer in place. On a fresh
+   domain, whose buffer starts at 64 KB, two problems' fingerprints and
+   texts are taken interleaved, and each must be the md5 of the oracle's
+   text. The named designs include Chip1, whose 70 KB text grows the
+   buffer. *)
+let large_designs =
+  lazy (Array.of_list (List.map snd (named_designs ())))
+
+let prop_fingerprint_in_place =
+  QCheck.Test.make ~count:40 ~name:"fingerprint = md5 of the oracle text, interleaved"
+    QCheck.(
+      triple (make gen_synthetic)
+        (make QCheck.Gen.(int_bound 1000))
+        (make QCheck.Gen.(int_bound 1000)))
+    (fun (spec, i, j) ->
+      let named = Lazy.force large_designs in
+      let a = named.(i mod Array.length named) in
+      let b =
+        match Synthetic.generate spec with Ok p -> p | Error _ -> named.(j mod Array.length named)
+      in
+      let md5 p = Digest.to_hex (Digest.string (Codec_oracle.to_string p)) in
+      let want = [ md5 a; md5 b; Codec_oracle.to_string a; md5 b; md5 a; Codec_oracle.to_string b ] in
+      let got =
+        Domain.join
+          (Domain.spawn (fun () ->
+             let fa = Problem_io.fingerprint a in
+             let fb = Problem_io.fingerprint b in
+             let ta = Problem_io.to_string a in
+             let fb' = Problem_io.fingerprint b in
+             let fa' = Problem_io.fingerprint a in
+             [ fa; fb; ta; fb'; fa'; Problem_io.to_string b ]))
+      in
+      List.iteri
+        (fun k (w, g) ->
+          if not (String.equal w g) then QCheck.Test.fail_reportf "call %d differs from the oracle" k)
+        (List.combine want got);
+      true)
+
+(* ---------- the JSON codec ---------- *)
+
+module Json = Pacor_serve.Json
+
+(* Bytes weighted towards the ones JSON escapes: quotes, backslashes and
+   control bytes, beside the whole 0-255 range. *)
+let gen_byte =
+  QCheck.Gen.(
+    frequency
+      [ (3, char);
+        (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012'; '\000'; '\031'; '\127'; '\255' ]) ])
+
+let gen_json =
+  QCheck.Gen.(
+    let str = string_size ~gen:gen_byte (oneof [ int_range 0 16; int_range 0 4096 ]) in
+    let leaf =
+      oneof
+        [ return Json.Null; map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map (fun f -> Json.Float f)
+            (oneof [ float; oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 1e15 ] ]);
+          map (fun s -> Json.String s) str ]
+    in
+    sized_size (int_range 0 3)
+      (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n - 1))));
+               (1,
+                map (fun l -> Json.Obj l)
+                  (list_size (int_range 0 4) (pair str (self (n - 1))))) ])))
+
+let prop_json_emitter =
+  QCheck.Test.make ~count:300 ~name:"Json.to_string = oracle on strings of all 256 bytes"
+    (QCheck.make gen_json) (fun v -> String.equal (Json.to_string v) (Json_oracle.to_string v))
+
+(* Texts from fragments heavy in escapes, surrogate pairs (whole, split,
+   unpaired, malformed) and structure, plus the emitter's own output,
+   truncated and spliced; the parser must give the oracle's value or its
+   error message. *)
+let gen_json_text =
+  QCheck.Gen.(
+    let fragment =
+      oneof
+        [ oneofl
+            [ "\""; "\\"; "\\u"; "\\ud83d"; "\\ude00"; "\\uD83D\\uDE00"; "\\ud800\\u0041";
+              "\\udbff\\udfff"; "\\ud800\\uzz00"; "\\u12"; "\\uG000"; "\\x"; "\\n"; "\\/";
+              "\\\""; "\\\\"; "abc"; "{"; "}"; "["; "]"; ":"; ","; "1"; "-2.5e3"; "1e999";
+              "99999999999999999999"; "true"; "nul"; " "; "\n" ];
+          string_size ~gen:gen_byte (int_range 0 8) ]
+    in
+    let spliced =
+      let* v = gen_json and* cut = nat and* extra = list_size (int_range 0 3) fragment in
+      let t = Json_oracle.to_string v in
+      let k = if t = "" then 0 else cut mod (String.length t + 1) in
+      let head = String.sub t 0 k ^ String.concat "" extra in
+      oneofl [ t; head; head ^ String.sub t k (String.length t - k) ]
+    in
+    oneof
+      [ map (fun l -> "\"" ^ String.concat "" l ^ "\"") (list_size (int_range 0 12) fragment);
+        map (String.concat "") (list_size (int_range 0 12) fragment); spliced ])
+
+let prop_json_parser =
+  QCheck.Test.make ~count:1000 ~name:"Json.of_string = oracle on escape-heavy and malformed text"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_text) (fun text ->
+      match (Json.of_string text, Json_oracle.of_string text) with
+      | Ok a, Ok b -> compare a b = 0 || QCheck.Test.fail_report "values differ"
+      | Error a, Error b -> String.equal a b || QCheck.Test.fail_reportf "errors %S, oracle %S" a b
+      | Ok _, Error e -> QCheck.Test.fail_reportf "accepted; the oracle: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "refused (%s); the oracle accepts" e)
 
 (* ---------- the parser ---------- *)
 
@@ -292,10 +406,14 @@ let () =
           Alcotest.test_case "corpus = oracle" `Quick test_writer_corpus;
           QCheck_alcotest.to_alcotest prop_writer_synthetic;
           QCheck_alcotest.to_alcotest prop_writer_fpva;
-          QCheck_alcotest.to_alcotest prop_writer_bitmap ] );
+          QCheck_alcotest.to_alcotest prop_writer_bitmap;
+          QCheck_alcotest.to_alcotest prop_fingerprint_in_place ] );
       ( "parser",
         [ Alcotest.test_case "named designs = oracle" `Quick test_parser_named;
           Alcotest.test_case "corpus = oracle" `Quick test_parser_corpus;
           QCheck_alcotest.to_alcotest prop_parser_mutated;
           QCheck_alcotest.to_alcotest prop_parser_bytes;
-          QCheck_alcotest.to_alcotest prop_parsed_names_accepted ] ) ]
+          QCheck_alcotest.to_alcotest prop_parsed_names_accepted ] );
+      ( "json",
+        [ QCheck_alcotest.to_alcotest prop_json_emitter;
+          QCheck_alcotest.to_alcotest prop_json_parser ] ) ]

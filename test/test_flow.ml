@@ -499,17 +499,16 @@ let test_grid_budget_trips_in_seed () =
       st.Pacor_route.Search_stats.searches
 
 (* Outcome, paths and search counters of one implicit-network solve of
-   an escape instance. Two or more requests are seeded first, as
-   [Escape] does: one more search on the same workspace. [lease] creates
-   the network on the solving workspace instead of fresh arrays. *)
+   an escape instance, seeded first as [Escape] seeds every network: one
+   more search on the same workspace. [lease] creates the network on the
+   solving workspace instead of fresh arrays. *)
 let implicit_solve ?(lease = false) ws (grid, claimed, pins, requests) =
   let occupied = Escape_oracle.occupied ~grid claimed in
   let roles = Escape.compute_roles ~grid ~occupied ~pins requests in
   let net =
     Escape.grid_network ?workspace:(if lease then Some ws else None) ~grid ~roles requests
   in
-  if List.length requests >= 2 then
-    Mcmf_grid.seed net ~h:(Escape.seed_heights ws ~grid ~roles ~pins requests);
+  Mcmf_grid.seed net ~h:(Escape.seed_heights ws ~grid ~roles ~pins requests);
   let out = Mcmf_grid.solve ~workspace:ws net in
   (out, Mcmf_grid.paths net)
 
@@ -552,7 +551,7 @@ let test_grid_workspace_stats_rounds () =
   in
   Alcotest.(check int) "one request routed" 1 single.flow;
   Alcotest.(check int) "cheapest path" 2 single.cost;
-  Alcotest.(check int) "unseeded: one search per round" single.rounds
+  Alcotest.(check int) "one request: one search per round plus the seed" (single.rounds + 1)
     (snapshot ws).Pacor_route.Search_stats.searches
 
 let test_grid_warm_workspace_leases () =
@@ -1441,10 +1440,8 @@ let prop_implicit_network_matches_csr =
         let imp = implicit () and oracle = csr () in
         if budget = None then same_rows (label ^ " before the solve") imp oracle;
         let ws = workspace budget and ws' = workspace budget in
-        if nreq >= 2 then begin
-          Mcmf_grid.seed imp ~h:(Escape.seed_heights ws ~grid ~roles ~pins reqs);
-          Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs)
-        end;
+        Mcmf_grid.seed imp ~h:(Escape.seed_heights ws ~grid ~roles ~pins reqs);
+        Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs);
         let a = Mcmf_grid.solve ~workspace:ws ~stop_when_cost_reaches:beta imp in
         let b = Mcmf_csr.solve ~workspace:ws' ~stop_when_cost_reaches:beta oracle in
         if (a.flow, a.cost, a.rounds) <> (b.flow, b.cost, b.rounds) then
@@ -1478,7 +1475,8 @@ type seed_instance = {
    none. One instance in five on such grids is sealed: every request is
    one start cell in a closed pocket away from the boundary, so no
    request reaches a pin and the source is dead. A pin may also be listed
-   as a start cell. [sbudget] is an expansion cap from 0 to one more than
+   as a start cell, a ring cell may be one, and a request may list a
+   start cell twice or share one with another. [sbudget] is an expansion cap from 0 to one more than
    the cell count, or none. *)
 let seed_instance_gen =
   QCheck.Gen.(
@@ -1517,6 +1515,7 @@ let seed_instance_gen =
     and* centers = list_size (return n_req) (if roomy then inset 2 else cell) in
     let* sealed = map (fun r -> roomy && r = 0) (int_range 0 4) in
     let* pin_start = bool and* pick = int_range 0 5 in
+    let* ring_start = opt boundary and* dup = bool and* share = bool in
     let* sbudget =
       let* on = bool in
       if on then map Option.some (int_range 0 ((sw * sh) + 1)) else return None
@@ -1541,8 +1540,11 @@ let seed_instance_gen =
            centers)
     in
     let reqs = Array.of_list reqs in
-    if pin_start then
-      reqs.(pick mod n_req) <- List.nth pins (pick mod List.length pins) :: reqs.(pick mod n_req);
+    let add k p = reqs.(k mod n_req) <- p :: reqs.(k mod n_req) in
+    if pin_start then add pick (List.nth pins (pick mod List.length pins));
+    Option.iter (add (pick + 1)) ring_start;
+    if share then add (pick + 2) (List.hd reqs.(pick mod n_req));
+    if dup then add pick (List.hd reqs.(pick mod n_req));
     let starts = List.concat (Array.to_list reqs) in
     return
       { sw; sh;
@@ -1593,6 +1595,15 @@ let capped_workspace b =
     b;
   ws
 
+(* A budget's state: its exhaustion and the ticks it still grants, up to
+   [limit] + 1. Draws those ticks. *)
+let budget_state ws limit =
+  let b = Pacor_route.Workspace.budget ws in
+  let ex = Pacor_route.Budget.exhausted b in
+  let k = ref 0 in
+  while !k <= limit && Pacor_route.Budget.tick b do incr k done;
+  (ex, !k)
+
 (* Search work of a counter delta: every counter but [grid_allocs], which
    measures workspace growth, not the search. *)
 let search_work (s : Pacor_route.Search_stats.snapshot) =
@@ -1605,13 +1616,6 @@ let prop_flat_seed_matches_deque_oracle =
      counters (but [grid_allocs]) and, under expansion caps of 0 up to
      past the cell count, the point where the budget trips. A budget's
      state is its exhaustion and the ticks it still grants. *)
-  let module B = Pacor_route.Budget in
-  let remaining_ticks ws limit =
-    let b = Pacor_route.Workspace.budget ws in
-    let k = ref 0 in
-    while !k <= limit && B.tick b do incr k done;
-    !k
-  in
   QCheck.Test.make ~name:"flat seed BFS = deque oracle (heights, counters, budget)" ~count:500
     (QCheck.make ~print:print_seed_instance seed_instance_gen) (fun t ->
       let grid, roles = seed_instance_roles t in
@@ -1627,10 +1631,9 @@ let prop_flat_seed_matches_deque_oracle =
       if work ws <> work ws' then
         QCheck.Test.fail_reportf "counters: flat %a, deque %a" Pacor_route.Search_stats.pp
           (work ws) Pacor_route.Search_stats.pp (work ws');
-      let ex ws = B.exhausted (Pacor_route.Workspace.budget ws) in
-      if ex ws <> ex ws' then QCheck.Test.fail_report "budget exhaustion differs";
       let limit = (t.sw * t.sh) + 2 in
-      let a = remaining_ticks ws limit and b = remaining_ticks ws' limit in
+      let ex, a = budget_state ws limit and ex', b = budget_state ws' limit in
+      if ex <> ex' then QCheck.Test.fail_report "budget exhaustion differs";
       if a <> b then QCheck.Test.fail_reportf "budget grants %d more ticks, deque %d" a b;
       true)
 
@@ -1646,10 +1649,14 @@ let prop_lazy_seed_installs_on_touch =
      overwritten with junk after the network is created, and on the CSR
      oracle seeded eagerly: paths,
      flow, cost, rounds and every counter but [grid_allocs] must match
-     the fresh solve. Sealed instances have a dead source. Instances of
-     two or more requests also solve unseeded, as one request always
-     does: the potentials then install as 0, and a later round reads
-     the update the first 0-1-BFS round made. *)
+     the fresh solve. Sealed instances have a dead source.
+     Then each request alone goes through [Escape.route], whose cell BFS
+     must equal the CSR oracle's unseeded 0-1-BFS rounds
+     ([Escape_oracle.route]) in cells and in every counter but
+     [grid_allocs], also with [alive] turning false before the first or
+     the second round; for the first request, under every expansion cap
+     from 0 to two past the unbudgeted pops, the budget's state must
+     match too. *)
   let reused = Pacor_route.Workspace.create () in
   let module S = Pacor_route.Search_stats in
   QCheck.Test.make ~name:"lazy seed: installs on touch, dirty slots = fresh = eager CSR"
@@ -1661,16 +1668,13 @@ let prop_lazy_seed_installs_on_touch =
       let n = (2 * cells) + nreq + 2 in
       let source = n - 2 and sink = n - 1 in
       let beta = (4 * cells) + 16 in
-      let check seeded =
-        let mode = if seeded then "seeded" else "unseeded" in
+      let check () =
         (* Fresh workspace, counting every evaluation of [h]. *)
         let ws = Pacor_route.Workspace.create () in
         let net = Escape.grid_network ~workspace:ws ~grid ~roles reqs in
         let evals = Array.make n 0 in
-        if seeded then begin
-          let h = Escape.seed_heights ws ~grid ~roles ~pins reqs in
-          Mcmf_grid.seed net ~h:(fun v -> evals.(v) <- evals.(v) + 1; h v)
-        end;
+        let h = Escape.seed_heights ws ~grid ~roles ~pins reqs in
+        Mcmf_grid.seed net ~h:(fun v -> evals.(v) <- evals.(v) + 1; h v);
         let settled = Array.make n false in
         let note_settled () =
           for k = 0 to Pacor_route.Workspace.trail_length ws - 1 do
@@ -1694,7 +1698,7 @@ let prop_lazy_seed_installs_on_touch =
             if e > 1 then QCheck.Test.fail_reportf "node %d evaluated %d times" v e;
             if e = 1 && not reachable.(v) then
               QCheck.Test.fail_reportf "node %d evaluated but no round touched it" v;
-            if seeded && settled.(v) && e = 0 then
+            if settled.(v) && e = 0 then
               QCheck.Test.fail_reportf "settled node %d never evaluated" v)
           evals;
         let a_paths = Mcmf_grid.paths net in
@@ -1709,7 +1713,7 @@ let prop_lazy_seed_installs_on_touch =
         for v = 0 to n - 1 do
           record.((4 * v) + 3) <- 0x1e3c5a
         done;
-        if seeded then Mcmf_grid.seed net ~h:(Escape.seed_heights reused ~grid ~roles ~pins reqs);
+        Mcmf_grid.seed net ~h:(Escape.seed_heights reused ~grid ~roles ~pins reqs);
         let b = Mcmf_grid.solve ~workspace:reused ~stop_when_cost_reaches:beta net in
         let b_paths = Mcmf_grid.paths net in
         let b_work = search_work (S.diff (snapshot reused) before) in
@@ -1719,7 +1723,7 @@ let prop_lazy_seed_installs_on_touch =
           Mcmf_csr.build ~n ~source ~sink
             ~emit_arcs:(emit_list (Escape_oracle.network_arcs ~grid ~roles reqs))
         in
-        if seeded then Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs);
+        Mcmf_csr.seed oracle ~h:(Escape.seed_heights ws' ~grid ~roles ~pins reqs);
         let c = Mcmf_csr.solve ~workspace:ws' ~stop_when_cost_reaches:beta oracle in
         let c_paths = cell_paths ~cells (Mcmf_csr.decompose_paths oracle) in
         let c_work = search_work (snapshot ws') in
@@ -1732,11 +1736,47 @@ let prop_lazy_seed_installs_on_touch =
             if paths <> a_paths then QCheck.Test.fail_reportf "%s: paths differ" label;
             if work <> a_work then
               QCheck.Test.fail_reportf "%s: counters %a <> fresh %a" label S.pp work S.pp a_work)
-          [ (mode ^ ", reused dirty workspace", triple b, b_paths, b_work);
-            (mode ^ ", eager CSR", (c.Mcmf_csr.flow, c.cost, c.rounds), c_paths, c_work) ]
+          [ ("reused dirty workspace", triple b, b_paths, b_work);
+            ("eager CSR", (c.Mcmf_csr.flow, c.cost, c.rounds), c_paths, c_work) ]
       in
-      check false;
-      if nreq >= 2 then check true;
+      check ();
+      let claimed =
+        Point.Set.of_list (List.concat_map (fun (r : Escape.request) -> r.start_cells) reqs @ t.sclaim)
+      in
+      let pins = List.filter (fun p -> not (Routing_grid.blocked grid p)) pins in
+      let key (e : Escape.routed) = (e.idx, e.start_cell, e.pin, Path.points e.path) in
+      (* One request through [Escape.route] and the oracle, each on a
+         fresh workspace capped at [budget] with an [alive] that turns
+         false after [live] polls. Returns the oracle's pops. *)
+      let single ?budget ?(live = max_int) (r : Escape.request) =
+        let alive () = let polls = ref 0 in fun () -> incr polls; !polls <= live in
+        let ws = capped_workspace budget and ws' = capped_workspace budget in
+        let occupied = Escape_oracle.occupied ~grid claimed in
+        let what = Printf.sprintf "request %d, budget %s, live %d" r.cluster_idx
+            (match budget with Some b -> string_of_int b | None -> "none") live in
+        match Escape.route ~alive:(alive ()) ~workspace:ws ~grid ~occupied ~pins [ r ] with
+        | Error e -> QCheck.Test.fail_reportf "%s: route error: %s" what e
+        | Ok out ->
+          let oracle = Escape_oracle.route ~alive:(alive ()) ws' ~grid ~claimed ~pins [ r ] in
+          if List.map key out.routed <> List.map key oracle.routed || out.failed <> oracle.failed
+          then QCheck.Test.fail_reportf "%s: cells differ from the oracle" what;
+          let work = search_work (snapshot ws) and work' = search_work (snapshot ws') in
+          if work <> work' then
+            QCheck.Test.fail_reportf "%s: counters %a, oracle %a" what S.pp work S.pp work';
+          if budget_state ws (cells + 4) <> budget_state ws' (cells + 4) then
+            QCheck.Test.fail_reportf "%s: budget state differs from the oracle" what;
+          work'.S.pops
+      in
+      List.iteri
+        (fun k r ->
+          let pops = single r in
+          ignore (single ~live:0 r : int);
+          ignore (single ~live:1 r : int);
+          if k = 0 then
+            for budget = 0 to pops + 2 do
+              ignore (single ~budget r : int)
+            done)
+        reqs;
       true)
 
 let prop_roles_match_set_oracle =

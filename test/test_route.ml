@@ -659,22 +659,23 @@ let test_bounded_multi_entry_pins () =
   Alcotest.(check string) "cap 3" ("pops=17 pushes=34 touched=57 relax=57 path=" ^ path) line;
   Alcotest.(check int) "most entries on a cell, cap 3" 3 most
 
-(* The shared 0-1-BFS deque honours deque order: push_front items come out
+(* The oracles' 0-1-BFS deque (test/deque.ml) honours deque order: push_front items come out
    before everything pushed at the back, and pops are charged to the same
    budget/stat counters as heap pops. *)
 let test_workspace_deque_order () =
   let stats = Search_stats.create () in
   let ws = Workspace.create ~stats () in
   Workspace.begin_search ws ~cells:16;
-  Alcotest.(check bool) "fresh deque is empty" true (Workspace.deque_is_empty ws);
-  Workspace.deque_push_back ws 1;
-  Workspace.deque_push_back ws 2;
-  Workspace.deque_push_front ws 3;
-  Workspace.deque_push_back ws 4;
-  Workspace.deque_push_front ws 5;
-  let order = List.init 5 (fun _ -> Workspace.deque_pop_front ws) in
+  let dq = Deque.create ws in
+  Alcotest.(check bool) "fresh deque is empty" true (Deque.is_empty dq);
+  Deque.push_back dq 1;
+  Deque.push_back dq 2;
+  Deque.push_front dq 3;
+  Deque.push_back dq 4;
+  Deque.push_front dq 5;
+  let order = List.init 5 (fun _ -> Deque.pop_front dq) in
   Alcotest.(check (list int)) "deque order" [ 5; 3; 1; 2; 4 ] order;
-  Alcotest.(check int) "empty pop returns sentinel" (-1) (Workspace.deque_pop_front ws);
+  Alcotest.(check int) "empty pop returns sentinel" (-1) (Deque.pop_front dq);
   let snap = Search_stats.snapshot stats in
   Alcotest.(check int) "pushes counted" 5 snap.Search_stats.pushes;
   Alcotest.(check int) "pops counted" 5 snap.Search_stats.pops
@@ -684,24 +685,25 @@ let test_workspace_deque_order () =
 let test_workspace_deque_growth_and_reset () =
   let ws = Workspace.create () in
   Workspace.begin_search ws ~cells:4;
+  let dq = Deque.create ws in
   (* Wrap the ring: interleave pushes and pops so head advances. *)
   for i = 0 to 19 do
-    Workspace.deque_push_back ws i;
-    if i mod 3 = 2 then ignore (Workspace.deque_pop_front ws)
+    Deque.push_back dq i;
+    if i mod 3 = 2 then ignore (Deque.pop_front dq)
   done;
   for i = 20 to 299 do
-    Workspace.deque_push_back ws i
+    Deque.push_back dq i
   done;
   (* The six interleaved pops consumed the then-fronts 0..5. *)
   let expect = List.init 294 (fun k -> k + 6) in
-  let got = List.map (fun _ -> Workspace.deque_pop_front ws) expect in
+  let got = List.map (fun _ -> Deque.pop_front dq) expect in
   Alcotest.(check (list int)) "FIFO survives growth and wrap" expect got;
-  Workspace.deque_push_back ws 42;
+  Deque.push_back dq 42;
   Workspace.begin_search ws ~cells:4;
   Alcotest.(check bool) "epoch reset clears the deque" true
-    (Workspace.deque_is_empty ws);
+    (Deque.is_empty dq);
   Alcotest.(check int) "no stale element after reset" (-1)
-    (Workspace.deque_pop_front ws)
+    (Deque.pop_front dq)
 
 (* Deque pops tick the workspace budget exactly like heap pops: once the
    expansion budget is spent, pops return the sentinel even when elements
@@ -712,12 +714,13 @@ let test_workspace_deque_budget () =
   Workspace.set_budget ws budget;
   Budget.arm budget;
   Workspace.begin_search ws ~cells:8;
+  let dq = Deque.create ws in
   for i = 0 to 5 do
-    Workspace.deque_push_back ws i
+    Deque.push_back dq i
   done;
-  let drained = List.init 4 (fun _ -> Workspace.deque_pop_front ws) in
+  let drained = List.init 4 (fun _ -> Deque.pop_front dq) in
   Alcotest.(check (list int)) "budget cuts the drain" [ 0; 1; 2; -1 ] drained;
-  Alcotest.(check bool) "elements remain queued" false (Workspace.deque_is_empty ws);
+  Alcotest.(check bool) "elements remain queued" false (Deque.is_empty dq);
   (match Budget.exhausted budget with
    | Some Budget.Expansions -> ()
    | _ -> Alcotest.fail "expected expansion exhaustion");
