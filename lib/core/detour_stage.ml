@@ -48,9 +48,6 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
     | Some (Routed.Tree { candidate; edge_paths }) -> (candidate, edge_paths)
     | Some (Routed.Pair _) | None -> invalid_arg "detour_tree: not a tree"
   in
-  let anchor_lengths (r : Routed.t) =
-    Array.of_list (List.map snd (Routed.escape_anchor_lengths r))
-  in
   (* The tree is indexed once, not searched per step: its sink chains, its
      nodes by id, each node's children in node order, and the current
      route's leg per child (the first entry of [edge_paths], as
@@ -63,6 +60,13 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
     (List.rev candidate.Candidate.nodes);
   let legs = Array.make (Array.length nodes) None in
   List.iter (fun (child, p) -> legs.(child) <- Some p) (List.rev edge_paths);
+  (* The current route's anchor lengths ({!Routed.escape_anchor_lengths}),
+     read from the stage's own index. *)
+  let anchor_lengths () =
+    Routed.chain_lengths ~chain
+      ~leg:(fun child -> match legs.(child) with Some p -> Path.length p | None -> 0)
+      (Array.length candidate.Candidate.sinks)
+  in
   (* Lengthen the leg [child] of [r], now [leg], to at least [target]
      edges. *)
   let lengthen_leg (r : Routed.t) child leg target =
@@ -117,7 +121,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
     | None -> descend [] [ child ]
   in
   let rec loop (r : Routed.t) round =
-    let lengths = anchor_lengths r in
+    let lengths = anchor_lengths () in
     let maxl = Array.fold_left Int.max min_int lengths in
     let shorts =
       Array.to_list lengths

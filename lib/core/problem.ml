@@ -184,8 +184,13 @@ let add_obstacle t p =
     | Some v -> err "add_obstacle: valve %d stands on %a" v.id Point.pp p
     | None ->
       (* A candidate pin swallowed by the blockage simply disappears, like
-         the fault overlay; [create] re-checks that enough pins remain. *)
-      let pins = List.filter (fun q -> not (Point.equal q p)) t.pins in
+         the fault overlay; [create] re-checks that enough pins remain.
+         Otherwise the list is kept as it is, so the instance text's
+         render slots see the same pins physically. *)
+      let pins =
+        if List.exists (Point.equal p) t.pins then List.filter (fun q -> not (Point.equal q p)) t.pins
+        else t.pins
+      in
       (match
          create ~name:t.name ~rules:t.rules
            ~grid:(Routing_grid.with_extra_obstacles t.grid [ p ])

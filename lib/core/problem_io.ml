@@ -2,22 +2,53 @@ open Pacor_geom
 open Pacor_grid
 open Pacor_valve
 
-(* The canonical text is written into one byte buffer per domain, grown
-   by doubling and reused with the obstacle sort's arrays, so rendering
-   allocates nothing once warm: [fingerprint] digests the buffer in
-   place and [to_string] copies it out once. *)
-type out = {
+(* The canonical text is written into render slots, four per domain. A
+   slot holds one text and the inputs it was rendered from, its own copy
+   of each mutable one (the obstacle bitmap, the activation sequences),
+   so it can be compared with whatever the caller's problem holds now. A
+   render whose inputs equal a slot's returns that slot, text and digest
+   as they are. Otherwise the text goes into the least recently used
+   slot; if a slot of the same size has a bitmap that differs in at most
+   a quarter of the columns, the one differing in fewest is the base, and
+   its unchanged column runs and unchanged tail sections are copied, only
+   the changed columns being rendered. Texts are written in place, so a
+   warm render allocates no text-sized block; [fingerprint] digests a
+   slot once, and [to_string] copies its text out. *)
+type slot = {
+  mutable stamp : int;            (* last use; 0 while empty or being written *)
+  mutable name : string;
+  mutable delta : int;
+  mutable map : Obstacle_map.t;
+  mutable pins : Point.t list;
   mutable b : Bytes.t;
-  mutable pos : int;
+  mutable pos : int;              (* the text is [b]'s first [pos] bytes *)
+  mutable key_end : int;          (* the valve key is [b]'s bytes [pos, key_end) *)
+  mutable cols : int array;       (* column x's first obstacle line at x,
+                                     the first valve line at width *)
+  mutable pins_at : int;          (* the first pin line *)
+  mutable digest : string;        (* hex; "" until computed *)
+}
+
+type state = {
+  slots : slot array;
+  mutable clock : int;
   mutable start : int array;  (* counting sort: column x's first slot at x,
                                  its next free slot at width + 1 + x *)
   mutable ys : int array;     (* obstacle rows, column-major *)
+  mutable marks : Bytes.t;    (* the columns a splice renders *)
 }
 
-let out_key = Domain.DLS.new_key (fun () -> { b = Bytes.create 65536; pos = 0; start = [||]; ys = [||] })
+let state_key =
+  Domain.DLS.new_key (fun () ->
+    let slot _ =
+      { stamp = 0; name = ""; delta = 0; map = Obstacle_map.create ~width:1 ~height:1;
+        pins = []; b = Bytes.empty; pos = 0; key_end = 0; cols = [||];
+        pins_at = 0; digest = "" }
+    in
+    { slots = Array.init 4 slot; clock = 0; start = [||]; ys = [||]; marks = Bytes.empty })
 
 let grow o n =
-  let b = Bytes.create (max (o.pos + n) (2 * Bytes.length o.b)) in
+  let b = Bytes.create (max (max (o.pos + n) 4096) (2 * Bytes.length o.b)) in
   Bytes.blit o.b 0 b 0 o.pos;
   o.b <- b
 
@@ -33,6 +64,12 @@ let add_string o s =
   Bytes.unsafe_blit_string s 0 o.b o.pos (String.length s);
   o.pos <- o.pos + String.length s
 
+(* Bytes [a, e) of [src]'s text. *)
+let add_sub o src a e =
+  reserve o (e - a);
+  Bytes.blit src.b a o.b o.pos (e - a);
+  o.pos <- o.pos + e - a
+
 (* The decimal digits of [n >= 0] at [pos] of [b], which has room for
    them; returns their end. No format string, no intermediate string. *)
 let rec put_digits b pos n =
@@ -40,54 +77,35 @@ let rec put_digits b pos n =
   Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (n mod 10)));
   pos + 1
 
-let add_int o n =
+(* [n], then the separator [c]. *)
+let add_int o n c =
   if n = min_int then add_string o (string_of_int n)
   else begin
     reserve o 20;
     if n < 0 then add_char o '-';
     o.pos <- put_digits o.b o.pos (abs n)
-  end
+  end;
+  add_char o c
 
 let grown a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
-(* The emitted form is CANONICAL: two problems that are equal as values
-   (same grid, same obstacle set, same valves/clusters/pins/delta) render to
-   byte-identical text regardless of the construction order of their lists.
-   The serving layer's cache keys ({!fingerprint}) depend on this, so every
-   repeatable section is sorted here rather than emitted in storage order.
-   Within a cluster line the member order is preserved — it is part of the
-   cluster's identity (sequence alignment) — but the lines themselves sort
-   by cluster id. Returns the domain's buffer, the text in its first
-   [pos] bytes. *)
-let render (p : Problem.t) =
-  let o = Domain.DLS.get out_key in
-  o.pos <- 0;
-  let obstacles = Routing_grid.obstacles p.grid in
-  let width = Obstacle_map.width obstacles in
-  let str s = add_string o s in
-  let int n = add_int o n in
-  let sp () = add_char o ' ' in
-  let nl () = add_char o '\n' in
-  str "# PACOR control-layer routing instance\n";
-  str "name ";
-  str p.name;
-  nl ();
-  str "grid ";
-  int (Routing_grid.width p.grid);
-  sp ();
-  int (Routing_grid.height p.grid);
-  nl ();
-  str "delta ";
-  int p.delta;
-  nl ();
-  (* Obstacles are stored cell by cell: rectangles are a convenience of the
-     input format only. They are emitted in [Point.compare] order, x-major,
-     by a counting sort on the column: the row-major index scan already
-     visits each column's rows in ascending order, and tracks its row
-     instead of dividing. *)
-  o.start <- grown o.start (2 * width + 1);
-  o.ys <- grown o.ys (Obstacle_map.blocked_count obstacles);
-  let start = o.start and ys = o.ys in
+let add_obstacle o x y =
+  add_string o "obstacle ";
+  add_int o x ' ';
+  add_int o y ' ';
+  add_int o x ' ';
+  add_int o y '\n'
+
+(* Obstacles are stored cell by cell: rectangles are a convenience of the
+   input format only. They are emitted in [Point.compare] order, x-major,
+   by a counting sort on the column: the row-major index scan already
+   visits each column's rows in ascending order, and tracks its row
+   instead of dividing. *)
+let add_obstacles st o map =
+  let width = Obstacle_map.width map in
+  st.start <- grown st.start (2 * width + 1);
+  st.ys <- grown st.ys (Obstacle_map.blocked_count map);
+  let start = st.start and ys = st.ys in
   Array.fill start 0 (width + 1) 0;
   let y = ref 0 and row = ref 0 in
   let column i =
@@ -97,7 +115,7 @@ let render (p : Problem.t) =
     done;
     i - !row
   in
-  Obstacle_map.iter_blocked_index obstacles (fun i ->
+  Obstacle_map.iter_blocked_index map (fun i ->
     let x = column i + 1 in
     start.(x) <- start.(x) + 1);
   for x = 1 to width do
@@ -106,67 +124,215 @@ let render (p : Problem.t) =
   done;
   y := 0;
   row := 0;
-  Obstacle_map.iter_blocked_index obstacles (fun i ->
+  Obstacle_map.iter_blocked_index map (fun i ->
     let x = width + 1 + column i in
     ys.(start.(x)) <- !y;
     start.(x) <- start.(x) + 1);
   for x = 0 to width - 1 do
+    o.cols.(x) <- o.pos;
     for k = start.(x) to start.(x + 1) - 1 do
-      let y = ys.(k) in
-      str "obstacle ";
-      int x;
-      sp ();
-      int y;
-      sp ();
-      int x;
-      sp ();
-      int y;
-      nl ()
+      add_obstacle o x ys.(k)
     done
   done;
+  o.cols.(width) <- o.pos
+
+(* After its text a slot keeps the valves and clusters as [p] lists
+   them, a key that [walk] encodes: a count, each valve's id, position,
+   sequence length and status codes, each cluster's id, size and
+   members. [walk] stops at the first field [int] or [status] refuses. *)
+let code : Activation.status -> char = function Open -> '0' | Closed -> '1' | Dont_care -> 'X'
+
+let walk (p : Problem.t) ~int ~status =
+  int (List.length p.valves)
+  && List.for_all
+       (fun (v : Valve.t) ->
+          int v.id && int v.position.x && int v.position.y && int (Array.length v.sequence)
+          && Array.for_all status v.sequence)
+       p.valves
+  && List.for_all
+       (fun (c : Cluster.t) ->
+          int c.id && int (List.length c.valves) && List.for_all (fun (v : Valve.t) -> int v.id) c.valves)
+       p.lm_clusters
+
+let add_key o (p : Problem.t) =
+  let int n =
+    reserve o 8;
+    Bytes.set_int64_le o.b o.pos (Int64.of_int n);
+    o.pos <- o.pos + 8;
+    true
+  in
+  ignore (walk p ~int ~status:(fun st -> add_char o (code st); true))
+
+(* Valve lines, then cluster lines. Within a cluster line the member
+   order is preserved — it is part of the cluster's identity (sequence
+   alignment) — but the lines themselves sort by cluster id. *)
+let add_valves o (p : Problem.t) =
   List.iter
     (fun (v : Valve.t) ->
-       str "valve ";
-       int v.id;
-       sp ();
-       int v.position.x;
-       sp ();
-       int v.position.y;
-       sp ();
-       str (Activation.string_of_sequence v.sequence);
-       nl ())
+       add_string o "valve ";
+       add_int o v.id ' ';
+       add_int o v.position.x ' ';
+       add_int o v.position.y ' ';
+       add_string o (Activation.string_of_sequence v.sequence);
+       add_char o '\n')
     (List.sort (fun (a : Valve.t) (b : Valve.t) -> Int.compare a.id b.id) p.valves);
+  let rec members = function
+    | [] -> add_char o '\n'
+    | [ (v : Valve.t) ] -> add_int o v.id '\n'
+    | (v : Valve.t) :: rest ->
+      add_int o v.id ' ';
+      members rest
+  in
   List.iter
     (fun (c : Cluster.t) ->
-       str "cluster ";
-       int c.id;
-       sp ();
-       List.iteri
-         (fun k id ->
-            if k > 0 then sp ();
-            int id)
-         (Cluster.valve_ids c);
-       nl ())
-    (List.sort (fun (a : Cluster.t) (b : Cluster.t) -> Int.compare a.id b.id) p.lm_clusters);
+       add_string o "cluster ";
+       add_int o c.id ' ';
+       members c.valves)
+    (List.sort (fun (a : Cluster.t) (b : Cluster.t) -> Int.compare a.id b.id) p.lm_clusters)
+
+let add_pins o (p : Problem.t) =
   List.iter
     (fun (pt : Point.t) ->
-       str "pin ";
-       int pt.x;
-       sp ();
-       int pt.y;
-       nl ())
-    (List.sort Point.compare p.pins);
-  o
+       add_string o "pin ";
+       add_int o pt.x ' ';
+       add_int o pt.y '\n')
+    (List.sort Point.compare p.pins)
+
+(* Whether a slot's inputs equal [p]'s: its valve and cluster lines', and
+   its pin lines'. *)
+let same_valves s (p : Problem.t) =
+  let k = ref s.pos in
+  let int n =
+    !k + 8 <= s.key_end && Int64.to_int (Bytes.get_int64_le s.b !k) = n && (k := !k + 8; true)
+  in
+  let status st = !k < s.key_end && Bytes.get s.b !k = code st && (incr k; true) in
+  walk p ~int ~status && !k = s.key_end
+
+let same_pins s (p : Problem.t) = s.pins == p.pins || List.equal Point.equal s.pins p.pins
+
+(* The slot of [map]'s size whose bitmap differs from it in the fewest
+   columns, at most a quarter of them, with those columns marked in
+   [st.marks]. Each diff stops once it passes the best so far: designs of
+   one size differ in thousands of cells. *)
+let nearest st map =
+  let width = Obstacle_map.width map and height = Obstacle_map.height map in
+  if Bytes.length st.marks < width then st.marks <- Bytes.create width;
+  let best = ref None and fewest = ref ((width / 4) + 1) in
+  Array.iter
+    (fun s ->
+       if s.stamp > 0 && Obstacle_map.width s.map = width && Obstacle_map.height s.map = height
+       then begin
+         let n = Obstacle_map.diff_columns s.map map st.marks ~limit:(!fewest - 1) in
+         if n < !fewest then begin
+           best := Some s;
+           fewest := n
+         end
+       end)
+    st.slots;
+  Option.iter (fun s -> ignore (Obstacle_map.diff_columns s.map map st.marks ~limit:width)) !best;
+  !best
+
+(* [o]'s obstacles and tail from [base]'s: each unchanged column run
+   copied, its line offsets shifted to where it now starts, each marked
+   column rendered by a strided pass down the bitmap, and each tail
+   section copied when its inputs are equal. Returns whether the valves
+   and clusters are. *)
+let splice st o base (p : Problem.t) map =
+  let width = Obstacle_map.width map in
+  let x = ref 0 in
+  while !x < width do
+    let a = !x in
+    if Bytes.get st.marks a = '\000' then begin
+      while !x < width && Bytes.get st.marks !x = '\000' do incr x done;
+      let shift = o.pos - base.cols.(a) in
+      for c = a to !x - 1 do o.cols.(c) <- base.cols.(c) + shift done;
+      add_sub o base base.cols.(a) base.cols.(!x)
+    end
+    else begin
+      o.cols.(a) <- o.pos;
+      for y = 0 to Obstacle_map.height map - 1 do
+        if not (Obstacle_map.free_i map ((y * width) + a)) then add_obstacle o a y
+      done;
+      incr x
+    end
+  done;
+  o.cols.(width) <- o.pos;
+  let same = same_valves base p in
+  if same then add_sub o base base.cols.(width) base.pins_at else add_valves o p;
+  o.pins_at <- o.pos;
+  if same_pins base p then add_sub o base base.pins_at base.pos else add_pins o p;
+  same
+
+(* The emitted form is CANONICAL: two problems that are equal as values
+   (same grid, same obstacle set, same valves/clusters/pins/delta) render to
+   byte-identical text regardless of the construction order of their lists.
+   The serving layer's cache keys ({!fingerprint}) depend on this, so every
+   repeatable section is sorted here rather than emitted in storage order.
+   Returns the slot holding the text. *)
+let render (p : Problem.t) =
+  let st = Domain.DLS.get state_key in
+  let map = Routing_grid.obstacles p.grid in
+  st.clock <- st.clock + 1;
+  let exact s =
+    s.stamp > 0 && s.delta = p.delta && String.equal s.name p.name && Obstacle_map.equal s.map map
+    && same_valves s p && same_pins s p
+  in
+  match Array.find_opt exact st.slots with
+  | Some s ->
+    s.stamp <- st.clock;
+    s
+  | None ->
+    let base = nearest st map in
+    (* The least recently used slot other than the base. *)
+    let free s = match base with Some b -> s != b | None -> true in
+    let o = ref st.slots.(if free st.slots.(0) then 0 else 1) in
+    Array.iter (fun s -> if free s && s.stamp < !o.stamp then o := s) st.slots;
+    let o = !o in
+    o.stamp <- 0;
+    o.pos <- 0;
+    o.digest <- "";
+    o.cols <- grown o.cols (Obstacle_map.width map + 1);
+    add_string o "# PACOR control-layer routing instance\nname ";
+    add_string o p.name;
+    add_string o "\ngrid ";
+    add_int o (Routing_grid.width p.grid) ' ';
+    add_int o (Routing_grid.height p.grid) '\n';
+    add_string o "delta ";
+    add_int o p.delta '\n';
+    let same =
+      match base with
+      | Some b ->
+        b.stamp <- st.clock;
+        splice st o b p map
+      | None ->
+        add_obstacles st o map;
+        add_valves o p;
+        o.pins_at <- o.pos;
+        add_pins o p;
+        false
+    in
+    let text_end = o.pos in
+    (match base with Some b when same -> add_sub o b b.pos b.key_end | _ -> add_key o p);
+    o.key_end <- o.pos;
+    o.pos <- text_end;
+    o.name <- p.name;
+    o.delta <- p.delta;
+    o.pins <- p.pins;
+    if Obstacle_map.width o.map = Obstacle_map.width map
+       && Obstacle_map.height o.map = Obstacle_map.height map
+    then Obstacle_map.blit ~src:map ~dst:o.map
+    else o.map <- Obstacle_map.copy map;
+    o.stamp <- st.clock;
+    o
 
 let to_string p =
   let o = render p in
   Bytes.sub_string o.b 0 o.pos
 
-let text_fingerprint text = Digest.to_hex (Digest.string text)
-
 let fingerprint p =
   let o = render p in
-  Digest.to_hex (Digest.subbytes o.b 0 o.pos)
+  if o.digest = "" then o.digest <- Digest.to_hex (Digest.subbytes o.b 0 o.pos);
+  o.digest
 
 (* 16M cells (~2^24): far above any realistic chip, far below what makes
    grid allocation or block-filling a denial-of-service vector. *)

@@ -57,6 +57,10 @@ let start_cells t =
   | Some (Pair { path; _ }) -> [ pair_middle path ]
   | None -> Point.Set.elements t.claimed
 
+let chain_lengths ~chain ~leg sinks =
+  Array.init sinks (fun sink ->
+    List.fold_left (fun acc (child, _parent) -> acc + leg child) 0 (chain ~sink))
+
 let escape_anchor_lengths t =
   match t.shape with
   | None -> []
@@ -79,14 +83,15 @@ let escape_anchor_lengths t =
        step: this runs for every tree each time its spread is read. A
        child without a path is a zero-length (coincident) edge; a child
        listed twice counts its first path, as [List.assoc_opt] would. *)
-    let chain = Candidate.chain_index candidate in
     let legs = Array.make (List.length candidate.nodes) 0 in
     List.iter
       (fun (child, p) -> if child >= 0 && child < Array.length legs then legs.(child) <- Path.length p)
       (List.rev edge_paths);
-    List.init (Array.length candidate.sinks) (fun sink ->
-      (valves.(sink).Valve.id,
-       List.fold_left (fun acc (child, _parent) -> acc + legs.(child)) 0 (chain ~sink)))
+    let lengths =
+      chain_lengths ~chain:(Candidate.chain_index candidate) ~leg:(Array.get legs)
+        (Array.length candidate.sinks)
+    in
+    List.init (Array.length lengths) (fun sink -> (valves.(sink).Valve.id, lengths.(sink)))
 
 let is_length_matched_shape t = Option.is_some t.shape
 

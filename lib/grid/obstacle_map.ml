@@ -106,6 +106,38 @@ let unblock_points t ps = List.iter (unblock t) ps
 let blocked_count t = t.count
 let copy t = { t with bits = Bytes.copy t.bits }
 
+let equal a b = a.width = b.width && a.height = b.height && Bytes.equal a.bits b.bits
+
+let blit ~src ~dst =
+  if src.width <> dst.width || src.height <> dst.height then invalid_arg "Obstacle_map.blit";
+  Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
+  dst.count <- src.count
+
+(* Eight bitmap bytes are XORed per step; only a differing word is taken
+   apart, and only its differing cells pay a division for their column. *)
+let diff_columns a b marks ~limit =
+  if a.width <> b.width || a.height <> b.height then invalid_arg "Obstacle_map.diff_columns";
+  let n = a.width * a.height and len = Bytes.length a.bits and count = ref 0 in
+  Bytes.fill marks 0 a.width '\000';
+  let mark_byte k =
+    let d = Char.code (Bytes.unsafe_get a.bits k) lxor Char.code (Bytes.unsafe_get b.bits k) in
+    for bit = 0 to 7 do
+      let i = (k lsl 3) + bit in
+      if d land (1 lsl bit) <> 0 && i < n && Bytes.unsafe_get marks (i mod a.width) = '\000' then begin
+        Bytes.unsafe_set marks (i mod a.width) '\001';
+        incr count
+      end
+    done
+  in
+  let k = ref 0 in
+  while !k < len && !count <= limit do
+    let step = if !k + 8 <= len then 8 else 1 in
+    if step = 1 || Int64.logxor (Bytes.get_int64_le a.bits !k) (Bytes.get_int64_le b.bits !k) <> 0L
+    then for j = !k to !k + step - 1 do mark_byte j done;
+    k := !k + step
+  done;
+  !count
+
 let iter_blocked t f =
   for y = 0 to t.height - 1 do
     for x = 0 to t.width - 1 do

@@ -54,6 +54,18 @@ val blocked_count : t -> int
 
 val copy : t -> t
 
+val equal : t -> t -> bool
+(** Same dimensions, same blocked cells. *)
+
+val blit : src:t -> dst:t -> unit
+(** Copies [src]'s cells into [dst], of the same dimensions. *)
+
+val diff_columns : t -> t -> Bytes.t -> limit:int -> int
+(** [diff_columns a b marks ~limit], for maps of equal dimensions, counts
+    the columns in which they differ and marks each in [marks] (['\001'],
+    others ['\000']; [width] bytes). It stops once the count passes
+    [limit], the marks then partial. *)
+
 val iter_blocked : t -> (Point.t -> unit) -> unit
 
 val iter_blocked_index : t -> (int -> unit) -> unit

@@ -9,8 +9,8 @@ type rendered = {
   fields : (string * Json.t) list Lazy.t;
 }
 
-let rendered ?validation ?fingerprint solution =
-  { solution; fields = lazy (Protocol.solution_fields ?validation ?fingerprint solution) }
+let rendered ?validation solution =
+  { solution; fields = lazy (Protocol.solution_fields ?validation solution) }
 
 type session = {
   mutable current : rendered;
@@ -98,23 +98,21 @@ let better (a : Pacor.Solution.t) (b : Pacor.Solution.t) =
 (* Every session mutation is journalled (canonical problem text + revision)
    and fsync'd before the response that acknowledges it leaves the daemon:
    an acknowledged session is, by construction, recoverable after a kill.
-   Returns the fingerprint of the text it wrote, if it wrote one, so the
-   response fields need not render the problem a second time. *)
+   The response's fingerprint is then an exact hit on the render slot the
+   text came from. *)
 let journal_bind t ~session ~revision ~(problem : Pacor.Problem.t) =
   match t.journal with
-  | None -> None
+  | None -> ()
   | Some j ->
     let problem_text = Pacor.Problem_io.to_string problem in
-    Journal.record_bind j ~session ~revision ~problem_text;
-    Some (Pacor.Problem_io.text_fingerprint problem_text)
+    Journal.record_bind j ~session ~revision ~problem_text
 
 let bind_session t name (r : rendered) =
   match name with
   | None -> ()
   | Some name ->
     Hashtbl.replace t.sessions name { current = r; revision = 0 };
-    ignore
-      (journal_bind t ~session:name ~revision:0 ~problem:r.solution.Pacor.Solution.problem)
+    journal_bind t ~session:name ~revision:0 ~problem:r.solution.Pacor.Solution.problem
 
 (* Rebuild the session store from the journal: parse each surviving
    record's canonical text and route it from scratch. Crash-only: a record
@@ -221,9 +219,7 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
             "budget exhausted: "
             ^ Pacor_route.Budget.reason_label (Option.get sol.Pacor.Solution.budget_exhausted) )
       else begin
-        (* The engine answers for the problem it was given: [fp] is its
-           fingerprint. *)
-        let r = rendered ~fingerprint:fp sol in
+        let r = rendered sol in
         let result = Json.to_string (Json.Obj (Lazy.force r.fields)) in
         (* Only full-budget runs enter the cache: a budget-limited
            request — per-request limits or daemon-wide ones installed
@@ -405,10 +401,8 @@ let do_delta t ~workspace ~(req : Protocol.request) ~session:name ~delta =
         let expansions = (Pacor_route.Search_stats.diff s1 s0).Pacor_route.Search_stats.pops in
         let sol = trim_stages sol in
         let revision = sess.revision + 1 in
-        let fingerprint =
-          journal_bind t ~session:name ~revision ~problem:sol.Pacor.Solution.problem
-        in
-        let r = rendered ?validation ?fingerprint sol in
+        journal_bind t ~session:name ~revision ~problem:sol.Pacor.Solution.problem;
+        let r = rendered ?validation sol in
         sess.current <- r;
         sess.revision <- revision;
         if incremental then t.incremental_served <- t.incremental_served + 1;

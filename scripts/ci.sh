@@ -474,6 +474,36 @@ for name in Chip1 Chip2 fpva20-p8; do
   fi
 done
 
+echo "== serve round trips: each edit undone answers the base text's md5sum =="
+# A Chip2 session edited there and back three times: an obstacle added on
+# a free interior cell and removed, delta 3 and back to 1, valve 0 moved
+# one cell and back. Each undo returns the base problem, so its answer's
+# fingerprint must be md5sum of the emitted text, whether the daemon
+# spliced the text from a recent render or found it whole.
+rttrace="$textdir/roundtrips.trace"
+cat > "$rttrace" <<EOF
+{"id":1,"op":"route","file":"$textdir/emit-Chip2.chip","session":"rt"}
+{"id":2,"op":"add_obstacle","session":"rt","x":215,"y":30}
+{"id":3,"op":"remove_obstacle","session":"rt","x":215,"y":30}
+{"id":4,"op":"set_delta","session":"rt","delta":3}
+{"id":5,"op":"set_delta","session":"rt","delta":1}
+{"id":6,"op":"move_valve","session":"rt","valve":0,"x":218,"y":34}
+{"id":7,"op":"move_valve","session":"rt","valve":0,"x":219,"y":34}
+{"op":"shutdown"}
+EOF
+rtout=$(./_build/default/bin/pacor_cli.exe client --check < "$rttrace")
+want=$(md5sum < "$textdir/emit-Chip2.chip" | cut -d' ' -f1)
+for n in 1 2 3 4 5 6 7; do
+  got=$(printf '%s\n' "$rtout" | sed -n "${n}s/.*\"fingerprint\":\"\([0-9a-f]*\)\".*/\1/p")
+  # Answers 1, 3, 5 and 7 hold the base problem; 2, 4 and 6 an edit of it.
+  case $n in 1|3|5|7) ok=$([ "$got" = "$want" ] && echo y || echo n) ;;
+    *) ok=$([ -n "$got" ] && [ "$got" != "$want" ] && echo y || echo n) ;; esac
+  if [ "$ok" != y ]; then
+    echo "serve round trips: answer $n has fingerprint '$got'; md5sum of Chip2's text is $want" >&2
+    printf '%s\n' "$rtout" >&2; exit 1
+  fi
+done
+
 echo "== serve-bench + BENCH_serve.json drift check =="
 servejson=$(mktemp)
 ./_build/default/bench/main.exe --serve-bench --json-out "$servejson" > /dev/null

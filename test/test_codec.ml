@@ -201,6 +201,130 @@ let prop_fingerprint_in_place =
         (List.combine want got);
       true)
 
+(* Render slots: a render equal to a recent one returns its text, a near
+   one is spliced from it. Random edit chains, interleaved over Chip2, a
+   seed variant of the same size and Chip1, must keep [to_string] equal to
+   the oracle's text and [fingerprint] to its md5, through exact hits,
+   splices and full renders alike. *)
+let slot_problems =
+  lazy
+    (let chip2 = Pacor_designs.Table1.load_exn "Chip2" in
+     let variant =
+       match Pacor_designs.Table1.spec_of "Chip2" with
+       | None -> Alcotest.fail "Chip2 spec missing"
+       | Some s ->
+         Synthetic.generate_exn
+           { s with Synthetic.name = "Chip2-v1"; seed = Int64.add s.Synthetic.seed 1L }
+     in
+     [| chip2; variant; Pacor_designs.Table1.load_exn "Chip1" |])
+
+let check_render ?(digest_first = false) what p =
+  let want = Codec_oracle.to_string p in
+  let text () =
+    if not (String.equal (Problem_io.to_string p) want) then
+      QCheck.Test.fail_reportf "%s: text differs from the oracle" what
+  in
+  if not digest_first then text ();
+  if not (String.equal (Problem_io.fingerprint p) (Digest.to_hex (Digest.string want))) then
+    QCheck.Test.fail_reportf "%s: fingerprint differs from the oracle's md5" what;
+  if digest_first then text ()
+
+let random_cell rng (p : Problem.t) =
+  let w = Routing_grid.width p.grid and h = Routing_grid.height p.grid in
+  Point.make (Random.State.int rng w) (Random.State.int rng h)
+
+let random_obstacle rng (p : Problem.t) =
+  let map = Routing_grid.obstacles p.grid in
+  let n = Obstacle_map.blocked_count map in
+  if n = 0 then random_cell rng p
+  else begin
+    let k = Random.State.int rng n and seen = ref 0 and found = ref 0 in
+    Obstacle_map.iter_blocked_index map (fun i ->
+      if !seen = k then found := i;
+      incr seen);
+    Routing_grid.point_of_index p.grid !found
+  end
+
+let random_edit rng base (p : Problem.t) =
+  match Random.State.int rng 6 with
+  | 0 ->
+    let valves = Array.of_list p.valves in
+    let v = valves.(Random.State.int rng (Array.length valves)) in
+    let d () = Random.State.int rng 9 - 4 in
+    Problem.move_valve p v.Valve.id (Point.add v.Valve.position (Point.make (d ()) (d ())))
+  | 1 -> Problem.add_obstacle p (random_cell rng p)
+  | 2 -> Problem.remove_obstacle p (random_obstacle rng p)
+  | 3 -> Problem.with_delta p (Random.State.int rng 5)
+  | 4 ->
+    let blocked = List.init (Random.State.int rng 41) (fun _ -> random_cell rng p) in
+    Problem.with_faults p ~blocked ~dead_valves:[]
+  | _ -> Ok base
+
+let prop_slot_chains =
+  QCheck.Test.make ~count:20 ~name:"render slots = oracle on interleaved edit chains"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let bases = Lazy.force slot_problems in
+      let current = Array.copy bases in
+      (* A chain mostly stays on one problem, so its recent states are
+         still in the slots, and now and then moves to another. *)
+      let k = ref 0 in
+      for step = 1 to 60 do
+        if Random.State.int rng 3 = 0 then k := Random.State.int rng (Array.length bases);
+        (match random_edit rng bases.(!k) current.(!k) with
+         | Ok p -> current.(!k) <- p
+         | Error _ -> ());
+        check_render ~digest_first:(Random.State.bool rng)
+          (Printf.sprintf "seed %d step %d" seed step) current.(!k)
+      done;
+      true)
+
+(* A slot keeps its own copies of the caller's mutable inputs: a render
+   after the caller changed its obstacle map or an activation sequence in
+   place must show the change, and one after the change is undone must
+   not. *)
+let test_slot_mutation () =
+  let text = Codec_oracle.to_string (Lazy.force slot_problems).(0) in
+  let p = Result.get_ok (Problem_io.of_string text) in
+  let check what = check_render what p in
+  check "fresh";
+  let map = Routing_grid.obstacles p.grid in
+  let cell = Point.make 20 20 in
+  let blocked = Obstacle_map.blocked map cell in
+  let flip () = if blocked then Obstacle_map.unblock map cell else Obstacle_map.block map cell in
+  let unflip () = if blocked then Obstacle_map.block map cell else Obstacle_map.unblock map cell in
+  flip ();
+  check "obstacle map changed in place";
+  unflip ();
+  check "obstacle map restored";
+  let seq = (List.hd p.valves).Valve.sequence in
+  let old = seq.(0) in
+  seq.(0) <- (if old = Activation.Open then Activation.Closed else Activation.Open);
+  check "activation changed in place";
+  seq.(0) <- old;
+  check "activation restored"
+
+(* Slots are per domain: renders in a second domain, interleaved with the
+   first's, see only their own. *)
+let test_slot_domains () =
+  let problems = Lazy.force slot_problems in
+  let edited k =
+    Result.get_ok (Problem.with_delta problems.(k) (problems.(k).Problem.delta + 1))
+  in
+  let round () =
+    Array.iteri
+      (fun k p ->
+        check_render "base" p;
+        check_render "edit" (edited k))
+      problems
+  in
+  round ();
+  let other = Domain.spawn (fun () -> round (); round ()) in
+  round ();
+  Domain.join other;
+  round ()
+
 (* ---------- the JSON codec ---------- *)
 
 module Json = Pacor_serve.Json
@@ -407,7 +531,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_writer_synthetic;
           QCheck_alcotest.to_alcotest prop_writer_fpva;
           QCheck_alcotest.to_alcotest prop_writer_bitmap;
-          QCheck_alcotest.to_alcotest prop_fingerprint_in_place ] );
+          QCheck_alcotest.to_alcotest prop_fingerprint_in_place;
+          QCheck_alcotest.to_alcotest prop_slot_chains;
+          Alcotest.test_case "slots copy mutable inputs" `Quick test_slot_mutation;
+          Alcotest.test_case "slots per domain" `Quick test_slot_domains ] );
       ( "parser",
         [ Alcotest.test_case "named designs = oracle" `Quick test_parser_named;
           Alcotest.test_case "corpus = oracle" `Quick test_parser_corpus;
