@@ -60,8 +60,7 @@ let detour_tree ~workspace ~grid ~mask ~delta ~theta (original : Routed.t) =
     (List.rev candidate.Candidate.nodes);
   let legs = Array.make (Array.length nodes) None in
   List.iter (fun (child, p) -> legs.(child) <- Some p) (List.rev edge_paths);
-  (* The current route's anchor lengths ({!Routed.escape_anchor_lengths}),
-     read from the stage's own index. *)
+  (* {!Routed.escape_anchor_lengths} of the current route, from this index. *)
   let anchor_lengths () =
     Routed.chain_lengths ~chain
       ~leg:(fun child -> match legs.(child) with Some p -> Path.length p | None -> 0)

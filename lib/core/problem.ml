@@ -185,8 +185,7 @@ let add_obstacle t p =
     | None ->
       (* A candidate pin swallowed by the blockage simply disappears, like
          the fault overlay; [create] re-checks that enough pins remain.
-         Otherwise the list is kept as it is, so the instance text's
-         render slots see the same pins physically. *)
+         Otherwise the list is kept, for the render slots' [==] test. *)
       let pins =
         if List.exists (Point.equal p) t.pins then List.filter (fun q -> not (Point.equal q p)) t.pins
         else t.pins

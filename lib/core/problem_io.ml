@@ -3,17 +3,15 @@ open Pacor_grid
 open Pacor_valve
 
 (* The canonical text is written into render slots, four per domain. A
-   slot holds one text and the inputs it was rendered from, its own copy
-   of each mutable one (the obstacle bitmap, the activation sequences),
-   so it can be compared with whatever the caller's problem holds now. A
-   render whose inputs equal a slot's returns that slot, text and digest
-   as they are. Otherwise the text goes into the least recently used
-   slot; if a slot of the same size has a bitmap that differs in at most
-   a quarter of the columns, the one differing in fewest is the base, and
-   its unchanged column runs and unchanged tail sections are copied, only
-   the changed columns being rendered. Texts are written in place, so a
-   warm render allocates no text-sized block; [fingerprint] digests a
-   slot once, and [to_string] copies its text out. *)
+   slot keeps a text, its digest once computed, its line offsets and the
+   inputs it came from, with its own copy of the obstacle bitmap, which
+   the caller can change in place. A render writes [p]'s valve and
+   cluster lines into a scratch buffer first and compares them with each
+   slot's as text. A slot whose inputs all equal [p]'s is returned as it
+   is. Otherwise the least recently used slot is written, from a base if
+   one is near ({!nearest}): unchanged column runs and pin lines are
+   copied, other columns rendered by a strided pass down the bitmap. A
+   warm render allocates no text-sized block. *)
 type slot = {
   mutable stamp : int;            (* last use; 0 while empty or being written *)
   mutable name : string;
@@ -22,7 +20,6 @@ type slot = {
   mutable pins : Point.t list;
   mutable b : Bytes.t;
   mutable pos : int;              (* the text is [b]'s first [pos] bytes *)
-  mutable key_end : int;          (* the valve key is [b]'s bytes [pos, key_end) *)
   mutable cols : int array;       (* column x's first obstacle line at x,
                                      the first valve line at width *)
   mutable pins_at : int;          (* the first pin line *)
@@ -31,21 +28,18 @@ type slot = {
 
 type state = {
   slots : slot array;
+  valves : slot;              (* scratch: the rendered problem's valve and cluster lines *)
   mutable clock : int;
-  mutable start : int array;  (* counting sort: column x's first slot at x,
-                                 its next free slot at width + 1 + x *)
-  mutable ys : int array;     (* obstacle rows, column-major *)
-  mutable marks : Bytes.t;    (* the columns a splice renders *)
+  mutable marks : Bytes.t;    (* the columns a render writes afresh *)
 }
 
 let state_key =
   Domain.DLS.new_key (fun () ->
     let slot _ =
       { stamp = 0; name = ""; delta = 0; map = Obstacle_map.create ~width:1 ~height:1;
-        pins = []; b = Bytes.empty; pos = 0; key_end = 0; cols = [||];
-        pins_at = 0; digest = "" }
+        pins = []; b = Bytes.empty; pos = 0; cols = [||]; pins_at = 0; digest = "" }
     in
-    { slots = Array.init 4 slot; clock = 0; start = [||]; ys = [||]; marks = Bytes.empty })
+    { slots = Array.init 4 slot; valves = slot (); clock = 0; marks = Bytes.empty })
 
 let grow o n =
   let b = Bytes.create (max (max (o.pos + n) 4096) (2 * Bytes.length o.b)) in
@@ -70,6 +64,10 @@ let add_sub o src a e =
   Bytes.blit src.b a o.b o.pos (e - a);
   o.pos <- o.pos + e - a
 
+(* A buffer over 1 MB and eight times its text is cut down to it: a slot
+   reused for a small instance does not keep a very large one's size. *)
+let fit o = if Bytes.length o.b > max (8 * o.pos) (1 lsl 20) then o.b <- Bytes.sub o.b 0 o.pos
+
 (* The decimal digits of [n >= 0] at [pos] of [b], which has room for
    them; returns their end. No format string, no intermediate string. *)
 let rec put_digits b pos n =
@@ -87,81 +85,12 @@ let add_int o n c =
   end;
   add_char o c
 
-let grown a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
-
 let add_obstacle o x y =
   add_string o "obstacle ";
   add_int o x ' ';
   add_int o y ' ';
   add_int o x ' ';
   add_int o y '\n'
-
-(* Obstacles are stored cell by cell: rectangles are a convenience of the
-   input format only. They are emitted in [Point.compare] order, x-major,
-   by a counting sort on the column: the row-major index scan already
-   visits each column's rows in ascending order, and tracks its row
-   instead of dividing. *)
-let add_obstacles st o map =
-  let width = Obstacle_map.width map in
-  st.start <- grown st.start (2 * width + 1);
-  st.ys <- grown st.ys (Obstacle_map.blocked_count map);
-  let start = st.start and ys = st.ys in
-  Array.fill start 0 (width + 1) 0;
-  let y = ref 0 and row = ref 0 in
-  let column i =
-    while i - !row >= width do
-      row := !row + width;
-      incr y
-    done;
-    i - !row
-  in
-  Obstacle_map.iter_blocked_index map (fun i ->
-    let x = column i + 1 in
-    start.(x) <- start.(x) + 1);
-  for x = 1 to width do
-    start.(x) <- start.(x) + start.(x - 1);
-    start.(width + x) <- start.(x - 1)
-  done;
-  y := 0;
-  row := 0;
-  Obstacle_map.iter_blocked_index map (fun i ->
-    let x = width + 1 + column i in
-    ys.(start.(x)) <- !y;
-    start.(x) <- start.(x) + 1);
-  for x = 0 to width - 1 do
-    o.cols.(x) <- o.pos;
-    for k = start.(x) to start.(x + 1) - 1 do
-      add_obstacle o x ys.(k)
-    done
-  done;
-  o.cols.(width) <- o.pos
-
-(* After its text a slot keeps the valves and clusters as [p] lists
-   them, a key that [walk] encodes: a count, each valve's id, position,
-   sequence length and status codes, each cluster's id, size and
-   members. [walk] stops at the first field [int] or [status] refuses. *)
-let code : Activation.status -> char = function Open -> '0' | Closed -> '1' | Dont_care -> 'X'
-
-let walk (p : Problem.t) ~int ~status =
-  int (List.length p.valves)
-  && List.for_all
-       (fun (v : Valve.t) ->
-          int v.id && int v.position.x && int v.position.y && int (Array.length v.sequence)
-          && Array.for_all status v.sequence)
-       p.valves
-  && List.for_all
-       (fun (c : Cluster.t) ->
-          int c.id && int (List.length c.valves) && List.for_all (fun (v : Valve.t) -> int v.id) c.valves)
-       p.lm_clusters
-
-let add_key o (p : Problem.t) =
-  let int n =
-    reserve o 8;
-    Bytes.set_int64_le o.b o.pos (Int64.of_int n);
-    o.pos <- o.pos + 8;
-    true
-  in
-  ignore (walk p ~int ~status:(fun st -> add_char o (code st); true))
 
 (* Valve lines, then cluster lines. Within a cluster line the member
    order is preserved — it is part of the cluster's identity (sequence
@@ -173,7 +102,12 @@ let add_valves o (p : Problem.t) =
        add_int o v.id ' ';
        add_int o v.position.x ' ';
        add_int o v.position.y ' ';
-       add_string o (Activation.string_of_sequence v.sequence);
+       let n = Array.length v.sequence in
+       reserve o (n + 1);
+       for i = 0 to n - 1 do
+         Bytes.unsafe_set o.b (o.pos + i) (Activation.char_of_status (Array.unsafe_get v.sequence i))
+       done;
+       o.pos <- o.pos + n;
        add_char o '\n')
     (List.sort (fun (a : Valve.t) (b : Valve.t) -> Int.compare a.id b.id) p.valves);
   let rec members = function
@@ -198,22 +132,24 @@ let add_pins o (p : Problem.t) =
        add_int o pt.y '\n')
     (List.sort Point.compare p.pins)
 
-(* Whether a slot's inputs equal [p]'s: its valve and cluster lines', and
-   its pin lines'. *)
-let same_valves s (p : Problem.t) =
-  let k = ref s.pos in
-  let int n =
-    !k + 8 <= s.key_end && Int64.to_int (Bytes.get_int64_le s.b !k) = n && (k := !k + 8; true)
+(* Whether slot [s]'s valve and cluster lines are [v]'s text, compared
+   eight bytes a step. *)
+let same_valves s v =
+  let a = s.cols.(Obstacle_map.width s.map) and n = v.pos in
+  let rec from i =
+    if i + 8 <= n then
+      Int64.equal (Bytes.get_int64_ne s.b (a + i)) (Bytes.get_int64_ne v.b i) && from (i + 8)
+    else i = n || (Bytes.get s.b (a + i) = Bytes.get v.b i && from (i + 1))
   in
-  let status st = !k < s.key_end && Bytes.get s.b !k = code st && (incr k; true) in
-  walk p ~int ~status && !k = s.key_end
+  s.pins_at - a = n && from 0
 
 let same_pins s (p : Problem.t) = s.pins == p.pins || List.equal Point.equal s.pins p.pins
 
 (* The slot of [map]'s size whose bitmap differs from it in the fewest
    columns, at most a quarter of them, with those columns marked in
-   [st.marks]. Each diff stops once it passes the best so far: designs of
-   one size differ in thousands of cells. *)
+   [st.marks]; with none, the columns holding an obstacle are. Each diff stops once it
+   passes the best so far: designs of one size differ in thousands of
+   cells. *)
 let nearest st map =
   let width = Obstacle_map.width map and height = Obstacle_map.height map in
   if Bytes.length st.marks < width then st.marks <- Bytes.create width;
@@ -229,53 +165,63 @@ let nearest st map =
          end
        end)
     st.slots;
-  Option.iter (fun s -> ignore (Obstacle_map.diff_columns s.map map st.marks ~limit:width)) !best;
+  (match !best with
+   | Some s -> ignore (Obstacle_map.diff_columns s.map map st.marks ~limit:width)
+   | None ->
+     Bytes.fill st.marks 0 width '\000';
+     Obstacle_map.iter_blocked_index map (fun i -> Bytes.unsafe_set st.marks (i mod width) '\001'));
   !best
 
-(* [o]'s obstacles and tail from [base]'s: each unchanged column run
-   copied, its line offsets shifted to where it now starts, each marked
-   column rendered by a strided pass down the bitmap, and each tail
-   section copied when its inputs are equal. Returns whether the valves
-   and clusters are. *)
+(* [o]'s obstacles and tail: each unmarked column run copied from
+   [base]'s text, its line offsets shifted to where it now starts, each
+   marked column rendered by a strided pass down the bitmap, then the
+   valve and cluster lines from the scratch buffer, and the pin lines,
+   copied from [base] when its pins are [p]'s. *)
 let splice st o base (p : Problem.t) map =
   let width = Obstacle_map.width map in
   let x = ref 0 in
   while !x < width do
     let a = !x in
-    if Bytes.get st.marks a = '\000' then begin
+    match base with
+    | Some base when Bytes.get st.marks a = '\000' ->
       while !x < width && Bytes.get st.marks !x = '\000' do incr x done;
       let shift = o.pos - base.cols.(a) in
       for c = a to !x - 1 do o.cols.(c) <- base.cols.(c) + shift done;
       add_sub o base base.cols.(a) base.cols.(!x)
-    end
-    else begin
+    | _ ->
       o.cols.(a) <- o.pos;
-      for y = 0 to Obstacle_map.height map - 1 do
-        if not (Obstacle_map.free_i map ((y * width) + a)) then add_obstacle o a y
-      done;
+      if Bytes.get st.marks a <> '\000' then begin
+        for y = 0 to Obstacle_map.height map - 1 do
+          if not (Obstacle_map.free_i map ((y * width) + a)) then add_obstacle o a y
+        done
+      end;
       incr x
-    end
   done;
   o.cols.(width) <- o.pos;
-  let same = same_valves base p in
-  if same then add_sub o base base.cols.(width) base.pins_at else add_valves o p;
+  add_sub o st.valves 0 st.valves.pos;
   o.pins_at <- o.pos;
-  if same_pins base p then add_sub o base base.pins_at base.pos else add_pins o p;
-  same
+  match base with
+  | Some b when same_pins b p -> add_sub o b b.pins_at b.pos
+  | _ -> add_pins o p
 
 (* The emitted form is CANONICAL: two problems that are equal as values
    (same grid, same obstacle set, same valves/clusters/pins/delta) render to
    byte-identical text regardless of the construction order of their lists.
    The serving layer's cache keys ({!fingerprint}) depend on this, so every
    repeatable section is sorted here rather than emitted in storage order.
+   Obstacles are stored cell by cell: rectangles are a convenience of the
+   input format only; they are emitted in [Point.compare] order, x-major.
    Returns the slot holding the text. *)
 let render (p : Problem.t) =
   let st = Domain.DLS.get state_key in
   let map = Routing_grid.obstacles p.grid in
   st.clock <- st.clock + 1;
+  st.valves.pos <- 0;
+  add_valves st.valves p;
+  fit st.valves;
   let exact s =
-    s.stamp > 0 && s.delta = p.delta && String.equal s.name p.name && Obstacle_map.equal s.map map
-    && same_valves s p && same_pins s p
+    s.stamp > 0 && s.delta = p.delta && String.equal s.name p.name && same_pins s p
+    && Obstacle_map.equal s.map map && same_valves s st.valves
   in
   match Array.find_opt exact st.slots with
   | Some s ->
@@ -288,10 +234,11 @@ let render (p : Problem.t) =
     let o = ref st.slots.(if free st.slots.(0) then 0 else 1) in
     Array.iter (fun s -> if free s && s.stamp < !o.stamp then o := s) st.slots;
     let o = !o in
+    let width = Obstacle_map.width map in
     o.stamp <- 0;
     o.pos <- 0;
     o.digest <- "";
-    o.cols <- grown o.cols (Obstacle_map.width map + 1);
+    if Array.length o.cols <> width + 1 then o.cols <- Array.make (width + 1) 0;
     add_string o "# PACOR control-layer routing instance\nname ";
     add_string o p.name;
     add_string o "\ngrid ";
@@ -299,27 +246,13 @@ let render (p : Problem.t) =
     add_int o (Routing_grid.height p.grid) '\n';
     add_string o "delta ";
     add_int o p.delta '\n';
-    let same =
-      match base with
-      | Some b ->
-        b.stamp <- st.clock;
-        splice st o b p map
-      | None ->
-        add_obstacles st o map;
-        add_valves o p;
-        o.pins_at <- o.pos;
-        add_pins o p;
-        false
-    in
-    let text_end = o.pos in
-    (match base with Some b when same -> add_sub o b b.pos b.key_end | _ -> add_key o p);
-    o.key_end <- o.pos;
-    o.pos <- text_end;
+    Option.iter (fun b -> b.stamp <- st.clock) base;
+    splice st o base p map;
+    fit o;
     o.name <- p.name;
     o.delta <- p.delta;
     o.pins <- p.pins;
-    if Obstacle_map.width o.map = Obstacle_map.width map
-       && Obstacle_map.height o.map = Obstacle_map.height map
+    if Obstacle_map.width o.map = width && Obstacle_map.height o.map = Obstacle_map.height map
     then Obstacle_map.blit ~src:map ~dst:o.map
     else o.map <- Obstacle_map.copy map;
     o.stamp <- st.clock;

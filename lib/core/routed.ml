@@ -87,11 +87,9 @@ let escape_anchor_lengths t =
     List.iter
       (fun (child, p) -> if child >= 0 && child < Array.length legs then legs.(child) <- Path.length p)
       (List.rev edge_paths);
-    let lengths =
-      chain_lengths ~chain:(Candidate.chain_index candidate) ~leg:(Array.get legs)
-        (Array.length candidate.sinks)
-    in
-    List.init (Array.length lengths) (fun sink -> (valves.(sink).Valve.id, lengths.(sink)))
+    chain_lengths ~chain:(Candidate.chain_index candidate) ~leg:(Array.get legs)
+      (Array.length candidate.sinks)
+    |> Array.mapi (fun sink l -> (valves.(sink).Valve.id, l)) |> Array.to_list
 
 let is_length_matched_shape t = Option.is_some t.shape
 

@@ -45,11 +45,9 @@ val escape_anchor_lengths : t -> (Valve.id * int) list
     this is meaningless and returns []. *)
 
 val chain_lengths : chain:(sink:int -> (int * int) list) -> leg:(int -> int) -> int -> int array
-(** [chain_lengths ~chain ~leg sinks]: for each sink [0 .. sinks - 1], the
-    summed [leg child] over its chain of (child, parent) tree edges, as
-    {!Pacor_dme.Candidate.chain_index} lists them. The tree case of
-    {!escape_anchor_lengths}, for a caller that keeps its own chain index
-    and leg lengths. *)
+(** For each sink [0 .. sinks - 1], the summed [leg child] over its
+    [chain] of (child, parent) edges ({!Pacor_dme.Candidate.chain_index}):
+    {!escape_anchor_lengths} from a caller's own index and legs. *)
 
 val is_length_matched_shape : t -> bool
 (** The cluster is still being routed under the length-matching regime. *)

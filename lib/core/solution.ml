@@ -171,23 +171,6 @@ let claim_off_grid o p pos =
     o.off_grid <- (p, pos) :: o.off_grid;
     pos
 
-(* Membership in [p]'s pins in O(1): one byte per position on the
-   boundary ring, where [Problem.create] puts every pin. *)
-let pin_test (p : Problem.t) =
-  let w = Routing_grid.width p.grid and h = Routing_grid.height p.grid in
-  let ring (q : Point.t) =
-    if not (Routing_grid.on_boundary p.grid q) then -1
-    else if q.y = 0 then q.x
-    else if q.y = h - 1 then w + q.x
-    else if q.x = 0 then (2 * w) + q.y
-    else (2 * w) + h + q.y
-  in
-  let marks = Bytes.make (2 * (w + h)) '\000' in
-  List.iter (fun q -> Bytes.set marks (ring q) '\001') p.pins;
-  fun q ->
-    let r = ring q in
-    r >= 0 && Bytes.get marks r = '\001'
-
 let validate (t : t) =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
@@ -246,8 +229,9 @@ let validate (t : t) =
          (fun (p, other) -> err "clusters %d and %d overlap at %a" other id Point.pp p)
          clashes)
     (List.rev !overlaps);
-  (* 3. Escapes end on distinct problem pins. *)
-  let is_pin = pin_test t.problem in
+  (* 3. Escapes end on distinct problem pins, looked up on a bitmap. *)
+  let pins = Obstacle_map.create ~width:(Routing_grid.width grid) ~height:(Routing_grid.height grid) in
+  Obstacle_map.block_points pins t.problem.Problem.pins;
   let used_pins = Hashtbl.create 16 in
   List.iter
     (fun rc ->
@@ -255,7 +239,7 @@ let validate (t : t) =
        | None -> ()
        | Some e ->
          let pin = e.Pacor_flow.Escape.pin in
-         if not (is_pin pin) then
+         if not (Obstacle_map.in_bounds pins pin && Obstacle_map.blocked pins pin) then
            err "cluster %d escapes to non-pin %a" rc.routed.Routed.cluster.Cluster.id
              Point.pp pin;
          (match Hashtbl.find_opt used_pins pin with

@@ -114,27 +114,25 @@ let blit ~src ~dst =
   dst.count <- src.count
 
 (* Eight bitmap bytes are XORed per step; only a differing word is taken
-   apart, and only its differing cells pay a division for their column. *)
+   apart, and only its differing cells pay a division for their column.
+   The bits past the last cell are clear in every map. *)
 let diff_columns a b marks ~limit =
   if a.width <> b.width || a.height <> b.height then invalid_arg "Obstacle_map.diff_columns";
-  let n = a.width * a.height and len = Bytes.length a.bits and count = ref 0 in
+  let len = Bytes.length a.bits and count = ref 0 and k = ref 0 in
   Bytes.fill marks 0 a.width '\000';
-  let mark_byte k =
-    let d = Char.code (Bytes.unsafe_get a.bits k) lxor Char.code (Bytes.unsafe_get b.bits k) in
-    for bit = 0 to 7 do
-      let i = (k lsl 3) + bit in
-      if d land (1 lsl bit) <> 0 && i < n && Bytes.unsafe_get marks (i mod a.width) = '\000' then begin
-        Bytes.unsafe_set marks (i mod a.width) '\001';
-        incr count
-      end
-    done
-  in
-  let k = ref 0 in
   while !k < len && !count <= limit do
-    let step = if !k + 8 <= len then 8 else 1 in
-    if step = 1 || Int64.logxor (Bytes.get_int64_le a.bits !k) (Bytes.get_int64_le b.bits !k) <> 0L
-    then for j = !k to !k + step - 1 do mark_byte j done;
-    k := !k + step
+    if !k + 8 <= len && Bytes.get_int64_le a.bits !k = Bytes.get_int64_le b.bits !k then k := !k + 8
+    else begin
+      let d = Char.code (Bytes.get a.bits !k) lxor Char.code (Bytes.get b.bits !k) in
+      for bit = 0 to 7 do
+        let x = ((!k lsl 3) + bit) mod a.width in
+        if d land (1 lsl bit) <> 0 && Bytes.get marks x = '\000' then begin
+          Bytes.set marks x '\001';
+          incr count
+        end
+      done;
+      incr k
+    end
   done;
   !count
 

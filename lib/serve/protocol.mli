@@ -72,6 +72,7 @@ val parse_request : string -> (request, Json.t * error_class * string) result
 
 val solution_fields :
   ?validation:(unit, string list) result ->
+  ?fingerprint:string ->
   Pacor.Solution.t ->
   (string * Json.t) list
 (** The summary as an ordered field list, so delta handlers can prepend
@@ -79,7 +80,8 @@ val solution_fields :
     the problem {!Pacor.Problem_io.fingerprint} and the full
     {!Pacor.Solution.validate} verdict; a caller that has already run
     [validate] on this solution passes its result as [validation] instead
-    of having it run again. *)
+    of having it run again, and one that already holds the problem's
+    fingerprint passes it as [fingerprint]. *)
 
 val solution_result : Pacor.Solution.t -> Json.t
 

@@ -9,8 +9,8 @@ type rendered = {
   fields : (string * Json.t) list Lazy.t;
 }
 
-let rendered ?validation solution =
-  { solution; fields = lazy (Protocol.solution_fields ?validation solution) }
+let rendered ?validation ?fingerprint solution =
+  { solution; fields = lazy (Protocol.solution_fields ?validation ?fingerprint solution) }
 
 type session = {
   mutable current : rendered;
@@ -219,7 +219,8 @@ let do_route t ~workspace ~(req : Protocol.request) ~problem_text ~file ~session
             "budget exhausted: "
             ^ Pacor_route.Budget.reason_label (Option.get sol.Pacor.Solution.budget_exhausted) )
       else begin
-        let r = rendered sol in
+        (* [fp] is the routed problem's: a raw-text hit never rendered it. *)
+        let r = rendered ~fingerprint:fp sol in
         let result = Json.to_string (Json.Obj (Lazy.force r.fields)) in
         (* Only full-budget runs enter the cache: a budget-limited
            request — per-request limits or daemon-wide ones installed

@@ -21,6 +21,7 @@ type sequence = status array
 
 val sequence_of_string : string -> (sequence, string) result
 val string_of_sequence : sequence -> string
+val char_of_status : status -> char
 
 val compatible : sequence -> sequence -> bool
 (** Def. 3: pointwise compatibility. Sequences of different lengths are

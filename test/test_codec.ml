@@ -283,9 +283,10 @@ let prop_slot_chains =
 (* A slot keeps its own copies of the caller's mutable inputs: a render
    after the caller changed its obstacle map or an activation sequence in
    place must show the change, and one after the change is undone must
-   not. *)
+   not. The problem takes a name no other test renders, so its first
+   render writes a slot of its own rather than hitting an earlier one. *)
 let test_slot_mutation () =
-  let text = Codec_oracle.to_string (Lazy.force slot_problems).(0) in
+  let text = Codec_oracle.to_string (Lazy.force slot_problems).(0) ^ "name slot-mutation\n" in
   let p = Result.get_ok (Problem_io.of_string text) in
   let check what = check_render what p in
   check "fresh";
@@ -324,6 +325,22 @@ let test_slot_domains () =
   round ();
   Domain.join other;
   round ()
+
+(* A slot reused for a small instance gives back a very large one's
+   buffer (3.7 MB of text here); the texts on either side stay the
+   oracle's. *)
+let test_slot_large () =
+  let big =
+    Result.get_ok
+      (Problem_io.of_string "name big\ngrid 400 400\nobstacle 2 2 397 397\nvalve 0 1 1 01\npin 0 5\n")
+  in
+  check_render "large" big;
+  Array.iter
+    (fun p ->
+      check_render "small" p;
+      check_render "small, edited" (Result.get_ok (Problem.with_delta p (p.Problem.delta + 1))))
+    (Lazy.force slot_problems);
+  check_render "large again" big
 
 (* ---------- the JSON codec ---------- *)
 
@@ -534,6 +551,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_fingerprint_in_place;
           QCheck_alcotest.to_alcotest prop_slot_chains;
           Alcotest.test_case "slots copy mutable inputs" `Quick test_slot_mutation;
+          Alcotest.test_case "slots give back large buffers" `Quick test_slot_large;
           Alcotest.test_case "slots per domain" `Quick test_slot_domains ] );
       ( "parser",
         [ Alcotest.test_case "named designs = oracle" `Quick test_parser_named;
