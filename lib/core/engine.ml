@@ -100,7 +100,11 @@ let unjail ~config ~workspace ~grid ~fresh_id ~pins ~keep ~failed =
     Some (free_keep @ demoted @ failed)
   end
 
-let route_inner ~config ~workspace ~t0 (problem : Problem.t) =
+(* Stages 2-5 of Fig. 2 on [clusters], against an owner layer that
+   already holds the valve and pin cells and any clusters the caller keeps
+   out of the flow. Every rung, jailer and rematch partner comes from
+   [clusters]; [pins] are the pins still on offer. *)
+let route_clusters ~config ~workspace ~grid ~delta ~pins ~fresh_id clusters =
   let stages = ref [] in
   let timed label f =
     let result, measured = Solution.measure workspace f in
@@ -113,99 +117,105 @@ let route_inner ~config ~workspace ~t0 (problem : Problem.t) =
     if Pacor_route.Budget.alive budget then timed label (fun () -> f x)
     else timed label (fun () -> x)
   in
-  let { Problem.grid; delta; pins; _ } = problem in
   let detour = Detour_stage.around ~workspace ~grid ~delta ~theta:config.Config.theta in
+  (* Stage 2: length-matching cluster routing. *)
+  let lm_out =
+    timed "lm-routing" (fun () ->
+      Cluster_route.route ~workspace ~config ~grid
+        ~obstacles:(Pacor_route.Workspace.occupied workspace) clusters)
+  in
+  List.iter (Routed.occupy workspace) lm_out.Cluster_route.routed;
+  Config.log config "lm routing: %d routed, %d demoted (%d negotiation rounds)"
+    (List.length lm_out.Cluster_route.routed)
+    (List.length lm_out.Cluster_route.demoted)
+    lm_out.Cluster_route.iterations;
+  (* Detour-first ablation: match lengths before escape routing. *)
+  let lm_routed =
+    match config.Config.variant with
+    | Config.Detour_first ->
+      refine "detour"
+        (fun routed ->
+           detour (List.map (fun r -> { Escape_stage.routed = r; escape = None }) routed)
+           |> List.map (fun (a : Escape_stage.assignment) -> a.routed))
+        lm_out.Cluster_route.routed
+    | Config.Full | Config.Without_selection -> lm_out.Cluster_route.routed
+  in
+  (* Stage 3: MST routing for ordinary and demoted clusters. *)
+  let plain_out =
+    timed "plain-routing" (fun () ->
+      Plain_route.route_all ~workspace ~grid ~fresh_id
+        (List.filter (fun c -> not (Cluster.needs_matching c)) clusters
+         @ lm_out.Cluster_route.demoted))
+  in
+  List.iter (Routed.occupy workspace) plain_out.Plain_route.routed;
+  Config.log config "plain routing: %d routes (%d declustered)"
+    (List.length plain_out.Plain_route.routed)
+    plain_out.Plain_route.declustered;
+  (* Stage 4: escape routing on the rip-up ladder. *)
+  let retry = alternative_candidate ~config ~workspace ~grid (Hashtbl.create 16) in
+  let unjail = unjail ~config ~workspace ~grid ~fresh_id ~pins in
+  match
+    timed "escape" (fun () ->
+      Escape_stage.ripup ~retry ~unjail ~config ~workspace ~grid ~fresh_id ~pins
+        (lm_routed @ plain_out.Plain_route.routed))
+  with
+  | Error message -> Error { stage = "escape"; message }
+  | Ok escaped ->
+    (* Stage 5: final path detouring, then rematch (both skipped by
+       Detour_first). *)
+    let assignments =
+      match config.Config.variant with
+      | Config.Detour_first -> escaped.Escape_stage.assignments
+      | Config.Full | Config.Without_selection ->
+        escaped.Escape_stage.assignments
+        |> refine "detour" detour
+        |> refine "rematch" (Rematch_stage.run ~config ~workspace ~grid ~delta ~pins)
+    in
+    Ok (assignments, List.rev !stages)
+
+let route_inner ~config ~workspace ~t0 (problem : Problem.t) =
+  let { Problem.grid; delta; pins; _ } = problem in
   (* Stage 1: valve clustering under broadcast addressing. *)
   match
-    timed "clustering" (fun () ->
+    Solution.measure workspace (fun () ->
       Clustering.cluster ~seeds:problem.Problem.lm_clusters problem.Problem.valves)
   with
-  | Error message -> Error { stage = "clustering"; message }
-  | Ok partition ->
+  | Error message, _ -> Error { stage = "clustering"; message }
+  | Ok partition, clustering ->
     let clusters = partition.Clustering.clusters in
     let initial_multi_clusters =
       List.length (List.filter (fun c -> Cluster.size c >= 2) clusters)
     in
     Config.log config "clustering: %d clusters (%d multi-valve)" (List.length clusters)
       initial_multi_clusters;
-    let fresh_id = Cluster.fresh_ids clusters in
     (* From here on, every stage routes against the owner layer: loaded
        with the valve and pin cells here, it holds each cluster's cells
        from the moment the cluster is routed. *)
     Pacor_route.Workspace.load_owners workspace grid ~reserved:(Problem.reserved_cells problem);
-    (* Stage 2: length-matching cluster routing. *)
-    let lm_out =
-      timed "lm-routing" (fun () ->
-        Cluster_route.route ~workspace ~config ~grid
-          ~obstacles:(Pacor_route.Workspace.occupied workspace) clusters)
-    in
-    List.iter (Routed.occupy workspace) lm_out.Cluster_route.routed;
-    Config.log config "lm routing: %d routed, %d demoted (%d negotiation rounds)"
-      (List.length lm_out.Cluster_route.routed)
-      (List.length lm_out.Cluster_route.demoted)
-      lm_out.Cluster_route.iterations;
-    (* Detour-first ablation: match lengths before escape routing. *)
-    let lm_routed =
-      match config.Config.variant with
-      | Config.Detour_first ->
-        refine "detour"
-          (fun routed ->
-             detour (List.map (fun r -> { Escape_stage.routed = r; escape = None }) routed)
-             |> List.map (fun (a : Escape_stage.assignment) -> a.routed))
-          lm_out.Cluster_route.routed
-      | Config.Full | Config.Without_selection -> lm_out.Cluster_route.routed
-    in
-    (* Stage 3: MST routing for ordinary and demoted clusters. *)
-    let plain_out =
-      timed "plain-routing" (fun () ->
-        Plain_route.route_all ~workspace ~grid ~fresh_id
-          (List.filter (fun c -> not (Cluster.needs_matching c)) clusters
-           @ lm_out.Cluster_route.demoted))
-    in
-    List.iter (Routed.occupy workspace) plain_out.Plain_route.routed;
-    Config.log config "plain routing: %d routes (%d declustered)"
-      (List.length plain_out.Plain_route.routed)
-      plain_out.Plain_route.declustered;
-    (* Stage 4: escape routing on the rip-up ladder, with the engine's two
-       extra rungs. *)
-    let retry = alternative_candidate ~config ~workspace ~grid (Hashtbl.create 16) in
-    let unjail = unjail ~config ~workspace ~grid ~fresh_id ~pins in
-    (match
-       timed "escape" (fun () ->
-         Escape_stage.ripup ~retry ~unjail ~config ~workspace ~grid ~fresh_id ~pins
-           (lm_routed @ plain_out.Plain_route.routed))
-     with
-     | Error message -> Error { stage = "escape"; message }
-     | Ok escaped ->
-       (* Stage 5: final path detouring, then rematch (both skipped by
-          Detour_first). *)
-       let assignments =
-         match config.Config.variant with
-         | Config.Detour_first -> escaped.Escape_stage.assignments
-         | Config.Full | Config.Without_selection ->
-           escaped.Escape_stage.assignments
-           |> refine "detour" detour
-           |> refine "rematch" (Rematch_stage.run ~config ~workspace ~grid ~delta ~pins)
-       in
-       let runtime_s = Pacor_route.Clock.now_mono () -. t0 in
-       Config.log config "done in %.2fs" runtime_s;
-       let solution =
-         {
-           Solution.problem;
-           config;
-           clusters =
-             List.map
-               (fun (a : Escape_stage.assignment) -> Solution.assemble ~delta a.routed a.escape)
-               assignments;
-           initial_multi_clusters;
-           runtime_s;
-           stage_seconds = [];
-           stage_search = [];
-           stage_outcomes = [];
-           budget_exhausted = Pacor_route.Budget.exhausted budget;
-         }
-       in
-       Ok (Solution.add_stages solution (List.rev !stages)))
+    Result.map
+      (fun (assignments, stages) ->
+         let runtime_s = Pacor_route.Clock.now_mono () -. t0 in
+         Config.log config "done in %.2fs" runtime_s;
+         let solution =
+           {
+             Solution.problem;
+             config;
+             clusters =
+               List.map
+                 (fun (a : Escape_stage.assignment) -> Solution.assemble ~delta a.routed a.escape)
+                 assignments;
+             initial_multi_clusters;
+             runtime_s;
+             stage_seconds = [];
+             stage_search = [];
+             stage_outcomes = [];
+             budget_exhausted =
+               Pacor_route.Budget.exhausted (Pacor_route.Workspace.budget workspace);
+           }
+         in
+         Solution.add_stages solution (("clustering", clustering) :: stages))
+      (route_clusters ~config ~workspace ~grid ~delta ~pins
+         ~fresh_id:(Cluster.fresh_ids clusters) clusters)
 
 let scoped ?workspace limits f =
   let workspace =

@@ -6,11 +6,12 @@
     the rip-up ladder ({!Escape_stage.ripup}) -> final path detouring
     ({!Detour_stage.around}) -> rematch ({!Rematch_stage}).
 
-    The ladder is the one {!Pacor_fault.Repair} runs too; the engine adds
-    two rungs of its own. A pinless length-matched tree first retries its
-    remaining DME candidates before it is demoted, and when only walled-in
-    singletons are left, the neighbouring clusters that jail them are
-    demoted to compact ordinary routes around a reserved lane.
+    Stages 2-5 are one function, {!route_clusters}, which
+    {!Pacor_fault.Repair} runs too, on its dirty clusters. On the ladder, a
+    pinless length-matched tree first retries its remaining DME candidates
+    before it is demoted, and when only walled-in ordinary clusters are
+    left, the neighbouring clusters that jail them are demoted to compact
+    ordinary routes around a reserved lane.
 
     The [Detour_first] variant runs the detour stage between negotiation and
     escape instead, and skips rematch; [Without_selection] skips the MWCP
@@ -67,9 +68,27 @@ val run :
     which by nature trips at a load-dependent point; expansion and
     iteration caps remain deterministic. *)
 
-(** {2 The engine's rungs on the rip-up ladder}
+val route_clusters :
+  config:Config.t ->
+  workspace:Pacor_route.Workspace.t ->
+  grid:Pacor_grid.Routing_grid.t ->
+  delta:int ->
+  pins:Pacor_geom.Point.t list ->
+  fresh_id:(unit -> int) ->
+  Pacor_valve.Cluster.t list ->
+  (Escape_stage.assignment list * (string * Solution.measured) list, error) result
+(** Stages 2-5 on [clusters], every rung and rematch partner drawn from
+    them, against an owner layer loaded with the valve and pin cells and
+    the clusters the caller holds, which stay untouched. [pins] are the
+    pins on offer; [fresh_id] mints ids for declustered singletons.
+    Returns the assignments, pinless ones included, and the labelled
+    stages; on return the layer holds the assignments too. {!run} calls
+    it with every cluster and nothing held, {!Pacor_fault.Repair} with
+    its dirty clusters. *)
 
-    {!run} passes both to {!Escape_stage.ripup}: [alternative_candidate
+(** {2 The rungs on the rip-up ladder}
+
+    {!route_clusters} passes both to {!Escape_stage.ripup}: [alternative_candidate
     ~config ~workspace ~grid tried] as [retry] (a pinless tree's next
     untried DME candidate; [tried] counts them per cluster id), and
     [unjail ~config ~workspace ~grid ~fresh_id ~pins] (a lane from each

@@ -52,6 +52,13 @@ let nearest_pin_steps ~grid pins =
            (Int.min (x + Array.unsafe_get left y) (w - 1 - x + Array.unsafe_get right y)))
   end
 
+let free_pins ~grid ~used pins =
+  let taken =
+    Obstacle_map.create ~width:(Routing_grid.width grid) ~height:(Routing_grid.height grid)
+  in
+  Obstacle_map.block_points taken used;
+  List.filter (fun p -> not (Obstacle_map.blocked taken p)) pins
+
 (* An assignment's cells in the owner layer: its channels and its escape
    path, under its cluster's id. *)
 let hold edit workspace a =
@@ -136,8 +143,7 @@ let replace_each ~workspace step pending =
        replacements)
     pending
 
-let ripup ?(retry = fun _ -> None) ?(unjail = fun ~keep:_ ~failed:_ -> None)
-    ~config ~workspace ~grid ~fresh_id ~pins routed =
+let ripup ~retry ~unjail ~config ~workspace ~grid ~fresh_id ~pins routed =
   let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
   let rec round k routed =
     if not (alive ()) then Ok (unrouted routed)

@@ -57,6 +57,11 @@ val single :
     box heuristic otherwise. Either way the escape is a shortest one;
     the heuristic only picks among escapes of equal length. *)
 
+val free_pins : grid:Routing_grid.t -> used:Point.t list -> Point.t list -> Point.t list
+(** [free_pins ~grid ~used pins] is [pins], in order, less the ones in
+    [used]: one membership bitmap over the grid, O(cells / 8 + pins +
+    used). *)
+
 val nearest_pin_steps : grid:Routing_grid.t -> Point.t list -> (int -> int) option
 (** [nearest_pin_steps ~grid pins] is the Manhattan distance from a cell
     (dense row-major index) to the nearest of [pins], built from four 1-D
@@ -66,26 +71,23 @@ val nearest_pin_steps : grid:Routing_grid.t -> Point.t list -> (int -> int) opti
 
 (** {2 The rip-up ladder}
 
-    Sec. 3's loop, shared by the engine and by repair, on an owner layer
-    that holds the ladder's clusters and any others. Each round solves
-    the escapes against the layer and [pins], and stops on success, after
-    [config.max_ripup_rounds] rounds or on a dead budget (a round entered
-    on a dead budget skips its solve and reports every cluster pinless).
-    Otherwise each pinless cluster is replaced, one at a time, against
-    everything else the layer holds: a length-matched one is ripped at a
-    higher cost (the caller's [retry], else {!Plain_route.route_all}), and
-    an ordinary one stays as it is. Splitting a pinless ordinary cluster
-    cannot help: its every cell is already an escape start, so its
-    singletons reach no pin the whole cluster could not. When no cluster
-    changed, the caller's [unjail] may return a new cluster list for
-    another round.
-
-    The engine passes both rungs; repair passes neither, so its ladder
-    ends as soon as only ordinary clusters are pinless. *)
+    Sec. 3's loop, run by {!Engine.route_clusters} for the engine and for
+    repair alike, on an owner layer that holds the ladder's clusters and
+    any others. Each round solves the escapes against the layer and
+    [pins], and stops on success, after [config.max_ripup_rounds] rounds
+    or on a dead budget (a round entered on a dead budget skips its solve
+    and reports every cluster pinless). Otherwise each pinless cluster is
+    replaced, one at a time, against everything else the layer holds: a
+    length-matched one is ripped at a higher cost ([retry], else
+    {!Plain_route.route_all}), and an ordinary one stays as it is.
+    Splitting a pinless ordinary cluster cannot help: its every cell is
+    already an escape start, so its singletons reach no pin the whole
+    cluster could not. When no cluster changed, [unjail] may return a new
+    cluster list for another round. *)
 
 val ripup :
-  ?retry:(Routed.t -> Routed.t option) ->
-  ?unjail:(keep:Routed.t list -> failed:Routed.t list -> Routed.t list option) ->
+  retry:(Routed.t -> Routed.t option) ->
+  unjail:(keep:Routed.t list -> failed:Routed.t list -> Routed.t list option) ->
   config:Config.t ->
   workspace:Pacor_route.Workspace.t ->
   grid:Routing_grid.t ->

@@ -25,7 +25,6 @@ val route_all :
     a cluster's own valves are open to its channels. A cluster whose MST
     cannot be routed is split into singletons (which claim just their
     valve cell and always succeed); [fresh_id] mints their cluster ids.
-    Besides the engine's plain-routing stage, the rip-up ladder demotes a
-    length-matched cluster with it, the engine's jailer rung its jailers
-    (fenced off the jailed valves), and repair re-routes a dirty cluster
-    no candidate could route. *)
+    Besides the plain-routing stage, the rip-up ladder demotes a
+    length-matched cluster with it and the jailer rung its jailers (fenced
+    off the jailed valves). *)

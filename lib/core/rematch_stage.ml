@@ -20,13 +20,12 @@ let run ~config ~workspace ~grid ~delta ~pins (assignments : Escape_stage.assign
     else begin
       let others = List.filter (fun x -> id_of x <> id_of a) current in
       let pins_available rs =
-        let used =
-          List.filter_map
-            (fun (x : Escape_stage.assignment) ->
-               Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin) x.escape)
-            rs
-        in
-        List.filter (fun p -> not (List.exists (Pacor_geom.Point.equal p) used)) pins
+        Escape_stage.free_pins ~grid pins
+          ~used:
+            (List.filter_map
+               (fun (x : Escape_stage.assignment) ->
+                  Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin) x.escape)
+               rs)
       in
       vacate a;
       let available_pins = pins_available others in

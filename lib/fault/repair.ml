@@ -1,5 +1,4 @@
 open Pacor_geom
-open Pacor_grid
 open Pacor_valve
 module Int_set = Set.Make (Int)
 
@@ -50,42 +49,38 @@ let dirty_set ~faults (sol : Pacor.Solution.t) =
        sol.Pacor.Solution.clusters)
 
 (* The re-route core, shared by fault repair and the serving layer's delta
-   handlers: the engine's stages, run on an owner layer loaded with the
-   untouched clusters. [fproblem] is the already-mutated instance;
-   [is_dirty] names the routed clusters to rip up, and a cluster without
-   an escape is ripped whatever it says (reused, it would leave its valves
-   unrouted); [revise] maps a ripped cluster to the cluster to route in
-   its place ([None] retires it outright — e.g. every member valve died).
-   Untouched clusters are reused without so much as a copy, so their
-   channels stay byte-identical. Returns the result (with no per-fault
-   reports) plus the ripped and the rebuilt clusters. *)
+   handlers: the engine's stages 2-5 ({!Pacor.Engine.route_clusters}) on
+   the dirty clusters, against an owner layer loaded with the untouched
+   ones. [fproblem] is the already-mutated instance; [is_dirty] names the
+   routed clusters to rip up, and a cluster without an escape is ripped
+   whatever it says (reused, it would leave its valves unrouted); [revise]
+   maps a ripped cluster to the cluster to route in its place ([None]
+   retires it outright — e.g. every member valve died). Untouched clusters
+   are reused without so much as a copy, so their channels stay
+   byte-identical. Returns the result (with no per-fault reports) plus the
+   ripped and the rebuilt clusters. *)
 let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Solution.t) =
   let config = sol.Pacor.Solution.config in
   let { Pacor.Problem.grid; delta; _ } = fproblem in
-  let alive () = Pacor_route.Budget.alive (Pacor_route.Workspace.budget workspace) in
   let rebuild () =
     let untouched, dirty =
       List.partition
         (fun (c : Pacor.Solution.routed_cluster) -> c.escape <> None && not (is_dirty c))
         sol.Pacor.Solution.clusters
     in
-    (* Every stage routes against the owner layer: the untouched clusters'
-       channels and escape paths, then each replacement as it is routed. *)
     Pacor_route.Workspace.load_owners workspace grid
       ~reserved:(Pacor.Problem.reserved_cells fproblem);
     List.iter
       (fun (c : Pacor.Solution.routed_cluster) ->
          Pacor.Escape_stage.occupy workspace { routed = c.routed; escape = c.escape })
       untouched;
-    let used_pins =
-      List.filter_map
-        (fun (c : Pacor.Solution.routed_cluster) ->
-           Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin) c.escape)
-        untouched
-    in
     let pins =
-      List.filter
-        (fun p -> not (List.exists (Point.equal p) used_pins))
+      Pacor.Escape_stage.free_pins ~grid
+        ~used:
+          (List.filter_map
+             (fun (c : Pacor.Solution.routed_cluster) ->
+                Option.map (fun (e : Pacor_flow.Escape.routed) -> e.pin) c.escape)
+             untouched)
         fproblem.Pacor.Problem.pins
     in
     let fresh_id =
@@ -94,50 +89,19 @@ let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Sol
            (fun (c : Pacor.Solution.routed_cluster) -> c.routed.Pacor.Routed.cluster)
            sol.Pacor.Solution.clusters)
     in
-    (* Rip-up and re-route, sequentially so each replacement avoids the
-       ones routed before it (not the clusters still ripped). A dirty
-       length-matched cluster first retries its DME candidates around the
-       change; when none routes (or the budget is dead and every search
-       fails fast) it falls back to MST / singleton routing, which cannot
-       fail. *)
-    let reroute_one (cluster : Cluster.t) =
-      let obstacles = Pacor_route.Workspace.occupied workspace in
-      let lm_attempt () =
-        if not (Cluster.needs_matching cluster && alive ()) then None
-        else
-          Pacor.Cluster_route.candidates_for ~config ~grid ~usable:(Obstacle_map.free obstacles)
-            cluster
-          |> List.find_map (fun cand ->
-            if alive () then
-              Pacor.Cluster_route.route_single ~workspace ~config ~grid ~obstacles cluster cand
-            else None)
-      in
-      match lm_attempt () with
-      | Some r -> [ r ]
-      | None -> (Pacor.Plain_route.route_all ~workspace ~grid ~fresh_id [ cluster ]).routed
-    in
-    let replacements =
-      List.concat_map
-        (fun (c : Pacor.Solution.routed_cluster) ->
-           match revise c.routed.Pacor.Routed.cluster with
-           | None -> [] (* retired: e.g. every valve dead *)
-           | Some cluster' ->
-             let rs = reroute_one cluster' in
-             List.iter (Pacor.Routed.occupy workspace) rs;
-             rs)
+    let clusters =
+      List.filter_map
+        (fun (c : Pacor.Solution.routed_cluster) -> revise c.routed.Pacor.Routed.cluster)
         dirty
     in
-    (* Escape on the engine's rip-up ladder, without its extra rungs. *)
-    match Pacor.Escape_stage.ripup ~config ~workspace ~grid ~fresh_id ~pins replacements with
-    | Error e -> Error (stage ^ ": escape: " ^ e)
-    | Ok escaped ->
-      (* A replacement still pinless after the ladder is unrepairable
+    match Pacor.Engine.route_clusters ~config ~workspace ~grid ~delta ~pins ~fresh_id clusters with
+    | Error e -> Error (stage ^ ": " ^ e.stage ^ ": " ^ e.message)
+    | Ok (assignments, _) ->
+      (* A replacement still pinless after the whole flow is unrepairable
          congestion: quarantine its valves out of the instance rather than
          ship a dead channel. *)
       let kept, pinless =
-        List.partition
-          (fun (a : Pacor.Escape_stage.assignment) -> a.escape <> None)
-          escaped.Pacor.Escape_stage.assignments
+        List.partition (fun (a : Pacor.Escape_stage.assignment) -> a.escape <> None) assignments
       in
       List.iter (Pacor.Escape_stage.vacate workspace) pinless;
       let quarantined =
@@ -152,13 +116,6 @@ let reroute_inner ~workspace ~stage ~fproblem ~is_dirty ~revise (sol : Pacor.Sol
        with
        | Error e -> Error (stage ^ ": quarantine: " ^ e)
        | Ok final_problem ->
-         (* Detour the re-routed trees back under delta (pure refinement:
-            skipped outright on a dead budget, like the engine's gate). *)
-         let kept =
-           if not (alive ()) then kept
-           else
-             Pacor.Detour_stage.around ~workspace ~grid ~delta ~theta:config.Pacor.Config.theta kept
-         in
          let rebuilt =
            List.map
              (fun (a : Pacor.Escape_stage.assignment) ->

@@ -4,16 +4,14 @@
     wrong price — most channels are nowhere near the fault. [run] instead
     computes the {e dirty set} (clusters owning a stuck valve, clusters
     whose channels or escape cross a faulted cell), rips up exactly those,
-    and re-routes them around the fault with the engine's own stages, on
-    a workspace owner layer loaded with the untouched clusters (their
-    footprints held, their pins out of the offer): candidate routing for
-    length-matched clusters with an MST / singleton fallback, escape on
-    the engine's rip-up ladder ({!Pacor.Escape_stage.ripup}: demote a
-    pinless length-matched cluster; without the engine's
-    alternative-candidate and jailer rungs, so a pinless ordinary cluster
-    is quarantined), and the detour stage ({!Pacor.Detour_stage.around})
-    to restore length matching. There is no rematch pass. Untouched clusters are
-    reused as-is — their paths come out byte-identical.
+    and re-routes them around the fault with the engine's own stages 2-5
+    ({!Pacor.Engine.route_clusters}: cluster routing, MST routing, escape
+    on the rip-up ladder with both rungs, detour and rematch) on the dirty
+    clusters alone, on a workspace owner layer loaded with the untouched
+    clusters (their footprints held, their pins out of the offer).
+    Untouched clusters are reused as-is — their paths come out
+    byte-identical: jailers and rematch partners come only from the dirty
+    set.
 
     The whole repair runs under a {!Pacor_route.Budget} attached to the
     workspace ({!Pacor.Engine.scoped}), so a pathological fault set degrades (clusters fall back to

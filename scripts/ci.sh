@@ -521,6 +521,16 @@ grep -qF '"deltas_strictly_cheaper": true' BENCH_serve.json || {
   echo "BENCH_serve.json: deltas are not cheaper than scratch re-routes" >&2; exit 1; }
 grep -qF '"deltas_strictly_cheaper": true' "$servejson" || {
   echo "serve-bench: deltas are not cheaper than scratch re-routes" >&2; exit 1; }
+# Both pop counts are a pure function of the trace: the fresh run's must
+# equal the committed record's.
+serve_pops() {
+  sed -n 's/.*"delta_pops": \([0-9]*\), "scratch_pops": \([0-9]*\),.*/\1 \2/p' "$1"
+}
+if [ -z "$(serve_pops BENCH_serve.json)" ] \
+   || [ "$(serve_pops BENCH_serve.json)" != "$(serve_pops "$servejson")" ]; then
+  echo "serve-bench: delta/scratch pops '$(serve_pops "$servejson")' differ from" \
+       "BENCH_serve.json's '$(serve_pops BENCH_serve.json)'" >&2; exit 1
+fi
 # Problem fingerprint, routed valve count and total length per instance.
 same_fingerprints "$servejson" BENCH_serve.json serve-bench
 rm -f "$servejson"

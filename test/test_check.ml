@@ -172,12 +172,13 @@ let test_room_engine () =
 
 (* Repair's ladder: route with the gap open (the pair escapes through it
    as one cluster), then close the gap. Repair rips the pair, re-routes it
-   and fails its escape; with no jailer rung and nothing the ladder can
-   change, it quarantines the pair after that one escape solve, and the
-   sealing pair is reused. The reroute stage's searches are the pair's
-   MST and that solve's one search: splitting the pair into singletons
-   first would cost a second solve, two more searches, and quarantine
-   the same valves. *)
+   and fails its escape. Its jailer, the sealing pair, is held, and the
+   jailer rung only demotes dirty clusters, so nothing on the ladder can
+   change: repair quarantines the pair after that one escape solve, and
+   the sealing pair is reused. The reroute stage's searches are the
+   pair's MST and that solve's one search: splitting the pair into
+   singletons first would cost a second solve, two more searches, and
+   quarantine the same valves. *)
 let test_room_repair () =
   let sol = route (sealed_room ~gap:true) in
   let room = room_cluster sol.clusters in
@@ -325,57 +326,6 @@ let test_pin_lattice8 () =
         "search escape         searches=26 refused=0 pops=2229 pushes=3032 touched=6500 relax=2935 resets=26";
         "search total          searches=98 refused=0 pops=2589 pushes=3800 touched=7652 relax=3695 resets=99" ]
 
-(* ---------- Repair through the shared ladder, fuzzed ---------- *)
-
-(* Two problem families: the synthetic generator (length-matched clusters
-   and singletons), and a small obstacle-dense chip whose valves draw from
-   a few mutually compatible activation sequences, so clustering forms
-   ordinary multi-valve clusters and scarce pins make the ladder's rungs
-   fire. *)
-let gen_synthetic =
-  QCheck.Gen.(
-    let* seed = int_range 1 10_000 in
-    let* pairs = int_range 0 2 and* triples = int_range 0 1 and* singles = int_range 1 3 in
-    return
-      (Pacor_designs.Synthetic.generate
-         { Pacor_designs.Synthetic.name = "fuzz"; width = 22; height = 22; obstacle_cells = 30;
-           lm_cluster_sizes = List.init pairs (fun _ -> 2) @ List.init triples (fun _ -> 3);
-           singleton_valves = singles; pin_count = 14; seed = Int64.of_int seed; delta = 1 }))
-
-let gen_congested =
-  QCheck.Gen.(
-    let size = 10 in
-    let inner = int_range 1 (size - 2) in
-    let* walls =
-      list_repeat 9
-        (let* x = inner and* y = inner and* len = int_range 0 3 and* vertical = bool in
-         return
-           (if vertical then Rect.make ~x0:x ~y0:y ~x1:x ~y1:(min (size - 2) (y + len))
-            else Rect.make ~x0:x ~y0:y ~x1:(min (size - 2) (x + len)) ~y1:y))
-    in
-    let* cells = list_repeat 7 (pair inner inner) in
-    let* seqs = list_repeat 7 (oneofl [ "01"; "01"; "10"; "0X"; "X1"; "11"; "00" ]) in
-    let ring =
-      List.init size (fun i -> [ Point.make i 0; Point.make i (size - 1) ])
-      @ List.init (size - 2) (fun i -> [ Point.make 0 (i + 1); Point.make (size - 1) (i + 1) ])
-      |> List.concat
-    in
-    (* About one boundary cell in four is a candidate pin. *)
-    let* picks = list_repeat (List.length ring) (int_bound 3) in
-    let grid = Routing_grid.create ~width:size ~height:size ~obstacles:walls () in
-    let valves =
-      List.sort_uniq (fun (a, _) (b, _) -> compare a b) (List.combine cells seqs)
-      |> List.filter (fun ((x, y), _) -> Routing_grid.free grid (Point.make x y))
-      |> List.mapi (fun id ((x, y), s) ->
-        Valve.make ~id ~position:(Point.make x y)
-          ~sequence:(Result.get_ok (Activation.sequence_of_string s)))
-    in
-    let pins =
-      List.combine ring picks
-      |> List.filter_map (fun (p, k) -> if k = 0 && Routing_grid.free grid p then Some p else None)
-    in
-    return (Pacor.Problem.create ~grid ~valves ~pins ()))
-
 (* A second pair of triples (delta 0) whose joint reroute escapes both
    trees but cannot match them, so rematch puts both back as they were. *)
 let failed_joint_problem () =
@@ -453,7 +403,7 @@ let claims_rebuilt label assignments =
     assignments
 
 (* The engine's stages run one by one on one workspace, as [Engine.run]
-   runs them: after the ladder (with the engine's rungs), the detour
+   runs them: after the ladder (with both rungs), the detour
    stage and rematch, the owner layer must hold exactly the union
    oracle's cells, and the result must be [sol], the engine's own. *)
 let staged_layers label (problem : Pacor.Problem.t) (sol : Pacor.Solution.t) =
@@ -518,6 +468,43 @@ let test_layers_rungs () =
     [ ("sealed room", sealed_room ~gap:false); ("joint rematch", joint_rematch_problem ());
       ("failed joint", failed_joint_problem ()); ("fpva14", lattice14 ()) ]
 
+(* ---------- Repair of every cluster is the engine's route ---------- *)
+
+(* Repair runs the engine's stages 2-5 on its dirty set, so with every
+   cluster dirty and nothing held it must reproduce the engine's route
+   wherever the engine's route fired no rung: no demotion, declustering,
+   rip-up round (the retry and jailer rungs only run in one) or rematch
+   rescue. Where one fired, repair may differ: a tree the engine demoted
+   can come back matched on a fresh try. *)
+let rung_fired log =
+  List.exists (contains log) [ "escape round"; "rescued"; "jointly rerouted" ]
+  || not (contains log " 0 demoted")
+  || not (contains log "(0 declustered)")
+
+let test_repair_all_is_engine () =
+  List.iter
+    (fun (family, gen, seeds, least) ->
+       let checked = ref 0 in
+       for seed = 1 to seeds do
+         match Families.instance gen seed with
+         | Error _ -> ()
+         | Ok problem ->
+           let sol, log = verbose_route problem in
+           if not (rung_fired log) then begin
+             incr checked;
+             let sol = { sol with config = { sol.config with verbose = false } } in
+             match Pacor_fault.Repair.reroute ~problem ~is_dirty:(fun _ -> true) sol with
+             | Error e -> Alcotest.failf "%s seed %d: reroute failed: %s" family seed e
+             | Ok r ->
+               Alcotest.(check string)
+                 (Printf.sprintf "%s seed %d: repair-all svg digest" family seed)
+                 (svg_digest sol) (svg_digest r.Pacor_fault.Repair.solution)
+           end
+       done;
+       if !checked < least then
+         Alcotest.failf "%s: only %d of seeds 1-%d fire no rung" family !checked seeds)
+    [ ("trees", Families.trees, 400, 20); ("synthetic", Families.synthetic, 150, 100) ]
+
 (* The serve entry point: a route, its byte-identical repeat (answered by
    the raw-text key) and a reformatted text of the same instance (answered
    by the canonical key) carry the same fingerprint and result bytes, and
@@ -576,6 +563,8 @@ let serve_routes (problem : Pacor.Problem.t) (sol : Pacor.Solution.t) =
        if again <> bytes then QCheck.Test.fail_reportf "%s: result bytes differ" label)
     [ ("byte-identical repeat", text); ("reformatted text", reformatted) ]
 
+(* ---------- Repair through the shared stages, fuzzed ---------- *)
+
 let prop_repair_fuzz =
   QCheck.Test.make ~name:"repair of every and of a random dirty set passes both judges"
     ~count:120
@@ -583,7 +572,7 @@ let prop_repair_fuzz =
        ~print:(fun (problem, seed) ->
          Printf.sprintf "dirty-set seed %d\n%s" seed
            (match problem with Ok p -> Pacor.Problem_io.to_string p | Error e -> e))
-       QCheck.Gen.(pair (oneof [ gen_synthetic; gen_congested ]) int))
+       QCheck.Gen.(pair (oneof [ Families.synthetic; Families.congested ]) int))
     (fun (problem, subset_seed) ->
        match problem with
        | Error _ -> QCheck.assume_fail ()
@@ -858,7 +847,7 @@ let prop_validate_oracle =
        ~print:(fun (problem, seed) ->
          Printf.sprintf "seed %d\n%s" seed
            (match problem with Ok p -> Pacor.Problem_io.to_string p | Error e -> e))
-       QCheck.Gen.(pair (oneof [ gen_synthetic; gen_congested ]) int))
+       QCheck.Gen.(pair (oneof [ Families.synthetic; Families.congested ]) int))
     (fun (problem, seed) ->
        match problem with
        | Error _ -> QCheck.assume_fail ()
@@ -983,6 +972,8 @@ let () =
             test_untripped_budget;
           Alcotest.test_case "owner layer = union oracle on the rung pins" `Quick
             test_layers_rungs;
+          Alcotest.test_case "repair of every cluster = the engine without rungs" `Quick
+            test_repair_all_is_engine;
           Alcotest.test_case "rejects a shifted path cell" `Quick test_mutant_shifted_cell;
           Alcotest.test_case "rejects a flipped matched flag" `Quick
             test_mutant_flipped_matched;

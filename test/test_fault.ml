@@ -374,6 +374,53 @@ let prop_repair_sound =
          ignore blocked;
          true)
 
+(* ---------- Repaired solutions, pinned ---------- *)
+
+(* BENCH_fault.json records outcome counts and pops; these pin what the
+   repairs route: the SVG digest of the repaired solution (every channel
+   and escape path, no runtime) and the outcome counts. The fpva-8x8
+   faults come from the fault sweep's per-case seed; Chip1's are
+   [repair -d Chip1 --faults rate=0.1,seed=1]. *)
+let pin_repair label (sol : Pacor.Solution.t) faults ~counts ~digest =
+  match Repair.run ~faults sol with
+  | Error e -> Alcotest.failf "%s: repair failed: %s" label e
+  | Ok rep ->
+    let count p = List.length (List.filter (fun (r : Repair.report) -> p r.outcome) rep.reports) in
+    Alcotest.(check (list int)) (label ^ ": repaired, degraded, unrepairable") counts
+      [ count (( = ) Repair.Repaired);
+        count (function Repair.Degraded _ -> true | _ -> false);
+        count (function Repair.Unrepairable _ -> true | _ -> false) ];
+    Alcotest.(check bool) (label ^ ": validates") true
+      (Result.is_ok (Pacor.Solution.validate rep.solution));
+    Alcotest.(check string) (label ^ ": svg digest") digest
+      (Digest.to_hex (Digest.string (Pacor.Svg.solution rep.solution)))
+
+let route_exn problem =
+  match Pacor.Engine.run problem with
+  | Ok sol -> sol
+  | Error e -> Alcotest.failf "route failed at %s: %s" e.stage e.message
+
+let test_pin_fpva8_repairs () =
+  let spec =
+    List.find (fun (s : Pacor_designs.Fpva.spec) -> s.name = "fpva-8x8")
+      (Pacor_designs.Fpva.family ())
+  in
+  let sol = route_exn (Pacor_designs.Fpva.generate_exn spec) in
+  List.iter
+    (fun (rate, counts, digest) ->
+       let seed = Int64.add spec.seed (Int64.of_int (1 + int_of_float (rate *. 1000.))) in
+       let faults = Fault.inject ~rng:(Rng.create ~seed) ~rate sol in
+       pin_repair (Printf.sprintf "fpva-8x8 r=%.2f" rate) sol faults ~counts ~digest)
+    [ (0.05, [ 1; 2; 0 ], "2eac311ecf862c61e528cc42c1eaa5e8"); (0.10, [ 5; 1; 0 ], "6a12070348d6f5df19bc1a58caba4956") ]
+
+let test_pin_chip1_repair () =
+  let sol = route_exn (Pacor_designs.Table1.load_exn "Chip1") in
+  match Fault.parse_spec "rate=0.1,seed=1" with
+  | Error e -> Alcotest.failf "spec: %s" e
+  | Ok spec ->
+    pin_repair "Chip1 rate=0.1,seed=1" sol (Fault.realise spec sol) ~counts:[ 18; 0; 0 ]
+      ~digest:"e8f51db60ac066d5348f9a56bb238451"
+
 let () =
   Alcotest.run "fault"
     [ ( "fpva",
@@ -395,6 +442,9 @@ let () =
           Alcotest.test_case "starved repair returns" `Quick
             test_starved_repair_returns;
           Alcotest.test_case "total loss is an error" `Quick
-            test_total_loss_is_error ] );
+            test_total_loss_is_error;
+          Alcotest.test_case "fpva-8x8 sweep repairs pinned" `Quick test_pin_fpva8_repairs;
+          Alcotest.test_case "Chip1 rate=0.1,seed=1 repair pinned" `Quick
+            test_pin_chip1_repair ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_repair_sound ] ) ]
