@@ -60,7 +60,7 @@ let build_routed (cluster : Cluster.t) (candidate : Candidate.t)
    candidate) in one batch around [obstacles], which it only reads.
    Returns the rounds used and either every cluster's route, in [pairs]
    order, or which slots of [pairs] own an edge left unrouted. *)
-let negotiate ?workspace ~config ~grid ~obstacles pairs =
+let negotiate ?workspace ~grid ~obstacles pairs =
   (* Every chosen candidate's node cells become blockages for the whole
      batch: otherwise an early path may transit a cell that a later edge
      terminates on (endpoints are exempt from blockage for their own
@@ -90,8 +90,7 @@ let negotiate ?workspace ~config ~grid ~obstacles pairs =
     List.mapi (fun eid (_, ends) -> { Pacor_route.Negotiation.edge_id = eid; ends }) owned
   in
   let result =
-    Pacor_route.Negotiation.route ?workspace
-      ~config:config.Config.negotiation ~grid ~obstacles:batch_obstacles edges
+    Pacor_route.Negotiation.route ?workspace ~grid ~obstacles:batch_obstacles edges
   in
   (* Negotiation echoes the ids: a stale one names itself instead of
      dropping a path (and leaving a tree short of an edge) or raising a
@@ -223,7 +222,7 @@ let route ?workspace ~config ~grid ~obstacles clusters =
         let pairs =
           List.map (fun ((cluster, _cands), cand) -> (cluster, cand)) pairs_and_choice
         in
-        let rounds, outcome = negotiate ?workspace ~config ~grid ~obstacles pairs in
+        let rounds, outcome = negotiate ?workspace ~grid ~obstacles pairs in
         let iterations = iterations + rounds in
         match outcome with
         | Ok routed -> { routed; demoted; iterations }
@@ -257,7 +256,7 @@ let route ?workspace ~config ~grid ~obstacles clusters =
     out
   end
 
-let route_single ?workspace ~config ~grid ~obstacles cluster candidate =
-  match negotiate ?workspace ~config ~grid ~obstacles [ (cluster, candidate) ] with
+let route_single ?workspace ~grid ~obstacles cluster candidate =
+  match negotiate ?workspace ~grid ~obstacles [ (cluster, candidate) ] with
   | _, Ok [ routed ] -> Some routed
   | _, (Ok _ | Error _) -> None

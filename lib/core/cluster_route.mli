@@ -47,7 +47,6 @@ val candidates_for :
 
 val route_single :
   ?workspace:Pacor_route.Workspace.t ->
-  config:Config.t ->
   grid:Routing_grid.t ->
   obstacles:Obstacle_map.t ->
   Cluster.t ->

@@ -8,7 +8,6 @@ type t = {
   lambda : float;
   max_candidates : int;
   solver : Pacor_select.Tree_select.solver;
-  negotiation : Pacor_route.Negotiation.config;
   theta : int;
   max_ripup_rounds : int;
   limits : Pacor_route.Budget.limits;
@@ -25,7 +24,6 @@ let default =
     lambda = 0.1;
     max_candidates = 8;
     solver = Pacor_select.Tree_select.Exact;
-    negotiation = Pacor_route.Negotiation.default_config;
     theta = 10;
     max_ripup_rounds = 10;
     limits = Pacor_route.Budget.no_limits;

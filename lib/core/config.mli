@@ -1,5 +1,7 @@
-(** PACOR flow configuration: every tunable the paper names, plus the
-    ablation switches used in its Table 2 self-comparison. *)
+(** PACOR flow configuration: the paper's tunables, plus the ablation
+    switches used in its Table 2 self-comparison. Negotiation's [b_g],
+    [alpha] and [gamma] are fixed at
+    {!Pacor_route.Negotiation.default_config}. *)
 
 type variant =
   | Full            (** the complete PACOR flow *)
@@ -15,8 +17,6 @@ type t = {
   lambda : float;        (** mismatch-vs-overlap weight in selection, 0.1 *)
   max_candidates : int;  (** DME candidates per cluster, default 8 *)
   solver : Pacor_select.Tree_select.solver;  (** MWCP solver, always Exact *)
-  negotiation : Pacor_route.Negotiation.config;
-      (** [b_g] = 1.0, [alpha] = 0.1, [gamma] = 10 *)
   theta : int;           (** detour-stage iteration bound, default 10 *)
   max_ripup_rounds : int;
       (** escape rip-up rounds, default 10 *)

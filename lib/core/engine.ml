@@ -31,7 +31,7 @@ let alternative_candidate ~config ~workspace ~grid tried (r : Routed.t) =
     else begin
       Hashtbl.replace tried id (n + 1);
       let routed =
-        Cluster_route.route_single ~workspace ~config ~grid ~obstacles r.cluster candidates.(n)
+        Cluster_route.route_single ~workspace ~grid ~obstacles r.cluster candidates.(n)
       in
       if Option.is_some routed then
         Config.log config "escape rip-up: cluster %d retried with another candidate" id;

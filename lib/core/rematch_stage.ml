@@ -35,7 +35,7 @@ let run ~config ~workspace ~grid ~delta ~pins (assignments : Escape_stage.assign
       in
       let try_candidate (cand : Pacor_dme.Candidate.t) =
         match
-          Cluster_route.route_single ~workspace ~config ~grid ~obstacles:occupied r.cluster cand
+          Cluster_route.route_single ~workspace ~grid ~obstacles:occupied r.cluster cand
         with
         | None -> None
         | Some r' ->

@@ -125,9 +125,3 @@ let with_edge_path t ~child path =
              claimed = !claimed }
   | Some (Pair _) | None -> invalid_arg "Routed.with_edge_path: not a tree route"
 
-let pair_halves t =
-  match t.shape with
-  | Some (Pair { path; _ }) ->
-    let l = Path.length path in
-    Some (l / 2, l - (l / 2))
-  | Some (Tree _) | None -> None

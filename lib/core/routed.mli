@@ -67,5 +67,3 @@ val with_edge_path : t -> child:int -> Path.t -> t
     ends and no other leg or valve shares its interior. Raises on
     ordinary routes. *)
 
-val pair_halves : t -> (int * int) option
-(** For a [Pair]: the two leg lengths around the middle start cell. *)

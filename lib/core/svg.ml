@@ -58,14 +58,6 @@ let add_valves buf (p : Problem.t) =
        Buffer.add_char buf '\n')
     p.valves
 
-let problem (p : Problem.t) =
-  let buf = Buffer.create 4096 in
-  buffer_add_header buf ~width:(Routing_grid.width p.grid) ~height:(Routing_grid.height p.grid);
-  add_base buf p;
-  add_valves buf p;
-  Buffer.add_string buf "</svg>\n";
-  Buffer.contents buf
-
 let solution (s : Solution.t) =
   let p = s.problem in
   let height = Routing_grid.height p.grid in

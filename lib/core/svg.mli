@@ -5,9 +5,6 @@
     channels, and dashed escape channels. Intended for design review — the
     ASCII renderer ({!Render}) is for terminals and tests. *)
 
-val problem : Problem.t -> string
-(** The unrouted chip. *)
-
 val solution : Solution.t -> string
 (** The routed chip with channels coloured per cluster. *)
 

@@ -20,17 +20,6 @@ let bool t = Int64.logand (next t) 1L = 1L
 (* One list walk per draw: the former [List.nth xs (int t ~bound:(List.length
    xs))] walked the list once for the length and again for the element — and
    would surface an empty list as [Failure "nth"] rather than a named error. *)
-let pick t = function
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | [ x ] -> x
-  | xs ->
-    let arr = Array.of_list xs in
-    arr.(int t ~bound:(Array.length arr))
-
 let pick_array t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick_array: empty array";
   arr.(int t ~bound:(Array.length arr))
-
-let shuffle t xs =
-  let tagged = List.map (fun x -> (next t, x)) xs in
-  List.map snd (List.sort (fun (a, _) (b, _) -> Int64.compare a b) tagged)

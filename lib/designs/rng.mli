@@ -12,12 +12,6 @@ val int : t -> bound:int -> int
 (** Uniform in [0, bound); [bound > 0]. *)
 
 val bool : t -> bool
-val pick : t -> 'a list -> 'a
-(** Uniform element, one list walk per draw; raises [Invalid_argument] on an
-    empty list (never a bare [Failure "nth"]). *)
-
 val pick_array : t -> 'a array -> 'a
 (** Uniform element from an array — the O(1) variant for hot loops that can
     index their site population once. Raises [Invalid_argument] on empty. *)
-
-val shuffle : t -> 'a list -> 'a list

@@ -11,15 +11,6 @@ type t =
    denote the same physical segment. *)
 let norm_segment a b = if Point.compare a b <= 0 then (a, b) else (b, a)
 
-let equal f g =
-  match (f, g) with
-  | Stuck_valve a, Stuck_valve b -> a.valve = b.valve && a.stuck_open = b.stuck_open
-  | Blocked_cell a, Blocked_cell b -> Point.equal a b
-  | Leaky_segment s, Leaky_segment s' ->
-    let a, b = norm_segment s.a s.b and a', b' = norm_segment s'.a s'.b in
-    Point.equal a a' && Point.equal b b'
-  | (Stuck_valve _ | Blocked_cell _ | Leaky_segment _), _ -> false
-
 (* Two faults collide when they occupy the same physical site, regardless
    of kind details (a valve cannot be stuck open and stuck closed at once,
    a segment cannot leak twice). *)

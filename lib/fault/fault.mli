@@ -23,7 +23,6 @@ type t =
           conservatively retires {e both} endpoint cells — a leak at the
           wall contaminates whatever flows through either side. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** {2 Derived fault footprint} *)

@@ -1,7 +1,6 @@
 type t = { x : int; y : int }
 
 let make x y = { x; y }
-let origin = { x = 0; y = 0 }
 let manhattan a b = abs (a.x - b.x) + abs (a.y - b.y)
 let chebyshev a b = Int.max (abs (a.x - b.x)) (abs (a.y - b.y))
 let add a b = { x = a.x + b.x; y = a.y + b.y }

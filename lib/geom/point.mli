@@ -7,7 +7,6 @@ type t = { x : int; y : int }
 
 val make : int -> int -> t
 
-val origin : t
 
 (** [manhattan a b] is the L1 distance between [a] and [b]. *)
 val manhattan : t -> t -> int

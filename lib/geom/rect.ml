@@ -14,7 +14,6 @@ let of_point_list = function
     in
     List.fold_left f { x0 = p.x; y0 = p.y; x1 = p.x; y1 = p.y } rest
 
-let contains r (p : Point.t) = r.x0 <= p.x && p.x <= r.x1 && r.y0 <= p.y && p.y <= r.y1
 let width r = r.x1 - r.x0
 let height r = r.y1 - r.y0
 let cells r = (width r + 1) * (height r + 1)

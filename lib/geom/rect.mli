@@ -17,7 +17,6 @@ val of_points : Point.t -> Point.t -> t
     empty list. *)
 val of_point_list : Point.t list -> t
 
-val contains : t -> Point.t -> bool
 val width : t -> int
 val height : t -> int
 

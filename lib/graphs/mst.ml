@@ -34,18 +34,6 @@ let prim ~n ~weight =
     List.rev !edges
   end
 
-let kruskal ~n edges =
-  let sorted =
-    List.sort
-      (fun e1 e2 ->
-         if e1.w <> e2.w then Int.compare e1.w e2.w
-         else if e1.a <> e2.a then Int.compare e1.a e2.a
-         else Int.compare e1.b e2.b)
-      edges
-  in
-  let uf = Union_find.create n in
-  List.filter (fun e -> Union_find.union uf e.a e.b) sorted
-
 let total_weight edges = List.fold_left (fun acc e -> acc + e.w) 0 edges
 
 let is_spanning_tree ~n edges =

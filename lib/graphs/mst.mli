@@ -1,17 +1,14 @@
 (** Minimum spanning trees for cluster connection topologies (Sec. 3,
     "MST-based cluster routing").
 
-    Vertices are indices [0 .. n-1]; both a dense (metric closure / Prim)
-    and a sparse edge-list (Kruskal) interface are provided. *)
+    Vertices are indices [0 .. n-1]; the tree is built by Prim's algorithm
+    on the metric closure. *)
 
 type edge = { a : int; b : int; w : int }
 
 val prim : n:int -> weight:(int -> int -> int) -> edge list
 (** MST of the complete graph on [n] vertices under the symmetric [weight]
     function. Returns [n-1] edges ([[]] when [n <= 1]). Deterministic. *)
-
-val kruskal : n:int -> edge list -> edge list
-(** MST (or minimum spanning forest) of the given edge list. *)
 
 val total_weight : edge list -> int
 

@@ -24,5 +24,4 @@ let union t a b =
     true
   end
 
-let same t a b = find t a = find t b
 let count t = t.count

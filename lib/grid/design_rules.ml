@@ -8,8 +8,3 @@ let default = { channel_width_um = 10; channel_spacing_um = 10; valve_size_um = 
 let grid_pitch_um t = t.channel_width_um + t.channel_spacing_um
 let um_of_grid_length t n = n * grid_pitch_um t
 
-let validate t =
-  if t.channel_width_um <= 0 then Error "channel width must be positive"
-  else if t.channel_spacing_um <= 0 then Error "channel spacing must be positive"
-  else if t.valve_size_um <= 0 then Error "valve size must be positive"
-  else Ok t

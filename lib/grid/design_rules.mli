@@ -21,5 +21,3 @@ val grid_pitch_um : t -> int
 val um_of_grid_length : t -> int -> int
 (** Convert a channel length counted in grid edges to micrometres. *)
 
-val validate : t -> (t, string) result
-(** Reject non-positive dimensions. *)

@@ -16,11 +16,6 @@ let check_points = function
     in
     go first (Point.Set.singleton first) rest
 
-let of_points_opt pts =
-  match check_points pts with
-  | Error _ -> None
-  | Ok set -> Some { pts = Array.of_list pts; set }
-
 let of_points pts =
   match check_points pts with
   | Error msg -> invalid_arg ("Path.of_points: " ^ msg)

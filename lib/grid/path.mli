@@ -13,8 +13,6 @@ val of_points : Point.t list -> t
     points, or a repeated vertex (paths must be simple: a channel cannot
     cross itself on a single layer). *)
 
-val of_points_opt : Point.t list -> t option
-
 val points : t -> Point.t list
 val source : t -> Point.t
 val target : t -> Point.t

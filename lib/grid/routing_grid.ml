@@ -50,28 +50,6 @@ let boundary_points t =
   List.rev !acc
 
 
-let nearest_free t p =
-  let max_radius = t.width + t.height in
-  let rec search r =
-    if r > max_radius then None
-    else begin
-      let candidates = List.filter (fun q -> in_bounds t q && free t q) (Point.ring p r) in
-      match candidates with
-      | [] -> search (r + 1)
-      | _ :: _ ->
-        (* Deterministic tie-break: minimal Manhattan distance, then point order. *)
-        let better a b =
-          let da = Point.manhattan p a and db = Point.manhattan p b in
-          if da <> db then da < db else Point.compare a b < 0
-        in
-        let best = List.fold_left (fun acc q ->
-          match acc with Some b when better b q -> acc | _ -> Some q) None candidates
-        in
-        best
-    end
-  in
-  search 0
-
 let index t (p : Point.t) = (p.y * t.width) + p.x
 let point_of_index t i = Point.make (i mod t.width) (i / t.width)
 let free_i t i = Obstacle_map.free_i t.obstacles i

@@ -40,11 +40,6 @@ val on_boundary : t -> Point.t -> bool
 val boundary_points : t -> Point.t list
 (** All boundary cells, blocked or not, in deterministic order. *)
 
-val nearest_free : t -> Point.t -> Point.t option
-(** Closest statically free cell to the given point, searching outward ring
-    by ring (the embedding search of Sec. 4.1); [None] if the whole grid is
-    blocked. *)
-
 val index : t -> Point.t -> int
 (** Dense index in [0, cells)] for array-backed router state. *)
 

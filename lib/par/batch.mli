@@ -71,7 +71,7 @@ type summary = {
   elapsed_s : float;        (** wall-clock time for the whole batch *)
   sequential_s : float;
       (** sum of per-item [elapsed_s]: the single-worker wall-clock
-          estimate that {!speedup} compares against *)
+          estimate that the printed speedup compares against *)
   search : Pacor_route.Search_stats.snapshot;
       (** per-stage search counters summed over every successful solution
           in the batch — a deterministic measure of total routing work,
@@ -83,10 +83,6 @@ type summary = {
   quarantined : item list;
       (** the permanently failed subset of [items], in input order *)
 }
-
-val speedup : summary -> float
-(** [sequential_s /. elapsed_s]; bounded by the number of cores the OS
-    actually grants, whatever [jobs] says. *)
 
 val run : ?jobs:int -> ?retries:int -> job list -> summary
 (** Routes every job on a fresh pool of [jobs] domains (default 1) and

@@ -1,7 +1,4 @@
-type worker = {
-  index : int;
-  workspace : Pacor_route.Workspace.t;
-}
+type worker = { workspace : Pacor_route.Workspace.t }
 
 (* One queue of tasks under one mutex. Each domain owns one worker
    context for its lifetime and runs whatever it dequeues on it, so a
@@ -17,7 +14,6 @@ type t = {
 }
 
 let worker_workspace w = w.workspace
-let worker_index w = w.index
 let jobs t = t.n
 
 (* Domains beyond the physical core count only add time-slicing and
@@ -59,8 +55,7 @@ let create ?domains ~jobs:n () =
       queue = Queue.create ();
       closed = false;
       workers =
-        Array.init d (fun index ->
-          { index; workspace = Pacor_route.Workspace.create () });
+        Array.init d (fun _ -> { workspace = Pacor_route.Workspace.create () });
       domains = [||];
     }
   in

@@ -31,10 +31,6 @@ val worker_workspace : worker -> Pacor_route.Workspace.t
 (** The context's private search workspace. Valid only inside the task
     callback the context was handed to. *)
 
-val worker_index : worker -> int
-(** Stable index in [0, jobs): which worker domain is executing the
-    task. *)
-
 val create : ?domains:int -> jobs:int -> unit -> t
 (** Spawns [min jobs (Domain.recommended_domain_count ())] worker
     domains, or exactly [domains] when given (tests and benches use this

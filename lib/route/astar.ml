@@ -94,5 +94,3 @@ let search ?workspace ?heuristic ~grid ~spec ~sources ~targets () =
     let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
     attempt ws ~grid ~spec ~heuristic ~sources ~targets
 
-let shortest ?workspace ~grid ~obstacles a b =
-  search ?workspace ~grid ~spec:(obstacle_spec obstacles) ~sources:[ a ] ~targets:[ b ] ()

@@ -31,11 +31,8 @@ open Pacor_grid
 
 type t
 
-val default_cap : int
-(** The region size {!Workspace} uses: 256 cells. *)
-
 val create : ?cap:int -> unit -> t
-(** Tables for regions of at most [cap] cells (default {!default_cap},
+(** Tables for regions of at most [cap] cells (default 256, the size {!Workspace} uses,
     must be [>= 1]), allocated on the first {!max_length} call. A region
     smaller than the grid is what makes the hub matter, so tests on small
     grids shrink [cap]. *)

@@ -20,7 +20,7 @@
     source, a search whose bound exceeds the Manhattan distance asks
     {!Block_cut.max_length} for an upper bound on every simple
     source–target path: it breadth-first collects up to
-    {!Block_cut.default_cap} cells around the source (never through the
+    256 cells around the source (never through the
     target), collapses the rest of the grid into one hub vertex, and
     finds the blocks on the source–target path of the block-cut tree. If
     the hub is not in them, every simple path stays inside those blocks,

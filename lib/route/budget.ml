@@ -41,23 +41,6 @@ let relax ?(factor = 2.0) l =
     max_iterations = scale_i l.max_iterations;
   }
 
-let pp_limits ppf l =
-  if is_no_limits l then Format.pp_print_string ppf "unlimited"
-  else begin
-    let sep = ref false in
-    let item fmt =
-      Format.kasprintf
-        (fun s ->
-          if !sep then Format.pp_print_string ppf " ";
-          sep := true;
-          Format.pp_print_string ppf s)
-        fmt
-    in
-    Option.iter (fun s -> item "timeout=%.3fs" s) l.timeout_s;
-    Option.iter (fun n -> item "max-expansions=%d" n) l.max_expansions;
-    Option.iter (fun n -> item "max-iterations=%d" n) l.max_iterations
-  end
-
 (* How many [tick]s between clock reads. A [Clock.now_mono] call costs
    ~20-40ns; one read per 512 pops keeps the overhead below the heap
    traffic of a single A* relaxation while bounding deadline overshoot to

@@ -48,8 +48,6 @@ val relax : ?factor:float -> limits -> limits
 (** Scales every present limit by [factor] (default 2.0) — the batch
     runner's retry policy. [no_limits] relaxes to itself. *)
 
-val pp_limits : Format.formatter -> limits -> unit
-
 type t
 (** Mutable budget state. One per engine run; single-threaded, like the
     workspace that carries it. *)

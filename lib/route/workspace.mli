@@ -35,7 +35,7 @@ val stats : t -> Search_stats.t
 
 val block_cut : t -> Block_cut.t
 (** The tables {!Bounded_astar}'s hopelessness certificate runs on:
-    {!Block_cut.default_cap}-sized, allocated on first use and then reused. *)
+    256-cell, allocated on first use and then reused. *)
 
 val budget : t -> Budget.t
 (** The budget every search on this workspace is charged against.
@@ -255,14 +255,8 @@ val prepare : t -> cells:int -> unit
     - byte slot 3: the detour stage's usable-cell mask, one byte per
       cell ([Pacor.Detour_stage]). *)
 
-val scratch_slots : int
-(** Number of independent int slots (currently 6). *)
-
 val scratch_int : t -> slot:int -> cells:int -> int array
 (** An int array of length >= [cells] for [slot] (0-based). *)
-
-val scratch_byte_slots : int
-(** Number of independent byte slots (currently 4). *)
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)

@@ -40,4 +40,3 @@ val float_opt : t -> float option
 (** Accepts [Int] too (a request writing [{"timeout_s":2}] means 2.0). *)
 
 val bool_opt : t -> bool option
-val list_opt : t -> t list option

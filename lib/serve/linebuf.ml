@@ -15,7 +15,6 @@ let create ?(max_line = default_max_line) () =
   if max_line <= 0 then invalid_arg "Linebuf.create: max_line must be positive";
   { buf = Buffer.create 256; cap = max_line; discarding = false; hw = 0 }
 
-let max_line t = t.cap
 let pending t = Buffer.length t.buf
 let high_water t = t.hw
 

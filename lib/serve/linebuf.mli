@@ -28,8 +28,6 @@ val default_max_line : int
     corpus is under 8 KiB), small enough that even a full house of capped
     connections stays bounded. *)
 
-val max_line : t -> int
-
 val feed : t -> bytes -> int -> int -> event list
 (** Consume [len] bytes of [chunk] starting at [off]; return the events
     they complete, in arrival order. *)
@@ -37,9 +35,9 @@ val feed : t -> bytes -> int -> int -> event list
 val feed_string : t -> string -> event list
 
 val pending : t -> int
-(** Bytes buffered towards the next line. Invariant: [pending t <= max_line t]
+(** Bytes buffered towards the next line. Invariant: [pending t <= max_line]
     — the cap is enforced during {!feed}, not after. *)
 
 val high_water : t -> int
 (** Most bytes ever buffered at once — the daemon's bounded-memory gauge.
-    Invariant: [high_water t <= max_line t]. *)
+    Invariant: [high_water t <= max_line]. *)

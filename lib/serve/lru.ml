@@ -66,15 +66,6 @@ let find t key =
     promote t node;
     Some node.value
 
-let mem t key = Hashtbl.mem t.tbl key
-
-let remove t key =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.tbl key
-
 let add t key value =
   match Hashtbl.find_opt t.tbl key with
   | Some node ->

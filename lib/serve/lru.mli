@@ -13,14 +13,9 @@ val create : capacity:int -> 'a t
 val find : 'a t -> string -> 'a option
 (** Promotes the entry to most-recent on hit; counts a hit or a miss. *)
 
-val mem : 'a t -> string -> bool
-(** Pure probe: no promotion, no counter update. *)
-
 val add : 'a t -> string -> 'a -> unit
 (** Insert (evicting the least-recent entry at capacity) or replace (which
     promotes). *)
-
-val remove : 'a t -> string -> unit
 
 val length : 'a t -> int
 val capacity : 'a t -> int

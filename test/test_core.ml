@@ -152,12 +152,7 @@ let test_routed_pair () =
    | _ -> Alcotest.fail "expected one start cell");
   (match Routed.spread r with
    | Some s -> Alcotest.(check int) "odd length spread 1" 1 s
-   | None -> Alcotest.fail "expected spread");
-  (match Routed.pair_halves r with
-   | Some (h1, h2) ->
-     Alcotest.(check int) "halves sum" 5 (h1 + h2);
-     Alcotest.(check int) "near halves" 1 (abs (h1 - h2))
-   | None -> Alcotest.fail "expected halves")
+   | None -> Alcotest.fail "expected spread")
 
 let test_routed_singleton () =
   let a = mk_valve 0 3 3 "01" in

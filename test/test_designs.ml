@@ -22,35 +22,18 @@ let test_rng_int_bounds () =
   Alcotest.check_raises "bad bound" (Invalid_argument "Rng.int: non-positive bound")
     (fun () -> ignore (Rng.int r ~bound:0))
 
-let test_rng_pick_shuffle () =
-  let r = Rng.create ~seed:3L in
-  let xs = [ 1; 2; 3; 4; 5 ] in
-  Alcotest.(check bool) "pick member" true (List.mem (Rng.pick r xs) xs);
-  let sh = Rng.shuffle r xs in
-  Alcotest.(check (list int)) "shuffle is a permutation" xs (List.sort Int.compare sh)
-
 let test_rng_pick_edge_cases () =
   let r = Rng.create ~seed:5L in
   (* An empty population is a caller bug and must be named, not surfaced
-     as the old [Failure "nth"]. *)
-  Alcotest.check_raises "empty list" (Invalid_argument "Rng.pick: empty list")
-    (fun () -> ignore (Rng.pick r []));
+     as a bare index error. *)
   Alcotest.check_raises "empty array"
     (Invalid_argument "Rng.pick_array: empty array")
     (fun () -> ignore (Rng.pick_array r [||]));
-  Alcotest.(check int) "singleton pick" 9 (Rng.pick r [ 9 ]);
+  Alcotest.(check int) "singleton pick" 9 (Rng.pick_array r [| 9 |]);
   let arr = [| 10; 20; 30 |] in
   for _ = 1 to 100 do
     Alcotest.(check bool) "array member" true
       (Array.exists (Int.equal (Rng.pick_array r arr)) arr)
-  done;
-  (* pick over a list and pick_array over the same population consume the
-     stream identically for multi-element populations. *)
-  let a = Rng.create ~seed:21L and b = Rng.create ~seed:21L in
-  for _ = 1 to 50 do
-    Alcotest.(check int) "list/array draw agreement"
-      (Rng.pick a [ 1; 2; 3; 4 ])
-      (Rng.pick_array b [| 1; 2; 3; 4 |])
   done
 
 (* ---------- Synthetic ---------- *)
@@ -178,28 +161,7 @@ let test_s1_s2_route_fully () =
     [ "S1"; "S2" ]
 
 
-(* ---------- Scaling / sweep extension studies ---------- *)
-
-let test_scaling_family_well_formed () =
-  let specs = Scaling.family ~steps:4 () in
-  Alcotest.(check int) "four steps" 4 (List.length specs);
-  let rec increasing = function
-    | (a : Synthetic.spec) :: (b : Synthetic.spec) :: rest ->
-      a.width * a.height < b.width * b.height && increasing (b :: rest)
-    | _ -> true
-  in
-  Alcotest.(check bool) "areas grow" true (increasing specs)
-
-let test_scaling_measures () =
-  match Scaling.measure (Scaling.family ~steps:2 ()) with
-  | Error e -> Alcotest.failf "scaling failed: %s" e
-  | Ok samples ->
-    Alcotest.(check int) "two samples" 2 (List.length samples);
-    List.iter
-      (fun (s : Scaling.sample) ->
-         Alcotest.(check (float 1e-9)) (s.label ^ " completes") 1.0 s.completion;
-         Alcotest.(check bool) "has stage timings" true (s.stage_seconds <> []))
-      samples
+(* ---------- Extension studies ---------- *)
 
 let test_harness_measures_s1 () =
   match Harness.measure_table2 [ "S1" ] with
@@ -225,10 +187,7 @@ let test_generator_names_text_safe () =
     Scaled.scales;
   List.iter
     (fun (s : Fpva.spec) -> generated s.name (Fpva.generate s))
-    (Fpva.family ());
-  List.iter
-    (fun (s : Synthetic.spec) -> generated s.name (Synthetic.generate s))
-    (Scaling.family ~steps:5 ())
+    (Fpva.family ())
 
 let () =
   Alcotest.run "designs"
@@ -236,7 +195,6 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_different_seeds;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
-          Alcotest.test_case "pick/shuffle" `Quick test_rng_pick_shuffle;
           Alcotest.test_case "pick edge cases" `Quick test_rng_pick_edge_cases ] );
       ( "synthetic",
         [ Alcotest.test_case "matches spec" `Quick test_synthetic_matches_spec;
@@ -252,8 +210,6 @@ let () =
           Alcotest.test_case "generator names are text-safe" `Quick
             test_generator_names_text_safe ] );
       ( "extensions",
-        [ Alcotest.test_case "scaling family" `Quick test_scaling_family_well_formed;
-          Alcotest.test_case "scaling measures" `Slow test_scaling_measures;
-          Alcotest.test_case "harness on S1" `Quick test_harness_measures_s1 ] );
+        [ Alcotest.test_case "harness on S1" `Quick test_harness_measures_s1 ] );
       ( "end_to_end",
         [ Alcotest.test_case "S1 and S2 route fully" `Slow test_s1_s2_route_fully ] ) ]

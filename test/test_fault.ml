@@ -76,11 +76,11 @@ let test_inject_deterministic () =
   List.iter2
     (fun fa fb ->
        Alcotest.(check bool) (Format.asprintf "%a" Fault.pp fa) true
-         (Fault.equal fa fb))
+         (fa = fb))
     a b;
   Alcotest.(check bool) "different seed differs" true
     (not
-       (List.for_all2 Fault.equal a
+       (List.for_all2 ( = ) a
           (Fault.inject ~rng:(Rng.create ~seed:78L) ~rate:0.2 sol)))
 
 let test_inject_sites_distinct_and_on_chip () =
@@ -122,11 +122,11 @@ let test_parse_spec () =
      Alcotest.(check int) "explicit faults" 4 (List.length spec.Fault.explicit);
      Alcotest.(check bool) "stuck closed" true
        (List.exists
-          (Fault.equal (Fault.Stuck_valve { valve = 3; stuck_open = false }))
+          (( = ) (Fault.Stuck_valve { valve = 3; stuck_open = false }))
           spec.Fault.explicit);
      Alcotest.(check bool) "blocked cell" true
        (List.exists
-          (Fault.equal (Fault.Blocked_cell (Point.make 10 4)))
+          (( = ) (Fault.Blocked_cell (Point.make 10 4)))
           spec.Fault.explicit));
   List.iter
     (fun bad ->

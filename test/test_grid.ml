@@ -8,10 +8,7 @@ let point = Alcotest.testable Point.pp Point.equal
 let test_rules () =
   let r = Design_rules.default in
   Alcotest.(check int) "pitch" 20 (Design_rules.grid_pitch_um r);
-  Alcotest.(check int) "length conversion" 100 (Design_rules.um_of_grid_length r 5);
-  Alcotest.(check bool) "default valid" true (Design_rules.validate r = Ok r);
-  let bad = { r with Design_rules.channel_width_um = 0 } in
-  Alcotest.(check bool) "zero width invalid" true (Result.is_error (Design_rules.validate bad))
+  Alcotest.(check int) "length conversion" 100 (Design_rules.um_of_grid_length r 5)
 
 (* ---------- Obstacle map ---------- *)
 
@@ -71,20 +68,6 @@ let test_grid_1xn_boundary () =
   Alcotest.(check int) "thin grid boundary" 5
     (List.length (Routing_grid.boundary_points g))
 
-let test_grid_nearest_free () =
-  let g =
-    Routing_grid.create ~width:7 ~height:7
-      ~obstacles:[ Rect.make ~x0:2 ~y0:2 ~x1:4 ~y1:4 ] ()
-  in
-  (match Routing_grid.nearest_free g (Point.make 3 3) with
-   | None -> Alcotest.fail "expected a free cell"
-   | Some p ->
-     Alcotest.(check bool) "free" true (Routing_grid.free g p);
-     Alcotest.(check int) "at distance 2" 2 (Point.manhattan (Point.make 3 3) p));
-  (match Routing_grid.nearest_free g (Point.make 0 0) with
-   | Some p -> Alcotest.check point "already free" (Point.make 0 0) p
-   | None -> Alcotest.fail "expected the same cell")
-
 let test_grid_index_roundtrip () =
   let g = Routing_grid.create ~width:9 ~height:5 () in
   for y = 0 to 4 do
@@ -114,15 +97,14 @@ let test_path_basics () =
   Alcotest.(check bool) "not mem" false (Path.mem p (Point.make 2 0))
 
 let test_path_invalid () =
-  Alcotest.(check bool) "empty rejected" true (Path.of_points_opt [] = None);
-  Alcotest.(check bool) "jump rejected" true
-    (Path.of_points_opt [ Point.make 0 0; Point.make 2 0 ] = None);
-  Alcotest.(check bool) "repeat rejected" true
-    (Path.of_points_opt
-       [ Point.make 0 0; Point.make 1 0; Point.make 0 0 ]
-     = None);
-  Alcotest.(check bool) "diagonal rejected" true
-    (Path.of_points_opt [ Point.make 0 0; Point.make 1 1 ] = None)
+  let rejected what msg pts =
+    Alcotest.check_raises what (Invalid_argument ("Path.of_points: " ^ msg)) (fun () ->
+      ignore (Path.of_points pts))
+  in
+  rejected "empty rejected" "empty path" [];
+  rejected "jump rejected" "non-adjacent consecutive points" [ Point.make 0 0; Point.make 2 0 ];
+  rejected "repeat rejected" "repeated vertex" [ Point.make 0 0; Point.make 1 0; Point.make 0 0 ];
+  rejected "diagonal rejected" "non-adjacent consecutive points" [ Point.make 0 0; Point.make 1 1 ]
 
 let test_path_trivial () =
   let p = mk_path [ (3, 3) ] in
@@ -291,7 +273,6 @@ let () =
       ( "routing_grid",
         [ Alcotest.test_case "boundary" `Quick test_grid_boundary;
           Alcotest.test_case "thin boundary" `Quick test_grid_1xn_boundary;
-          Alcotest.test_case "nearest free" `Quick test_grid_nearest_free;
           Alcotest.test_case "index roundtrip" `Quick test_grid_index_roundtrip;
           Alcotest.test_case "work map isolated" `Quick test_grid_work_map_isolated ] );
       ( "path",

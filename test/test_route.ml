@@ -6,12 +6,16 @@ let grid ?(obstacles = []) w h = Routing_grid.create ~width:w ~height:h ~obstacl
 
 let free_spec obstacles = Astar.obstacle_spec obstacles
 
+(* One source, one target, [obstacles] the only blockage. *)
+let shortest ~grid ~obstacles a b =
+  Astar.search ~grid ~spec:(free_spec obstacles) ~sources:[ a ] ~targets:[ b ] ()
+
 (* ---------- A* ---------- *)
 
 let test_astar_straight_line () =
   let g = grid 10 10 in
   let obs = Routing_grid.fresh_work_map g in
-  match Astar.shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 6 1) with
+  match shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 6 1) with
   | None -> Alcotest.fail "expected a path"
   | Some p ->
     Alcotest.(check int) "manhattan optimal" 5 (Path.length p);
@@ -23,7 +27,7 @@ let test_astar_around_wall () =
   let wall = Rect.make ~x0:4 ~y0:0 ~x1:4 ~y1:7 in
   let g = grid ~obstacles:[ wall ] 10 10 in
   let obs = Routing_grid.fresh_work_map g in
-  match Astar.shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 8 1) with
+  match shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 8 1) with
   | None -> Alcotest.fail "expected a path"
   | Some p ->
     (* Must pass through the gap row (y >= 8). *)
@@ -36,7 +40,7 @@ let test_astar_blocked_completely () =
   let g = grid ~obstacles:[ wall ] 10 10 in
   let obs = Routing_grid.fresh_work_map g in
   Alcotest.(check bool) "no path" true
-    (Astar.shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 8 1) = None)
+    (shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 8 1) = None)
 
 let test_astar_endpoints_exempt () =
   (* Source and target sit on blocked cells: still routable. *)
@@ -44,7 +48,7 @@ let test_astar_endpoints_exempt () =
   let obs = Routing_grid.fresh_work_map g in
   Obstacle_map.block obs (Point.make 1 1);
   Obstacle_map.block obs (Point.make 5 1);
-  match Astar.shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 5 1) with
+  match shortest ~grid:g ~obstacles:obs (Point.make 1 1) (Point.make 5 1) with
   | None -> Alcotest.fail "expected path despite blocked endpoints"
   | Some p -> Alcotest.(check int) "length" 4 (Path.length p)
 
@@ -810,7 +814,7 @@ let prop_astar_optimal_no_obstacles =
       match pts with
       | a :: b :: _ ->
         let g = grid 12 12 in
-        (match Astar.shortest ~grid:g ~obstacles:(Routing_grid.fresh_work_map g) a b with
+        (match shortest ~grid:g ~obstacles:(Routing_grid.fresh_work_map g) a b with
          | Some p -> Path.length p = Point.manhattan a b
          | None -> false)
       | _ -> true)
