@@ -206,7 +206,11 @@ let route_cmd =
            let ms k = 1000. *. (Pacor_route.Workspace.escape_parts !workspace).(k) in
            Format.printf "  escape parts roles=%.2fms seed=%.2fms rounds=%.2fms decompose=%.2fms@."
              (ms 0) (ms 1) (ms 2) (ms 3);
-           Pacor.Report.print_search_stats Format.std_formatter sol
+           Pacor.Report.print_search_stats Format.std_formatter sol;
+           let bytes = Pacor_route.Workspace.bytes !workspace in
+           Format.printf "workspace bytes=%d per_cell=%.1f@." bytes
+             (float_of_int bytes
+              /. float_of_int (Pacor_grid.Routing_grid.cells problem.Pacor.Problem.grid))
          end;
          if render then Format.printf "%s@." (Pacor.Render.solution sol);
          if skew then

@@ -250,11 +250,11 @@ let run ?(config = Config.default) ?workspace (problem : Problem.t) =
      runtime and batch speedup. The clock starts before [prepare], so
      [runtime_s] counts a cold workspace's allocation too. *)
   let t0 = Pacor_route.Clock.now_mono () in
-  (* One-time growth to the instance's size: the cell layers to the grid
-     and the per-node arrays to the escape network over it, so a cold
-     workspace on a 1000x1000+ grid pays one allocation event per group
-     here instead of regrowing inside the first searches or a rip-up
-     round; a pooled workspace grows monotonically and reuses its arrays
+  (* One-time growth to the instance's size: the node record to the
+     escape network over the grid and the escape seed's slots to the grid,
+     so a cold workspace on a 1000x1000+ grid pays one allocation event
+     per array here instead of regrowing inside the first searches or a
+     rip-up round; a pooled workspace grows monotonically and reuses its arrays
      across differently-sized problems. The bounded searches' visit pool
      grows by what they append. *)
   Pacor_route.Workspace.prepare workspace ~cells:(Routing_grid.cells problem.Problem.grid);

@@ -134,7 +134,7 @@ let[@inline] seed_visit roles d queue du j tail =
 
 (* The seed's BFS, one multi-source BFS over cells from the pins through
    ordinary cells, as one flat loop over two leased int arrays: distances
-   in int slot 4 (-1 unreached) and the FIFO in slot 5, with the four
+   in int slot 2 (-1 unreached) and the FIFO in slot 3, with the four
    neighbours written out in [Routing_grid.iter_neighbours4] order, so a
    step costs array reads and no call. Ordinary cells are interior (no
    role layer puts one on the ring), so only a pin, at distance 0, pays a
@@ -147,7 +147,7 @@ let seed_bfs ws ~grid ~roles ~pins =
   let cells = Routing_grid.cells grid in
   let w = Routing_grid.width grid in
   let budget = W.budget ws in
-  let d = W.scratch_int ws ~slot:4 ~cells and queue = W.scratch_int ws ~slot:5 ~cells in
+  let d = W.scratch_int ws ~slot:2 ~cells and queue = W.scratch_int ws ~slot:3 ~cells in
   Array.fill d 0 cells (-1);
   let tail = ref 0 in
   List.iter
@@ -239,7 +239,7 @@ let seed_heights ws ~grid ~roles ~pins requests =
 
 (* The state of [single_bfs]: the node record's stamp marks an entered
    cell [i] at [4 * i] (its parent cell in the parent field) and start
-   [s]'s out node at [4 * (cells + s)]; [queue] (int slot 5) holds the
+   [s]'s out node at [4 * (cells + s)]; [queue] (int slot 3) holds the
    distinct starts, then the entered cells. *)
 type bfs = {
   roles : Packed_roles.t;
@@ -298,7 +298,7 @@ let single_bfs ~alive ws ~grid ~roles (r : request) =
     W.begin_flow ws ~nodes:n;
     let b =
       { roles; nodes = W.node_record ws; e2 = W.touched_stamp ws; tail = 0; touched = 0;
-        queue = W.scratch_int ws ~slot:5 ~cells:(cells + List.length r.start_cells) }
+        queue = W.scratch_int ws ~slot:3 ~cells:(cells + List.length r.start_cells) }
     in
     (* The source, its arc and the request, whose arcs touch every listed
        start and push the distinct ones, last-first. *)

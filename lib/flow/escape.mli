@@ -134,8 +134,8 @@ val seed_heights :
   int ->
   int
 (** Runs the seed's BFS over cells, from the pins through ordinary cells
-    (one search on the workspace, on its int slots 4 and 5), and returns
+    (one search on the workspace, on its int slots 2 and 3), and returns
     each node's exact distance to the sink, negative when it cannot reach
-    it: the [h] for {!Mcmf_grid.seed}. [h] reads slot 4, so it stays
-    valid across the solve's rounds, until int slots 4–5 are next leased
+    it: the [h] for {!Mcmf_grid.seed}. [h] reads slot 2, so it stays
+    valid across the solve's rounds, until int slots 2–3 are next leased
     (the next seed on the workspace). *)

@@ -24,12 +24,3 @@ let inter a b =
   if x0 <= x1 && y0 <= y1 then Some { x0; y0; x1; y1 } else None
 
 let overlap_cells a b = match inter a b with None -> 0 | Some r -> cells r
-
-let points r =
-  let acc = ref [] in
-  for y = r.y1 downto r.y0 do
-    for x = r.x1 downto r.x0 do
-      acc := Point.make x y :: !acc
-    done
-  done;
-  !acc

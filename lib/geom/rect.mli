@@ -30,5 +30,3 @@ val inter : t -> t -> t option
 (** Cells in the overlap of two rectangles, 0 when disjoint. *)
 val overlap_cells : t -> t -> int
 
-(** All grid points inside the rectangle, row-major. *)
-val points : t -> Point.t list

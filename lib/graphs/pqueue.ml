@@ -3,6 +3,7 @@ type t = { mutable prios : int array; mutable elems : int array; mutable len : i
 let create () = { prios = [||]; elems = [||]; len = 0 }
 let is_empty t = t.len = 0
 let size t = t.len
+let capacity t = Array.length t.prios
 let clear t = t.len <- 0
 
 let grow t =

@@ -12,6 +12,9 @@ val create : unit -> t
 val is_empty : t -> bool
 val size : t -> int
 
+val capacity : t -> int
+(** Entries the heap holds before it next grows. *)
+
 val push : t -> prio:int -> int -> unit
 
 val pop : t -> (int * int) option

@@ -28,12 +28,6 @@ let length t = Array.length t.pts - 1
 let is_trivial t = length t = 0
 let mem t p = Point.Set.mem p t.set
 let iter f t = Array.iter f t.pts
-let reverse t = { t with pts = Array.init (Array.length t.pts) (fun i -> t.pts.(Array.length t.pts - 1 - i)) }
-
-let append a b =
-  if not (Point.equal (target a) (source b)) then
-    invalid_arg "Path.append: endpoints do not meet";
-  of_points (points a @ List.tl (points b))
 
 let nth t i =
   if i < 0 || i >= Array.length t.pts then invalid_arg "Path.nth: out of range";
@@ -52,8 +46,6 @@ let replace_segment t ~from_idx ~to_idx seg =
     if to_idx + 1 >= n then [] else Array.to_list (Array.sub t.pts (to_idx + 1) (n - to_idx - 1))
   in
   of_points (prefix @ points seg @ suffix)
-
-let bounding_box t = Rect.of_point_list (points t)
 
 let shares_vertex a b =
   (* Iterate over the smaller set. *)

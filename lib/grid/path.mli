@@ -28,13 +28,6 @@ val mem : t -> Point.t -> bool
 val iter : (Point.t -> unit) -> t -> unit
 (** The path's points, source to target. *)
 
-val reverse : t -> t
-
-val append : t -> t -> t
-(** [append a b] concatenates when [target a = source b]; raises
-    [Invalid_argument] otherwise or when the result would repeat a vertex
-    other than the junction. *)
-
 val replace_segment : t -> from_idx:int -> to_idx:int -> t -> t
 (** [replace_segment p ~from_idx ~to_idx seg] substitutes the sub-path of
     [p] between vertex indices [from_idx] and [to_idx] (inclusive) with
@@ -42,8 +35,6 @@ val replace_segment : t -> from_idx:int -> to_idx:int -> t -> t
     the detour stage to lengthen one leg of a routed tree. *)
 
 val nth : t -> int -> Point.t
-
-val bounding_box : t -> Rect.t
 
 val shares_vertex : t -> t -> bool
 (** True when the two paths have any grid point in common. *)

@@ -19,7 +19,7 @@ let attempt ws ~grid ~usable ~max_visits_per_cell ~pop_budget ~source ~target ~m
     let cells = Routing_grid.cells grid in
     let width = Routing_grid.width grid in
     let budget = if pop_budget > 0 then pop_budget else 50 * cells in
-    Workspace.begin_bounded ws ~cells;
+    Workspace.begin_search ws ~cells;
     let source_i = Routing_grid.index grid source in
     let target_i = Routing_grid.index grid target in
     let tx = target_i mod width and ty = target_i / width in

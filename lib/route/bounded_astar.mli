@@ -55,4 +55,4 @@ val search :
     [max_visits_per_cell] (default 8, must be >= 1) bounds how many
     distinct G values a cell may hold; [pop_budget] (default [50 * cells])
     bounds total work. Deterministic. Pass [workspace] to reuse
-    its visit-entry pool and cell layers across calls. *)
+    its visit-entry pool and node record across calls. *)

@@ -41,12 +41,45 @@ let better (a : outcome) (b : outcome) =
    first element is young forces a minor collection, one per call. *)
 let no_edge = { edge_id = -1; ends = ({ Point.x = 0; y = 0 }, { Point.x = 0; y = 0 }) }
 
-let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
+(* Claim words: every per-cell fact of a call but the history cost, one
+   int per cell, zero between calls:
+     bits  0-19  owner, the last claiming edge slot plus one (0 = none);
+     bits 20-39  claim count, a refcount (sibling tree edges share their
+                 branch-point cells), live only in its claim round;
+     bits 40-47  bumps so far, at most [max_bumps];
+     bits 48-55  the negotiation round that last bumped the cell, plus
+                 one (0 = never);
+     bits 56-61  the claim round the count belongs to (0 = none).
+   A claim round starts with each full reroute round and once for the
+   incremental loop; round numbers run from 1 to [round_limit] and then
+   wrap to 1, clearing every count first. *)
+let field_bits = 20
+let field_max = (1 lsl field_bits) - 1
+let count_shift = field_bits
+let bumps_shift = 2 * field_bits
+let bump_round_shift = 48
+let round_shift = 56
+let byte_max = 255
+let round_limit_max = 63
+let owner_mask = field_max
+let bump_round_mask = byte_max lsl bump_round_shift
+let count_and_round = (field_max lsl count_shift) lor (round_limit_max lsl round_shift)
+let history_bits = (byte_max lsl bumps_shift) lor bump_round_mask
+
+let[@inline] owner_of w = w land owner_mask
+let[@inline] count_of w = (w lsr count_shift) land field_max
+let[@inline] bumps_of w = (w lsr bumps_shift) land byte_max
+let[@inline] bump_round_of w = (w lsr bump_round_shift) land byte_max
+let[@inline] round_of w = w lsr round_shift
+
+let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacles edges =
   let ws = match workspace with Some ws -> ws | None -> Workspace.create () in
   let n = Routing_grid.cells grid in
   let edge_arr = Array.make (List.length edges) no_edge in
   List.iteri (fun i e -> edge_arr.(i) <- e) edges;
   let nedges = Array.length edge_arr in
+  if nedges > field_max then invalid_arg "Negotiation.route: more than 2^20 - 1 edges";
+  if config.gamma > byte_max then invalid_arg "Negotiation.route: gamma above 255";
   let idx p = Routing_grid.index grid p in
   (* History per Eq. (5): after k bumps a cell costs
      b * (1 + alpha + ... + alpha^(k-1)). A round bumps a cell at most
@@ -64,14 +97,15 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
       cost_of_bumps.(k) <- int_of_float (!h *. float_of_int Astar.cost_scale)
     done
   in
-  (* The four per-cell arrays lease workspace scratch slots 0–3, which
-     read zero between calls: a call that only touches a few dozen cells
-     must not pay for a grid-sized fill. History, owner and bump round
-     only ever change on cells a path of this call claimed, so every
-     claimed cell goes on [dirty] (a cell may appear more than once), and
-     the [Fun.protect] below zeroes exactly those cells on exit, however
-     the call ends. *)
-  let bumps = Workspace.scratch_int ws ~slot:0 ~cells:n in
+  (* The claim words and the history costs lease workspace scratch slots
+     0 and 1, which read zero between calls: a call that only touches a
+     few dozen cells must not pay for a grid-sized fill. Both only ever
+     change on cells a path of this call claimed, so a cell goes on
+     [dirty] when its word first turns non-zero (a cell may appear more
+     than once), and the [Fun.protect] below zeroes exactly those cells
+     on exit, however the call ends. [hcost] stays an array of its own:
+     the relax path reads it directly. *)
+  let words = Workspace.scratch_int ws ~slot:0 ~cells:n in
   let hcost = Workspace.scratch_int ws ~slot:1 ~cells:n in
   let dirty = ref (Array.make 64 0) and dirty_len = ref 0 in
   let mark_dirty i =
@@ -84,38 +118,60 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
     incr dirty_len
   in
   let bump_cell i =
-    if bumps.(i) < max_bumps then begin
-      bumps.(i) <- bumps.(i) + 1;
-      Array.unsafe_set hcost i cost_of_bumps.(bumps.(i))
+    let w = words.(i) in
+    let b = bumps_of w in
+    if b < max_bumps then begin
+      words.(i) <- w + (1 lsl bumps_shift);
+      Array.unsafe_set hcost i cost_of_bumps.(b + 1)
     end
   in
-  (* Routed paths claim their cells in the workspace's claim layer (the
-     replacement for the per-round [Obstacle_map.copy]); [owner] remembers
-     the claiming edge slot, plus one (0 = no owner), so conflict analysis
-     can find who to rip. Shared branch-point cells are refcounted; their
-     owner is the last claimant (a deliberate heuristic — ripping either
-     sibling frees the contended region). *)
-  let owner = Workspace.scratch_int ws ~slot:2 ~cells:n in
+  (* Routed paths claim their cells (the replacement for a per-round
+     [Obstacle_map.copy]), and a claim records the claiming edge slot as
+     the cell's owner, so conflict analysis can find who to rip. Shared
+     branch-point cells are refcounted; their owner is the last claimant
+     (a deliberate heuristic — ripping either sibling frees the contended
+     region). *)
+  let round = ref 0 in
+  let claimed i =
+    let w = Array.unsafe_get words i in
+    round_of w = !round && count_of w > 0
+  in
+  let new_claim_round () =
+    Search_stats.reset_noted (Workspace.stats ws);
+    if !round >= round_limit then begin
+      for k = 0 to !dirty_len - 1 do
+        let i = Array.unsafe_get !dirty k in
+        words.(i) <- words.(i) land lnot count_and_round
+      done;
+      round := 1
+    end
+    else incr round
+  in
   let claim_path slot path =
     List.iter
       (fun p ->
          let i = idx p in
-         Workspace.claim ws i;
-         if owner.(i) = 0 then mark_dirty i;
-         owner.(i) <- slot + 1)
+         let w = words.(i) in
+         if w = 0 then mark_dirty i;
+         let c = if round_of w = !round then count_of w else 0 in
+         words.(i) <-
+           w land history_bits
+           lor (!round lsl round_shift)
+           lor ((c + 1) lsl count_shift)
+           lor (slot + 1))
       (Path.points path)
   in
   let release_path slot path =
     List.iter
       (fun p ->
          let i = idx p in
-         Workspace.release ws i;
-         if owner.(i) = slot + 1 then owner.(i) <- 0)
+         let w = words.(i) in
+         let w = if claimed i then w - (1 lsl count_shift) else w in
+         words.(i) <- (if owner_of w = slot + 1 then w land lnot owner_mask else w))
       (Path.points path)
   in
   let spec =
-    { Astar.usable =
-        (fun i -> Obstacle_map.free_i obstacles i && not (Workspace.claimed ws i));
+    { Astar.usable = (fun i -> Obstacle_map.free_i obstacles i && not (claimed i));
       extra_cost = (fun i -> Array.unsafe_get hcost i) }
   in
   (* The "ideal" spec ignores claims: where a failed edge's unconstrained
@@ -149,9 +205,6 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
     order_len := nedges
   in
   reset_order ();
-  (* Which round last bumped a cell, plus one (0 = never) — a round bumps
-     each cell at most once even when several ideal paths cross it. *)
-  let bump_round = Workspace.scratch_int ws ~slot:3 ~cells:n in
   (* Outcome of the current [paths] array, in input (slot) order. *)
   let snapshot r =
     let acc = ref [] in
@@ -193,7 +246,7 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
     if r >= config.gamma || not (Budget.note_iteration (Workspace.budget ws)) then
       { best with iterations = r }
     else begin
-      Workspace.begin_claims ws ~cells:n;
+      new_claim_round ();
       Array.fill paths 0 nedges None;
       let failed_len, routed_len = run_round () in
       let result = snapshot (r + 1) in
@@ -255,12 +308,16 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
               List.iter
                 (fun q ->
                    let i = idx q in
-                   if i <> ai && i <> bi && Workspace.claimed ws i then begin
-                     if bump_round.(i) <> r + 1 then begin
-                       bump_round.(i) <- r + 1;
+                   if i <> ai && i <> bi && claimed i then begin
+                     (* A round bumps each cell at most once, even when
+                        several ideal paths cross it. *)
+                     let w = words.(i) in
+                     if bump_round_of w <> r + 1 then begin
+                       words.(i) <-
+                         w land lnot bump_round_mask lor ((r + 1) lsl bump_round_shift);
                        bump_cell i
                      end;
-                     let o = owner.(i) - 1 in
+                     let o = owner_of words.(i) - 1 in
                      if o >= 0 && not ripped.(o) then begin
                        (match paths.(o) with
                         | Some p ->
@@ -294,21 +351,19 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
   let clear_dirty () =
     for k = 0 to !dirty_len - 1 do
       let i = Array.unsafe_get !dirty k in
-      bumps.(i) <- 0;
-      hcost.(i) <- 0;
-      owner.(i) <- 0;
-      bump_round.(i) <- 0
+      words.(i) <- 0;
+      hcost.(i) <- 0
     done;
     dirty_len := 0
   in
-  (* Leave slots 0–3 zero, also when a search raises. *)
+  (* Leave slots 0 and 1 zero, also when a search raises. *)
   Fun.protect ~finally:clear_dirty @@ fun () ->
   match config.mode with
   | Full_reroute ->
-    Workspace.begin_claims ws ~cells:n;
+    new_claim_round ();
     full_loop 0 initial
   | Incremental ->
-    Workspace.begin_claims ws ~cells:n;
+    new_claim_round ();
     let inc = inc_loop 0 initial in
     (* When is the incremental outcome {e provably} no worse than the full
        reroute ((routed, length) lexicographic)? Round-1 success is the
@@ -355,3 +410,12 @@ let route ?workspace ?(config = default_config) ~grid ~obstacles edges =
       let base = full_loop 0 initial in
       if better base inc then base else inc
     end
+
+let route = route_with ~round_limit:round_limit_max
+
+module Private = struct
+  let route ~round_limit =
+    if round_limit < 1 || round_limit > round_limit_max then
+      invalid_arg "Negotiation.Private.route: round_limit outside [1, 63]";
+    route_with ~round_limit
+end

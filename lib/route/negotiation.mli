@@ -27,10 +27,12 @@
        ((routed count, total length) lexicographic) — so it is never worse
        than the paper's loop.}}
 
-    Routed paths occupy cells through the workspace's claim layer
-    ({!Workspace.claim}) rather than a per-round {!Obstacle_map.copy}:
-    claiming/releasing a path is O(path length) and starting a fresh claim
-    epoch is O(1).
+    Routed paths occupy cells through refcounted claims kept in one packed
+    int per cell (owner edge, claim count, bumps, bump round and the claim
+    round, in a workspace scratch slot) rather than a per-round
+    {!Obstacle_map.copy}: claiming/releasing a path is O(path length) and
+    starting a fresh claim round is O(1) (O(cells this call claimed) once
+    every 63 rounds, when the round number wraps).
 
     One deviation from the paper's pseudocode, noted here because it is
     load-bearing: on a retry, the previously failed edges are routed
@@ -77,12 +79,31 @@ val route :
     other clusters' valves). On [success = false], [paths] holds the best
     subset found across rounds — most edges routed, total wirelength as the
     tie-break. Pass [workspace] to reuse one search state across the
-    O(gamma x edges) inner A* calls. The per-cell history lives in the
-    workspace's int scratch slots 0–3, which read zero between calls: a
-    call costs what its searches touch, not a fill of the grid.
+    O(gamma x edges) inner A* calls. The per-cell claims and history live
+    in the workspace's int scratch slots 0 and 1, which read zero between
+    calls: a call costs what its searches touch, not a fill of the grid.
+    Raises [Invalid_argument] for more than 2{^20} - 1 edges or [gamma]
+    above 255, the ranges of the packed claim word.
 
     Each round charges one iteration against the workspace's
     {!Budget.t} ({!Budget.note_iteration}); an exhausted budget ends
     negotiation early with the best subset so far, exactly as if [gamma]
     had been reached, and the per-edge A* calls inside a round fail fast
     through the budget-checked {!Workspace.pop_cell}. *)
+
+(**/**)
+
+(** Entry points for tests only. *)
+module Private : sig
+  val route :
+    round_limit:int ->
+    ?workspace:Workspace.t ->
+    ?config:config ->
+    grid:Routing_grid.t ->
+    obstacles:Obstacle_map.t ->
+    edge list ->
+    outcome
+  (** {!route} with claim rounds wrapping after [round_limit] (in
+      \[1, 63\], else [Invalid_argument]) instead of 63, so a test
+      reaches the wrap. *)
+end

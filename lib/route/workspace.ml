@@ -3,47 +3,34 @@ module Obstacle_map = Pacor_grid.Obstacle_map
 type t = {
   (* Node record: the per-node state every search reads, four ints per
      node at [4 * v]: stamp ([2 * epoch] once touched, + 1 once closed),
-     distance, parent and the flow's potential. Sized by the largest node
-     count asked for — the escape flow's node-split network has about
-     twice as many nodes as the grid has cells — with [node_slack] to
-     spare. *)
+     distance, parent and a fourth field whose owner is the epoch's
+     search (the flow's potentials, or A*'s marks). A grid search's node
+     is its cell. Sized by the largest node count asked for — the escape
+     flow's node-split network has about twice as many nodes as the grid
+     has cells — with [node_slack] to spare. *)
   mutable node_cap : int;
   mutable nodes : int array;
-  (* Cell layers: read by the grid searches alone, so sized by grid
-     cells. *)
-  mutable cell_cap : int;
-  mutable target_stamp : int array;
-  mutable source_stamp : int array;
   (* Bounded-search visit pool: entries are appended in one growing pool
-     and chained per cell; [head] is a cell's newest entry, live while
-     [head_stamp] is the epoch. *)
-  mutable head : int array;
-  mutable head_stamp : int array;
+     and chained per cell; a cell's newest entry is its node's distance
+     field, live while its stamp is the epoch's. *)
   mutable entry_g_a : int array;
   mutable entry_parent_a : int array;
   mutable entry_cell_a : int array;
   mutable entry_next_a : int array;
   mutable entry_len : int;
-  (* Claim layer: refcounted cell ownership shared by the negotiation
-     rounds. Claims live on their own epoch — [begin_epoch] (one bump per
-     search) must not wipe them, because one negotiation run performs many
-     searches against the same claim state. *)
-  mutable claim_count_a : int array;
-  mutable claim_stamp : int array;
-  mutable claim_epoch : int;
-  (* Owner layer: per cell, the holding cluster's id, live while
-     [owner_stamp] is [owner_epoch]; [fixed] blocks static and reserved
-     cells, [occupied] those and every held cell. *)
-  mutable owner_a : int array;
-  mutable owner_stamp : int array;
+  (* Owner layer: per cell, [owner_epoch lsl owner_id_bits lor id] while
+     cluster [id] holds it; any other epoch reads free. [fixed] blocks
+     static and reserved cells, [occupied] those and every held cell. *)
+  mutable owner : int array;
   mutable owner_epoch : int;
+  mutable owner_epoch_limit : int;
   mutable fixed : Obstacle_map.t;
   mutable occupied : Obstacle_map.t;
   (* Scratch pools: grid-sized arrays leased by stages that used to
-     [Array.make n] per call (negotiation history, escape roles, the
-     escape flow state). Int slots 0–3 are negotiation's and read zero
-     between its calls; elsewhere contents are arbitrary between leases —
-     the borrower writes each element before it reads it. *)
+     [Array.make n] per call (negotiation's claims and history, escape
+     roles, the escape flow state). Int slots 0–1 are negotiation's and
+     read zero between its calls; elsewhere contents are arbitrary between
+     leases — the borrower writes each element before it reads it. *)
   scratch_ints : int array array;
   scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
@@ -51,7 +38,7 @@ type t = {
   pq : Pacor_graphs.Pqueue.t;
   (* Settle trail: the ids a search closed this epoch, in close order, so
      a caller can post-process exactly the settled set in O(settled).
-     Grows on demand; reset by [begin_epoch]. *)
+     Grows on demand; reset by [begin_flow]. *)
   mutable trail : int array;
   mutable trail_len : int;
   stats : Search_stats.t;
@@ -62,30 +49,28 @@ type t = {
   escape_parts : float array;
 }
 
-let scratch_slots = 6
+let scratch_slots = 4
 let scratch_byte_slots = 4
+
+(* Owner words: a cluster id in the low [owner_id_bits] bits, the epoch
+   above, up to [owner_epoch_max], so a word stays below [max_int]. *)
+let owner_id_bits = 30
+let owner_id_limit = 1 lsl owner_id_bits
+let owner_epoch_max = (1 lsl 32) - 1
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Search_stats.create () in
   {
     node_cap = 0;
     nodes = [||];
-    cell_cap = 0;
-    target_stamp = [||];
-    source_stamp = [||];
-    head = [||];
-    head_stamp = [||];
     entry_g_a = [||];
     entry_parent_a = [||];
     entry_cell_a = [||];
     entry_next_a = [||];
     entry_len = 0;
-    claim_count_a = [||];
-    claim_stamp = [||];
-    claim_epoch = 1;
-    owner_a = [||];
-    owner_stamp = [||];
+    owner = [||];
     owner_epoch = 1;
+    owner_epoch_limit = owner_epoch_max;
     fixed = Obstacle_map.create ~width:1 ~height:1;
     occupied = Obstacle_map.create ~width:1 ~height:1;
     scratch_ints = Array.make scratch_slots [||];
@@ -122,21 +107,8 @@ let reserve_nodes t n =
     Search_stats.grid_alloc_noted t.stats
   end
 
-(* Cell layers grow to exactly the grid: a grid's cell count does not
-   drift between the searches of one problem. *)
-let reserve_cells t n =
-  if t.cell_cap < n then begin
-    t.target_stamp <- Array.make n 0;
-    t.source_stamp <- Array.make n 0;
-    t.head <- Array.make n 0;
-    t.head_stamp <- Array.make n 0;
-    t.claim_count_a <- Array.make n 0;
-    t.claim_stamp <- Array.make n 0;
-    t.cell_cap <- n;
-    Search_stats.grid_alloc_noted t.stats
-  end
-
-let begin_epoch t =
+let begin_flow t ~nodes =
+  reserve_nodes t nodes;
   t.epoch <- t.epoch + 1;
   Pacor_graphs.Pqueue.clear t.pq;
   t.trail_len <- 0;
@@ -144,18 +116,7 @@ let begin_epoch t =
   Search_stats.started t.stats;
   Search_stats.reset_noted t.stats
 
-let begin_search t ~cells =
-  reserve_nodes t cells;
-  reserve_cells t cells;
-  begin_epoch t
-
-let begin_flow t ~nodes =
-  reserve_nodes t nodes;
-  begin_epoch t
-
-let begin_bounded t ~cells =
-  reserve_cells t cells;
-  begin_epoch t
+let begin_search t ~cells = begin_flow t ~nodes:cells
 
 let node_record t = t.nodes
 let touched_stamp t = 2 * t.epoch
@@ -179,10 +140,19 @@ let set_parent t i j = t.nodes.((4 * i) + 2) <- j
 let closed t i = t.nodes.(4 * i) = (2 * t.epoch) + 1
 let close t i = t.nodes.(4 * i) <- (2 * t.epoch) + 1
 
-let mark_target t i = t.target_stamp.(i) <- t.epoch
-let is_target t i = t.target_stamp.(i) = t.epoch
-let mark_source t i = t.source_stamp.(i) <- t.epoch
-let is_source t i = t.source_stamp.(i) = t.epoch
+(* A*'s marks: field 3 holds [epoch lsl 2] plus bit 0 (target) and bit 1
+   (source) once marked this epoch. No stale value reads as a mark: an
+   earlier epoch's marks carry a smaller epoch, and the flow's potentials
+   are never positive. *)
+let marks t i =
+  let m = t.nodes.((4 * i) + 3) in
+  if m lsr 2 = t.epoch then m else 0
+
+let mark t i bit = t.nodes.((4 * i) + 3) <- (t.epoch lsl 2) lor marks t i lor bit
+let mark_target t i = mark t i 1
+let is_target t i = marks t i land 1 <> 0
+let mark_source t i = mark t i 2
+let is_source t i = marks t i land 2 <> 0
 
 let push t ~prio i =
   Search_stats.pushed t.stats;
@@ -203,54 +173,36 @@ let pop_cell t =
 
 (* -- Settle trail ------------------------------------------------------- *)
 
+let grow_trail t cap =
+  let b = Array.make cap 0 in
+  Array.blit t.trail 0 b 0 t.trail_len;
+  t.trail <- b;
+  Search_stats.grid_alloc_noted t.stats
+
 let trail_push t i =
-  if t.trail_len = Array.length t.trail then begin
-    let b = Array.make (max 64 (2 * t.trail_len)) 0 in
-    Array.blit t.trail 0 b 0 t.trail_len;
-    t.trail <- b;
-    Search_stats.grid_alloc_noted t.stats
-  end;
+  if t.trail_len = Array.length t.trail then grow_trail t (max 64 (2 * t.trail_len));
   t.trail.(t.trail_len) <- i;
   t.trail_len <- t.trail_len + 1
 
 let trail_length t = t.trail_len
 let trail_get t k = t.trail.(k)
 
-(* -- Claim layer -------------------------------------------------------- *)
-
-(* Claims replace the negotiation router's per-round [Obstacle_map.copy]:
-   claiming/releasing a path touches O(path) cells, and starting a fresh
-   claim generation is O(1). Counts are refcounts because sibling tree
-   edges legitimately share a branch-point cell. *)
-
-let begin_claims t ~cells =
-  reserve_cells t cells;
-  t.claim_epoch <- t.claim_epoch + 1;
-  Search_stats.reset_noted t.stats
-
-let claim t i =
-  let c = if t.claim_stamp.(i) = t.claim_epoch then t.claim_count_a.(i) else 0 in
-  t.claim_stamp.(i) <- t.claim_epoch;
-  t.claim_count_a.(i) <- c + 1
-
-let release t i =
-  if t.claim_stamp.(i) = t.claim_epoch && t.claim_count_a.(i) > 0 then
-    t.claim_count_a.(i) <- t.claim_count_a.(i) - 1
-
-let claimed t i = t.claim_stamp.(i) = t.claim_epoch && t.claim_count_a.(i) > 0
-
 (* -- Owner layer -------------------------------------------------------- *)
 
-(* Not grown by [reserve_cells]: a regrowth must not wipe the layer, and
-   only the pipeline's [load_owners] knows the grid it holds. *)
+(* Grown here alone: only the pipeline's [load_owners] knows the grid it
+   holds. An epoch past its limit wraps to 1 after zeroing the layer, so
+   no word of an earlier epoch 1 reads held. *)
 let load_owners t grid ~reserved =
   let cells = Pacor_grid.Routing_grid.cells grid in
-  if Array.length t.owner_a < cells then begin
-    t.owner_a <- Array.make cells 0;
-    t.owner_stamp <- Array.make cells 0;
+  if Array.length t.owner < cells then begin
+    t.owner <- Array.make cells 0;
     Search_stats.grid_alloc_noted t.stats
   end;
-  t.owner_epoch <- t.owner_epoch + 1;
+  if t.owner_epoch >= t.owner_epoch_limit then begin
+    Array.fill t.owner 0 (Array.length t.owner) 0;
+    t.owner_epoch <- 1
+  end
+  else t.owner_epoch <- t.owner_epoch + 1;
   let fixed = Pacor_grid.Routing_grid.fresh_work_map grid in
   Pacor_geom.Point.Set.iter (Obstacle_map.block fixed) reserved;
   t.fixed <- fixed;
@@ -258,24 +210,26 @@ let load_owners t grid ~reserved =
 
 let occupied t = t.occupied
 
-let owner_i t i = if t.owner_stamp.(i) = t.owner_epoch then t.owner_a.(i) else -1
+let owner_i t i =
+  let w = t.owner.(i) in
+  if w lsr owner_id_bits = t.owner_epoch then w land (owner_id_limit - 1) else -1
 
 (* The cell's dense index, [-1] out of bounds. *)
 let cell t (p : Pacor_geom.Point.t) =
   if Obstacle_map.in_bounds t.occupied p then (p.y * Obstacle_map.width t.occupied) + p.x else -1
 
 let occupy t ~id p =
+  if id < 0 || id >= owner_id_limit then invalid_arg "Workspace.occupy: cluster id out of range";
   let i = cell t p in
   if i >= 0 then begin
-    t.owner_stamp.(i) <- t.owner_epoch;
-    t.owner_a.(i) <- id;
+    t.owner.(i) <- (t.owner_epoch lsl owner_id_bits) lor id;
     Obstacle_map.block t.occupied p
   end
 
 let vacate t ~id p =
   let i = cell t p in
   if i >= 0 && owner_i t i = id then begin
-    t.owner_a.(i) <- -1;
+    t.owner.(i) <- 0;
     if Obstacle_map.free t.fixed p then Obstacle_map.unblock t.occupied p
   end
 
@@ -290,7 +244,7 @@ let fold_owned t f acc =
 
 (* -- Bounded-search visit pool ------------------------------------------ *)
 
-let entry_head t i = if t.head_stamp.(i) = t.epoch then t.head.(i) else -1
+let entry_head t i = if t.nodes.(4 * i) = 2 * t.epoch then t.nodes.((4 * i) + 1) else -1
 let entry_next t slot = t.entry_next_a.(slot)
 let entry_cell t slot = t.entry_cell_a.(slot)
 let entry_g t slot = t.entry_g_a.(slot)
@@ -318,22 +272,10 @@ let append_entry t ~cell ~g ~parent =
   t.entry_parent_a.(slot) <- parent;
   t.entry_cell_a.(slot) <- cell;
   t.entry_next_a.(slot) <- entry_head t cell;
-  t.head.(cell) <- slot;
-  t.head_stamp.(cell) <- t.epoch;
+  t.nodes.(4 * cell) <- 2 * t.epoch;
+  t.nodes.((4 * cell) + 1) <- slot;
   t.entry_len <- slot + 1;
   slot
-
-(* -- One-time growth ---------------------------------------------------- *)
-
-(* Grow the cell layers to the grid and the node record to the escape
-   network over it (2 * cells + 2 nodes; [node_slack] covers the request
-   nodes) in one allocation event each, so routing a 1000x1000+ instance
-   on a reused workspace never reallocates them mid-run and a later,
-   smaller instance reuses them untouched. The visit pool and the trail
-   are sized by what searches append, not here. *)
-let prepare t ~cells =
-  reserve_cells t cells;
-  reserve_nodes t ((2 * cells) + 2)
 
 (* -- Scratch pools ------------------------------------------------------ *)
 
@@ -361,3 +303,38 @@ let scratch_bytes t ~slot ~len =
     Search_stats.grid_alloc_noted t.stats
   end;
   t.scratch_bs.(slot)
+
+(* -- One-time growth ---------------------------------------------------- *)
+
+(* Grow the node record to the escape network over the grid (2 * cells +
+   2 nodes; [node_slack] covers the request nodes), the escape seed's two
+   int slots to the grid and the settle trail to [node_slack] entries, in
+   one allocation event each, so routing a 1000x1000+ instance on a
+   reused workspace never reallocates them mid-run and a later, smaller
+   instance reuses them untouched. The visit pool grows by what searches
+   append, the trail past its first [node_slack] entries by what a round
+   settles. The slots go first: with the record allocated before them,
+   a set-up of Scaled3 (render, parse, create, prepare) read ~7.8 ms
+   instead of ~5.5 ms on x86-64 Linux (glibc), although the same bytes
+   are allocated. *)
+let prepare t ~cells =
+  ignore (scratch_int t ~slot:2 ~cells : int array);
+  ignore (scratch_int t ~slot:3 ~cells : int array);
+  reserve_nodes t ((2 * cells) + 2);
+  if Array.length t.trail < node_slack then grow_trail t node_slack
+
+let bytes t =
+  let ints a = 8 * Array.length a in
+  let map m = (Obstacle_map.width m * Obstacle_map.height m + 7) / 8 in
+  ints t.nodes + ints t.owner + ints t.trail + map t.fixed + map t.occupied
+  + ints t.entry_g_a + ints t.entry_parent_a + ints t.entry_cell_a + ints t.entry_next_a
+  + (16 * Pacor_graphs.Pqueue.capacity t.pq)
+  + Array.fold_left (fun acc a -> acc + ints a) 0 t.scratch_ints
+  + Array.fold_left (fun acc b -> acc + Bytes.length b) 0 t.scratch_bs
+
+module Private = struct
+  let set_owner_epoch_limit t n =
+    if n < 1 || n > owner_epoch_max then
+      invalid_arg "Workspace.Private.set_owner_epoch_limit: out of range";
+    t.owner_epoch_limit <- n
+end

@@ -14,10 +14,14 @@
     searcher's visit entries are appended to one pool that grows by
     doubling and then sticks, so no per-visit allocation happens either.
 
-    Each array is only as large as the searches that read it: the node
-    record grows to the largest node count asked for — the escape flow's
-    node-split network has about twice as many nodes as cells — while the
-    target, source, visit-head and claim layers stay at grid cells.
+    Every search keeps its per-node state in one node record, four ints
+    per node, grown to the largest node count asked for — the escape
+    flow's node-split network has about twice as many nodes as cells. A
+    grid search's node is its cell, so A*'s target and source marks and
+    the bounded search's visit heads live in the record too (see
+    {!section-record} for which search owns which field). Besides the
+    record and the scratch pools, the only grid-sized array is the owner
+    layer.
 
     A workspace is single-threaded and non-reentrant: one search at a time.
     Every operation below is O(1), except the growth, load and fold
@@ -47,35 +51,37 @@ val set_budget : t -> Budget.t -> unit
     exhausted, {!pop_cell} reports an empty queue so every in-flight and
     future search fails fast along its ordinary no-route path. *)
 
-val begin_search : t -> cells:int -> unit
-(** Start a plain A* search over a [cells]-cell grid: ensures node and
-    cell capacity, bumps the epoch (invalidating all per-cell state),
-    clears the queue. *)
-
 val begin_flow : t -> nodes:int -> unit
-(** Start a search over [nodes] graph nodes that reads only the per-node
-    state ({!dist}, {!parent}, {!closed}), the queues and the trail — the
-    escape flow's rounds. Node capacity grows to [nodes] plus at least
-    4096 to spare (rounded to a multiple of 4096), so a network that
-    gains a few request nodes between rip-up rounds never regrows it;
-    the cell layers are not touched. *)
+(** Start a search over [nodes] graph nodes: bumps the epoch (every node
+    reads untouched), clears the queue, the trail and the visit pool.
+    Node capacity grows to [nodes] plus at least 4096 to spare (rounded
+    to a multiple of 4096), so a network that gains a few request nodes
+    between rip-up rounds never regrows it. *)
 
-val begin_bounded : t -> cells:int -> unit
-(** Start a bounded-length search over a [cells]-cell grid: ensures cell
-    capacity, bumps the epoch and empties the visit-entry pool. Reads no
-    per-node state. *)
+val begin_search : t -> cells:int -> unit
+(** [begin_flow ~nodes:cells]: a grid search (A*, the bounded search)
+    over a [cells]-cell grid, one node per cell. *)
 
-(** {2 Per-node search state (valid between [begin_*] calls)}
+(** {2:record Per-node search state (valid between [begin_*] calls)}
 
-    One int array, four fields per node [v]: at [4v] a stamp ([2 * epoch]
-    once {!set_dist} touched [v] this epoch, [+ 1] once closed; smaller
-    is stale, read as untouched), then the distance, the parent (reset to
-    [-1] by the epoch's first {!set_dist}) and a field no [begin_*]
-    resets, where [Pacor_flow.Mcmf_grid] keeps its potentials across
-    rounds (arbitrary until written; zeroed by a growth). Close a node
-    only after {!set_dist} in the same epoch, as {!Astar} and [Mcmf_grid]
-    do: an untouched node closed would read its stale distance.
-    {!set_dist} on a closed node keeps it closed. *)
+    One int array, four fields per node [v], at [4v] to [4v + 3]:
+    - field 0, the stamp: [2 * epoch] once touched this epoch, [+ 1] once
+      closed; smaller is stale, read as untouched. Every search stamps
+      it: {!set_dist} and the flow's rounds, and {!append_entry} for the
+      bounded search;
+    - field 1: the distance ({!dist}), or, in a bounded search's epoch,
+      the cell's newest visit entry ({!entry_head});
+    - field 2: the parent, reset to [-1] by the epoch's first {!set_dist};
+    - field 3, owned by the epoch's search and reset by no [begin_*]:
+      [Pacor_flow.Mcmf_grid]'s Johnson potentials, which it installs on
+      a node's first touch in a solve and carries across that solve's
+      rounds (never positive), or A*'s marks, [epoch lsl 2] plus bit 0
+      (target) and bit 1 (source), read as unmarked under any other
+      epoch.
+    A growth zeroes the record. Close a node only after {!set_dist} in
+    the same epoch, as {!Astar} and [Mcmf_grid] do: an untouched node
+    closed would read its stale distance. {!set_dist} on a closed node
+    keeps it closed. *)
 
 val dist : t -> int -> int
 (** [max_int] when the node is untouched this epoch. *)
@@ -102,6 +108,8 @@ val mark_target : t -> int -> unit
 val is_target : t -> int -> bool
 val mark_source : t -> int -> unit
 val is_source : t -> int -> bool
+(** A*'s marks on a cell, in field 3 of its node: false until marked in
+    this epoch. A search that marks writes field 3 only through these. *)
 
 val escape_parts : t -> float array
 (** Wall seconds of the escape solves on this workspace, summed per part:
@@ -133,40 +141,22 @@ val trail_length : t -> int
 val trail_get : t -> int -> int
 (** [trail_get t k] is the [k]-th id pushed this epoch, [k < trail_length t]. *)
 
-(** {2 Claim layer (negotiation's shared cell ownership)}
-
-    A generation-stamped replacement for the negotiation router's per-round
-    [Obstacle_map.copy]: routed paths {!claim} their cells, rip-up
-    {!release}s them, and {!begin_claims} starts a fresh claim generation
-    in O(1). Claims live on their own epoch, so the per-search
-    {!begin_search} reset leaves them untouched — one negotiation run
-    performs many searches against one claim state. Counts are refcounts:
-    sibling tree edges legitimately share a branch-point cell, and the
-    cell stays claimed until every claimant releases it. *)
-
-val begin_claims : t -> cells:int -> unit
-(** Invalidate all claims (O(1)) and ensure capacity for [cells]. Counted
-    as a reset in {!Search_stats}. *)
-
-val claim : t -> int -> unit
-(** Increment the cell's claim count (from 0 if stale). *)
-
-val release : t -> int -> unit
-(** Decrement the cell's claim count; no-op at zero or on a stale cell. *)
-
-val claimed : t -> int -> bool
-(** True iff the cell's current-generation claim count is positive. *)
-
 (** {2 Owner layer (which cluster holds each cell)}
 
     The cells of every routed cluster's channels, valves and escape path,
     by cluster id. The stages after cluster routing route one cluster
     against everything the others hold: the layer with that cluster
     vacated for one attempt. A pipeline loads it once and edits it in
-    O(cells changed). It is separate from the claim layer above, which
-    {!Negotiation} restarts on every call; loading charges no
+    O(cells changed). It is separate from {!Negotiation}'s claims, which
+    that router keeps in its own scratch slots; loading charges no
     {!Search_stats} reset. A cell has one owner, the last to {!occupy}
-    it. *)
+    it.
+
+    One int per cell packs the load's epoch and the owner:
+    [epoch lsl 30 lor id], with [id] in \[0, 2{^30}) and the epoch in
+    \[1, 2{^32}); a word of any other epoch reads free. The epoch after
+    the last wraps to 1 and zeroes the layer first (O(cells), once per
+    2{^32} - 1 loads). *)
 
 val load_owners : t -> Pacor_grid.Routing_grid.t -> reserved:Pacor_geom.Point.Set.t -> unit
 (** A new generation for [grid], every cell free; {!occupied} blocks the
@@ -175,8 +165,9 @@ val load_owners : t -> Pacor_grid.Routing_grid.t -> reserved:Pacor_geom.Point.Se
 
 val occupy : t -> id:int -> Pacor_geom.Point.t -> unit
 val vacate : t -> id:int -> Pacor_geom.Point.t -> unit
-(** Cluster [id] (non-negative) holds the cell, or frees it if it holds
-    it. Out-of-bounds cells are ignored. *)
+(** Cluster [id] holds the cell, or frees it if it holds it.
+    Out-of-bounds cells are ignored. {!occupy} raises [Invalid_argument]
+    unless [0 <= id < 2{^30}]. *)
 
 val occupied : t -> Pacor_grid.Obstacle_map.t
 (** Static obstacles, reserved and held cells blocked; edited in place,
@@ -190,7 +181,10 @@ val fold_owned : t -> (Pacor_geom.Point.t -> int -> 'a -> 'a) -> 'a -> 'a
 
     Entries are appended to one pool, emptied by every [begin_*], and
     chained per cell, newest first: walk a cell's entries from
-    {!entry_head} along {!entry_next} to [-1]. A slot id is an entry's
+    {!entry_head} along {!entry_next} to [-1]. A cell's head is its
+    node's field 1, live while the node's stamp is this epoch's (see
+    {!section-record}), so a bounded search starts with {!begin_search}
+    and uses no other per-node call. A slot id is an entry's
     append position, so ids carry no cell arithmetic. The pool doubles
     from 64 entries when full and then sticks, so its size follows what
     searches append, not the grid. The workspace stores mechanism only —
@@ -217,19 +211,26 @@ val append_entry : t -> cell:int -> g:int -> parent:int -> int
 (** {2 One-time growth} *)
 
 val prepare : t -> cells:int -> unit
-(** Grow the cell layers to [cells] and the node record to the escape
-    network over such a grid ([2 * cells + 2] nodes plus the slack of
-    {!begin_flow}) in one step each. The engine calls this once per run
-    with the instance's cell count, so 1000x1000+ grids pay a single
-    allocation event per group on a cold workspace and none at all on a
+(** Grow the node record to the escape network over a [cells]-cell grid
+    ([2 * cells + 2] nodes plus the slack of {!begin_flow}), the escape
+    seed's int slots 2 and 3 to [cells], and the settle trail to 4096
+    entries, in one step each. The engine calls this once per run with
+    the instance's cell count, so 1000x1000+ grids pay a single
+    allocation event per array on a cold workspace and none at all on a
     warm one — a batch worker's workspace grows monotonically across
     differently-sized problems and never shrinks. The visit pool and the
-    settle trail are not grown here: they grow by what searches append. *)
+    rest of the trail grow by what searches append; the other scratch
+    slots and the owner layer on first use. *)
+
+val bytes : t -> int
+(** Bytes held in the workspace's arrays: the node record, the owner
+    layer and its two bitmaps, the scratch slots, the trail, the visit
+    pool and the queue's capacity. O(slots). *)
 
 (** {2 Scratch pools}
 
     Grid-sized arrays leased by stages that historically allocated per
-    call. Apart from int slots 0–3, contents are arbitrary between leases:
+    call. Apart from int slots 0–1, contents are arbitrary between leases:
     the borrower must fill every element it later reads. Arrays grow
     monotonically (by at least a quarter, and to at least 4096 entries
     past the request, the slack of {!begin_flow}, so the escape network's
@@ -238,15 +239,16 @@ val prepare : t -> cells:int -> unit
     are shared by slot, so two concurrent borrowers of one slot would
     corrupt each other — the workspace is single-threaded, as documented
     above. Slot owners:
-    - int slots 0–3: {!Negotiation}'s history, cost, owner and bump-round
-      arrays. They belong to {!Negotiation} alone and read zero, over
-      their whole length, between its calls: each call zeroes the cells
-      it wrote before it returns or raises, so it never fills the grid;
-    - int slots 4 and 5: each escape seed's BFS
-      ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 4
-      its distance to the nearest pin (-1 unreached), in slot 5 the
-      FIFO, which a one-request escape's BFS uses too. A seed's slot 4
-      is read until its solve returns;
+    - int slots 0 and 1: {!Negotiation}'s packed claim words and its
+      history costs (the .ml lists the layout). They belong to
+      {!Negotiation} alone and read zero, over their whole length,
+      between its calls: each call zeroes the cells it wrote before it
+      returns or raises, so it never fills the grid;
+    - int slots 2 and 3: each escape seed's BFS
+      ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 2
+      its distance to the nearest pin (-1 unreached), in slot 3 the
+      FIFO, which a one-request escape's BFS uses too. A seed's slot 2
+      is read until its solve returns. {!prepare} leases both;
     - byte slots 1–2: the escape flow network's node states (slot 2:
       unseen, dead or live) and per-cell flow bits (slot 1)
       ([Pacor_flow.Mcmf_grid.create]);
@@ -260,3 +262,13 @@ val scratch_int : t -> slot:int -> cells:int -> int array
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)
+
+(**/**)
+
+(** Entry points for tests only. *)
+module Private : sig
+  val set_owner_epoch_limit : t -> int -> unit
+  (** Wrap the owner epoch after [n] loads instead of 2{^32} - 1, so a
+      test reaches the wrap. Raises [Invalid_argument] outside
+      \[1, 2{^32} - 1\]. *)
+end

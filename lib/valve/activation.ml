@@ -58,7 +58,3 @@ let meet a b =
     in
     go 0
   end
-
-let all_dont_care n =
-  if n <= 0 then invalid_arg "Activation.all_dont_care: non-positive length";
-  Array.make n Dont_care

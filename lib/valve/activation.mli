@@ -29,7 +29,3 @@ val compatible : sequence -> sequence -> bool
 
 val meet : sequence -> sequence -> sequence option
 (** Pointwise meet; the sequence a shared control pin would drive. *)
-
-val all_dont_care : int -> sequence
-(** A sequence compatible with everything — valves with no switching
-    requirement. *)

@@ -18,13 +18,5 @@ let pairwise_compatible valves =
   in
   go valves
 
-let shared_sequence = function
-  | [] -> None
-  | v :: rest ->
-    let f acc w =
-      match acc with None -> None | Some s -> Activation.meet s w.sequence
-    in
-    List.fold_left f (Some v.sequence) rest
-
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id

@@ -22,9 +22,5 @@ val pairwise_compatible : t list -> bool
 (** True when every pair in the list is compatible — the requirement for
     valves sharing one control pin. *)
 
-val shared_sequence : t list -> Activation.sequence option
-(** The meet of all sequences: the drive pattern of a pin serving them all.
-    [None] when any pair conflicts or the list is empty. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int

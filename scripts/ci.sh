@@ -185,12 +185,14 @@ for key in '"valid":true' '"routed_valves":176' '"matched_clusters":40' \
 done
 
 echo "== cold route memory guard: Scaled6 peak RSS from a fresh process =="
-# A cold route sizes the search workspace once: per-node arrays to the
-# escape network, per-cell layers to the grid, the visit pool and settle
-# trail by what searches append. Scaled6 (1008x1008) then peaks at ~211
-# MB (median of 10 runs, x86-64 Linux, OCaml 5.1); when ten arrays grew
-# together to twice the escape network it peaked at ~741 MB. Fail above
-# 1.5x the committed figure (316 MB).
+# A cold route sizes the search workspace once: the node record to the
+# escape network, the escape seed's two int slots to the grid, the other
+# scratch slots and the owner layer on first use, the visit pool and settle
+# trail by what searches append. Scaled6 (1008x1008) then peaks at ~123
+# MB (median of 10 runs, x86-64 Linux, OCaml 5.1); with eight more cell
+# layers it peaked at ~193-211 MB, and when ten arrays grew together to
+# twice the escape network at ~741 MB. Fail above 1.5x the committed
+# figure (185 MB).
 scaled6="$fuzzdir/Scaled6.chip"
 ./_build/default/bin/pacor_cli.exe designs --emit Scaled6 > "$scaled6"
 rss_kb=$(python3 - "$scaled6" <<'PY'
@@ -200,8 +202,8 @@ subprocess.run(["./_build/default/bin/pacor_cli.exe", "route", "-f", sys.argv[1]
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 PY
 )
-if [ "$rss_kb" -gt 323584 ]; then
-  echo "cold route memory guard: Scaled6 peaked at $rss_kb KB, limit 323584 KB (316 MB)" >&2
+if [ "$rss_kb" -gt 189440 ]; then
+  echo "cold route memory guard: Scaled6 peaked at $rss_kb KB, limit 189440 KB (185 MB)" >&2
   exit 1
 fi
 
@@ -371,6 +373,18 @@ for name in Chip1 Chip2 Scaled2 Scaled3 Scaled5 Scaled6 Scaled8 fpva20-p8 corpus
     exit 1
   fi
 done
+
+echo "== workspace memory: Scaled3 holds at most 112 bytes per grid cell after a route =="
+# route --verbose prints the bytes the search workspace's arrays hold. It
+# is a deterministic count, unlike the RSS guard above: the node record
+# (four ints per node of the escape network, ~65 B per cell), four int
+# scratch slots (~33 B), the owner layer (8 B) and the byte slots. Eight
+# more 8-byte cell layers once put Scaled3 at ~184 B per cell.
+per_cell=$(sed -n 's/^workspace bytes=[0-9]* per_cell=\([0-9.]*\)$/\1/p' "$svgdir/Scaled3.out")
+if [ -z "$per_cell" ] || ! awk -v b="$per_cell" 'BEGIN { exit !(b <= 112) }'; then
+  echo "workspace memory: Scaled3 holds '$per_cell' bytes per cell, limit 112" >&2
+  exit 1
+fi
 
 echo "== search counters under a budget: Chip1 route --max-expansions 40000 --verbose =="
 # The cap trips inside the first escape solve, after the negotiation

@@ -612,6 +612,20 @@ let test_grid_ripup_request_no_regrowth () =
   Alcotest.(check int) "one more request allocates nothing" before
     (snapshot ws).Pacor_route.Search_stats.grid_allocs
 
+let test_grid_prepared_seed_no_alloc () =
+  (* [Workspace.prepare] leases the escape seed's two int slots, the node
+     record and the settle trail's first entries, so the first seeded
+     solve on a cold workspace adds no allocation event (its roles and
+     network bytes are its own here). *)
+  let ((grid, _, _, _) as inst) = walled_instance () in
+  let ws = Pacor_route.Workspace.create () in
+  Pacor_route.Workspace.prepare ws ~cells:(Routing_grid.cells grid);
+  let before = (snapshot ws).Pacor_route.Search_stats.grid_allocs in
+  let (out : Mcmf_grid.outcome), _ = implicit_solve ws inst in
+  Alcotest.(check int) "both requests routed" 2 out.flow;
+  Alcotest.(check int) "a solve right after prepare allocates nothing" before
+    (snapshot ws).Pacor_route.Search_stats.grid_allocs
+
 let unit_cost_network seed =
   (* [random_network] variant constrained to the grid solver's domain:
      unit capacities, costs 0 or 1. *)
@@ -1849,12 +1863,90 @@ let prop_roles_match_set_oracle =
       check "leased" (Escape.compute_roles ~workspace:ws ~grid ~occupied ~pins requests) (4 * len);
       true)
 
+let prop_searches_share_one_workspace =
+  (* The four searches that keep per-cell state on a workspace, called in
+     random order on one shared workspace: A* (its marks in the node
+     record's field 3), the bounded search (its visit heads in fields 0
+     and 1), a seeded escape solve (its potentials in field 3, its seed
+     in int slots 2 and 3) and a negotiation (claim words and history
+     costs in int slots 0 and 1). Each call must return what the same
+     call returns on a fresh workspace, with the same counters but
+     [grid_allocs]. *)
+  let module S = Pacor_route.Search_stats in
+  let gen =
+    QCheck.Gen.(
+      pair seed_instance_gen
+        (list_size (int_range 2 8) (pair (int_range 0 3) (int_range 0 1_000_000))))
+  in
+  let print (t, ops) =
+    Format.asprintf "%s ops=[%s]" (print_seed_instance t)
+      (String.concat "; " (List.map (fun (op, seed) -> Printf.sprintf "%d/%d" op seed) ops))
+  in
+  QCheck.Test.make ~name:"A*, bounded, escape and negotiation share one workspace" ~count:300
+    (QCheck.make ~print gen) (fun (t, ops) ->
+      let grid, roles = seed_instance_roles t in
+      let obstacles = Routing_grid.fresh_work_map grid in
+      let spec = Pacor_route.Astar.obstacle_spec obstacles in
+      let pts path = Option.map Path.points path in
+      let call ws (op, seed) =
+        let rng = Random.State.make [| seed |] in
+        let point () = Point.make (Random.State.int rng t.sw) (Random.State.int rng t.sh) in
+        match op with
+        | 0 ->
+          let sources = [ point () ] and targets = [ point (); point () ] in
+          `Astar (pts (Pacor_route.Astar.search ~workspace:ws ~grid ~spec ~sources ~targets ()))
+        | 1 ->
+          let source = point () and target = point () in
+          let min_length = Random.State.int rng (2 * (t.sw + t.sh)) in
+          `Bounded
+            (pts
+               (Pacor_route.Bounded_astar.search ~workspace:ws ~grid
+                  ~usable:(Obstacle_map.free_i obstacles) ~source ~target ~min_length ()))
+        | 2 ->
+          let net = Escape.grid_network ~workspace:ws ~grid ~roles t.sreqs in
+          Mcmf_grid.seed net ~h:(Escape.seed_heights ws ~grid ~roles ~pins:t.spins t.sreqs);
+          let out = Mcmf_grid.solve ~workspace:ws net in
+          `Escape (out.flow, out.cost, out.rounds, Mcmf_grid.paths net)
+        | _ ->
+          let edges =
+            List.init (2 + Random.State.int rng 4) (fun i ->
+              { Pacor_route.Negotiation.edge_id = i; ends = (point (), point ()) })
+          in
+          let mode =
+            if Random.State.bool rng then Pacor_route.Negotiation.Incremental
+            else Pacor_route.Negotiation.Full_reroute
+          in
+          let out =
+            Pacor_route.Negotiation.route ~workspace:ws
+              ~config:{ Pacor_route.Negotiation.default_config with mode }
+              ~grid ~obstacles edges
+          in
+          `Negotiation
+            (List.map (fun (id, p) -> (id, Path.points p)) out.paths, out.success, out.iterations)
+      in
+      let shared = Pacor_route.Workspace.create () in
+      List.iteri
+        (fun k op ->
+          let before = snapshot shared in
+          let got = call shared op in
+          let got_work = search_work (S.diff (snapshot shared) before) in
+          let fresh = Pacor_route.Workspace.create () in
+          let want = call fresh op in
+          let want_work = search_work (snapshot fresh) in
+          if got <> want then QCheck.Test.fail_reportf "call %d (op %d): result differs" k (fst op);
+          if got_work <> want_work then
+            QCheck.Test.fail_reportf "call %d (op %d): counters %a, fresh %a" k (fst op) S.pp
+              got_work S.pp want_work)
+        ops;
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_flow_conservation; prop_solvers_agree; prop_escape_routed_equals_bound;
       prop_three_solvers_agree; prop_grid_agrees_under_threshold; prop_escape_matches_oracles;
       prop_implicit_network_matches_csr; prop_flat_seed_matches_deque_oracle;
-      prop_lazy_seed_installs_on_touch; prop_roles_match_set_oracle ]
+      prop_lazy_seed_installs_on_touch; prop_roles_match_set_oracle;
+      prop_searches_share_one_workspace ]
 
 let () =
   Alcotest.run "flow"
@@ -1888,6 +1980,8 @@ let () =
           Alcotest.test_case "warm workspace leases" `Quick test_grid_warm_workspace_leases;
           Alcotest.test_case "rip-up request, no regrowth" `Quick
             test_grid_ripup_request_no_regrowth;
+          Alcotest.test_case "seeded solve after prepare, no allocation" `Quick
+            test_grid_prepared_seed_no_alloc;
           Alcotest.test_case "grid = mcmf = dinic" `Quick
             test_grid_agrees_with_general_solvers;
           Alcotest.test_case "long chain decompose" `Quick test_mcmf_long_chain_decompose ] );

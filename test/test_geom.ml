@@ -73,10 +73,6 @@ let test_rect_of_point_list () =
   Alcotest.check_raises "empty" (Invalid_argument "Rect.of_point_list: empty") (fun () ->
     ignore (Rect.of_point_list []))
 
-let test_rect_points () =
-  let r = Rect.make ~x0:0 ~y0:0 ~x1:2 ~y1:1 in
-  Alcotest.(check int) "point count" 6 (List.length (Rect.points r))
-
 (* ---------- Tilted ---------- *)
 
 let test_tilted_roundtrip () =
@@ -287,8 +283,7 @@ let () =
         [ Alcotest.test_case "normalise" `Quick test_rect_normalise;
           Alcotest.test_case "overlap" `Quick test_rect_overlap;
           Alcotest.test_case "degenerate" `Quick test_rect_degenerate;
-          Alcotest.test_case "of_point_list" `Quick test_rect_of_point_list;
-          Alcotest.test_case "points" `Quick test_rect_points ] );
+          Alcotest.test_case "of_point_list" `Quick test_rect_of_point_list ] );
       ( "tilted",
         [ Alcotest.test_case "roundtrip" `Quick test_tilted_roundtrip;
           Alcotest.test_case "doubled manhattan" `Quick test_tilted_distance_is_doubled_manhattan;

@@ -111,17 +111,6 @@ let test_path_trivial () =
   Alcotest.(check int) "trivial length" 0 (Path.length p);
   Alcotest.(check bool) "is trivial" true (Path.is_trivial p)
 
-let test_path_reverse_append () =
-  let p = mk_path [ (0, 0); (1, 0); (2, 0) ] in
-  let r = Path.reverse p in
-  Alcotest.check point "reversed source" (Point.make 2 0) (Path.source r);
-  let q = mk_path [ (2, 0); (2, 1) ] in
-  let joined = Path.append p q in
-  Alcotest.(check int) "joined length" 3 (Path.length joined);
-  Alcotest.check_raises "bad append"
-    (Invalid_argument "Path.append: endpoints do not meet") (fun () ->
-      ignore (Path.append p (mk_path [ (5, 5); (5, 6) ])))
-
 let test_path_replace_segment () =
   let p = mk_path [ (0, 0); (1, 0); (2, 0); (3, 0) ] in
   (* Replace edge (1,0)-(2,0) with a U detour. *)
@@ -137,11 +126,6 @@ let test_path_shares_vertex () =
   let c = mk_path [ (5, 5); (5, 6) ] in
   Alcotest.(check bool) "share" true (Path.shares_vertex a b);
   Alcotest.(check bool) "disjoint" false (Path.shares_vertex a c)
-
-let test_path_bounding_box () =
-  let p = mk_path [ (1, 1); (1, 2); (2, 2) ] in
-  let bb = Path.bounding_box p in
-  Alcotest.(check int) "bb cells" 4 (Rect.cells bb)
 
 (* ---------- QCheck ---------- *)
 
@@ -173,11 +157,6 @@ let prop_path_roundtrip =
 let prop_path_length =
   QCheck.Test.make ~name:"length = points - 1" ~count:200 arb_path (fun pts ->
     Pacor_grid.Path.length (Pacor_grid.Path.of_points pts) = List.length pts - 1)
-
-let prop_reverse_involution =
-  QCheck.Test.make ~name:"reverse involutive" ~count:200 arb_path (fun pts ->
-    let p = Pacor_grid.Path.of_points pts in
-    Pacor_grid.Path.equal p (Pacor_grid.Path.reverse (Pacor_grid.Path.reverse p)))
 
 
 let prop_obstacle_count_tracks_operations =
@@ -259,7 +238,7 @@ let prop_fill_masks_match_free =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_path_roundtrip; prop_path_length; prop_reverse_involution;
+    [ prop_path_roundtrip; prop_path_length;
       prop_obstacle_count_tracks_operations; prop_fill_masks_match_free ]
 
 let () =
@@ -279,10 +258,8 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_path_basics;
           Alcotest.test_case "invalid" `Quick test_path_invalid;
           Alcotest.test_case "trivial" `Quick test_path_trivial;
-          Alcotest.test_case "reverse/append" `Quick test_path_reverse_append;
           Alcotest.test_case "replace segment" `Quick test_path_replace_segment;
-          Alcotest.test_case "shares vertex" `Quick test_path_shares_vertex;
-          Alcotest.test_case "bounding box" `Quick test_path_bounding_box ] );
+          Alcotest.test_case "shares vertex" `Quick test_path_shares_vertex ] );
       ( "packed_roles",
         [ Alcotest.test_case "round-trip" `Quick test_packed_roles_roundtrip ] );
       ("properties", qcheck_cases) ]

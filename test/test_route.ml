@@ -608,7 +608,7 @@ let test_workspace_allocs_monotonic () =
 
 (* The visit pool grows by what a search appends, not by the grid: a
    short bounded search on a 1000x1000 grid allocates a few kilobytes once
-   the cell layers exist (a pool sized at 8 visits per cell was 128 MB). *)
+   the node record exists (a pool sized at 8 visits per cell was 128 MB). *)
 let test_bounded_pool_sized_by_appends () =
   let g = grid 1000 1000 in
   let ws = Workspace.create () in
@@ -795,6 +795,99 @@ let test_workspace_node_record () =
       if fresh <> reused then Alcotest.failf "grid %dx%d: warm workspace differs" side side)
     [ 12; 60; 7; 150; 30; 150; 9 ]
 
+(* The owner layer packs its load epoch with the cluster id. With the
+   epoch wrapping after two loads, every load must still start with every
+   cell free and hold exactly what was occupied since: a wrap that reused
+   epoch 1 without zeroing the layer would show the first load's cells
+   again. Ids outside [0, 2^30) are refused. *)
+let test_owner_epoch_wraps () =
+  let g = grid 6 4 in
+  let ws = Workspace.create () in
+  Workspace.Private.set_owner_epoch_limit ws 2;
+  let held () = List.rev (Workspace.fold_owned ws (fun p id acc -> (p.Point.x, p.y, id) :: acc) []) in
+  let cells = Alcotest.(list (triple int int int)) in
+  for k = 0 to 4 do
+    Workspace.load_owners ws g ~reserved:Point.Set.empty;
+    Alcotest.check cells (Printf.sprintf "load %d starts free" k) [] (held ());
+    Alcotest.(check int)
+      (Printf.sprintf "load %d: nothing occupied" k)
+      0
+      (Obstacle_map.blocked_count (Workspace.occupied ws));
+    Workspace.occupy ws ~id:k (Point.make k 1);
+    Workspace.occupy ws ~id:(k + 7) (Point.make 5 3);
+    Alcotest.check cells (Printf.sprintf "load %d holds its cells" k)
+      [ (k, 1, k); (5, 3, k + 7) ] (held ())
+  done;
+  Alcotest.check_raises "id 2^30 refused"
+    (Invalid_argument "Workspace.occupy: cluster id out of range") (fun () ->
+      Workspace.occupy ws ~id:(1 lsl 30) (Point.make 0 0));
+  Alcotest.check_raises "negative id refused"
+    (Invalid_argument "Workspace.occupy: cluster id out of range") (fun () ->
+      Workspace.occupy ws ~id:(-1) (Point.make 0 0));
+  Alcotest.check_raises "limit 0 refused"
+    (Invalid_argument "Workspace.Private.set_owner_epoch_limit: out of range") (fun () ->
+      Workspace.Private.set_owner_epoch_limit ws 0)
+
+(* Negotiation's claim counts carry their claim round in the packed claim
+   word, and the round wraps after a limit (63 in [route]). A batch that
+   never routes whole (a column crossing three rows) runs a claim round
+   per full-reroute round; with the rounds wrapping after 1, 2 or 3, both
+   modes must return the outcome and counters of the unwrapped run on a
+   workspace shared across the runs, and leave its slots zero. A wrap that
+   kept an earlier round's counts would block cells nothing claims. *)
+let test_claim_round_wraps () =
+  let g = grid 5 3 in
+  let obs = Routing_grid.fresh_work_map g in
+  let edge i a b = { Negotiation.edge_id = i; ends = (a, b) } in
+  let edges =
+    [ edge 0 (Point.make 0 0) (Point.make 4 0);
+      edge 1 (Point.make 0 1) (Point.make 4 1);
+      edge 2 (Point.make 0 2) (Point.make 4 2);
+      edge 3 (Point.make 2 0) (Point.make 2 2) ]
+  in
+  let shared = Workspace.create () in
+  let run ?round_limit ws mode =
+    let config = { Negotiation.default_config with mode } in
+    let before = Search_stats.snapshot (Workspace.stats ws) in
+    let out =
+      match round_limit with
+      | None -> Negotiation.route ~workspace:ws ~config ~grid:g ~obstacles:obs edges
+      | Some round_limit ->
+        Negotiation.Private.route ~round_limit ~workspace:ws ~config ~grid:g ~obstacles:obs edges
+    in
+    let work = Search_stats.diff (Search_stats.snapshot (Workspace.stats ws)) before in
+    (out, { work with Search_stats.grid_allocs = 0 })
+  in
+  List.iter
+    (fun (mode, name) ->
+      let want, want_work = run (Workspace.create ()) mode in
+      Alcotest.(check bool) (name ^ ": the batch never routes whole") false want.success;
+      Alcotest.(check bool) (name ^ ": at least four claim rounds") true
+        (want_work.Search_stats.resets - want_work.Search_stats.searches >= 4);
+      List.iter
+        (fun round_limit ->
+          let got, got_work = run ~round_limit shared mode in
+          let label = Printf.sprintf "%s, rounds wrap after %d" name round_limit in
+          if got <> want then Alcotest.failf "%s: outcome differs" label;
+          if got_work <> want_work then
+            Alcotest.failf "%s: counters %a, unwrapped %a" label Search_stats.pp got_work
+              Search_stats.pp want_work;
+          for slot = 0 to 1 do
+            if not (Array.for_all (( = ) 0) (Workspace.scratch_int shared ~slot ~cells:1)) then
+              Alcotest.failf "%s: slot %d not zero after the call" label slot
+          done)
+        [ 1; 2; 3 ])
+    [ (Negotiation.Full_reroute, "full reroute"); (Negotiation.Incremental, "incremental") ];
+  Alcotest.check_raises "round limit 0 refused"
+    (Invalid_argument "Negotiation.Private.route: round_limit outside [1, 63]") (fun () ->
+      ignore (Negotiation.Private.route ~round_limit:0 ~grid:g ~obstacles:obs edges));
+  Alcotest.check_raises "gamma 256 refused"
+    (Invalid_argument "Negotiation.route: gamma above 255") (fun () ->
+      ignore
+        (Negotiation.route
+           ~config:{ Negotiation.default_config with gamma = 256 }
+           ~grid:g ~obstacles:obs edges))
+
 (* ---------- QCheck ---------- *)
 
 let arb_grid_points =
@@ -952,12 +1045,12 @@ let prop_incremental_no_worse =
        end
        else true)
 
-(* Negotiation keeps its per-cell state in workspace scratch slots 0–3,
+(* Negotiation keeps its per-cell state in workspace scratch slots 0–1,
    which must read zero between calls. A random sequence of calls on one
    shared workspace (both modes, some under an expansion cap that trips
    mid-call, grids shrinking after the first and largest one) must return
    exactly what each call returns on a fresh workspace, and leave the
-   four slots zero after every call. *)
+   two slots zero after every call. *)
 let prop_negotiation_workspace_isolation =
   QCheck.Test.make ~name:"negotiation leaves its scratch slots zero" ~count:120
     QCheck.(int_range 0 1_000_000)
@@ -1000,7 +1093,7 @@ let prop_negotiation_workspace_isolation =
          let fresh = run (Workspace.create ()) in
          if shared <> fresh then
            QCheck.Test.fail_reportf "call %d (%dx%d): shared workspace outcome differs" k w h;
-         for slot = 0 to 3 do
+         for slot = 0 to 1 do
            if not (Array.for_all (( = ) 0) (Workspace.scratch_int ws ~slot ~cells:1)) then
              QCheck.Test.fail_reportf "call %d (%dx%d): slot %d not zero after the call" k w
                h slot
@@ -1110,7 +1203,9 @@ let () =
             test_workspace_deque_growth_and_reset;
           Alcotest.test_case "deque pops charge the budget" `Quick
             test_workspace_deque_budget;
-          Alcotest.test_case "node record stamps" `Quick test_workspace_node_record ] );
+          Alcotest.test_case "node record stamps" `Quick test_workspace_node_record;
+          Alcotest.test_case "owner epoch wraps" `Quick test_owner_epoch_wraps;
+          Alcotest.test_case "claim round wraps" `Quick test_claim_round_wraps ] );
       ( "detour",
         [ Alcotest.test_case "lengthen basic" `Quick test_lengthen_basic;
           Alcotest.test_case "already long enough" `Quick test_lengthen_already_long_enough;

@@ -46,11 +46,6 @@ let test_sequence_meet () =
    | None -> Alcotest.fail "expected meet");
   Alcotest.(check bool) "conflicting meet" true (Activation.meet (seq "0") (seq "1") = None)
 
-let test_all_dont_care () =
-  let s = Activation.all_dont_care 4 in
-  Alcotest.(check string) "XXXX" "XXXX" (Activation.string_of_sequence s);
-  Alcotest.(check bool) "compatible with anything" true (Activation.compatible s (seq "0101"))
-
 (* ---------- Valve ---------- *)
 
 let test_valve_compat () =
@@ -59,13 +54,6 @@ let test_valve_compat () =
   Alcotest.(check bool) "a~c" false (Valve.compatible a c);
   Alcotest.(check bool) "pairwise" true (Valve.pairwise_compatible [ a; b ]);
   Alcotest.(check bool) "pairwise fail" false (Valve.pairwise_compatible [ a; b; c ])
-
-let test_shared_sequence () =
-  let a = mk_valve 0 1 1 "0X" and b = mk_valve 1 2 2 "X1" in
-  (match Valve.shared_sequence [ a; b ] with
-   | Some s -> Alcotest.(check string) "shared" "01" (Activation.string_of_sequence s)
-   | None -> Alcotest.fail "expected shared sequence");
-  Alcotest.(check bool) "empty list" true (Valve.shared_sequence [] = None)
 
 (* ---------- Cluster ---------- *)
 
@@ -260,11 +248,9 @@ let () =
           Alcotest.test_case "status meet" `Quick test_status_meet;
           Alcotest.test_case "sequence parse" `Quick test_sequence_parse;
           Alcotest.test_case "sequence compatibility" `Quick test_sequence_compat;
-          Alcotest.test_case "sequence meet" `Quick test_sequence_meet;
-          Alcotest.test_case "all dont care" `Quick test_all_dont_care ] );
+          Alcotest.test_case "sequence meet" `Quick test_sequence_meet ] );
       ( "valve",
-        [ Alcotest.test_case "compatibility" `Quick test_valve_compat;
-          Alcotest.test_case "shared sequence" `Quick test_shared_sequence ] );
+        [ Alcotest.test_case "compatibility" `Quick test_valve_compat ] );
       ( "cluster",
         [ Alcotest.test_case "make" `Quick test_cluster_make;
           Alcotest.test_case "split" `Quick test_cluster_split;
