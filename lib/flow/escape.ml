@@ -1,6 +1,7 @@
 open Pacor_geom
 open Pacor_grid
 module W = Pacor_route.Workspace
+module A = Bigarray.Array1
 module Stats = Pacor_route.Search_stats
 
 type request = {
@@ -147,7 +148,7 @@ let seed_bfs ws ~grid ~roles ~pins =
   let cells = Routing_grid.cells grid in
   let w = Routing_grid.width grid in
   let budget = W.budget ws in
-  let d = W.scratch_int ws ~slot:2 ~cells and queue = W.scratch_int ws ~slot:3 ~cells in
+  let d = W.scratch_array ws ~slot:2 ~cells and queue = W.scratch_array ws ~slot:3 ~cells in
   Array.fill d 0 cells (-1);
   let tail = ref 0 in
   List.iter
@@ -243,7 +244,7 @@ let seed_heights ws ~grid ~roles ~pins requests =
    distinct starts, then the entered cells. *)
 type bfs = {
   roles : Packed_roles.t;
-  nodes : int array;
+  nodes : W.ints;
   queue : int array;
   e2 : int;
   mutable tail : int;
@@ -256,9 +257,9 @@ let[@inline] bfs_enter b u j =
   let rj = Packed_roles.get b.roles j in
   if rj = role_ordinary || rj = role_pin then begin
     b.touched <- b.touched + 1;
-    if Array.unsafe_get b.nodes (4 * j) <> b.e2 then begin
-      Array.unsafe_set b.nodes (4 * j) b.e2;
-      Array.unsafe_set b.nodes ((4 * j) + 2) u;
+    if A.unsafe_get b.nodes (4 * j) <> b.e2 then begin
+      A.unsafe_set b.nodes (4 * j) b.e2;
+      A.unsafe_set b.nodes ((4 * j) + 2) u;
       Array.unsafe_set b.queue b.tail j;
       b.tail <- b.tail + 1
     end
@@ -298,7 +299,7 @@ let single_bfs ~alive ws ~grid ~roles (r : request) =
     W.begin_flow ws ~nodes:n;
     let b =
       { roles; nodes = W.node_record ws; e2 = W.touched_stamp ws; tail = 0; touched = 0;
-        queue = W.scratch_int ws ~slot:3 ~cells:(cells + List.length r.start_cells) }
+        queue = W.scratch_array ws ~slot:3 ~cells:(cells + List.length r.start_cells) }
     in
     (* The source, its arc and the request, whose arcs touch every listed
        start and push the distinct ones, last-first. *)
@@ -311,9 +312,9 @@ let single_bfs ~alive ws ~grid ~roles (r : request) =
         (List.fold_left
            (fun acc p ->
               let s = Routing_grid.index grid p in
-              if b.nodes.(4 * (cells + s)) = b.e2 then acc
+              if b.nodes.{4 * (cells + s)} = b.e2 then acc
               else begin
-                b.nodes.(4 * (cells + s)) <- b.e2;
+                b.nodes.{4 * (cells + s)} <- b.e2;
                 s :: acc
               end)
            [] r.start_cells);
@@ -340,9 +341,9 @@ let single_bfs ~alive ws ~grid ~roles (r : request) =
       done;
       let rec walk v acc =
         if Packed_roles.get roles v = role_start then v :: acc
-        else walk b.nodes.((4 * v) + 2) (v :: acc)
+        else walk b.nodes.{(4 * v) + 2} (v :: acc)
       in
-      if !pin >= 0 then path := walk b.nodes.((4 * !pin) + 2) [ !pin ]
+      if !pin >= 0 then path := walk b.nodes.{(4 * !pin) + 2} [ !pin ]
     end;
     touched := !arcs + b.touched;
     relaxed := !arcs + b.tail

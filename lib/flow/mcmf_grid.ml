@@ -57,6 +57,7 @@
 
 open Pacor_grid
 module W = Pacor_route.Workspace
+module A = Bigarray.Array1
 module Stats = Pacor_route.Search_stats
 
 let role_excluded = 0
@@ -85,7 +86,7 @@ type t = {
   fl : Bytes.t;             (* per-cell flow bits, see the header *)
   rflow : Bytes.t;          (* flow on each request -> out(start) arc *)
   sflow : Bytes.t;          (* flow on each source -> request arc *)
-  mutable nodes : int array; (* the solving workspace's node record: dist,
+  mutable nodes : W.ints;    (* the solving workspace's node record: dist,
                                parent and stamps per round, and the
                                Johnson potentials, read only once the node
                                is installed, persistent across rounds *)
@@ -150,7 +151,7 @@ let create ?workspace ~grid ~roles starts =
     source = (2 * cells) + nreq; sink = (2 * cells) + nreq + 1;
     req_first; arc_cell; arc_req; by_cell; fl;
     rflow = Bytes.make m '\000'; sflow = Bytes.make nreq '\000';
-    nodes = [||]; state; h = (fun _ -> 0);
+    nodes = W.zeroed 0; state; h = (fun _ -> 0);
     flow = 0; cost = 0; rounds = 0; solved = false;
     collect = false; cur = 0; du = 0; e2 = 0; acc = [] }
 
@@ -169,12 +170,12 @@ let[@inline] flip_bit t i d =
 let install t v =
   let hv = t.h v in
   if hv >= 0 then begin
-    t.nodes.((4 * v) + 3) <- - hv;
+    t.nodes.{(4 * v) + 3} <- - hv;
     Bytes.unsafe_set t.state v live;
     true
   end
   else begin
-    t.nodes.((4 * v) + 3) <- 0;
+    t.nodes.{(4 * v) + 3} <- 0;
     Bytes.unsafe_set t.state v dead;
     false
   end
@@ -187,7 +188,7 @@ let[@inline] is_live t v =
 (* Node [v]'s potential, installing it first if unseen. *)
 let[@inline] pot t v =
   if Bytes.unsafe_get t.state v = unseen then ignore (install t v : bool);
-  t.nodes.((4 * v) + 3)
+  t.nodes.{(4 * v) + 3}
 
 (* Neighbour of cell [i] in direction [d] (+1, -1, +w, -w), or -1 off the
    grid: the [Routing_grid.iter_neighbours4] order. An [interior] cell
@@ -224,13 +225,13 @@ let[@inline] visit t ws port v c cap =
   else if cap = 1 && is_live t v then begin
     let stats = W.stats ws and nodes = t.nodes and b = 4 * v in
     Stats.touched stats;
-    let nd = t.du + c - Array.unsafe_get nodes (b + 3) in
-    let fresh = Array.unsafe_get nodes b < t.e2 in
-    if fresh || nd < Array.unsafe_get nodes (b + 1) then begin
+    let nd = t.du + c - A.unsafe_get nodes (b + 3) in
+    let fresh = A.unsafe_get nodes b < t.e2 in
+    if fresh || nd < A.unsafe_get nodes (b + 1) then begin
       Stats.relaxed stats;
-      if fresh then Array.unsafe_set nodes b t.e2;
-      Array.unsafe_set nodes (b + 1) nd;
-      Array.unsafe_set nodes (b + 2) ((port * t.n) + t.cur);
+      if fresh then A.unsafe_set nodes b t.e2;
+      A.unsafe_set nodes (b + 1) nd;
+      A.unsafe_set nodes (b + 2) ((port * t.n) + t.cur);
       W.push ws ~prio:nd v
     end
   end
@@ -339,16 +340,16 @@ let round t ws =
   while !running do
     let u = W.pop_cell ws in
     if u < 0 then running := false
-    else if nodes.(4 * u) <> e2 + 1 then begin
-      nodes.(4 * u) <- e2 + 1;
+    else if A.unsafe_get nodes (4 * u) <> e2 + 1 then begin
+      A.unsafe_set nodes (4 * u) (e2 + 1);
       W.trail_push ws u;
       if u = t.sink then begin
-        dsink := nodes.((4 * u) + 1);
+        dsink := A.unsafe_get nodes ((4 * u) + 1);
         running := false
       end
       else begin
         t.cur <- u;
-        t.du <- nodes.((4 * u) + 1) + nodes.((4 * u) + 3);
+        t.du <- A.unsafe_get nodes ((4 * u) + 1) + A.unsafe_get nodes ((4 * u) + 3);
         iter_row t ws u
       end
     end
@@ -381,7 +382,7 @@ let update_potentials t ws d =
   if d > 0 then begin
     for k = 0 to W.trail_length ws - 1 do
       let v = W.trail_get ws k in
-      t.nodes.((4 * v) + 3) <- pot t v + t.nodes.((4 * v) + 1) - d
+      t.nodes.{(4 * v) + 3} <- pot t v + t.nodes.{(4 * v) + 1} - d
     done
   end
 

@@ -118,11 +118,11 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
     incr dirty_len
   in
   let bump_cell i =
-    let w = words.(i) in
+    let w = words.{i} in
     let b = bumps_of w in
     if b < max_bumps then begin
-      words.(i) <- w + (1 lsl bumps_shift);
-      Array.unsafe_set hcost i cost_of_bumps.(b + 1)
+      words.{i} <- w + (1 lsl bumps_shift);
+      Bigarray.Array1.unsafe_set hcost i cost_of_bumps.(b + 1)
     end
   in
   (* Routed paths claim their cells (the replacement for a per-round
@@ -133,7 +133,7 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
      region). *)
   let round = ref 0 in
   let claimed i =
-    let w = Array.unsafe_get words i in
+    let w = Bigarray.Array1.unsafe_get words i in
     round_of w = !round && count_of w > 0
   in
   let new_claim_round () =
@@ -141,7 +141,7 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
     if !round >= round_limit then begin
       for k = 0 to !dirty_len - 1 do
         let i = Array.unsafe_get !dirty k in
-        words.(i) <- words.(i) land lnot count_and_round
+        words.{i} <- words.{i} land lnot count_and_round
       done;
       round := 1
     end
@@ -151,10 +151,10 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
     List.iter
       (fun p ->
          let i = idx p in
-         let w = words.(i) in
+         let w = words.{i} in
          if w = 0 then mark_dirty i;
          let c = if round_of w = !round then count_of w else 0 in
-         words.(i) <-
+         words.{i} <-
            w land history_bits
            lor (!round lsl round_shift)
            lor ((c + 1) lsl count_shift)
@@ -165,14 +165,14 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
     List.iter
       (fun p ->
          let i = idx p in
-         let w = words.(i) in
+         let w = words.{i} in
          let w = if claimed i then w - (1 lsl count_shift) else w in
-         words.(i) <- (if owner_of w = slot + 1 then w land lnot owner_mask else w))
+         words.{i} <- (if owner_of w = slot + 1 then w land lnot owner_mask else w))
       (Path.points path)
   in
   let spec =
     { Astar.usable = (fun i -> Obstacle_map.free_i obstacles i && not (claimed i));
-      extra_cost = (fun i -> Array.unsafe_get hcost i) }
+      extra_cost = (fun i -> Bigarray.Array1.unsafe_get hcost i) }
   in
   (* The "ideal" spec ignores claims: where a failed edge's unconstrained
      best path crosses claimed cells is exactly the conflict to negotiate
@@ -311,13 +311,13 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
                    if i <> ai && i <> bi && claimed i then begin
                      (* A round bumps each cell at most once, even when
                         several ideal paths cross it. *)
-                     let w = words.(i) in
+                     let w = words.{i} in
                      if bump_round_of w <> r + 1 then begin
-                       words.(i) <-
+                       words.{i} <-
                          w land lnot bump_round_mask lor ((r + 1) lsl bump_round_shift);
                        bump_cell i
                      end;
-                     let o = owner_of words.(i) - 1 in
+                     let o = owner_of words.{i} - 1 in
                      if o >= 0 && not ripped.(o) then begin
                        (match paths.(o) with
                         | Some p ->
@@ -351,8 +351,8 @@ let route_with ~round_limit ?workspace ?(config = default_config) ~grid ~obstacl
   let clear_dirty () =
     for k = 0 to !dirty_len - 1 do
       let i = Array.unsafe_get !dirty k in
-      words.(i) <- 0;
-      hcost.(i) <- 0
+      words.{i} <- 0;
+      hcost.{i} <- 0
     done;
     dirty_len := 0
   in

@@ -1,4 +1,30 @@
 module Obstacle_map = Pacor_grid.Obstacle_map
+module A = Bigarray.Array1
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
+
+(* -- Zeroed int arrays ---------------------------------------------------- *)
+
+(* The node record, the owner layer and int slots 0–1 come from
+   [zeroed]: a private anonymous mapping (zeroed_stubs.c), whose pages
+   read zero and take no memory until first written, or, when no mapping
+   can be made, an ordinary Bigarray filled with zeros. [mapping] is
+   false only in tests that force the fallback. *)
+external map_zeroed : int -> ints option = "pacor_zeroed_ints"
+
+let mapping = Atomic.make true
+let no_ints : ints = A.create Bigarray.int Bigarray.c_layout 0
+
+let zeroed n =
+  if n < 0 then invalid_arg "Workspace.zeroed: negative length";
+  if n = 0 then no_ints
+  else
+    match if Atomic.get mapping then map_zeroed n else None with
+    | Some a -> a
+    | None ->
+      let a = A.create Bigarray.int Bigarray.c_layout n in
+      A.fill a 0;
+      a
 
 type t = {
   (* Node record: the per-node state every search reads, four ints per
@@ -9,7 +35,7 @@ type t = {
      flow's node-split network has about twice as many nodes as the grid
      has cells — with [node_slack] to spare. *)
   mutable node_cap : int;
-  mutable nodes : int array;
+  mutable nodes : ints;
   (* Bounded-search visit pool: entries are appended in one growing pool
      and chained per cell; a cell's newest entry is its node's distance
      field, live while its stamp is the epoch's. *)
@@ -21,17 +47,22 @@ type t = {
   (* Owner layer: per cell, [owner_epoch lsl owner_id_bits lor id] while
      cluster [id] holds it; any other epoch reads free. [fixed] blocks
      static and reserved cells, [occupied] those and every held cell. *)
-  mutable owner : int array;
+  mutable owner : ints;
   mutable owner_epoch : int;
   mutable owner_epoch_limit : int;
   mutable fixed : Obstacle_map.t;
   mutable occupied : Obstacle_map.t;
   (* Scratch pools: grid-sized arrays leased by stages that used to
      [Array.make n] per call (negotiation's claims and history, escape
-     roles, the escape flow state). Int slots 0–1 are negotiation's and
-     read zero between its calls; elsewhere contents are arbitrary between
-     leases — the borrower writes each element before it reads it. *)
-  scratch_ints : int array array;
+     roles, the escape flow state). Int slots 0–1 are negotiation's
+     zeroed arrays and read zero between its calls; slots 2–3, the escape
+     seed's, are ordinary int arrays, because the seed writes slot 2 whole
+     on every solve and its BFS reads an int array faster than a
+     Bigarray. Contents of slots 2–3 and the byte slots are arbitrary
+     between leases — the borrower writes each element before it reads
+     it. *)
+  scratch_ints : ints array;
+  seed_ints : int array array;
   scratch_bs : Bytes.t array;
   (* Epoch starts at 1 so freshly zeroed stamp arrays read as stale. *)
   mutable epoch : int;
@@ -49,7 +80,7 @@ type t = {
   escape_parts : float array;
 }
 
-let scratch_slots = 4
+let scratch_slots = 2
 let scratch_byte_slots = 4
 
 (* Owner words: a cluster id in the low [owner_id_bits] bits, the epoch
@@ -62,18 +93,19 @@ let create ?stats () =
   let stats = match stats with Some s -> s | None -> Search_stats.create () in
   {
     node_cap = 0;
-    nodes = [||];
+    nodes = no_ints;
     entry_g_a = [||];
     entry_parent_a = [||];
     entry_cell_a = [||];
     entry_next_a = [||];
     entry_len = 0;
-    owner = [||];
+    owner = no_ints;
     owner_epoch = 1;
     owner_epoch_limit = owner_epoch_max;
     fixed = Obstacle_map.create ~width:1 ~height:1;
     occupied = Obstacle_map.create ~width:1 ~height:1;
-    scratch_ints = Array.make scratch_slots [||];
+    scratch_ints = Array.make scratch_slots no_ints;
+    seed_ints = [| [||]; [||] |];
     scratch_bs = Array.make scratch_byte_slots Bytes.empty;
     epoch = 1;
     pq = Pacor_graphs.Pqueue.create ();
@@ -102,7 +134,7 @@ let room n = (n + (2 * node_slack) - 1) / node_slack * node_slack
 let reserve_nodes t n =
   if t.node_cap < n then begin
     let cap = room n in
-    t.nodes <- Array.make (4 * cap) 0;
+    t.nodes <- zeroed (4 * cap);
     t.node_cap <- cap;
     Search_stats.grid_alloc_noted t.stats
   end
@@ -123,32 +155,32 @@ let touched_stamp t = 2 * t.epoch
 
 (* A stamp below [2 * epoch] is an earlier epoch's: the node reads
    untouched. *)
-let dist t i = if t.nodes.(4 * i) >= 2 * t.epoch then t.nodes.((4 * i) + 1) else max_int
+let dist t i = if t.nodes.{4 * i} >= 2 * t.epoch then t.nodes.{(4 * i) + 1} else max_int
 
 (* First touch of a node in an epoch also resets its parent, so [parent]
    never reads a stale predecessor through a fresh stamp; a closed node
    keeps its closed stamp. *)
 let set_dist t i d =
-  if t.nodes.(4 * i) < 2 * t.epoch then begin
-    t.nodes.(4 * i) <- 2 * t.epoch;
-    t.nodes.((4 * i) + 2) <- -1
+  if t.nodes.{4 * i} < 2 * t.epoch then begin
+    t.nodes.{4 * i} <- 2 * t.epoch;
+    t.nodes.{(4 * i) + 2} <- -1
   end;
-  t.nodes.((4 * i) + 1) <- d
+  t.nodes.{(4 * i) + 1} <- d
 
-let parent t i = if t.nodes.(4 * i) >= 2 * t.epoch then t.nodes.((4 * i) + 2) else -1
-let set_parent t i j = t.nodes.((4 * i) + 2) <- j
-let closed t i = t.nodes.(4 * i) = (2 * t.epoch) + 1
-let close t i = t.nodes.(4 * i) <- (2 * t.epoch) + 1
+let parent t i = if t.nodes.{4 * i} >= 2 * t.epoch then t.nodes.{(4 * i) + 2} else -1
+let set_parent t i j = t.nodes.{(4 * i) + 2} <- j
+let closed t i = t.nodes.{4 * i} = (2 * t.epoch) + 1
+let close t i = t.nodes.{4 * i} <- (2 * t.epoch) + 1
 
 (* A*'s marks: field 3 holds [epoch lsl 2] plus bit 0 (target) and bit 1
    (source) once marked this epoch. No stale value reads as a mark: an
    earlier epoch's marks carry a smaller epoch, and the flow's potentials
    are never positive. *)
 let marks t i =
-  let m = t.nodes.((4 * i) + 3) in
+  let m = t.nodes.{(4 * i) + 3} in
   if m lsr 2 = t.epoch then m else 0
 
-let mark t i bit = t.nodes.((4 * i) + 3) <- (t.epoch lsl 2) lor marks t i lor bit
+let mark t i bit = t.nodes.{(4 * i) + 3} <- (t.epoch lsl 2) lor marks t i lor bit
 let mark_target t i = mark t i 1
 let is_target t i = marks t i land 1 <> 0
 let mark_source t i = mark t i 2
@@ -194,12 +226,12 @@ let trail_get t k = t.trail.(k)
    no word of an earlier epoch 1 reads held. *)
 let load_owners t grid ~reserved =
   let cells = Pacor_grid.Routing_grid.cells grid in
-  if Array.length t.owner < cells then begin
-    t.owner <- Array.make cells 0;
+  if A.dim t.owner < cells then begin
+    t.owner <- zeroed cells;
     Search_stats.grid_alloc_noted t.stats
   end;
   if t.owner_epoch >= t.owner_epoch_limit then begin
-    Array.fill t.owner 0 (Array.length t.owner) 0;
+    A.fill t.owner 0;
     t.owner_epoch <- 1
   end
   else t.owner_epoch <- t.owner_epoch + 1;
@@ -211,7 +243,7 @@ let load_owners t grid ~reserved =
 let occupied t = t.occupied
 
 let owner_i t i =
-  let w = t.owner.(i) in
+  let w = t.owner.{i} in
   if w lsr owner_id_bits = t.owner_epoch then w land (owner_id_limit - 1) else -1
 
 (* The cell's dense index, [-1] out of bounds. *)
@@ -222,14 +254,14 @@ let occupy t ~id p =
   if id < 0 || id >= owner_id_limit then invalid_arg "Workspace.occupy: cluster id out of range";
   let i = cell t p in
   if i >= 0 then begin
-    t.owner.(i) <- (t.owner_epoch lsl owner_id_bits) lor id;
+    t.owner.{i} <- (t.owner_epoch lsl owner_id_bits) lor id;
     Obstacle_map.block t.occupied p
   end
 
 let vacate t ~id p =
   let i = cell t p in
   if i >= 0 && owner_i t i = id then begin
-    t.owner.(i) <- 0;
+    t.owner.{i} <- 0;
     if Obstacle_map.free t.fixed p then Obstacle_map.unblock t.occupied p
   end
 
@@ -244,7 +276,7 @@ let fold_owned t f acc =
 
 (* -- Bounded-search visit pool ------------------------------------------ *)
 
-let entry_head t i = if t.nodes.(4 * i) = 2 * t.epoch then t.nodes.((4 * i) + 1) else -1
+let entry_head t i = if t.nodes.{4 * i} = 2 * t.epoch then t.nodes.{(4 * i) + 1} else -1
 let entry_next t slot = t.entry_next_a.(slot)
 let entry_cell t slot = t.entry_cell_a.(slot)
 let entry_g t slot = t.entry_g_a.(slot)
@@ -272,8 +304,8 @@ let append_entry t ~cell ~g ~parent =
   t.entry_parent_a.(slot) <- parent;
   t.entry_cell_a.(slot) <- cell;
   t.entry_next_a.(slot) <- entry_head t cell;
-  t.nodes.(4 * cell) <- 2 * t.epoch;
-  t.nodes.((4 * cell) + 1) <- slot;
+  t.nodes.{4 * cell} <- 2 * t.epoch;
+  t.nodes.{(4 * cell) + 1} <- slot;
   t.entry_len <- slot + 1;
   slot
 
@@ -285,14 +317,28 @@ let append_entry t ~cell ~g ~parent =
    the slack absorbs; doubling would strand half of each array. *)
 let grown cur len = max (room len) (cur + (cur / 4))
 
+(* Int slots 0–2 hold one int per cell and grow to the request exactly;
+   only the escape FIFO in slot 3 queues a request's start cells past the
+   grid, so it alone takes the slack. *)
+let fifo_slot = 3
+
 let scratch_int t ~slot ~cells =
   if slot < 0 || slot >= scratch_slots then invalid_arg "Workspace.scratch_int: bad slot";
-  let cur = Array.length t.scratch_ints.(slot) in
+  let cur = A.dim t.scratch_ints.(slot) in
   if cur < cells then begin
-    t.scratch_ints.(slot) <- Array.make (grown cur cells) 0;
+    t.scratch_ints.(slot) <- zeroed cells;
     Search_stats.grid_alloc_noted t.stats
   end;
   t.scratch_ints.(slot)
+
+let scratch_array t ~slot ~cells =
+  if slot < 2 || slot > fifo_slot then invalid_arg "Workspace.scratch_array: bad slot";
+  let cur = Array.length t.seed_ints.(slot - 2) in
+  if cur < cells then begin
+    t.seed_ints.(slot - 2) <- Array.make (if slot = fifo_slot then grown cur cells else cells) 0;
+    Search_stats.grid_alloc_noted t.stats
+  end;
+  t.seed_ints.(slot - 2)
 
 let scratch_bytes t ~slot ~len =
   if slot < 0 || slot >= scratch_byte_slots then
@@ -313,26 +359,26 @@ let scratch_bytes t ~slot ~len =
    reused workspace never reallocates them mid-run and a later, smaller
    instance reuses them untouched. The visit pool grows by what searches
    append, the trail past its first [node_slack] entries by what a round
-   settles. The slots go first: with the record allocated before them,
-   a set-up of Scaled3 (render, parse, create, prepare) read ~7.8 ms
-   instead of ~5.5 ms on x86-64 Linux (glibc), although the same bytes
-   are allocated. *)
+   settles. *)
 let prepare t ~cells =
-  ignore (scratch_int t ~slot:2 ~cells : int array);
-  ignore (scratch_int t ~slot:3 ~cells : int array);
   reserve_nodes t ((2 * cells) + 2);
+  ignore (scratch_array t ~slot:2 ~cells : int array);
+  ignore (scratch_array t ~slot:fifo_slot ~cells : int array);
   if Array.length t.trail < node_slack then grow_trail t node_slack
 
 let bytes t =
-  let ints a = 8 * Array.length a in
+  let ints a = 8 * Array.length a and mapped a = 8 * A.dim a in
   let map m = (Obstacle_map.width m * Obstacle_map.height m + 7) / 8 in
-  ints t.nodes + ints t.owner + ints t.trail + map t.fixed + map t.occupied
+  mapped t.nodes + mapped t.owner + ints t.trail + map t.fixed + map t.occupied
   + ints t.entry_g_a + ints t.entry_parent_a + ints t.entry_cell_a + ints t.entry_next_a
   + (16 * Pacor_graphs.Pqueue.capacity t.pq)
-  + Array.fold_left (fun acc a -> acc + ints a) 0 t.scratch_ints
+  + Array.fold_left (fun acc a -> acc + mapped a) 0 t.scratch_ints
+  + Array.fold_left (fun acc a -> acc + ints a) 0 t.seed_ints
   + Array.fold_left (fun acc b -> acc + Bytes.length b) 0 t.scratch_bs
 
 module Private = struct
+  let set_mapping on = Atomic.set mapping on
+
   let set_owner_epoch_limit t n =
     if n < 1 || n > owner_epoch_max then
       invalid_arg "Workspace.Private.set_owner_epoch_limit: out of range";

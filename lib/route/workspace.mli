@@ -23,9 +23,30 @@
     record and the scratch pools, the only grid-sized array is the owner
     layer.
 
+    The record, the owner layer and negotiation's int scratch slots come
+    from one allocator, {!zeroed}: each is a private anonymous memory
+    mapping that reads zero everywhere and takes memory only for the
+    pages a search writes, so a route keeps resident the cells it
+    touches, not the grid (see {!type-ints}).
+
     A workspace is single-threaded and non-reentrant: one search at a time.
     Every operation below is O(1), except the growth, load and fold
     calls, which say what they cost. *)
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** The workspace's grid-sized int arrays. Index them with the type
+    known at the access ([.{}], [Bigarray.Array1.unsafe_get]): the
+    compiler then reads them inline, without a C call. *)
+
+val zeroed : int -> ints
+(** [zeroed n]: [n] ints reading zero at every index. The array is a
+    private anonymous mapping ([mmap] with [MAP_PRIVATE|MAP_ANONYMOUS]):
+    a page takes memory only once it is first touched. The mapped size
+    is declared to the collector, so a dropped array is finalised (and
+    unmapped) as promptly as an ordinary Bigarray of that size. When no
+    mapping can be made, it is an ordinary Bigarray filled with zeros.
+    [zeroed 0] is one shared empty array and maps nothing. Never take a
+    subarray of one. Raises [Invalid_argument] when [n < 0]. *)
 
 type t
 
@@ -64,7 +85,8 @@ val begin_search : t -> cells:int -> unit
 
 (** {2:record Per-node search state (valid between [begin_*] calls)}
 
-    One int array, four fields per node [v], at [4v] to [4v + 3]:
+    One {!zeroed} int array ({!type-ints}), four fields per node [v], at
+    [4v] to [4v + 3]:
     - field 0, the stamp: [2 * epoch] once touched this epoch, [+ 1] once
       closed; smaller is stale, read as untouched. Every search stamps
       it: {!set_dist} and the flow's rounds, and {!append_entry} for the
@@ -78,7 +100,7 @@ val begin_search : t -> cells:int -> unit
       rounds (never positive), or A*'s marks, [epoch lsl 2] plus bit 0
       (target) and bit 1 (source), read as unmarked under any other
       epoch.
-    A growth zeroes the record. Close a node only after {!set_dist} in
+    A growth replaces the record with a fresh {!zeroed} one. Close a node only after {!set_dist} in
     the same epoch, as {!Astar} and [Mcmf_grid] do: an untouched node
     closed would read its stale distance. {!set_dist} on a closed node
     keeps it closed. *)
@@ -96,7 +118,7 @@ val set_parent : t -> int -> int -> unit
 val closed : t -> int -> bool
 val close : t -> int -> unit
 
-val node_record : t -> int array
+val node_record : t -> ints
 (** The record, for a search loop that reads and writes it without calls:
     [4 * nodes] long or more after [begin_flow ~nodes]; a growth replaces
     it, so read it again after each [begin_*]. *)
@@ -213,7 +235,8 @@ val append_entry : t -> cell:int -> g:int -> parent:int -> int
 val prepare : t -> cells:int -> unit
 (** Grow the node record to the escape network over a [cells]-cell grid
     ([2 * cells + 2] nodes plus the slack of {!begin_flow}), the escape
-    seed's int slots 2 and 3 to [cells], and the settle trail to 4096
+    seed's int slots 2 and 3 to [cells] (slot 3 with the slack of
+    {!begin_flow}), and the settle trail to 4096
     entries, in one step each. The engine calls this once per run with
     the instance's cell count, so 1000x1000+ grids pay a single
     allocation event per array on a cold workspace and none at all on a
@@ -223,32 +246,39 @@ val prepare : t -> cells:int -> unit
     slots and the owner layer on first use. *)
 
 val bytes : t -> int
-(** Bytes held in the workspace's arrays: the node record, the owner
-    layer and its two bitmaps, the scratch slots, the trail, the visit
-    pool and the queue's capacity. O(slots). *)
+(** Bytes the workspace's arrays span: the node record, the owner layer
+    and its two bitmaps, the scratch slots, the trail, the visit pool and
+    the queue's capacity. The {!zeroed} arrays count at their full length,
+    although only their touched pages are resident. O(slots). *)
 
 (** {2 Scratch pools}
 
     Grid-sized arrays leased by stages that historically allocated per
     call. Apart from int slots 0–1, contents are arbitrary between leases:
     the borrower must fill every element it later reads. Arrays grow
-    monotonically (by at least a quarter, and to at least 4096 entries
-    past the request, the slack of {!begin_flow}, so the escape network's
-    per-node leases survive a rip-up round's extra request; a grown int
-    array reads zero) and
-    are shared by slot, so two concurrent borrowers of one slot would
-    corrupt each other — the workspace is single-threaded, as documented
-    above. Slot owners:
+    monotonically: int slots 0–2 to the request exactly (one int per
+    cell); int slot 3 and the byte slots by at least a quarter, and to at
+    least 4096 entries past the request, the slack of {!begin_flow}, so
+    the escape network's per-node leases and the FIFO's start cells
+    survive a rip-up round's extra request. Slots are shared by slot, so
+    two concurrent borrowers of one slot would corrupt each other — the
+    workspace is single-threaded, as documented above. Slot owners:
     - int slots 0 and 1: {!Negotiation}'s packed claim words and its
       history costs (the .ml lists the layout). They belong to
       {!Negotiation} alone and read zero, over their whole length,
       between its calls: each call zeroes the cells it wrote before it
-      returns or raises, so it never fills the grid;
+      returns or raises, so it never fills the grid. They are {!zeroed}
+      arrays ({!scratch_int}), so only the pages of claimed cells are
+      resident;
     - int slots 2 and 3: each escape seed's BFS
       ([Pacor_flow.Escape.seed_heights]), one int per cell: in slot 2
       its distance to the nearest pin (-1 unreached), in slot 3 the
       FIFO, which a one-request escape's BFS uses too. A seed's slot 2
-      is read until its solve returns. {!prepare} leases both;
+      is read until its solve returns. {!prepare} leases both. They are
+      ordinary int arrays ({!scratch_array}): the seed writes slot 2
+      whole on every solve, so a mapping would keep nothing off the
+      resident set, and its BFS reads an int array faster than a
+      Bigarray;
     - byte slots 1–2: the escape flow network's node states (slot 2:
       unseen, dead or live) and per-cell flow bits (slot 1)
       ([Pacor_flow.Mcmf_grid.create]);
@@ -257,8 +287,13 @@ val bytes : t -> int
     - byte slot 3: the detour stage's usable-cell mask, one byte per
       cell ([Pacor.Detour_stage]). *)
 
-val scratch_int : t -> slot:int -> cells:int -> int array
-(** An int array of length >= [cells] for [slot] (0-based). *)
+val scratch_int : t -> slot:int -> cells:int -> ints
+(** A {!zeroed} int array of length >= [cells] for int slot 0 or 1; a
+    growth is a fresh one. Raises [Invalid_argument] for another slot. *)
+
+val scratch_array : t -> slot:int -> cells:int -> int array
+(** An int array of length >= [cells] for int slot 2 or 3. Raises
+    [Invalid_argument] for another slot. *)
 
 val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 (** A byte buffer of length >= [len] for [slot] (0-based). *)
@@ -267,6 +302,11 @@ val scratch_bytes : t -> slot:int -> len:int -> Bytes.t
 
 (** Entry points for tests only. *)
 module Private : sig
+  val set_mapping : bool -> unit
+  (** [set_mapping false] makes {!zeroed} take its fallback (an ordinary
+      Bigarray filled with zeros) until [set_mapping true], so a test
+      reaches both paths. Process-wide. *)
+
   val set_owner_epoch_limit : t -> int -> unit
   (** Wrap the owner epoch after [n] loads instead of 2{^32} - 1, so a
       test reaches the wrap. Raises [Invalid_argument] outside

@@ -6,13 +6,6 @@ let status_compatible a b =
   | Open, Open | Closed, Closed -> true
   | Open, Closed | Closed, Open -> false
 
-let status_meet a b =
-  match a, b with
-  | Dont_care, s | s, Dont_care -> Some s
-  | Open, Open -> Some Open
-  | Closed, Closed -> Some Closed
-  | Open, Closed | Closed, Open -> None
-
 let char_of_status = function Open -> '0' | Closed -> '1' | Dont_care -> 'X'
 
 let status_of_char = function
@@ -40,21 +33,5 @@ let compatible a b =
   Array.length a = Array.length b
   && begin
     let rec go i = i >= Array.length a || (status_compatible a.(i) b.(i) && go (i + 1)) in
-    go 0
-  end
-
-let meet a b =
-  if Array.length a <> Array.length b then None
-  else begin
-    let out = Array.make (Array.length a) Dont_care in
-    let rec go i =
-      if i >= Array.length a then Some out
-      else
-        match status_meet a.(i) b.(i) with
-        | None -> None
-        | Some s ->
-          out.(i) <- s;
-          go (i + 1)
-    in
     go 0
   end

@@ -12,9 +12,6 @@ type status =
 val status_compatible : status -> status -> bool
 (** Def. 2: equal, or either side is [Dont_care]. *)
 
-val status_meet : status -> status -> status option
-(** Most constrained status satisfying both; [None] when incompatible. *)
-
 type sequence = status array
 (** Def. 1: an activation sequence. All sequences of one chip have equal
     length [n] (the number of scheduled time steps). *)
@@ -26,6 +23,3 @@ val char_of_status : status -> char
 val compatible : sequence -> sequence -> bool
 (** Def. 3: pointwise compatibility. Sequences of different lengths are
     incompatible (they cannot come from the same schedule). *)
-
-val meet : sequence -> sequence -> sequence option
-(** Pointwise meet; the sequence a shared control pin would drive. *)

@@ -188,11 +188,13 @@ echo "== cold route memory guard: Scaled6 peak RSS from a fresh process =="
 # A cold route sizes the search workspace once: the node record to the
 # escape network, the escape seed's two int slots to the grid, the other
 # scratch slots and the owner layer on first use, the visit pool and settle
-# trail by what searches append. Scaled6 (1008x1008) then peaks at ~123
-# MB (median of 10 runs, x86-64 Linux, OCaml 5.1); with eight more cell
-# layers it peaked at ~193-211 MB, and when ten arrays grew together to
-# twice the escape network at ~741 MB. Fail above 1.5x the committed
-# figure (185 MB).
+# trail by what searches append. The node record, the owner layer and
+# negotiation's two slots are lazily-zeroed mappings, resident only where
+# a search writes. Scaled6 (1008x1008) then peaks at ~72 MB (median of 10
+# runs, x86-64 Linux, OCaml 5.1); with the record zero-filled up front it
+# peaked at ~123 MB, with eight more cell layers at ~193-211 MB, and when
+# ten arrays grew together to twice the escape network at ~741 MB. Fail
+# above 1.5x the committed figure (108 MB).
 scaled6="$fuzzdir/Scaled6.chip"
 ./_build/default/bin/pacor_cli.exe designs --emit Scaled6 > "$scaled6"
 rss_kb=$(python3 - "$scaled6" <<'PY'
@@ -202,8 +204,8 @@ subprocess.run(["./_build/default/bin/pacor_cli.exe", "route", "-f", sys.argv[1]
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 PY
 )
-if [ "$rss_kb" -gt 189440 ]; then
-  echo "cold route memory guard: Scaled6 peaked at $rss_kb KB, limit 189440 KB (185 MB)" >&2
+if [ "$rss_kb" -gt 110592 ]; then
+  echo "cold route memory guard: Scaled6 peaked at $rss_kb KB, limit 110592 KB (108 MB)" >&2
   exit 1
 fi
 

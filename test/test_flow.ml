@@ -1725,7 +1725,7 @@ let prop_lazy_seed_installs_on_touch =
         Pacor_route.Workspace.prepare reused ~cells;
         let record = Pacor_route.Workspace.node_record reused in
         for v = 0 to n - 1 do
-          record.((4 * v) + 3) <- 0x1e3c5a
+          record.{(4 * v) + 3} <- 0x1e3c5a
         done;
         Mcmf_grid.seed net ~h:(Escape.seed_heights reused ~grid ~roles ~pins reqs);
         let b = Mcmf_grid.solve ~workspace:reused ~stop_when_cost_reaches:beta net in

@@ -6,6 +6,11 @@ let grid ?(obstacles = []) w h = Routing_grid.create ~width:w ~height:h ~obstacl
 
 let free_spec obstacles = Astar.obstacle_spec obstacles
 
+(* Every element of a workspace int array reads zero. *)
+let all_zero (a : Workspace.ints) =
+  let rec from i = i = Bigarray.Array1.dim a || (a.{i} = 0 && from (i + 1)) in
+  from 0
+
 (* One source, one target, [obstacles] the only blockage. *)
 let shortest ~grid ~obstacles a b =
   Astar.search ~grid ~spec:(free_spec obstacles) ~sources:[ a ] ~targets:[ b ] ()
@@ -768,6 +773,7 @@ let test_workspace_node_record () =
   Workspace.close ws 10;
   Workspace.begin_flow ws ~nodes:50_000;
   Alcotest.(check bool) "the record grew" true (allocs () > before);
+  Alcotest.(check bool) "a grown record reads zero" true (all_zero (Workspace.node_record ws));
   Alcotest.check state "after a growth: closed node reads open" (false, max_int, -1)
     (node_state 10);
   epochs "begin_flow after a growth" (fun () -> Workspace.begin_flow ws ~nodes:50_000) 49_999;
@@ -794,6 +800,80 @@ let test_workspace_node_record () =
       let fresh = run None and reused = run (Some warm) in
       if fresh <> reused then Alcotest.failf "grid %dx%d: warm workspace differs" side side)
     [ 12; 60; 7; 150; 30; 150; 9 ]
+
+(* Every array the allocator hands out reads zero at every index: fresh
+   from [Workspace.zeroed], and the zeroed int slots (0–1) and the node
+   record after a growth, over arrays written with junk before each
+   growth; on the mapped path and on the fallback one. *)
+let prop_zeroed_reads_zero =
+  QCheck.Test.make ~name:"zeroed arrays read zero, fresh and grown" ~count:40
+    QCheck.(pair bool (list_of_size Gen.(1 -- 4) (int_range 0 40_000)))
+    (fun (mapped, sizes) ->
+       Workspace.Private.set_mapping mapped;
+       Fun.protect ~finally:(fun () -> Workspace.Private.set_mapping true) @@ fun () ->
+       let ws = Workspace.create () in
+       let junk (a : Workspace.ints) = Bigarray.Array1.fill a 0x5a5a in
+       let check what a =
+         if not (all_zero a) then
+           QCheck.Test.fail_reportf "%s (%s path) does not read zero" what
+             (if mapped then "mapped" else "fallback")
+       in
+       let dim = Bigarray.Array1.dim in
+       List.iter
+         (fun n ->
+            check (Printf.sprintf "zeroed %d" n) (Workspace.zeroed n);
+            (* Ask for [n + 1] more than each array holds, so it grows. *)
+            for slot = 0 to 1 do
+              let cells = dim (Workspace.scratch_int ws ~slot ~cells:0) + n + 1 in
+              let a = Workspace.scratch_int ws ~slot ~cells in
+              check (Printf.sprintf "int slot %d at %d cells" slot cells) a;
+              junk a
+            done;
+            let nodes = (dim (Workspace.node_record ws) / 4) + n + 1 in
+            Workspace.begin_flow ws ~nodes;
+            check (Printf.sprintf "node record at %d nodes" nodes) (Workspace.node_record ws);
+            junk (Workspace.node_record ws))
+         sizes;
+       true)
+
+(* Dropped workspaces give their mappings back: 2,000 workspaces, each
+   prepared for Scaled1's grid, with int slot 0 leased and a subarray of
+   it filled, are dropped with a full major collection every 100. After
+   each, the process's mappings (the lines of /proc/self/maps) and its
+   mapped size (VmSize) stay within what 100 live workspaces need, far
+   below 2,000 leaked ones; the kernel merges adjacent anonymous mappings
+   into one line, so the line count alone would miss a leak. Linux
+   only. *)
+let test_dropped_workspaces_unmap () =
+  if not (Sys.file_exists "/proc/self/maps") then Alcotest.skip ();
+  let lines file =
+    In_channel.with_open_text file (fun ic ->
+      let rec go acc = match In_channel.input_line ic with Some l -> go (l :: acc) | None -> acc in
+      go [])
+  in
+  let vm_kb () =
+    List.fold_left
+      (fun acc l -> match Scanf.sscanf_opt l "VmSize: %d kB" Fun.id with Some kb -> kb | None -> acc)
+      0 (lines "/proc/self/status")
+  in
+  let cells = Routing_grid.cells (Pacor_designs.Scaled.load_exn 1).Pacor.Problem.grid in
+  let per_ws_kb = Workspace.(bytes (let ws = create () in prepare ws ~cells; ws)) / 1024 in
+  Gc.full_major ();
+  let maps0 = List.length (lines "/proc/self/maps") and vm0 = vm_kb () in
+  for k = 1 to 2_000 do
+    let ws = Workspace.create () in
+    Workspace.prepare ws ~cells;
+    let slot = Workspace.scratch_int ws ~slot:0 ~cells in
+    Bigarray.Array1.fill (Bigarray.Array1.sub slot 0 1_000) (-1);
+    if k mod 100 = 0 then begin
+      Gc.full_major ();
+      let maps = List.length (lines "/proc/self/maps") - maps0 and vm = vm_kb () - vm0 in
+      if maps > 400 then Alcotest.failf "after %d workspaces: %d more mappings" k maps;
+      if vm > 100 * per_ws_kb then
+        Alcotest.failf "after %d workspaces: %d kB more mapped (one workspace: %d kB)" k vm
+          per_ws_kb
+    end
+  done
 
 (* The owner layer packs its load epoch with the cluster id. With the
    epoch wrapping after two loads, every load must still start with every
@@ -873,7 +953,7 @@ let test_claim_round_wraps () =
             Alcotest.failf "%s: counters %a, unwrapped %a" label Search_stats.pp got_work
               Search_stats.pp want_work;
           for slot = 0 to 1 do
-            if not (Array.for_all (( = ) 0) (Workspace.scratch_int shared ~slot ~cells:1)) then
+            if not (all_zero (Workspace.scratch_int shared ~slot ~cells:1)) then
               Alcotest.failf "%s: slot %d not zero after the call" label slot
           done)
         [ 1; 2; 3 ])
@@ -1094,7 +1174,7 @@ let prop_negotiation_workspace_isolation =
          if shared <> fresh then
            QCheck.Test.fail_reportf "call %d (%dx%d): shared workspace outcome differs" k w h;
          for slot = 0 to 1 do
-           if not (Array.for_all (( = ) 0) (Workspace.scratch_int ws ~slot ~cells:1)) then
+           if not (all_zero (Workspace.scratch_int ws ~slot ~cells:1)) then
              QCheck.Test.fail_reportf "call %d (%dx%d): slot %d not zero after the call" k w
                h slot
          done
@@ -1160,7 +1240,7 @@ let qcheck_cases =
     [ prop_astar_optimal_no_obstacles; prop_mst_router_claims_terminals;
       prop_lengthen_parity; prop_rsmt_between_bounds; prop_workspace_equals_fresh;
       prop_workspace_epoch_isolation; prop_incremental_no_worse;
-      prop_negotiation_workspace_isolation; prop_block_cut_sound ]
+      prop_negotiation_workspace_isolation; prop_block_cut_sound; prop_zeroed_reads_zero ]
 
 let () =
   Alcotest.run "route"
@@ -1204,6 +1284,7 @@ let () =
           Alcotest.test_case "deque pops charge the budget" `Quick
             test_workspace_deque_budget;
           Alcotest.test_case "node record stamps" `Quick test_workspace_node_record;
+          Alcotest.test_case "dropped workspaces unmap" `Quick test_dropped_workspaces_unmap;
           Alcotest.test_case "owner epoch wraps" `Quick test_owner_epoch_wraps;
           Alcotest.test_case "claim round wraps" `Quick test_claim_round_wraps ] );
       ( "detour",
