@@ -7,31 +7,21 @@
 
    With no flag: the RSMT comparison, the scaling table, the full-flow
    search statistics, jobs scaling and the micro-benchmarks. Pass --quick
-   (or set PACOR_BENCH_QUICK=1) to shorten the scaling table and the
-   micro-benchmark quotas. Pass --smoke for the CI fast path: one full
-   flow's stats, the scaling family's checks, a small jobs-scaling batch,
-   the committed jobs-scaling family's fingerprint and the workspace
-   micro-bench. *)
+   to shorten the scaling table and the micro-benchmark quotas. Pass
+   --smoke for the CI fast path: one full flow's stats, the scaling
+   family's checks, a small jobs-scaling batch, the committed jobs-scaling
+   family's record and the workspace micro-bench.
+
+   The record modes (--route-bench, --escape-bench, --fault-sweep,
+   --serve-bench, --chaos-soak, --jobs-scaling) each build one [Record.t],
+   print it, write it to --json-out F if given, and compare it with their
+   committed BENCH_<name>.json (see [check_record]). *)
 
 open Bechamel
 
-let quick =
-  Array.exists (String.equal "--quick") Sys.argv
-  || (match Sys.getenv_opt "PACOR_BENCH_QUICK" with Some ("1" | "true") -> true | _ -> false)
+let quick = Array.mem "--quick" Sys.argv
 
-let smoke = Array.exists (String.equal "--smoke") Sys.argv
-
-let jobs_scaling_only = Array.exists (String.equal "--jobs-scaling") Sys.argv
-
-let route_bench_only = Array.exists (String.equal "--route-bench") Sys.argv
-
-let escape_bench_only = Array.exists (String.equal "--escape-bench") Sys.argv
-
-let fault_sweep_only = Array.exists (String.equal "--fault-sweep") Sys.argv
-
-let serve_bench_only = Array.exists (String.equal "--serve-bench") Sys.argv
-
-let chaos_soak_only = Array.exists (String.equal "--chaos-soak") Sys.argv
+let smoke = Array.mem "--smoke" Sys.argv
 
 let arg_value name =
   let rec find i =
@@ -41,8 +31,34 @@ let arg_value name =
   in
   find 1
 
-(* --json-out PATH: also write the jobs-scaling JSON to a file. *)
 let json_out = arg_value "--json-out"
+
+(* Every record mode ends here: print the record, write it to --json-out,
+   then compare it with the committed record field by field, timings
+   excepted. On drift, exit 1 with one line per mismatched field;
+   re-record by copying the --json-out file over the committed one. *)
+let check_record ~committed (r : Record.t) =
+  let text = Record.to_string r in
+  Format.printf "@.%s@." text;
+  Option.iter
+    (fun path ->
+       Out_channel.with_open_text path (fun oc -> output_string oc text);
+       Format.printf "%s record written to %s@." r.bench path)
+    json_out;
+  let mismatches =
+    match In_channel.with_open_text committed In_channel.input_all with
+    | exception Sys_error e -> [ e ]
+    | text -> (
+      match Record.of_string text with
+      | Error e -> [ "unreadable: " ^ e ]
+      | Ok record -> Record.diff ~record ~fresh:r)
+  in
+  if mismatches <> [] then begin
+    List.iter (Format.eprintf "%s drift: %s@." committed) mismatches;
+    Format.eprintf "%s: to re-record, run with --json-out F and copy F over it@." committed;
+    exit 1
+  end;
+  Format.printf "%s: the fresh run matches the record@." committed
 
 (* --timeout S / --max-expansions N / --retries N: run the batch sections
    under a search budget, to measure the degradation machinery's overhead
@@ -64,6 +80,8 @@ let pp_limits ppf (l : Pacor_route.Budget.limits) =
 
 let bench_retries =
   Option.value ~default:0 (Option.bind (arg_value "--retries") int_of_string_opt)
+
+let bench_config = { Pacor.Config.default with Pacor.Config.limits = bench_limits }
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel)                                         *)
@@ -353,42 +371,19 @@ let batch_fingerprint (s : Pacor_par.Batch.summary) =
            total + st.Pacor.Solution.total_length ))
     (0, 0) s.Pacor_par.Batch.items
 
-let print_jobs_scaling ~steps ~seeds ~jobs_list () =
-  Format.printf "@.== Jobs scaling: domain-pool batch routing (pacor_par) ==@.";
-  let named = scaling_batch ~steps ~seeds in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "%d instances, %d core(s) visible to the runtime@."
-    (List.length named) cores;
-  if not (Pacor_route.Budget.is_no_limits bench_limits) then
-    Format.printf "budget: %a, retries=%d@." pp_limits
-      bench_limits bench_retries;
-  let config = { Pacor.Config.default with Pacor.Config.limits = bench_limits } in
-  (* One unmeasured warm-up batch: the first run in the process pays heap
-     growth and code warm-up for everyone after it, which used to show up
-     as a fake >1x "speedup" for whichever jobs count ran second. *)
-  let warm =
-    Pacor_par.Batch.run_problems ~jobs:1 ~retries:bench_retries ~config named
-  in
-  (* Interleaved rounds, per-jobs minimum: sampling every jobs count in
-     each round spreads shared-machine load drift evenly across the
-     column, and the min over rounds estimates the contention-free floor
-     — raw single samples jitter +-15% on a busy box, far above the 3%
-     no-regression bound asserted below. Routing results are identical
-     across rounds (determinism contract), so keeping any round's
-     summary is sound. *)
-  (* Process CPU time alongside wall clock: on one core every jobs count
-     runs on a single domain (the pool clamps), so CPU time is a
-     like-for-like overhead measure that a busy neighbour on a shared
-     box cannot inflate — wall clock there jitters +-15%, an order of
-     magnitude above the 3% bound asserted below. On > 1 core CPU time
-     sums across domains and only wall clock measures speedup. Each CPU
-     sample spans [reps] consecutive batches, sized from the warm-up
-     batch so a sample covers >= 0.5s — [Sys.time]'s 10ms tick would
-     otherwise eat the whole bound on a small (smoke-sized) batch. *)
-  let rounds = 3 in
-  let reps =
-    let per_batch = Float.max warm.Pacor_par.Batch.elapsed_s 0.01 in
-    max 3 (min 50 (int_of_float (Float.ceil (0.5 /. per_batch))))
+(* [rounds] interleaved rounds over [jobs_list], each sample [reps]
+   consecutive batches; per jobs count, the fastest batch and the least
+   CPU time per batch over the rounds. Routing results are identical
+   across rounds (determinism contract), so keeping any round's summary
+   is sound. *)
+let sample_jobs ~named ~jobs_list ~rounds ~reps =
+  let fastest = function
+    | s :: t ->
+      List.fold_left
+        (fun (b : Pacor_par.Batch.summary) (s : Pacor_par.Batch.summary) ->
+           if s.elapsed_s < b.elapsed_s then s else b)
+        s t
+    | [] -> invalid_arg "fastest"
   in
   let samples =
     List.init rounds (fun _ ->
@@ -398,116 +393,95 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
              let batches =
                List.init reps (fun _ ->
                    Pacor_par.Batch.run_problems ~jobs ~retries:bench_retries
-                     ~config named)
+                     ~config:bench_config named)
              in
-             let cpu = (Sys.time () -. c0) /. float_of_int reps in
-             let s =
-               List.fold_left
-                 (fun (b : Pacor_par.Batch.summary) (s : Pacor_par.Batch.summary) ->
-                    if s.Pacor_par.Batch.elapsed_s < b.Pacor_par.Batch.elapsed_s
-                    then s
-                    else b)
-                 (List.hd batches) (List.tl batches)
-             in
-             (jobs, (s, cpu)))
+             (jobs, (fastest batches, (Sys.time () -. c0) /. float_of_int reps)))
           jobs_list)
   in
   let runs =
     List.map
       (fun jobs ->
-         let best =
-           List.fold_left
-             (fun acc round ->
-                let (s', cpu') = List.assoc jobs round in
-                match acc with
-                | Some ((b : Pacor_par.Batch.summary), bc) ->
-                  Some
-                    (( (if s'.Pacor_par.Batch.elapsed_s
-                        < b.Pacor_par.Batch.elapsed_s
-                        then s'
-                        else b),
-                       min bc cpu' ))
-                | None -> Some (s', cpu'))
-             None samples
-         in
-         let s, cpu = Option.get best in
+         let mine = List.map (List.assoc jobs) samples in
+         let s = fastest (List.map fst mine) in
+         let cpu = List.fold_left Float.min Float.infinity (List.map snd mine) in
          (jobs, s, cpu, batch_fingerprint s))
       jobs_list
   in
-  let base_elapsed =
-    match runs with (_, s, _, _) :: _ -> s.Pacor_par.Batch.elapsed_s | [] -> 0.0
+  (samples, runs)
+
+let jobs_record ~named runs =
+  let ratio a b = if b > 0.0 then a /. b else 1.0 in
+  let _, (s1 : Pacor_par.Batch.summary), cpu1, fp1 = List.hd runs in
+  { Record.bench = "pacor-jobs-scaling";
+    rows =
+      Record.row "family" [ ("instances", List.length named) ]
+      :: List.map
+           (fun (jobs, (s : Pacor_par.Batch.summary), _, (matched, total)) ->
+              Record.row (Printf.sprintf "jobs=%d" jobs)
+                ~fingerprint:
+                  (Printf.sprintf "jobs=%d matched=%d total_length=%d" jobs matched total)
+                [ ("degraded", s.degraded_jobs); ("quarantined", List.length s.quarantined) ])
+           runs;
+    invariants = [ ("deterministic", List.for_all (fun (_, _, _, fp) -> fp = fp1) runs) ];
+    timings =
+      ("cores", float_of_int (Domain.recommended_domain_count ()))
+      :: List.concat_map
+           (fun (jobs, (s : Pacor_par.Batch.summary), cpu, _) ->
+              let t name v = (Printf.sprintf "jobs=%d.%s" jobs name, v) in
+              [ t "elapsed_s" s.elapsed_s; t "cpu_s" cpu;
+                t "speedup_vs_jobs1" (ratio s1.elapsed_s s.elapsed_s);
+                t "cpu_vs_jobs1" (ratio cpu1 cpu) ])
+           runs }
+
+let print_jobs_scaling ?committed ~steps ~seeds ~jobs_list () =
+  Format.printf "@.== Jobs scaling: domain-pool batch routing (pacor_par) ==@.";
+  let named = scaling_batch ~steps ~seeds in
+  let cores = Domain.recommended_domain_count () in
+  Format.printf "%d instances, %d core(s) visible to the runtime@."
+    (List.length named) cores;
+  if not (Pacor_route.Budget.is_no_limits bench_limits) then
+    Format.printf "budget: %a, retries=%d@." pp_limits
+      bench_limits bench_retries;
+  (* One unmeasured warm-up batch: the first run in the process pays heap
+     growth and code warm-up for everyone after it, which used to show up
+     as a fake >1x "speedup" for whichever jobs count ran second. *)
+  let warm =
+    Pacor_par.Batch.run_problems ~jobs:1 ~retries:bench_retries ~config:bench_config named
   in
-  let base_cpu = match runs with (_, _, c, _) :: _ -> c | [] -> 0.0 in
-  let base_fp = match runs with (_, _, _, fp) :: _ -> fp | [] -> (0, 0) in
-  Format.printf "%6s %10s %10s %10s %13s %9s %12s@." "jobs" "elapsed" "cpu"
-    "speedup" "deterministic" "degraded" "quarantined";
-  List.iter
-    (fun (jobs, (s : Pacor_par.Batch.summary), cpu, fp) ->
-       Format.printf "%6d %9.2fs %9.2fs %9.2fx %13s %9d %12d@." jobs
-         s.Pacor_par.Batch.elapsed_s cpu
-         (if s.Pacor_par.Batch.elapsed_s > 0.0 then
-            base_elapsed /. s.Pacor_par.Batch.elapsed_s
-          else 1.0)
-         (if fp = base_fp then "yes" else "NO (BUG)")
-         s.Pacor_par.Batch.degraded_jobs
-         (List.length s.Pacor_par.Batch.quarantined))
-    runs;
-  (* Machine-readable record for the perf trajectory. *)
-  let json =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-jobs-scaling\",\n";
-    Printf.bprintf buf "  \"cores\": %d,\n" cores;
-    Printf.bprintf buf "  \"instances\": %d,\n" (List.length named);
-    Printf.bprintf buf "  \"designs\": [%s],\n"
-      (String.concat ", " (List.map (fun (n, _) -> Printf.sprintf "%S" n) named));
-    Printf.bprintf buf "  \"results\": [\n";
-    List.iteri
-      (fun i (jobs, (s : Pacor_par.Batch.summary), cpu, fp) ->
-         let matched, total = fp in
-         Printf.bprintf buf
-           "    {\"jobs\": %d, \"elapsed_s\": %.4f, \"cpu_s\": %.4f, \
-            \"speedup_vs_jobs1\": %.3f, \"cpu_vs_jobs1\": %.3f, \
-            \"matched\": %d, \"total_length\": %d, \
-            \"deterministic\": %b, \
-            \"fingerprint\": \"jobs=%d matched=%d total_length=%d\"}%s\n"
-           jobs s.Pacor_par.Batch.elapsed_s cpu
-           (if s.Pacor_par.Batch.elapsed_s > 0.0 then
-              base_elapsed /. s.Pacor_par.Batch.elapsed_s
-            else 1.0)
-           (if cpu > 0.0 then base_cpu /. cpu else 1.0)
-           matched total (fp = base_fp) jobs matched total
-           (if i = List.length runs - 1 then "" else ","))
-      runs;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+  (* Interleaved rounds, per-jobs minimum: sampling every jobs count in
+     each round spreads shared-machine load drift evenly across the
+     column, and the min over rounds estimates the contention-free floor
+     — raw single samples jitter +-15% on a busy box, far above the 3%
+     no-regression bound asserted below. *)
+  (* Process CPU time alongside wall clock: on one core every jobs count
+     runs on a single domain (the pool clamps), so CPU time is a
+     like-for-like overhead measure that a busy neighbour on a shared
+     box cannot inflate — wall clock there jitters +-15%, an order of
+     magnitude above the 3% bound asserted below. On > 1 core CPU time
+     sums across domains and only wall clock measures speedup. Each CPU
+     sample spans [reps] consecutive batches, sized from the warm-up
+     batch so a sample covers >= 0.5s — [Sys.time]'s 10ms tick would
+     otherwise eat the whole bound on a small (smoke-sized) batch. *)
+  let reps =
+    let per_batch = Float.max warm.Pacor_par.Batch.elapsed_s 0.01 in
+    max 3 (min 50 (int_of_float (Float.ceil (0.5 /. per_batch))))
   in
-  Format.printf "@.%s@." json;
-  (match json_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc json;
-     close_out oc;
-     Format.printf "jobs-scaling JSON written to %s@." path);
-  (* Assertions, conditional on the recorded core count. Determinism
-     holds everywhere. With one core every jobs count runs on a single
-     domain, so the honest no-regression bound (jobs > 1 within 3% of
-     jobs=1 — the old locked-queue pool lost up to 18% here) is checked
-     on process CPU time, which shared-machine load cannot inflate.
-     With real cores, wall-clock speedup at jobs=4 must clear 1.5x. *)
+  let samples, runs = sample_jobs ~named ~jobs_list ~rounds:3 ~reps in
+  let r = jobs_record ~named runs in
+  (match committed with
+   | Some committed -> check_record ~committed r
+   | None -> Format.printf "@.%s@." (Record.to_string r));
+  (* Assertions, conditional on the core count. With one core every jobs
+     count runs on a single domain, so the honest no-regression bound
+     (jobs > 1 within 3% of jobs=1 — the old locked-queue pool lost up to
+     18% here) is checked on process CPU time, which shared-machine load
+     cannot inflate. With real cores, wall-clock speedup at jobs=4 must
+     clear 1.5x. *)
   let failures = ref [] in
-  let speedup (s : Pacor_par.Batch.summary) =
-    if s.Pacor_par.Batch.elapsed_s > 0.0 then
-      base_elapsed /. s.Pacor_par.Batch.elapsed_s
-    else 1.0
-  in
+  if not (List.assoc "deterministic" r.invariants) then
+    failures := [ "a jobs count's results differ from jobs=1 (determinism)" ];
   List.iter
-    (fun (jobs, s, _cpu, fp) ->
-       if fp <> base_fp then
-         failures :=
-           Printf.sprintf "jobs=%d results differ from jobs=1 (determinism)" jobs
-           :: !failures;
+    (fun (jobs, _, _, _) ->
        (* Per-round ratio, best round: jobs=1 and jobs=N sampled within
           the same round share the same heap/GC state, so slow drift
           across the process lifetime cancels; one clean round is enough
@@ -527,10 +501,11 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
              "jobs=%d CPU time is %.3fx of jobs=1 on 1 core (bound: 0.97x)"
              jobs best_ratio
            :: !failures;
-       if cores > 1 && jobs = 4 && speedup s < 1.5 then
+       let speedup = List.assoc (Printf.sprintf "jobs=%d.speedup_vs_jobs1" jobs) r.timings in
+       if cores > 1 && jobs = 4 && speedup < 1.5 then
          failures :=
            Printf.sprintf "jobs=4 is %.3fx of jobs=1 on %d cores (bound: 1.5x)"
-             (speedup s) cores
+             speedup cores
            :: !failures)
     runs;
   match !failures with
@@ -546,29 +521,23 @@ let print_jobs_scaling ~steps ~seeds ~jobs_list () =
    EXPERIMENTS.md ("Jobs scaling"). *)
 let committed_steps = 3
 let committed_seeds = 160
+let committed_jobs = [ 1; 2; 4; 8 ]
 
 let print_committed_jobs_scaling () =
-  print_jobs_scaling ~steps:committed_steps ~seeds:committed_seeds
-    ~jobs_list:[ 1; 2; 4; 8 ] ()
+  print_jobs_scaling ~committed:"BENCH_parallel.json" ~steps:committed_steps
+    ~seeds:committed_seeds ~jobs_list:committed_jobs ()
 
-(* One untimed jobs=1 batch of the committed family: its fingerprint, for
-   comparison with BENCH_parallel.json's rows without a wall-clock bound. *)
-let print_committed_fingerprint () =
-  let config = { Pacor.Config.default with Pacor.Config.limits = bench_limits } in
-  let s =
-    Pacor_par.Batch.run_problems ~jobs:1 ~retries:bench_retries ~config
-      (scaling_batch ~steps:committed_steps ~seeds:committed_seeds)
-  in
-  let matched, total = batch_fingerprint s in
-  Format.printf "committed jobs-scaling family: matched=%d total_length=%d@."
-    matched total
+(* One round of the committed family, one batch per jobs count: its
+   record checked against BENCH_parallel.json without a wall-clock bound. *)
+let check_committed_family () =
+  Format.printf "@.== Committed jobs-scaling family, one round ==@.";
+  let named = scaling_batch ~steps:committed_steps ~seeds:committed_seeds in
+  let _, runs = sample_jobs ~named ~jobs_list:committed_jobs ~rounds:1 ~reps:1 in
+  check_record ~committed:"BENCH_parallel.json" (jobs_record ~named runs)
 
 (* ------------------------------------------------------------------ *)
 (* Route bench: conflict-driven incremental negotiation vs the paper's *)
-(* full-reroute loop. The JSON record is committed as                  *)
-(* BENCH_route.json; its deterministic "fingerprint" fields (routed    *)
-(* counts, lengths, expansion counts) are what CI checks for drift —   *)
-(* wall-clock and allocation words are machine-dependent and excluded. *)
+(* full-reroute loop; the record is BENCH_route.json.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* A conflict-then-converge family with three ingredients, sized so the
@@ -663,92 +632,57 @@ let run_negotiation_mode mode ~grid ~walls ~edges =
 
 let print_route_bench () =
   Format.printf "@.== Route bench: incremental negotiation vs full reroute ==@.";
-  let sizes = if smoke || quick then [ 16; 24 ] else [ 16; 24; 32; 48 ] in
-  let neg_rows =
+  let samples =
     List.map
       (fun size ->
          let grid, walls, edges = negotiation_instance size in
-         let full =
-           run_negotiation_mode Pacor_route.Negotiation.Full_reroute ~grid ~walls ~edges
-         in
-         let inc =
-           run_negotiation_mode Pacor_route.Negotiation.Incremental ~grid ~walls ~edges
-         in
-         (size, List.length edges, full, inc))
-      sizes
+         let run mode = run_negotiation_mode mode ~grid ~walls ~edges in
+         ( Printf.sprintf "neg %d" size,
+           size,
+           List.length edges,
+           run Pacor_route.Negotiation.Full_reroute,
+           run Pacor_route.Negotiation.Incremental ))
+      [ 16; 24; 32; 48 ]
   in
-  Format.printf "%5s %6s | %18s %8s %7s | %18s %8s %7s | %6s %9s@." "size" "edges"
-    "full (routed,len)" "pops" "rounds" "inc (routed,len)" "pops" "rounds" "ratio"
-    "no-worse";
-  List.iter
-    (fun (size, nedges, full, inc) ->
-       let ratio =
-         if inc.pops > 0 then float_of_int full.pops /. float_of_int inc.pops else 0.0
-       in
-       let no_worse =
-         inc.routed > full.routed
-         || (inc.routed = full.routed && inc.length <= full.length)
-       in
-       Format.printf "%5d %6d | (%6d,%8d) %8d %7d | (%6d,%8d) %8d %7d | %5.2fx %9s@."
-         size nedges full.routed full.length full.pops full.rounds inc.routed inc.length
-         inc.pops inc.rounds ratio
-         (if no_worse then "yes" else "NO (BUG)"))
-    neg_rows;
-  let total_full = List.fold_left (fun a (_, _, f, _) -> a + f.pops) 0 neg_rows in
-  let total_inc = List.fold_left (fun a (_, _, _, i) -> a + i.pops) 0 neg_rows in
-  Format.printf "total expansions: full=%d incremental=%d (%.2fx reduction)@."
-    total_full total_inc
-    (if total_inc > 0 then float_of_int total_full /. float_of_int total_inc else 0.0);
-  (* Machine-readable record. *)
-  let json =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-route-bench\",\n";
-    Printf.bprintf buf "  \"negotiation\": [\n";
-    List.iteri
-      (fun i (size, nedges, full, inc) ->
-         let mode_json (m : mode_sample) =
-           Printf.sprintf
-             "{\"routed\": %d, \"length\": %d, \"rounds\": %d, \"pops\": %d, \
-              \"touched\": %d, \"searches\": %d, \"wall_s\": %.6f, \"minor_words\": %.0f}"
-             m.routed m.length m.rounds m.pops m.touched m.searches m.wall_s
-             m.minor_words
-         in
-         Printf.bprintf buf
-           "    {\"size\": %d, \"edges\": %d,\n     \"full\": %s,\n     \"incremental\": %s,\n\
-            \     \"expansion_ratio\": %.3f, \"no_worse\": %b,\n\
-            \     \"fingerprint\": \"neg size=%d routed=%d/%d len=%d/%d pops=%d/%d\"}%s\n"
-           size nedges (mode_json full) (mode_json inc)
-           (if inc.pops > 0 then float_of_int full.pops /. float_of_int inc.pops else 0.0)
-           (inc.routed > full.routed
-            || (inc.routed = full.routed && inc.length <= full.length))
-           size full.routed inc.routed full.length inc.length full.pops inc.pops
-           (if i = List.length neg_rows - 1 then "" else ","))
-      neg_rows;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf
-      "  \"totals\": {\"full_pops\": %d, \"incremental_pops\": %d, \
-       \"expansion_ratio\": %.3f}\n"
-      total_full total_inc
-      (if total_inc > 0 then float_of_int total_full /. float_of_int total_inc else 0.0);
-    Printf.bprintf buf "}\n";
-    Buffer.contents buf
+  let untimed mode m =
+    [ (mode ^ "_rounds", m.rounds); (mode ^ "_touched", m.touched);
+      (mode ^ "_searches", m.searches) ]
   in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "route-bench JSON written to %s@." path
+  let timed key mode m =
+    [ (key ^ "." ^ mode ^ "_wall_s", m.wall_s);
+      (key ^ "." ^ mode ^ "_minor_words", m.minor_words) ]
+  in
+  let total pops = List.fold_left (fun a s -> a + pops s) 0 samples in
+  check_record ~committed:"BENCH_route.json"
+    { Record.bench = "pacor-route-bench";
+      rows =
+        List.map
+          (fun (key, size, nedges, full, inc) ->
+             Record.row key
+               ~fingerprint:
+                 (Printf.sprintf "neg size=%d routed=%d/%d len=%d/%d pops=%d/%d" size
+                    full.routed inc.routed full.length inc.length full.pops inc.pops)
+               ((("edges", nedges) :: untimed "full" full) @ untimed "inc" inc))
+          samples
+        @ [ Record.row "totals"
+              [ ("full_pops", total (fun (_, _, _, f, _) -> f.pops));
+                ("incremental_pops", total (fun (_, _, _, _, i) -> i.pops)) ] ];
+      invariants =
+        [ ( "no_worse",
+            List.for_all
+              (fun (_, _, _, full, inc) ->
+                 inc.routed > full.routed
+                 || (inc.routed = full.routed && inc.length <= full.length))
+              samples ) ];
+      timings =
+        List.concat_map
+          (fun (key, _, _, full, inc) -> timed key "full" full @ timed key "inc" inc)
+          samples }
 
 (* ------------------------------------------------------------------ *)
 (* Escape bench: the escape min-cost-flow solver's wall time on        *)
 (* synthetic instances up to Chip1's footprint, plus the full-engine   *)
-(* corpus outcomes — the data behind BENCH_escape.json. Fingerprints   *)
-(* carry each instance's (routed, length) and each corpus design's     *)
-(* (matched, length); wall-clock is machine-dependent and excluded.    *)
+(* corpus outcomes — the data behind BENCH_escape.json.               *)
 (* ------------------------------------------------------------------ *)
 
 (* Escape-stage instance: pins across the top boundary, cluster start
@@ -770,15 +704,9 @@ let escape_instance_rect ~width ~height =
   (grid, pins, requests)
 
 let print_escape_bench () =
-  Format.printf "@.== Escape bench: min-cost-flow escape solve ==@.";
-  (* Smoke sizes are a strict subset of the full run, so every smoke
-     fingerprint must appear verbatim in the committed BENCH_escape.json. *)
-  let dims =
-    if smoke || quick then [ (24, 24); (48, 48) ]
-    else [ (24, 24); (48, 48); (96, 96); (160, 160); (179, 413) ]
-  in
+  Format.printf "@.== Escape bench: min-cost-flow escape solve, corpus engine outcomes ==@.";
   let ws = Pacor_route.Workspace.create () in
-  let rows =
+  let instances =
     List.map
       (fun (width, height) ->
          let grid, pins, requests = escape_instance_rect ~width ~height in
@@ -791,18 +719,15 @@ let print_escape_bench () =
          match result with
          | Error e -> failwith ("escape-bench instance invalid: " ^ e)
          | Ok out ->
-           ( width, height, List.length requests, List.length out.Pacor_flow.Escape.routed,
-             out.Pacor_flow.Escape.total_length, wall ))
-      dims
+           let key = Printf.sprintf "escb %dx%d" width height in
+           ( Record.row key
+               ~fingerprint:
+                 (Printf.sprintf "%s grid=%d/%d" key (List.length out.Pacor_flow.Escape.routed)
+                    out.Pacor_flow.Escape.total_length)
+               [ ("requests", List.length requests) ],
+             (key ^ ".grid_wall_s", wall) ))
+      [ (24, 24); (48, 48); (96, 96); (160, 160); (179, 413) ]
   in
-  Format.printf "%9s %4s | %14s %9s@." "size" "req" "(routed,len)" "wall";
-  List.iter
-    (fun (w, h, nreq, routed, len, wall) ->
-       Format.printf "%4dx%-4d %4d | (%4d,%7d) %8.4fs@." w h nreq routed len wall)
-    rows;
-  (* Full-engine corpus outcomes: the deterministic fingerprint CI guards
-     against escape regressions. *)
-  Format.printf "@.== Escape bench: corpus engine outcomes ==@.";
   let corpus =
     match Pacor_par.Batch.load_dir "corpus" with
     | Error e -> failwith ("escape-bench: corpus load failed: " ^ e)
@@ -813,70 +738,25 @@ let print_escape_bench () =
            | Error e -> failwith (name ^ ": engine failed: " ^ e.Pacor.Engine.message)
            | Ok sol ->
              let st = Pacor.Solution.stats sol in
-             (name, st.Pacor.Solution.matched_clusters, st.Pacor.Solution.total_length))
+             Record.row name
+               ~fingerprint:
+                 (Printf.sprintf "corpus %s matched=%d len=%d" name
+                    st.Pacor.Solution.matched_clusters st.Pacor.Solution.total_length)
+               [])
         named
   in
-  List.iter
-    (fun (name, matched, len) ->
-       Format.printf "  %-24s matched=%d total_length=%d@." name matched len)
-    corpus;
-  let json =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-escape-bench\",\n";
-    Printf.bprintf buf "  \"instances\": [\n";
-    List.iteri
-      (fun i (w, h, nreq, routed, len, wall) ->
-         Printf.bprintf buf
-           "    {\"width\": %d, \"height\": %d, \"requests\": %d, \"grid_wall_s\": %.6f,\n\
-            \     \"fingerprint\": \"escb %dx%d grid=%d/%d\"}%s\n"
-           w h nreq wall w h routed len
-           (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf "  \"corpus\": [\n";
-    List.iteri
-      (fun i (name, matched, len) ->
-         Printf.bprintf buf
-           "    {\"design\": %S, \"fingerprint\": \"corpus %s matched=%d len=%d\"}%s\n"
-           name name matched len
-           (if i = List.length corpus - 1 then "" else ","))
-      corpus;
-    Printf.bprintf buf "  ]\n}\n";
-    Buffer.contents buf
-  in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "escape-bench JSON written to %s@." path
+  check_record ~committed:"BENCH_escape.json"
+    { Record.bench = "pacor-escape-bench";
+      rows = List.map fst instances @ corpus;
+      invariants = [];
+      timings = List.map snd instances }
 
 (* ------------------------------------------------------------------ *)
 (* Fault sweep: online repair (rip-up-around-the-fault) vs a full      *)
 (* re-route of the faulted instance, on the FPVA valve-array family —  *)
-(* the data behind BENCH_fault.json. Fault sets are seeded per (design,*)
-(* rate) case, so fingerprints (fault counts, outcomes, expansion      *)
-(* counts, length delta) are deterministic; wall-clock is printed and  *)
-(* recorded but excluded from fingerprints.                            *)
+(* the data behind BENCH_fault.json. Fault sets are seeded per        *)
+(* (design, rate) case, so everything but wall-clock is deterministic. *)
 (* ------------------------------------------------------------------ *)
-
-type fault_case = {
-  fc_design : string;
-  fc_rate : float;
-  fc_faults : int;
-  fc_repaired : int;
-  fc_degraded : int;
-  fc_unrepairable : int;
-  fc_repair_pops : int;
-  fc_reroute_pops : int;
-  fc_repair_wall : float;
-  fc_reroute_wall : float;
-  fc_len_delta : int;         (* repaired minus ripped channel length *)
-  fc_valid : bool;            (* repaired solution passes Solution.validate *)
-}
 
 let run_fault_case (spec : Pacor_designs.Fpva.spec) rate =
   let name = spec.Pacor_designs.Fpva.name in
@@ -922,116 +802,49 @@ let run_fault_case (spec : Pacor_designs.Fpva.spec) rate =
     (Pacor_route.Search_stats.snapshot reroute_stats).Pacor_route.Search_stats.pops
   in
   let count p = List.length (List.filter p rep.Pacor_fault.Repair.reports) in
-  {
-    fc_design = name;
-    fc_rate = rate;
-    fc_faults = List.length faults;
-    fc_repaired = count (fun r -> r.Pacor_fault.Repair.outcome = Pacor_fault.Repair.Repaired);
-    fc_degraded =
-      count (fun r ->
-        match r.Pacor_fault.Repair.outcome with
-        | Pacor_fault.Repair.Degraded _ -> true
-        | _ -> false);
-    fc_unrepairable =
-      count (fun r ->
-        match r.Pacor_fault.Repair.outcome with
-        | Pacor_fault.Repair.Unrepairable _ -> true
-        | _ -> false);
-    fc_repair_pops = repair_pops;
-    fc_reroute_pops = reroute_pops;
-    fc_repair_wall = rep.Pacor_fault.Repair.wall_s;
-    fc_reroute_wall = reroute_wall;
-    fc_len_delta =
-      rep.Pacor_fault.Repair.repaired_length - rep.Pacor_fault.Repair.ripped_length;
-    fc_valid =
-      (match Pacor.Solution.validate rep.Pacor_fault.Repair.solution with
-       | Ok () -> true
-       | Error _ -> false);
-  }
-
-let fault_fingerprint c =
-  Printf.sprintf "fault %s r=%.2f faults=%d rep=%d deg=%d unrep=%d pops=%d/%d len_delta=%d"
-    c.fc_design c.fc_rate c.fc_faults c.fc_repaired c.fc_degraded c.fc_unrepairable
-    c.fc_repair_pops c.fc_reroute_pops c.fc_len_delta
+  let key = Printf.sprintf "%s r=%.2f" name rate in
+  ( Record.row key
+      ~fingerprint:
+        (Printf.sprintf "fault %s faults=%d rep=%d deg=%d unrep=%d pops=%d/%d len_delta=%d"
+           key (List.length faults)
+           (count (fun r -> r.Pacor_fault.Repair.outcome = Pacor_fault.Repair.Repaired))
+           (count (fun r ->
+              match r.Pacor_fault.Repair.outcome with
+              | Pacor_fault.Repair.Degraded _ -> true
+              | _ -> false))
+           (count (fun r ->
+              match r.Pacor_fault.Repair.outcome with
+              | Pacor_fault.Repair.Unrepairable _ -> true
+              | _ -> false))
+           repair_pops reroute_pops
+           (rep.Pacor_fault.Repair.repaired_length - rep.Pacor_fault.Repair.ripped_length))
+      [],
+    repair_pops < reroute_pops,
+    Result.is_ok (Pacor.Solution.validate rep.Pacor_fault.Repair.solution),
+    [ (key ^ ".repair_wall_s", rep.Pacor_fault.Repair.wall_s);
+      (key ^ ".reroute_wall_s", reroute_wall) ] )
 
 let print_fault_sweep () =
   Format.printf "@.== Fault sweep: online repair vs full re-route (FPVA family) ==@.";
-  (* Smoke cases are a strict subset of the full sweep, so every smoke
-     fingerprint must appear verbatim in the committed BENCH_fault.json. *)
-  let family = Pacor_designs.Fpva.family () in
-  let specs =
-    if smoke || quick then
-      List.filter
-        (fun (s : Pacor_designs.Fpva.spec) -> s.Pacor_designs.Fpva.name <> "fpva-8x8")
-        family
-    else family
-  in
-  let rates = if smoke || quick then [ 0.02; 0.10 ] else [ 0.02; 0.05; 0.10 ] in
   let cases =
-    List.concat_map (fun spec -> List.map (run_fault_case spec) rates) specs
+    List.concat_map
+      (fun spec -> List.map (run_fault_case spec) [ 0.02; 0.05; 0.10 ])
+      (Pacor_designs.Fpva.family ())
   in
-  Format.printf "%9s %5s %7s | %4s %4s %6s | %10s %10s %7s | %10s %10s %8s | %6s@."
-    "design" "rate" "faults" "rep" "deg" "unrep" "rep-pops" "full-pops" "cheaper"
-    "rep-wall" "full-wall" "len-d" "valid";
-  List.iter
-    (fun c ->
-       Format.printf
-         "%9s %5.2f %7d | %4d %4d %6d | %10d %10d %7s | %9.4fs %9.4fs %8d | %6s@."
-         c.fc_design c.fc_rate c.fc_faults c.fc_repaired c.fc_degraded c.fc_unrepairable
-         c.fc_repair_pops c.fc_reroute_pops
-         (if c.fc_repair_pops < c.fc_reroute_pops then "yes" else "NO")
-         c.fc_repair_wall c.fc_reroute_wall c.fc_len_delta
-         (if c.fc_valid then "yes" else "NO (BUG)"))
-    cases;
-  let all_cheaper = List.for_all (fun c -> c.fc_repair_pops < c.fc_reroute_pops) cases in
-  let all_valid = List.for_all (fun c -> c.fc_valid) cases in
-  Format.printf "repair cheaper than full re-route on every case: %s@."
-    (if all_cheaper then "yes" else "NO (BUG)");
-  let json =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-fault-sweep\",\n";
-    Printf.bprintf buf "  \"cases\": [\n";
-    List.iteri
-      (fun i c ->
-         Printf.bprintf buf
-           "    {\"design\": %S, \"rate\": %.2f, \"faults\": %d,\n\
-            \     \"repaired\": %d, \"degraded\": %d, \"unrepairable\": %d,\n\
-            \     \"repair_pops\": %d, \"reroute_pops\": %d, \"cheaper\": %b,\n\
-            \     \"repair_wall_s\": %.6f, \"reroute_wall_s\": %.6f,\n\
-            \     \"length_delta\": %d, \"valid\": %b,\n\
-            \     \"fingerprint\": \"%s\"}%s\n"
-           c.fc_design c.fc_rate c.fc_faults c.fc_repaired c.fc_degraded
-           c.fc_unrepairable c.fc_repair_pops c.fc_reroute_pops
-           (c.fc_repair_pops < c.fc_reroute_pops) c.fc_repair_wall c.fc_reroute_wall
-           c.fc_len_delta c.fc_valid (fault_fingerprint c)
-           (if i = List.length cases - 1 then "" else ","))
-      cases;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf "  \"all_cheaper\": %b,\n" all_cheaper;
-    Printf.bprintf buf "  \"all_valid\": %b\n" all_valid;
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
-  in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "fault-sweep JSON written to %s@." path
+  check_record ~committed:"BENCH_fault.json"
+    { Record.bench = "pacor-fault-sweep";
+      rows = List.map (fun (row, _, _, _) -> row) cases;
+      invariants =
+        [ ("all_cheaper", List.for_all (fun (_, cheaper, _, _) -> cheaper) cases);
+          ("all_valid", List.for_all (fun (_, _, valid, _) -> valid) cases) ];
+      timings = List.concat_map (fun (_, _, _, t) -> t) cases }
 
 (* ------------------------------------------------------------------ *)
 (* Serve bench: the routing daemon under a mixed request trace — the  *)
 (* data behind BENCH_serve.json. The trace is fully deterministic     *)
 (* (instance seeds and the request mix are functions of the request   *)
-(* index), so the per-instance route outcomes and the delta-vs-scratch*)
-(* expansion totals are drift-guarded fingerprints; wall-clock        *)
-(* (requests/sec, latency percentiles) is machine-dependent and       *)
-(* excluded. Smoke instances are a strict subset of the full run, so  *)
-(* every smoke instance fingerprint must appear verbatim in the       *)
-(* committed BENCH_serve.json.                                        *)
+(* index), so everything but wall-clock (requests/sec, latency        *)
+(* percentiles, uptime) is drift-guarded.                              *)
 (* ------------------------------------------------------------------ *)
 
 module SJ = Pacor_serve.Json
@@ -1098,29 +911,12 @@ let sj_ok j =
   | Some b -> b
   | None -> failwith "serve-bench: response without ok field"
 
-let sj_result_int j key =
-  match Option.bind (Option.bind (SJ.member "result" j) (SJ.member key)) SJ.int_opt with
+let sj_result conv j key =
+  match Option.bind (Option.bind (SJ.member "result" j) (SJ.member key)) conv with
   | Some v -> v
-  | None -> failwith ("serve-bench: response without result." ^ key)
+  | None -> failwith ("response without a well-formed result." ^ key)
 
-let sj_result_str j key =
-  match
-    Option.bind (Option.bind (SJ.member "result" j) (SJ.member key)) SJ.string_opt
-  with
-  | Some v -> v
-  | None -> failwith ("serve-bench: response without result." ^ key)
-
-let sj_result_bool j key =
-  match
-    Option.bind (Option.bind (SJ.member "result" j) (SJ.member key)) SJ.bool_opt
-  with
-  | Some v -> v
-  | None -> failwith ("serve-bench: response without result." ^ key)
-
-let sj_cached j =
-  match Option.bind (SJ.member "cached" j) SJ.bool_opt with
-  | Some b -> b
-  | None -> false
+let sj_cached j = Option.bind (SJ.member "cached" j) SJ.bool_opt = Some true
 
 type serve_counts = {
   mutable sc_routes : int;
@@ -1136,10 +932,8 @@ type serve_counts = {
 }
 
 let print_serve_bench () =
-  let k_instances = if smoke || quick then 2 else 8 in
-  let n_requests = if smoke || quick then 60 else 1000 in
-  let malformed_at = if smoke || quick then 17 else 500 in
-  let starved_at = if smoke || quick then 23 else 700 in
+  let k_instances = 8 and n_requests = 1000 in
+  let malformed_at = 500 and starved_at = 700 in
   Format.printf "@.== Serve bench: daemon under a mixed %d-request trace ==@."
     n_requests;
   let problems = Array.init k_instances (fun k -> serve_generate (serve_spec k)) in
@@ -1157,7 +951,7 @@ let print_serve_bench () =
       sc_delta_pops = 0; sc_scratch_pops = 0 }
   in
   let latencies = Array.make n_requests 0.0 in
-  let instance_fps = Array.make k_instances ("", 0, 0) in
+  let instance_rows = Array.make k_instances (Record.row "" []) in
   let starved_exhausted = ref "" in
   let send i line =
     let t0 = Pacor_route.Clock.now_mono () in
@@ -1257,17 +1051,22 @@ let print_serve_bench () =
       in
       let j = send i line in
       if not (sj_ok j) then failwith "serve-bench: starved route errored";
-      starved_exhausted := sj_result_str j "budget_exhausted";
+      starved_exhausted := sj_result SJ.string_opt j "budget_exhausted";
       c.sc_routes <- c.sc_routes + 1
     end
     else if i < k_instances then begin
       (* Leading routes: one session per instance; record its fingerprint. *)
       let j = send i (route_req ~bind:true i) in
       if not (sj_ok j) then failwith "serve-bench: initial route errored";
-      instance_fps.(i) <-
-        ( sj_result_str j "fingerprint",
-          sj_result_int j "routed_valves",
-          sj_result_int j "total_length" );
+      let key = Printf.sprintf "serve-%d" i in
+      instance_rows.(i) <-
+        Record.row key
+          ~fingerprint:
+            (Printf.sprintf "serve inst %s fp=%s routed=%d len=%d" key
+               (sj_result SJ.string_opt j "fingerprint")
+               (sj_result SJ.int_opt j "routed_valves")
+               (sj_result SJ.int_opt j "total_length"))
+          [];
       c.sc_routes <- c.sc_routes + 1
     end
     else
@@ -1294,8 +1093,8 @@ let print_serve_bench () =
           let j = send i line in
           if sj_ok j then begin
             c.sc_deltas <- c.sc_deltas + 1;
-            c.sc_delta_pops <- c.sc_delta_pops + sj_result_int j "expansions";
-            if sj_result_bool j "incremental" then
+            c.sc_delta_pops <- c.sc_delta_pops + sj_result SJ.int_opt j "expansions";
+            if sj_result SJ.bool_opt j "incremental" then
               c.sc_incremental <- c.sc_incremental + 1
             else c.sc_fallbacks <- c.sc_fallbacks + 1;
             match mirrored with
@@ -1332,66 +1131,35 @@ let print_serve_bench () =
   let pct p =
     sorted.(min (n_requests - 1) (int_of_float (float_of_int n_requests *. p)))
   in
-  let p50 = pct 0.50 and p99 = pct 0.99 in
-  let rps = if total_s > 0.0 then float_of_int n_requests /. total_s else 0.0 in
-  let stats_json = SJ.to_string (Pacor_serve.Server.stats_result server) in
-  let cheaper = c.sc_delta_pops < c.sc_scratch_pops in
-  Format.printf "%d requests in %.3fs: %.0f req/s, p50 %.0fus, p99 %.0fus@."
-    n_requests total_s rps (p50 *. 1e6) (p99 *. 1e6);
-  Format.printf
-    "routes=%d cache_hits=%d deltas=%d (incremental=%d fallback=%d refused=%d) pings=%d errors=%d@."
-    c.sc_routes c.sc_cache_hits c.sc_deltas c.sc_incremental c.sc_fallbacks
-    c.sc_refused c.sc_pings c.sc_errors;
-  Format.printf "starved route: budget_exhausted=%s@." !starved_exhausted;
-  Format.printf "expansions: delta=%d scratch=%d — deltas strictly cheaper: %s@."
-    c.sc_delta_pops c.sc_scratch_pops
-    (if cheaper then "yes" else "NO (BUG)");
-  Format.printf "daemon stats: %s@." stats_json;
-  let json =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-serve-bench\",\n";
-    Printf.bprintf buf "  \"requests\": %d,\n" n_requests;
-    Printf.bprintf buf "  \"instances\": [\n";
-    Array.iteri
-      (fun k (fp, routed, len) ->
-         Printf.bprintf buf
-           "    {\"name\": \"serve-%d\", \"problem_fingerprint\": %S,\n\
-            \     \"fingerprint\": \"serve inst serve-%d fp=%s routed=%d len=%d\"}%s\n"
-           k fp k fp routed len
-           (if k = k_instances - 1 then "" else ","))
-      instance_fps;
-    Printf.bprintf buf "  ],\n";
-    Printf.bprintf buf
-      "  \"trace\": {\"routes\": %d, \"cache_hits\": %d, \"deltas\": %d, \
-       \"incremental\": %d, \"fallbacks\": %d, \"refused\": %d, \"pings\": %d, \
-       \"errors\": %d, \"starved_budget_exhausted\": %S},\n"
-      c.sc_routes c.sc_cache_hits c.sc_deltas c.sc_incremental c.sc_fallbacks
-      c.sc_refused c.sc_pings c.sc_errors !starved_exhausted;
-    Printf.bprintf buf
-      "  \"latency\": {\"total_s\": %.4f, \"requests_per_s\": %.1f, \
-       \"p50_us\": %.1f, \"p99_us\": %.1f},\n"
-      total_s rps (p50 *. 1e6) (p99 *. 1e6);
-    Printf.bprintf buf
-      "  \"expansions\": {\"delta_pops\": %d, \"scratch_pops\": %d, \
-       \"ratio\": %.3f, \"deltas_strictly_cheaper\": %b},\n"
-      c.sc_delta_pops c.sc_scratch_pops
-      (if c.sc_delta_pops > 0 then
-         float_of_int c.sc_scratch_pops /. float_of_int c.sc_delta_pops
-       else 0.0)
-      cheaper;
-    Printf.bprintf buf "  \"daemon_stats\": %s\n" stats_json;
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
+  (* The daemon's stats, flattened to dotted names: integers are counters,
+     floats (its uptime) timings. *)
+  let rec leaves path = function
+    | SJ.Obj l ->
+      List.concat_map (fun (n, v) -> leaves (if path = "" then n else path ^ "." ^ n) v) l
+    | v -> [ (path, v) ]
   in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "serve-bench JSON written to %s@." path
+  let stats = leaves "" (Pacor_serve.Server.stats_result server) in
+  let stats_where f = List.filter_map (fun (n, v) -> Option.map (fun x -> (n, x)) (f v)) stats in
+  check_record ~committed:"BENCH_serve.json"
+    { Record.bench = "pacor-serve-bench";
+      rows =
+        Array.to_list instance_rows
+        @ [ Record.row "trace"
+              [ ("requests", n_requests); ("routes", c.sc_routes);
+                ("cache_hits", c.sc_cache_hits); ("deltas", c.sc_deltas);
+                ("incremental", c.sc_incremental); ("fallbacks", c.sc_fallbacks);
+                ("refused", c.sc_refused); ("pings", c.sc_pings); ("errors", c.sc_errors);
+                ("delta_pops", c.sc_delta_pops); ("scratch_pops", c.sc_scratch_pops) ];
+            Record.row "daemon_stats"
+              (stats_where (function SJ.Int i -> Some i | _ -> None)) ];
+      invariants =
+        [ ("deltas_strictly_cheaper", c.sc_delta_pops < c.sc_scratch_pops);
+          ("starved_route_exhausts_expansions", !starved_exhausted = "expansions") ];
+      timings =
+        [ ("total_s", total_s);
+          ("requests_per_s", if total_s > 0.0 then float_of_int n_requests /. total_s else 0.0);
+          ("p50_us", pct 0.50 *. 1e6); ("p99_us", pct 0.99 *. 1e6) ]
+        @ stats_where (function SJ.Float f -> Some f | _ -> None) }
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: a supervised daemon under deterministic fault injection *)
@@ -1406,7 +1174,7 @@ let print_serve_bench () =
    per-session problem fingerprints are a pure function of the trace —
    that is what BENCH_chaos.json's drift guard pins.
 
-   Survival criteria (each asserted, not just reported):
+   Survival criteria, each an invariant of the record:
    - zero daemon aborts: workers die only by our SIGKILLs; the supervisor
      exits 0 only if it saw no abnormal exit *codes* and ended cleanly;
    - zero lost acknowledged sessions: after a final kill + recovery, every
@@ -1419,16 +1187,13 @@ let print_serve_bench () =
    dispatcher runs it before re-raising. *)
 let chaos_cleanup : (unit -> unit) ref = ref (fun () -> ())
 
-let chaos_sessions = 4
-
 let chaos_soak_spec k =
   { (serve_spec k) with
     Pacor_designs.Synthetic.name = Printf.sprintf "chaos-%d" k;
     seed = Int64.of_int (5000 + (41 * k)) }
 
 let print_chaos_soak () =
-  let n_requests = if smoke || quick then 80 else 1000 in
-  let k = if smoke || quick then 2 else chaos_sessions in
+  let n_requests = 1000 and k = 4 in
   let seed = 42 in
   Format.printf "@.== Chaos soak: supervised daemon, %d requests, seed %d ==@."
     n_requests seed;
@@ -1475,14 +1240,12 @@ let print_chaos_soak () =
     | pid -> pid
   in
   Unix.close listen_fd;
+  let worker_pid () =
+    In_channel.with_open_text pidfile (fun ic -> int_of_string (String.trim (input_line ic)))
+  in
   (chaos_cleanup :=
      fun () ->
-       (try
-          let ic = open_in pidfile in
-          let wpid = int_of_string (String.trim (input_line ic)) in
-          close_in ic;
-          Unix.kill wpid Sys.sigkill
-        with _ -> ());
+       (try Unix.kill (worker_pid ()) Sys.sigkill with _ -> ());
        (try Unix.kill sup_pid Sys.sigkill with Unix.Unix_error _ -> ());
        (try ignore (Unix.waitpid [] sup_pid) with Unix.Unix_error _ -> ()));
   (* Wait for the first worker's pid to land. *)
@@ -1509,12 +1272,7 @@ let print_chaos_soak () =
          Chaos.apply chaos !current_fault ~attempt fd line));
   let kills = ref 0 in
   let kill_worker () =
-    match
-      let ic = open_in pidfile in
-      let pid = int_of_string (String.trim (input_line ic)) in
-      close_in ic;
-      pid
-    with
+    match worker_pid () with
     | exception _ -> ()
     | pid -> (
       match Unix.kill pid Sys.sigkill with
@@ -1605,7 +1363,7 @@ let print_chaos_soak () =
       | _ ->
         let j = send i (sj_req (base @ [ ("op", SJ.String "get") ])) in
         if not (sj_ok j) then failwith "chaos-soak: get refused";
-        let got = sj_result_str j "fingerprint" in
+        let got = sj_result SJ.string_opt j "fingerprint" in
         let want = Pacor.Problem_io.fingerprint mirrors.(s) in
         if got <> want then
           failwith
@@ -1629,7 +1387,7 @@ let print_chaos_soak () =
         in
         if not (sj_ok j) then
           failwith ("chaos-soak: session lost after recovery: " ^ session_name s);
-        let got = sj_result_str j "fingerprint" in
+        let got = sj_result SJ.string_opt j "fingerprint" in
         let expect = Pacor.Problem_io.fingerprint mirrors.(s) in
         if got <> expect then
           failwith
@@ -1643,23 +1401,12 @@ let print_chaos_soak () =
       (sj_req [ ("id", SJ.Int (n_requests + k)); ("op", SJ.String "stats") ])
   in
   let overload key =
-    match
-      Option.bind
-        (Option.bind (Option.bind (SJ.member "result" stats_j) (SJ.member "overload"))
-           (SJ.member key))
-        SJ.int_opt
-    with
-    | Some v -> v
-    | None -> failwith ("chaos-soak: stats without overload." ^ key)
+    sj_result (fun o -> Option.bind (SJ.member key o) SJ.int_opt) stats_j "overload"
   in
   let max_pending = overload "max_pending_bytes" in
   let max_outgoing = overload "max_outgoing_bytes" in
   let line_cap = Pacor_serve.Linebuf.default_max_line in
   let hw_cap = Pacor_serve.Server.default_high_water in
-  if max_pending > line_cap then
-    failwith "chaos-soak: pending bytes exceeded the line cap";
-  if max_outgoing > hw_cap then
-    failwith "chaos-soak: outgoing bytes exceeded the high-water mark";
   let j =
     send (n_requests + k + 1)
       (sj_req [ ("id", SJ.Int (n_requests + k + 1)); ("op", SJ.String "shutdown") ])
@@ -1676,8 +1423,6 @@ let print_chaos_soak () =
     | Unix.WEXITED 0 -> 0
     | _ -> 1
   in
-  if daemon_aborts <> 0 then
-    failwith "chaos-soak: supervisor reported daemon aborts or an unclean end";
   let total_s = Pacor_route.Clock.now_mono () -. wall0 in
   let resends, reconnects, strays = Pacor_serve.Client.counters conn in
   let faults = Chaos.counts chaos in
@@ -1686,56 +1431,31 @@ let print_chaos_soak () =
      if Sys.file_exists pidfile then Sys.remove pidfile;
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ());
-  Format.printf "%d requests in %.1fs; faults:" n_requests total_s;
-  List.iter (fun (l, n) -> Format.printf " %s=%d" l n) faults;
-  Format.printf "@.";
-  Format.printf
-    "kills=%d resends=%d reconnects=%d strays=%d ok=%d err=%d sessions=%d/%d recovered@."
-    !kills resends reconnects strays !ok_count !err_count !recovered k;
-  Format.printf "bounded memory: pending %d/%d, outgoing %d/%d@." max_pending
-    line_cap max_outgoing hw_cap;
-  let json =
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n";
-    Printf.bprintf buf "  \"bench\": \"pacor-chaos-soak\",\n";
-    Printf.bprintf buf "  \"requests\": %d,\n" n_requests;
-    Printf.bprintf buf "  \"seed\": %d,\n" seed;
-    Printf.bprintf buf "  \"faults\": {%s},\n"
-      (String.concat ", "
-         (List.map (fun (l, n) -> Printf.sprintf "\"%s\": %d" l n) faults));
-    Printf.bprintf buf
-      "  \"survival\": {\"daemon_aborts\": %d, \"worker_kills\": %d, \
-       \"responses_ok\": %d, \"responses_err\": %d, \"sessions_bound\": %d, \
-       \"sessions_recovered\": %d, \"sessions_lost\": %d, \"resends\": %d, \
-       \"reconnects\": %d, \"strays\": %d},\n"
-      daemon_aborts !kills !ok_count !err_count k !recovered (k - !recovered)
-      resends reconnects strays;
-    Printf.bprintf buf
-      "  \"bounded_memory\": {\"max_pending_bytes\": %d, \"line_cap\": %d, \
-       \"max_outgoing_bytes\": %d, \"high_water_cap\": %d, \"within_caps\": %b},\n"
-      max_pending line_cap max_outgoing hw_cap
-      (max_pending <= line_cap && max_outgoing <= hw_cap);
-    Printf.bprintf buf "  \"sessions\": [\n";
-    Array.iteri
-      (fun s (name, fp) ->
-         Printf.bprintf buf
-           "    {\"name\": %S, \"problem_fingerprint\": %S,\n\
-            \     \"fingerprint\": \"chaos sess %s fp=%s\"}%s\n"
-           name fp name fp
-           (if s = k - 1 then "" else ","))
-      session_fps;
-    Printf.bprintf buf "  ]\n";
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
-  in
-  Format.printf "@.%s@." json;
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    Format.printf "chaos-soak JSON written to %s@." path
+  check_record ~committed:"BENCH_chaos.json"
+    { Record.bench = "pacor-chaos-soak";
+      rows =
+        [ Record.row "faults" (("requests", n_requests) :: ("seed", seed) :: faults);
+          Record.row "survival"
+            [ ("daemon_aborts", daemon_aborts); ("worker_kills", !kills);
+              ("responses_ok", !ok_count); ("responses_err", !err_count);
+              ("sessions_bound", k); ("sessions_recovered", !recovered);
+              ("sessions_lost", k - !recovered); ("resends", resends);
+              ("reconnects", reconnects); ("strays", strays) ];
+          Record.row "bounded_memory" [ ("line_cap", line_cap); ("high_water_cap", hw_cap) ] ]
+        @ Array.to_list
+            (Array.map
+               (fun (name, fp) ->
+                  Record.row name ~fingerprint:(Printf.sprintf "chaos sess %s fp=%s" name fp) [])
+               session_fps);
+      invariants =
+        [ ("no_daemon_aborts", daemon_aborts = 0);
+          ("no_sessions_lost", !recovered = k);
+          ("within_caps", max_pending <= line_cap && max_outgoing <= hw_cap) ];
+      (* The gauges are measured, not pinned: max_outgoing_bytes read 559
+         in one run of the same trace and 560 in the next. *)
+      timings =
+        [ ("total_s", total_s); ("max_pending_bytes", float_of_int max_pending);
+          ("max_outgoing_bytes", float_of_int max_outgoing) ] }
 
 let print_flow_search_stats () =
   Format.printf
@@ -1757,79 +1477,38 @@ let print_flow_search_stats () =
             Pacor.Report.print_search_stats Format.std_formatter sol))
     designs
 
+let record_modes =
+  [ ("--route-bench", print_route_bench);
+    ("--escape-bench", print_escape_bench);
+    ("--fault-sweep", print_fault_sweep);
+    ("--serve-bench", print_serve_bench);
+    ( "--chaos-soak",
+      fun () ->
+        try print_chaos_soak ()
+        with exn ->
+          !chaos_cleanup ();
+          raise exn );
+    ("--jobs-scaling", print_committed_jobs_scaling) ]
+
 let () =
-  if route_bench_only then begin
-    (* Routing perf trajectory: negotiation modes, with the JSON record
-       (committed as BENCH_route.json). --smoke restricts to the small
-       sizes for CI. *)
-    Format.printf "PACOR benchmark harness (route-bench only%s)@."
-      (if smoke then ", smoke" else "");
-    print_route_bench ();
-    Format.printf "@.done.@."
-  end
-  else if escape_bench_only then begin
-    (* Escape-stage perf trajectory: solve timings and corpus outcomes,
-       with the JSON record (committed as BENCH_escape.json). --smoke
-       restricts to the small sizes for CI. *)
-    Format.printf "PACOR benchmark harness (escape-bench only%s)@."
-      (if smoke then ", smoke" else "");
-    print_escape_bench ();
-    Format.printf "@.done.@."
-  end
-  else if serve_bench_only then begin
-    (* Serving-layer trajectory: the daemon under a deterministic mixed
-       trace, with the JSON record (committed as BENCH_serve.json).
-       --smoke restricts to two instances and a 60-request trace for CI. *)
-    Format.printf "PACOR benchmark harness (serve-bench only%s)@."
-      (if smoke then ", smoke" else "");
-    print_serve_bench ();
-    Format.printf "@.done.@."
-  end
-  else if chaos_soak_only then begin
-    (* Robustness trajectory: the supervised daemon under deterministic
-       fault injection, with the JSON record (committed as
-       BENCH_chaos.json). --smoke restricts to an 80-request trace for CI. *)
-    Format.printf "PACOR benchmark harness (chaos-soak only%s)@."
-      (if smoke then ", smoke" else "");
-    (try print_chaos_soak ()
-     with exn ->
-       !chaos_cleanup ();
-       raise exn);
-    Format.printf "@.done.@."
-  end
-  else if fault_sweep_only then begin
-    (* Fault-injection trajectory: online repair vs full re-route on the
-       FPVA family, with the JSON record (committed as BENCH_fault.json).
-       --smoke restricts to the small designs and outer rates for CI. *)
-    Format.printf "PACOR benchmark harness (fault-sweep only%s)@."
-      (if smoke then ", smoke" else "");
-    print_fault_sweep ();
-    Format.printf "@.done.@."
-  end
-  else if jobs_scaling_only then begin
-    (* Standalone perf-trajectory run: the jobs-scaling batch only, with
-       its JSON record (committed as BENCH_parallel.json). *)
-    Format.printf "PACOR benchmark harness (jobs-scaling only)@.";
-    print_committed_jobs_scaling ();
-    Format.printf "@.done.@."
-  end
-  else if smoke then begin
-    (* CI fast path: seconds, not minutes — exercises the workspace bench
-       machinery, one full flow, and the domain pool end to end. *)
-    Format.printf "PACOR benchmark harness (smoke mode)@.";
-    print_flow_search_stats ();
-    check_scaling_family ();
-    print_jobs_scaling ~steps:2 ~seeds:2 ~jobs_list:[ 1; 2 ] ();
-    print_committed_fingerprint ();
-    run_micro_benches ~only:bench_astar_workspace ();
-    Format.printf "@.done.@."
-  end
-  else begin
-    Format.printf "PACOR benchmark harness%s@." (if quick then " (quick mode)" else "");
-    print_rsmt_comparison ();
-    print_scaling ();
-    print_flow_search_stats ();
-    print_committed_jobs_scaling ();
-    run_micro_benches ();
-    Format.printf "@.done.@."
-  end
+  (match List.find_opt (fun (flag, _) -> Array.mem flag Sys.argv) record_modes with
+   | Some (flag, run) ->
+     Format.printf "PACOR benchmark harness (%s)@." flag;
+     run ()
+   | None when smoke ->
+     (* CI fast path: seconds, not minutes — exercises the workspace bench
+        machinery, one full flow, and the domain pool end to end. *)
+     Format.printf "PACOR benchmark harness (smoke mode)@.";
+     print_flow_search_stats ();
+     check_scaling_family ();
+     print_jobs_scaling ~steps:2 ~seeds:2 ~jobs_list:[ 1; 2 ] ();
+     check_committed_family ();
+     run_micro_benches ~only:bench_astar_workspace ()
+   | None ->
+     Format.printf "PACOR benchmark harness%s@." (if quick then " (quick mode)" else "");
+     print_rsmt_comparison ();
+     print_scaling ();
+     print_flow_search_stats ();
+     print_committed_jobs_scaling ();
+     run_micro_benches ());
+  Format.printf "@.done.@."
